@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -59,6 +63,25 @@ def test_bad_group_specs_exit_2(capsys, spec):
     code, out, err = run_cli(capsys, "subgroups", spec)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "spec", ["(1,2); (1,2,3,4,5,6,7,8,9,10)", "(1,2); (1,2,3,4,5,6,7)"], ids=["S10", "S7"]
+)
+def test_oversized_group_refused_before_work(spec):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bisetforge.cli", "subgroups", spec],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert elapsed < 2
 
 
 def test_mult_basis_product(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisetforge.perms import (
@@ -8,6 +8,7 @@ from bisetforge.perms import (
     cyclic_group,
     symmetric_group,
 )
+from bisetforge.verify import pair_group
 
 perms4 = st.permutations(list(range(4))).map(lambda im: Perm(tuple(im)))
 
@@ -36,6 +37,11 @@ def test_cycle_string_round_trip():
     for text in ("(1,2)", "(1,2,3)", "(1,2)(3,4)", "()"):
         p = Perm.from_cycle_string(text, 4)
         assert Perm.from_cycle_string(p.cycle_string(), 4) == p
+
+
+def test_constructor_rejects_non_bijection():
+    with pytest.raises(ValueError):
+        Perm((0, 0))
 
 
 def test_from_cycles_rejects_overlap():
@@ -88,3 +94,87 @@ def test_cyclic_group():
     C = cyclic_group(4)
     assert C.order == 4
     assert len(C.conjugacy_classes_of_subgroups()) == 3
+
+
+@pytest.mark.parametrize(
+    "group, classes, subgroups",
+    [
+        # OEIS A000638 / A005432
+        (lambda: symmetric_group(4), 11, 30),
+        (lambda: symmetric_group(5), 19, 156),
+        (lambda: symmetric_group(6), 56, 1455),
+        (lambda: PermGroup(5, [Perm.from_cycle_string("(1,2,3)", 5),
+                               Perm.from_cycle_string("(1,2,3,4,5)", 5)]), 9, 59),
+        (pair_group, 22, 60),
+    ],
+    ids=["S4", "S5", "S6", "A5", "S3xS3"],
+)
+def test_subgroup_lattice_counts(group, classes, subgroups):
+    found = group().conjugacy_classes_of_subgroups()
+    assert (len(found), sum(len(c) for c in found)) == (classes, subgroups)
+
+
+# A naive reference on frozensets of Perm, for groups of degree <= 4: every
+# subgroup of S4 is generated by two elements, so the closures of all pairs
+# are all the subgroups.
+
+
+def _ref_close(degree, gens):
+    elems = {Perm.identity(degree)}
+    frontier = list(elems)
+    while frontier:
+        frontier = [x * g for x in frontier for g in gens if x * g not in elems]
+        elems.update(frontier)
+    return frozenset(elems)
+
+
+def _ref_witness(G, s1, s2):
+    for g in G.elements:
+        if frozenset(g * u * g.inverse() for u in s1) == s2:
+            return g
+    return None
+
+
+def _ref_minimal_gens(degree, elems):
+    gens, span = [], {Perm.identity(degree)}
+    for p in sorted(elems, key=lambda p: (-p.order(), p.images)):
+        if p not in span:
+            gens.append(p)
+            span = _ref_close(degree, gens)
+    return gens
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
+    return PermGroup(degree, [Perm(g) for g in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_lattice_matches_naive_reference(G):
+    subs = sorted(
+        {_ref_close(G.degree, [a, b]) for a in G.elements for b in G.elements},
+        key=lambda s: (len(s), sorted(s)),
+    )
+    classes = []
+    for s in subs:
+        for cls in classes:
+            if _ref_witness(G, cls[0], s) is not None:
+                cls.append(s)
+                break
+        else:
+            classes.append([s])
+
+    found = G.all_subgroups()
+    assert [s.element_set for s in found] == subs
+    assert [list(s.generators) for s in found] == [
+        _ref_minimal_gens(G.degree, s) for s in subs
+    ]
+    assert [[s.element_set for s in c] for c in G.conjugacy_classes_of_subgroups()] == classes
+    for s1 in subs:
+        for s2 in subs:
+            if len(s1) == len(s2):
+                w = _ref_witness(G, s1, s2)
+                assert G.are_conjugate(s1, s2) == (w is not None, w)
