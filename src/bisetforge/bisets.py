@@ -44,7 +44,6 @@ __all__ = [
     "RINGS",
     "TableMismatch",
     "subgroup_reps",
-    "subgroup_rep",
     "biset_sizes",
     "transitive_biset",
     "tensor",
@@ -71,10 +70,6 @@ PAIRS = tuple(itertools.product(S3.elements, S3.elements))
 
 def pair_mul(p, q):
     return (p[0] * q[0], p[1] * q[1])
-
-
-def pair_inv(p):
-    return (p[0].inverse(), p[1].inverse())
 
 
 def pair_conj(g, u):
@@ -138,10 +133,6 @@ class TableMismatch(Exception):
 @lru_cache(maxsize=1)
 def subgroup_reps():
     return tuple(_close_pairs(gens) for gens in SUBGROUP_GENERATORS)
-
-
-def subgroup_rep(i):
-    return subgroup_reps()[i]
 
 
 @lru_cache(maxsize=1)

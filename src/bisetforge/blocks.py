@@ -15,19 +15,29 @@ the corner produce nilpotents:
     x-leg then t-leg:  (x . t') eta
     y-leg then v-leg:  (y v') (xi - 12 eta)
 
-The coordinate order used for vectors throughout is COORD_NAMES.  The linear
-isomorphism onto the rational double Burnside ring sends each coordinate slot
-to one member of the 22-element orthogonal-decomposition basis (gamma); its
-inverse is an exact 22x22 matrix inversion.
+The coordinate order used for vectors throughout is COORD_NAMES.  A
+BlockElement stores its 22 coordinates in that order as integer numerators
+(`nums`) over one positive denominator (`den`), in lowest terms, so equality
+and hashing compare the pair and products, sums and the integrality tests run
+on ints.  Fractions appear only at the edges: the keyword constructor,
+from_vector and from_coords accept them, to_vector returns them, and scale
+takes a rational factor.
+
+The linear isomorphism onto the rational double Burnside ring sends each
+coordinate slot to one member of the 22-element orthogonal-decomposition basis
+(gamma).  PeirceBasis holds gamma and its inverse as integer matrices over one
+common denominator each, built once per instance.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import fixtures
 from .bisets import BASIS_LABELS, BurnsideElement
-from .linalg import SingularMatrixError, is_p_integral, mat_inverse, mat_vec, parse_fraction
+from .linalg import SingularMatrixError, common_denominator, int_inverse, mat_vec, parse_fraction
 
 __all__ = [
     "COORD_NAMES",
@@ -49,6 +59,7 @@ COORD_INDEX = {name: i for i, name in enumerate(COORD_NAMES)}
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_ONE = tuple(int(n in ("s11", "s22", "s33", "u", "w", "z1")) for n in COORD_NAMES)
 
 
 class DualPair:
@@ -100,178 +111,139 @@ class DualPair:
         return "DualPair(%s, %s, %s)" % (self.a, self.b, self.c)
 
 
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vneg(u):
-    return tuple(-a for a in u)
-
-
-def _vscale(r, u):
-    return tuple(r * a for a in u)
-
-
 class BlockElement:
-    """One element of the block algebra; all entries exact Fractions."""
+    """One element of the block algebra: nums / den, see the module docstring."""
 
-    __slots__ = ("s", "t", "u", "v", "w", "x", "y", "z")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, s=None, t=(0, 0, 0), u=0, v=0, w=0, x=(0, 0, 0), y=0, z=None):
-        if s is None:
-            s = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
-        self.s = tuple(tuple(Fraction(a) for a in row) for row in s)
-        self.t = tuple(Fraction(a) for a in t)
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        self.w = Fraction(w)
-        self.x = tuple(Fraction(a) for a in x)
-        self.y = Fraction(y)
-        self.z = z if isinstance(z, DualPair) else DualPair(z or 0)
+    def __init__(self, s=None, t=(0, 0, 0), u=0, v=0, w=0, x=(0, 0, 0), y=0, z=0):
+        s = s or ((0, 0, 0),) * 3
+        z = (z.a, z.b, z.c) if isinstance(z, DualPair) else (z or 0, 0, 0)
+        vec = [s[i][j] for j in range(3) for i in range(3)]
+        self.nums, self.den = common_denominator(vec + [*x, u, y, w, *t, v, *z])
+
+    @classmethod
+    def from_ints(cls, nums, den=1):
+        """The element with coordinates nums[k] / den, reduced to lowest terms."""
+        nums = tuple(nums)
+        if len(nums) != 22:
+            raise ValueError("expected 22 coordinates")
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(a // g for a in nums)
+            den //= g
+        out = object.__new__(cls)
+        out.nums = nums
+        out.den = den
+        return out
 
     @classmethod
     def identity(cls):
-        return cls(s=((1, 0, 0), (0, 1, 0), (0, 0, 1)), u=1, w=1, z=DualPair(1))
+        return cls.from_ints(_ONE)
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls.from_ints((0,) * 22)
 
     @classmethod
     def from_vector(cls, vec):
-        vec = [Fraction(a) for a in vec]
-        if len(vec) != 22:
-            raise ValueError("expected 22 coordinates")
-        s = tuple(tuple(vec[3 * j + i] for j in range(3)) for i in range(3))
-        return cls(
-            s=s,
-            x=(vec[9], vec[10], vec[11]),
-            u=vec[12],
-            y=vec[13],
-            w=vec[14],
-            t=(vec[15], vec[16], vec[17]),
-            v=vec[18],
-            z=DualPair(vec[19], vec[20], vec[21]),
-        )
+        return cls.from_ints(*common_denominator(vec))
 
     @classmethod
     def from_coords(cls, mapping):
-        vec = [_F0] * 22
+        vec = [0] * 22
         for name, val in mapping.items():
-            vec[COORD_INDEX[name]] = Fraction(val)
+            vec[COORD_INDEX[name]] = val
         return cls.from_vector(vec)
 
     def to_vector(self):
-        out = []
-        for j in range(3):
-            for i in range(3):
-                out.append(self.s[i][j])
-        out.extend(self.x)
-        out.extend((self.u, self.y, self.w))
-        out.extend(self.t)
-        out.append(self.v)
-        out.extend((self.z.a, self.z.b, self.z.c))
-        return out
+        return [Fraction(a, self.den) for a in self.nums]
 
-    def coord(self, name):
-        return self.to_vector()[COORD_INDEX[name]]
+    def int_vector(self):
+        """The coordinates as a list of ints; ValueError unless integral."""
+        if self.den != 1:
+            raise ValueError("block element has denominator %d" % self.den)
+        return list(self.nums)
 
     def __add__(self, other):
-        return BlockElement(
-            s=tuple(_vadd(r1, r2) for r1, r2 in zip(self.s, other.s)),
-            t=_vadd(self.t, other.t),
-            u=self.u + other.u,
-            v=self.v + other.v,
-            w=self.w + other.w,
-            x=_vadd(self.x, other.x),
-            y=self.y + other.y,
-            z=self.z + other.z,
-        )
+        da, db = self.den, other.den
+        nums = (a * db + b * da for a, b in zip(self.nums, other.nums))
+        return BlockElement.from_ints(nums, da * db)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BlockElement(
-            s=tuple(_vneg(r) for r in self.s),
-            t=_vneg(self.t),
-            u=-self.u,
-            v=-self.v,
-            w=-self.w,
-            x=_vneg(self.x),
-            y=-self.y,
-            z=-self.z,
-        )
+        return BlockElement.from_ints((-a for a in self.nums), self.den)
 
     def scale(self, r):
-        r = Fraction(r)
-        return BlockElement(
-            s=tuple(_vscale(r, row) for row in self.s),
-            t=_vscale(r, self.t),
-            u=r * self.u,
-            v=r * self.v,
-            w=r * self.w,
-            x=_vscale(r, self.x),
-            y=r * self.y,
-            z=self.z * r,
-        )
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        nums = (r.numerator * a for a in self.nums)
+        return BlockElement.from_ints(nums, self.den * r.denominator)
 
     def __mul__(self, other):
-        a, b = self, other
-        s = tuple(
-            tuple(sum(a.s[i][k] * b.s[k][j] for k in range(3)) for j in range(3))
+        # s_ij sits at 3j+i, x_j at 9+j, t_i at 15+i; u, y, w, v, z1, z2, z3
+        # at 12, 13, 14, 18, 19, 20, 21
+        A, B = self.nums, other.nums
+        xt = A[9] * B[15] + A[10] * B[16] + A[11] * B[17]
+        yv = A[13] * B[18]
+        nums = [
+            A[i] * B[3 * j] + A[3 + i] * B[3 * j + 1] + A[6 + i] * B[3 * j + 2]
+            for j in range(3)
             for i in range(3)
-        )
-        t = tuple(
-            sum(a.s[i][k] * b.t[k] for k in range(3)) + a.t[i] * b.z.a for i in range(3)
-        )
-        x = tuple(
-            sum(a.x[k] * b.s[k][j] for k in range(3)) + a.z.a * b.x[j] for j in range(3)
-        )
-        xt = sum(a.x[k] * b.t[k] for k in range(3))
-        yv = a.y * b.v
-        z = DualPair(
-            a.z.a * b.z.a,
-            a.z.a * b.z.b + a.z.b * b.z.a + xt - 12 * yv,
-            a.z.a * b.z.c + a.z.c * b.z.a + yv,
-        )
-        return BlockElement(
-            s=s,
-            t=t,
-            u=a.u * b.u,
-            v=a.u * b.v + a.v * b.z.a,
-            w=a.w * b.w,
-            x=x,
-            y=a.y * b.u + a.z.a * b.y,
-            z=z,
-        )
+        ]
+        nums += [
+            A[9] * B[3 * j] + A[10] * B[3 * j + 1] + A[11] * B[3 * j + 2] + A[19] * B[9 + j]
+            for j in range(3)
+        ]
+        nums += [A[12] * B[12], A[13] * B[12] + A[19] * B[13], A[14] * B[14]]
+        nums += [
+            A[i] * B[15] + A[3 + i] * B[16] + A[6 + i] * B[17] + A[15 + i] * B[19]
+            for i in range(3)
+        ]
+        nums += [
+            A[12] * B[18] + A[18] * B[19],
+            A[19] * B[19],
+            A[19] * B[20] + A[20] * B[19] + xt - 12 * yv,
+            A[19] * B[21] + A[21] * B[19] + yv,
+        ]
+        return BlockElement.from_ints(nums, self.den * other.den)
 
     def inverse(self):
-        cols = [(self * e).to_vector() for e in slot_basis()]
-        L = [[cols[j][i] for j in range(22)] for i in range(22)]
+        # Column k of L is (nums of self, over 1) * e_k, so self * c == 1
+        # reads (L / den) c == 1.
+        numer = BlockElement.from_ints(self.nums)
+        cols = [(numer * e).nums for e in slot_basis()]
         try:
-            Li = mat_inverse(L)
+            N, d = int_inverse(list(zip(*cols)), self.den)
         except SingularMatrixError:
             raise SingularMatrixError("block element is not a unit") from None
-        inv = BlockElement.from_vector(mat_vec(Li, BlockElement.identity().to_vector()))
+        inv = BlockElement.from_ints(mat_vec(N, _ONE), d)
         assert (self * inv) == BlockElement.identity()
         assert (inv * self) == BlockElement.identity()
         return inv
 
     def is_integral(self):
-        return all(Fraction(c).denominator == 1 for c in self.to_vector())
+        return self.den == 1
 
     def is_p_integral(self, p):
-        return all(is_p_integral(c, p) for c in self.to_vector())
+        return self.den % p != 0
 
     def is_zero(self):
-        return all(c == 0 for c in self.to_vector())
+        return not any(self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, BlockElement) and self.to_vector() == other.to_vector()
+        return (
+            isinstance(other, BlockElement)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash(tuple(self.to_vector()))
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         parts = [
@@ -330,7 +302,6 @@ class PeirceBasis:
     def __init__(self, vectors, table):
         self.vectors = tuple(tuple(Fraction(c) for c in v) for v in vectors)
         self.table = table
-        self._gamma_inv = None
 
     @classmethod
     def load(cls, fixture_dir=None):
@@ -374,19 +345,31 @@ class PeirceBasis:
             for row in range(len(BASIS_LABELS))
         ]
 
+    @cached_property
+    def int_vectors(self):
+        """(rows, d) with vectors[i] == rows[i] / d, one common denominator."""
+        flat, d = common_denominator([c for v in self.vectors for c in v])
+        n = len(BASIS_LABELS)
+        return [flat[i * n : i * n + n] for i in range(len(self.vectors))], d
+
+    @cached_property
+    def _gamma_ints(self):
+        """(G, g, H, h): gamma is G/g and its inverse H/h, integer matrices."""
+        flat, g = common_denominator([c for row in self.gamma_matrix() for c in row])
+        G = [flat[r * 22 : r * 22 + 22] for r in range(len(BASIS_LABELS))]
+        H, h = int_inverse(G, g)
+        return G, g, H, h
+
     def gamma(self, block):
         """Image of a block element in the rational double Burnside ring."""
-        coords = block.to_vector()
-        total = [_F0] * len(BASIS_LABELS)
-        for k, c in enumerate(coords):
-            if c == 0:
-                continue
-            vec = self.vectors[SLOT_TO_PEIRCE[k]]
-            total = [a + c * b for a, b in zip(total, vec)]
-        return BurnsideElement("Q", total)
+        G, g, _, _ = self._gamma_ints
+        den = g * block.den
+        return BurnsideElement("Q", [Fraction(x, den) for x in mat_vec(G, block.nums)])
 
     def gamma_inv(self, elem):
-        if self._gamma_inv is None:
-            self._gamma_inv = mat_inverse(self.gamma_matrix())
-        coords = mat_vec(self._gamma_inv, list(elem.coeffs))
-        return BlockElement.from_vector(coords)
+        return self.slot_coordinates(*common_denominator(elem.coeffs))
+
+    def slot_coordinates(self, nums, den=1):
+        """gamma_inv of the ring element whose coefficients are nums / den."""
+        _, _, H, h = self._gamma_ints
+        return BlockElement.from_ints(mat_vec(H, nums), h * den)

@@ -2,7 +2,8 @@
 verification stages.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or domain
-errors (unparsable input, unknown names, coefficients outside the ring).
+errors (unparsable input, unknown names, coefficients outside the ring) and
+unreadable fixture files.
 """
 
 import argparse
@@ -222,7 +223,7 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

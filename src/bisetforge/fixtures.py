@@ -17,7 +17,6 @@ from pathlib import Path
 __all__ = [
     "fixture_dir",
     "load_json",
-    "save_json",
     "canonical_dumps",
     "load_peirce",
     "load_delta_matrix",
@@ -49,15 +48,6 @@ def load_json(name, override=None):
 
 def canonical_dumps(data):
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def save_json(name, data, override=None):
-    path = fixture_dir(override) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = canonical_dumps(data)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
 
 
 def load_peirce(override=None):

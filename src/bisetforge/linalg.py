@@ -15,6 +15,7 @@ package never exceed a few dozen rows, so everything is dense and direct.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -24,13 +25,15 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "mat_inverse",
+    "int_inverse",
+    "common_denominator",
     "det_bareiss",
     "det_fraction",
     "hnf_rows",
     "smith_normal_form",
     "elementary_divisors",
     "lattice_index",
-    "in_hnf_lattice",
+    "LocalLattice",
     "in_local_span",
     "p_valuation_at_least",
     "is_p_integral",
@@ -79,6 +82,44 @@ def mat_inverse(A):
                 f = M[i][col]
                 M[i] = [x - f * y for x, y in zip(M[i], M[col])]
     return [row[n:] for row in M]
+
+
+def common_denominator(values):
+    """(numerators, d) with values[i] == numerators[i] / d and d the least
+    common denominator; ints and Fractions pass through, other values go
+    through Fraction()."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def int_inverse(A, den=1):
+    """Inverse of the rational matrix A/den, A an integer matrix, as (N, d)
+    with (A/den)^-1 == N/d in lowest terms and d > 0.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every intermediate
+    entry is a minor of A, so each division is exact.  At the end the left
+    half is det*I and the right half det*A^-1.
+    """
+    n = len(A)
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            raise SingularMatrixError("singular at column %d" % k)
+        M[k], M[piv] = M[piv], M[k]
+        rk = M[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(pk * x - f * y) // prev for x, y in zip(M[i], rk)]
+        prev = pk
+    sign = -1 if prev < 0 else 1
+    N = [[sign * den * x for x in row[n:]] for row in M]
+    g = math.gcd(prev, *(x for row in N for x in row))
+    return [[x // g for x in row] for row in N], abs(prev) // g
 
 
 def det_bareiss(A):
@@ -254,19 +295,6 @@ def lattice_index(gens, n=None):
     return idx
 
 
-def in_hnf_lattice(v, H):
-    """Membership of integer vector v in the row lattice given by hnf_rows output."""
-    v = list(v)
-    for row in H:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        if v[c] % row[c]:
-            return False
-        q = v[c] // row[c]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def p_valuation_at_least(x, p, k):
     """True iff v_p(x) >= k for a Fraction or int x (0 passes every bound)."""
     x = Fraction(x)
@@ -296,33 +324,59 @@ def _p_val(x, p):
     return v
 
 
+class LocalLattice:
+    """The Z_(p)-span of integer row vectors, factored once for many tests.
+
+    With U*G*V = D in Smith form, v lies in the span iff every coordinate of
+    v*V is divisible at p by the matching elementary divisor, and is 0 where
+    the divisor is 0.  The columns of V and the p-parts of the divisors are
+    kept, so a test is integer arithmetic only.
+    """
+
+    def __init__(self, gens, p):
+        self.p = p
+        self.divisors = []
+        self._tests = None
+        if not gens:
+            return
+        _, D, V = smith_normal_form(gens)
+        k, n = len(gens), len(gens[0])
+        self._tests = []
+        for j in range(n):
+            d = D[j][j] if j < k else 0
+            if d:
+                self.divisors.append(d)
+            self._tests.append((tuple(row[j] for row in V), p ** _p_val(d, p) if d else 0))
+
+    def contains(self, nums, den=1):
+        """Is the rational vector nums/den in the span?  (integer nums, den > 0)"""
+        if self._tests is None:
+            return not any(nums)
+        scale = self.p ** _p_val(den, self.p)
+        for col, m in self._tests:
+            w = sum(a * b for a, b in zip(nums, col))
+            if m == 0:
+                if w:
+                    return False
+            elif w % (m * scale):
+                return False
+        return True
+
+
 def in_local_span(gens, v, p):
     """Is v in the Z_(p)-span of the integer row vectors gens?
 
-    Solvability of q*G = v with every q entry p-integral, decided through the
-    Smith form of G.  v may have Fraction entries.
+    Solvability of q*G = v with every q entry p-integral; v may have
+    Fraction entries.  One-off form of LocalLattice.
     """
-    if not gens:
-        return all(Fraction(x) == 0 for x in v)
-    U, D, V = smith_normal_form(gens)
-    k, n = len(gens), len(gens[0])
-    w = [sum(Fraction(v[i]) * V[i][j] for i in range(n)) for j in range(n)]
-    for j in range(n):
-        d = D[j][j] if j < k and j < n else 0
-        if d == 0:
-            if w[j] != 0:
-                return False
-        else:
-            need = _p_val(d, p)
-            if need and not p_valuation_at_least(w[j], p, need):
-                return False
-            if not is_p_integral(w[j], p):
-                return False
-    return True
+    return LocalLattice(gens, p).contains(*common_denominator(v))
 
 
 def parse_fraction(text):
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (str(text).strip(),)) from None
 
 
 def format_fraction(x):

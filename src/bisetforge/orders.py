@@ -16,19 +16,15 @@ see errata.json.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from fractions import Fraction
 
 from . import fixtures
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
-from .linalg import (
-    hnf_rows,
-    is_p_integral,
-    p_valuation_at_least,
-    smith_normal_form,
-    transpose,
-)
+from .linalg import common_denominator, hnf_rows, mat_vec, smith_normal_form, transpose
 
 __all__ = [
     "HT_TO_H",
@@ -88,31 +84,55 @@ X3 = BlockElement(
     z=1,
 )
 
-_CONJ_CACHE = None
+
+@functools.cache
+def _conjugators():
+    x = X1 * X2 * X3
+    return x, x.inverse()
 
 
 def conjugator():
-    return X1 * X2 * X3
+    return _conjugators()[0]
 
 
 def conjugator_inverse():
-    global _CONJ_CACHE
-    if _CONJ_CACHE is None:
-        _CONJ_CACHE = conjugator().inverse()
-    return _CONJ_CACHE
+    return _conjugators()[1]
+
+
+# Per PeirceBasis: the 22 images and the matrix they form over one denominator.
+_IMAGES = weakref.WeakKeyDictionary()
+
+
+def _delta_data(peirce):
+    data = _IMAGES.get(peirce)
+    if data is None:
+        x, xi = _conjugators()
+        imgs = tuple(
+            xi * peirce.slot_coordinates(_unit(i)) * x for i in range(len(BASIS_LABELS))
+        )
+        den = math.lcm(*(b.den for b in imgs))
+        rows = [[b.nums[r] * (den // b.den) for b in imgs] for r in range(22)]
+        data = _IMAGES[peirce] = (imgs, rows, den)
+    return data
 
 
 def delta(elem, peirce):
-    """Conjugated inverse-slot image of a ring element (any ring tag)."""
-    block = peirce.gamma_inv(elem)
-    return conjugator_inverse() * block * conjugator()
+    """Conjugated inverse-slot image of a ring element (any ring tag).
+
+    Linear in the coefficients: the sum of c_k * delta(basis class k).
+    """
+    _, rows, den = _delta_data(peirce)
+    nums, cden = common_denominator(elem.coeffs)
+    return BlockElement.from_ints(mat_vec(rows, nums), den * cden)
 
 
 def delta_images(peirce):
-    """delta of the 22 basis classes in BASIS_LABELS order, as BlockElements."""
-    from .bisets import BurnsideElement
+    """delta of the 22 basis classes in BASIS_LABELS order, as BlockElements.
 
-    return [delta(BurnsideElement("Q", _unit(i)), peirce) for i in range(len(BASIS_LABELS))]
+    Each is conjugator_inverse() * gamma_inv(class) * conjugator(), computed
+    once per PeirceBasis.
+    """
+    return list(_delta_data(peirce)[0])
 
 
 def _unit(i):
@@ -126,16 +146,14 @@ def representation_matrix(peirce):
 
     Raises ValueError if any image fails to be integral.
     """
-    cols = []
-    for j, img in enumerate(delta_images(peirce)):
-        vec = img.to_vector()
-        for name, c in zip(COORD_NAMES, vec):
-            if Fraction(c).denominator != 1:
+    imgs = delta_images(peirce)
+    for j, img in enumerate(imgs):
+        for name, c in zip(COORD_NAMES, img.to_vector()):
+            if c.denominator != 1:
                 raise ValueError(
                     "image %d (%s) has non-integer %s = %s" % (j, BASIS_LABELS[j], name, c)
                 )
-        cols.append([int(c) for c in vec])
-    return [[cols[j][i] for j in range(22)] for i in range(22)]
+    return [[img.nums[i] for img in imgs] for i in range(22)]
 
 
 def load_fixture_matrix(fixture_dir=None):
@@ -210,25 +228,27 @@ MOD24_ROWS = (
 )
 
 
+def _residual(nums, coeffs):
+    return sum(c * nums[COORD_INDEX[name]] for name, c in coeffs.items())
+
+
+def _over_common_den(block):
+    if isinstance(block, BlockElement):
+        return block.nums, block.den
+    return common_denominator(block)
+
+
 def congruence_residual(block, cong):
-    coeffs, _ = cong
-    vec = block.to_vector() if isinstance(block, BlockElement) else list(block)
-    return sum(Fraction(c) * vec[COORD_INDEX[name]] for name, c in coeffs.items())
+    nums, den = _over_common_den(block)
+    return Fraction(_residual(nums, cong[0]), den)
 
 
 def lambda_membership(block):
     """Membership in the integral congruence order (integrality included)."""
-    if isinstance(block, BlockElement):
-        if not block.is_integral():
-            return False
-    else:
-        if any(Fraction(c).denominator != 1 for c in block):
-            return False
-    for cong in CONGRUENCES_2 + CONGRUENCES_3:
-        r = congruence_residual(block, cong)
-        if r % cong[1] != 0:
-            return False
-    return True
+    nums, den = _over_common_den(block)
+    return den == 1 and all(
+        _residual(nums, coeffs) % m == 0 for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3
+    )
 
 
 def localized_membership(block, p):
@@ -239,19 +259,12 @@ def localized_membership(block, p):
         congs = CONGRUENCES_3
     else:
         raise ValueError("p must be 2 or 3")
-    vec = block.to_vector() if isinstance(block, BlockElement) else list(block)
-    if not all(is_p_integral(c, p) for c in vec):
+    nums, den = _over_common_den(block)
+    if den % p == 0:
         return False
-    for coeffs, m in congs:
-        r = sum(Fraction(c) * vec[COORD_INDEX[name]] for name, c in coeffs.items())
-        k = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            k += 1
-        if not p_valuation_at_least(r, p, k):
-            return False
-    return True
+    # den is a unit at p, so the residual has valuation >= v_p(m) exactly when
+    # its numerator is divisible by gcd(m, p^m), the p-part of m
+    return all(_residual(nums, coeffs) % math.gcd(m, p**m) == 0 for coeffs, m in congs)
 
 
 def mod24_membership(vec):

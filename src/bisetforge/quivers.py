@@ -14,14 +14,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .blocks import BlockElement
-from .linalg import (
-    det_fraction,
-    elementary_divisors,
-    in_local_span,
-    mat_inverse,
-    mat_vec,
-    transpose,
-)
+from .linalg import LocalLattice, det_fraction, mat_inverse, mat_vec
 
 RING_CHAR = {"Q": 0, "Z": 0, "Z2": 0, "Z3": 0, "F2": 2, "F3": 3}
 
@@ -378,9 +371,7 @@ class CornerAlgebra:
         self.by_label = dict(zip(self.labels, self.elements))
         if len(self.by_label) != len(self.labels):
             raise ValueError("repeated basis label")
-        self._vectors = [
-            [Fraction(c) for c in e.to_vector()] for e in self.elements
-        ]
+        self._vectors = [e.to_vector() for e in self.elements]
         self._pivots = self._pivot_columns()
         square = [[self._vectors[k][j] for k in range(len(self.labels))] for j in self._pivots]
         self._solver = mat_inverse(square)
@@ -427,8 +418,8 @@ class CornerAlgebra:
                 ]
                 target = self.elements[k].to_vector()
                 for j in range(22):
-                    rows.append([Fraction(prods[i][j]) for i in range(n)])
-                    rhs.append(Fraction(target[j]))
+                    rows.append([prods[i][j] for i in range(n)])
+                    rhs.append(target[j])
             coords = _solve_unique(rows, rhs)
             u = BlockElement.zero()
             for cc, e in zip(coords, self.elements):
@@ -440,7 +431,7 @@ class CornerAlgebra:
         return self._unit
 
     def express(self, block):
-        vec = [Fraction(c) for c in block.to_vector()]
+        vec = block.to_vector()
         rhs = [vec[j] for j in self._pivots]
         coords = mat_vec(self._solver, rhs)
         for j in range(len(vec)):
@@ -674,24 +665,24 @@ def corner_span_problems(p, named_basis, lattice_gens, idempotents):
     for name, elem in named_basis:
         if (f * elem * f) != elem:
             problems.append("basis element %s is not fixed by the corner" % name)
-        basis_rows.append([int(c) for c in elem.to_vector()])
+        basis_rows.append(elem.int_vector())
     proj_rows = []
     for g in lattice_gens:
         pg = f * g * f
-        vec = pg.to_vector()
-        if any(Fraction(c).denominator != 1 for c in vec):
+        if not pg.is_integral():
             problems.append("projection of a generator is not integral")
             continue
-        proj_rows.append([int(c) for c in vec])
+        proj_rows.append(pg.int_vector())
+    projected = LocalLattice(proj_rows, p)
+    claimed = LocalLattice(basis_rows, p)
     for name_elem, row in zip(named_basis, basis_rows):
-        if not in_local_span(proj_rows, row, p):
+        if not projected.contains(row):
             problems.append(
                 "basis element %s is outside the projected order" % name_elem[0]
             )
     for i, row in enumerate(proj_rows):
-        if not in_local_span(basis_rows, row, p):
+        if not claimed.contains(row):
             problems.append("projected generator %d escapes the claimed basis" % i)
-    divs = [d for d in elementary_divisors(basis_rows) if d != 0]
-    if len(divs) != len(basis_rows):
+    if len(claimed.divisors) != len(basis_rows):
         problems.append("claimed corner basis is not linearly independent")
     return problems

@@ -8,6 +8,7 @@ and a fixture mismatch only passes when errata.json documents it.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .blocks import (
     COORD_NAMES,
     IDEMPOTENT_LABELS,
     PEIRCE_LABELS,
+    SLOT_TO_PEIRCE,
     BlockElement,
     PeirceBasis,
     slot_basis,
@@ -60,11 +62,11 @@ from .orders import (
     representation_matrix,
 )
 from .linalg import (
+    LocalLattice,
     det_bareiss,
     det_fraction,
     elementary_divisors,
-    in_local_span,
-    mat_inverse,
+    int_inverse,
     mat_mul,
 )
 from .quivers import (
@@ -403,7 +405,8 @@ def _support_components():
     for sup in supports:
         for n in sup:
             comps.setdefault(find(n), set()).add(n)
-    return [sorted(v) for _, v in sorted(comps.items())]
+    # ordered by largest name: the roots depend on set iteration order
+    return sorted((sorted(v) for v in comps.values()), key=lambda comp: comp[-1])
 
 
 def _component_conditions(names):
@@ -423,6 +426,30 @@ def _component_conditions(names):
                 tuple((idx[COORD_NAMES[i]], c) for i, c in enumerate(row) if c)
             )
     return congs, rows
+
+
+def _residue_disagreement(comp):
+    """Residues mod 24 of the coordinates in comp on which the congruences and
+    the mod-24 rows disagree, or None.
+
+    Every modulus divides 24 = 8 * 3, so each predicate is the conjunction of
+    its reductions mod 8 and mod 3, and 0 satisfies every condition.  The
+    predicates therefore agree on all residues mod 24 iff they agree on all
+    residues mod 8 and on all residues mod 3; a witness r mod q lifts to the
+    residue that is r mod q and 0 mod 24/q.
+    """
+    congs, rows = _component_conditions(comp)
+    for q in (8, 3):
+        lift = (24 // q) * pow(24 // q, -1, q)
+        for combo in itertools.product(range(q), repeat=len(comp)):
+            a = all(
+                sum(cf * combo[i] for i, cf in zip(ix, cfs)) % math.gcd(m, q) == 0
+                for ix, cfs, m in congs
+            )
+            b = all(sum(cf * combo[i] for i, cf in sup) % q == 0 for sup in rows)
+            if a != b:
+                return tuple(r * lift % 24 for r in combo)
+    return None
 
 
 def stage_lambda(fixture_dir=None):
@@ -495,30 +522,19 @@ def stage_lambda(fixture_dir=None):
 
     comps = _support_components()
     free = [n for n in COORD_NAMES if all(n not in comp for comp in comps)]
-    equiv_ok = True
-    worst = ""
+    worst = None
     for comp in comps:
-        congs, rows = _component_conditions(comp)
-        for combo in itertools.product(range(24), repeat=len(comp)):
-            a = all(
-                sum(cf * combo[i] for i, cf in zip(ix, cfs)) % m == 0
-                for ix, cfs, m in congs
-            )
-            b = all(sum(cf * combo[i] for i, cf in sup) % 24 == 0 for sup in rows)
-            if a != b:
-                equiv_ok = False
-                worst = "%s at residues %s" % (",".join(comp), combo)
-                break
-        if not equiv_ok:
+        worst = _residue_disagreement(comp)
+        if worst is not None:
             break
     _check(
         checks,
         "congruences-match-mod24-rows",
-        equiv_ok,
+        worst is None,
         "exhaustive residue check over components %s; unconstrained slots %s"
         % (["+".join(comp) for comp in comps], ",".join(free))
-        if equiv_ok
-        else "predicates disagree on %s" % worst,
+        if worst is None
+        else "predicates disagree on %s at residues %s" % (",".join(comp), worst),
     )
 
     detM = det_bareiss([list(r) for r in M_fx])
@@ -529,11 +545,11 @@ def stage_lambda(fixture_dir=None):
         "det = %d = -(2^17)(3^4)" % detM if detM == -10616832 else "det = %s" % detM,
     )
 
-    Minv = mat_inverse([[Fraction(x) for x in row] for row in M_fx])
+    Minv, dinv = int_inverse(M_fx)
     _check(
         checks,
         "24-inverse-integral",
-        all((24 * x).denominator == 1 for row in Minv for x in row),
+        all(24 * x % dinv == 0 for row in Minv for x in row),
         "24 times the inverse matrix is integral",
     )
 
@@ -577,6 +593,66 @@ def stage_lambda(fixture_dir=None):
     return _stage("lambda", checks)
 
 
+_LOCAL_DETAILS = {
+    2: (
+        "five orthogonal idempotents in the order summing to 1",
+        "e1..e4 cut rank-one corners",
+    ),
+    3: (
+        "six orthogonal idempotents in the order summing to 1",
+        "e1..e5 cut rank-one corners at 3",
+    ),
+}
+
+
+def _local_idempotent_checks(checks, p, imgs):
+    """The checks both local stages open with; returns the idempotents.
+
+    The idempotents of the order at p are orthogonal and sum to 1, all but
+    the last cut rank-one corners, and matrix units inside the order link e1
+    and e2 to e3 (the Morita reduction to the basic corner).
+    """
+    es = local_idempotents(p)
+    n = len(es)
+    total = BlockElement.zero()
+    for e in es:
+        total = total + e
+    _check(
+        checks,
+        "idempotents-local%d" % p,
+        all(e * e == e for e in es)
+        and all((es[i] * es[j]).is_zero() for i in range(n) for j in range(n) if i != j)
+        and total == BlockElement.identity()
+        and all(localized_membership(e, p) for e in es),
+        _LOCAL_DETAILS[p][0],
+    )
+
+    rank1 = []
+    for k, f in enumerate(es[: n - 1]):
+        rank1.extend(corner_span_problems(p, (("e%d" % (k + 1), f),), imgs, (f,)))
+    _check(
+        checks,
+        "matrix-part-corners",
+        not rank1,
+        _LOCAL_DETAILS[p][1] if not rank1 else "; ".join(rank1[:4]),
+    )
+
+    E13, E31, E23, E32 = (
+        BlockElement.from_coords({name: 1}) for name in ("s13", "s31", "s23", "s32")
+    )
+    _check(
+        checks,
+        "morita-witnesses",
+        E13 * E31 == es[0]
+        and E31 * E13 == es[2]
+        and E23 * E32 == es[1]
+        and E32 * E23 == es[2]
+        and all(localized_membership(x, p) for x in (E13, E31, E23, E32)),
+        "matrix units inside the order link e1 and e2 to e3",
+    )
+    return es
+
+
 def stage_local2(fixture_dir=None):
     checks = []
     pb = PeirceBasis.load(fixture_dir)
@@ -616,49 +692,7 @@ def stage_local2(fixture_dir=None):
         else "split fails on %s" % witness,
     )
 
-    es = local_idempotents(2)
-    idem_ok = all(e * e == e for e in es)
-    orth_ok = all(
-        (es[i] * es[j]).is_zero() for i in range(5) for j in range(5) if i != j
-    )
-    total = BlockElement.zero()
-    for e in es:
-        total = total + e
-    member_ok = all(localized_membership(e, 2) for e in es)
-    _check(
-        checks,
-        "idempotents-local2",
-        idem_ok and orth_ok and total == BlockElement.identity() and member_ok,
-        "five orthogonal idempotents in the order summing to 1",
-    )
-
-    rank1 = []
-    for name, f in zip(("e1", "e2", "e3", "e4"), es[:4]):
-        rank1.extend(corner_span_problems(2, ((name, f),), imgs, (f,)))
-    _check(
-        checks,
-        "matrix-part-corners",
-        not rank1,
-        "e1..e4 cut rank-one corners" if not rank1 else "; ".join(rank1[:4]),
-    )
-
-    E13 = BlockElement.from_coords({"s13": 1})
-    E31 = BlockElement.from_coords({"s31": 1})
-    E23 = BlockElement.from_coords({"s23": 1})
-    E32 = BlockElement.from_coords({"s32": 1})
-    morita = (
-        E13 * E31 == es[0]
-        and E31 * E13 == es[2]
-        and E23 * E32 == es[1]
-        and E32 * E23 == es[2]
-        and all(localized_membership(x, 2) for x in (E13, E31, E23, E32))
-    )
-    _check(
-        checks,
-        "morita-witnesses",
-        morita,
-        "matrix units inside the order link e1 and e2 to e3",
-    )
+    es = _local_idempotent_checks(checks, 2, imgs)
 
     gprobs = corner_span_problems(
         2, GAMMA_CORNER_BASIS_2, imgs, (es[4],)
@@ -692,14 +726,14 @@ def stage_local2(fixture_dir=None):
     )
 
     jgens = [b["b1"].scale(2), b["b2"], b["b3"], b["b4"]]
-    jrows = [[int(x) for x in g.to_vector()] for g in jgens]
+    J = LocalLattice([g.int_vector() for g in jgens], 2)
     ideal_ok = all(
-        in_local_span(jrows, [int(x) for x in (g * bb).to_vector()], 2)
-        and in_local_span(jrows, [int(x) for x in (bb * g).to_vector()], 2)
+        J.contains(x.nums, x.den)
         for g in jgens
         for bb in b.values()
+        for x in (g * bb, bb * g)
     )
-    unit_out = not in_local_span(jrows, [int(x) for x in b["b1"].to_vector()], 2)
+    unit_out = not J.contains(b["b1"].nums, b["b1"].den)
     _check(
         checks,
         "radical-ideal",
@@ -707,21 +741,17 @@ def stage_local2(fixture_dir=None):
         "J = (2b1, b2, b3, b4) is a proper two-sided ideal",
     )
 
-    cube = [
-        [int(x) for x in (x1 * x2 * x3).to_vector()]
-        for x1 in jgens
-        for x2 in jgens
-        for x3 in jgens
-    ]
+    cube = [(x1 * x2 * x3).int_vector() for x1 in jgens for x2 in jgens for x3 in jgens]
     claimed = [
-        [int(x) for x in g.to_vector()]
+        g.int_vector()
         for g in (b["b1"].scale(8), b["b2"].scale(4), b["b3"].scale(2), b["b4"].scale(4))
     ]
-    twice = [[2 * int(x) for x in g.to_vector()] for g in b.values()]
+    twice = [g.scale(2).int_vector() for g in b.values()]
+    cube_lat, claimed_lat, twice_lat = (LocalLattice(g, 2) for g in (cube, claimed, twice))
     cube_ok = (
-        all(in_local_span(claimed, v, 2) for v in cube)
-        and all(in_local_span(cube, v, 2) for v in claimed)
-        and all(in_local_span(twice, v, 2) for v in cube)
+        all(claimed_lat.contains(v) for v in cube)
+        and all(cube_lat.contains(v) for v in claimed)
+        and all(twice_lat.contains(v) for v in cube)
     )
     _check(
         checks,
@@ -787,49 +817,7 @@ def stage_local3(fixture_dir=None):
     pb = PeirceBasis.load(fixture_dir)
     imgs = delta_images(pb)
 
-    es = local_idempotents(3)
-    idem_ok = all(e * e == e for e in es)
-    orth_ok = all(
-        (es[i] * es[j]).is_zero() for i in range(6) for j in range(6) if i != j
-    )
-    total = BlockElement.zero()
-    for e in es:
-        total = total + e
-    member_ok = all(localized_membership(e, 3) for e in es)
-    _check(
-        checks,
-        "idempotents-local3",
-        idem_ok and orth_ok and total == BlockElement.identity() and member_ok,
-        "six orthogonal idempotents in the order summing to 1",
-    )
-
-    rank1 = []
-    for name, f in zip(("e1", "e2", "e3", "e4", "e5"), es[:5]):
-        rank1.extend(corner_span_problems(3, ((name, f),), imgs, (f,)))
-    _check(
-        checks,
-        "matrix-part-corners",
-        not rank1,
-        "e1..e5 cut rank-one corners at 3" if not rank1 else "; ".join(rank1[:4]),
-    )
-
-    E13 = BlockElement.from_coords({"s13": 1})
-    E31 = BlockElement.from_coords({"s31": 1})
-    E23 = BlockElement.from_coords({"s23": 1})
-    E32 = BlockElement.from_coords({"s32": 1})
-    morita = (
-        E13 * E31 == es[0]
-        and E31 * E13 == es[2]
-        and E23 * E32 == es[1]
-        and E32 * E23 == es[2]
-        and all(localized_membership(x, 3) for x in (E13, E31, E23, E32))
-    )
-    _check(
-        checks,
-        "morita-witnesses",
-        morita,
-        "matrix units inside the order link e1 and e2 to e3",
-    )
+    es = _local_idempotent_checks(checks, 3, imgs)
 
     cprobs = corner_span_problems(3, CORNER_BASIS_3, imgs, (es[2], es[3], es[4], es[5]))
     _check(
@@ -1034,13 +1022,6 @@ _STAGE_FUNCS = {
 }
 
 
-def _as_int(x):
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise ValueError("expected an integer, got %s" % x)
-    return int(x)
-
-
 def _write_fixture(path, data):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(fixtures.canonical_dumps(data))
@@ -1061,23 +1042,16 @@ def emit_fixtures(out_dir, fixture_dir=None):
     pb = PeirceBasis.load(fixture_dir)
 
     raw = fixtures.load_peirce(fixture_dir)
-    V = [[Fraction(pb.vectors[k][j]) for k in range(22)] for j in range(22)]
-    Vinv = mat_inverse(V)
+    # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
+    # gamma_inv; the integer vectors over d multiply to products over d^2.
+    rows, d = pb.int_vectors
     table = []
     for i in range(22):
         row = []
         for j in range(22):
-            prod = [Fraction(x) for x in multiply_vectors(pb.vectors[i], pb.vectors[j])]
-            coords = [
-                sum(Vinv[r][s] * prod[s] for s in range(22)) for r in range(22)
-            ]
-            row.append(
-                {
-                    PEIRCE_LABELS[k]: _as_int(cc)
-                    for k, cc in enumerate(coords)
-                    if cc
-                }
-            )
+            slots = pb.slot_coordinates(multiply_vectors(rows[i], rows[j]), d * d)
+            coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
+            row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)
     written.append(
         _write_fixture(
@@ -1098,7 +1072,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
                 "row_order": list(COORD_NAMES),
                 "column_classes": list(BASIS_LABELS),
                 "stated_column_classes": list(HT_LABELS),
-                "matrix": [[_as_int(x) for x in row] for row in M],
+                "matrix": M,
             },
         )
     )

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -145,3 +146,107 @@ def test_coord_names_cover_the_block():
     assert len(COORD_NAMES) == 22
     assert len(PEIRCE_LABELS) == 22
     assert len(set(COORD_NAMES)) == 22
+
+
+# Plain-Fraction reference of the slot rule in the module docstring: blocks
+# as dicts of 3x3 s, 3-vectors t and x, scalars u v w y, and z = (z1, z2, z3).
+def ref_from_vector(vec):
+    c = dict(zip(COORD_NAMES, (Fraction(a) for a in vec)))
+    return {
+        "s": [[c["s%d%d" % (i + 1, j + 1)] for j in range(3)] for i in range(3)],
+        "t": [c["t1"], c["t2"], c["t3"]],
+        "x": [c["x1"], c["x2"], c["x3"]],
+        "u": c["u"],
+        "v": c["v"],
+        "w": c["w"],
+        "y": c["y"],
+        "z": [c["z1"], c["z2"], c["z3"]],
+    }
+
+
+def ref_to_vector(r):
+    c = {"s%d%d" % (i + 1, j + 1): r["s"][i][j] for i in range(3) for j in range(3)}
+    c.update({"t%d" % (i + 1): r["t"][i] for i in range(3)})
+    c.update({"x%d" % (i + 1): r["x"][i] for i in range(3)})
+    c.update({"z%d" % (i + 1): r["z"][i] for i in range(3)})
+    c.update(u=r["u"], v=r["v"], w=r["w"], y=r["y"])
+    return [c[name] for name in COORD_NAMES]
+
+
+def ref_mul(a, b):
+    xt = sum(a["x"][k] * b["t"][k] for k in range(3))
+    yv = a["y"] * b["v"]
+    (a1, a2, a3), (b1, b2, b3) = a["z"], b["z"]
+    return {
+        "s": [
+            [sum(a["s"][i][k] * b["s"][k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)
+        ],
+        "t": [sum(a["s"][i][k] * b["t"][k] for k in range(3)) + a["t"][i] * b1 for i in range(3)],
+        "x": [sum(a["x"][k] * b["s"][k][j] for k in range(3)) + a1 * b["x"][j] for j in range(3)],
+        "u": a["u"] * b["u"],
+        "v": a["u"] * b["v"] + a["v"] * b1,
+        "w": a["w"] * b["w"],
+        "y": a["y"] * b["u"] + a1 * b["y"],
+        "z": [a1 * b1, a1 * b2 + a2 * b1 + xt - 12 * yv, a1 * b3 + a3 * b1 + yv],
+    }
+
+
+mixed_coords = st.lists(
+    st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=22, max_size=22
+)
+scales = st.fractions(min_value=-9, max_value=9, max_denominator=8) | st.integers(-9, 9)
+
+
+@given(mixed_coords, mixed_coords, scales)
+@settings(max_examples=60)
+def test_integer_core_matches_fraction_reference(u, v, r):
+    a, b = BlockElement.from_vector(u), BlockElement.from_vector(v)
+    assert (a * b).to_vector() == ref_to_vector(ref_mul(ref_from_vector(u), ref_from_vector(v)))
+    assert (a + b).to_vector() == [p + q for p, q in zip(u, v)]
+    assert (a - b).to_vector() == [p - q for p, q in zip(u, v)]
+    assert a.scale(r).to_vector() == [Fraction(r) * p for p in u]
+    assert (a == b) == (u == v)
+    assert a == BlockElement.from_vector(ref_to_vector(ref_from_vector(u)))
+    for x in (a, b, a * b, a.scale(r)):
+        assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+        assert x.is_integral() == all(c.denominator == 1 for c in x.to_vector())
+        assert x.is_p_integral(3) == all(c.denominator % 3 for c in x.to_vector())
+        assert x.is_zero() == (not any(x.to_vector()))
+
+
+@given(st.lists(st.integers(-20, 20), min_size=22, max_size=22), st.integers(1, 12), st.integers(1, 6))
+def test_unreduced_numerators_normalize(nums, den, k):
+    # k*nums / k*den and nums / den are one element, e.g. 2/4 and 1/2
+    a = BlockElement.from_ints([k * n for n in nums], k * den)
+    b = BlockElement.from_ints(nums, den)
+    assert a == b and hash(a) == hash(b)
+    assert a.to_vector() == [Fraction(n, den) for n in nums]
+    assert BlockElement.from_vector(a.to_vector()) == a
+
+
+def test_half_equals_two_quarters():
+    half = E(s11=Fraction(2, 4), z2=Fraction(-3, 6))
+    assert half == E(s11=Fraction(1, 2), z2=Fraction(-1, 2))
+    assert (half.nums[0], half.den) == (1, 2)
+    assert half.scale(-2) == E(s11=-1, z2=1)
+    assert half.scale(Fraction(-2, 3)).to_vector()[0] == Fraction(-1, 3)
+    assert hash(half) == hash(E(s11=Fraction(1, 2), z2=Fraction(-1, 2)))
+
+
+def test_integer_accessors():
+    b = E(x1=4, z3=-2)
+    assert b.int_vector()[COORD_NAMES.index("x1")] == 4
+    assert b.den == 1 and b.nums[COORD_NAMES.index("z3")] == -2
+    with pytest.raises(ValueError):
+        E(x1=Fraction(1, 2)).int_vector()
+    with pytest.raises(ValueError):
+        BlockElement.from_ints([0] * 22, 0)
+    with pytest.raises(ValueError):
+        BlockElement.from_ints([0] * 21)
+
+
+def test_keyword_constructor_accepts_a_dual_pair():
+    b = BlockElement(u=Fraction(1, 2), z=DualPair(1, 2, 3))
+    assert b == E(u=Fraction(1, 2), z1=1, z2=2, z3=3)
+    assert BlockElement(z=1) == E(z1=1)

@@ -168,3 +168,36 @@ def test_verify_emit_writes_identical_fixtures(capsys, tmp_path, monkeypatch):
     assert (regen / "presentations" / "z2_corner.json").read_bytes() == (
         fixtures.DEFAULT_DIR / "presentations" / "z2_corner.json"
     ).read_bytes()
+
+
+def test_zero_denominator_operand_exits_2(capsys):
+    code, out, err = run_cli(capsys, "mult", "H_{1,0}:1/0", "eps2")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_missing_fixture_dir_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "verify", "--stage", "gamma", "--fixture-dir", str(tmp_path / "missing")
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_verify_json_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bisetforge.cli", "verify", "--stage", "lambda", "--json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert b"'x1', 'x2', 'x3', 'y', 'w+z1+z2+z3']" in outs[0]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,3 +135,23 @@ def test_delta_respects_a_product():
     a = BurnsideElement.basis(0, "Q")
     prod = delta(a, pb) * delta(a, pb)
     assert prod == delta(a * a, pb)
+
+
+def test_linear_delta_matches_the_conjugation_route():
+    pb = PeirceBasis.load()
+    x, xi = conjugator(), conjugator_inverse()
+    rng = random.Random(20261018)
+    for _ in range(25):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
+        e = BurnsideElement("Q", coeffs)
+        assert delta(e, pb) == xi * pb.gamma_inv(e) * x
+    for i, img in enumerate(delta_images(pb)):
+        assert img == xi * pb.gamma_inv(BurnsideElement.basis(i)) * x
+
+
+def test_delta_images_follow_the_fixture_instance():
+    # images are cached per PeirceBasis, so a different basis gets its own
+    pb = PeirceBasis.load()
+    doubled = PeirceBasis([[2 * c for c in v] for v in pb.vectors], pb.table)
+    for a, b in zip(delta_images(pb), delta_images(doubled)):
+        assert b == a.scale(Fraction(1, 2))

@@ -1,10 +1,11 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from bisetforge import fixtures, verify
+from bisetforge import fixtures, orders, verify
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +113,39 @@ def test_removed_erratum_is_caught(tmp_path):
     assert rep["status"] == "fail"
     failing = {c["name"] for s in rep["stages"] for c in s["checks"] if c["status"] == "fail"}
     assert failing == {"stated-column-listing"}
+
+
+def _disagree_mod24(names, residues, rows):
+    """Do the congruences and the given mod-24 rows disagree at these residues?"""
+    vec = [0] * 22
+    for name, r in zip(names, residues):
+        vec[orders.COORD_NAMES.index(name)] = r
+    congs = all(
+        orders.congruence_residual(vec, cong) % cong[1] == 0
+        for cong in orders.CONGRUENCES_2 + orders.CONGRUENCES_3
+    )
+    return congs != all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [{"x1": 6}, {"z3": 12}, {"w": 6, "z1": 6, "z2": 1}],
+    ids=["mod3-part", "mod8-part", "coupled-row"],
+)
+def test_broken_mod24_row_fails_with_a_witness(monkeypatch, broken):
+    names = sorted(broken)
+    rows = []
+    for row in orders.MOD24_ROWS:
+        support = sorted(orders.COORD_NAMES[i] for i, c in enumerate(row) if c)
+        rows.append(orders._mod24_row(broken) if support == names else row)
+    assert rows != list(orders.MOD24_ROWS)
+    monkeypatch.setattr(verify, "MOD24_ROWS", tuple(rows))
+    rep = verify.stage_lambda()
+    check = next(c for c in rep["checks"] if c["name"] == "congruences-match-mod24-rows")
+    assert check["status"] == "fail"
+    m = re.fullmatch(r"predicates disagree on (\S+) at residues \(([-\d, ]+),?\)", check["detail"])
+    assert m, check["detail"]
+    comp = m.group(1).split(",")
+    residues = [int(r) for r in m.group(2).split(",") if r.strip()]
+    assert len(residues) == len(comp) and all(0 <= r < 24 for r in residues)
+    assert _disagree_mod24(comp, residues, rows)
