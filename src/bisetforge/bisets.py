@@ -23,6 +23,11 @@ double-coset formula
 
 where U * W = {(a,c) : exists b with (a,b) in U and (b,c) in W}.  The two
 tables must agree cell for cell; construction fails otherwise.
+
+Every product on the 22-class basis runs on structure_tensor(), a sparse
+integer form of the verified table derived once from structure_table():
+for each pair (i, j) the nonzero (k, c) pairs.  BurnsideElement products
+multiply integer numerators over one common denominator per operand.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import format_fraction, is_p_integral, parse_fraction
+from .linalg import common_denominator, format_fraction, is_p_integral, parse_fraction
 from .perms import Perm, PermGroup
 
 __all__ = [
@@ -46,12 +51,14 @@ __all__ = [
     "subgroup_reps",
     "biset_sizes",
     "transitive_biset",
+    "basis_bisets",
     "tensor",
     "decompose",
     "classify_subgroup",
     "oracle_table",
     "mackey_table",
     "structure_table",
+    "structure_tensor",
     "left_mult_matrices",
     "multiply_vectors",
     "BurnsideElement",
@@ -245,14 +252,15 @@ def decompose(X):
 
 
 @lru_cache(maxsize=1)
-def _basis_bisets():
+def basis_bisets():
+    """The 22 transitive bisets, in basis order, built once."""
     return tuple(transitive_biset(U) for U in subgroup_reps())
 
 
 @lru_cache(maxsize=1)
 def oracle_table():
     """c[i][j][k] by enumerating orbits of actual tensor products."""
-    bisets = _basis_bisets()
+    bisets = basis_bisets()
     return tuple(
         tuple(tuple(decompose(tensor(bi, bj))) for bj in bisets) for bi in bisets
     )
@@ -318,23 +326,27 @@ def left_mult_matrices():
     )
 
 
+@lru_cache(maxsize=1)
+def structure_tensor():
+    """T[i][j]: the (k, c) pairs with c = c[i][j][k] != 0 in the verified table."""
+    return tuple(
+        tuple(tuple((k, x) for k, x in enumerate(cell) if x) for cell in row)
+        for row in structure_table()
+    )
+
+
 def multiply_vectors(xs, ys):
     """Coefficient vector of the product of two coefficient vectors."""
-    c = structure_table()
-    n = len(c)
-    out = [0] * n
-    for i, xi in enumerate(xs):
-        if xi == 0:
-            continue
-        ci = c[i]
-        for j, yj in enumerate(ys):
-            if yj == 0:
-                continue
-            f = xi * yj
-            row = ci[j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += f * row[k]
+    T = structure_tensor()
+    out = [0] * len(T)
+    ys = [(j, y) for j, y in enumerate(ys) if y]
+    for i, x in enumerate(xs):
+        if x:
+            Ti = T[i]
+            for j, y in ys:
+                f = x * y
+                for k, c in Ti[j]:
+                    out[k] += f * c
     return out
 
 
@@ -348,7 +360,8 @@ def k2(U):
 
 
 def _validate_coeff(ring, x):
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if ring == "Q":
         return x
     if ring == "Z":
@@ -436,7 +449,10 @@ class BurnsideElement:
 
     def __mul__(self, other):
         self._check_ring(other)
-        return BurnsideElement(self.ring, multiply_vectors(self.coeffs, other.coeffs))
+        xs, dx = common_denominator(self.coeffs)
+        ys, dy = common_denominator(other.coeffs)
+        d = dx * dy
+        return BurnsideElement(self.ring, [Fraction(v, d) for v in multiply_vectors(xs, ys)])
 
     def __eq__(self, other):
         return (

@@ -291,6 +291,31 @@ def _coeff_map_to_vector(mapping):
     return tuple(vec)
 
 
+def _checked_table(table):
+    """The product table, checked to be 22x22 cells {Peirce label: int}; a
+    malformed fixture raises ValueError naming the JSON path of the problem."""
+    n = len(PEIRCE_LABELS)
+
+    def expect_list(seq, where, what):
+        if not isinstance(seq, list) or len(seq) != n:
+            at = "[%d]" % min(len(seq), n) if isinstance(seq, list) else ""
+            raise ValueError("%s%s: expected %d %s" % (where, at, n, what))
+
+    expect_list(table, "peirce.json:table", "rows")
+    for i, row in enumerate(table):
+        expect_list(row, "peirce.json:table[%d]" % i, "cells")
+        for j, cell in enumerate(row):
+            where = "peirce.json:table[%d][%d]" % (i, j)
+            if not isinstance(cell, dict):
+                raise ValueError("%s: expected an object {label: coefficient}" % where)
+            for lab, c in cell.items():
+                if lab not in PEIRCE_LABELS:
+                    raise ValueError("%s: unknown label %r" % (where, lab))
+                if type(c) is not int:
+                    raise ValueError("%s[%r]: %r is not an integer" % (where, lab, c))
+    return table
+
+
 class PeirceBasis:
     """The fixture-backed 22-element basis adapted to the idempotents.
 
@@ -315,14 +340,7 @@ class PeirceBasis:
             vecs.append(_coeff_map_to_vector(data["basis22"]["vectors"][label]))
         if list(data["basis22"]["order"]) != list(PEIRCE_LABELS):
             raise ValueError("fixture basis order differs from PEIRCE_LABELS")
-        table = [
-            [
-                {lab: int(c) for lab, c in cell.items()}
-                for cell in row
-            ]
-            for row in data["table"]
-        ]
-        return cls(vecs, table)
+        return cls(vecs, _checked_table(data.get("table")))
 
     def element(self, i, ring="Q"):
         return BurnsideElement(ring, self.vectors[i])
@@ -330,13 +348,14 @@ class PeirceBasis:
     def element_by_label(self, label, ring="Q"):
         return self.element(PEIRCE_LABELS.index(label), ring)
 
-    def table_entry_vector(self, i, j):
-        """The table's claim for product (i, j), over the transitive basis."""
-        total = [_F0] * len(BASIS_LABELS)
+    def table_entry_ints(self, i, j):
+        """The table's claim for product (i, j) over the transitive basis, as
+        integer numerators over the denominator of int_vectors."""
+        rows, _ = self.int_vectors
+        total = [0] * len(BASIS_LABELS)
         for lab, c in self.table[i][j].items():
-            vec = self.vectors[PEIRCE_LABELS.index(lab)]
-            total = [a + c * b for a, b in zip(total, vec)]
-        return tuple(total)
+            total = [a + c * b for a, b in zip(total, rows[PEIRCE_LABELS.index(lab)])]
+        return total
 
     def gamma_matrix(self):
         """22x22 matrix whose column k is the image of coordinate slot k."""

@@ -10,11 +10,12 @@ rewriting system.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import fixtures
 from .blocks import BlockElement
-from .linalg import LocalLattice, det_fraction, mat_inverse, mat_vec
+from .linalg import LocalLattice, det_fraction, hnf_rows, int_inverse, mat_vec
 
 RING_CHAR = {"Q": 0, "Z": 0, "Z2": 0, "Z3": 0, "F2": 2, "F3": 3}
 
@@ -371,36 +372,19 @@ class CornerAlgebra:
         self.by_label = dict(zip(self.labels, self.elements))
         if len(self.by_label) != len(self.labels):
             raise ValueError("repeated basis label")
-        self._vectors = [e.to_vector() for e in self.elements]
-        self._pivots = self._pivot_columns()
-        square = [[self._vectors[k][j] for k in range(len(self.labels))] for j in self._pivots]
-        self._solver = mat_inverse(square)
-        self._unit = None
-
-    def _pivot_columns(self):
-        rows = [list(v) for v in self._vectors]
-        n = len(rows)
-        width = len(rows[0])
-        pivots = []
-        r = 0
-        for col in range(width):
-            pr = next((i for i in range(r, n) if rows[i][col] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            pivots.append(col)
-            inv = Fraction(1) / rows[r][col]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(n):
-                if i != r and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-            if r == n:
-                break
-        if r < n:
+        # basis vectors as integer rows over one denominator b, and the
+        # inverse of their pivot block as N / n
+        b = math.lcm(*(e.den for e in self.elements))
+        rows = [[x * (b // e.den) for x in e.nums] for e in self.elements]
+        # an echelon form of the rows has its leading entries on the pivots
+        echelon = hnf_rows(rows)
+        if len(echelon) < len(rows):
             raise ValueError("basis elements are linearly dependent")
-        return pivots
+        self._pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+        self._solver = int_inverse([[row[j] for row in rows] for j in self._pivots], b)
+        self._cols = list(zip(*rows))
+        self._span_scale = self._solver[1] * b
+        self._unit = None
 
     def rank(self):
         return len(self.labels)
@@ -431,14 +415,16 @@ class CornerAlgebra:
         return self._unit
 
     def express(self, block):
-        vec = block.to_vector()
-        rhs = [vec[j] for j in self._pivots]
-        coords = mat_vec(self._solver, rhs)
-        for j in range(len(vec)):
-            s = sum(coords[k] * self._vectors[k][j] for k in range(len(coords)))
-            if s != vec[j]:
+        """Coordinates of block over the basis, as Fractions; SpanError if
+        block is outside the span."""
+        N, n = self._solver
+        coords = mat_vec(N, [block.nums[j] for j in self._pivots])
+        # block == sum_k coords[k]/(n*den) * (row k of the basis)/b, in integers
+        for x, col in zip(block.nums, self._cols):
+            if sum(c * r for c, r in zip(coords, col)) != x * self._span_scale:
                 raise SpanError("element is outside the span of the basis")
-        return coords
+        d = n * block.den
+        return [Fraction(c, d) for c in coords]
 
     def contains(self, block):
         try:

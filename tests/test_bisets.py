@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bisetforge.bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
+    RINGS,
     BurnsideElement,
     biset_sizes,
     format_element,
@@ -18,6 +19,7 @@ from bisetforge.bisets import (
     oracle_table,
     parse_element,
     structure_table,
+    structure_tensor,
     subgroup_reps,
 )
 
@@ -144,3 +146,65 @@ def test_multiply_vectors_matches_table():
     xs[2] = 1
     ys[5] = 1
     assert list(multiply_vectors(xs, ys)) == list(c[2][5])
+
+
+def test_structure_tensor_is_the_sparse_table():
+    c = structure_table()
+    T = structure_tensor()
+    for i in range(22):
+        for j in range(22):
+            dense = [0] * 22
+            for k, x in T[i][j]:
+                assert x != 0
+                dense[k] = x
+            assert tuple(dense) == c[i][j]
+    assert sum(len(cell) for row in T for cell in row) == 504
+
+
+def _dense_product(xs, ys):
+    """Reference: the dense table, every k of every pair of nonzero inputs."""
+    c = structure_table()
+    out = [Fraction(0)] * 22
+    for i in range(22):
+        for j in range(22):
+            if xs[i] and ys[j]:
+                for k in range(22):
+                    out[k] += Fraction(xs[i]) * Fraction(ys[j]) * c[i][j][k]
+    return out
+
+
+# denominators that each ring admits; F2/F3 residues are reduced on entry
+_RING_DENOMS = {
+    "Q": (1, 2, 3, 4, 6, 9),
+    "Z": (1,),
+    "Z2": (1, 3, 5, 9),
+    "Z3": (1, 2, 4, 5),
+    "F2": (1,),
+    "F3": (1,),
+}
+
+
+def _coeff_vectors(denoms):
+    coeff = st.builds(Fraction, st.integers(-7, 7), st.sampled_from(denoms))
+    sparse = st.lists(st.tuples(st.integers(0, 21), coeff), max_size=6).map(
+        lambda terms: [sum((v for j, v in terms if j == k), Fraction(0)) for k in range(22)]
+    )
+    return st.one_of(st.just([0] * 22), sparse)
+
+
+@given(_coeff_vectors(_RING_DENOMS["Q"]), _coeff_vectors(_RING_DENOMS["Q"]))
+@settings(max_examples=60, deadline=None)
+def test_multiply_vectors_matches_dense_reference(xs, ys):
+    assert multiply_vectors(xs, ys) == _dense_product(xs, ys)
+    ints = [int(x * 36) for x in xs]
+    assert multiply_vectors(ints, ys) == _dense_product(ints, ys)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_element_product_matches_dense_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a = BurnsideElement(ring, data.draw(_coeff_vectors(_RING_DENOMS[ring])))
+    b = BurnsideElement(ring, data.draw(_coeff_vectors(_RING_DENOMS[ring])))
+    assert a * b == BurnsideElement(ring, _dense_product(a.coeffs, b.coeffs))
+    assert all(type(x) is Fraction for x in (a * b).coeffs)

@@ -201,3 +201,62 @@ def test_verify_json_does_not_depend_on_the_hash_seed():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert b"'x1', 'x2', 'x3', 'y', 'w+z1+z2+z3']" in outs[0]
+
+
+def test_verify_json_matches_the_golden_report(capsys):
+    golden = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench", "golden", "verify_report.json",
+    )
+    code, out, err = run_cli(capsys, "verify", "--json")
+    assert code == 0
+    with open(golden, "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+
+
+def _tampered_peirce(tmp_path, edit):
+    dst = tmp_path / "fixtures"
+    shutil.copytree(fixtures.DEFAULT_DIR, dst)
+    path = dst / "peirce.json"
+    data = json.loads(path.read_text())
+    edit(data["table"])
+    path.write_text(fixtures.canonical_dumps(data))
+    return str(dst)
+
+
+def test_short_peirce_table_exits_2_naming_the_row(capsys, tmp_path):
+    dst = _tampered_peirce(tmp_path, lambda table: table.pop())
+    code, out, err = run_cli(capsys, "verify", "--stage", "peirce", "--fixture-dir", dst)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: peirce.json:table[21]:"), err
+
+
+def test_unknown_peirce_label_exits_2_naming_the_cell(capsys, tmp_path):
+    dst = _tampered_peirce(tmp_path, lambda table: table[3][5].update({"eps9": 1}))
+    code, out, err = run_cli(capsys, "verify", "--stage", "peirce", "--fixture-dir", dst)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: peirce.json:table[3][5]:"), err
+    assert "eps9" in lines[0]
+
+
+def test_singular_delta_matrix_fails_its_checks_and_exits_1(capsys, tmp_path):
+    dst = tmp_path / "fixtures"
+    shutil.copytree(fixtures.DEFAULT_DIR, dst)
+    path = dst / "delta_matrix.json"
+    data = json.loads(path.read_text())
+    for row in data["matrix"]:
+        row[0] = 0
+    path.write_text(fixtures.canonical_dumps(data))
+    code, out, err = run_cli(
+        capsys, "verify", "--stage", "lambda", "--json", "--fixture-dir", str(dst)
+    )
+    assert code == 1
+    assert err == ""
+    status = {c["name"]: c["status"] for c in json.loads(out)["stages"][0]["checks"]}
+    for name in ("full-rank", "24-inverse-integral", "index-matches-determinant"):
+        assert status[name] == "fail", name
+    assert status["stated-column-listing"] == "pass"

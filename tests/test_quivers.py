@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisetforge.blocks import BlockElement
+from bisetforge.blocks import COORD_NAMES, BlockElement
+from bisetforge.linalg import mat_inverse, mat_vec
 from bisetforge.orders import (
     CORNER_BASIS_2,
     CORNER_BASIS_3,
@@ -208,6 +209,62 @@ def test_corner_express_round_trip_and_span_error():
         corner.express(outside)
     # a fractional multiple of a basis vector stays inside the rational span
     assert corner.contains(corner.by_label["tau5"].scale(Fraction(1, 2)))
+
+
+def _express_reference(elements, block):
+    """Fraction solve: invert the basis on its pivot columns, then check
+    every coordinate; None when block is outside the span."""
+    vectors = [e.to_vector() for e in elements]
+    rows = [list(v) for v in vectors]
+    pivots = []
+    for col in range(22):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    square = [[v[j] for v in vectors] for j in pivots]
+    vec = block.to_vector()
+    coords = mat_vec(mat_inverse(square), [vec[j] for j in pivots])
+    for j in range(22):
+        if sum(c * v[j] for c, v in zip(coords, vectors)) != vec[j]:
+            return None
+    return coords
+
+
+_CORNER_BASES = {"Q": CORNER_BASIS_Q, "Z2": CORNER_BASIS_2, "Z3": CORNER_BASIS_3}
+_CORNERS = {}
+
+
+@given(
+    st.sampled_from(sorted(_CORNER_BASES)),
+    st.lists(st.fractions(max_denominator=12), min_size=10, max_size=10),
+    st.one_of(st.none(), st.tuples(st.sampled_from(COORD_NAMES), st.integers(-3, 3))),
+    st.integers(1, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_corner_express_matches_fraction_reference(ring, coeffs, nudge, den):
+    if ring not in _CORNERS:
+        _CORNERS[ring] = CornerAlgebra(ring, _CORNER_BASES[ring])
+    corner = _CORNERS[ring]
+    block = BlockElement.zero()
+    for c, e in zip(coeffs, corner.elements):
+        block = block + e.scale(c)
+    if nudge is not None:
+        block = block + BlockElement.from_coords({nudge[0]: Fraction(nudge[1], den)})
+    want = _express_reference(corner.elements, block)
+    if want is None:
+        with pytest.raises(SpanError):
+            corner.express(block)
+    else:
+        assert corner.express(block) == want
+    if nudge is None:
+        assert want == coeffs
 
 
 def test_corner_rejects_dependent_basis():

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from bisetforge import fixtures, orders, verify
+from bisetforge import bisets, fixtures, orders, verify
+from bisetforge.linalg import mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +150,38 @@ def test_broken_mod24_row_fails_with_a_witness(monkeypatch, broken):
     residues = [int(r) for r in m.group(2).split(",") if r.strip()]
     assert len(residues) == len(comp) and all(0 <= r < 24 for r in residues)
     assert _disagree_mod24(comp, residues, rows)
+
+
+def _dense_associativity_failures(c):
+    """Reference: the pairs (i, j) with L_i L_j != sum_k c_ij^k L_k, as dense
+    matrices L_i[k][j] = c[i][j][k]."""
+    L = [[[c[i][j][k] for j in range(22)] for k in range(22)] for i in range(22)]
+    bad = []
+    for i in range(22):
+        for j in range(22):
+            rhs = [[sum(c[i][j][k] * L[k][r][s] for k in range(22)) for s in range(22)] for r in range(22)]
+            if mat_mul(L[i], L[j]) != rhs:
+                bad.append((i, j))
+    return bad
+
+
+# (3, 21) breaks the predicate only at s = 21 for some pairs, so it needs
+# every s; the detail lists the first six failing pairs
+@pytest.mark.parametrize("cell", [(0, 1), (1, 4), (3, 13), (3, 21)])
+def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
+    i, j = cell
+    T = [list(row) for row in bisets.structure_tensor()]
+    (k, x), *rest = T[i][j]
+    T[i][j] = ((k, x + 1), *rest)
+    monkeypatch.setattr(verify, "structure_tensor", lambda: tuple(map(tuple, T)))
+    rep = verify.stage_peirce()
+    failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    assert set(failing) == {"associativity"}
+    dense = [list(row) for row in bisets.structure_table()]
+    dense[i][j] = tuple(x + 1 if n == k else v for n, v in enumerate(dense[i][j]))
+    want = _dense_associativity_failures(dense)
+    assert cell in want
+    assert failing["associativity"] == "fails at %s" % ", ".join(
+        "(%d, %d)" % ij for ij in want[:6]
+    )
+    assert ("(%d, %d)" % cell in failing["associativity"]) == (want.index(cell) < 6)
