@@ -24,6 +24,13 @@ double-coset formula
 where U * W = {(a,c) : exists b with (a,b) in U and (b,c) in W}.  The two
 tables must agree cell for cell; construction fails otherwise.
 
+Both routes run on integer indices.  The pair (S3.elements[a], S3.elements[b])
+has index 6a + b, its position in PAIRS; a subgroup of S3xS3 is the 36-bit
+mask of its pair indices, and Biset.action[x] is the permutation of the points
+by the pair of index x.  _index_tables() builds, on first use and not at
+import, the tables of S3 and of S3xS3 from Perm products and the class of each
+of the 60 subgroup masks, so that classify_subgroup is one lookup.
+
 Every product on the 22-class basis runs on structure_tensor(), a sparse
 integer form of the verified table derived once from structure_table():
 for each pair (i, j) the nonzero (k, c) pairs.  BurnsideElement products
@@ -33,6 +40,7 @@ multiply integer numerators over one common denominator per operand.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -71,32 +79,8 @@ S3_A = Perm((1, 0, 2))
 S3_B = Perm((1, 2, 0))
 S3 = PermGroup(3, [S3_A, S3_B])
 
-PAIR_ID = (S3_ID, S3_ID)
 PAIRS = tuple(itertools.product(S3.elements, S3.elements))
-
-
-def pair_mul(p, q):
-    return (p[0] * q[0], p[1] * q[1])
-
-
-def pair_conj(g, u):
-    return (g[0] * u[0] * g[0].inverse(), g[1] * u[1] * g[1].inverse())
-
-
-def _close_pairs(gens):
-    elems = {PAIR_ID}
-    frontier = [PAIR_ID]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = pair_mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
+_IA, _IB = S3.elements.index(S3_A), S3.elements.index(S3_B)
 
 
 # Basis order and the generators of one representative subgroup per class.
@@ -139,7 +123,8 @@ class TableMismatch(Exception):
 
 @lru_cache(maxsize=1)
 def subgroup_reps():
-    return tuple(_close_pairs(gens) for gens in SUBGROUP_GENERATORS)
+    """The representative subgroups in basis order, as frozensets of pairs."""
+    return tuple(frozenset(PAIRS[x] for x in _members(mask)) for mask in _index_tables().masks)
 
 
 @lru_cache(maxsize=1)
@@ -148,7 +133,8 @@ def biset_sizes():
 
 
 class Biset:
-    """A finite left (S3xS3)-set: `size` points, `action[pair]` an index list."""
+    """A finite left (S3xS3)-set: `size` points; `action[x]`, for the pair of
+    index x, is the tuple of the images of the points."""
 
     __slots__ = ("size", "action")
 
@@ -157,21 +143,54 @@ class Biset:
         self.action = action
 
 
+def _members(mask):
+    return [x for x in range(36) if mask >> x & 1]
+
+
+_IndexTables = namedtuple("_IndexTables", "mul inv pair_mul masks class_of")
+
+
+@lru_cache(maxsize=1)
+def _index_tables():
+    """Built on first use: S3 on its positions 0..5 (mul, inv), S3xS3 on pair
+    indices (pair_mul), the masks of the representative subgroups closed from
+    SUBGROUP_GENERATORS, and the basis class of each of the 60 subgroup masks."""
+    els = S3.elements
+    e = els.index(S3_ID)
+    mul = tuple(tuple(els.index(g * h) for h in els) for g in els)
+    inv = tuple(row.index(e) for row in mul)
+    pmul = tuple(
+        tuple(6 * mul[x // 6][y // 6] + mul[x % 6][y % 6] for y in range(36)) for x in range(36)
+    )
+    masks = []
+    for gens in SUBGROUP_GENERATORS:
+        gens = [6 * els.index(a) + els.index(b) for a, b in gens]
+        elems = frontier = {6 * e + e}
+        while frontier:
+            frontier = {pmul[x][g] for x in frontier for g in gens} - elems
+            elems = elems | frontier
+        masks.append(sum(1 << x for x in elems))
+    class_of = {}
+    for k, mask in enumerate(masks):
+        members = _members(mask)
+        for g in range(36):
+            gi = 6 * inv[g // 6] + inv[g % 6]
+            class_of.setdefault(sum(1 << pmul[pmul[g][u]][gi] for u in members), k)
+    return _IndexTables(mul, inv, pmul, tuple(masks), class_of)
+
+
 def transitive_biset(U):
-    """The coset biset (S3xS3)/U for a subgroup U given as a frozenset of pairs."""
-    index_of = {}
+    """The coset biset (S3xS3)/U for a subgroup U given as a mask of pair indices."""
+    pmul = _index_tables().pair_mul
+    members = _members(U)
+    index_of = [-1] * 36
     reps = []
-    for x in PAIRS:
-        if x in index_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for u in U:
-            index_of[pair_mul(x, u)] = idx
-    action = {}
-    for g in PAIRS:
-        action[g] = [index_of[pair_mul(g, r)] for r in reps]
-    return Biset(len(reps), action)
+    for x in range(36):
+        if index_of[x] < 0:
+            for u in members:
+                index_of[pmul[x][u]] = len(reps)
+            reps.append(x)
+    return Biset(len(reps), tuple(tuple(index_of[pmul[g][r]] for r in reps) for g in range(36)))
 
 
 def tensor(M, N):
@@ -179,12 +198,12 @@ def tensor(M, N):
     nm, nn = M.size, N.size
     orbit_of = [-1] * (nm * nn)
     orbit_reps = []
-    mid = [(M.action[(S3_ID, g)], N.action[(g, S3_ID)]) for g in (S3_A, S3_B)]
+    mid = [(M.action[g], N.action[6 * g]) for g in (_IA, _IB)]
     for start in range(nm * nn):
         if orbit_of[start] >= 0:
             continue
         oid = len(orbit_reps)
-        orbit_reps.append(start)
+        orbit_reps.append(divmod(start, nn))
         orbit_of[start] = oid
         stack = [start]
         while stack:
@@ -195,38 +214,25 @@ def tensor(M, N):
                 if orbit_of[q] < 0:
                     orbit_of[q] = oid
                     stack.append(q)
-    action = {}
-    for h, g in PAIRS:
-        am = M.action[(h, S3_ID)]
-        an = N.action[(S3_ID, g)]
-        row = []
-        for rep in orbit_reps:
-            i, j = divmod(rep, nn)
-            row.append(orbit_of[am[i] * nn + an[j]])
-        action[(h, g)] = row
-    return Biset(len(orbit_reps), action)
+    # pair index 6h + g acts as (h, 1) on M and as (1, g) on N
+    js = [j for _, j in orbit_reps]
+    action = []
+    for am in M.action[::6]:
+        base = [am[i] * nn for i, _ in orbit_reps]
+        for an in N.action[:6]:
+            action.append(tuple([orbit_of[b + an[j]] for b, j in zip(base, js)]))
+    return Biset(len(orbit_reps), tuple(action))
 
 
-@lru_cache(maxsize=4096)
-def _classify_frozen(stab):
-    reps = subgroup_reps()
-    for k, rep in enumerate(reps):
-        if len(rep) != len(stab):
-            continue
-        if stab == rep:
-            return k
-        for g in PAIRS:
-            if frozenset(pair_conj(g, u) for u in stab) == rep:
-                return k
-    raise ValueError("stabilizer matches no representative class")
+def classify_subgroup(mask):
+    """Index of the basis class of the subgroup of S3xS3 with this pair-index mask."""
+    try:
+        return _index_tables().class_of[mask]
+    except KeyError:
+        raise ValueError("stabilizer matches no representative class") from None
 
 
-def classify_subgroup(sub):
-    """Index of the basis class the subgroup (iterable of pairs) belongs to."""
-    return _classify_frozen(frozenset(sub))
-
-
-_OUTER_GENS = ((_A, _E), (_B, _E), (_E, _A), (_E, _B))
+_OUTER_GENS = (6 * _IA, 6 * _IB, _IA, _IB)
 
 
 def decompose(X):
@@ -246,7 +252,7 @@ def decompose(X):
                 if not seen[q]:
                     seen[q] = True
                     stack.append(q)
-        stab = frozenset(g for g in PAIRS if X.action[g][start] == start)
+        stab = sum(1 << g for g, row in enumerate(X.action) if row[start] == start)
         counts[classify_subgroup(stab)] += 1
     return counts
 
@@ -254,7 +260,7 @@ def decompose(X):
 @lru_cache(maxsize=1)
 def basis_bisets():
     """The 22 transitive bisets, in basis order, built once."""
-    return tuple(transitive_biset(U) for U in subgroup_reps())
+    return tuple(transitive_biset(U) for U in _index_tables().masks)
 
 
 @lru_cache(maxsize=1)
@@ -267,34 +273,32 @@ def oracle_table():
 
 
 def _star(U, W):
-    """Composite {(a,c) : exists b, (a,b) in U, (b,c) in W} of subgroups of S3xS3."""
+    """Mask of {(a,c) : exists b, (a,b) in U, (b,c) in W}, for U and W lists of
+    S3 position pairs."""
     by_mid = {}
     for b, c in W:
         by_mid.setdefault(b, []).append(c)
-    comp = set()
-    for a, b in U:
-        for c in by_mid.get(b, ()):
-            comp.add((a, c))
-    return frozenset(comp)
+    return sum({1 << 6 * a + c for a, b in U for c in by_mid.get(b, ())})
 
 
 @lru_cache(maxsize=1)
 def mackey_table():
     """c[i][j][k] by the double-coset formula, no biset is ever materialized."""
-    reps = subgroup_reps()
-    n = len(reps)
+    mul, inv, _, masks, _ = _index_tables()
+    reps = [[divmod(x, 6) for x in _members(mask)] for mask in masks]
     table = []
-    for i in range(n):
-        U = reps[i]
-        p2U = frozenset(u2 for _, u2 in U)
+    for U in reps:
+        p2U = {u2 for _, u2 in U}
         row = []
-        for j in range(n):
-            V = reps[j]
-            p1V = frozenset(v1 for v1, _ in V)
-            counts = [0] * n
-            for g in S3.double_cosets(p2U, p1V):
-                gi = g.inverse()
-                Vg = frozenset((g * v1 * gi, v2) for v1, v2 in V)
+        for V in reps:
+            p1V = {v1 for v1, _ in V}
+            counts = [0] * len(reps)
+            seen = set()
+            for g in range(6):  # one representative g per double coset p2(U) g p1(V)
+                if g in seen:
+                    continue
+                seen.update(mul[mul[h][g]][k] for h in p2U for k in p1V)
+                Vg = [(mul[mul[g][v1]][inv[g]], v2) for v1, v2 in V]
                 counts[classify_subgroup(_star(U, Vg))] += 1
             row.append(tuple(counts))
         table.append(tuple(row))

@@ -316,6 +316,19 @@ def _checked_table(table):
     return table
 
 
+def _checked_vectors(vectors, where):
+    """An object {Peirce label: {class label: coefficient}} of peirce.json;
+    a malformed one raises ValueError naming its JSON path."""
+    if not isinstance(vectors, dict):
+        raise ValueError("peirce.json:%s: expected an object {label: vector}" % where)
+    for label, vec in vectors.items():
+        if label not in PEIRCE_LABELS:
+            raise ValueError("peirce.json:%s: unknown label %r" % (where, label))
+        if not isinstance(vec, dict):
+            raise ValueError("peirce.json:%s[%r]: expected an object" % (where, label))
+    return vectors
+
+
 class PeirceBasis:
     """The fixture-backed 22-element basis adapted to the idempotents.
 
@@ -331,15 +344,19 @@ class PeirceBasis:
     @classmethod
     def load(cls, fixture_dir=None):
         data = fixtures.load_peirce(fixture_dir)
-        vecs = []
-        for label in PEIRCE_LABELS:
-            if label in data["idempotents"]:
-                src = data["idempotents"][label]
-                if data["basis22"]["vectors"][label] != src:
-                    raise ValueError("idempotent %s disagrees with basis22 copy" % label)
-            vecs.append(_coeff_map_to_vector(data["basis22"]["vectors"][label]))
-        if list(data["basis22"]["order"]) != list(PEIRCE_LABELS):
+        basis = data.get("basis22")
+        basis = basis if isinstance(basis, dict) else {}
+        vectors = _checked_vectors(basis.get("vectors"), "basis22.vectors")
+        idempotents = _checked_vectors(data.get("idempotents"), "idempotents")
+        missing = [label for label in PEIRCE_LABELS if label not in vectors]
+        if missing:
+            raise ValueError("peirce.json:basis22.vectors: missing %r" % missing[0])
+        for label, src in idempotents.items():
+            if vectors[label] != src:
+                raise ValueError("idempotent %s disagrees with basis22 copy" % label)
+        if basis.get("order") != list(PEIRCE_LABELS):
             raise ValueError("fixture basis order differs from PEIRCE_LABELS")
+        vecs = [_coeff_map_to_vector(vectors[label]) for label in PEIRCE_LABELS]
         return cls(vecs, _checked_table(data.get("table")))
 
     def element(self, i, ring="Q"):

@@ -158,15 +158,22 @@ def representation_matrix(peirce):
 
 def load_fixture_matrix(fixture_dir=None):
     data = fixtures.load_delta_matrix(fixture_dir)
-    if tuple(data["row_order"]) != COORD_NAMES:
+    if data.get("row_order") != list(COORD_NAMES):
         raise ValueError("fixture row order differs from COORD_NAMES")
-    if tuple(data["column_classes"]) != BASIS_LABELS:
+    if data.get("column_classes") != list(BASIS_LABELS):
         raise ValueError("fixture column classes differ from BASIS_LABELS")
-    if tuple(data["stated_column_classes"]) != HT_LABELS:
+    if data.get("stated_column_classes") != list(HT_LABELS):
         raise ValueError("fixture stated column listing differs from HT_LABELS")
-    M = [[int(x) for x in row] for row in data["matrix"]]
-    if len(M) != 22 or any(len(r) != 22 for r in M):
-        raise ValueError("fixture matrix is not 22x22")
+    M = data.get("matrix")
+    if not isinstance(M, list) or len(M) != 22:
+        raise ValueError("delta_matrix.json:matrix: expected 22 rows")
+    for i, row in enumerate(M):
+        if not isinstance(row, list) or len(row) != 22:
+            raise ValueError("delta_matrix.json:matrix[%d]: expected 22 cells" % i)
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                where = "delta_matrix.json:matrix[%d][%d]" % (i, j)
+                raise ValueError("%s: %r is not an integer" % (where, x))
     return M
 
 

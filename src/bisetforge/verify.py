@@ -18,7 +18,6 @@ from .bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
     S3,
-    S3_ID,
     SUBGROUP_GENERATORS,
     BurnsideElement,
     basis_bisets,
@@ -197,9 +196,9 @@ def stage_peirce(fixture_dir=None):
         for j in range(22):
             lhs = sum(c[i][j][k] * sizes[k] for k in range(22))
             total = 0
-            for g in S3.elements:
-                am = bisets_by_class[i].action[(S3_ID, g)]
-                an = bisets_by_class[j].action[(g, S3_ID)]
+            for g in range(6):  # pair indices of (1, g) and (g, 1)
+                am = bisets_by_class[i].action[g]
+                an = bisets_by_class[j].action[6 * g]
                 fm = sum(1 for x, q in enumerate(am) if q == x)
                 fn = sum(1 for y, q in enumerate(an) if q == y)
                 total += fm * fn

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,18 @@ from hypothesis import strategies as st
 from bisetforge.bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
+    PAIRS,
     RINGS,
+    S3,
+    S3_A,
+    S3_B,
+    S3_ID,
+    SUBGROUP_GENERATORS,
     BurnsideElement,
+    basis_bisets,
     biset_sizes,
+    classify_subgroup,
+    decompose,
     format_element,
     k1,
     k2,
@@ -21,6 +31,8 @@ from bisetforge.bisets import (
     structure_table,
     structure_tensor,
     subgroup_reps,
+    tensor,
+    transitive_biset,
 )
 
 
@@ -208,3 +220,189 @@ def test_element_product_matches_dense_reference(data):
     b = BurnsideElement(ring, data.draw(_coeff_vectors(_RING_DENOMS[ring])))
     assert a * b == BurnsideElement(ring, _dense_product(a.coeffs, b.coeffs))
     assert all(type(x) is Fraction for x in (a * b).coeffs)
+
+
+# References: both structure-table routes and the conjugation-search classifier
+# on Perm pairs hashed into dicts and frozensets; bisets runs them on pair
+# indices and masks.
+_PAIR_ID = (S3_ID, S3_ID)
+
+
+def _ref_pair_mul(p, q):
+    return (p[0] * q[0], p[1] * q[1])
+
+
+def _ref_close(gens):
+    elems = {_PAIR_ID}
+    frontier = [_PAIR_ID]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = _ref_pair_mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(elems)
+
+
+@lru_cache(maxsize=1)
+def _ref_reps():
+    return tuple(_ref_close(gens) for gens in SUBGROUP_GENERATORS)
+
+
+def _ref_conj(g, U):
+    return frozenset(
+        (g[0] * u[0] * g[0].inverse(), g[1] * u[1] * g[1].inverse()) for u in U
+    )
+
+
+def _ref_classify(stab):
+    for k, rep in enumerate(_ref_reps()):
+        if len(rep) == len(stab) and any(_ref_conj(g, stab) == rep for g in PAIRS):
+            return k
+    raise ValueError("stabilizer matches no representative class")
+
+
+def _ref_transitive(U):
+    """(size, action) with action[pair] the list of images of the points."""
+    index_of = {}
+    reps = []
+    for x in PAIRS:
+        if x in index_of:
+            continue
+        for u in U:
+            index_of[_ref_pair_mul(x, u)] = len(reps)
+        reps.append(x)
+    return len(reps), {g: [index_of[_ref_pair_mul(g, r)] for r in reps] for g in PAIRS}
+
+
+def _ref_tensor(M, N):
+    (nm, act_m), (nn, act_n) = M, N
+    orbit_of = [-1] * (nm * nn)
+    orbit_reps = []
+    mid = [(act_m[(S3_ID, g)], act_n[(g, S3_ID)]) for g in (S3_A, S3_B)]
+    for start in range(nm * nn):
+        if orbit_of[start] >= 0:
+            continue
+        orbit_of[start] = len(orbit_reps)
+        orbit_reps.append(start)
+        stack = [start]
+        while stack:
+            i, j = divmod(stack.pop(), nn)
+            for ma, na in mid:
+                q = ma[i] * nn + na[j]
+                if orbit_of[q] < 0:
+                    orbit_of[q] = orbit_of[start]
+                    stack.append(q)
+    action = {}
+    for h, g in PAIRS:
+        am, an = act_m[(h, S3_ID)], act_n[(S3_ID, g)]
+        action[(h, g)] = [orbit_of[am[r // nn] * nn + an[r % nn]] for r in orbit_reps]
+    return len(orbit_reps), action
+
+
+def _ref_decompose(X):
+    size, action = X
+    counts = [0] * 22
+    seen = [False] * size
+    gens = [action[g] for g in ((S3_A, S3_ID), (S3_B, S3_ID), (S3_ID, S3_A), (S3_ID, S3_B))]
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            pt = stack.pop()
+            for row in gens:
+                if not seen[row[pt]]:
+                    seen[row[pt]] = True
+                    stack.append(row[pt])
+        counts[_ref_classify(frozenset(g for g in PAIRS if action[g][start] == start))] += 1
+    return tuple(counts)
+
+
+@lru_cache(maxsize=1)
+def _ref_bisets():
+    return tuple(_ref_transitive(U) for U in _ref_reps())
+
+
+def _ref_star(U, W):
+    return frozenset((a, c) for a, b in U for b2, c in W if b == b2)
+
+
+def _ref_mackey():
+    table = []
+    for U in _ref_reps():
+        row = []
+        for V in _ref_reps():
+            counts = [0] * 22
+            p2U = frozenset(u2 for _, u2 in U)
+            p1V = frozenset(v1 for v1, _ in V)
+            for g in S3.double_cosets(p2U, p1V):
+                Vg = frozenset((g * v1 * g.inverse(), v2) for v1, v2 in V)
+                counts[_ref_classify(_ref_star(U, Vg))] += 1
+            row.append(tuple(counts))
+        table.append(tuple(row))
+    return table
+
+
+def _mask(U):
+    return sum(1 << PAIRS.index(x) for x in U)
+
+
+def _assert_tables_equal(got, want):
+    for i in range(22):
+        for j in range(22):
+            assert got[i][j] == want[i][j], (BASIS_LABELS[i], BASIS_LABELS[j])
+
+
+def test_subgroup_reps_are_the_perm_closures():
+    assert subgroup_reps() == _ref_reps()
+
+
+def test_bisets_match_the_perm_pair_reference():
+    for X, (size, action) in zip(basis_bisets(), _ref_bisets()):
+        assert X.size == size
+        assert X.action == tuple(tuple(action[g]) for g in PAIRS)
+    bisets, refs = basis_bisets(), _ref_bisets()
+    for i, j in ((1, 2), (7, 14), (0, 21), (12, 19), (20, 4)):
+        size, action = _ref_tensor(refs[i], refs[j])
+        X = tensor(bisets[i], bisets[j])
+        assert X.size == size
+        assert X.action == tuple(tuple(action[g]) for g in PAIRS)
+        assert tuple(decompose(X)) == _ref_decompose((size, action))
+    assert transitive_biset(_mask(_ref_reps()[5])).action == bisets[5].action
+
+
+def test_oracle_table_matches_the_perm_pair_reference():
+    refs = _ref_bisets()
+    _assert_tables_equal(
+        oracle_table(), [[_ref_decompose(_ref_tensor(a, b)) for b in refs] for a in refs]
+    )
+
+
+def test_mackey_table_matches_the_perm_reference():
+    _assert_tables_equal(mackey_table(), _ref_mackey())
+
+
+def test_classify_subgroup_agrees_on_all_60_subgroups():
+    subgroups = {_ref_conj(g, U) for U in _ref_reps() for g in PAIRS}
+    assert len(subgroups) == 60
+    for U in subgroups:
+        assert classify_subgroup(_mask(U)) == _ref_classify(U)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        (),
+        ((S3_A, S3_ID),),
+        ((S3_ID, S3_ID), (S3_A, S3_ID), (S3_B, S3_ID)),
+        tuple(PAIRS[:7]),
+    ],
+)
+def test_classify_subgroup_rejects_non_subgroups(pairs):
+    with pytest.raises(ValueError, match="matches no representative class"):
+        classify_subgroup(_mask(pairs))

@@ -214,14 +214,97 @@ def test_verify_json_matches_the_golden_report(capsys):
         assert out.encode("utf-8") == fh.read()
 
 
-def _tampered_peirce(tmp_path, edit):
+def _tampered_fixture(tmp_path, name, edit):
     dst = tmp_path / "fixtures"
     shutil.copytree(fixtures.DEFAULT_DIR, dst)
-    path = dst / "peirce.json"
+    path = dst / name
     data = json.loads(path.read_text())
-    edit(data["table"])
+    edit(data)
     path.write_text(fixtures.canonical_dumps(data))
     return str(dst)
+
+
+def _tampered_peirce(tmp_path, edit):
+    return _tampered_fixture(tmp_path, "peirce.json", lambda data: edit(data["table"]))
+
+
+def _single_error(capsys, stage, dst):
+    """Run one verify stage on a tampered copy; the one stderr line of an exit 2."""
+    code, out, err = run_cli(capsys, "verify", "--stage", stage, "--fixture-dir", dst)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["basis22"]["vectors"].pop("eps2"),
+            "error: peirce.json:basis22.vectors: missing 'eps2'",
+        ),
+        (
+            lambda d: d["idempotents"].update({"eps9": {}}),
+            "error: peirce.json:idempotents: unknown label 'eps9'",
+        ),
+        (
+            lambda d: d["basis22"].update({"vectors": []}),
+            "error: peirce.json:basis22.vectors: expected an object",
+        ),
+        (
+            lambda d: d["basis22"]["vectors"].update({"g": 4}),
+            "error: peirce.json:basis22.vectors['g']: expected an object",
+        ),
+        (lambda d: d.pop("idempotents"), "error: peirce.json:idempotents: expected an object"),
+    ],
+    ids=["missing-vector", "unknown-idempotent", "vectors-list", "vector-int", "no-idempotents"],
+)
+def test_malformed_peirce_vectors_exit_2_naming_the_path(capsys, tmp_path, edit, message):
+    dst = _tampered_fixture(tmp_path, "peirce.json", edit)
+    assert _single_error(capsys, "peirce", dst).startswith(message)
+
+
+def _set_cell(value):
+    def edit(data):
+        data["matrix"][3][4] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_cell(1.5), "error: delta_matrix.json:matrix[3][4]: 1.5 is not an integer"),
+        (_set_cell(True), "error: delta_matrix.json:matrix[3][4]: True is not an integer"),
+        (_set_cell("2"), "error: delta_matrix.json:matrix[3][4]: '2' is not an integer"),
+        (_set_cell(None), "error: delta_matrix.json:matrix[3][4]: None is not an integer"),
+        (lambda d: d["matrix"].pop(), "error: delta_matrix.json:matrix: expected 22 rows"),
+        (lambda d: d["matrix"][5].pop(), "error: delta_matrix.json:matrix[5]: expected 22 cells"),
+        (lambda d: d.pop("matrix"), "error: delta_matrix.json:matrix: expected 22 rows"),
+    ],
+    ids=["float", "bool", "str", "null", "short-matrix", "short-row", "no-matrix"],
+)
+def test_malformed_delta_matrix_exits_2_naming_the_cell(capsys, tmp_path, edit, message):
+    dst = _tampered_fixture(tmp_path, "delta_matrix.json", edit)
+    assert _single_error(capsys, "lambda", dst) == message
+
+
+def test_importing_the_cli_builds_no_structure_table():
+    # the tables are built on the first product, never at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import bisetforge.cli\n"
+        "from bisetforge import bisets\n"
+        "for f in (bisets._index_tables, bisets.mackey_table, bisets.oracle_table,\n"
+        "          bisets.structure_table):\n"
+        "    print(f.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0"] * 4
 
 
 def test_short_peirce_table_exits_2_naming_the_row(capsys, tmp_path):

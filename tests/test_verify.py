@@ -185,3 +185,27 @@ def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
         "(%d, %d)" % ij for ij in want[:6]
     )
     assert ("(%d, %d)" % cell in failing["associativity"]) == (want.index(cell) < 6)
+
+
+# a perturbed route must stop structure_table() and fail only table-dual-route
+@pytest.mark.parametrize("route", ["mackey_table", "oracle_table"])
+def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, route):
+    i, j = 1, 2
+    table = [list(row) for row in getattr(bisets, route)()]
+    table[i][j] = (table[i][j][0] + 1,) + table[i][j][1:]
+    perturbed = tuple(map(tuple, table))
+    cell = "(%s, %s)" % (bisets.BASIS_LABELS[i], bisets.BASIS_LABELS[j])
+    bisets.structure_table.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(bisets, route, lambda: perturbed)
+            with pytest.raises(bisets.TableMismatch) as exc:
+                bisets.structure_table()
+    finally:
+        bisets.structure_table.cache_clear()
+    assert str(exc.value).startswith("cell %s: " % cell)
+    assert repr(perturbed[i][j]) in str(exc.value)
+    monkeypatch.setattr(verify, route, lambda: perturbed)
+    rep = verify.stage_peirce()
+    failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    assert failing == {"table-dual-route": "routes disagree at %s" % cell}
