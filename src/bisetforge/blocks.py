@@ -26,7 +26,8 @@ takes a rational factor.
 The linear isomorphism onto the rational double Burnside ring sends each
 coordinate slot to one member of the 22-element orthogonal-decomposition basis
 (gamma).  PeirceBasis holds gamma and its inverse as integer matrices over one
-common denominator each, built once per instance.
+common denominator each, kept as sparse columns and built once per instance,
+on first use.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from functools import cached_property
 
 from . import fixtures
 from .bisets import BASIS_LABELS, BurnsideElement
-from .linalg import SingularMatrixError, common_denominator, int_inverse, mat_vec, parse_fraction
+from .linalg import SingularMatrixError, apply_columns, common_denominator, int_inverse
+from .linalg import parse_fraction, sparse_columns
 
 __all__ = [
     "COORD_NAMES",
@@ -221,7 +223,7 @@ class BlockElement:
             N, d = int_inverse(list(zip(*cols)), self.den)
         except SingularMatrixError:
             raise SingularMatrixError("block element is not a unit") from None
-        inv = BlockElement.from_ints(mat_vec(N, _ONE), d)
+        inv = BlockElement.from_ints(apply_columns(sparse_columns(N), _ONE), d)
         assert (self * inv) == BlockElement.identity()
         assert (inv * self) == BlockElement.identity()
         return inv
@@ -343,7 +345,14 @@ class PeirceBasis:
 
     @classmethod
     def load(cls, fixture_dir=None):
-        data = fixtures.load_peirce(fixture_dir)
+        return cls.from_data(fixtures.load_peirce(fixture_dir))
+
+    @classmethod
+    def from_data(cls, data):
+        """The basis of a parsed peirce.json; a malformed one raises ValueError
+        naming the JSON path of the problem."""
+        if not isinstance(data, dict):
+            raise ValueError("peirce.json: expected an object")
         basis = data.get("basis22")
         basis = basis if isinstance(basis, dict) else {}
         vectors = _checked_vectors(basis.get("vectors"), "basis22.vectors")
@@ -374,13 +383,6 @@ class PeirceBasis:
             total = [a + c * b for a, b in zip(total, rows[PEIRCE_LABELS.index(lab)])]
         return total
 
-    def gamma_matrix(self):
-        """22x22 matrix whose column k is the image of coordinate slot k."""
-        return [
-            [self.vectors[SLOT_TO_PEIRCE[k]][row] for k in range(22)]
-            for row in range(len(BASIS_LABELS))
-        ]
-
     @cached_property
     def int_vectors(self):
         """(rows, d) with vectors[i] == rows[i] / d, one common denominator."""
@@ -389,23 +391,35 @@ class PeirceBasis:
         return [flat[i * n : i * n + n] for i in range(len(self.vectors))], d
 
     @cached_property
-    def _gamma_ints(self):
-        """(G, g, H, h): gamma is G/g and its inverse H/h, integer matrices."""
-        flat, g = common_denominator([c for row in self.gamma_matrix() for c in row])
-        G = [flat[r * 22 : r * 22 + 22] for r in range(len(BASIS_LABELS))]
+    def int_gamma(self):
+        """(G, g): gamma is the 22x22 integer matrix G over g, column k the
+        image of coordinate slot k."""
+        rows, g = self.int_vectors
+        G = [[rows[SLOT_TO_PEIRCE[k]][r] for k in range(22)] for r in range(len(BASIS_LABELS))]
+        return G, g
+
+    @cached_property
+    def _maps(self):
+        """(G, g, H, h): gamma is G/g and its inverse H/h, as sparse columns."""
+        G, g = self.int_gamma
         H, h = int_inverse(G, g)
-        return G, g, H, h
+        return sparse_columns(G), g, sparse_columns(H), h
 
     def gamma(self, block):
         """Image of a block element in the rational double Burnside ring."""
-        G, g, _, _ = self._gamma_ints
-        den = g * block.den
-        return BurnsideElement("Q", [Fraction(x, den) for x in mat_vec(G, block.nums)])
+        nums, den = self.gamma_ints(block.nums, block.den)
+        return BurnsideElement("Q", [Fraction(x, den) for x in nums])
+
+    def gamma_ints(self, nums, den=1):
+        """gamma of the block element nums / den, as integer coefficients over
+        one denominator: (coefficient numerators, denominator), not reduced."""
+        G, g, _, _ = self._maps
+        return apply_columns(G, nums), g * den
 
     def gamma_inv(self, elem):
         return self.slot_coordinates(*common_denominator(elem.coeffs))
 
     def slot_coordinates(self, nums, den=1):
         """gamma_inv of the ring element whose coefficients are nums / den."""
-        _, _, H, h = self._gamma_ints
-        return BlockElement.from_ints(mat_vec(H, nums), h * den)
+        _, _, H, h = self._maps
+        return BlockElement.from_ints(apply_columns(H, nums), h * den)

@@ -1,9 +1,9 @@
 """Command line front end: subgroup classification, ring products, and the
 verification stages.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage or domain
-errors (unparsable input, unknown names, coefficients outside the ring) and
-unreadable fixture files.
+Exit codes: 0 success, 1 a verification check failed or the two structure
+table routes disagree, 2 usage or domain errors (unparsable input, unknown
+names, coefficients outside the ring) and unreadable fixture files.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import re
 import sys
 
 from . import fixtures, verify
-from .bisets import BASIS_LABELS, RINGS, format_element, parse_element
+from .bisets import BASIS_LABELS, RINGS, TableMismatch, format_element, parse_element
 from .blocks import PEIRCE_LABELS, PeirceBasis
 from .perms import CapacityError, Perm, PermGroup, cyclic_group, symmetric_group
 
@@ -145,28 +145,19 @@ def cmd_mult(args):
 
 def cmd_verify(args):
     stages = None if args.stage == "all" else args.stage
-    report = verify.run(stages=stages, fixture_dir=args.fixture_dir)
-    emitted = []
-    if args.emit == "fixtures":
-        out_dir = os.path.join(os.getcwd(), "fixtures.regenerated")
-        emitted = verify.emit_fixtures(out_dir, fixture_dir=args.fixture_dir)
+    fx = verify.FixtureSet(args.fixture_dir)
+    report = verify.run(stages=stages, fixture_dir=fx)
     if args.json:
         sys.stdout.write(fixtures.canonical_dumps(report))
     else:
         for st in report["stages"]:
             for c in st["checks"]:
-                print(
-                    "%s %s/%s: %s"
-                    % (
-                        "PASS" if c["status"] == "pass" else "FAIL",
-                        st["stage"],
-                        c["name"],
-                        c["detail"],
-                    )
-                )
+                print("%s %s/%s: %s" % (c["status"].upper(), st["stage"], c["name"], c["detail"]))
         print("result: %s" % report["status"].upper())
-    for p in emitted:
-        print("wrote %s" % os.path.relpath(p), file=sys.stderr)
+    if args.emit == "fixtures":
+        out_dir = os.path.join(os.getcwd(), "fixtures.regenerated")
+        for p in verify.emit_fixtures(out_dir, fixture_dir=fx):
+            print("wrote %s" % os.path.relpath(p), file=sys.stderr)
     return 0 if report["status"] == "pass" else 1
 
 
@@ -223,6 +214,9 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except TableMismatch as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except (ValueError, CapacityError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and Z: no floats anywhere.
 
 Matrices are plain lists of lists holding ints or Fractions.  Sizes in this
-package never exceed a few dozen rows, so everything is dense and direct.
+package never exceed a few dozen rows, so the eliminations are dense and
+direct; a matrix applied many times is kept as its sparse columns.
 
-    >>> from fractions import Fraction
-    >>> mat_inverse([[2, 1], [1, 1]])
-    [[Fraction(1, 1), Fraction(-1, 1)], [Fraction(-1, 1), Fraction(2, 1)]]
+    >>> A = sparse_columns([[2, 0, 1], [0, 0, 3]])
+    >>> apply_columns(A, [1, 5, 2])
+    [4, 6]
     >>> det_bareiss([[2, 0], [0, 3]])
     6
     >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
@@ -16,26 +17,23 @@ package never exceed a few dozen rows, so everything is dense and direct.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
     "SingularMatrixError",
     "identity_matrix",
     "transpose",
-    "mat_mul",
-    "mat_vec",
-    "mat_inverse",
+    "SparseColumns",
+    "sparse_columns",
+    "apply_columns",
     "int_inverse",
     "common_denominator",
     "det_bareiss",
-    "det_fraction",
     "hnf_rows",
     "smith_normal_form",
     "elementary_divisors",
-    "lattice_index",
     "LocalLattice",
-    "in_local_span",
-    "p_valuation_at_least",
     "is_p_integral",
     "parse_fraction",
     "format_fraction",
@@ -54,34 +52,25 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_mul(A, B):
-    nb = len(B)
-    if any(len(row) != nb for row in A):
-        raise ValueError("shape mismatch")
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+SparseColumns = namedtuple("SparseColumns", "nrows cols")
 
 
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+def sparse_columns(A):
+    """A (m x n, ints or Fractions) as its row count and, for each column,
+    the (row, entry) pairs of its nonzero entries."""
+    return SparseColumns(len(A), tuple(
+        tuple((r, x) for r, x in enumerate(col) if x) for col in zip(*A)
+    ))
 
 
-def mat_inverse(A):
-    """Exact inverse of a square matrix, entries returned as Fractions."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular at column %d" % col)
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[n:] for row in M]
+def apply_columns(A, v):
+    """A*v for A = sparse_columns(...), as a list; zero entries of v are skipped."""
+    out = [0] * A.nrows
+    for col, x in zip(A.cols, v):
+        if x:
+            for r, a in col:
+                out[r] += a * x
+    return out
 
 
 def common_denominator(values):
@@ -145,26 +134,6 @@ def det_bareiss(A):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def det_fraction(A):
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = Fraction(1) / M[col][col]
-        for i in range(col + 1, n):
-            if M[i][col] != 0:
-                f = M[i][col] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return det
 
 
 def hnf_rows(A):
@@ -281,36 +250,6 @@ def elementary_divisors(A):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
 
 
-def lattice_index(gens, n=None):
-    """Index [Z^n : L] for the row lattice L spanned by gens (must be full rank)."""
-    H = hnf_rows(gens)
-    if n is None:
-        n = len(gens[0])
-    if len(H) != n:
-        raise ValueError("lattice has rank %d < %d, index is infinite" % (len(H), n))
-    idx = 1
-    for i, row in enumerate(H):
-        piv = next(x for x in row if x != 0)
-        idx *= piv
-    return idx
-
-
-def p_valuation_at_least(x, p, k):
-    """True iff v_p(x) >= k for a Fraction or int x (0 passes every bound)."""
-    x = Fraction(x)
-    if x == 0:
-        return True
-    num, den = x.numerator, x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v >= k
-
-
 def is_p_integral(x, p):
     return Fraction(x).denominator % p != 0
 
@@ -361,15 +300,6 @@ class LocalLattice:
             elif w % (m * scale):
                 return False
         return True
-
-
-def in_local_span(gens, v, p):
-    """Is v in the Z_(p)-span of the integer row vectors gens?
-
-    Solvability of q*G = v with every q entry p-integral; v may have
-    Fraction entries.  One-off form of LocalLattice.
-    """
-    return LocalLattice(gens, p).contains(*common_denominator(v))
 
 
 def parse_fraction(text):

@@ -24,7 +24,8 @@ from fractions import Fraction
 from . import fixtures
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
-from .linalg import common_denominator, hnf_rows, mat_vec, smith_normal_form, transpose
+from .linalg import apply_columns, common_denominator, hnf_rows, smith_normal_form
+from .linalg import sparse_columns, transpose
 
 __all__ = [
     "HT_TO_H",
@@ -35,6 +36,7 @@ __all__ = [
     "conjugator",
     "conjugator_inverse",
     "delta",
+    "delta_ints",
     "delta_images",
     "representation_matrix",
     "load_fixture_matrix",
@@ -99,7 +101,7 @@ def conjugator_inverse():
     return _conjugators()[1]
 
 
-# Per PeirceBasis: the 22 images and the matrix they form over one denominator.
+# Per PeirceBasis: the 22 images and their sparse columns over one denominator.
 _IMAGES = weakref.WeakKeyDictionary()
 
 
@@ -110,10 +112,14 @@ def _delta_data(peirce):
         imgs = tuple(
             xi * peirce.slot_coordinates(_unit(i)) * x for i in range(len(BASIS_LABELS))
         )
-        den = math.lcm(*(b.den for b in imgs))
-        rows = [[b.nums[r] * (den // b.den) for b in imgs] for r in range(22)]
-        data = _IMAGES[peirce] = (imgs, rows, den)
+        data = _IMAGES[peirce] = _delta_columns(imgs)
     return data
+
+
+def _delta_columns(imgs):
+    den = math.lcm(*(b.den for b in imgs))
+    cols = [[a * (den // b.den) for a in b.nums] for b in imgs]
+    return imgs, sparse_columns(transpose(cols)), den
 
 
 def delta(elem, peirce):
@@ -121,9 +127,13 @@ def delta(elem, peirce):
 
     Linear in the coefficients: the sum of c_k * delta(basis class k).
     """
-    _, rows, den = _delta_data(peirce)
-    nums, cden = common_denominator(elem.coeffs)
-    return BlockElement.from_ints(mat_vec(rows, nums), den * cden)
+    return delta_ints(*common_denominator(elem.coeffs), peirce)
+
+
+def delta_ints(nums, den, peirce):
+    """delta of the ring element whose coefficients are nums / den."""
+    _, cols, dden = _delta_data(peirce)
+    return BlockElement.from_ints(apply_columns(cols, nums), dden * den)
 
 
 def delta_images(peirce):
@@ -148,16 +158,19 @@ def representation_matrix(peirce):
     """
     imgs = delta_images(peirce)
     for j, img in enumerate(imgs):
-        for name, c in zip(COORD_NAMES, img.to_vector()):
-            if c.denominator != 1:
+        for name, c in zip(COORD_NAMES, img.nums):
+            if c % img.den:
                 raise ValueError(
-                    "image %d (%s) has non-integer %s = %s" % (j, BASIS_LABELS[j], name, c)
+                    "image %d (%s) has non-integer %s = %s"
+                    % (j, BASIS_LABELS[j], name, Fraction(c, img.den))
                 )
     return [[img.nums[i] for img in imgs] for i in range(22)]
 
 
 def load_fixture_matrix(fixture_dir=None):
     data = fixtures.load_delta_matrix(fixture_dir)
+    if not isinstance(data, dict):
+        raise ValueError("delta_matrix.json: expected an object")
     if data.get("row_order") != list(COORD_NAMES):
         raise ValueError("fixture row order differs from COORD_NAMES")
     if data.get("column_classes") != list(BASIS_LABELS):

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import fixtures
 from .blocks import BlockElement
-from .linalg import LocalLattice, det_fraction, hnf_rows, int_inverse, mat_vec
+from .linalg import LocalLattice, apply_columns, common_denominator, det_bareiss, hnf_rows
+from .linalg import int_inverse, sparse_columns
 
 RING_CHAR = {"Q": 0, "Z": 0, "Z2": 0, "Z3": 0, "F2": 2, "F3": 3}
 
@@ -381,9 +382,11 @@ class CornerAlgebra:
         if len(echelon) < len(rows):
             raise ValueError("basis elements are linearly dependent")
         self._pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-        self._solver = int_inverse([[row[j] for row in rows] for j in self._pivots], b)
-        self._cols = list(zip(*rows))
-        self._span_scale = self._solver[1] * b
+        N, n = int_inverse([[row[j] for row in rows] for j in self._pivots], b)
+        self._solver = sparse_columns(N), n
+        # the map from coordinates to block numerators over b
+        self._basis = sparse_columns(list(zip(*rows)))
+        self._span_scale = n * b
         self._unit = None
 
     def rank(self):
@@ -418,11 +421,11 @@ class CornerAlgebra:
         """Coordinates of block over the basis, as Fractions; SpanError if
         block is outside the span."""
         N, n = self._solver
-        coords = mat_vec(N, [block.nums[j] for j in self._pivots])
+        coords = apply_columns(N, [block.nums[j] for j in self._pivots])
         # block == sum_k coords[k]/(n*den) * (row k of the basis)/b, in integers
-        for x, col in zip(block.nums, self._cols):
-            if sum(c * r for c, r in zip(coords, col)) != x * self._span_scale:
-                raise SpanError("element is outside the span of the basis")
+        scale = self._span_scale
+        if apply_columns(self._basis, coords) != [x * scale for x in block.nums]:
+            raise SpanError("element is outside the span of the basis")
         d = n * block.den
         return [Fraction(c, d) for c in coords]
 
@@ -623,7 +626,9 @@ def verify_presentation(pres, corner, length_bound=8):
         if not _vanishes(element_image(elem, pres, corner), ring, corner):
             problems.append("listed kernel element %d does not vanish" % i)
     T = [corner.express(path_image(b, pres, corner)) for b in basis]
-    d = det_fraction(T)
+    flat, den = common_denominator([x for row in T for x in row])
+    n = len(T)
+    d = Fraction(det_bareiss([flat[i * n : i * n + n] for i in range(n)]), den**n)
     if ring == "Q":
         ok = d != 0
     elif ring in ("Z", "Z2", "Z3"):

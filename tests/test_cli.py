@@ -343,3 +343,41 @@ def test_singular_delta_matrix_fails_its_checks_and_exits_1(capsys, tmp_path):
     for name in ("full-rank", "24-inverse-integral", "index-matches-determinant"):
         assert status[name] == "fail", name
     assert status["stated-column-listing"] == "pass"
+
+
+def _replaced_fixture(tmp_path, name, text):
+    dst = tmp_path / "fixtures"
+    shutil.copytree(fixtures.DEFAULT_DIR, dst)
+    (dst / name).write_text(text)
+    return str(dst)
+
+
+@pytest.mark.parametrize(
+    "name, stage", [("peirce.json", "peirce"), ("delta_matrix.json", "lambda")]
+)
+def test_fixture_that_is_not_an_object_exits_2(capsys, tmp_path, name, stage):
+    dst = _replaced_fixture(tmp_path, name, "[]\n")
+    assert _single_error(capsys, stage, dst) == "error: %s: expected an object" % name
+
+
+def test_one_verify_run_reads_peirce_json_once(capsys, tmp_path, monkeypatch):
+    reads = []
+    load_json = fixtures.load_json
+
+    def counting(name, override=None):
+        reads.append(name)
+        return load_json(name, override)
+
+    monkeypatch.setattr(fixtures, "load_json", counting)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--json", "--emit", "fixtures")
+    assert code == 0
+    assert reads.count("peirce.json") == 1
+    assert reads.count("delta_matrix.json") == 1
+
+
+def test_paths_stage_does_not_read_peirce_json(capsys, tmp_path):
+    dst = _replaced_fixture(tmp_path, "peirce.json", "{ not json")
+    code, out, err = run_cli(capsys, "verify", "--stage", "paths", "--fixture-dir", dst)
+    assert code == 0, err
+    assert out.splitlines()[-1] == "result: PASS"

@@ -7,27 +7,87 @@ from hypothesis import strategies as st
 from bisetforge.linalg import (
     LocalLattice,
     SingularMatrixError,
+    apply_columns,
     common_denominator,
     det_bareiss,
-    det_fraction,
     elementary_divisors,
     hnf_rows,
     identity_matrix,
-    in_local_span,
     int_inverse,
     is_p_integral,
-    lattice_index,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
-    p_valuation_at_least,
     parse_fraction,
     format_fraction,
     smith_normal_form,
-    transpose,
+    sparse_columns,
 )
 
 small_int = st.integers(min_value=-9, max_value=9)
+
+
+# Dense Fraction references for the integer and sparse routines.
+
+
+def mat_mul(A, B):
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def mat_inverse(A):
+    """Exact inverse of a square matrix, entries returned as Fractions."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError("singular at column %d" % col)
+        M[col], M[piv] = M[piv], M[col]
+        inv = Fraction(1) / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M]
+
+
+def det_fraction(A):
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if M[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        inv = Fraction(1) / M[col][col]
+        for i in range(col + 1, n):
+            if M[i][col] != 0:
+                f = M[i][col] * inv
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return det
+
+
+def p_valuation_at_least(x, p, k):
+    """True iff v_p(x) >= k for a Fraction or int x (0 passes every bound)."""
+    x = Fraction(x)
+    if x == 0:
+        return True
+    num, den = x.numerator, x.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v >= k
 
 
 def square(n):
@@ -48,10 +108,10 @@ def test_inverse_multiplies_to_identity(A):
     d = det_bareiss([r[:] for r in A])
     if d == 0:
         with pytest.raises(SingularMatrixError):
-            mat_inverse([[Fraction(x) for x in r] for r in A])
+            int_inverse(A)
         return
-    Ainv = mat_inverse([[Fraction(x) for x in r] for r in A])
-    assert mat_mul(A, Ainv) == identity_matrix(3)
+    N, n = int_inverse(A)
+    assert mat_mul(A, N) == [[n * x for x in row] for row in identity_matrix(3)]
 
 
 @given(square(3))
@@ -78,22 +138,18 @@ def test_elementary_divisors_example():
     assert elementary_divisors(A) == [2, 2, 156]
 
 
-def test_lattice_index():
-    assert lattice_index([[2, 0], [0, 3]]) == 6
-
-
 def test_hnf_detects_sublattice():
     H = hnf_rows([[2, 0], [0, 2], [1, 1]])
     assert H[0][0] * H[1][1] == 2
 
 
-def test_in_local_span_ignores_odd_denominators():
+def test_local_lattice_ignores_odd_denominators():
     gens = [[2, 0], [0, 6]]
-    assert in_local_span(gens, [2, 0], 2)
+    assert LocalLattice(gens, 2).contains([2, 0])
     # 1/3 of a generator is allowed at p = 2 but not at p = 3
-    assert in_local_span(gens, [0, 2], 2)
-    assert not in_local_span(gens, [0, 2], 3)
-    assert not in_local_span(gens, [1, 0], 2)
+    assert LocalLattice(gens, 2).contains([0, 2])
+    assert not LocalLattice(gens, 3).contains([0, 2])
+    assert not LocalLattice(gens, 2).contains([1, 0])
 
 
 def test_p_valuation():
@@ -111,6 +167,35 @@ def test_fraction_round_trip(a, b):
 
 def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [5, 6]) == [17, 39]
+    assert apply_columns(sparse_columns([[1, 2], [3, 4]]), [5, 6]) == [17, 39]
+
+
+@st.composite
+def sparse_problems(draw):
+    """A matrix with zero rows, zero columns and negative entries likely, and
+    a vector that is often zero or mostly zero."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(-9, 9, max_denominator=4))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [0] * n
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in A:
+            row[j] = 0
+    v = draw(st.lists(st.one_of(st.just(0), st.integers(-30, 30)), min_size=n, max_size=n))
+    return A, v
+
+
+@given(sparse_problems())
+@settings(max_examples=150)
+def test_apply_columns_matches_dense_mat_vec(problem):
+    A, v = problem
+    cols = sparse_columns(A)
+    assert cols.nrows == len(A)
+    assert all(x for col in cols.cols for _, x in col)
+    assert apply_columns(cols, v) == mat_vec(A, v)
+    assert apply_columns(cols, [0] * len(v)) == [0] * len(A)
 
 
 def test_parse_fraction_rejects_zero_denominator():
@@ -189,6 +274,5 @@ def test_local_lattice_matches_fraction_reference(problem, p):
     for v in vecs:
         want = reference_in_local_span(gens, v, p)
         assert lattice.contains(*common_denominator(v)) == want
-        assert in_local_span(gens, v, p) == want
     if gens:
         assert lattice.divisors == elementary_divisors(gens)

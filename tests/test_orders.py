@@ -5,7 +5,7 @@ import pytest
 
 from bisetforge.bisets import BASIS_LABELS, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis
-from bisetforge.linalg import elementary_divisors, mat_inverse
+from bisetforge.linalg import elementary_divisors
 from bisetforge.orders import (
     CONGRUENCES_2,
     CONGRUENCES_3,
@@ -78,6 +78,22 @@ def test_congruence_lists_have_the_displayed_shape():
     assert len(MOD24_ROWS) == 11
 
 
+def mat_inverse(A):
+    """Reference: exact Fraction Gauss-Jordan inverse of a square matrix."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if M[i][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M]
+
+
 def test_24_inverse_is_integral():
     M = load_fixture_matrix()
     Minv = mat_inverse([[Fraction(x) for x in row] for row in M])
@@ -147,6 +163,20 @@ def test_linear_delta_matches_the_conjugation_route():
         assert delta(e, pb) == xi * pb.gamma_inv(e) * x
     for i, img in enumerate(delta_images(pb)):
         assert img == xi * pb.gamma_inv(BurnsideElement.basis(i)) * x
+
+
+def test_linear_delta_with_mixed_image_denominators():
+    # rescaling the basis vectors gives images over denominators 2..36, so the
+    # sparse columns must bring them to one common denominator
+    pb = PeirceBasis.load()
+    scaled = PeirceBasis([[(i % 4 + 1) * c for c in v] for i, v in enumerate(pb.vectors)], pb.table)
+    assert len({img.den for img in delta_images(scaled)}) > 1
+    x, xi = conjugator(), conjugator_inverse()
+    rng = random.Random(20261019)
+    for _ in range(10):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
+        e = BurnsideElement("Q", coeffs)
+        assert delta(e, scaled) == xi * scaled.gamma_inv(e) * x
 
 
 def test_delta_images_follow_the_fixture_instance():

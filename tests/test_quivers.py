@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisetforge.blocks import COORD_NAMES, BlockElement
-from bisetforge.linalg import mat_inverse, mat_vec
 from bisetforge.orders import (
     CORNER_BASIS_2,
     CORNER_BASIS_3,
@@ -209,6 +208,26 @@ def test_corner_express_round_trip_and_span_error():
         corner.express(outside)
     # a fractional multiple of a basis vector stays inside the rational span
     assert corner.contains(corner.by_label["tau5"].scale(Fraction(1, 2)))
+
+
+def mat_inverse(A):
+    """Reference: exact Fraction Gauss-Jordan inverse of a square matrix."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if M[i][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for i in range(n):
+            if i != col and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M]
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def _express_reference(elements, block):

@@ -1,12 +1,17 @@
 import json
+import math
+import random
 import re
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bisetforge import bisets, fixtures, orders, verify
-from bisetforge.linalg import mat_mul
+from bisetforge import bisets, cli, fixtures, orders, verify
+from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
+from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
+from bisetforge.linalg import common_denominator
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +157,15 @@ def test_broken_mod24_row_fails_with_a_witness(monkeypatch, broken):
     assert _disagree_mod24(comp, residues, rows)
 
 
+def mat_mul(A, B):
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
 def _dense_associativity_failures(c):
     """Reference: the pairs (i, j) with L_i L_j != sum_k c_ij^k L_k, as dense
     matrices L_i[k][j] = c[i][j][k]."""
@@ -187,9 +201,14 @@ def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
     assert ("(%d, %d)" % cell in failing["associativity"]) == (want.index(cell) < 6)
 
 
+def _clear_table_caches():
+    bisets.structure_table.cache_clear()
+    bisets.structure_tensor.cache_clear()
+
+
 # a perturbed route must stop structure_table() and fail only table-dual-route
 @pytest.mark.parametrize("route", ["mackey_table", "oracle_table"])
-def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, route):
+def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, capsys, route):
     i, j = 1, 2
     table = [list(row) for row in getattr(bisets, route)()]
     table[i][j] = (table[i][j][0] + 1,) + table[i][j][1:]
@@ -209,3 +228,136 @@ def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, route):
     rep = verify.stage_peirce()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
     assert failing == {"table-dual-route": "routes disagree at %s" % cell}
+    monkeypatch.undo()
+
+    # through bisets, as a real disagreement would arrive: the CLI reports the
+    # failed check, skips what needs the table, and exits 1 with no traceback
+    _clear_table_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(bisets, route, lambda: perturbed)
+            code = cli.main(["verify", "--stage", "peirce"])
+            out = capsys.readouterr()
+            full = cli.main(["verify", "--json"])
+            report = json.loads(capsys.readouterr().out)
+            product = cli.main(["mult", "H_{1,0}", "H_{0,1}"])
+            product_out = capsys.readouterr()
+    finally:
+        _clear_table_caches()
+    assert code == 1 and out.err == ""
+    lines = out.out.splitlines()
+    assert lines[2].startswith("FAIL peirce/table-dual-route: routes disagree at cell %s: " % cell)
+    skipped = ["table-mass", "identity", "associativity", "idempotents", "peirce-products", "eps3-central"]
+    assert lines[3:-1] == [
+        "SKIP peirce/%s: skipped: the structure-table routes disagree" % name for name in skipped
+    ]
+    assert lines[-1] == "result: FAIL"
+    assert full == 1
+    status = {
+        (s["stage"], c["name"]): c["status"] for s in report["stages"] for c in s["checks"]
+    }
+    assert {k for k, v in status.items() if v != "pass"} == {
+        ("peirce", "table-dual-route"),
+        ("gamma", "gamma-multiplicative"),
+        ("lambda", "delta-ring-map"),
+    } | {("peirce", name) for name in skipped}
+    assert status["peirce", "table-dual-route"] == "fail"
+    assert status["gamma", "gamma-multiplicative"] == status["lambda", "delta-ring-map"] == "skip"
+    assert product == 1 and product_out.out == ""
+    assert product_out.err.startswith("error: cell %s: " % cell)
+
+
+def _shared_basis(pb):
+    """A FixtureSet that hands the stages this PeirceBasis."""
+    fx = verify.FixtureSet()
+    fx.peirce = pb
+    return fx
+
+
+def _fraction_gamma_failures(G, g):
+    """Reference: gamma-multiplicative as it was written on Fractions, for
+    gamma = G / g; the failing slot pairs in order."""
+
+    def gamma(b):
+        den = g * b.den
+        return BurnsideElement("Q", [Fraction(x, den) for x in mat_vec(G, b.nums)])
+
+    slots = slot_basis()
+    images = [gamma(b) for b in slots]
+    return [
+        "(%s, %s)" % (COORD_NAMES[i], COORD_NAMES[j])
+        for i in range(22)
+        for j in range(22)
+        if gamma(slots[i] * slots[j]) != images[i] * images[j]
+    ]
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (4, 9), (13, 15), (21, 21)])
+def test_perturbed_gamma_fails_multiplicativity_with_the_reference_witnesses(entry):
+    r, k = entry
+    pb = PeirceBasis.load()
+    G, g = pb.int_gamma
+    G = [list(row) for row in G]
+    G[r][k] += 1
+    pb.int_gamma = G, g
+    want = _fraction_gamma_failures(G, g)
+    assert want
+    rep = verify.stage_gamma(_shared_basis(pb))
+    check = next(c for c in rep["checks"] if c["name"] == "gamma-multiplicative")
+    assert check["status"] == "fail"
+    assert check["detail"] == "fails at %s" % ", ".join(want[:6])
+
+
+def _fraction_delta_failures(imgs):
+    """Reference: delta-ring-map as it was written, delta applied to a
+    BurnsideElement per pair through a dense matrix over one denominator."""
+    den = math.lcm(*(b.den for b in imgs))
+    rows = [[b.nums[r] * (den // b.den) for b in imgs] for r in range(22)]
+
+    def delta(elem):
+        nums, cden = common_denominator(elem.coeffs)
+        return BlockElement.from_ints(mat_vec(rows, nums), den * cden)
+
+    c = bisets.structure_table()
+    unit_ok = imgs[IDENTITY_INDEX] == BlockElement.identity()
+    bad = [
+        "(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j])
+        for i in range(22)
+        for j in range(22)
+        if imgs[i] * imgs[j] != delta(BurnsideElement("Q", list(c[i][j])))
+    ]
+    return unit_ok, bad
+
+
+@pytest.mark.parametrize("image, slot", [(0, "s11"), (7, "z2"), (IDENTITY_INDEX, "w"), (21, "x3")])
+def test_perturbed_delta_image_fails_the_ring_map_with_the_reference_witnesses(
+    monkeypatch, image, slot
+):
+    pb = PeirceBasis.load()
+    imgs = list(orders.delta_images(pb))
+    imgs[image] = imgs[image] + BlockElement.from_coords({slot: 1})
+    monkeypatch.setitem(orders._IMAGES, pb, orders._delta_columns(tuple(imgs)))
+    unit_ok, want = _fraction_delta_failures(imgs)
+    assert want or not unit_ok
+    rep = verify.stage_lambda(_shared_basis(pb))
+    check = next(c for c in rep["checks"] if c["name"] == "delta-ring-map")
+    assert check["status"] == "fail"
+    assert check["detail"] == "fails at %s" % ", ".join(want[:6] or ["the identity"])
+
+
+def _fraction_random_block(rng, denominators=True):
+    """Reference: the sampler as it was written, one Fraction per coordinate."""
+    coords = []
+    for _ in range(22):
+        num = rng.randint(-24, 24)
+        den = rng.randint(1, 6) if denominators else 1
+        coords.append(Fraction(num, den))
+    return BlockElement.from_vector(coords)
+
+
+@pytest.mark.parametrize("denominators", [True, False])
+def test_random_block_draws_the_same_samples_as_the_fraction_sampler(denominators):
+    new, old = random.Random(verify._SEED), random.Random(verify._SEED)
+    for _ in range(50):
+        assert verify._random_block(new, denominators) == _fraction_random_block(old, denominators)
+    assert new.random() == old.random()
