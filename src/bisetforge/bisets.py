@@ -13,16 +13,21 @@ Conventions, fixed once and used everywhere:
   * The identity element is the class of the regular biset S3, which is
     (S3xS3)/Delta(S3), index IDENTITY_INDEX in the basis.
 
-The structure constants are computed twice: once by brute-force orbit
-enumeration of actual tensor products (the oracle), and once by the
-double-coset formula
+The structure constants are computed twice.  The orbit route enumerates
+the points of M x N for each pair of basis bisets: each orbit of the middle
+action is the set of images of one point under the six elements of S3, the
+outer generators (a,1), (b,1), (1,a), (1,b) then join these orbits into
+transitive pieces, and each piece is classified by the mask of the 36 pairs
+that fix one of its middle orbits.  No biset is built for the product.  The
+double-coset route uses the formula
 
   [(GxG)/U] . [(GxG)/V]
       = sum over p2(U)\\G/p1(V), g a representative, of
         [(GxG)/(U * (g,1)-conjugate of V)]
 
 where U * W = {(a,c) : exists b with (a,b) in U and (b,c) in W}.  The two
-tables must agree cell for cell; construction fails otherwise.
+routes share only the index tables and classify_subgroup; their tables must
+agree cell for cell, and construction fails otherwise.
 
 Both routes run on integer indices.  The pair (S3.elements[a], S3.elements[b])
 has index 6a + b, its position in PAIRS; a subgroup of S3xS3 is the 36-bit
@@ -60,18 +65,13 @@ __all__ = [
     "biset_sizes",
     "transitive_biset",
     "basis_bisets",
-    "tensor",
-    "decompose",
     "classify_subgroup",
     "oracle_table",
     "mackey_table",
     "structure_table",
     "structure_tensor",
-    "left_mult_matrices",
     "multiply_vectors",
     "BurnsideElement",
-    "k1",
-    "k2",
 ]
 
 S3_ID = Perm.identity(3)
@@ -193,37 +193,6 @@ def transitive_biset(U):
     return Biset(len(reps), tuple(tuple(index_of[pmul[g][r]] for r in reps) for g in range(36)))
 
 
-def tensor(M, N):
-    """M (x)_G N with the induced outer action; see the module docstring."""
-    nm, nn = M.size, N.size
-    orbit_of = [-1] * (nm * nn)
-    orbit_reps = []
-    mid = [(M.action[g], N.action[6 * g]) for g in (_IA, _IB)]
-    for start in range(nm * nn):
-        if orbit_of[start] >= 0:
-            continue
-        oid = len(orbit_reps)
-        orbit_reps.append(divmod(start, nn))
-        orbit_of[start] = oid
-        stack = [start]
-        while stack:
-            pt = stack.pop()
-            i, j = divmod(pt, nn)
-            for ma, na in mid:
-                q = ma[i] * nn + na[j]
-                if orbit_of[q] < 0:
-                    orbit_of[q] = oid
-                    stack.append(q)
-    # pair index 6h + g acts as (h, 1) on M and as (1, g) on N
-    js = [j for _, j in orbit_reps]
-    action = []
-    for am in M.action[::6]:
-        base = [am[i] * nn for i, _ in orbit_reps]
-        for an in N.action[:6]:
-            action.append(tuple([orbit_of[b + an[j]] for b, j in zip(base, js)]))
-    return Biset(len(orbit_reps), tuple(action))
-
-
 def classify_subgroup(mask):
     """Index of the basis class of the subgroup of S3xS3 with this pair-index mask."""
     try:
@@ -235,26 +204,46 @@ def classify_subgroup(mask):
 _OUTER_GENS = (6 * _IA, 6 * _IB, _IA, _IB)
 
 
-def decompose(X):
-    """Multiplicities of the 22 transitive classes inside the biset X."""
+def _orbit_counts(M, N):
+    """Multiplicities of the 22 transitive classes inside M (x)_G N, read off
+    the points (m, n) of M x N, point (i, j) at index i * N.size + j."""
+    nn = N.size
+    # g acts in the middle as the pair (1, g) on M and (g, 1) on N, pair
+    # indices g and 6g since S3.elements[0] is the identity
+    mid = [(M.action[g], N.action[6 * g]) for g in range(6)]
+    orbit_of = [-1] * (M.size * nn)
+    reps = []
+    for start in range(M.size * nn):
+        if orbit_of[start] < 0:
+            i, j = divmod(start, nn)
+            for am, an in mid:
+                orbit_of[am[i] * nn + an[j]] = len(reps)
+            reps.append((i, j))
+    # pair index 6h + g acts as (h, 1) on M and as (1, g) on N
+    outer = [(M.action[6 * (x // 6)], N.action[x % 6]) for x in _OUTER_GENS]
+    left, right = M.action[::6], N.action[:6]
     counts = [0] * len(BASIS_LABELS)
-    seen = [False] * X.size
-    gen_rows = [X.action[g] for g in _OUTER_GENS]
-    for start in range(X.size):
+    seen = [False] * len(reps)
+    for start, (i0, j0) in enumerate(reps):
         if seen[start]:
             continue
         seen[start] = True
         stack = [start]
         while stack:
-            pt = stack.pop()
-            for row in gen_rows:
-                q = row[pt]
-                if not seen[q]:
-                    seen[q] = True
-                    stack.append(q)
-        stab = sum(1 << g for g, row in enumerate(X.action) if row[start] == start)
+            i, j = reps[stack.pop()]
+            for am, an in outer:
+                o = orbit_of[am[i] * nn + an[j]]
+                if not seen[o]:
+                    seen[o] = True
+                    stack.append(o)
+        stab = 0
+        for h, am in enumerate(left):
+            base = am[i0] * nn
+            for g, an in enumerate(right):
+                if orbit_of[base + an[j0]] == start:
+                    stab |= 1 << (6 * h + g)
         counts[classify_subgroup(stab)] += 1
-    return counts
+    return tuple(counts)
 
 
 @lru_cache(maxsize=1)
@@ -265,11 +254,9 @@ def basis_bisets():
 
 @lru_cache(maxsize=1)
 def oracle_table():
-    """c[i][j][k] by enumerating orbits of actual tensor products."""
+    """c[i][j][k] by enumerating the orbits on the points of M x N."""
     bisets = basis_bisets()
-    return tuple(
-        tuple(tuple(decompose(tensor(bi, bj))) for bj in bisets) for bi in bisets
-    )
+    return tuple(tuple(_orbit_counts(bi, bj) for bj in bisets) for bi in bisets)
 
 
 def _star(U, W):
@@ -321,16 +308,6 @@ def structure_table():
 
 
 @lru_cache(maxsize=1)
-def left_mult_matrices():
-    """L[i][k][j] = c[i][j][k]: matrix of left multiplication by basis i."""
-    c = structure_table()
-    n = len(c)
-    return tuple(
-        tuple(tuple(c[i][j][k] for j in range(n)) for k in range(n)) for i in range(n)
-    )
-
-
-@lru_cache(maxsize=1)
 def structure_tensor():
     """T[i][j]: the (k, c) pairs with c = c[i][j][k] != 0 in the verified table."""
     return tuple(
@@ -352,15 +329,6 @@ def multiply_vectors(xs, ys):
                 for k, c in Ti[j]:
                     out[k] += f * c
     return out
-
-
-def k1(U):
-    """{a : (a,1) in U}, returned as a frozenset of S3 elements."""
-    return frozenset(a for a, b in U if b == S3_ID)
-
-
-def k2(U):
-    return frozenset(b for a, b in U if a == S3_ID)
 
 
 def _validate_coeff(ring, x):

@@ -268,32 +268,33 @@ class LocalLattice:
 
     With U*G*V = D in Smith form, v lies in the span iff every coordinate of
     v*V is divisible at p by the matching elementary divisor, and is 0 where
-    the divisor is 0.  The columns of V and the p-parts of the divisors are
-    kept, so a test is integer arithmetic only.
+    the divisor is 0.  The rows of V are kept as sparse columns of V^T, so a
+    test multiplies only the nonzero entries of v, and the p-parts of the
+    divisors are kept, so a test is integer arithmetic only.
     """
 
     def __init__(self, gens, p):
         self.p = p
         self.divisors = []
-        self._tests = None
+        self._moduli = None
         if not gens:
             return
         _, D, V = smith_normal_form(gens)
         k, n = len(gens), len(gens[0])
-        self._tests = []
+        self._rows = sparse_columns(transpose(V))
+        self._moduli = []
         for j in range(n):
             d = D[j][j] if j < k else 0
             if d:
                 self.divisors.append(d)
-            self._tests.append((tuple(row[j] for row in V), p ** _p_val(d, p) if d else 0))
+            self._moduli.append(p ** _p_val(d, p) if d else 0)
 
     def contains(self, nums, den=1):
         """Is the rational vector nums/den in the span?  (integer nums, den > 0)"""
-        if self._tests is None:
+        if self._moduli is None:
             return not any(nums)
         scale = self.p ** _p_val(den, self.p)
-        for col, m in self._tests:
-            w = sum(a * b for a, b in zip(nums, col))
+        for w, m in zip(apply_columns(self._rows, nums), self._moduli):
             if m == 0:
                 if w:
                     return False
@@ -303,10 +304,15 @@ class LocalLattice:
 
 
 def parse_fraction(text):
+    """A Fraction from "3", "-1/2" or "0.25".  Exponent notation is refused
+    before Fraction sees it: "1e999999999" would build a billion-digit int."""
+    text = str(text).strip()
+    if "e" in text.lower():
+        raise ValueError("exponent notation is not accepted: %r" % (text,))
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (str(text).strip(),)) from None
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def format_fraction(x):

@@ -46,6 +46,12 @@ __all__ = [
 # at this order (|A7|); S7 and larger are refused before any work.
 SUBGROUP_CAPACITY = 2_520
 
+# The largest point a parsed permutation may move or name as its degree.  A
+# permutation holds one int per point, so a label such as (1,99999999) would
+# otherwise allocate hundreds of megabytes before any group work; every group
+# the CLI advertises (S1..S6, C1..C30) has degree at most 30.
+DEGREE_CAPACITY = 100
+
 
 class CapacityError(Exception):
     pass
@@ -102,19 +108,22 @@ class Perm:
         is the largest point mentioned.
         """
         text = text.strip().replace(" ", "")
-        if text in ("()", "", "1", "id"):
-            return cls.identity(degree if degree is not None else 0)
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError("bad cycle notation: %r" % (text,))
-        cycles = []
-        for part in text[1:-1].split(")("):
-            pts = [int(tok) for tok in part.split(",") if tok]
-            if any(pt < 1 for pt in pts):
-                raise ValueError("cycle notation is 1-based: %r" % (text,))
-            cycles.append(tuple(pt - 1 for pt in pts))
-        need = 1 + max(pt for cyc in cycles for pt in cyc)
+        cycles, need = [], 0
+        if text not in ("()", "", "1", "id"):
+            if not (text.startswith("(") and text.endswith(")")):
+                raise ValueError("bad cycle notation: %r" % (text,))
+            for part in text[1:-1].split(")("):
+                pts = [int(tok) for tok in part.split(",") if tok]
+                if any(pt < 1 for pt in pts):
+                    raise ValueError("cycle notation is 1-based: %r" % (text,))
+                cycles.append(tuple(pt - 1 for pt in pts))
+            need = 1 + max(pt for cyc in cycles for pt in cyc)
         if degree is None:
             degree = need
+        if degree > DEGREE_CAPACITY:
+            raise CapacityError(
+                "degree %d exceeds the capacity of %d points" % (degree, DEGREE_CAPACITY)
+            )
         if degree < need:
             raise ValueError("degree %d too small for %r" % (degree, text))
         return cls.from_cycles(cycles, degree)

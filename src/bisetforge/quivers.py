@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fixtures
 from .blocks import BlockElement
 from .linalg import LocalLattice, apply_columns, common_denominator, det_bareiss, hnf_rows
-from .linalg import int_inverse, sparse_columns
+from .linalg import int_inverse, sparse_columns, transpose
 
 RING_CHAR = {"Q": 0, "Z": 0, "Z2": 0, "Z3": 0, "F2": 2, "F3": 3}
 
@@ -329,34 +330,37 @@ def irreducible_paths(quiver, rules, length_bound=8):
     return tuple(sorted(out, key=quiver.path_key))
 
 
-def _solve_unique(rows, rhs):
-    """Exact solution of an overdetermined full-rank linear system."""
-    m = len(rows)
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        f = aug[r][col]
-        aug[r] = [x / f for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                g = aug[i][col]
-                aug[i] = [a - g * c for a, c in zip(aug[i], aug[r])]
-        piv.append(col)
-        r += 1
-    if len(piv) != n:
-        raise ValueError("system is underdetermined")
-    if any(aug[i][n] != 0 for i in range(r, m)):
-        raise ValueError("system is inconsistent")
-    x = [Fraction(0)] * n
-    for i, col in enumerate(piv):
-        x[col] = aug[i][n]
-    return x
+@lru_cache(maxsize=16)
+def _span_unit(elements):
+    """The two-sided identity u of the span of the linearly independent block
+    elements, solved in integers; ValueError if the span has none.
+
+    With e_i = r_i / b over one denominator, u = sum_i c_i e_i satisfies
+    u.e_k = e_k = e_k.u for every k iff sum_i c_i (r_i r_k) = b r_k and
+    sum_i c_i (r_k r_i) = b r_k.  A two-sided identity is unique, so these
+    equations have full column rank when it exists; c is solved on pivot
+    equations and then checked against every equation.
+    """
+    b = math.lcm(*(e.den for e in elements))
+    ints = [BlockElement.from_ints([x * (b // e.den) for x in e.nums]) for e in elements]
+    prods = [[ei * ek for ek in ints] for ei in ints]
+    # column i holds the coefficients of c_i in every equation; rhs the right sides
+    cols = [
+        [x for k in range(len(ints)) for x in prods[i][k].nums + prods[k][i].nums]
+        for i in range(len(ints))
+    ]
+    rhs = [b * x for e in ints for x in e.nums + e.nums]
+    echelon = hnf_rows(cols)
+    if len(echelon) < len(cols):
+        raise ValueError("span has no two-sided unit")
+    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    N, n = int_inverse([[col[j] for col in cols] for j in pivots])
+    coords = apply_columns(sparse_columns(N), [rhs[j] for j in pivots])
+    # c = coords / n must satisfy every equation, not only the pivot ones
+    if apply_columns(sparse_columns(transpose(cols)), coords) != [n * x for x in rhs]:
+        raise ValueError("span has no two-sided unit")
+    nums = apply_columns(sparse_columns(transpose([e.nums for e in ints])), coords)
+    return BlockElement.from_ints(nums, n * b)
 
 
 class CornerAlgebra:
@@ -387,35 +391,14 @@ class CornerAlgebra:
         # the map from coordinates to block numerators over b
         self._basis = sparse_columns(list(zip(*rows)))
         self._span_scale = n * b
-        self._unit = None
 
     def rank(self):
         return len(self.labels)
 
     def unit(self):
-        """The unique two-sided identity of the span, solved exactly."""
-        if self._unit is None:
-            n = len(self.labels)
-            rows = []
-            rhs = []
-            for k in range(n):
-                prods = [
-                    (self.elements[i] * self.elements[k]).to_vector()
-                    for i in range(n)
-                ]
-                target = self.elements[k].to_vector()
-                for j in range(22):
-                    rows.append([prods[i][j] for i in range(n)])
-                    rhs.append(target[j])
-            coords = _solve_unique(rows, rhs)
-            u = BlockElement.zero()
-            for cc, e in zip(coords, self.elements):
-                u = u + e.scale(cc)
-            for e in self.elements:
-                if u * e != e or e * u != e:
-                    raise ValueError("span has no two-sided unit")
-            self._unit = u
-        return self._unit
+        """The unique two-sided identity of the span, solved once per basis
+        content (see _span_unit); ValueError if the span has none."""
+        return _span_unit(self.elements)
 
     def express(self, block):
         """Coordinates of block over the basis, as Fractions; SpanError if

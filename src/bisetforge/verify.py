@@ -101,8 +101,9 @@ def _certified_table():
 
 
 class FixtureSet:
-    """The fixtures of one directory for one run: peirce.json is read, and
-    the Peirce basis built, at most once and only when a stage needs it."""
+    """The fixtures of one directory for one run: peirce.json is read, the
+    Peirce basis built and its 484 products taken, at most once and only
+    when a stage needs them."""
 
     def __init__(self, fixture_dir=None):
         self.fixture_dir = fixture_dir
@@ -114,6 +115,13 @@ class FixtureSet:
     @cached_property
     def peirce(self):
         return PeirceBasis.from_data(self.peirce_data)
+
+    @cached_property
+    def peirce_products(self):
+        """[i][j]: the product of Peirce basis vectors i and j as integers
+        over d^2, where pb.int_vectors is (rows, d)."""
+        rows, _ = self.peirce.int_vectors
+        return [[multiply_vectors(x, y) for y in rows] for x in rows]
 
 
 def _fixture_set(fixture_dir):
@@ -313,12 +321,13 @@ def stage_peirce(fixture_dir=None):
     )
 
     # vectors[i] == rows[i] / d, so products are over d^2 and table entries over d
-    rows, d = pb.int_vectors
+    _, d = pb.int_vectors
+    products = fx.peirce_products
     mism = []
     for i in range(22):
         for j in range(22):
             want = pb.table_entry_ints(i, j)
-            if multiply_vectors(rows[i], rows[j]) != [d * x for x in want]:
+            if products[i][j] != [d * x for x in want]:
                 mism.append("(%s, %s)" % (PEIRCE_LABELS[i], PEIRCE_LABELS[j]))
     if mism:
         documented = _errata_for("peirce.json", fx)
@@ -1081,12 +1090,12 @@ def emit_fixtures(out_dir, fixture_dir=None):
     raw = fx.peirce_data
     # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
     # gamma_inv; the integer vectors over d multiply to products over d^2.
-    rows, d = pb.int_vectors
+    _, d = pb.int_vectors
     table = []
-    for i in range(22):
+    for products in fx.peirce_products:
         row = []
-        for j in range(22):
-            slots = pb.slot_coordinates(multiply_vectors(rows[i], rows[j]), d * d)
+        for prod in products:
+            slots = pb.slot_coordinates(prod, d * d)
             coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
             row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)

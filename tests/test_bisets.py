@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisetforge import bisets as bisets_module
 from bisetforge.bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
@@ -15,15 +16,12 @@ from bisetforge.bisets import (
     S3_B,
     S3_ID,
     SUBGROUP_GENERATORS,
+    Biset,
     BurnsideElement,
     basis_bisets,
     biset_sizes,
     classify_subgroup,
-    decompose,
     format_element,
-    k1,
-    k2,
-    left_mult_matrices,
     mackey_table,
     multiply_vectors,
     oracle_table,
@@ -31,7 +29,6 @@ from bisetforge.bisets import (
     structure_table,
     structure_tensor,
     subgroup_reps,
-    tensor,
     transitive_biset,
 )
 
@@ -73,24 +70,6 @@ def test_frozen_products():
     i01 = BASIS_LABELS.index("H_{0,1}")
     i11 = BASIS_LABELS.index("H_{1,1}")
     assert list(c[i10][i01]) == [6 * int(k == i11) for k in range(22)]
-
-
-def test_kernels():
-    reps = subgroup_reps()
-    i10 = BASIS_LABELS.index("H_{1,0}")
-    assert len(k1(reps[i10])) == 2
-    assert len(k2(reps[i10])) == 1
-    idiag = BASIS_LABELS.index("H^D_5")
-    assert len(k1(reps[idiag])) == 1
-    assert len(k2(reps[idiag])) == 1
-
-
-def test_left_mult_matrices_are_columns():
-    c = structure_table()
-    L = left_mult_matrices()
-    for i in (0, 7, IDENTITY_INDEX, 21):
-        for j in (0, 3, 14, 21):
-            assert [L[i][k][j] for k in range(22)] == list(c[i][j])
 
 
 small_coeff = st.integers(min_value=-4, max_value=4)
@@ -323,6 +302,60 @@ def _ref_decompose(X):
     return tuple(counts)
 
 
+# The orbit route as it ran before it moved to points only: materialise
+# M (x)_G N as a Biset with all 36 rows, then decompose it.  Kept as the
+# reference that sees the same perturbed input as oracle_table.
+_IA, _IB = S3.elements.index(S3_A), S3.elements.index(S3_B)
+
+
+def tensor(M, N):
+    nm, nn = M.size, N.size
+    orbit_of = [-1] * (nm * nn)
+    orbit_reps = []
+    mid = [(M.action[g], N.action[6 * g]) for g in (_IA, _IB)]
+    for start in range(nm * nn):
+        if orbit_of[start] >= 0:
+            continue
+        oid = len(orbit_reps)
+        orbit_reps.append(divmod(start, nn))
+        orbit_of[start] = oid
+        stack = [start]
+        while stack:
+            i, j = divmod(stack.pop(), nn)
+            for ma, na in mid:
+                q = ma[i] * nn + na[j]
+                if orbit_of[q] < 0:
+                    orbit_of[q] = oid
+                    stack.append(q)
+    js = [j for _, j in orbit_reps]
+    action = []
+    for am in M.action[::6]:
+        base = [am[i] * nn for i, _ in orbit_reps]
+        for an in N.action[:6]:
+            action.append(tuple([orbit_of[b + an[j]] for b, j in zip(base, js)]))
+    return Biset(len(orbit_reps), tuple(action))
+
+
+def decompose(X):
+    counts = [0] * 22
+    seen = [False] * X.size
+    gen_rows = [X.action[g] for g in (6 * _IA, 6 * _IB, _IA, _IB)]
+    for start in range(X.size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            pt = stack.pop()
+            for row in gen_rows:
+                if not seen[row[pt]]:
+                    seen[row[pt]] = True
+                    stack.append(row[pt])
+        stab = sum(1 << g for g, row in enumerate(X.action) if row[start] == start)
+        counts[classify_subgroup(stab)] += 1
+    return tuple(counts)
+
+
 @lru_cache(maxsize=1)
 def _ref_bisets():
     return tuple(_ref_transitive(U) for U in _ref_reps())
@@ -374,6 +407,26 @@ def test_bisets_match_the_perm_pair_reference():
         assert X.action == tuple(tuple(action[g]) for g in PAIRS)
         assert tuple(decompose(X)) == _ref_decompose((size, action))
     assert transitive_biset(_mask(_ref_reps()[5])).action == bisets[5].action
+
+
+def test_orbit_route_reads_the_points(monkeypatch):
+    # Swap two images of the regular biset under (a, 1): no longer an action,
+    # so a route that reads the points cannot reproduce the double cosets.
+    # (a, 1) acts on the outer side of a left factor only, so in the row of
+    # the broken biset the old Biset-building route reads the same points.
+    bisets = basis_bisets()
+    i0 = BASIS_LABELS.index("H_{0,0}")
+    X = bisets[i0]
+    action = [list(row) for row in X.action]
+    row = action[6 * _IA]
+    row[0], row[1] = row[1], row[0]
+    broken = Biset(X.size, tuple(map(tuple, action)))
+    perturbed = bisets[:i0] + (broken,) + bisets[i0 + 1:]
+    monkeypatch.setattr(bisets_module, "basis_bisets", lambda: perturbed)
+    table = bisets_module.oracle_table.__wrapped__()
+    others = [j for j in range(22) if j != i0]
+    assert [table[i0][j] for j in others] == [decompose(tensor(broken, perturbed[j])) for j in others]
+    assert sum(table[i0][j] != mackey_table()[i0][j] for j in others) > 10
 
 
 def test_oracle_table_matches_the_perm_pair_reference():

@@ -381,3 +381,60 @@ def test_paths_stage_does_not_read_peirce_json(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--stage", "paths", "--fixture-dir", dst)
     assert code == 0, err
     assert out.splitlines()[-1] == "result: PASS"
+
+
+def test_exponent_literal_exits_2_at_once():
+    # Fraction("1e999999999") would build a billion-digit integer
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bisetforge.cli", "mult", "H_{1,0}:1e999999999", "H_{1,0}", "--ring", "Z"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: exponent notation is not accepted: '1e999999999'"]
+    assert elapsed < 5
+
+
+@pytest.mark.parametrize("operand", ["H_{1,0}:1e3", "H_{1,0}:2E0", "H_{1,0}:1.5e-1"])
+def test_exponent_notation_is_refused(capsys, operand):
+    code, out, err = run_cli(capsys, "mult", operand, "H_{1,0}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent notation is not accepted")
+
+
+@pytest.mark.parametrize(
+    "spec, degree", [("(1,99999999)", 99999999), ("(1,2000000)", 2000000), ("(1,2); (3,101)", 101)]
+)
+def test_oversized_degree_refused_with_flat_memory(spec, degree):
+    # the refusal comes before any permutation is built, so the peak RSS of
+    # the process stays at that of an import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import resource, sys\n"
+        "from bisetforge import cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = cli.main(['subgroups', sys.argv[1]])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, after - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, spec], capture_output=True, text=True, env=env, timeout=60,
+    )
+    status, grown_kb = map(int, proc.stdout.split())
+    assert status == 2
+    assert proc.stderr.splitlines() == ["error: degree %d exceeds the capacity of 100 points" % degree]
+    assert grown_kb < 2048
+
+
+def test_largest_advertised_degree_is_admitted(capsys):
+    code, out, err = run_cli(capsys, "subgroups", "C30")
+    assert code == 0
+    code, out, err = run_cli(capsys, "subgroups", "(1,30,2,29)(3,28)")
+    assert code == 0
+    assert "on 30 points" in out

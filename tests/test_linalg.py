@@ -276,3 +276,61 @@ def test_local_lattice_matches_fraction_reference(problem, p):
         assert lattice.contains(*common_denominator(v)) == want
     if gens:
         assert lattice.divisors == elementary_divisors(gens)
+
+
+def dense_contains(gens, p, nums, den=1):
+    """Reference: LocalLattice.contains as a dense dot product of nums with
+    every column of V, V from the Smith form of the generators."""
+    if not gens:
+        return not any(nums)
+    _, D, V = smith_normal_form(gens)
+    k = len(gens)
+    scale = p ** _p_part(den, p)
+    for j in range(len(gens[0])):
+        d = D[j][j] if j < k else 0
+        m = p ** _p_part(d, p) if d else 0
+        w = sum(a * row[j] for a, row in zip(nums, V))
+        if m == 0:
+            if w:
+                return False
+        elif w % (m * scale):
+            return False
+    return True
+
+
+def _p_part(x, p):
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@st.composite
+def sparse_membership_problems(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n), max_size=5))
+    nonzero = st.integers(-12, 12).filter(bool)
+    probes = []
+    for _ in range(draw(st.integers(1, 6))):
+        entries = draw(st.dictionaries(st.integers(0, n - 1), nonzero, max_size=2))
+        nums = [entries.get(i, 0) for i in range(n)]
+        den = p ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 1, 7]))
+        probes.append((nums, den))
+    probes.append(([0] * n, p ** draw(st.integers(0, 3))))
+    # p-power multiples of one generator, which may or may not stay inside
+    if gens:
+        g = draw(st.sampled_from(gens))
+        k = draw(st.integers(0, 2))
+        probes.append(([x * p**k for x in g], p ** draw(st.integers(0, 3))))
+    return p, gens, probes
+
+
+@given(sparse_membership_problems())
+@settings(max_examples=150)
+def test_sparse_local_lattice_matches_the_dense_reference(problem):
+    p, gens, probes = problem
+    lattice = LocalLattice(gens, p)
+    for nums, den in probes:
+        assert lattice.contains(nums, den) == dense_contains(gens, p, nums, den)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisetforge import verify
 from bisetforge.blocks import COORD_NAMES, BlockElement
 from bisetforge.orders import (
     CORNER_BASIS_2,
@@ -18,6 +19,7 @@ from bisetforge.quivers import (
     PresentationError,
     Quiver,
     SpanError,
+    _span_unit,
     element_from_terms,
     irreducible_paths,
     local_confluence_failures,
@@ -192,6 +194,81 @@ def test_corner_unit_is_the_sum_of_the_slot_idempotents():
         + c3.by_label["e5"] + c3.by_label["e6"]
     )
     assert c3.unit() == f3
+
+
+def _solve_unique(rows, rhs):
+    """Reference: exact Fraction solution of an overdetermined full-rank system."""
+    m = len(rows)
+    n = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    piv = []
+    r = 0
+    for col in range(n):
+        pr = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        f = aug[r][col]
+        aug[r] = [x / f for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                g = aug[i][col]
+                aug[i] = [a - g * c for a, c in zip(aug[i], aug[r])]
+        piv.append(col)
+        r += 1
+    if len(piv) != n:
+        raise ValueError("system is underdetermined")
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        raise ValueError("system is inconsistent")
+    x = [Fraction(0)] * n
+    for i, col in enumerate(piv):
+        x[col] = aug[i][n]
+    return x
+
+
+def reference_unit(elements):
+    """Reference: the corner unit as a Fraction solve of u.e_k = e_k."""
+    n = len(elements)
+    rows, rhs = [], []
+    for k in range(n):
+        prods = [(elements[i] * elements[k]).to_vector() for i in range(n)]
+        target = elements[k].to_vector()
+        for j in range(22):
+            rows.append([prods[i][j] for i in range(n)])
+            rhs.append(target[j])
+    u = BlockElement.zero()
+    for c, e in zip(_solve_unique(rows, rhs), elements):
+        u = u + e.scale(c)
+    return u
+
+
+@pytest.mark.parametrize("ring, basis", [("Q", CORNER_BASIS_Q), ("Z2", CORNER_BASIS_2), ("Z3", CORNER_BASIS_3)])
+def test_integer_corner_unit_matches_the_fraction_solve(ring, basis):
+    corner = CornerAlgebra(ring, basis)
+    assert corner.unit() == reference_unit(corner.elements)
+    # rescaled basis vectors have denominators; the unit is the same
+    scaled = CornerAlgebra(ring, [(name, e.scale(Fraction(k + 2, 3))) for k, (name, e) in enumerate(basis)])
+    assert scaled.unit() == corner.unit()
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [{"z2": 1}],  # a nilpotent: no pivot equation at all
+        [{"s11": 1}, {"s12": 1}],  # E11 is a left unit only: full rank, inconsistent
+    ],
+)
+def test_span_without_a_two_sided_unit_raises(coords):
+    corner = CornerAlgebra("Q", [("b%d" % i, BlockElement.from_coords(c)) for i, c in enumerate(coords)])
+    with pytest.raises(ValueError, match="span has no two-sided unit"):
+        corner.unit()
+
+
+def test_one_verify_solves_each_corner_unit_once():
+    _span_unit.cache_clear()
+    assert verify.run()["status"] == "pass"
+    info = _span_unit.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_corner_express_round_trip_and_span_error():

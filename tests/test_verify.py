@@ -361,3 +361,25 @@ def test_random_block_draws_the_same_samples_as_the_fraction_sampler(denominator
     for _ in range(50):
         assert verify._random_block(new, denominators) == _fraction_random_block(old, denominators)
     assert new.random() == old.random()
+
+
+def test_emit_reuses_the_checked_products_and_writes_the_recomputed_table(tmp_path, monkeypatch):
+    dst = _copy_fixtures(tmp_path)
+    path = dst / "peirce.json"
+    data = json.loads(path.read_text())
+    cell = next(cell for row in data["table"][5:] for cell in row if cell)
+    key = sorted(cell)[0]
+    cell[key] += 1
+    path.write_text(fixtures.canonical_dumps(data))
+    products = []
+    multiply = verify.multiply_vectors
+    monkeypatch.setattr(verify, "multiply_vectors", lambda x, y: products.append(1) or multiply(x, y))
+    fx = verify.FixtureSet(str(dst))
+    rep = verify.run(stages="peirce", fixture_dir=fx)
+    failing = {c["name"] for s in rep["stages"] for c in s["checks"] if c["status"] == "fail"}
+    assert failing == {"peirce-products"}
+    assert len(products) == 484
+    out = tmp_path / "out"
+    verify.emit_fixtures(str(out), fixture_dir=fx)
+    assert len(products) == 484
+    assert (out / "peirce.json").read_bytes() == (fixtures.DEFAULT_DIR / "peirce.json").read_bytes()
