@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 from .bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
-    RINGS,
     BurnsideElement,
     format_element,
     parse_element,
     structure_table,
 )
+from .rings import RINGS
 
 __all__ = [
     "BASIS_LABELS",

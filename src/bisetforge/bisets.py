@@ -49,7 +49,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import common_denominator, format_fraction, is_p_integral, parse_fraction
+from . import rings
+from .linalg import common_denominator
 from .perms import Perm, PermGroup
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "PAIRS",
     "BASIS_LABELS",
     "IDENTITY_INDEX",
-    "RINGS",
     "TableMismatch",
     "subgroup_reps",
     "biset_sizes",
@@ -114,7 +114,6 @@ _SUBGROUP_SPECS = (
 BASIS_LABELS = tuple(label for label, _ in _SUBGROUP_SPECS)
 SUBGROUP_GENERATORS = tuple(gens for _, gens in _SUBGROUP_SPECS)
 IDENTITY_INDEX = BASIS_LABELS.index("H^D_5")
-RINGS = ("Q", "Z", "Z2", "Z3", "F2", "F3")
 
 
 class TableMismatch(Exception):
@@ -331,41 +330,17 @@ def multiply_vectors(xs, ys):
     return out
 
 
-def _validate_coeff(ring, x):
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    if ring == "Q":
-        return x
-    if ring == "Z":
-        if x.denominator != 1:
-            raise ValueError("coefficient %s is not an integer" % x)
-        return x
-    if ring in ("Z2", "Z3"):
-        p = 2 if ring == "Z2" else 3
-        if not is_p_integral(x, p):
-            raise ValueError("coefficient %s has denominator divisible by %d" % (x, p))
-        return x
-    if ring in ("F2", "F3"):
-        p = 2 if ring == "F2" else 3
-        if x.denominator != 1:
-            raise ValueError("coefficient %s is not an integer residue" % x)
-        return Fraction(x.numerator % p)
-    raise ValueError("unknown ring %r" % (ring,))
-
-
 class BurnsideElement:
-    """An element of the double Burnside ring over one of the rings in RINGS.
+    """An element of the double Burnside ring over one of rings.RINGS.
 
-    Coefficients are kept as Fractions in the fixed basis order; for F2/F3
-    they are canonical residues 0..p-1.
+    Coefficients are kept as Fractions in the fixed basis order, each passed
+    through rings.normalize, so for F2/F3 they are residues 0..p-1.
     """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        if ring not in RINGS:
-            raise ValueError("unknown ring %r" % (ring,))
-        coeffs = tuple(_validate_coeff(ring, x) for x in coeffs)
+        coeffs = tuple(rings.normalize(ring, x) for x in coeffs)
         if len(coeffs) != len(BASIS_LABELS):
             raise ValueError("expected %d coefficients" % len(BASIS_LABELS))
         self.ring = ring
@@ -385,13 +360,6 @@ class BurnsideElement:
     def basis(cls, i, ring="Q"):
         coeffs = [0] * len(BASIS_LABELS)
         coeffs[i] = 1
-        return cls(ring, coeffs)
-
-    @classmethod
-    def from_dict(cls, ring, mapping):
-        coeffs = [0] * len(BASIS_LABELS)
-        for label, val in mapping.items():
-            coeffs[_basis_index(label)] = Fraction(val)
         return cls(ring, coeffs)
 
     def to_dict(self):
@@ -469,7 +437,7 @@ def _split_terms(text):
 
 
 def parse_element(text, ring="Q"):
-    """Parse "H_{0,0}:-1/2,H_{1,0}:1" into a BurnsideElement."""
+    """Parse "H_{0,0}:-1/2,H_{1,0}:1"; each term's coefficient must lie in the ring."""
     coeffs = [Fraction(0)] * len(BASIS_LABELS)
     text = text.strip()
     if text in ("0", ""):
@@ -480,13 +448,13 @@ def parse_element(text, ring="Q"):
         if ":" not in chunk:
             raise ValueError("bad term %r, expected label:coefficient" % (chunk,))
         label, val = chunk.rsplit(":", 1)
-        coeffs[_basis_index(label)] += parse_fraction(val)
+        coeffs[_basis_index(label)] += rings.normalize(ring, rings.parse_fraction(val))
     return BurnsideElement(ring, coeffs)
 
 
 def format_element(elem):
     parts = [
-        "%s:%s" % (BASIS_LABELS[i], format_fraction(c))
+        "%s:%s" % (BASIS_LABELS[i], rings.format_fraction(c))
         for i, c in enumerate(elem.coeffs)
         if c != 0
     ]

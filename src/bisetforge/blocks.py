@@ -36,15 +36,14 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from . import fixtures
+from . import fixtures, rings
 from .bisets import BASIS_LABELS, BurnsideElement
 from .linalg import SingularMatrixError, apply_columns, common_denominator, int_inverse
-from .linalg import parse_fraction, sparse_columns
+from .linalg import sparse_columns
 
 __all__ = [
     "COORD_NAMES",
     "COORD_INDEX",
-    "DualPair",
     "BlockElement",
     "slot_basis",
     "PEIRCE_LABELS",
@@ -59,70 +58,20 @@ COORD_NAMES = (
 )
 COORD_INDEX = {name: i for i, name in enumerate(COORD_NAMES)}
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _ONE = tuple(int(n in ("s11", "s22", "s33", "u", "w", "z1")) for n in COORD_NAMES)
 
 
-class DualPair:
-    """a + b*eta + c*xi in the quotient where eta^2 = eta*xi = xi^2 = 0."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a=0, b=0, c=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-
-    def __add__(self, other):
-        return DualPair(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other):
-        return DualPair(self.a - other.a, self.b - other.b, self.c - other.c)
-
-    def __neg__(self):
-        return DualPair(-self.a, -self.b, -self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, DualPair):
-            return DualPair(
-                self.a * other.a,
-                self.a * other.b + self.b * other.a,
-                self.a * other.c + self.c * other.a,
-            )
-        return DualPair(self.a * other, self.b * other, self.c * other)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.a == 0:
-            raise ZeroDivisionError("constant term is zero, not a unit")
-        ai = _F1 / self.a
-        return DualPair(ai, -ai * ai * self.b, -ai * ai * self.c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualPair)
-            and (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    def __repr__(self):
-        return "DualPair(%s, %s, %s)" % (self.a, self.b, self.c)
-
-
 class BlockElement:
-    """One element of the block algebra: nums / den, see the module docstring."""
+    """One element of the block algebra: nums / den, see the module docstring.
+    The keyword z is a scalar z1 or the triple (z1, z2, z3)."""
 
     __slots__ = ("nums", "den")
 
     def __init__(self, s=None, t=(0, 0, 0), u=0, v=0, w=0, x=(0, 0, 0), y=0, z=0):
         s = s or ((0, 0, 0),) * 3
-        z = (z.a, z.b, z.c) if isinstance(z, DualPair) else (z or 0, 0, 0)
+        z1, z2, z3 = z if isinstance(z, (tuple, list)) else (z, 0, 0)
         vec = [s[i][j] for j in range(3) for i in range(3)]
-        self.nums, self.den = common_denominator(vec + [*x, u, y, w, *t, v, *z])
+        self.nums, self.den = common_denominator(vec + [*x, u, y, w, *t, v, z1, z2, z3])
 
     @classmethod
     def from_ints(cls, nums, den=1):
@@ -286,11 +235,18 @@ IDEMPOTENT_LABELS = ("e", "g", "h", "eps2", "eps3", "eps4")
 SLOT_TO_PEIRCE = (0, 3, 6, 1, 4, 7, 2, 5, 8, 15, 16, 17, 12, 18, 14, 9, 10, 11, 13, 19, 20, 21)
 
 
-def _coeff_map_to_vector(mapping):
-    vec = [_F0] * len(BASIS_LABELS)
+def _coeff_map_to_vector(mapping, where):
+    """The coefficients of one {class label: coefficient} vector of
+    peirce.json; a bad label or coefficient raises ValueError naming it."""
+    vec = [0] * len(BASIS_LABELS)
     for label, val in mapping.items():
-        vec[BASIS_LABELS.index(label)] = parse_fraction(val)
-    return tuple(vec)
+        if label not in BASIS_LABELS:
+            raise ValueError("%s: unknown class label %r" % (where, label))
+        try:
+            vec[BASIS_LABELS.index(label)] = rings.parse_fraction(val)
+        except ValueError as exc:
+            raise ValueError("%s[%r]: %s" % (where, label, exc)) from None
+    return vec
 
 
 def _checked_table(table):
@@ -362,10 +318,15 @@ class PeirceBasis:
             raise ValueError("peirce.json:basis22.vectors: missing %r" % missing[0])
         for label, src in idempotents.items():
             if vectors[label] != src:
-                raise ValueError("idempotent %s disagrees with basis22 copy" % label)
+                raise ValueError(
+                    "peirce.json:idempotents[%r]: disagrees with basis22.vectors" % label
+                )
         if basis.get("order") != list(PEIRCE_LABELS):
-            raise ValueError("fixture basis order differs from PEIRCE_LABELS")
-        vecs = [_coeff_map_to_vector(vectors[label]) for label in PEIRCE_LABELS]
+            raise ValueError("peirce.json:basis22.order: differs from PEIRCE_LABELS")
+        vecs = [
+            _coeff_map_to_vector(vectors[label], "peirce.json:basis22.vectors[%r]" % label)
+            for label in PEIRCE_LABELS
+        ]
         return cls(vecs, _checked_table(data.get("table")))
 
     def element(self, i, ring="Q"):

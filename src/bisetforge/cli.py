@@ -11,8 +11,8 @@ import os
 import re
 import sys
 
-from . import fixtures, verify
-from .bisets import BASIS_LABELS, RINGS, TableMismatch, format_element, parse_element
+from . import fixtures, rings, verify
+from .bisets import BASIS_LABELS, TableMismatch, format_element, parse_element
 from .blocks import PEIRCE_LABELS, PeirceBasis
 from .perms import CapacityError, Perm, PermGroup, cyclic_group, symmetric_group
 
@@ -181,7 +181,7 @@ def build_parser():
     mu = sub.add_parser("mult", help="multiply two ring elements")
     mu.add_argument("a", help="element: 'H_{1,0}', 'eps2', or 'H_{0,0}:-1/2,H_{1,0}:1'")
     mu.add_argument("b", help="element, same syntax as the first")
-    mu.add_argument("--ring", choices=RINGS, default="Q")
+    mu.add_argument("--ring", choices=rings.RINGS, default="Q")
     mu.add_argument("--json", action="store_true", help="canonical JSON output")
     mu.add_argument("--fixture-dir", default=None, help="alternate fixture directory")
 

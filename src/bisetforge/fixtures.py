@@ -65,7 +65,14 @@ def load_presentation(name, override=None):
 
 
 def load_errata(override=None):
+    """The entries of errata.json, a list of objects; [] if there is no file."""
     try:
-        return load_json("errata.json", override)
+        entries = load_json("errata.json", override)
     except FileNotFoundError:
         return []
+    if not isinstance(entries, list):
+        raise ValueError("errata.json: expected a list of objects")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError("errata.json:[%d]: expected an object" % i)
+    return entries

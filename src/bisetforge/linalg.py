@@ -34,9 +34,6 @@ __all__ = [
     "smith_normal_form",
     "elementary_divisors",
     "LocalLattice",
-    "is_p_integral",
-    "parse_fraction",
-    "format_fraction",
 ]
 
 
@@ -250,10 +247,6 @@ def elementary_divisors(A):
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
 
 
-def is_p_integral(x, p):
-    return Fraction(x).denominator % p != 0
-
-
 def _p_val(x, p):
     # valuation of a nonzero integer
     v = 0
@@ -302,21 +295,3 @@ class LocalLattice:
                 return False
         return True
 
-
-def parse_fraction(text):
-    """A Fraction from "3", "-1/2" or "0.25".  Exponent notation is refused
-    before Fraction sees it: "1e999999999" would build a billion-digit int."""
-    text = str(text).strip()
-    if "e" in text.lower():
-        raise ValueError("exponent notation is not accepted: %r" % (text,))
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (text,)) from None
-
-
-def format_fraction(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)

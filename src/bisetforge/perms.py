@@ -114,6 +114,8 @@ class Perm:
                 raise ValueError("bad cycle notation: %r" % (text,))
             for part in text[1:-1].split(")("):
                 pts = [int(tok) for tok in part.split(",") if tok]
+                if not pts:
+                    raise ValueError("bad cycle notation: %r" % (text,))
                 if any(pt < 1 for pt in pts):
                     raise ValueError("cycle notation is 1-based: %r" % (text,))
                 cycles.append(tuple(pt - 1 for pt in pts))

@@ -14,13 +14,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import fixtures
+from . import fixtures, rings
 from .blocks import BlockElement
 from .linalg import LocalLattice, apply_columns, common_denominator, det_bareiss, hnf_rows
 from .linalg import int_inverse, sparse_columns, transpose
-
-RING_CHAR = {"Q": 0, "Z": 0, "Z2": 0, "Z3": 0, "F2": 2, "F3": 3}
-
 
 class PresentationError(Exception):
     pass
@@ -34,55 +31,41 @@ class SpanError(Exception):
     pass
 
 
-def ring_normalize(ring, c):
-    c = Fraction(c)
-    p = RING_CHAR[ring]
-    if p == 0:
-        return c
-    if c.denominator % p == 0:
-        raise ValueError("denominator of %s is not invertible mod %d" % (c, p))
-    return Fraction((c.numerator * pow(c.denominator, -1, p)) % p)
-
-
-def ring_is_unit(ring, c):
-    c = Fraction(c)
-    if c == 0:
-        return False
-    if ring == "Q":
-        return True
-    if ring == "Z":
-        return c.denominator == 1 and abs(c.numerator) == 1
-    if ring == "Z2":
-        return c.numerator % 2 != 0 and c.denominator % 2 != 0
-    if ring == "Z3":
-        return c.numerator % 3 != 0 and c.denominator % 3 != 0
-    return ring_normalize(ring, c) != 0
-
-
 class Quiver:
+    """Named vertices and arrows (name, source, target); bad data raises
+    ValueError naming the entry, as vertices or arrows[i]."""
+
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("repeated vertex name")
-        self.arrows = tuple((name, src, tgt) for name, src, tgt in arrows)
-        names = [a[0] for a in self.arrows]
-        if len(set(names)) != len(names) or set(names) & set(self.vertices):
-            raise ValueError("arrow names must be fresh and distinct")
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices) if isinstance(v, str)}
+        if len(self.vertex_index) < len(self.vertices):
+            raise ValueError("vertices: expected distinct names")
+        self.arrows = tuple(tuple(a) if isinstance(a, (list, tuple)) else (a,) for a in arrows)
         self.arrow_index = {}
         self.src = {}
         self.tgt = {}
-        for i, (name, s, t) in enumerate(self.arrows):
-            if s not in self.vertex_index or t not in self.vertex_index:
-                raise ValueError("arrow %s has an unknown endpoint" % name)
+        for i, arrow in enumerate(self.arrows):
+            ok = len(arrow) == 3 and all(isinstance(x, str) for x in arrow)
+            name, s, t = arrow if ok else (None,) * 3
+            if not ok or name in self.vertex_index or name in self.src or not (
+                s in self.vertex_index and t in self.vertex_index
+            ):
+                raise ValueError(
+                    "arrows[%d]: expected [new name, source vertex, target vertex], got %r"
+                    % (i, list(arrow))
+                )
             self.arrow_index[name] = i
             self.src[name] = s
             self.tgt[name] = t
 
     def path(self, src, arrows=()):
+        if src not in self.vertex_index:
+            raise ValueError("unknown vertex %r" % (src,))
         arrows = tuple(arrows)
         at = src
         for a in arrows:
+            if a not in self.src:
+                raise ValueError("unknown arrow %r" % (a,))
             if self.src[a] != at:
                 raise ValueError("arrows do not compose at %s" % a)
             at = self.tgt[a]
@@ -119,7 +102,7 @@ class PathElement:
         self.ring = ring
         clean = {}
         for path, c in (terms or {}).items():
-            c = ring_normalize(ring, c)
+            c = rings.normalize(ring, c)
             if c != 0:
                 clean[path] = c
         self.terms = clean
@@ -204,7 +187,7 @@ def make_rules(quiver, ring, relations):
         if not head[1]:
             raise PresentationError("leading term is a trivial path")
         c = rel.terms[head]
-        if not ring_is_unit(ring, c):
+        if not rings.is_unit(ring, c):
             raise PresentationError("leading coefficient %s is not a unit" % c)
         rest = dict(rel.terms)
         del rest[head]
@@ -226,7 +209,7 @@ def _find_redex(arrows, rules):
 
 
 def _accumulate(ring, table, key, delta):
-    c = ring_normalize(ring, table.get(key, Fraction(0)) + delta)
+    c = rings.normalize(ring, table.get(key, Fraction(0)) + delta)
     if c == 0:
         table.pop(key, None)
     else:
@@ -431,15 +414,7 @@ class Presentation:
     """Quiver with relations, plus the map of its generators into a corner."""
 
     def __init__(
-        self,
-        name,
-        ring,
-        quiver,
-        relations,
-        long_kernel,
-        vertex_images,
-        arrow_images,
-        mod_p=None,
+        self, name, ring, quiver, relations, long_kernel, vertex_images, arrow_images, mod_p=None
     ):
         self.name = name
         self.ring = ring
@@ -451,36 +426,62 @@ class Presentation:
         self.mod_p = mod_p
 
     @classmethod
-    def from_dict(cls, data):
-        quiver = Quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
-        ring = data["ring"]
-        rel = [element_from_terms(quiver, ring, t) for t in data["relations"]]
-        lk = [element_from_terms(quiver, ring, t) for t in data["long_kernel"]]
-        mod_p = None
-        if data.get("mod_p"):
-            p = int(data["mod_p"]["p"])
-            fring = "F%d" % p
-            mod_p = (
-                p,
-                tuple(
-                    element_from_terms(quiver, fring, t)
-                    for t in data["mod_p"]["relations"]
-                ),
-            )
-        return cls(
-            data["name"],
-            ring,
-            quiver,
-            rel,
-            lk,
-            data["vertex_images"],
-            data["arrow_images"],
-            mod_p,
-        )
+    def from_dict(cls, data, where="presentation", labels=None):
+        """The presentation of a parsed fixture; a malformed one raises
+        ValueError naming `where` (its file) and the JSON path of the problem.
+        labels, if given, are the corner basis labels the images must name."""
+
+        def get(key, kind):
+            value = data.get(key)
+            if not isinstance(value, kind):
+                raise ValueError("%s:%s: expected %s" % (where, key, kind.__name__))
+            return value
+
+        def elements(key, ring, items):
+            if not isinstance(items, list):
+                raise ValueError("%s:%s: expected a list" % (where, key))
+            return [
+                element_from_terms(quiver, ring, t, "%s:%s[%d]" % (where, key, i))
+                for i, t in enumerate(items)
+            ]
+
+        if not isinstance(data, dict):
+            raise ValueError("%s: expected an object" % where)
+        name = get("name", str)
+        ring = data.get("ring")
+        if ring not in rings.RINGS:
+            raise ValueError("%s:ring: unknown ring %r" % (where, ring))
+        vertices, arrows = get("vertices", list), get("arrows", list)
+        try:
+            quiver = Quiver(vertices, arrows)
+        except ValueError as exc:
+            raise ValueError("%s:%s" % (where, exc)) from None
+        images = []
+        for key, keys in (("vertex_images", quiver.vertices), ("arrow_images", quiver.src)):
+            table = get(key, dict)
+            for k in keys:
+                got = table.get(k)
+                if not isinstance(got, str) or (labels is not None and got not in labels):
+                    raise ValueError(
+                        "%s:%s[%r]: expected a label of the corner basis, got %r"
+                        % (where, key, k, got)
+                    )
+            images.append(table)
+        mod_p = data.get("mod_p")
+        if mod_p:
+            p = mod_p.get("p") if isinstance(mod_p, dict) else None
+            if type(p) is not int or p != rings.prime(ring):
+                raise ValueError("%s:mod_p.p: expected the prime of ring %s" % (where, ring))
+            mod_p = (p, tuple(elements("mod_p.relations", "F%d" % p, mod_p.get("relations"))))
+        relations = elements("relations", ring, data.get("relations"))
+        long_kernel = elements("long_kernel", ring, data.get("long_kernel"))
+        return cls(name, ring, quiver, relations, long_kernel, *images, mod_p or None)
 
     @classmethod
-    def from_fixture(cls, name, fixture_dir=None):
-        return cls.from_dict(fixtures.load_presentation(name, fixture_dir))
+    def from_fixture(cls, name, fixture_dir=None, labels=None):
+        return cls.from_dict(
+            fixtures.load_presentation(name, fixture_dir), "presentations/%s.json" % name, labels
+        )
 
     def rules(self):
         return make_rules(self.quiver, self.ring, self.relations)
@@ -489,31 +490,34 @@ class Presentation:
         return irreducible_paths(self.quiver, self.rules(), length_bound)
 
     def reduce_mod(self, p):
+        """The presentation over F_p, without the relations that vanish there."""
         fring = "F%d" % p
-        rel = [
-            PathElement(self.quiver, fring, e.terms)
-            for e in self.relations
-        ]
-        lk = [
-            PathElement(self.quiver, fring, e.terms)
-            for e in self.long_kernel
-        ]
+
+        def reduced(elems):
+            elems = (PathElement(self.quiver, fring, e.terms) for e in elems)
+            return [e for e in elems if not e.is_zero()]
+
         return Presentation(
-            "%s_mod%d" % (self.name, p),
-            fring,
-            self.quiver,
-            [r for r in rel if not r.is_zero()],
-            [e for e in lk if not e.is_zero()],
-            self.vertex_images,
-            self.arrow_images,
+            "%s_mod%d" % (self.name, p), fring, self.quiver, reduced(self.relations),
+            reduced(self.long_kernel), self.vertex_images, self.arrow_images,
         )
 
 
-def element_from_terms(quiver, ring, terms):
+def element_from_terms(quiver, ring, terms, where="terms"):
+    """The element of [[coefficient text, source, [arrows]], ...]; a term that
+    is malformed or whose coefficient is not in the ring raises ValueError
+    naming its JSON path below where."""
+    if not isinstance(terms, list):
+        raise ValueError("%s: expected a list of terms" % where)
     out = {}
-    for coeff, src, arrows in terms:
-        path = quiver.path(src, tuple(arrows))
-        out[path] = out.get(path, Fraction(0)) + Fraction(coeff)
+    for k, term in enumerate(terms):
+        try:
+            coeff, src, arrows = term
+            path = quiver.path(src, arrows)
+            c = rings.normalize(ring, rings.parse_fraction(coeff))
+        except (TypeError, ValueError) as exc:
+            raise ValueError("%s[%d]: %s" % (where, k, exc)) from None
+        out[path] = out.get(path, 0) + c
     return PathElement(quiver, ring, out)
 
 
@@ -546,11 +550,8 @@ def path_image(path, pres, corner):
 
 
 def _vanishes(block, ring, corner):
-    p = RING_CHAR[ring]
-    if p == 0:
-        return block.is_zero()
-    coords = corner.express(block)
-    return all(ring_normalize(ring, c) == 0 for c in coords)
+    """Is block zero over ring, that is, are its corner coordinates?"""
+    return block.is_zero() or all(rings.is_zero(ring, c) for c in corner.express(block))
 
 
 def verify_presentation(pres, corner, length_bound=8):
@@ -612,13 +613,7 @@ def verify_presentation(pres, corner, length_bound=8):
     flat, den = common_denominator([x for row in T for x in row])
     n = len(T)
     d = Fraction(det_bareiss([flat[i * n : i * n + n] for i in range(n)]), den**n)
-    if ring == "Q":
-        ok = d != 0
-    elif ring in ("Z", "Z2", "Z3"):
-        ok = ring_is_unit(ring, d)
-    else:
-        ok = ring_normalize(ring, d) != 0
-    if not ok:
+    if not rings.is_unit(ring, d):
         problems.append("change of basis determinant %s is not a unit" % d)
     return problems
 

@@ -61,7 +61,6 @@ from .orders import (
     local_idempotents,
     localized_membership,
     matrix_diff,
-    mod24_membership,
     representation_matrix,
 )
 from .linalg import LocalLattice, det_bareiss, elementary_divisors, int_inverse
@@ -70,6 +69,7 @@ from .quivers import (
     Presentation,
     corner_span_problems,
     element_from_terms,
+    element_to_terms,
     same_element_sets,
     verify_presentation,
 )
@@ -1009,8 +1009,8 @@ def stage_paths(fixture_dir=None):
         ("z3_corner", "Z3", CORNER_BASIS_3, 3),
     )
     for name, ring, basis, p in plans:
-        pres = Presentation.from_fixture(name, fixture_dir)
         corner = CornerAlgebra(ring, basis)
+        pres = Presentation.from_fixture(name, fixture_dir, corner.labels)
         probs = verify_presentation(pres, corner)
         nbasis = len(pres.basis_paths())
         _check(
@@ -1123,18 +1123,16 @@ def emit_fixtures(out_dir, fixture_dir=None):
         )
     )
 
-    from .quivers import element_to_terms
-
     for name in fixtures.PRESENTATION_NAMES:
         rawp = fixtures.load_presentation(name, fixture_dir)
         out = dict(rawp)
-        if rawp.get("mod_p"):
-            p = int(rawp["mod_p"]["p"])
-            reduced = Presentation.from_dict(rawp).reduce_mod(p)
+        pres = Presentation.from_dict(rawp, "presentations/%s.json" % name)
+        if pres.mod_p:
+            p = pres.mod_p[0]
             out["mod_p"] = {
                 "p": p,
                 "relations": sorted(
-                    element_to_terms(r) for r in reduced.relations
+                    element_to_terms(r) for r in pres.reduce_mod(p).relations
                 ),
             }
         written.append(

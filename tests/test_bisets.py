@@ -10,7 +10,6 @@ from bisetforge.bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
     PAIRS,
-    RINGS,
     S3,
     S3_A,
     S3_B,
@@ -31,6 +30,7 @@ from bisetforge.bisets import (
     subgroup_reps,
     transitive_biset,
 )
+from bisetforge.rings import RINGS
 
 
 def test_basis_has_22_classes():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bisetforge.bisets import BurnsideElement
 from bisetforge.blocks import (
     COORD_NAMES,
-    DualPair,
     IDEMPOTENT_LABELS,
     PEIRCE_LABELS,
     BlockElement,
@@ -19,19 +18,6 @@ from bisetforge.blocks import (
 
 def E(**coords):
     return BlockElement.from_coords(coords)
-
-
-def test_dual_pair_truncated_product():
-    x = DualPair(2, 3, 5)
-    y = DualPair(7, 11, 13)
-    assert x * y == DualPair(14, 2 * 11 + 3 * 7, 2 * 13 + 5 * 7)
-
-
-def test_dual_pair_inverse():
-    x = DualPair(2, 3, 5)
-    assert x * x.inverse() == DualPair(1, 0, 0)
-    with pytest.raises(ZeroDivisionError):
-        DualPair(0, 1, 1).inverse()
 
 
 # one product per composition rule of the eight coordinate groups
@@ -247,6 +233,6 @@ def test_integer_accessors():
 
 
 def test_keyword_constructor_accepts_a_dual_pair():
-    b = BlockElement(u=Fraction(1, 2), z=DualPair(1, 2, 3))
+    b = BlockElement(u=Fraction(1, 2), z=(1, 2, 3))
     assert b == E(u=Fraction(1, 2), z1=1, z2=2, z3=3)
     assert BlockElement(z=1) == E(z1=1)

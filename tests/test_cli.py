@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -6,8 +8,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bisetforge import cli, fixtures
+from bisetforge.rings import RINGS
 
 
 def run_cli(capsys, *argv):
@@ -438,3 +443,201 @@ def test_largest_advertised_degree_is_admitted(capsys):
     code, out, err = run_cli(capsys, "subgroups", "(1,30,2,29)(3,28)")
     assert code == 0
     assert "on 30 points" in out
+
+
+@pytest.mark.parametrize("spec", ["(,)", "()()", "(1,2)()", "(1,2);( , )"])
+def test_cycle_without_points_exits_2_naming_the_input(capsys, spec):
+    code, out, err = run_cli(capsys, "subgroups", spec)
+    assert code == 2
+    assert out == ""
+    bad = spec.split(";")[-1].replace(" ", "")
+    assert err.splitlines() == ["error: bad cycle notation: %r" % bad]
+
+
+def test_f_p_reads_fractions_through_z_p(capsys):
+    code, out, err = run_cli(capsys, "mult", "H_{1,0}:1/2", "H^D_5", "--ring", "F3")
+    assert code == 0
+    assert "  a = H_{1,0}:2" in out.splitlines()
+    code, out, err = run_cli(capsys, "mult", "H_{1,0}:1/3", "H^D_5", "--ring", "F3")
+    assert code == 2
+    assert err.splitlines() == ["error: coefficient 1/3 has denominator divisible by 3"]
+
+
+def _set_term(key, value):
+    def edit(data):
+        data[key][0][0][0] = value
+
+    return edit
+
+
+def _set_image(key, value):
+    def edit(data):
+        data[key][sorted(data[key])[0]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        (
+            "z3_corner", _set_term("relations", "1/3"),
+            "presentations/z3_corner.json:relations[0][0]: coefficient 1/3 has "
+            "denominator divisible by 3",
+        ),
+        (
+            "z2_corner", _set_term("long_kernel", "x"),
+            "presentations/z2_corner.json:long_kernel[0][0]: Invalid literal",
+        ),
+        (
+            "z2_corner", lambda d: d["mod_p"]["relations"][0][0].__setitem__(0, "1/2"),
+            "presentations/z2_corner.json:mod_p.relations[0][0]: coefficient 1/2",
+        ),
+        (
+            "q_corner", lambda d: d["relations"][0][0].__setitem__(1, "v9"),
+            "presentations/q_corner.json:relations[0][0]: unknown vertex 'v9'",
+        ),
+        (
+            "q_corner", lambda d: d["relations"][0][0].__setitem__(2, ["t9"]),
+            "presentations/q_corner.json:relations[0][0]: unknown arrow 't9'",
+        ),
+        (
+            "q_corner", lambda d: d["arrows"][1].__setitem__(2, "v9"),
+            "presentations/q_corner.json:arrows[1]: expected [new name, source vertex, "
+            "target vertex]",
+        ),
+        (
+            "q_corner", _set_image("arrow_images", "nosuch"),
+            "presentations/q_corner.json:arrow_images['pi']: expected a label of the "
+            "corner basis, got 'nosuch'",
+        ),
+        (
+            "z3_corner", _set_image("vertex_images", "tau1x"),
+            "presentations/z3_corner.json:vertex_images['e3']: expected a label of the "
+            "corner basis, got 'tau1x'",
+        ),
+        (
+            "z2_corner", lambda d: d["mod_p"].update({"p": 3}),
+            "presentations/z2_corner.json:mod_p.p: expected the prime of ring Z2",
+        ),
+        (
+            "z3_corner", lambda d: d.update({"ring": "F5"}),
+            "presentations/z3_corner.json:ring: unknown ring 'F5'",
+        ),
+    ],
+    ids=[
+        "relation-1/3-in-Z3", "kernel-coefficient", "mod-p-coefficient", "unknown-vertex",
+        "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
+        "ring",
+    ],
+)
+def test_malformed_presentation_exits_2_naming_the_path(capsys, tmp_path, name, edit, message):
+    dst = _tampered_fixture(tmp_path, "presentations/%s.json" % name, edit)
+    assert _single_error(capsys, "paths", dst).startswith("error: " + message)
+
+
+def test_exponent_literal_in_a_presentation_exits_2_at_once(tmp_path):
+    dst = _tampered_fixture(
+        tmp_path, "presentations/z3_corner.json", _set_term("relations", "1e999999999")
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bisetforge.cli", "verify", "--stage", "paths", "--fixture-dir", dst],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: presentations/z3_corner.json:relations[0][0]: exponent notation is not "
+        "accepted: '1e999999999'"
+    ]
+    assert time.perf_counter() - t0 < 5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["basis22"]["vectors"]["b_{e,g}"].update({"H_{9,9}": "1"}),
+            "error: peirce.json:basis22.vectors['b_{e,g}']: unknown class label 'H_{9,9}'",
+        ),
+        (
+            lambda d: d["basis22"]["vectors"]["b_{e,g}"].update({"H_{0,0}": "1/x"}),
+            "error: peirce.json:basis22.vectors['b_{e,g}']['H_{0,0}']: Invalid literal",
+        ),
+        (
+            lambda d: d["basis22"]["vectors"]["b_{e,g}"].update({"H_{0,0}": "2e3"}),
+            "error: peirce.json:basis22.vectors['b_{e,g}']['H_{0,0}']: exponent notation",
+        ),
+    ],
+    ids=["class-label", "coefficient", "exponent"],
+)
+def test_malformed_peirce_coefficients_exit_2_naming_the_path(capsys, tmp_path, edit, message):
+    dst = _tampered_fixture(tmp_path, "peirce.json", edit)
+    assert _single_error(capsys, "peirce", dst).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]\n", "error: errata.json:[0]: expected an object"),
+        ("{}\n", "error: errata.json: expected a list of objects"),
+    ],
+    ids=["entry-int", "object"],
+)
+def test_malformed_errata_exit_2(capsys, tmp_path, text, message):
+    dst = _replaced_fixture(tmp_path, "errata.json", text)
+    assert _single_error(capsys, "lambda", dst) == message
+
+
+_OPERAND_PARTS = st.sampled_from(
+    ["H_{1,0}", "H^D_5", "H_{0,0}", "H_{9,9}", "eps2", "e", ":", ",", "1", "-1", "/2",
+     "/3", "/0", "1/6", "e3", ".5", " ", "{", "}", "x", ""]
+)
+
+
+def _joined(parts, max_size):
+    return st.lists(parts, max_size=max_size).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(RINGS),
+    _joined(_OPERAND_PARTS, 5),
+    _joined(_OPERAND_PARTS, 5),
+    _joined(st.sampled_from(["S3", "S3xS3", "C4", "S", "C", "(", ")", ",", ";", " ", "1", "2",
+                             "3", "0", "12", "101"]), 6),
+)
+@example("F3", "H_{1,0}:1/2", "H^D_5", "(,)")
+def test_cli_exits_0_or_2_with_error_lines_only(ring, a, b, group):
+    # "--" hands operands such as "-x" to bisetforge's parsers, not to argparse
+    for argv in (["mult", "--ring", ring, "--", a, b], ["subgroups", "--", group]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert all(line.startswith("error: ") for line in err.getvalue().splitlines()), argv
+        assert (code == 2) == bool(err.getvalue()), argv
+
+
+@pytest.mark.parametrize(
+    "ring, operand", [("Z", "H_{1,0}:1/2,H_{1,0}:1/2"), ("F3", "H_{1,0}:1/3,H_{1,0}:2/3")]
+)
+def test_each_term_must_lie_in_the_ring(capsys, ring, operand):
+    code, out, err = run_cli(capsys, "mult", operand, "H^D_5", "--ring", ring)
+    assert code == 2
+    assert err.startswith("error: coefficient ")
+
+
+def test_emit_checks_the_presentations_it_reduces(capsys, tmp_path, monkeypatch):
+    dst = _tampered_fixture(
+        tmp_path, "presentations/z2_corner.json", lambda d: d["mod_p"].update({"p": None})
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--stage", "gamma", "--emit", "fixtures",
+                             "--fixture-dir", dst)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "error: presentations/z2_corner.json:mod_p.p: expected the prime of ring Z2"
+    )

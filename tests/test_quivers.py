@@ -46,6 +46,18 @@ def test_quiver_rejects_bad_data():
         q.path("p", ("b",))
 
 
+def test_path_coefficients_must_lie_in_the_ring():
+    q = loop_quiver()
+    path = q.path("p", ("a",))
+    for ring in ("Z", "Z2", "F2"):
+        with pytest.raises(ValueError):
+            PathElement(q, ring, {path: Fraction(1, 2)})
+    assert PathElement(q, "Z3", {path: Fraction(1, 2)}).terms == {path: Fraction(1, 2)}
+    assert PathElement(q, "F3", {path: Fraction(1, 2)}).terms == {path: 2}
+    with pytest.raises(ValueError, match=r"terms\[1\]: coefficient 1/2 is not an integer"):
+        element_from_terms(q, "Z", [["1", "p", ["a"]], ["1/2", "q", ["b"]]])
+
+
 def test_path_product_concatenates_composable_paths():
     q = loop_quiver()
     a = PathElement.from_path(q, "Q", ("p", ("a",)))

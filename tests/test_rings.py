@@ -1,0 +1,95 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bisetforge.rings import (
+    RINGS,
+    format_fraction,
+    is_unit,
+    is_zero,
+    normalize,
+    parse_fraction,
+    prime,
+)
+
+
+def reference(ring, x):
+    """(is x in ring, its normal form, is it a unit) read off the definitions:
+    F_p by trying every residue r with r * den == num mod p."""
+    if ring == "Q":
+        return True, x, x != 0
+    if ring == "Z":
+        member = x.denominator == 1
+        return member, x, x in (1, -1)
+    p = int(ring[1])
+    member = x.denominator % p != 0
+    unit = member and x.numerator % p != 0
+    if ring.startswith("Z"):
+        return member, x, unit
+    if not member:
+        return False, None, False
+    r = next(r for r in range(p) if (r * x.denominator - x.numerator) % p == 0)
+    return True, Fraction(r), r != 0
+
+
+def check(ring, x):
+    member, value, unit = reference(ring, x)
+    if member:
+        assert normalize(ring, x) == value
+        assert type(normalize(ring, x)) is Fraction
+        assert is_zero(ring, x) == (value == 0)
+    else:
+        with pytest.raises(ValueError):
+            normalize(ring, x)
+        assert not is_zero(ring, x)
+    assert is_unit(ring, x) == unit
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize(
+    "x",
+    [0, 1, -1, 2, 3, -6, 7, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3),
+     Fraction(2, 3), Fraction(5, 6), Fraction(1, 5), Fraction(-4, 7), Fraction(6, 5)],
+    ids=str,
+)
+def test_normalize_and_is_unit_match_the_reference(ring, x):
+    check(ring, Fraction(x))
+
+
+@given(
+    st.sampled_from(RINGS),
+    st.integers(-50, 50),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 35]),
+)
+def test_normalize_and_is_unit_match_the_reference_on_random_fractions(ring, a, b):
+    check(ring, Fraction(a, b))
+
+
+def test_normalize_accepts_ints_and_keeps_the_reduction_rule():
+    assert normalize("F3", 5) == 2
+    assert normalize("F3", Fraction(1, 2)) == 2
+    assert normalize("F2", Fraction(-5, 3)) == 1
+    assert normalize("Z2", Fraction(1, 3)) == Fraction(1, 3)
+    assert prime("Z3") == prime("F3") == 3
+    assert prime("Q") is prime("Z") is None
+
+
+def test_unknown_ring_is_refused():
+    for fn in (prime, lambda r: normalize(r, 1), lambda r: is_unit(r, 1), lambda r: is_zero(r, 1)):
+        with pytest.raises(ValueError, match="unknown ring"):
+            fn("F5")
+
+
+@given(st.integers(-40, 40), st.integers(1, 12))
+def test_fraction_round_trip(a, b):
+    f = Fraction(a, b)
+    assert parse_fraction(format_fraction(f)) == f
+
+
+def test_parse_fraction_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        parse_fraction("1/0")
+    with pytest.raises(ValueError):
+        parse_fraction("one")
