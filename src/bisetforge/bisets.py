@@ -38,8 +38,9 @@ of the 60 subgroup masks, so that classify_subgroup is one lookup.
 
 Every product on the 22-class basis runs on structure_tensor(), a sparse
 integer form of the verified table derived once from structure_table():
-for each pair (i, j) the nonzero (k, c) pairs.  BurnsideElement products
-multiply integer numerators over one common denominator per operand.
+for each pair (i, j) the nonzero (k, c) pairs.  A BurnsideElement holds
+integer numerators over one denominator, so a product is one
+multiply_vectors() call and one ring-membership test on its denominator.
 """
 
 from __future__ import annotations
@@ -333,41 +334,52 @@ def multiply_vectors(xs, ys):
 class BurnsideElement:
     """An element of the double Burnside ring over one of rings.RINGS.
 
-    Coefficients are kept as Fractions in the fixed basis order, each passed
-    through rings.normalize, so for F2/F3 they are residues 0..p-1.
+    The coefficients, in the fixed basis order, are integer numerators `nums`
+    over one denominator `den` > 0, in lowest terms; for F2/F3 den is 1 and
+    nums are residues 0..p-1.  Ring membership is decided once per element,
+    on den (rings.normalize_ints).  `coeffs` gives the coefficients as
+    Fractions.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, coeffs):
-        coeffs = tuple(rings.normalize(ring, x) for x in coeffs)
-        if len(coeffs) != len(BASIS_LABELS):
-            raise ValueError("expected %d coefficients" % len(BASIS_LABELS))
+        self._set(ring, *common_denominator(coeffs))
+
+    @classmethod
+    def from_ints(cls, ring, nums, den=1):
+        """The element with coefficients nums[k] / den, den > 0; ValueError
+        naming the first coefficient outside the ring."""
+        out = object.__new__(cls)
+        out._set(ring, tuple(nums), den)
+        return out
+
+    def _set(self, ring, nums, den):
         self.ring = ring
-        self.coeffs = coeffs
+        self.nums, self.den = rings.normalize_ints(ring, nums, den)
+        if len(self.nums) != len(BASIS_LABELS):
+            raise ValueError("expected %d coefficients" % len(BASIS_LABELS))
 
     @classmethod
     def zero(cls, ring="Q"):
-        return cls(ring, [0] * len(BASIS_LABELS))
+        return cls.from_ints(ring, [0] * len(BASIS_LABELS))
 
     @classmethod
     def one(cls, ring="Q"):
-        coeffs = [0] * len(BASIS_LABELS)
-        coeffs[IDENTITY_INDEX] = 1
-        return cls(ring, coeffs)
+        return cls.basis(IDENTITY_INDEX, ring)
 
     @classmethod
     def basis(cls, i, ring="Q"):
-        coeffs = [0] * len(BASIS_LABELS)
-        coeffs[i] = 1
-        return cls(ring, coeffs)
+        nums = [0] * len(BASIS_LABELS)
+        nums[i] = 1
+        return cls.from_ints(ring, nums)
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def to_dict(self):
-        return {
-            BASIS_LABELS[i]: self.coeffs[i]
-            for i in range(len(BASIS_LABELS))
-            if self.coeffs[i] != 0
-        }
+        return {BASIS_LABELS[i]: Fraction(a, self.den) for i, a in enumerate(self.nums) if a}
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -375,37 +387,37 @@ class BurnsideElement:
 
     def __add__(self, other):
         self._check_ring(other)
-        return BurnsideElement(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        nums = [a * db + b * da for a, b in zip(self.nums, other.nums)]
+        return BurnsideElement.from_ints(self.ring, nums, da * db)
 
     def __sub__(self, other):
-        self._check_ring(other)
-        return BurnsideElement(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + (-other)
 
     def __neg__(self):
-        return BurnsideElement(self.ring, [-a for a in self.coeffs])
+        return BurnsideElement.from_ints(self.ring, [-a for a in self.nums], self.den)
 
     def scale(self, r):
-        return BurnsideElement(self.ring, [Fraction(r) * a for a in self.coeffs])
+        r = Fraction(r)
+        nums = [r.numerator * a for a in self.nums]
+        return BurnsideElement.from_ints(self.ring, nums, self.den * r.denominator)
 
     def __mul__(self, other):
         self._check_ring(other)
-        xs, dx = common_denominator(self.coeffs)
-        ys, dy = common_denominator(other.coeffs)
-        d = dx * dy
-        return BurnsideElement(self.ring, [Fraction(v, d) for v in multiply_vectors(xs, ys)])
+        nums = multiply_vectors(self.nums, other.nums)
+        return BurnsideElement.from_ints(self.ring, nums, self.den * other.den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BurnsideElement)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, BurnsideElement) and self._key() == other._key()
+
+    def _key(self):
+        return self.ring, self.den, self.nums
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash(self._key())
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.nums)
 
     def __repr__(self):
         return "BurnsideElement(%s, %s)" % (self.ring, format_element(self))
@@ -438,24 +450,30 @@ def _split_terms(text):
 
 def parse_element(text, ring="Q"):
     """Parse "H_{0,0}:-1/2,H_{1,0}:1"; each term's coefficient must lie in the ring."""
-    coeffs = [Fraction(0)] * len(BASIS_LABELS)
+    terms = {}
     text = text.strip()
     if text in ("0", ""):
-        return BurnsideElement(ring, coeffs)
+        return BurnsideElement.zero(ring)
     for chunk in _split_terms(text):
         if not chunk.strip():
             continue
         if ":" not in chunk:
             raise ValueError("bad term %r, expected label:coefficient" % (chunk,))
         label, val = chunk.rsplit(":", 1)
-        coeffs[_basis_index(label)] += rings.normalize(ring, rings.parse_fraction(val))
-    return BurnsideElement(ring, coeffs)
+        i = _basis_index(label)
+        x = rings.normalize(ring, rings.parse_fraction(val))
+        terms[i] = terms[i] + x if i in terms else x
+    nums, den = common_denominator(terms.values())
+    vec = [0] * len(BASIS_LABELS)
+    for i, a in zip(terms, nums):
+        vec[i] = a
+    return BurnsideElement.from_ints(ring, vec, den)
 
 
 def format_element(elem):
     parts = [
-        "%s:%s" % (BASIS_LABELS[i], rings.format_fraction(c))
-        for i, c in enumerate(elem.coeffs)
-        if c != 0
+        "%s:%s" % (BASIS_LABELS[i], rings.format_fraction(a, elem.den))
+        for i, a in enumerate(elem.nums)
+        if a
     ]
     return ",".join(parts) if parts else "0"

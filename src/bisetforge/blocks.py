@@ -330,7 +330,8 @@ class PeirceBasis:
         return cls(vecs, _checked_table(data.get("table")))
 
     def element(self, i, ring="Q"):
-        return BurnsideElement(ring, self.vectors[i])
+        rows, d = self.int_vectors
+        return BurnsideElement.from_ints(ring, rows[i], d)
 
     def element_by_label(self, label, ring="Q"):
         return self.element(PEIRCE_LABELS.index(label), ring)
@@ -368,8 +369,7 @@ class PeirceBasis:
 
     def gamma(self, block):
         """Image of a block element in the rational double Burnside ring."""
-        nums, den = self.gamma_ints(block.nums, block.den)
-        return BurnsideElement("Q", [Fraction(x, den) for x in nums])
+        return BurnsideElement.from_ints("Q", *self.gamma_ints(block.nums, block.den))
 
     def gamma_ints(self, nums, den=1):
         """gamma of the block element nums / den, as integer coefficients over
@@ -378,7 +378,7 @@ class PeirceBasis:
         return apply_columns(G, nums), g * den
 
     def gamma_inv(self, elem):
-        return self.slot_coordinates(*common_denominator(elem.coeffs))
+        return self.slot_coordinates(elem.nums, elem.den)
 
     def slot_coordinates(self, nums, den=1):
         """gamma_inv of the ring element whose coefficients are nums / den."""

@@ -21,6 +21,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through parser_class its subparsers, whose usage
+    errors raise UsageError instead of printing the usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def parse_group_spec(spec):
     """A built-in name (S3, S3xS3, Cn, Sn) or ';'-separated cycle notation."""
     text = spec.strip()
@@ -162,7 +170,7 @@ def cmd_verify(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bisetforge",
         description="exact workbench for the double Burnside ring of S3",
     )
@@ -204,8 +212,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "subgroups":
             return cmd_subgroups(args)
         if args.command == "mult":

@@ -65,7 +65,8 @@ def load_presentation(name, override=None):
 
 
 def load_errata(override=None):
-    """The entries of errata.json, a list of objects; [] if there is no file."""
+    """The entries of errata.json, a list of objects with string "fixture"
+    and "id" keys; [] if there is no file."""
     try:
         entries = load_json("errata.json", override)
     except FileNotFoundError:
@@ -75,4 +76,7 @@ def load_errata(override=None):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError("errata.json:[%d]: expected an object" % i)
+        for key in ("fixture", "id"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError("errata.json:[%d].%s: expected a string" % (i, key))
     return entries

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import fixtures
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
-from .linalg import apply_columns, common_denominator, hnf_rows, smith_normal_form
+from .linalg import apply_columns, hnf_rows, smith_normal_form
 from .linalg import sparse_columns, transpose
 
 __all__ = [
@@ -44,10 +44,8 @@ __all__ = [
     "CONGRUENCES_2",
     "CONGRUENCES_3",
     "MOD24_ROWS",
-    "congruence_residual",
     "lambda_membership",
     "localized_membership",
-    "mod24_membership",
     "congruence_solution_lattice",
     "local_idempotents",
     "GAMMA_CORNER_BASIS_2",
@@ -127,7 +125,7 @@ def delta(elem, peirce):
 
     Linear in the coefficients: the sum of c_k * delta(basis class k).
     """
-    return delta_ints(*common_denominator(elem.coeffs), peirce)
+    return delta_ints(elem.nums, elem.den, peirce)
 
 
 def delta_ints(nums, den, peirce):
@@ -252,44 +250,29 @@ def _residual(nums, coeffs):
     return sum(c * nums[COORD_INDEX[name]] for name, c in coeffs.items())
 
 
-def _over_common_den(block):
-    if isinstance(block, BlockElement):
-        return block.nums, block.den
-    return common_denominator(block)
-
-
-def congruence_residual(block, cong):
-    nums, den = _over_common_den(block)
-    return Fraction(_residual(nums, cong[0]), den)
-
-
 def lambda_membership(block):
-    """Membership in the integral congruence order (integrality included)."""
-    nums, den = _over_common_den(block)
+    """Membership of a BlockElement in the integral congruence order
+    (integrality included)."""
+    nums, den = block.nums, block.den
     return den == 1 and all(
         _residual(nums, coeffs) % m == 0 for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3
     )
 
 
 def localized_membership(block, p):
-    """Membership in the localized order at p (2 or 3)."""
+    """Membership of a BlockElement in the localized order at p (2 or 3)."""
     if p == 2:
         congs = CONGRUENCES_2
     elif p == 3:
         congs = CONGRUENCES_3
     else:
         raise ValueError("p must be 2 or 3")
-    nums, den = _over_common_den(block)
+    nums, den = block.nums, block.den
     if den % p == 0:
         return False
     # den is a unit at p, so the residual has valuation >= v_p(m) exactly when
     # its numerator is divisible by gcd(m, p^m), the p-part of m
     return all(_residual(nums, coeffs) % math.gcd(m, p**m) == 0 for coeffs, m in congs)
-
-
-def mod24_membership(vec):
-    vec = list(vec)
-    return all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in MOD24_ROWS)
 
 
 def congruence_solution_lattice():

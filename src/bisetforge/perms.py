@@ -32,8 +32,6 @@ group's generators.  S6 (56 classes, 1455 subgroups) takes a few seconds.
 
 from __future__ import annotations
 
-import itertools
-
 __all__ = [
     "Perm",
     "PermGroup",
@@ -408,12 +406,6 @@ class PermGroup:
     def subgroup(self, generators):
         return PermGroup(self.degree, generators)
 
-    def conjugate_subgroup(self, g, sub):
-        """The set {g u g^-1 : u in sub} for a frozenset or PermGroup sub."""
-        gi = g.inverse()
-        elems = sub.element_set if isinstance(sub, PermGroup) else sub
-        return frozenset(g * u * gi for u in elems)
-
     def all_subgroups(self):
         """Every subgroup, each exactly once, sorted by (order, element list).
 
@@ -470,20 +462,6 @@ class PermGroup:
                 classes.append([])
             classes[position[mask]].append(sub)
         return classes
-
-    def double_cosets(self, left, right):
-        """Representatives of left\\G/right, first-seen in sorted element order."""
-        lefts = left.element_set if isinstance(left, PermGroup) else frozenset(left)
-        rights = right.element_set if isinstance(right, PermGroup) else frozenset(right)
-        seen = set()
-        reps = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            reps.append(g)
-            for h, k in itertools.product(lefts, rights):
-                seen.add(h * g * k)
-        return reps
 
 
 def symmetric_group(n):

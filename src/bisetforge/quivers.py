@@ -71,9 +71,6 @@ class Quiver:
             at = self.tgt[a]
         return (src, arrows)
 
-    def path_src(self, path):
-        return path[0]
-
     def path_tgt(self, path):
         src, arrows = path
         return self.tgt[arrows[-1]] if arrows else src
@@ -106,10 +103,6 @@ class PathElement:
             if c != 0:
                 clean[path] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, quiver, ring):
-        return cls(quiver, ring)
 
     @classmethod
     def from_path(cls, quiver, ring, path, coeff=1):
@@ -179,7 +172,7 @@ def make_rules(quiver, ring, relations):
     for rel in relations:
         if rel.is_zero():
             raise PresentationError("zero relation cannot be oriented")
-        srcs = {quiver.path_src(p) for p in rel.terms}
+        srcs = {p[0] for p in rel.terms}
         tgts = {quiver.path_tgt(p) for p in rel.terms}
         if len(srcs) != 1 or len(tgts) != 1:
             raise PresentationError("relation terms are not parallel paths")
@@ -402,13 +395,6 @@ class CornerAlgebra:
             return False
         return True
 
-    def product_coords(self, i, j):
-        return self.express(self.elements[i] * self.elements[j])
-
-    def structure_table(self):
-        n = len(self.labels)
-        return [[tuple(self.product_coords(i, j)) for j in range(n)] for i in range(n)]
-
 
 class Presentation:
     """Quiver with relations, plus the map of its generators into a corner."""
@@ -543,12 +529,6 @@ def element_image(elem, pres, corner):
     return total
 
 
-def path_image(path, pres, corner):
-    return element_image(
-        PathElement.from_path(pres.quiver, pres.ring, path), pres, corner
-    )
-
-
 def _vanishes(block, ring, corner):
     """Is block zero over ring, that is, are its corner coordinates?"""
     return block.is_zero() or all(rings.is_zero(ring, c) for c in corner.express(block))
@@ -609,7 +589,8 @@ def verify_presentation(pres, corner, length_bound=8):
             problems.append("listed kernel element %d is outside the ideal" % i)
         if not _vanishes(element_image(elem, pres, corner), ring, corner):
             problems.append("listed kernel element %d does not vanish" % i)
-    T = [corner.express(path_image(b, pres, corner)) for b in basis]
+    images = [element_image(PathElement.from_path(q, ring, b), pres, corner) for b in basis]
+    T = [corner.express(img) for img in images]
     flat, den = common_denominator([x for row in T for x in row])
     n = len(T)
     d = Fraction(det_bareiss([flat[i * n : i * n + n] for i in range(n)]), den**n)

@@ -8,18 +8,22 @@
            whose denominator is prime to p is accepted and kept as its
            residue 0..p-1.
 
-Coefficients are Fractions.  normalize() is the only membership test and
-is_unit() the only unit test of the package; normalize("F3", 1/2) is 2.
+A coefficient is a Fraction, a vector of them integer numerators over one
+denominator.  normalize_ints() holds the only membership test of the package
+(normalize() is its one-coefficient form) and is_unit() the only unit test;
+normalize("F3", 1/2) is 2.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
     "RINGS",
     "prime",
     "normalize",
+    "normalize_ints",
     "is_unit",
     "is_zero",
     "parse_fraction",
@@ -44,15 +48,33 @@ def normalize(ring, x):
     ValueError if x is not in the ring."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
+    (n,), _ = normalize_ints(ring, (x.numerator,), x.denominator)
+    return Fraction(n) if ring in _FIELDS else x
+
+
+def normalize_ints(ring, nums, den=1):
+    """The coefficients nums[i] / den of ring, for a tuple of ints nums and
+    den > 0, as (nums, den) in lowest terms; in F_p den is 1 and nums are the
+    residues 0..p-1.  Membership is decided once, on the reduced den; the
+    ValueError names the first coefficient outside the ring."""
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = tuple(a // g for a in nums), den // g
     p = prime(ring)
-    d = x.denominator
     if p is None:
-        if d != 1 and ring == "Z":
-            raise ValueError("coefficient %s is not an integer" % x)
-        return x
-    if d % p == 0:
-        raise ValueError("coefficient %s has denominator divisible by %d" % (x, p))
-    return Fraction(x.numerator * pow(d, -1, p) % p) if ring in _FIELDS else x
+        if den != 1 and ring == "Z":
+            a = next(a for a in nums if a % den)
+            raise ValueError("coefficient %s is not an integer" % Fraction(a, den))
+        return nums, den
+    if den % p == 0:
+        a = next(a for a in nums if den // math.gcd(a, den) % p == 0)
+        raise ValueError("coefficient %s has denominator divisible by %d" % (Fraction(a, den), p))
+    if ring in _FIELDS:
+        inv = pow(den, -1, p)
+        return tuple(a * inv % p for a in nums), 1
+    return nums, den
 
 
 def is_unit(ring, x):
@@ -85,8 +107,10 @@ def parse_fraction(text):
         raise ValueError("zero denominator in %r" % (text,)) from None
 
 
-def format_fraction(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+def format_fraction(num, den=1):
+    """The text of the rational num / den, den > 0, in lowest terms: "3" or
+    "-1/2"."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return "%d/%d" % (num // g, den // g)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -201,6 +202,120 @@ def test_element_product_matches_dense_reference(data):
     assert all(type(x) is Fraction for x in (a * b).coeffs)
 
 
+# The integer representation: nums over one den, checked once per element,
+# against the per-coefficient rule and the Fraction-based text it replaced.
+_PRIMES = {"Q": None, "Z": None, "Z2": 2, "Z3": 3, "F2": 2, "F3": 3}
+
+
+def _ref_normalize(ring, x):
+    """One coefficient by the ring's definition, with the refusal text."""
+    p = _PRIMES[ring]
+    if ring == "Z" and x.denominator != 1:
+        raise ValueError("coefficient %s is not an integer" % x)
+    if p is not None and x.denominator % p == 0:
+        raise ValueError("coefficient %s has denominator divisible by %d" % (x, p))
+    if ring in ("F2", "F3"):
+        return Fraction(x.numerator * pow(x.denominator, -1, p) % p)
+    return x
+
+
+def _ref_format(elem):
+    parts = [
+        "%s:%s" % (lab, c.numerator if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator))
+        for lab, c in zip(BASIS_LABELS, elem.coeffs)
+        if c
+    ]
+    return ",".join(parts) or "0"
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+_sparse_nums = st.lists(st.tuples(st.integers(0, 21), st.integers(-40, 40)), max_size=6).map(
+    lambda terms: [sum(v for j, v in terms if j == k) for k in range(22)]
+)
+_dens = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 18, 35, 36])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), _sparse_nums, _dens)
+def test_from_ints_matches_the_per_coefficient_rule(ring, nums, den):
+    fracs = [Fraction(n, den) for n in nums]
+    ref, ref_err = _outcome(lambda: [_ref_normalize(ring, x) for x in fracs])
+    got, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
+    old, old_err = _outcome(lambda: BurnsideElement(ring, fracs))
+    assert err == old_err == ref_err
+    if ref_err is None:
+        assert got == old and hash(got) == hash(old)
+        assert list(got.coeffs) == ref
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+        if ring in ("Z", "F2", "F3"):
+            assert got.den == 1
+        if ring in ("F2", "F3"):
+            assert all(0 <= a < _PRIMES[ring] for a in got.nums)
+        assert format_element(got) == _ref_format(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS), _sparse_nums, _dens, st.integers(1, 12))
+def test_equal_elements_hash_equal(ring, nums, den, k):
+    a, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
+    if err is None:
+        b = BurnsideElement.from_ints(ring, [k * n for n in nums], k * den)
+        assert a == b and hash(a) == hash(b)
+        assert a + b - b == a and hash(a + b - b) == hash(a)
+        assert a.scale(k) == BurnsideElement.from_ints(ring, [k * n for n in nums], den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(RINGS),
+    st.lists(
+        st.tuples(st.sampled_from(BASIS_LABELS[:4] + ("H_8",)), st.integers(-9, 9), _dens),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_parse_element_checks_each_term_and_sums_repeats(ring, terms):
+    text = ",".join("%s:%d/%d" % t for t in terms)
+
+    def reference():
+        total = [Fraction(0)] * 22
+        for label, n, d in terms:
+            total[BASIS_LABELS.index(label)] += _ref_normalize(ring, Fraction(n, d))
+        return BurnsideElement(ring, total)
+
+    want, want_err = _outcome(reference)
+    got, err = _outcome(lambda: parse_element(text, ring))
+    assert (got, err) == (want, want_err)
+    if err is None:
+        assert format_element(got) == _ref_format(want)
+        assert parse_element(format_element(got), ring) == got
+
+
+def test_repeated_labels_in_f3():
+    with pytest.raises(ValueError, match="^coefficient 1/3 has denominator divisible by 3$"):
+        parse_element("H_8:1/3,H_8:2/3", "F3")
+    assert format_element(parse_element("H_8:2,H_8:2", "F3")) == "H_8:1"
+    assert format_element(parse_element("H_8:1/2,H_8:1/2", "F3")) == "H_8:1"
+    assert format_element(parse_element("H_8:1/2,H_8:1/2", "Z3")) == "H_8:1"
+    assert format_element(parse_element("H_8:1/6,H_{1,0}:-3/4,H_8:1/6", "Q")) == "H_{1,0}:-3/4,H_8:1/3"
+
+
+def test_from_ints_refuses_a_bad_denominator_or_length():
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        BurnsideElement.from_ints("Q", [0] * 22, 0)
+    with pytest.raises(ValueError, match="expected 22 coefficients"):
+        BurnsideElement.from_ints("Q", [1] * 21)
+    with pytest.raises(ValueError, match="unknown ring"):
+        BurnsideElement.from_ints("F5", [0] * 22)
+
+
 # References: both structure-table routes and the conjugation-search classifier
 # on Perm pairs hashed into dicts and frozensets; bisets runs them on pair
 # indices and masks.
@@ -365,6 +480,26 @@ def _ref_star(U, W):
     return frozenset((a, c) for a, b in U for b2, c in W if b == b2)
 
 
+def _ref_double_cosets(left, right):
+    """Representatives of left\\S3/right, first-seen in sorted element order."""
+    seen, reps = set(), []
+    for g in S3.elements:
+        if g not in seen:
+            reps.append(g)
+            seen.update(h * g * k for h in left for k in right)
+    return reps
+
+
+def test_double_cosets_cover_group():
+    H = frozenset((S3_ID, S3_A))
+    cosets = [frozenset(h * g * k for h in H for k in H) for g in _ref_double_cosets(H, H)]
+    seen = set()
+    for c in cosets:
+        assert not (seen & c)
+        seen |= c
+    assert len(seen) == 6
+
+
 def _ref_mackey():
     table = []
     for U in _ref_reps():
@@ -373,7 +508,7 @@ def _ref_mackey():
             counts = [0] * 22
             p2U = frozenset(u2 for _, u2 in U)
             p1V = frozenset(v1 for v1, _ in V)
-            for g in S3.double_cosets(p2U, p1V):
+            for g in _ref_double_cosets(p2U, p1V):
                 Vg = frozenset((g * v1 * g.inverse(), v2) for v1, v2 in V)
                 counts[_ref_classify(_ref_star(U, Vg))] += 1
             row.append(tuple(counts))

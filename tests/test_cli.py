@@ -583,8 +583,11 @@ def test_malformed_peirce_coefficients_exit_2_naming_the_path(capsys, tmp_path, 
     [
         ("[1]\n", "error: errata.json:[0]: expected an object"),
         ("{}\n", "error: errata.json: expected a list of objects"),
+        ("[{}]\n", "error: errata.json:[0].fixture: expected a string"),
+        ('[{"fixture": "delta_matrix.json"}]\n', "error: errata.json:[0].id: expected a string"),
+        ('[{"fixture": 1, "id": "x"}]\n', "error: errata.json:[0].fixture: expected a string"),
     ],
-    ids=["entry-int", "object"],
+    ids=["entry-int", "object", "entry-empty", "entry-without-id", "fixture-not-a-string"],
 )
 def test_malformed_errata_exit_2(capsys, tmp_path, text, message):
     dst = _replaced_fixture(tmp_path, "errata.json", text)
@@ -611,14 +614,45 @@ def _joined(parts, max_size):
 )
 @example("F3", "H_{1,0}:1/2", "H^D_5", "(,)")
 def test_cli_exits_0_or_2_with_error_lines_only(ring, a, b, group):
-    # "--" hands operands such as "-x" to bisetforge's parsers, not to argparse
-    for argv in (["mult", "--ring", ring, "--", a, b], ["subgroups", "--", group]):
+    # "--" hands operands such as "-1/2" to bisetforge's parsers; without it
+    # argparse may read them as flags, which must end the same way
+    for argv in (
+        ["mult", "--ring", ring, "--", a, b],
+        ["mult", "--ring", ring, a, b],
+        ["subgroups", "--", group],
+    ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 2), (argv, err.getvalue())
         assert all(line.startswith("error: ") for line in err.getvalue().splitlines()), argv
         assert (code == 2) == bool(err.getvalue()), argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mult", "--bogus", "H_8", "H_8"], "error: unrecognized arguments: --bogus"),
+        (["mult", "-H_8:1", "H_8"], "error: the following arguments are required: b"),
+        (["subgroups", "-(1,2)"], "error: the following arguments are required: group"),
+        (["mult", "H_8", "H_8", "--ring", "F5"], "error: argument --ring: invalid choice: 'F5'"),
+        ([], "error: the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "dash-operand", "dash-group", "bad-choice", "no-command"],
+)
+def test_argparse_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["mult", "--help"])
+    assert info.value.code == 0
+    assert "usage: bisetforge mult" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from bisetforge.orders import (
     load_fixture_matrix,
     local_idempotents,
     localized_membership,
-    mod24_membership,
     representation_matrix,
 )
 from bisetforge.verify import swap_label
@@ -60,6 +59,11 @@ def test_stated_column_listing_is_the_factor_swap():
     assert HT_LABELS != BASIS_LABELS
     assert tuple(swap_label(l) for l in HT_LABELS) == BASIS_LABELS
     assert tuple(swap_label(swap_label(l)) for l in BASIS_LABELS) == BASIS_LABELS
+
+
+def mod24_membership(vec):
+    """Reference: every MOD24_ROWS row annihilates vec mod 24."""
+    return all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in MOD24_ROWS)
 
 
 def test_columns_satisfy_congruences():

@@ -73,21 +73,7 @@ def test_are_conjugate_returns_witness():
     h2 = G.subgroup([Perm.from_cycle_string("(2,3)", 3)])
     ok, g = G.are_conjugate(h1, h2)
     assert ok
-    assert G.conjugate_subgroup(g, h1.element_set) == h2.element_set
-
-
-def test_double_cosets_cover_group():
-    G = symmetric_group(3)
-    H = G.subgroup([Perm.from_cycle_string("(1,2)", 3)])
-    reps = G.double_cosets(H, H)
-    cosets = [
-        frozenset(h * g * k for h in H.elements for k in H.elements) for g in reps
-    ]
-    seen = set()
-    for c in cosets:
-        assert not (seen & c)
-        seen |= c
-    assert len(seen) == 6
+    assert frozenset(g * u * g.inverse() for u in h1.element_set) == h2.element_set
 
 
 def test_cyclic_group():

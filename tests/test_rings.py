@@ -85,7 +85,9 @@ def test_unknown_ring_is_refused():
 @given(st.integers(-40, 40), st.integers(1, 12))
 def test_fraction_round_trip(a, b):
     f = Fraction(a, b)
-    assert parse_fraction(format_fraction(f)) == f
+    text = format_fraction(a, b)
+    assert text == str(f)
+    assert parse_fraction(text) == f
 
 
 def test_parse_fraction_rejects_zero_denominator():

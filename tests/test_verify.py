@@ -127,8 +127,8 @@ def _disagree_mod24(names, residues, rows):
     for name, r in zip(names, residues):
         vec[orders.COORD_NAMES.index(name)] = r
     congs = all(
-        orders.congruence_residual(vec, cong) % cong[1] == 0
-        for cong in orders.CONGRUENCES_2 + orders.CONGRUENCES_3
+        sum(c * vec[orders.COORD_NAMES.index(n)] for n, c in coeffs.items()) % m == 0
+        for coeffs, m in orders.CONGRUENCES_2 + orders.CONGRUENCES_3
     )
     return congs != all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in rows)
 
