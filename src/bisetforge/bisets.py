@@ -46,6 +46,7 @@ multiply_vectors() call and one ring-membership test on its denominator.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -113,6 +114,7 @@ _SUBGROUP_SPECS = (
 )
 
 BASIS_LABELS = tuple(label for label, _ in _SUBGROUP_SPECS)
+_LABEL_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
 SUBGROUP_GENERATORS = tuple(gens for _, gens in _SUBGROUP_SPECS)
 IDENTITY_INDEX = BASIS_LABELS.index("H^D_5")
 
@@ -426,34 +428,31 @@ class BurnsideElement:
 def _basis_index(label):
     label = label.strip().replace("Δ", "D")
     try:
-        return BASIS_LABELS.index(label)
-    except ValueError:
+        return _LABEL_INDEX[label]
+    except KeyError:
         raise ValueError("unknown basis label %r" % (label,)) from None
 
 
 def _split_terms(text):
-    """Split on commas that sit outside label braces."""
-    chunks, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(cur))
+    """Split on commas outside label braces: pieces rejoin until the braces balance."""
+    chunks, cur, depth = [], [], 0
+    for piece in text.split(","):
+        cur.append(piece)
+        depth += piece.count("{") - piece.count("}")
+        if depth == 0:
+            chunks.append(",".join(cur))
             cur = []
-        else:
-            cur.append(ch)
-    chunks.append("".join(cur))
+    if cur:
+        chunks.append(",".join(cur))
     return chunks
 
 
 def parse_element(text, ring="Q"):
     """Parse "H_{0,0}:-1/2,H_{1,0}:1"; each term's coefficient must lie in the ring."""
-    terms = {}
     text = text.strip()
     if text in ("0", ""):
         return BurnsideElement.zero(ring)
+    vec, den = [0] * len(BASIS_LABELS), 1
     for chunk in _split_terms(text):
         if not chunk.strip():
             continue
@@ -461,12 +460,12 @@ def parse_element(text, ring="Q"):
             raise ValueError("bad term %r, expected label:coefficient" % (chunk,))
         label, val = chunk.rsplit(":", 1)
         i = _basis_index(label)
-        x = rings.normalize(ring, rings.parse_fraction(val))
-        terms[i] = terms[i] + x if i in terms else x
-    nums, den = common_denominator(terms.values())
-    vec = [0] * len(BASIS_LABELS)
-    for i, a in zip(terms, nums):
-        vec[i] = a
+        n, d = rings.parse_ints(val)
+        (n,), d = rings.normalize_ints(ring, (n,), d)
+        lcm = math.lcm(den, d)
+        if lcm != den:
+            vec, den = [a * (lcm // den) for a in vec], lcm
+        vec[i] += n * (den // d)
     return BurnsideElement.from_ints(ring, vec, den)
 
 

@@ -32,7 +32,6 @@ on first use.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -79,15 +78,8 @@ class BlockElement:
         nums = tuple(nums)
         if len(nums) != 22:
             raise ValueError("expected 22 coordinates")
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums = tuple(a // g for a in nums)
-            den //= g
         out = object.__new__(cls)
-        out.nums = nums
-        out.den = den
+        out.nums, out.den = rings.normalize_ints("Q", nums, den)
         return out
 
     @classmethod
@@ -298,6 +290,7 @@ class PeirceBasis:
     def __init__(self, vectors, table):
         self.vectors = tuple(tuple(Fraction(c) for c in v) for v in vectors)
         self.table = table
+        self._by_label = {}
 
     @classmethod
     def load(cls, fixture_dir=None):
@@ -334,7 +327,11 @@ class PeirceBasis:
         return BurnsideElement.from_ints(ring, rows[i], d)
 
     def element_by_label(self, label, ring="Q"):
-        return self.element(PEIRCE_LABELS.index(label), ring)
+        """element() of the label, kept per (label, ring); a refusal raises again."""
+        key = label, ring
+        if key not in self._by_label:
+            self._by_label[key] = self.element(PEIRCE_LABELS.index(label), ring)
+        return self._by_label[key]
 
     def table_entry_ints(self, i, j):
         """The table's claim for product (i, j) over the transitive basis, as

@@ -23,10 +23,28 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and through parser_class its subparsers, whose usage
-    errors raise UsageError instead of printing the usage and exiting."""
+    errors raise UsageError instead of printing the usage and exiting.  When
+    an operand of a subcommand is missing, the error names the first argument
+    that argparse took for an unknown flag, such as '-H_8:1' without '--'."""
+
+    operands, argv = False, ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        if self.operands and message.startswith("the following arguments are required"):
+            stray = next((a for a in self.argv if a == "--" or self._unknown_flag(a)), "--")
+            if stray != "--":
+                message += " (an operand starting with '-', such as %r, needs '--' before it)" % stray
         raise UsageError(message)
+
+    def _unknown_flag(self, arg):
+        """Does argparse read arg as a flag that this parser does not have?"""
+        parsed = self._parse_optional(arg)  # (action, ...), or [(action, ...)] in newer Pythons
+        parsed = parsed[0] if isinstance(parsed, list) else parsed
+        return parsed is not None and parsed[0] is None
 
 
 def parse_group_spec(spec):
@@ -192,6 +210,7 @@ def build_parser():
     mu.add_argument("--ring", choices=rings.RINGS, default="Q")
     mu.add_argument("--json", action="store_true", help="canonical JSON output")
     mu.add_argument("--fixture-dir", default=None, help="alternate fixture directory")
+    sg.operands = mu.operands = True
 
     ve = sub.add_parser("verify", help="run the verification stages")
     ve.add_argument(

@@ -17,6 +17,7 @@ normalize("F3", 1/2) is 2.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "normalize_ints",
     "is_unit",
     "is_zero",
+    "parse_ints",
     "parse_fraction",
     "format_fraction",
 ]
@@ -59,12 +61,15 @@ def normalize_ints(ring, nums, den=1):
     ValueError names the first coefficient outside the ring."""
     if den <= 0:
         raise ValueError("denominator must be positive")
-    g = math.gcd(den, *nums)
-    if g != 1:
-        nums, den = tuple(a // g for a in nums), den // g
     p = prime(ring)
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(a // g for a in nums), den // g
+    if den == 1:
+        return (tuple(a % p for a in nums) if ring in _FIELDS else nums), 1
     if p is None:
-        if den != 1 and ring == "Z":
+        if ring == "Z":
             a = next(a for a in nums if a % den)
             raise ValueError("coefficient %s is not an integer" % Fraction(a, den))
         return nums, den
@@ -95,16 +100,29 @@ def is_zero(ring, x):
     return x.numerator % p == 0 if ring in _FIELDS else x == 0
 
 
-def parse_fraction(text):
-    """A Fraction from "3", "-1/2" or "0.25".  Exponent notation is refused
-    before Fraction sees it: "1e999999999" would build a billion-digit int."""
+_PLAIN = re.compile(r"([+-]?\d+)(?:/(\d*[1-9]\d*))?")
+
+
+def parse_ints(text):
+    """(n, d), d > 0, not reduced, from "3", "-1/2" (straight to ints) or
+    "0.25" (through Fraction).  Exponent notation is refused before Fraction
+    sees it: "1e999999999" would build a billion-digit int."""
     text = str(text).strip()
+    m = _PLAIN.fullmatch(text)
+    if m:
+        return int(m[1]), int(m[2] or 1)
     if "e" in text.lower():
         raise ValueError("exponent notation is not accepted: %r" % (text,))
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (text,)) from None
+    return x.numerator, x.denominator
+
+
+def parse_fraction(text):
+    """A Fraction from "3", "-1/2" or "0.25", by parse_ints()."""
+    return Fraction(*parse_ints(text))
 
 
 def format_fraction(num, den=1):

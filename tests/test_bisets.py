@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge import bisets as bisets_module
@@ -305,6 +305,113 @@ def test_repeated_labels_in_f3():
     assert format_element(parse_element("H_8:1/2,H_8:1/2", "F3")) == "H_8:1"
     assert format_element(parse_element("H_8:1/2,H_8:1/2", "Z3")) == "H_8:1"
     assert format_element(parse_element("H_8:1/6,H_{1,0}:-3/4,H_8:1/6", "Q")) == "H_{1,0}:-3/4,H_8:1/3"
+
+
+# The parser that walked the operand one character at a time, found labels by
+# a linear search and summed the terms as Fractions: the reference for the
+# integer parser, input by input, in every ring.
+def _ref_basis_index(label):
+    label = label.strip().replace("Δ", "D")
+    try:
+        return BASIS_LABELS.index(label)
+    except ValueError:
+        raise ValueError("unknown basis label %r" % (label,)) from None
+
+
+def _ref_split_terms(text):
+    chunks, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            chunks.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    chunks.append("".join(cur))
+    return chunks
+
+
+def _ref_parse_fraction(text):
+    text = str(text).strip()
+    if "e" in text.lower():
+        raise ValueError("exponent notation is not accepted: %r" % (text,))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
+
+
+def _ref_parse_element(text, ring):
+    terms = {}
+    text = text.strip()
+    if text in ("0", ""):
+        return BurnsideElement.zero(ring)
+    for chunk in _ref_split_terms(text):
+        if not chunk.strip():
+            continue
+        if ":" not in chunk:
+            raise ValueError("bad term %r, expected label:coefficient" % (chunk,))
+        label, val = chunk.rsplit(":", 1)
+        i = _ref_basis_index(label)
+        x = _ref_normalize(ring, _ref_parse_fraction(val))
+        terms[i] = terms[i] + x if i in terms else x
+    vec = [Fraction(0)] * len(BASIS_LABELS)
+    for i, x in terms.items():
+        vec[i] = x
+    return BurnsideElement(ring, vec)
+
+
+_LABEL_TEXTS = st.sampled_from(
+    BASIS_LABELS[:4] + ("H_8", "H^Δ_1", "H^Δ_5", "H_9", "H_{1,0", "H_1,0}", "{", "}{", "}", "")
+)
+_ODD_COEFFS = (
+    "+3", "007", "-0", "0.5", "-1.25", ".5", "5.", "1_000", "1__0", "2/1_0", "1/0_0", "1e3",
+    "2E-1", "3/0", "0/0", "1/-2", "-1/+2", "1/", "/2", "-", "", "abc", "inf", "½", "٣/٤",
+    "1 /2", "1" * 4400, "1" * 4400 + "/3", "2/" + "1" * 4400,
+)
+_COEFF_TEXTS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.tuples(st.integers(-30, 30), st.integers(0, 36)).map(lambda t: "%d/%d" % t),
+    st.sampled_from(_ODD_COEFFS),
+)
+_SPACES = st.sampled_from(["", " ", "\t"])
+_TERM_TEXTS = st.one_of(
+    st.tuples(_SPACES, _LABEL_TEXTS, _SPACES, _SPACES, _COEFF_TEXTS, _SPACES).map(
+        lambda t: "%s%s%s:%s%s%s" % t
+    ),
+    _LABEL_TEXTS,  # no ':'
+    _SPACES,  # an empty chunk
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TERM_TEXTS, max_size=6).map(",".join))
+@example("H_{0,0}:1/2, H^Δ_1 :-3, H_{0,0}: 1/4")
+@example("H_{1,0:1,H_8:1")
+@example("}H_8:1,{H_8:2")
+@example("H_8:1,,H_8")
+@example(" 0 ")
+def test_parse_element_matches_the_character_walk_parser(text):
+    for ring in RINGS:
+        assert _outcome(lambda: parse_element(text, ring)) == _outcome(
+            lambda: _ref_parse_element(text, ring)
+        ), (text, ring)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    _ODD_COEFFS + ("12/18", "-4", "3/1"),
+    ids=lambda c: c if len(c) < 20 else "%s...%s" % (c[:3], c[-2:]),
+)
+def test_parse_element_matches_the_reference_on_each_coefficient_shape(coeff):
+    text = "H_8:1,H_{1,0}:%s" % coeff
+    for ring in RINGS:
+        assert _outcome(lambda: parse_element(text, ring)) == _outcome(
+            lambda: _ref_parse_element(text, ring)
+        ), (text, ring)
 
 
 def test_from_ints_refuses_a_bad_denominator_or_length():

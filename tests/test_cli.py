@@ -629,23 +629,46 @@ def test_cli_exits_0_or_2_with_error_lines_only(ring, a, b, group):
         assert (code == 2) == bool(err.getvalue()), argv
 
 
+_HINT = " (an operand starting with '-', such as %r, needs '--' before it)"
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, named",
     [
-        (["mult", "--bogus", "H_8", "H_8"], "error: unrecognized arguments: --bogus"),
-        (["mult", "-H_8:1", "H_8"], "error: the following arguments are required: b"),
-        (["subgroups", "-(1,2)"], "error: the following arguments are required: group"),
-        (["mult", "H_8", "H_8", "--ring", "F5"], "error: argument --ring: invalid choice: 'F5'"),
-        ([], "error: the following arguments are required: command"),
+        (["mult", "--bogus", "H_8", "H_8"], "error: unrecognized arguments: --bogus", None),
+        (["mult", "-H_8:1", "H_8"], "error: the following arguments are required: b", "-H_8:1"),
+        (["subgroups", "-(1,2)"], "error: the following arguments are required: group", "-(1,2)"),
+        (["mult", "H_8", "H_8", "--ring", "F5"], "error: argument --ring: invalid choice: 'F5'", None),
+        ([], "error: the following arguments are required: command", None),
     ],
     ids=["unknown-flag", "dash-operand", "dash-group", "bad-choice", "no-command"],
 )
-def test_argparse_usage_errors_exit_2_with_one_error_line(capsys, argv, message):
+def test_argparse_usage_errors_exit_2_with_one_error_line(capsys, argv, message, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), err
+    if named is not None:
+        assert lines[0] == message + _HINT % named
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a negative number and an operand after '--' are operands to argparse
+        (["mult", "-1"], "the following arguments are required: b"),
+        (["mult", "--", "-1/2"], "the following arguments are required: b"),
+        (["mult", "--ring=Z", "-1/2", "--", "H_8"], "the following arguments are required: b"
+         + _HINT % "-1/2"),
+        (["mult", "--js", "-x"], "the following arguments are required: a, b" + _HINT % "-x"),
+        (["--bogus"], "the following arguments are required: command"),
+    ],
+    ids=["negative-number", "after-dashes", "before-dashes", "abbreviated-flag", "top-level"],
+)
+def test_only_an_operand_taken_for_a_flag_gets_the_hint(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_help_still_exits_0(capsys):

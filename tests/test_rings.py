@@ -10,7 +10,9 @@ from bisetforge.rings import (
     is_unit,
     is_zero,
     normalize,
+    normalize_ints,
     parse_fraction,
+    parse_ints,
     prime,
 )
 
@@ -95,3 +97,55 @@ def test_parse_fraction_rejects_zero_denominator():
         parse_fraction("1/0")
     with pytest.raises(ValueError):
         parse_fraction("one")
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@given(
+    st.sampled_from(RINGS + ("F5",)),
+    st.lists(st.integers(-50, 50), max_size=22),
+    st.integers(2, 12),
+)
+def test_normalize_ints_over_1_matches_the_general_path(ring, nums, k):
+    fast = _outcome(lambda: normalize_ints(ring, tuple(nums), 1))
+    assert fast == _outcome(lambda: normalize_ints(ring, tuple(k * a for a in nums), k))
+
+
+def test_normalize_ints_over_1_reduces_negative_numerators_in_f_p():
+    assert normalize_ints("F2", (-1, -2, -3), 1) == ((1, 0, 1), 1)
+    assert normalize_ints("F3", (-1, -2, -3, -4), 1) == ((2, 1, 0, 2), 1)
+    assert normalize_ints("Z3", (-1, -2), 1) == ((-1, -2), 1)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        normalize_ints("F3", (-1,), 0)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(0, 10**6), st.sampled_from(["", "+", " "]))
+def test_parse_ints_reads_integers_and_quotients_as_fraction_does(a, b, plus):
+    sign = plus if a >= 0 else ""
+    for text in ("%s%d" % (sign, a), "%s%d/%d" % (sign, a, b)):
+        try:
+            want = Fraction(text.strip())
+        except ZeroDivisionError:
+            with pytest.raises(ValueError) as info:
+                parse_ints(text)
+            assert str(info.value) == "zero denominator in %r" % text.strip()
+            continue
+        n, d = parse_ints(text)
+        assert d > 0 and Fraction(n, d) == want == parse_fraction(text)
+
+
+def test_parse_ints_keeps_the_fraction_grammar_and_its_refusals():
+    assert parse_ints(" 0.25 ") == (1, 4)
+    assert parse_ints("1_000/2") == (500, 1)
+    assert parse_ints(3) == (3, 1)
+    with pytest.raises(ValueError, match="^exponent notation is not accepted: '1e3'$"):
+        parse_ints("1e3")
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0_0'$"):
+        parse_ints("1/0_0")
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1/-2'$"):
+        parse_ints("1/-2")
