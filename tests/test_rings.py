@@ -125,8 +125,8 @@ def test_normalize_ints_over_1_reduces_negative_numerators_in_f_p():
 
 
 @given(st.integers(-10**30, 10**30), st.integers(0, 10**6), st.sampled_from(["", "+", " "]))
-def test_parse_ints_reads_integers_and_quotients_as_fraction_does(a, b, plus):
-    sign = plus if a >= 0 else ""
+def test_parse_ints_reads_integers_and_quotients_as_fraction_does(a, b, prefix):
+    sign = prefix if a >= 0 else ""
     for text in ("%s%d" % (sign, a), "%s%d/%d" % (sign, a, b)):
         try:
             want = Fraction(text.strip())
