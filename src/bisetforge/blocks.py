@@ -290,7 +290,6 @@ class PeirceBasis:
     def __init__(self, vectors, table):
         self.vectors = tuple(tuple(Fraction(c) for c in v) for v in vectors)
         self.table = table
-        self._by_label = {}
 
     @classmethod
     def load(cls, fixture_dir=None):
@@ -327,11 +326,7 @@ class PeirceBasis:
         return BurnsideElement.from_ints(ring, rows[i], d)
 
     def element_by_label(self, label, ring="Q"):
-        """element() of the label, kept per (label, ring); a refusal raises again."""
-        key = label, ring
-        if key not in self._by_label:
-            self._by_label[key] = self.element(PEIRCE_LABELS.index(label), ring)
-        return self._by_label[key]
+        return self.element(PEIRCE_LABELS.index(label), ring)
 
     def table_entry_ints(self, i, j):
         """The table's claim for product (i, j) over the transitive basis, as

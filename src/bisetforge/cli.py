@@ -7,6 +7,7 @@ names, coefficients outside the ring) and unreadable fixture files.
 """
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -18,33 +19,34 @@ from .perms import CapacityError, Perm, PermGroup, cyclic_group, symmetric_group
 
 
 class UsageError(Exception):
-    pass
+    flags = ()  # the option strings of the parser that raised it, if argparse did
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and through parser_class its subparsers, whose usage
-    errors raise UsageError instead of printing the usage and exiting.  When
-    an operand of a subcommand is missing, the error names the first argument
-    that argparse took for an unknown flag, such as '-H_8:1' without '--'."""
-
-    operands, argv = False, ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.argv = sys.argv[1:] if args is None else args
-        return super().parse_known_args(args, namespace)
+    errors raise UsageError instead of printing the usage and exiting."""
 
     def error(self, message):
-        if self.operands and message.startswith("the following arguments are required"):
-            stray = next((a for a in self.argv if a == "--" or self._unknown_flag(a)), "--")
-            if stray != "--":
-                message += " (an operand starting with '-', such as %r, needs '--' before it)" % stray
-        raise UsageError(message)
+        exc = UsageError(message)
+        exc.flags = [s for action in self._actions for s in action.option_strings]
+        raise exc
 
-    def _unknown_flag(self, arg):
-        """Does argparse read arg as a flag that this parser does not have?"""
-        parsed = self._parse_optional(arg)  # (action, ...), or [(action, ...)] in newer Pythons
-        parsed = parsed[0] if isinstance(parsed, list) else parsed
-        return parsed is not None and parsed[0] is None
+
+_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # what argparse reads as a negative number
+
+
+def dash_hint(exc, argv):
+    """For a missing mult or subgroups operand, a hint that names the first
+    argument argparse read as an unknown flag, such as '-H_8:1' without '--'."""
+    message = str(exc)
+    if message.startswith("the following arguments are required") and not message.endswith(": command"):
+        args = itertools.dropwhile(lambda a: a[:1] == "-", argv)
+        next(args, None)  # the subcommand
+        for arg in itertools.takewhile(lambda a: a != "--", args):
+            if arg[:1] == "-" and len(arg) > 1 and " " not in arg and not _NUMBER.fullmatch(arg):
+                if not any(f.startswith(arg.split("=", 1)[0]) for f in exc.flags):
+                    return " (an operand starting with '-', such as %r, needs '--' before it)" % arg
+    return ""
 
 
 def parse_group_spec(spec):
@@ -210,7 +212,6 @@ def build_parser():
     mu.add_argument("--ring", choices=rings.RINGS, default="Q")
     mu.add_argument("--json", action="store_true", help="canonical JSON output")
     mu.add_argument("--fixture-dir", default=None, help="alternate fixture directory")
-    sg.operands = mu.operands = True
 
     ve = sub.add_parser("verify", help="run the verification stages")
     ve.add_argument(
@@ -231,6 +232,7 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(argv)
         if args.command == "subgroups":
@@ -239,7 +241,7 @@ def main(argv=None):
             return cmd_mult(args)
         return cmd_verify(args)
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s%s" % (exc, dash_hint(exc, argv)), file=sys.stderr)
         return 2
     except TableMismatch as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -100,7 +100,7 @@ def is_zero(ring, x):
     return x.numerator % p == 0 if ring in _FIELDS else x == 0
 
 
-_PLAIN = re.compile(r"([+-]?\d+)(?:/(\d*[1-9]\d*))?")
+_PLAIN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_ints(text):
@@ -110,7 +110,10 @@ def parse_ints(text):
     text = str(text).strip()
     m = _PLAIN.fullmatch(text)
     if m:
-        return int(m[1]), int(m[2] or 1)
+        n, d = int(m[1]), int(m[2] or 1)
+        if d == 0:
+            raise ValueError("zero denominator in %r" % (text,))
+        return n, d
     if "e" in text.lower():
         raise ValueError("exponent notation is not accepted: %r" % (text,))
     try:

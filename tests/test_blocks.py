@@ -14,7 +14,6 @@ from bisetforge.blocks import (
     PeirceBasis,
     slot_basis,
 )
-from bisetforge.rings import RINGS
 
 
 def E(**coords):
@@ -113,36 +112,6 @@ def test_peirce_known_vector():
         "H_{1,0}": Fraction(1),
         "H_{4,0}": Fraction(1, 2),
     }
-
-
-def _outcome(fn):
-    try:
-        return fn(), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
-def test_element_by_label_keeps_what_element_builds_and_no_refusal():
-    pb = PeirceBasis.load()
-    refused = 0
-    for i, lab in enumerate(PEIRCE_LABELS):
-        for ring in RINGS:
-            want = _outcome(lambda: pb.element(i, ring))
-            assert _outcome(lambda: pb.element_by_label(lab, ring)) == want
-            # the second call is the kept element, or the same refusal again
-            again = _outcome(lambda: pb.element_by_label(lab, ring))
-            assert again == want
-            if want[1] is None:
-                assert again[0] is pb.element_by_label(lab, ring)
-            else:
-                refused += 1
-    assert refused > 0
-    with pytest.raises(ValueError):
-        pb.element_by_label("eps9", "Q")
-    with pytest.raises(ValueError, match="unknown ring"):
-        pb.element_by_label("e", "F5")
-    with pytest.raises(ValueError, match="unknown ring"):
-        pb.element_by_label("e", "F5")
 
 
 def test_gamma_is_ring_map_on_samples():
