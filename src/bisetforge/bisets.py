@@ -380,9 +380,6 @@ class BurnsideElement:
     def coeffs(self):
         return tuple(Fraction(a, self.den) for a in self.nums)
 
-    def to_dict(self):
-        return {BASIS_LABELS[i]: Fraction(a, self.den) for i, a in enumerate(self.nums) if a}
-
     def _check_ring(self, other):
         if self.ring != other.ring:
             raise ValueError("ring mismatch: %s vs %s" % (self.ring, other.ring))

@@ -172,9 +172,6 @@ class BlockElement:
     def is_integral(self):
         return self.den == 1
 
-    def is_p_integral(self, p):
-        return self.den % p != 0
-
     def is_zero(self):
         return not any(self.nums)
 
@@ -369,10 +366,8 @@ class PeirceBasis:
         G, g, _, _ = self._maps
         return apply_columns(G, nums), g * den
 
-    def gamma_inv(self, elem):
-        return self.slot_coordinates(elem.nums, elem.den)
-
     def slot_coordinates(self, nums, den=1):
-        """gamma_inv of the ring element whose coefficients are nums / den."""
+        """The preimage under gamma of the ring element whose coefficients are
+        nums / den."""
         _, _, H, h = self._maps
         return BlockElement.from_ints(apply_columns(H, nums), h * den)

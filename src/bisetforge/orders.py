@@ -33,9 +33,6 @@ __all__ = [
     "X1",
     "X2",
     "X3",
-    "conjugator",
-    "conjugator_inverse",
-    "delta",
     "delta_ints",
     "delta_images",
     "representation_matrix",
@@ -91,14 +88,6 @@ def _conjugators():
     return x, x.inverse()
 
 
-def conjugator():
-    return _conjugators()[0]
-
-
-def conjugator_inverse():
-    return _conjugators()[1]
-
-
 # Per PeirceBasis: the 22 images and their sparse columns over one denominator.
 _IMAGES = weakref.WeakKeyDictionary()
 
@@ -120,16 +109,9 @@ def _delta_columns(imgs):
     return imgs, sparse_columns(transpose(cols)), den
 
 
-def delta(elem, peirce):
-    """Conjugated inverse-slot image of a ring element (any ring tag).
-
-    Linear in the coefficients: the sum of c_k * delta(basis class k).
-    """
-    return delta_ints(elem.nums, elem.den, peirce)
-
-
 def delta_ints(nums, den, peirce):
-    """delta of the ring element whose coefficients are nums / den."""
+    """delta of the ring element whose coefficients are nums / den: its
+    conjugated inverse-slot image, linear in the coefficients."""
     _, cols, dden = _delta_data(peirce)
     return BlockElement.from_ints(apply_columns(cols, nums), dden * den)
 
@@ -137,8 +119,8 @@ def delta_ints(nums, den, peirce):
 def delta_images(peirce):
     """delta of the 22 basis classes in BASIS_LABELS order, as BlockElements.
 
-    Each is conjugator_inverse() * gamma_inv(class) * conjugator(), computed
-    once per PeirceBasis.
+    Each is x^-1 * peirce.slot_coordinates(class) * x for the conjugator
+    x = X1 * X2 * X3, computed once per PeirceBasis.
     """
     return list(_delta_data(peirce)[0])
 

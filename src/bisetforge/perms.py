@@ -406,6 +406,13 @@ class PermGroup:
     def subgroup(self, generators):
         return PermGroup(self.degree, generators)
 
+    def _subgroup(self, idx):
+        """The subgroup on the sorted element indices idx, with the greedy
+        generators of all_subgroups()."""
+        els = self.elements
+        gens = [els[g] for g in self._table().minimal_gens(idx)]
+        return PermGroup(self.degree, gens, _elements=[els[i] for i in idx])
+
     def all_subgroups(self):
         """Every subgroup, each exactly once, sorted by (order, element list).
 
@@ -413,18 +420,8 @@ class PermGroup:
         order first, ties broken by element order, each skipped if the
         previous ones already generate it.
         """
-        t = self._table()
-        masks = [m for cls in t.subgroup_classes() for m in cls]
-        keyed = sorted((m.bit_count(), _bits(m)) for m in masks)
-        els = self.elements
-        return [
-            PermGroup(
-                self.degree,
-                [els[g] for g in t.minimal_gens(idx)],
-                _elements=[els[i] for i in idx],
-            )
-            for _, idx in keyed
-        ]
+        masks = [m for cls in self._table().subgroup_classes() for m in cls]
+        return [self._subgroup(idx) for _, idx in sorted((m.bit_count(), _bits(m)) for m in masks)]
 
     def are_conjugate(self, sub1, sub2):
         """(True, g) with g sub1 g^-1 == sub2, else (False, None).
@@ -446,22 +443,16 @@ class PermGroup:
         return False, None
 
     def conjugacy_classes_of_subgroups(self):
-        """Partition of all_subgroups() into conjugacy classes.
+        """The subgroups of all_subgroups() by conjugacy class.
 
-        Classes keep the order of their first (sorted-least) member, so the
-        output is deterministic.
+        Members are sorted as in all_subgroups() and classes by their least
+        member, so the output is deterministic.
         """
-        subs = self.all_subgroups()
-        t = self._table()
-        position, classes = {}, []
-        for sub in subs:
-            mask = t.mask_of(t.indices(sub.elements))
-            if mask not in position:
-                for m in t.orbit(mask):
-                    position[m] = len(classes)
-                classes.append([])
-            classes[position[mask]].append(sub)
-        return classes
+        classes = sorted(
+            sorted((m.bit_count(), _bits(m)) for m in cls)
+            for cls in self._table().subgroup_classes()
+        )
+        return [[self._subgroup(idx) for _, idx in cls] for cls in classes]
 
 
 def symmetric_group(n):

@@ -388,13 +388,6 @@ class CornerAlgebra:
         d = n * block.den
         return [Fraction(c, d) for c in coords]
 
-    def contains(self, block):
-        try:
-            self.express(block)
-        except SpanError:
-            return False
-        return True
-
 
 class Presentation:
     """Quiver with relations, plus the map of its generators into a corner."""

@@ -1,12 +1,15 @@
 """Verification stages covering the whole chain, from subgroup enumeration
 to the quiver presentations.
 
-Each stage returns {"stage", "status", "checks"} with one entry per named
-check; run() strings the requested stages together in dependency order.
-Checks recompute from independent routes wherever a second route exists,
-and a fixture mismatch only passes when errata.json documents it.  A check
-that needs the structure table is skipped, with that said in its detail,
-when the two routes that build the table disagree.
+Every check is a function check(fx, *args) -> (ok, detail) on a FixtureSet,
+listed once in the ordered table _CHECKS with its name, its stages and
+whether it needs the structure table.  A stage walks that table and returns
+{"stage", "status", "checks"} with one entry per check; run() strings the
+requested stages together in dependency order.  Checks recompute from
+independent routes wherever a second route exists, and a fixture mismatch
+only passes when errata.json documents it.  When table-dual-route finds that
+the two routes that build the structure table disagree, every check that
+needs the table is skipped, in every stage, with that said in its detail.
 """
 
 import itertools
@@ -79,31 +82,36 @@ STAGE_ORDER = ("peirce", "gamma", "lambda", "local2", "local3", "paths")
 _SEED = 20260816
 _ID3 = Perm((0, 1, 2))
 
-
-def _check(checks, name, ok, detail=""):
-    checks.append(
-        {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-    )
-    return bool(ok)
-
-
-def _skip(checks, *names):
-    detail = "skipped: the structure-table routes disagree"
-    checks.extend({"name": name, "status": "skip", "detail": detail} for name in names)
+# The corners of the presentation fixtures: name -> (ring, basis).
+_CORNERS = {
+    "q_corner": ("Q", CORNER_BASIS_Q),
+    "z2_corner": ("Z2", CORNER_BASIS_2),
+    "z3_corner": ("Z3", CORNER_BASIS_3),
+}
 
 
-def _certified_table():
-    """structure_table(), or None when its two routes disagree."""
-    try:
-        return structure_table()
-    except TableMismatch:
-        return None
+def _pairs(labels, bad):
+    """"(a, b)" for each cell (i, j) of the 22x22 scan with bad(i, j), row by row."""
+    return ["(%s, %s)" % (labels[i], labels[j]) for i in range(22) for j in range(22) if bad(i, j)]
+
+
+def _cells(cells, ok, fail, sep=", ", limit=6):
+    """(passed, detail): ok when no cell failed, else fail naming the first
+    limit failing cells."""
+    if not cells:
+        return True, ok
+    return False, fail % sep.join(cells[:limit])
+
+
+def _problems(problems, ok):
+    """(passed, detail): ok when there are no problems, else the first four."""
+    return _cells(problems, ok, "%s", "; ", 4)
 
 
 class FixtureSet:
-    """The fixtures of one directory for one run: peirce.json is read, the
-    Peirce basis built and its 484 products taken, at most once and only
-    when a stage needs them."""
+    """The fixtures of one directory for one run, and the values the checks
+    share: each file is read, and each value computed, at most once and only
+    when a check needs it."""
 
     def __init__(self, fixture_dir=None):
         self.fixture_dir = fixture_dir
@@ -123,15 +131,52 @@ class FixtureSet:
         rows, _ = self.peirce.int_vectors
         return [[multiply_vectors(x, y) for y in rows] for x in rows]
 
+    @cached_property
+    def route_diffs(self):
+        """The cells where the orbit and double-coset routes disagree, or the
+        message of structure_table() when it finds a disagreement they do not."""
+        ot, mt = oracle_table(), mackey_table()
+        diffs = _pairs(BASIS_LABELS, lambda i, j: ot[i][j] != mt[i][j])
+        try:
+            structure_table()
+        except TableMismatch as exc:
+            return diffs or [str(exc)]
+        return diffs
+
+    @cached_property
+    def table(self):
+        """The certified structure table, or None when the routes disagree."""
+        return None if self.route_diffs else structure_table()
+
+    @cached_property
+    def delta_images(self):
+        return delta_images(self.peirce)
+
+    @cached_property
+    def matrix(self):
+        """The transcribed representation matrix of delta_matrix.json."""
+        return load_fixture_matrix(self.fixture_dir)
+
+    @cached_property
+    def matrix_det(self):
+        return det_bareiss([list(r) for r in self.matrix])
+
+    @cached_property
+    def matrix_hermite(self):
+        return image_lattice(self.matrix)
+
+    @cached_property
+    def presentations(self):
+        """Each presentations/<name>.json, parsed against its corner's labels."""
+        return {
+            name: Presentation.from_fixture(name, self.fixture_dir, [k for k, _ in basis])
+            for name, (_, basis) in _CORNERS.items()
+        }
+
 
 def _fixture_set(fixture_dir):
     """fixture_dir as a FixtureSet: a stage takes a directory or a shared set."""
     return fixture_dir if isinstance(fixture_dir, FixtureSet) else FixtureSet(fixture_dir)
-
-
-def _stage(name, checks):
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return {"stage": name, "status": status, "checks": checks}
 
 
 def embed_pair(a, b):
@@ -189,91 +234,65 @@ def _errata_for(fixture_name, fx):
     return [e for e in entries if e.get("fixture") == fixture_name]
 
 
-def stage_peirce(fixture_dir=None):
-    fx = _fixture_set(fixture_dir)
-    checks = []
-
+def _subgroup_classes(fx):
     G = pair_group()
-    refs = labeled_subgroups()
-    classes, assignment = match_classes(G, refs)
+    classes, assignment = match_classes(G, labeled_subgroups())
     bij = sorted(a for a in assignment if a is not None) == list(range(22))
-    _check(
-        checks,
-        "subgroup-classes",
+    return (
         G.order == 36 and len(classes) == 22 and bij,
         "order %d group, %d conjugacy classes of subgroups, labels matched %s"
         % (G.order, len(classes), "bijectively" if bij else "INCOMPLETELY"),
     )
 
+
+def _biset_sizes(fx):
     sizes = biset_sizes()
-    size_ok = list(sizes) == [36 // refs[i].order for i in range(22)]
-    _check(
-        checks,
-        "biset-sizes",
+    size_ok = list(sizes) == [36 // ref.order for ref in labeled_subgroups()]
+    return (
         size_ok and sum(sizes) == 194,
         "point counts match 36/|H| for every class, total %d" % sum(sizes),
     )
 
-    ot = oracle_table()
-    mt = mackey_table()
-    diffs = [
-        "(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j])
-        for i in range(22)
-        for j in range(22)
-        if ot[i][j] != mt[i][j]
-    ]
-    try:
-        c = structure_table()
-    except TableMismatch as exc:
-        c, diffs = None, diffs or [str(exc)]
-    _check(
-        checks,
-        "table-dual-route",
-        not diffs,
-        "orbit enumeration and double-coset route agree on all 484 products"
-        if not diffs
-        else "routes disagree at %s" % ", ".join(diffs[:6]),
-    )
-    if diffs:
-        _skip(checks, "table-mass", "identity", "associativity", "idempotents")
-        _skip(checks, "peirce-products", "eps3-central")
-        return _stage("peirce", checks)
 
-    bisets_by_class = basis_bisets()
-    mass_bad = []
-    for i in range(22):
-        for j in range(22):
-            lhs = sum(c[i][j][k] * sizes[k] for k in range(22))
-            total = 0
-            for g in range(6):  # pair indices of (1, g) and (g, 1)
-                am = bisets_by_class[i].action[g]
-                an = bisets_by_class[j].action[6 * g]
-                fm = sum(1 for x, q in enumerate(am) if q == x)
-                fn = sum(1 for y, q in enumerate(an) if q == y)
-                total += fm * fn
-            if 6 * lhs != total:
-                mass_bad.append("(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j]))
-    _check(
-        checks,
-        "table-mass",
-        not mass_bad,
-        "every contracted point count matches the fixed-point average"
-        if not mass_bad
-        else "point count off at %s" % ", ".join(mass_bad[:6]),
+def _table_dual_route(fx):
+    return _cells(
+        fx.route_diffs,
+        "orbit enumeration and double-coset route agree on all 484 products",
+        "routes disagree at %s",
     )
 
+
+def _table_mass(fx):
+    c, sizes, bisets_by_class = fx.table, biset_sizes(), basis_bisets()
+
+    def off(i, j):
+        total = 0
+        for g in range(6):  # pair indices of (1, g) and (g, 1)
+            am = bisets_by_class[i].action[g]
+            an = bisets_by_class[j].action[6 * g]
+            fm = sum(1 for x, q in enumerate(am) if q == x)
+            fn = sum(1 for y, q in enumerate(an) if q == y)
+            total += fm * fn
+        return 6 * sum(c[i][j][k] * sizes[k] for k in range(22)) != total
+
+    return _cells(
+        _pairs(BASIS_LABELS, off),
+        "every contracted point count matches the fixed-point average",
+        "point count off at %s",
+    )
+
+
+def _identity(fx):
+    c, e = fx.table, IDENTITY_INDEX
     unit_rows = all(
-        list(c[IDENTITY_INDEX][j]) == [int(k == j) for k in range(22)]
-        and list(c[j][IDENTITY_INDEX]) == [int(k == j) for k in range(22)]
+        list(c[e][j]) == [int(k == j) for k in range(22)]
+        and list(c[j][e]) == [int(k == j) for k in range(22)]
         for j in range(22)
     )
-    _check(
-        checks,
-        "identity",
-        unit_rows,
-        "%s is a two-sided identity" % BASIS_LABELS[IDENTITY_INDEX],
-    )
+    return unit_rows, "%s is a two-sided identity" % BASIS_LABELS[e]
 
+
+def _associativity(fx):
     # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s
     T = structure_tensor()
     cols = [[T[k][s] for k in range(22)] for s in range(22)]
@@ -285,79 +304,60 @@ def stage_peirce(fixture_dir=None):
                 out[r] += a * b
         return out
 
-    assoc_bad = [
-        "(%d, %d)" % (i, j)
-        for i in range(22)
-        for j in range(22)
-        if any(combine(T[i], T[j][s]) != combine(cols[s], T[i][j]) for s in range(22))
-    ]
-    _check(
-        checks,
-        "associativity",
-        not assoc_bad,
-        "left regular representation is multiplicative, covering all 22^3 triples"
-        if not assoc_bad
-        else "fails at %s" % ", ".join(assoc_bad[:6]),
+    def fails(i, j):
+        return any(combine(T[i], T[j][s]) != combine(cols[s], T[i][j]) for s in range(22))
+
+    return _cells(
+        _pairs(range(22), fails),
+        "left regular representation is multiplicative, covering all 22^3 triples",
+        "fails at %s",
     )
 
-    pb = fx.peirce
-    idem = [pb.element_by_label(lab, "Q") for lab in IDEMPOTENT_LABELS]
-    one = BurnsideElement.one("Q")
-    idem_ok = all(e * e == e for e in idem)
-    orth_ok = all(
-        (idem[i] * idem[j]).is_zero()
-        for i in range(6)
-        for j in range(6)
-        if i != j
-    )
+
+def _idempotents(fx):
+    idem = [fx.peirce.element_by_label(lab, "Q") for lab in IDEMPOTENT_LABELS]
     total = BurnsideElement.zero("Q")
     for e in idem:
         total = total + e
-    _check(
-        checks,
-        "idempotents",
-        idem_ok and orth_ok and total == one,
+    return (
+        all(e * e == e for e in idem)
+        and all((idem[i] * idem[j]).is_zero() for i in range(6) for j in range(6) if i != j)
+        and total == BurnsideElement.one("Q"),
         "six orthogonal idempotents summing to the identity",
     )
 
+
+def _peirce_products(fx):
+    pb = fx.peirce
     # vectors[i] == rows[i] / d, so products are over d^2 and table entries over d
     _, d = pb.int_vectors
     products = fx.peirce_products
-    mism = []
-    for i in range(22):
-        for j in range(22):
-            want = pb.table_entry_ints(i, j)
-            if products[i][j] != [d * x for x in want]:
-                mism.append("(%s, %s)" % (PEIRCE_LABELS[i], PEIRCE_LABELS[j]))
-    if mism:
-        documented = _errata_for("peirce.json", fx)
-        _check(
-            checks,
-            "peirce-products",
-            False,
-            "recomputed product differs from the table at %s; %s"
-            % (
-                ", ".join(mism[:6]),
-                "documented erratum entries: %d" % len(documented)
-                if documented
-                else "no documented erratum covers this fixture",
-            ),
-        )
-    else:
-        _check(
-            checks,
-            "peirce-products",
-            True,
-            "all 484 products match the adapted-basis table",
-        )
 
-    eps3 = pb.element_by_label("eps3", "Q")
-    central = all(
-        eps3 * pb.element(i, "Q") == pb.element(i, "Q") * eps3 for i in range(22)
+    def differs(i, j):
+        return products[i][j] != [d * x for x in pb.table_entry_ints(i, j)]
+
+    ok, detail = _cells(
+        _pairs(PEIRCE_LABELS, differs),
+        "all 484 products match the adapted-basis table",
+        "recomputed product differs from the table at %s; ",
     )
-    _check(checks, "eps3-central", central, "eps3 commutes with the whole basis")
+    if not ok:
+        documented = _errata_for("peirce.json", fx)
+        detail += (
+            "documented erratum entries: %d" % len(documented)
+            if documented
+            else "no documented erratum covers this fixture"
+        )
+    return ok, detail
 
-    return _stage("peirce", checks)
+
+def _eps3_central(fx):
+    pb = fx.peirce
+    eps3 = pb.element_by_label("eps3", "Q")
+    return (
+        all(eps3 * pb.element(i, "Q") == pb.element(i, "Q") * eps3 for i in range(22)),
+        "eps3 commutes with the whole basis",
+    )
 
 
 def _random_block(rng, denominators=True):
@@ -372,45 +372,37 @@ def _over_lcm(fracs):
     return [num * (d // den) for num, den in fracs], d
 
 
-def stage_gamma(fixture_dir=None):
-    checks = []
-    pb = _fixture_set(fixture_dir).peirce
-
-    G, g = pb.int_gamma
+def _gamma_bijective(fx):
+    G, g = fx.peirce.int_gamma
     d = Fraction(det_bareiss(G), g ** len(G))
-    _check(
-        checks,
-        "gamma-bijective",
-        d != 0,
-        "change of basis determinant %s" % d,
+    return d != 0, "change of basis determinant %s" % d
+
+
+def _gamma_unit(fx):
+    one_ok = fx.peirce.gamma(BlockElement.identity()) == BurnsideElement.one("Q")
+    return one_ok, "identity block maps to the identity"
+
+
+def _gamma_multiplicative(fx):
+    # gamma(b) is G b.nums / (g b.den), so gamma(s_i s_j) == gamma(s_i) gamma(s_j)
+    # reads g G (s_i s_j).nums == (s_i s_j).den (G e_i)(G e_j)
+    pb = fx.peirce
+    _, g = pb.int_gamma
+    slots = slot_basis()
+    images = [pb.gamma_ints(b.nums)[0] for b in slots]
+
+    def fails(i, j):
+        prod = slots[i] * slots[j]
+        lhs = [g * x for x in pb.gamma_ints(prod.nums)[0]]
+        return lhs != [prod.den * x for x in multiply_vectors(images[i], images[j])]
+
+    return _cells(
+        _pairs(COORD_NAMES, fails), "multiplicative on all 484 slot pairs", "fails at %s"
     )
 
-    one_ok = pb.gamma(BlockElement.identity()) == BurnsideElement.one("Q")
-    _check(checks, "gamma-unit", one_ok, "identity block maps to the identity")
 
-    if _certified_table() is None:
-        _skip(checks, "gamma-multiplicative")
-    else:
-        # gamma(b) is G b.nums / (g b.den), so gamma(s_i s_j) == gamma(s_i) gamma(s_j)
-        # reads g G (s_i s_j).nums == (s_i s_j).den (G e_i)(G e_j)
-        slots = slot_basis()
-        images = [pb.gamma_ints(b.nums)[0] for b in slots]
-        bad = []
-        for i in range(22):
-            for j in range(22):
-                prod = slots[i] * slots[j]
-                lhs = [g * x for x in pb.gamma_ints(prod.nums)[0]]
-                if lhs != [prod.den * x for x in multiply_vectors(images[i], images[j])]:
-                    bad.append("(%s, %s)" % (COORD_NAMES[i], COORD_NAMES[j]))
-        _check(
-            checks,
-            "gamma-multiplicative",
-            not bad,
-            "multiplicative on all 484 slot pairs"
-            if not bad
-            else "fails at %s" % ", ".join(bad[:6]),
-        )
-
+def _gamma_roundtrip(fx):
+    pb = fx.peirce
     rng = random.Random(_SEED)
     trips = 0
     ok = True
@@ -426,14 +418,7 @@ def stage_gamma(fixture_dir=None):
             ok = False
             break
         trips += 2
-    _check(
-        checks,
-        "gamma-roundtrip",
-        ok,
-        "%d seeded round trips through both directions" % trips,
-    )
-
-    return _stage("gamma", checks)
+    return ok, "%d seeded round trips through both directions" % trips
 
 
 def _support_components():
@@ -511,50 +496,35 @@ def _residue_disagreement(comp):
     return None
 
 
-def stage_lambda(fixture_dir=None):
-    fx = _fixture_set(fixture_dir)
-    checks = []
-    pb = fx.peirce
-    imgs = delta_images(pb)
-
-    _check(
-        checks,
-        "delta-integral",
-        all(b.is_integral() for b in imgs),
+def _delta_integral(fx):
+    return (
+        all(b.is_integral() for b in fx.delta_images),
         "all 22 images have integer coordinates",
     )
 
-    c = _certified_table()
-    if c is None:
-        _skip(checks, "delta-ring-map")
-    else:
-        unit_ok = imgs[IDENTITY_INDEX] == BlockElement.identity()
-        mult_bad = []
-        for i in range(22):
-            for j in range(22):
-                if imgs[i] * imgs[j] != delta_ints(c[i][j], 1, pb):
-                    mult_bad.append("(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j]))
-        _check(
-            checks,
-            "delta-ring-map",
-            unit_ok and not mult_bad,
-            "delta carries the identity to the identity and respects all 484 products"
-            if unit_ok and not mult_bad
-            else "fails at %s" % ", ".join(mult_bad[:6] or ["the identity"]),
-        )
 
-    M_re = representation_matrix(pb)
-    M_fx = load_fixture_matrix(fx.fixture_dir)
-    diffs = matrix_diff(M_re, M_fx, COORD_NAMES, BASIS_LABELS)
-    _check(
-        checks,
-        "matrix-fixture",
-        not diffs,
-        "recomputed matrix matches the transcribed fixture in all 484 cells"
-        if not diffs
-        else "differs at %s" % "; ".join(diffs[:6]),
+def _delta_ring_map(fx):
+    c, pb, imgs = fx.table, fx.peirce, fx.delta_images
+    unit_ok = imgs[IDENTITY_INDEX] == BlockElement.identity()
+    bad = _pairs(BASIS_LABELS, lambda i, j: imgs[i] * imgs[j] != delta_ints(c[i][j], 1, pb))
+    return _cells(
+        bad or ([] if unit_ok else ["the identity"]),
+        "delta carries the identity to the identity and respects all 484 products",
+        "fails at %s",
     )
 
+
+def _matrix_fixture(fx):
+    diffs = matrix_diff(representation_matrix(fx.peirce), fx.matrix, COORD_NAMES, BASIS_LABELS)
+    return _cells(
+        diffs,
+        "recomputed matrix matches the transcribed fixture in all 484 cells",
+        "differs at %s",
+        "; ",
+    )
+
+
+def _stated_column_listing(fx):
     erratum = [
         e
         for e in _errata_for("delta_matrix.json", fx)
@@ -562,9 +532,7 @@ def stage_lambda(fixture_dir=None):
     ]
     stated_swapped = tuple(swap_label(l) for l in HT_LABELS) == BASIS_LABELS
     listing_diverges = HT_LABELS != BASIS_LABELS
-    _check(
-        checks,
-        "stated-column-listing",
+    return (
         bool(erratum) and stated_swapped and listing_diverges,
         "stated listing is the factor swap of the actual column order and "
         "errata.json documents it"
@@ -572,138 +540,134 @@ def stage_lambda(fixture_dir=None):
         else "stated column listing diverges without a documented erratum",
     )
 
-    _check(
-        checks,
-        "columns-satisfy-congruences",
+
+def _columns_satisfy_congruences(fx):
+    M = fx.matrix
+    return (
         all(
-            lambda_membership(BlockElement.from_vector([M_fx[r][j] for r in range(22)]))
+            lambda_membership(BlockElement.from_vector([M[r][j] for r in range(22)]))
             for j in range(22)
         ),
         "every column passes all listed congruence conditions",
     )
 
+
+def _congruences_match_mod24_rows(fx):
     comps = _support_components()
     free = [n for n in COORD_NAMES if all(n not in comp for comp in comps)]
-    worst = None
     for comp in comps:
         worst = _residue_disagreement(comp)
         if worst is not None:
-            break
-    _check(
-        checks,
-        "congruences-match-mod24-rows",
-        worst is None,
-        "exhaustive residue check over components %s; unconstrained slots %s"
-        % (["+".join(comp) for comp in comps], ",".join(free))
-        if worst is None
-        else "predicates disagree on %s at residues %s" % (",".join(comp), worst),
+            return False, "predicates disagree on %s at residues %s" % (",".join(comp), worst)
+    return True, "exhaustive residue check over components %s; unconstrained slots %s" % (
+        ["+".join(comp) for comp in comps],
+        ",".join(free),
     )
 
-    detM = det_bareiss([list(r) for r in M_fx])
-    _check(
-        checks,
-        "full-rank",
-        detM != 0,
-        "det = %d = -(2^17)(3^4)" % detM if detM == -10616832 else "det = %s" % detM,
+
+def _full_rank(fx):
+    det = fx.matrix_det
+    return det != 0, "det = %d = -(2^17)(3^4)" % det if det == -10616832 else "det = %s" % det
+
+
+def _inverse_24_integral(fx):
+    if not fx.matrix_det:
+        return False, "the matrix has no inverse"
+    inv, d = int_inverse(fx.matrix)
+    return (
+        all(24 * x % d == 0 for row in inv for x in row),
+        "24 times the inverse matrix is integral",
     )
 
-    Minv, dinv = int_inverse(M_fx) if detM else ([], 1)
-    _check(
-        checks,
-        "24-inverse-integral",
-        detM != 0 and all(24 * x % dinv == 0 for row in Minv for x in row),
-        "24 times the inverse matrix is integral" if detM else "the matrix has no inverse",
-    )
 
-    H_img = image_lattice(M_fx)
-    H_cong = congruence_solution_lattice()
-    _check(
-        checks,
-        "lattice-equality",
-        H_img == H_cong,
+def _lattice_equality(fx):
+    return (
+        fx.matrix_hermite == congruence_solution_lattice(),
         "column lattice and congruence solution lattice share one Hermite form",
     )
 
+
+def _index_matches_determinant(fx):
+    H = fx.matrix_hermite
     # a rank-deficient column lattice has infinite index, written 0
-    index_h = math.prod(H_img[i][i] for i in range(22)) if len(H_img) == 22 else 0
-    divs = [d for d in elementary_divisors([list(r) for r in M_fx]) if d]
-    index_s = 1
-    for d in divs:
-        index_s *= d
-    _check(
-        checks,
-        "index-matches-determinant",
-        index_h == abs(detM) == index_s == 10616832,
+    index_h = math.prod(H[i][i] for i in range(22)) if len(H) == 22 else 0
+    index_s = math.prod(d for d in elementary_divisors([list(r) for r in fx.matrix]) if d)
+    return (
+        index_h == abs(fx.matrix_det) == index_s == 10616832,
         "lattice index %d agrees with |det| and the Smith form" % index_h,
     )
 
-    closed_bad = []
-    for i in range(22):
-        for j in range(22):
-            if not lambda_membership(imgs[i] * imgs[j]):
-                closed_bad.append("(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j]))
-    _check(
-        checks,
-        "lambda-closed",
-        not closed_bad and lambda_membership(BlockElement.identity()),
-        "the congruence lattice contains 1 and is closed under all 484 products"
-        if not closed_bad
-        else "product escapes at %s" % ", ".join(closed_bad[:6]),
+
+def _lambda_closed(fx):
+    imgs = fx.delta_images
+    ok, detail = _cells(
+        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership(imgs[i] * imgs[j])),
+        "the congruence lattice contains 1 and is closed under all 484 products",
+        "product escapes at %s",
+    )
+    return ok and lambda_membership(BlockElement.identity()), detail
+
+
+def _membership_splits(fx):
+    rng = random.Random(_SEED + 2)
+    samples = list(fx.delta_images)
+    samples += [_random_block(rng, denominators=False) for _ in range(1000)]
+    for b in samples:
+        if lambda_membership(b) != (localized_membership(b, 2) and localized_membership(b, 3)):
+            return False, "split fails on %s" % [str(x) for x in b.to_vector()]
+    # each witness lies in the order at its prime p and not at the other one, 5 - p
+    for coords, p in (
+        ({"z2": 4, "z3": 4, "w": 2}, 2),
+        ({"z2": 3}, 3),
+        ({"s11": Fraction(1, 3)}, 2),
+    ):
+        b = BlockElement.from_coords(coords)
+        if not localized_membership(b, p) or localized_membership(b, 5 - p):
+            witness = "{%s}" % ", ".join("%s: %s" % kv for kv in coords.items())
+            detail = "one-sided witness %s should lie in the order at %d but not at %d"
+            return False, detail % (witness, p, 5 - p)
+    return (
+        True,
+        "global membership equals the conjunction at 2 and 3 on %d samples, "
+        "with one-sided witnesses in both directions" % len(samples),
     )
 
-    return _stage("lambda", checks)
 
-
-_LOCAL_DETAILS = {
-    2: (
-        "five orthogonal idempotents in the order summing to 1",
-        "e1..e4 cut rank-one corners",
-    ),
-    3: (
-        "six orthogonal idempotents in the order summing to 1",
-        "e1..e5 cut rank-one corners at 3",
-    ),
-}
-
-
-def _local_idempotent_checks(checks, p, imgs):
-    """The checks both local stages open with; returns the idempotents.
-
-    The idempotents of the order at p are orthogonal and sum to 1, all but
-    the last cut rank-one corners, and matrix units inside the order link e1
-    and e2 to e3 (the Morita reduction to the basic corner).
-    """
+def _idempotents_local(fx, p):
     es = local_idempotents(p)
     n = len(es)
     total = BlockElement.zero()
     for e in es:
         total = total + e
-    _check(
-        checks,
-        "idempotents-local%d" % p,
+    return (
         all(e * e == e for e in es)
         and all((es[i] * es[j]).is_zero() for i in range(n) for j in range(n) if i != j)
         and total == BlockElement.identity()
         and all(localized_membership(e, p) for e in es),
-        _LOCAL_DETAILS[p][0],
+        "%s orthogonal idempotents in the order summing to 1" % ("five" if p == 2 else "six"),
     )
 
-    rank1 = []
-    for k, f in enumerate(es[: n - 1]):
-        rank1.extend(corner_span_problems(p, (("e%d" % (k + 1), f),), imgs, (f,)))
-    _check(
-        checks,
-        "matrix-part-corners",
-        not rank1,
-        _LOCAL_DETAILS[p][1] if not rank1 else "; ".join(rank1[:4]),
+
+def _matrix_part_corners(fx, p):
+    """All idempotents of the order at p but the last cut rank-one corners."""
+    es = local_idempotents(p)
+    problems = []
+    for k, f in enumerate(es[:-1]):
+        problems += corner_span_problems(p, (("e%d" % (k + 1), f),), fx.delta_images, (f,))
+    return _problems(
+        problems,
+        "e1..e4 cut rank-one corners" if p == 2 else "e1..e5 cut rank-one corners at 3",
     )
 
+
+def _morita_witnesses(fx, p):
+    """Matrix units inside the order at p link e1 and e2 to e3: the Morita
+    reduction to the basic corner."""
+    es = local_idempotents(p)
     E13, E31, E23, E32 = (
         BlockElement.from_coords({name: 1}) for name in ("s13", "s31", "s23", "s32")
     )
-    _check(
-        checks,
-        "morita-witnesses",
+    return (
         E13 * E31 == es[0]
         and E31 * E13 == es[2]
         and E23 * E32 == es[1]
@@ -711,61 +675,18 @@ def _local_idempotent_checks(checks, p, imgs):
         and all(localized_membership(x, p) for x in (E13, E31, E23, E32)),
         "matrix units inside the order link e1 and e2 to e3",
     )
-    return es
 
 
-def stage_local2(fixture_dir=None):
-    checks = []
-    imgs = delta_images(_fixture_set(fixture_dir).peirce)
-
-    rng = random.Random(_SEED + 2)
-    split_ok = True
-    witness = ""
-    samples = list(imgs)
-    for _ in range(1000):
-        samples.append(_random_block(rng, denominators=False))
-    for b in samples:
-        glob = lambda_membership(b)
-        loc = localized_membership(b, 2) and localized_membership(b, 3)
-        if glob != loc:
-            split_ok = False
-            witness = str([str(x) for x in b.to_vector()])
-            break
-    w2 = BlockElement.from_coords({"z2": 4, "z3": 4, "w": 2})
-    w3 = BlockElement.from_coords({"z2": 3})
-    wq = BlockElement.from_coords({"s11": Fraction(1, 3)})
-    directional = (
-        localized_membership(w2, 2)
-        and not localized_membership(w2, 3)
-        and localized_membership(w3, 3)
-        and not localized_membership(w3, 2)
-        and localized_membership(wq, 2)
-        and not localized_membership(wq, 3)
+def _gamma_corner_span(fx):
+    problems = corner_span_problems(
+        2, GAMMA_CORNER_BASIS_2, fx.delta_images, (local_idempotents(2)[4],)
     )
-    _check(
-        checks,
-        "membership-splits",
-        split_ok and directional,
-        "global membership equals the conjunction at 2 and 3 on %d samples, "
-        "with one-sided witnesses in both directions" % len(samples)
-        if split_ok
-        else "split fails on %s" % witness,
-    )
+    return _problems(problems, "b1..b4 span the e5 corner at 2")
 
-    es = _local_idempotent_checks(checks, 2, imgs)
 
-    gprobs = corner_span_problems(
-        2, GAMMA_CORNER_BASIS_2, imgs, (es[4],)
-    )
-    _check(
-        checks,
-        "gamma-corner-span",
-        not gprobs,
-        "b1..b4 span the e5 corner at 2" if not gprobs else "; ".join(gprobs[:4]),
-    )
-
-    b = {name: elem for name, elem in GAMMA_CORNER_BASIS_2}
-    table_ok = (
+def _gamma_corner_table(fx):
+    b = dict(GAMMA_CORNER_BASIS_2)
+    return (
         all(b["b1"] * b[k] == b[k] and b[k] * b["b1"] == b[k] for k in b)
         and b["b2"] * b["b2"] == b["b2"].scale(2) + b["b3"]
         and b["b2"] * b["b3"] == b["b3"].scale(2)
@@ -775,32 +696,31 @@ def stage_local2(fixture_dir=None):
         and (b["b3"] * b["b3"]).is_zero()
         and (b["b3"] * b["b4"]).is_zero()
         and (b["b4"] * b["b3"]).is_zero()
-        and (b["b4"] * b["b4"]).is_zero()
-    )
-    _check(
-        checks,
-        "gamma-corner-table",
-        table_ok,
+        and (b["b4"] * b["b4"]).is_zero(),
         "b1 is the corner unit; b2^2 = 2b2 + b3, b2b3 = 2b3, b2b4 = 2b4, "
         "and b3, b4 multiply to zero",
     )
 
+
+def _radical_2():
+    """The corner basis b1..b4 at 2 by name, the generators 2b1, b2, b3, b4
+    of its radical J, and J as a local lattice."""
+    b = dict(GAMMA_CORNER_BASIS_2)
     jgens = [b["b1"].scale(2), b["b2"], b["b3"], b["b4"]]
-    J = LocalLattice([g.int_vector() for g in jgens], 2)
-    ideal_ok = all(
-        J.contains(x.nums, x.den)
-        for g in jgens
-        for bb in b.values()
-        for x in (g * bb, bb * g)
-    )
-    unit_out = not J.contains(b["b1"].nums, b["b1"].den)
-    _check(
-        checks,
-        "radical-ideal",
-        ideal_ok and unit_out,
+    return b, jgens, LocalLattice([g.int_vector() for g in jgens], 2)
+
+
+def _radical_ideal(fx):
+    b, jgens, J = _radical_2()
+    return (
+        all(J.contains(x.nums, x.den) for g in jgens for bb in b.values() for x in (g * bb, bb * g))
+        and not J.contains(b["b1"].nums, b["b1"].den),
         "J = (2b1, b2, b3, b4) is a proper two-sided ideal",
     )
 
+
+def _radical_cube(fx):
+    b, jgens, _ = _radical_2()
     cube = [(x1 * x2 * x3).int_vector() for x1 in jgens for x2 in jgens for x3 in jgens]
     claimed = [
         g.int_vector()
@@ -808,133 +728,91 @@ def stage_local2(fixture_dir=None):
     ]
     twice = [g.scale(2).int_vector() for g in b.values()]
     cube_lat, claimed_lat, twice_lat = (LocalLattice(g, 2) for g in (cube, claimed, twice))
-    cube_ok = (
+    return (
         all(claimed_lat.contains(v) for v in cube)
         and all(cube_lat.contains(v) for v in claimed)
-        and all(twice_lat.contains(v) for v in cube)
-    )
-    _check(
-        checks,
-        "radical-cube",
-        cube_ok,
+        and all(twice_lat.contains(v) for v in cube),
         "J^3 = (8b1, 4b2, 2b3, 4b4) and lands inside twice the corner",
     )
 
+
+def _residue_field(fx):
     # Coordinates of the J generators over b1..b4 are diag(2,1,1,1) by
     # construction, so the quotient has order 2; with 1 outside J it is a field.
-    _check(
-        checks,
-        "residue-field",
-        unit_out,
+    b, _, J = _radical_2()
+    return (
+        not J.contains(b["b1"].nums, b["b1"].den),
         "corner modulo J is the field with two elements",
     )
 
-    cprobs = corner_span_problems(2, CORNER_BASIS_2, imgs, (es[2], es[3], es[4]))
-    _check(
-        checks,
-        "basic-corner-span",
-        not cprobs,
-        "the ten claimed elements are a local basis of the basic corner at 2"
-        if not cprobs
-        else "; ".join(cprobs[:4]),
+
+def _basic_corner_span(fx, p):
+    basis = CORNER_BASIS_2 if p == 2 else CORNER_BASIS_3
+    problems = corner_span_problems(p, basis, fx.delta_images, local_idempotents(p)[2:])
+    return _problems(
+        problems, "the ten claimed elements are a local basis of the basic corner at %d" % p
     )
 
-    t = {name: elem for name, elem in CORNER_BASIS_2}
-    e3, e4, e5 = t["e3"], t["e4"], t["e5"]
-    supports = (
-        e5 * t["tau1"] * e3 == t["tau1"]
-        and e3 * t["tau2"] * e5 == t["tau2"]
-        and e5 * t["tau3"] * e4 == t["tau3"]
-        and e4 * t["tau4"] * e5 == t["tau4"]
-        and all(e5 * t[k] * e5 == t[k] for k in ("tau5", "tau6", "tau7"))
+
+def _corner_identities(fx, p):
+    """tau1..tau4 run between e3, e4 and the loop vertex v (e5 at 2, e6 at
+    3), the loops tau5.. sit at v, and the products of the corner hold."""
+    t = dict(CORNER_BASIS_2 if p == 2 else CORNER_BASIS_3)
+    v, e3, e4 = t["e5" if p == 2 else "e6"], t["e3"], t["e4"]
+    t1, t2, t3, t4, t5, t6 = (t["tau%d" % k] for k in range(1, 7))
+    loops = (t5, t6, t["tau7"]) if p == 2 else (t5, t6)
+    holds = (
+        v * t1 * e3 == t1
+        and e3 * t2 * v == t2
+        and v * t3 * e4 == t3
+        and e4 * t4 * v == t4
+        and all(v * x * v == x for x in loops)
+        and t1 * t2 == t5
+        and t3 * t4 + t1.scale(6 if p == 2 else 4) * t2 == t6
+        and all((x * y).is_zero() for y in (t1, t3) for x in (t2, t4))
     )
-    rels = (
-        t["tau1"] * t["tau2"] == t["tau5"]
-        and t["tau3"] * t["tau4"] + t["tau1"].scale(6) * t["tau2"] == t["tau6"]
-        and t["tau7"] * t["tau7"] == t["tau7"].scale(2) + t["tau1"] * t["tau2"]
-        and t["tau2"] * t["tau7"] == t["tau2"].scale(2)
-        and t["tau4"] * t["tau7"] == t["tau4"].scale(2)
-        and t["tau7"] * t["tau1"] == t["tau1"].scale(2)
-        and t["tau7"] * t["tau3"] == t["tau3"].scale(2)
-        and (t["tau2"] * t["tau1"]).is_zero()
-        and (t["tau4"] * t["tau1"]).is_zero()
-        and (t["tau2"] * t["tau3"]).is_zero()
-        and (t["tau4"] * t["tau3"]).is_zero()
-    )
-    _check(
-        checks,
-        "corner-identities",
-        supports and rels,
+    if p == 3:
+        return (
+            holds and all((x * y).is_zero() for x in loops for y in loops),
+            "arrow supports and the products tau5 = tau1 tau2, "
+            "tau6 = tau3 tau4 + 4 tau1 tau2 hold, with square-zero loops",
+        )
+    t7 = t["tau7"]
+    return (
+        holds
+        and t7 * t7 == t7.scale(2) + t1 * t2
+        and all(x * t7 == x.scale(2) for x in (t2, t4))
+        and all(t7 * x == x.scale(2) for x in (t1, t3)),
         "arrow supports and the products tau5 = tau1 tau2, "
         "tau6 = tau3 tau4 + 6 tau1 tau2, tau7^2 = 2 tau7 + tau1 tau2 all hold",
     )
 
-    return _stage("local2", checks)
 
-
-def stage_local3(fixture_dir=None):
-    checks = []
-    imgs = delta_images(_fixture_set(fixture_dir).peirce)
-
-    es = _local_idempotent_checks(checks, 3, imgs)
-
-    cprobs = corner_span_problems(3, CORNER_BASIS_3, imgs, (es[2], es[3], es[4], es[5]))
-    _check(
-        checks,
-        "basic-corner-span",
-        not cprobs,
-        "the ten claimed elements are a local basis of the basic corner at 3"
-        if not cprobs
-        else "; ".join(cprobs[:4]),
+def _loop_corner_span(fx):
+    t = dict(CORNER_BASIS_3)
+    problems = corner_span_problems(
+        3,
+        (("e6", t["e6"]), ("eta", t["tau5"]), ("xi", t["tau6"])),
+        fx.delta_images,
+        (local_idempotents(3)[5],),
     )
+    return _problems(problems, "the e6 corner at 3 is spanned by 1, eta, xi")
 
-    t = {name: elem for name, elem in CORNER_BASIS_3}
-    e3, e4, e6 = t["e3"], t["e4"], t["e6"]
-    supports = (
-        e6 * t["tau1"] * e3 == t["tau1"]
-        and e3 * t["tau2"] * e6 == t["tau2"]
-        and e6 * t["tau3"] * e4 == t["tau3"]
-        and e4 * t["tau4"] * e6 == t["tau4"]
-        and all(e6 * t[k] * e6 == t[k] for k in ("tau5", "tau6"))
-    )
-    rels = (
-        t["tau1"] * t["tau2"] == t["tau5"]
-        and t["tau3"] * t["tau4"] + t["tau1"].scale(4) * t["tau2"] == t["tau6"]
-        and (t["tau2"] * t["tau1"]).is_zero()
-        and (t["tau4"] * t["tau1"]).is_zero()
-        and (t["tau2"] * t["tau3"]).is_zero()
-        and (t["tau4"] * t["tau3"]).is_zero()
-        and (t["tau5"] * t["tau5"]).is_zero()
-        and (t["tau5"] * t["tau6"]).is_zero()
-        and (t["tau6"] * t["tau5"]).is_zero()
-        and (t["tau6"] * t["tau6"]).is_zero()
-    )
-    _check(
-        checks,
-        "corner-identities",
-        supports and rels,
-        "arrow supports and the products tau5 = tau1 tau2, "
-        "tau6 = tau3 tau4 + 4 tau1 tau2 hold, with square-zero loops",
-    )
 
-    eprobs = corner_span_problems(
-        3, (("e6", t["e6"]), ("eta", t["tau5"]), ("xi", t["tau6"])), imgs, (es[5],)
-    )
-    _check(
-        checks,
-        "loop-corner-span",
-        not eprobs,
-        "the e6 corner at 3 is spanned by 1, eta, xi"
-        if not eprobs
-        else "; ".join(eprobs[:4]),
-    )
-
-    loop = [x.int_vector() for x in (e6, t["tau5"], t["tau6"])]
+def _loop_combo():
+    """combo(a, b, c, den) = (a e6 + b tau5 + c tau6) / den, the element
+    (a + b eta + c xi) / den of the e6 corner at 3."""
+    t = dict(CORNER_BASIS_3)
+    loop = [t[k].int_vector() for k in ("e6", "tau5", "tau6")]
 
     def combo(a, b, c, den=1):
-        """(a e6 + b tau5 + c tau6) / den"""
         return BlockElement.from_ints([a * x + b * y + c * z for x, y, z in zip(*loop)], den)
 
+    return combo
+
+
+def _loop_corner_law(fx):
+    combo = _loop_combo()
     rng = random.Random(_SEED + 3)
     law_ok = True
     for _ in range(200):
@@ -945,44 +823,34 @@ def stage_local3(fixture_dir=None):
         if u1 * u2 != want or u1 * u2 != u2 * u1:
             law_ok = False
             break
-    _check(
-        checks,
-        "loop-corner-law",
+    return (
         law_ok,
         "products follow the commutative square-zero two-variable law "
         "on 200 seeded samples",
     )
 
+
+def _unit_criterion(fx):
     # a = 0 gives a square-zero non-unit; otherwise the closed-form inverse
     # is two-sided, and it lies in the order at 3 exactly when 3 does not divide a
-    bad = None
-    for a, bb, cc in itertools.product(range(-4, 5), repeat=3):
-        u = combo(a, bb, cc)
+    combo, e6 = _loop_combo(), dict(CORNER_BASIS_3)["e6"]
+    for a, b, c in itertools.product(range(-4, 5), repeat=3):
+        u = combo(a, b, c)
         if a == 0:
             ok = (u * u).is_zero()
         else:
-            inv = combo(a, -bb, -cc, a * a)
+            inv = combo(a, -b, -c, a * a)
             ok = u * inv == e6 == inv * u and localized_membership(inv, 3) == (a % 3 != 0)
         if not ok:
-            bad = "(a, b, c) = (%d, %d, %d)" % (a, bb, cc)
-            break
-    _check(
-        checks,
-        "unit-criterion",
-        bad is None,
+            return False, "criterion fails at (a, b, c) = (%d, %d, %d)" % (a, b, c)
+    return (
+        True,
         "a + b eta + c xi is a unit exactly when 3 does not divide a, "
-        "with the closed-form inverse, on all 729 small triples"
-        if bad is None
-        else "criterion fails at %s" % bad,
+        "with the closed-form inverse, on all 729 small triples",
     )
 
-    return _stage("local3", checks)
 
-
-def stage_paths(fixture_dir=None):
-    fixture_dir = _fixture_set(fixture_dir).fixture_dir
-    checks = []
-
+def _rational_corner_table(fx):
     corner_q = CornerAlgebra("Q", CORNER_BASIS_Q)
     aq = corner_q.by_label
     table_ok = (
@@ -995,67 +863,153 @@ def stage_paths(fixture_dir=None):
     unit_ok = corner_q.unit() == sum(
         (aq[n] for n in CORNER_IDEMPOTENTS_Q), BlockElement.zero()
     )
-    _check(
-        checks,
-        "rational-corner-table",
+    return (
         table_ok and unit_ok,
         "the two long compositions give the loop pair and the reversed "
         "compositions vanish",
     )
 
-    plans = (
-        ("q_corner", "Q", CORNER_BASIS_Q, None),
-        ("z2_corner", "Z2", CORNER_BASIS_2, 2),
-        ("z3_corner", "Z3", CORNER_BASIS_3, 3),
-    )
-    for name, ring, basis, p in plans:
-        corner = CornerAlgebra(ring, basis)
-        pres = Presentation.from_fixture(name, fixture_dir, corner.labels)
-        probs = verify_presentation(pres, corner)
-        nbasis = len(pres.basis_paths())
-        _check(
-            checks,
-            "presentation-%s" % name,
-            not probs and nbasis == 10,
-            "confluent with %d irreducible paths and a unit change of basis"
-            % nbasis
-            if not probs
-            else "; ".join(probs[:4]),
-        )
-        if p is None:
-            continue
-        reduced = pres.reduce_mod(p)
-        fcorner = CornerAlgebra("F%d" % p, basis)
-        fprobs = verify_presentation(reduced, fcorner)
-        fbasis = len(reduced.basis_paths())
-        fix_ok = (
-            pres.mod_p is not None
-            and pres.mod_p[0] == p
-            and same_element_sets(reduced.relations, pres.mod_p[1])
-        )
-        _check(
-            checks,
-            "presentation-%s-mod%d" % (name, p),
-            not fprobs and fbasis == 10 and fix_ok,
-            "reduction stays confluent with %d irreducible paths and matches "
-            "the recorded modular relations" % fbasis
-            if not fprobs and fix_ok
-            else "; ".join(fprobs[:4]) or "modular relations differ",
-        )
-        if p == 2:
-            expected = element_from_terms(
-                pres.quiver,
-                "F2",
-                [["1", "e5", ["t7", "t7"]], ["-1", "e5", ["t1", "t2"]]],
-            )
-            _check(
-                checks,
-                "loop-relation-mod2",
-                any(r == expected for r in reduced.relations),
-                "the loop squares to the long cycle once 2 vanishes",
-            )
 
-    return _stage("paths", checks)
+def _presentation(fx, name):
+    ring, basis = _CORNERS[name]
+    pres = fx.presentations[name]
+    problems = verify_presentation(pres, CornerAlgebra(ring, basis))
+    n = len(pres.basis_paths())
+    ok, detail = _problems(
+        problems,
+        "confluent with %d irreducible paths and a unit change of basis" % n,
+    )
+    return ok and n == 10, detail
+
+
+def _presentation_mod(fx, name, p):
+    pres = fx.presentations[name]
+    reduced = pres.reduce_mod(p)
+    problems = verify_presentation(reduced, CornerAlgebra("F%d" % p, _CORNERS[name][1]))
+    n = len(reduced.basis_paths())
+    recorded = (
+        pres.mod_p is not None
+        and pres.mod_p[0] == p
+        and same_element_sets(reduced.relations, pres.mod_p[1])
+    )
+    ok, detail = _problems(
+        problems or ([] if recorded else ["modular relations differ"]),
+        "reduction stays confluent with %d irreducible paths and matches "
+        "the recorded modular relations" % n,
+    )
+    return ok and n == 10, detail
+
+
+def _loop_relation_mod2(fx):
+    pres = fx.presentations["z2_corner"]
+    expected = element_from_terms(
+        pres.quiver, "F2", [["1", "e5", ["t7", "t7"]], ["-1", "e5", ["t1", "t2"]]]
+    )
+    return (
+        any(r == expected for r in pres.reduce_mod(2).relations),
+        "the loop squares to the long cycle once 2 vanishes",
+    )
+
+
+_PEIRCE, _GAMMA, _LAMBDA, _LOCAL2, _LOCAL3, _PATHS = ({stage: ()} for stage in STAGE_ORDER)
+_LOCAL = {"local2": (2,), "local3": (3,)}
+
+# Every check once, in report order: (name, {stage: args}, check, whether it
+# needs the structure table).  In each of its stages the check is run as
+# check(fx, *args), and a %d in the name takes the args.
+_CHECKS = (
+    ("subgroup-classes", _PEIRCE, _subgroup_classes, False),
+    ("biset-sizes", _PEIRCE, _biset_sizes, False),
+    ("table-dual-route", _PEIRCE, _table_dual_route, False),
+    ("table-mass", _PEIRCE, _table_mass, True),
+    ("identity", _PEIRCE, _identity, True),
+    ("associativity", _PEIRCE, _associativity, True),
+    ("idempotents", _PEIRCE, _idempotents, True),
+    ("peirce-products", _PEIRCE, _peirce_products, True),
+    ("eps3-central", _PEIRCE, _eps3_central, True),
+    ("gamma-bijective", _GAMMA, _gamma_bijective, False),
+    ("gamma-unit", _GAMMA, _gamma_unit, False),
+    ("gamma-multiplicative", _GAMMA, _gamma_multiplicative, True),
+    ("gamma-roundtrip", _GAMMA, _gamma_roundtrip, False),
+    ("delta-integral", _LAMBDA, _delta_integral, False),
+    ("delta-ring-map", _LAMBDA, _delta_ring_map, True),
+    ("matrix-fixture", _LAMBDA, _matrix_fixture, False),
+    ("stated-column-listing", _LAMBDA, _stated_column_listing, False),
+    ("columns-satisfy-congruences", _LAMBDA, _columns_satisfy_congruences, False),
+    ("congruences-match-mod24-rows", _LAMBDA, _congruences_match_mod24_rows, False),
+    ("full-rank", _LAMBDA, _full_rank, False),
+    ("24-inverse-integral", _LAMBDA, _inverse_24_integral, False),
+    ("lattice-equality", _LAMBDA, _lattice_equality, False),
+    ("index-matches-determinant", _LAMBDA, _index_matches_determinant, False),
+    ("lambda-closed", _LAMBDA, _lambda_closed, False),
+    ("membership-splits", _LOCAL2, _membership_splits, False),
+    ("idempotents-local%d", _LOCAL, _idempotents_local, False),
+    ("matrix-part-corners", _LOCAL, _matrix_part_corners, False),
+    ("morita-witnesses", _LOCAL, _morita_witnesses, False),
+    ("gamma-corner-span", _LOCAL2, _gamma_corner_span, False),
+    ("gamma-corner-table", _LOCAL2, _gamma_corner_table, False),
+    ("radical-ideal", _LOCAL2, _radical_ideal, False),
+    ("radical-cube", _LOCAL2, _radical_cube, False),
+    ("residue-field", _LOCAL2, _residue_field, False),
+    ("basic-corner-span", _LOCAL, _basic_corner_span, False),
+    ("corner-identities", _LOCAL, _corner_identities, False),
+    ("loop-corner-span", _LOCAL3, _loop_corner_span, False),
+    ("loop-corner-law", _LOCAL3, _loop_corner_law, False),
+    ("unit-criterion", _LOCAL3, _unit_criterion, False),
+    ("rational-corner-table", _PATHS, _rational_corner_table, False),
+    ("presentation-q_corner", {"paths": ("q_corner",)}, _presentation, False),
+    ("presentation-z2_corner", {"paths": ("z2_corner",)}, _presentation, False),
+    ("presentation-z2_corner-mod2", {"paths": ("z2_corner", 2)}, _presentation_mod, False),
+    ("loop-relation-mod2", _PATHS, _loop_relation_mod2, False),
+    ("presentation-z3_corner", {"paths": ("z3_corner",)}, _presentation, False),
+    ("presentation-z3_corner-mod3", {"paths": ("z3_corner", 3)}, _presentation_mod, False),
+)
+
+
+def _stage_checks(stage):
+    """(name, check, args, needs_table) for each check of stage, in order."""
+    for name, stages, check, needs_table in _CHECKS:
+        if stage in stages:
+            args = stages[stage]
+            yield (name % args if "%" in name else name), check, args, needs_table
+
+
+def _run_stage(stage, fixture_dir):
+    fx = _fixture_set(fixture_dir)
+    checks = []
+    for name, check, args, needs_table in _stage_checks(stage):
+        if needs_table and fx.table is None:
+            status, detail = "skip", "skipped: the structure-table routes disagree"
+        else:
+            ok, detail = check(fx, *args)
+            status = "pass" if ok else "fail"
+        checks.append({"name": name, "status": status, "detail": detail})
+    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
+    return {"stage": stage, "status": status, "checks": checks}
+
+
+def stage_peirce(fixture_dir=None):
+    return _run_stage("peirce", fixture_dir)
+
+
+def stage_gamma(fixture_dir=None):
+    return _run_stage("gamma", fixture_dir)
+
+
+def stage_lambda(fixture_dir=None):
+    return _run_stage("lambda", fixture_dir)
+
+
+def stage_local2(fixture_dir=None):
+    return _run_stage("local2", fixture_dir)
+
+
+def stage_local3(fixture_dir=None):
+    return _run_stage("local3", fixture_dir)
+
+
+def stage_paths(fixture_dir=None):
+    return _run_stage("paths", fixture_dir)
 
 
 _STAGE_FUNCS = {
@@ -1089,7 +1043,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
     pb = fx.peirce
     raw = fx.peirce_data
     # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
-    # gamma_inv; the integer vectors over d multiply to products over d^2.
+    # slot_coordinates; the integer vectors over d multiply to products over d^2.
     _, d = pb.int_vectors
     table = []
     for products in fx.peirce_products:

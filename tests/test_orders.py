@@ -11,11 +11,12 @@ from bisetforge.orders import (
     CONGRUENCES_3,
     HT_LABELS,
     MOD24_ROWS,
+    X1,
+    X2,
+    X3,
     congruence_solution_lattice,
-    conjugator,
-    conjugator_inverse,
-    delta,
     delta_images,
+    delta_ints,
     image_lattice,
     lambda_membership,
     load_fixture_matrix,
@@ -31,9 +32,19 @@ DIVISORS = [1] * 11 + [2] * 6 + [4] + [12] * 3 + [24]
 INDEX = 2 ** 17 * 3 ** 4
 
 
+def conjugator():
+    """Reference: the conjugator x = X1 X2 X3 and its inverse."""
+    x = X1 * X2 * X3
+    return x, x.inverse()
+
+
+def conjugated_slots(pb, elem, x, xi):
+    """Reference: x^-1 times the slot coordinates of elem times x."""
+    return xi * pb.slot_coordinates(elem.nums, elem.den) * x
+
+
 def test_conjugator_is_integral_unit():
-    x = conjugator()
-    y = conjugator_inverse()
+    x, y = conjugator()
     assert x.is_integral()
     assert x * y == BlockElement.identity()
     assert y * x == BlockElement.identity()
@@ -153,20 +164,21 @@ def test_local_idempotents():
 def test_delta_respects_a_product():
     pb = PeirceBasis.load()
     a = BurnsideElement.basis(0, "Q")
-    prod = delta(a, pb) * delta(a, pb)
-    assert prod == delta(a * a, pb)
+    prod = delta_ints(a.nums, a.den, pb) * delta_ints(a.nums, a.den, pb)
+    a2 = a * a
+    assert prod == delta_ints(a2.nums, a2.den, pb)
 
 
 def test_linear_delta_matches_the_conjugation_route():
     pb = PeirceBasis.load()
-    x, xi = conjugator(), conjugator_inverse()
+    x, xi = conjugator()
     rng = random.Random(20261018)
     for _ in range(25):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
         e = BurnsideElement("Q", coeffs)
-        assert delta(e, pb) == xi * pb.gamma_inv(e) * x
+        assert delta_ints(e.nums, e.den, pb) == conjugated_slots(pb, e, x, xi)
     for i, img in enumerate(delta_images(pb)):
-        assert img == xi * pb.gamma_inv(BurnsideElement.basis(i)) * x
+        assert img == conjugated_slots(pb, BurnsideElement.basis(i), x, xi)
 
 
 def test_linear_delta_with_mixed_image_denominators():
@@ -175,12 +187,12 @@ def test_linear_delta_with_mixed_image_denominators():
     pb = PeirceBasis.load()
     scaled = PeirceBasis([[(i % 4 + 1) * c for c in v] for i, v in enumerate(pb.vectors)], pb.table)
     assert len({img.den for img in delta_images(scaled)}) > 1
-    x, xi = conjugator(), conjugator_inverse()
+    x, xi = conjugator()
     rng = random.Random(20261019)
     for _ in range(10):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
         e = BurnsideElement("Q", coeffs)
-        assert delta(e, scaled) == xi * scaled.gamma_inv(e) * x
+        assert delta_ints(e.nums, e.den, scaled) == conjugated_slots(scaled, e, x, xi)
 
 
 def test_delta_images_follow_the_fixture_instance():

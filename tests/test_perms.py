@@ -158,7 +158,11 @@ def test_lattice_matches_naive_reference(G):
     assert [list(s.generators) for s in found] == [
         _ref_minimal_gens(G.degree, s) for s in subs
     ]
-    assert [[s.element_set for s in c] for c in G.conjugacy_classes_of_subgroups()] == classes
+    found_classes = G.conjugacy_classes_of_subgroups()
+    assert [[s.element_set for s in c] for c in found_classes] == classes
+    assert [[list(s.generators) for s in c] for c in found_classes] == [
+        [_ref_minimal_gens(G.degree, s) for s in c] for c in classes
+    ]
     for s1 in subs:
         for s2 in subs:
             if len(s1) == len(s2):

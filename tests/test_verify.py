@@ -383,3 +383,64 @@ def test_emit_reuses_the_checked_products_and_writes_the_recomputed_table(tmp_pa
     verify.emit_fixtures(str(out), fixture_dir=fx)
     assert len(products) == 484
     assert (out / "peirce.json").read_bytes() == (fixtures.DEFAULT_DIR / "peirce.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "coords, p, text",
+    [
+        ({"z2": 4, "z3": 4, "w": 2}, 2, "{z2: 4, z3: 4, w: 2}"),
+        ({"z2": 3}, 3, "{z2: 3}"),
+        ({"s11": Fraction(1, 3)}, 2, "{s11: 1/3}"),
+    ],
+)
+def test_a_one_sided_witness_in_both_orders_is_named(monkeypatch, coords, p, text):
+    witness = BlockElement.from_coords(coords)
+    member = verify.localized_membership
+    monkeypatch.setattr(
+        verify, "localized_membership", lambda b, q: (q != p and b == witness) or member(b, q)
+    )
+    rep = verify.stage_local2()
+    failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    assert failing == {
+        "membership-splits": "one-sided witness %s should lie in the order at %d but not at %d"
+        % (text, p, 5 - p)
+    }
+
+
+def test_a_route_disagreement_skips_the_table_checks_in_every_stage(monkeypatch):
+    table = [list(row) for row in bisets.mackey_table()]
+    table[1][2] = (table[1][2][0] + 1,) + table[1][2][1:]
+    monkeypatch.setattr(verify, "mackey_table", lambda: tuple(map(tuple, table)))
+    rep = verify.run()
+    status = {(s["stage"], c["name"]): c["status"] for s in rep["stages"] for c in s["checks"]}
+    assert rep["status"] == "fail"
+    assert [k for k, v in status.items() if v == "fail"] == [("peirce", "table-dual-route")]
+    peirce = ("table-mass", "identity", "associativity", "idempotents", "peirce-products")
+    assert [k for k, v in status.items() if v == "skip"] == [
+        *(("peirce", name) for name in peirce + ("eps3-central",)),
+        ("gamma", "gamma-multiplicative"),
+        ("lambda", "delta-ring-map"),
+    ]
+
+
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench/golden/verify_report.json"
+GOLDEN = {
+    (s["stage"], c["name"]): c
+    for s in json.loads(GOLDEN_REPORT.read_text())["stages"]
+    for c in s["checks"]
+}
+# (stage, name, check, args, needs_table) of every check, in report order
+REGISTERED = [(s, *entry) for s in verify.STAGE_ORDER for entry in verify._stage_checks(s)]
+
+
+def test_the_check_table_lists_the_golden_checks_in_report_order():
+    assert [(stage, name) for stage, name, *_ in REGISTERED] == list(GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "stage, name, check, args, needs_table", REGISTERED, ids=["%s/%s" % r[:2] for r in REGISTERED]
+)
+def test_each_check_alone_reproduces_its_golden_record(stage, name, check, args, needs_table):
+    ok, detail = check(verify.FixtureSet(), *args)
+    record = {"name": name, "status": "pass" if ok else "fail", "detail": detail}
+    assert record == GOLDEN[stage, name]
