@@ -703,15 +703,15 @@ def _gamma_corner_table(fx):
 
 
 def _radical_2():
-    """The corner basis b1..b4 at 2 by name, the generators 2b1, b2, b3, b4
-    of its radical J, and J as a local lattice."""
+    """The corner basis b1..b4 at 2 by name, and the generators 2b1, b2, b3,
+    b4 of its radical J."""
     b = dict(GAMMA_CORNER_BASIS_2)
-    jgens = [b["b1"].scale(2), b["b2"], b["b3"], b["b4"]]
-    return b, jgens, LocalLattice([g.int_vector() for g in jgens], 2)
+    return b, [b["b1"].scale(2), b["b2"], b["b3"], b["b4"]]
 
 
 def _radical_ideal(fx):
-    b, jgens, J = _radical_2()
+    b, jgens = _radical_2()
+    J = LocalLattice([g.int_vector() for g in jgens], 2)
     return (
         all(J.contains(x.nums, x.den) for g in jgens for bb in b.values() for x in (g * bb, bb * g))
         and not J.contains(b["b1"].nums, b["b1"].den),
@@ -720,7 +720,7 @@ def _radical_ideal(fx):
 
 
 def _radical_cube(fx):
-    b, jgens, _ = _radical_2()
+    b, jgens = _radical_2()
     cube = [(x1 * x2 * x3).int_vector() for x1 in jgens for x2 in jgens for x3 in jgens]
     claimed = [
         g.int_vector()
@@ -739,7 +739,8 @@ def _radical_cube(fx):
 def _residue_field(fx):
     # Coordinates of the J generators over b1..b4 are diag(2,1,1,1) by
     # construction, so the quotient has order 2; with 1 outside J it is a field.
-    b, _, J = _radical_2()
+    b, jgens = _radical_2()
+    J = LocalLattice([g.int_vector() for g in jgens], 2)
     return (
         not J.contains(b["b1"].nums, b["b1"].den),
         "corner modulo J is the field with two elements",
