@@ -84,8 +84,9 @@ def parse_group_spec(spec):
 
 def cmd_subgroups(args):
     group, display = parse_group_spec(args.group)
-    canonical = verify.pair_group()
-    if group.degree == 6 and group.element_set == canonical.element_set:
+    if display == "S3xS3" or (
+        (group.degree, group.order) == (6, 36) and group == verify.pair_group()
+    ):
         classes, assignment = verify.match_classes(group, verify.labeled_subgroups())
         labels = [
             BASIS_LABELS[a] if a is not None else None for a in assignment

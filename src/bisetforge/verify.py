@@ -115,6 +115,12 @@ class FixtureSet:
 
     def __init__(self, fixture_dir=None):
         self.fixture_dir = fixture_dir
+        self._reductions = {}
+
+    @cached_property
+    def references(self):
+        """The 22 labeled subgroups of S3xS3, closed once per run."""
+        return labeled_subgroups()
 
     @cached_property
     def peirce_data(self):
@@ -173,6 +179,12 @@ class FixtureSet:
             for name, (_, basis) in _CORNERS.items()
         }
 
+    def reduction(self, name, p):
+        """presentations[name] over F_p, reduced once per run."""
+        if (name, p) not in self._reductions:
+            self._reductions[name, p] = self.presentations[name].reduce_mod(p)
+        return self._reductions[name, p]
+
 
 def _fixture_set(fixture_dir):
     """fixture_dir as a FixtureSet: a stage takes a directory or a shared set."""
@@ -192,28 +204,21 @@ def pair_group():
 
 def labeled_subgroups():
     """The 22 classified subgroups embedded at degree 6, in basis order."""
-    out = []
-    for genpairs in SUBGROUP_GENERATORS:
-        out.append(PermGroup(6, [embed_pair(a, b) for a, b in genpairs]))
-    return out
+    return [PermGroup(6, [embed_pair(a, b) for a, b in gens]) for gens in SUBGROUP_GENERATORS]
 
 
 def match_classes(group, references):
-    """Map each conjugacy class of subgroups to the reference it meets.
-
-    Returns (classes, assignment) where assignment[i] is the reference index
-    conjugate to classes[i][0], or None if nothing matches.
-    """
+    """(classes, assignment): the conjugacy classes of subgroups of group and,
+    for each, the least index of a reference conjugate to its members, or None.
+    A class lists its whole conjugation orbit, so a reference is conjugate to
+    its members exactly when it is one of them."""
     classes = group.conjugacy_classes_of_subgroups()
-    assignment = []
-    for cls in classes:
-        hit = None
-        for ri, ref in enumerate(references):
-            ok, _ = group.are_conjugate(cls[0], ref)
-            if ok:
-                hit = ri
-                break
-        assignment.append(hit)
+    class_of = {h.element_set: ci for ci, cls in enumerate(classes) for h in cls}
+    assignment = [None] * len(classes)
+    for ri, ref in enumerate(references):
+        ci = class_of.get(ref.element_set)
+        if ci is not None and assignment[ci] is None:
+            assignment[ci] = ri
     return classes, assignment
 
 
@@ -236,7 +241,7 @@ def _errata_for(fixture_name, fx):
 
 def _subgroup_classes(fx):
     G = pair_group()
-    classes, assignment = match_classes(G, labeled_subgroups())
+    classes, assignment = match_classes(G, fx.references)
     bij = sorted(a for a in assignment if a is not None) == list(range(22))
     return (
         G.order == 36 and len(classes) == 22 and bij,
@@ -247,7 +252,7 @@ def _subgroup_classes(fx):
 
 def _biset_sizes(fx):
     sizes = biset_sizes()
-    size_ok = list(sizes) == [36 // ref.order for ref in labeled_subgroups()]
+    size_ok = list(sizes) == [36 // ref.order for ref in fx.references]
     return (
         size_ok and sum(sizes) == 194,
         "point counts match 36/|H| for every class, total %d" % sum(sizes),
@@ -543,12 +548,14 @@ def _stated_column_listing(fx):
 
 def _columns_satisfy_congruences(fx):
     M = fx.matrix
-    return (
-        all(
-            lambda_membership(BlockElement.from_vector([M[r][j] for r in range(22)]))
+    return _cells(
+        [
+            BASIS_LABELS[j]
             for j in range(22)
-        ),
+            if not lambda_membership(BlockElement.from_vector([M[r][j] for r in range(22)]))
+        ],
         "every column passes all listed congruence conditions",
+        "columns failing a listed congruence condition: %s",
     )
 
 
@@ -885,7 +892,7 @@ def _presentation(fx, name):
 
 def _presentation_mod(fx, name, p):
     pres = fx.presentations[name]
-    reduced = pres.reduce_mod(p)
+    reduced = fx.reduction(name, p)
     problems = verify_presentation(reduced, CornerAlgebra("F%d" % p, _CORNERS[name][1]))
     n = len(reduced.basis_paths())
     recorded = (
@@ -907,7 +914,7 @@ def _loop_relation_mod2(fx):
         pres.quiver, "F2", [["1", "e5", ["t7", "t7"]], ["-1", "e5", ["t1", "t2"]]]
     )
     return (
-        any(r == expected for r in pres.reduce_mod(2).relations),
+        any(r == expected for r in fx.reduction("z2_corner", 2).relations),
         "the loop squares to the long cycle once 2 vanishes",
     )
 
@@ -1079,15 +1086,14 @@ def emit_fixtures(out_dir, fixture_dir=None):
     )
 
     for name in fixtures.PRESENTATION_NAMES:
-        rawp = fixtures.load_presentation(name, fixture_dir)
-        out = dict(rawp)
-        pres = Presentation.from_dict(rawp, "presentations/%s.json" % name)
+        out = dict(fixtures.load_presentation(name, fixture_dir))
+        pres = fx.presentations[name]
         if pres.mod_p:
             p = pres.mod_p[0]
             out["mod_p"] = {
                 "p": p,
                 "relations": sorted(
-                    element_to_terms(r) for r in pres.reduce_mod(p).relations
+                    element_to_terms(r) for r in fx.reduction(name, p).relations
                 ),
             }
         written.append(

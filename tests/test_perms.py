@@ -67,15 +67,6 @@ def test_conjugacy_classes_deterministic():
     ]
 
 
-def test_are_conjugate_returns_witness():
-    G = symmetric_group(3)
-    h1 = G.subgroup([Perm.from_cycle_string("(1,2)", 3)])
-    h2 = G.subgroup([Perm.from_cycle_string("(2,3)", 3)])
-    ok, g = G.are_conjugate(h1, h2)
-    assert ok
-    assert frozenset(g * u * g.inverse() for u in h1.element_set) == h2.element_set
-
-
 def test_cyclic_group():
     C = cyclic_group(4)
     assert C.order == 4
@@ -163,8 +154,33 @@ def test_lattice_matches_naive_reference(G):
     assert [[list(s.generators) for s in c] for c in found_classes] == [
         [_ref_minimal_gens(G.degree, s) for s in c] for c in classes
     ]
-    for s1 in subs:
-        for s2 in subs:
-            if len(s1) == len(s2):
-                w = _ref_witness(G, s1, s2)
-                assert G.are_conjugate(s1, s2) == (w is not None, w)
+
+
+def _assert_tables_match_composition(G):
+    T = G._table()
+    els = G.elements
+    index = {p: i for i, p in enumerate(els)}
+    assert [list(row) for row in T.mul] == [[index[a * b] for b in els] for a in els]
+    assert T.inv == [index[a.inverse()] for a in els]
+    assert T.gens == [index[g] for g in G.generators]
+    assert list(T.conj) == list(dict.fromkeys(T.gens))
+    for g, row in T.conj.items():
+        x = els[g]
+        assert row == [index[x * y * x.inverse()] for y in els]
+    assert T.orders == [p.order() for p in els]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_tables_match_direct_composition(G):
+    _assert_tables_match_composition(G)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[], ["()", "(1,2,3,4)", "()"], ["()", "()"]],
+    ids=["trivial", "repeated-identity", "only-identity"],
+)
+def test_tables_of_degenerate_generator_lists(gens):
+    G = PermGroup(4, [Perm.from_cycle_string(c, 4) for c in gens])
+    _assert_tables_match_composition(G)

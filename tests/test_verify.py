@@ -12,6 +12,7 @@ from bisetforge import bisets, cli, fixtures, orders, verify
 from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator
+from bisetforge.perms import Perm, PermGroup, symmetric_group
 
 
 @pytest.fixture(scope="module")
@@ -444,3 +445,38 @@ def test_each_check_alone_reproduces_its_golden_record(stage, name, check, args,
     ok, detail = check(verify.FixtureSet(), *args)
     record = {"name": name, "status": "pass" if ok else "fail", "detail": detail}
     assert record == GOLDEN[stage, name]
+
+
+def test_a_column_outside_the_congruences_is_named(monkeypatch):
+    member = verify.lambda_membership
+    identity = BlockElement.identity()
+    monkeypatch.setattr(verify, "lambda_membership", lambda b: b != identity and member(b))
+    rep = verify.stage_lambda()
+    failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    assert failing["columns-satisfy-congruences"] == (
+        "columns failing a listed congruence condition: %s" % BASIS_LABELS[IDENTITY_INDEX]
+    )
+
+
+def test_match_classes_takes_the_least_conjugate_reference():
+    G = symmetric_group(3)
+    t12, t23 = (PermGroup(3, [Perm.from_cycle_string(c, 3)]) for c in ("(1,2)", "(2,3)"))
+    classes, assignment = verify.match_classes(G, [G, t23, t12])
+    assert [(cls[0].order, len(cls)) for cls in classes] == [(1, 1), (2, 3), (3, 1), (6, 1)]
+    assert assignment == [None, 1, None, 0]
+
+
+def test_a_reference_conjugate_to_another_leaves_a_class_unlabeled(monkeypatch):
+    refs = verify.labeled_subgroups()
+    k, g = next(
+        (k, g)
+        for k, ref in enumerate(refs)
+        for g in verify.pair_group()
+        if any(g * h * g.inverse() not in ref for h in ref.generators)
+    )
+    refs[k + 1] = PermGroup(6, [g * h * g.inverse() for h in refs[k].generators])
+    monkeypatch.setattr(verify, "labeled_subgroups", lambda: refs)
+    assert verify._subgroup_classes(verify.FixtureSet()) == (
+        False,
+        "order 36 group, 22 conjugacy classes of subgroups, labels matched INCOMPLETELY",
+    )
