@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import cli, fixtures
+from bisetforge import cli, fixtures, verify
 from bisetforge.rings import RINGS
 
 
@@ -33,6 +33,27 @@ def test_subgroups_pair_group_lists_22_labeled_classes(capsys):
     assert "H^D_5" in labels
     orders = [r["order"] for r in data["classes"]]
     assert sorted(orders)[0] == 1 and sorted(orders)[-1] == 36
+
+
+@pytest.mark.parametrize(
+    "spec, closures, labeled",
+    [
+        ("S3xS3", 1, True),
+        ("(1,2);(1,2,3);(4,5);(4,5,6)", 1, True),
+        ("(1,2,3);(4,5,6)", 0, False),
+        ("C12", 0, False),
+    ],
+)
+def test_subgroups_closes_the_pair_group_once_and_only_for_its_order(
+    capsys, monkeypatch, spec, closures, labeled
+):
+    calls = []
+    pair_group = verify.pair_group
+    monkeypatch.setattr(verify, "pair_group", lambda: calls.append(1) or pair_group())
+    code, out, _ = run_cli(capsys, "subgroups", spec, "--json")
+    assert code == 0
+    assert len(calls) == closures
+    assert {r["label"] is not None for r in json.loads(out)["classes"]} == {labeled}
 
 
 def test_subgroups_text_output(capsys):

@@ -13,6 +13,7 @@ from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator
 from bisetforge.perms import Perm, PermGroup, symmetric_group
+from bisetforge.quivers import Presentation
 
 
 @pytest.fixture(scope="module")
@@ -480,3 +481,19 @@ def test_a_reference_conjugate_to_another_leaves_a_class_unlabeled(monkeypatch):
         False,
         "order 36 group, 22 conjugacy classes of subgroups, labels matched INCOMPLETELY",
     )
+
+
+def test_a_run_closes_the_references_and_reduces_each_presentation_once(monkeypatch, tmp_path):
+    closures, primes = [], []
+    labeled = verify.labeled_subgroups
+    monkeypatch.setattr(verify, "labeled_subgroups", lambda: closures.append(1) or labeled())
+    reduce_mod = Presentation.reduce_mod
+    monkeypatch.setattr(
+        Presentation, "reduce_mod", lambda pres, p: primes.append(p) or reduce_mod(pres, p)
+    )
+    fx = verify.FixtureSet()
+    assert verify._subgroup_classes(fx)[0] and verify._biset_sizes(fx)[0]
+    assert verify.stage_paths(fx)["status"] == "pass"
+    verify.emit_fixtures(str(tmp_path), fx)
+    assert len(closures) == 1
+    assert sorted(primes) == [2, 3]
