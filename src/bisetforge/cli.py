@@ -95,14 +95,13 @@ def cmd_subgroups(args):
         classes = group.conjugacy_classes_of_subgroups()
         labels = [None] * len(classes)
     rows = []
-    for i, cls in enumerate(classes):
-        rep = cls[0]
+    for i, (rep, members) in enumerate(classes):
         gens = [p.cycle_string() for p in rep.generators] or ["()"]
         rows.append(
             {
                 "index": i,
                 "order": rep.order,
-                "class_size": len(cls),
+                "class_size": len(members),
                 "label": labels[i],
                 "generators": gens,
             }

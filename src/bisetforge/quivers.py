@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import fixtures, rings
+from . import rings
 from .blocks import BlockElement
 from .linalg import LocalLattice, apply_columns, common_denominator, det_bareiss, hnf_rows
 from .linalg import int_inverse, sparse_columns, transpose
@@ -455,12 +455,6 @@ class Presentation:
         relations = elements("relations", ring, data.get("relations"))
         long_kernel = elements("long_kernel", ring, data.get("long_kernel"))
         return cls(name, ring, quiver, relations, long_kernel, *images, mod_p or None)
-
-    @classmethod
-    def from_fixture(cls, name, fixture_dir=None, labels=None):
-        return cls.from_dict(
-            fixtures.load_presentation(name, fixture_dir), "presentations/%s.json" % name, labels
-        )
 
     def rules(self):
         return make_rules(self.quiver, self.ring, self.relations)

@@ -17,7 +17,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import fixtures
 from .perms import Perm, PermGroup
@@ -108,6 +108,21 @@ def _problems(problems, ok):
     return _cells(problems, ok, "%s", "; ", 4)
 
 
+def _relations(relations, ok):
+    """(passed, detail): ok when each (name, holds) holds, else the failing names."""
+    return _cells([name for name, holds in relations if not holds], ok, "fails: %s", "; ")
+
+
+def _idempotent_relations(labels, es, zero, one):
+    """(name, holds) for e_a e_b = e_a if a = b else 0, over all pairs, and for
+    the es summing to one."""
+    return [
+        ("%s %s = %s" % (a, b, a if a == b else 0), x * y == (x if a == b else zero))
+        for a, x in zip(labels, es)
+        for b, y in zip(labels, es)
+    ] + [("sum = 1", sum(es, zero) == one)]
+
+
 class FixtureSet:
     """The fixtures of one directory for one run, and the values the checks
     share: each file is read, and each value computed, at most once and only
@@ -172,12 +187,23 @@ class FixtureSet:
         return image_lattice(self.matrix)
 
     @cached_property
+    def presentation_data(self):
+        """The JSON of each presentations/<name>.json, as read."""
+        return {name: fixtures.load_presentation(name, self.fixture_dir) for name in _CORNERS}
+
+    @cached_property
     def presentations(self):
         """Each presentations/<name>.json, parsed against its corner's labels."""
         return {
-            name: Presentation.from_fixture(name, self.fixture_dir, [k for k, _ in basis])
+            name: Presentation.from_dict(
+                self.presentation_data[name], "presentations/%s.json" % name, [k for k, _ in basis]
+            )
             for name, (_, basis) in _CORNERS.items()
         }
+
+    @cached_property
+    def errata(self):
+        return fixtures.load_errata(self.fixture_dir)
 
     def reduction(self, name, p):
         """presentations[name] over F_p, reduced once per run."""
@@ -208,15 +234,16 @@ def labeled_subgroups():
 
 
 def match_classes(group, references):
-    """(classes, assignment): the conjugacy classes of subgroups of group and,
-    for each, the least index of a reference conjugate to its members, or None.
-    A class lists its whole conjugation orbit, so a reference is conjugate to
-    its members exactly when it is one of them."""
+    """(classes, assignment): the (representative, member masks) classes of
+    subgroups of group and, for each, the least index of a reference conjugate
+    to its members, or None.  A class lists its whole conjugation orbit, so a
+    reference is conjugate to its members exactly when its mask is one of
+    theirs; a reference outside group has no mask and no class."""
     classes = group.conjugacy_classes_of_subgroups()
-    class_of = {h.element_set: ci for ci, cls in enumerate(classes) for h in cls}
+    class_of = {m: ci for ci, (_, members) in enumerate(classes) for m in members}
     assignment = [None] * len(classes)
     for ri, ref in enumerate(references):
-        ci = class_of.get(ref.element_set)
+        ci = class_of.get(group.subgroup_mask(ref))
         if ci is not None and assignment[ci] is None:
             assignment[ci] = ri
     return classes, assignment
@@ -235,8 +262,7 @@ def swap_label(label):
 
 
 def _errata_for(fixture_name, fx):
-    entries = fixtures.load_errata(fx.fixture_dir)
-    return [e for e in entries if e.get("fixture") == fixture_name]
+    return [e for e in fx.errata if e.get("fixture") == fixture_name]
 
 
 def _subgroup_classes(fx):
@@ -289,12 +315,13 @@ def _table_mass(fx):
 
 def _identity(fx):
     c, e = fx.table, IDENTITY_INDEX
-    unit_rows = all(
-        list(c[e][j]) == [int(k == j) for k in range(22)]
-        and list(c[j][e]) == [int(k == j) for k in range(22)]
-        for j in range(22)
+    unit = [[int(k == j) for k in range(22)] for j in range(22)]
+    # in cell (i, j) with e in (i, j), unit[i + j - e] is the other factor
+    return _cells(
+        _pairs(BASIS_LABELS, lambda i, j: e in (i, j) and list(c[i][j]) != unit[i + j - e]),
+        "%s is a two-sided identity" % BASIS_LABELS[e],
+        "product with the identity is not the other factor at %s",
     )
-    return unit_rows, "%s is a two-sided identity" % BASIS_LABELS[e]
 
 
 def _associativity(fx):
@@ -321,13 +348,9 @@ def _associativity(fx):
 
 def _idempotents(fx):
     idem = [fx.peirce.element_by_label(lab, "Q") for lab in IDEMPOTENT_LABELS]
-    total = BurnsideElement.zero("Q")
-    for e in idem:
-        total = total + e
-    return (
-        all(e * e == e for e in idem)
-        and all((idem[i] * idem[j]).is_zero() for i in range(6) for j in range(6) if i != j)
-        and total == BurnsideElement.one("Q"),
+    zero, one = BurnsideElement.zero("Q"), BurnsideElement.one("Q")
+    return _relations(
+        _idempotent_relations(IDEMPOTENT_LABELS, idem, zero, one),
         "six orthogonal idempotents summing to the identity",
     )
 
@@ -384,8 +407,9 @@ def _gamma_bijective(fx):
 
 
 def _gamma_unit(fx):
-    one_ok = fx.peirce.gamma(BlockElement.identity()) == BurnsideElement.one("Q")
-    return one_ok, "identity block maps to the identity"
+    image, one = fx.peirce.gamma(BlockElement.identity()), BurnsideElement.one("Q")
+    off = [lab for lab, a, b in zip(BASIS_LABELS, image.coeffs, one.coeffs) if a != b]
+    return _cells(off, "identity block maps to the identity", "gamma(1) differs from 1 at %s")
 
 
 def _gamma_multiplicative(fx):
@@ -642,15 +666,10 @@ def _membership_splits(fx):
 
 def _idempotents_local(fx, p):
     es = local_idempotents(p)
-    n = len(es)
-    total = BlockElement.zero()
-    for e in es:
-        total = total + e
-    return (
-        all(e * e == e for e in es)
-        and all((es[i] * es[j]).is_zero() for i in range(n) for j in range(n) if i != j)
-        and total == BlockElement.identity()
-        and all(localized_membership(e, p) for e in es),
+    labels = ["e%d" % (k + 1) for k in range(len(es))]
+    return _relations(
+        _idempotent_relations(labels, es, BlockElement.zero(), BlockElement.identity())
+        + [("%s in the order" % a, localized_membership(e, p)) for a, e in zip(labels, es)],
         "%s orthogonal idempotents in the order summing to 1" % ("five" if p == 2 else "six"),
     )
 
@@ -671,15 +690,11 @@ def _morita_witnesses(fx, p):
     """Matrix units inside the order at p link e1 and e2 to e3: the Morita
     reduction to the basic corner."""
     es = local_idempotents(p)
-    E13, E31, E23, E32 = (
-        BlockElement.from_coords({name: 1}) for name in ("s13", "s31", "s23", "s32")
-    )
-    return (
-        E13 * E31 == es[0]
-        and E31 * E13 == es[2]
-        and E23 * E32 == es[1]
-        and E32 * E23 == es[2]
-        and all(localized_membership(x, p) for x in (E13, E31, E23, E32)),
+    E = {name: BlockElement.from_coords({name: 1}) for name in ("s13", "s31", "s23", "s32")}
+    units = [("s13", "s31", 1), ("s31", "s13", 3), ("s23", "s32", 2), ("s32", "s23", 3)]
+    return _relations(
+        [("%s %s = e%d" % (a, b, k), E[a] * E[b] == es[k - 1]) for a, b, k in units]
+        + [("%s in the order" % name, localized_membership(x, p)) for name, x in E.items()],
         "matrix units inside the order link e1 and e2 to e3",
     )
 
@@ -766,34 +781,32 @@ def _corner_identities(fx, p):
     """tau1..tau4 run between e3, e4 and the loop vertex v (e5 at 2, e6 at
     3), the loops tau5.. sit at v, and the products of the corner hold."""
     t = dict(CORNER_BASIS_2 if p == 2 else CORNER_BASIS_3)
-    v, e3, e4 = t["e5" if p == 2 else "e6"], t["e3"], t["e4"]
-    t1, t2, t3, t4, t5, t6 = (t["tau%d" % k] for k in range(1, 7))
-    loops = (t5, t6, t["tau7"]) if p == 2 else (t5, t6)
-    holds = (
-        v * t1 * e3 == t1
-        and e3 * t2 * v == t2
-        and v * t3 * e4 == t3
-        and e4 * t4 * v == t4
-        and all(v * x * v == x for x in loops)
-        and t1 * t2 == t5
-        and t3 * t4 + t1.scale(6 if p == 2 else 4) * t2 == t6
-        and all((x * y).is_zero() for y in (t1, t3) for x in (t2, t4))
-    )
+    t["v"] = t["e5" if p == 2 else "e6"]
+    loops, k = (("tau5", "tau6", "tau7"), 6) if p == 2 else (("tau5", "tau6"), 4)
+
+    def mul(word):
+        return reduce(lambda a, b: a * b, (t[name] for name in word.split()))
+
+    t12 = mul("tau1 tau2")
+    words = ["v tau1 e3", "e3 tau2 v", "v tau3 e4", "e4 tau4 v"] + ["v %s v" % x for x in loops]
+    relations = [("%s = %s" % (w, w.split()[1]), mul(w) == t[w.split()[1]]) for w in words]
+    relations += [
+        ("tau5 = tau1 tau2", t12 == t["tau5"]),
+        ("tau6 = tau3 tau4 + %d tau1 tau2" % k, mul("tau3 tau4") + t12.scale(k) == t["tau6"]),
+    ]
+    zero = ["tau2 tau1", "tau2 tau3", "tau4 tau1", "tau4 tau3"]
     if p == 3:
-        return (
-            holds and all((x * y).is_zero() for x in loops for y in loops),
-            "arrow supports and the products tau5 = tau1 tau2, "
-            "tau6 = tau3 tau4 + 4 tau1 tau2 hold, with square-zero loops",
-        )
-    t7 = t["tau7"]
-    return (
-        holds
-        and t7 * t7 == t7.scale(2) + t1 * t2
-        and all(x * t7 == x.scale(2) for x in (t2, t4))
-        and all(t7 * x == x.scale(2) for x in (t1, t3)),
-        "arrow supports and the products tau5 = tau1 tau2, "
-        "tau6 = tau3 tau4 + 6 tau1 tau2, tau7^2 = 2 tau7 + tau1 tau2 all hold",
-    )
+        zero += ["%s %s" % xy for xy in itertools.product(loops, loops)]
+        ok = "tau6 = tau3 tau4 + 4 tau1 tau2 hold, with square-zero loops"
+    else:
+        seven = mul("tau7 tau7") == t["tau7"].scale(2) + t12
+        sides = [(x, x + " tau7") for x in ("tau2", "tau4")]
+        sides += [(x, "tau7 " + x) for x in ("tau1", "tau3")]
+        relations += [("tau7 tau7 = 2 tau7 + tau1 tau2", seven)]
+        relations += [("%s = 2 %s" % (w, x), mul(w) == t[x].scale(2)) for x, w in sides]
+        ok = "tau6 = tau3 tau4 + 6 tau1 tau2, tau7^2 = 2 tau7 + tau1 tau2 all hold"
+    relations += [("%s = 0" % w, mul(w).is_zero()) for w in zero]
+    return _relations(relations, "arrow supports and the products tau5 = tau1 tau2, " + ok)
 
 
 def _loop_corner_span(fx):
@@ -1045,7 +1058,6 @@ def emit_fixtures(out_dir, fixture_dir=None):
     be the FixtureSet a run() used, so that the files are read once.
     """
     fx = _fixture_set(fixture_dir)
-    fixture_dir = fx.fixture_dir
     os.makedirs(os.path.join(out_dir, "presentations"), exist_ok=True)
     written = []
     pb = fx.peirce
@@ -1086,7 +1098,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
     )
 
     for name in fixtures.PRESENTATION_NAMES:
-        out = dict(fixtures.load_presentation(name, fixture_dir))
+        out = dict(fx.presentation_data[name])
         pres = fx.presentations[name]
         if pres.mod_p:
             p = pres.mod_p[0]
@@ -1102,11 +1114,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
             )
         )
 
-    written.append(
-        _write_fixture(
-            os.path.join(out_dir, "errata.json"), fixtures.load_errata(fixture_dir)
-        )
-    )
+    written.append(_write_fixture(os.path.join(out_dir, "errata.json"), fx.errata))
     return written
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge import cli, fixtures, verify
+from bisetforge.perms import PermGroup
 from bisetforge.rings import RINGS
 
 
@@ -54,6 +55,18 @@ def test_subgroups_closes_the_pair_group_once_and_only_for_its_order(
     assert code == 0
     assert len(calls) == closures
     assert {r["label"] is not None for r in json.loads(out)["classes"]} == {labeled}
+
+
+@pytest.mark.parametrize("spec, built", [("S3xS3", 22), ("S4", 11)])
+def test_subgroups_builds_one_permgroup_per_class(capsys, monkeypatch, spec, built):
+    calls = []
+    subgroup = PermGroup._subgroup
+    monkeypatch.setattr(
+        PermGroup, "_subgroup", lambda G, idx: calls.append(1) or subgroup(G, idx)
+    )
+    code, out, _ = run_cli(capsys, "subgroups", spec, "--json")
+    assert code == 0
+    assert len(calls) == json.loads(out)["class_count"] == built
 
 
 def test_subgroups_text_output(capsys):

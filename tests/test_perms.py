@@ -1,10 +1,16 @@
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisetforge import linalg, perms
 from bisetforge.perms import (
     Perm,
     PermGroup,
+    _bits,
+    _is_prime_power,
+    _mask,
     cyclic_group,
     symmetric_group,
 )
@@ -49,22 +55,39 @@ def test_from_cycles_rejects_overlap():
         Perm.from_cycles([(0, 1), (1, 2)], 3)
 
 
+def all_subgroups(G):
+    """Every subgroup of G, each exactly once, sorted by (order, element
+    list), built like a class representative, with greedy generators."""
+    masks = [m for _, members in G.conjugacy_classes_of_subgroups() for m in members]
+    return [G._subgroup(idx) for _, idx in sorted((m.bit_count(), _bits(m)) for m in masks)]
+
+
 def test_symmetric_group_s3_subgroups():
     G = symmetric_group(3)
     assert G.order == 6
-    subs = G.all_subgroups()
+    subs = all_subgroups(G)
     assert len(subs) == 6
     classes = G.conjugacy_classes_of_subgroups()
-    assert sorted(len(c) for c in classes) == [1, 1, 1, 3]
+    assert sorted(len(members) for _, members in classes) == [1, 1, 1, 3]
 
 
 def test_conjugacy_classes_deterministic():
     G = symmetric_group(3)
     a = G.conjugacy_classes_of_subgroups()
     b = G.conjugacy_classes_of_subgroups()
-    assert [[s.element_set for s in c] for c in a] == [
-        [s.element_set for s in c] for c in b
+    assert [(rep.element_set, members) for rep, members in a] == [
+        (rep.element_set, members) for rep, members in b
     ]
+
+
+def test_subgroup_mask_is_none_outside_the_group():
+    G = symmetric_group(4)
+    assert G.subgroup_mask(G) == (1 << 24) - 1
+    assert G.subgroup_mask(PermGroup(4, [])) == 1
+    assert G.subgroup_mask(symmetric_group(3)) is None
+    H = PermGroup(5, [Perm.from_cycle_string("(4,5)", 5)])
+    assert symmetric_group(5).subgroup_mask(H) is not None
+    assert cyclic_group(5).subgroup_mask(H) is None
 
 
 def test_cyclic_group():
@@ -88,7 +111,7 @@ def test_cyclic_group():
 )
 def test_subgroup_lattice_counts(group, classes, subgroups):
     found = group().conjugacy_classes_of_subgroups()
-    assert (len(found), sum(len(c) for c in found)) == (classes, subgroups)
+    assert (len(found), sum(len(members) for _, members in found)) == (classes, subgroups)
 
 
 # A naive reference on frozensets of Perm, for groups of degree <= 4: every
@@ -144,16 +167,97 @@ def test_lattice_matches_naive_reference(G):
         else:
             classes.append([s])
 
-    found = G.all_subgroups()
+    found = all_subgroups(G)
     assert [s.element_set for s in found] == subs
     assert [list(s.generators) for s in found] == [
         _ref_minimal_gens(G.degree, s) for s in subs
     ]
-    found_classes = G.conjugacy_classes_of_subgroups()
-    assert [[s.element_set for s in c] for c in found_classes] == classes
-    assert [[list(s.generators) for s in c] for c in found_classes] == [
+    found_classes = [
+        (rep, [G._subgroup(_bits(m)) for m in members])
+        for rep, members in G.conjugacy_classes_of_subgroups()
+    ]
+    assert [[s.element_set for s in c] for _, c in found_classes] == classes
+    assert [[list(s.generators) for s in c] for _, c in found_classes] == [
         [_ref_minimal_gens(G.degree, s) for s in c] for c in classes
     ]
+    assert [(rep.element_set, rep.generators) for rep, _ in found_classes] == [
+        (c[0].element_set, c[0].generators) for _, c in found_classes
+    ]
+
+
+def _unpruned_classes(T):
+    """The cyclic extension loop without pruning: every element of
+    prime-power order is joined with the identity and duplicates dropped, and
+    each representative is joined with every cyclic subgroup not inside it."""
+    cyclics, seen_cyclic = [], set()
+    for i in range(1, T.n):
+        if not _is_prime_power(T.orders[i]):
+            continue
+        elems, flags = T.join([0], [], i)
+        mask = _mask(flags)
+        if mask not in seen_cyclic:
+            seen_cyclic.add(mask)
+            cyclics.append((i, mask, elems))
+    classes, known, reps = [], set(), []
+
+    def add(mask, elems, hgens):
+        if mask not in known:
+            orbit = T.orbit(mask)
+            known.update(orbit)
+            classes.append(orbit)
+            reps.append((mask, elems, hgens))
+
+    add(1, [0], [])
+    for i, mask, elems in cyclics:
+        add(mask, elems, [i])
+    frontier = reps[1:]
+    while frontier:
+        start = len(reps)
+        for hmask, helems, hgens in frontier:
+            for z, zmask, _ in cyclics:
+                if zmask & hmask != zmask:
+                    kelems, flags = T.join(helems, hgens, z)
+                    add(_mask(flags), kelems, hgens + [z])
+        frontier = reps[start:]
+    return classes
+
+
+def _assert_pruning_keeps_the_classes(G):
+    T = G._table()
+    found = T.subgroup_classes()
+    expected = {frozenset(c) for c in _unpruned_classes(T)}
+    assert {frozenset(c) for c in found} == expected
+    assert len(found) == len(expected)
+
+
+def _group(degree, *cycles):
+    return PermGroup(degree, [Perm.from_cycle_string(c, degree) for c in cycles])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        lambda: symmetric_group(5),
+        lambda: _group(5, "(1,2,3)", "(1,2,3,4,5)"),
+        lambda: _group(5, "(1,2,3,4,5)", "(2,3,5,4)"),
+        lambda: _group(6, "(1,2,3,4,5,6)", "(2,6)(3,5)"),
+        pair_group,
+    ],
+    ids=["S5", "A5", "AGL(1,5)", "D6", "S3xS3"],
+)
+def test_pruned_extension_finds_the_unpruned_classes(group):
+    _assert_pruning_keeps_the_classes(group())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_pruned_extension_matches_unpruned_on_small_groups(G):
+    _assert_pruning_keeps_the_classes(G)
+
+
+@pytest.mark.parametrize("module", [perms, linalg], ids=["perms", "linalg"])
+def test_module_doctests_pass(module):
+    assert doctest.testmod(module).failed == 0
 
 
 def _assert_tables_match_composition(G):

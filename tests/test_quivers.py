@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisetforge import verify
+from bisetforge import fixtures, verify
 from bisetforge.blocks import COORD_NAMES, BlockElement
 from bisetforge.orders import (
     CORNER_BASIS_2,
@@ -28,6 +28,11 @@ from bisetforge.quivers import (
     same_element_sets,
     verify_presentation,
 )
+
+
+def fixture_presentation(name):
+    """The presentation of fixtures/presentations/<name>.json."""
+    return Presentation.from_dict(fixtures.load_presentation(name), "presentations/%s.json" % name)
 
 
 def loop_quiver():
@@ -137,7 +142,7 @@ FIXED = (
 
 @pytest.mark.parametrize("name,ring,basis", FIXED, ids=[f[0] for f in FIXED])
 def test_fixture_presentations_verify(name, ring, basis):
-    pres = Presentation.from_fixture(name)
+    pres = fixture_presentation(name)
     corner = CornerAlgebra(ring, basis)
     assert pres.ring == ring
     assert verify_presentation(pres, corner) == []
@@ -152,7 +157,7 @@ def test_fixture_presentations_verify(name, ring, basis):
     [("z2_corner", 2, CORNER_BASIS_2), ("z3_corner", 3, CORNER_BASIS_3)],
 )
 def test_modular_reductions_verify_and_match_fixture(name, p, basis):
-    pres = Presentation.from_fixture(name)
+    pres = fixture_presentation(name)
     reduced = pres.reduce_mod(p)
     corner = CornerAlgebra("F%d" % p, basis)
     assert verify_presentation(reduced, corner) == []
@@ -162,7 +167,7 @@ def test_modular_reductions_verify_and_match_fixture(name, p, basis):
 
 
 def test_dropping_a_zero_relation_changes_the_rank():
-    pres = Presentation.from_fixture("q_corner")
+    pres = fixture_presentation("q_corner")
     sr = element_from_terms(pres.quiver, "Q", [["1", "a22", ["sigma", "rho"]]])
     kept = [r for r in pres.relations if r != sr]
     assert len(kept) == len(pres.relations) - 1
@@ -179,7 +184,7 @@ def test_dropping_a_zero_relation_changes_the_rank():
 
 
 def test_wrong_arrow_image_is_reported():
-    pres = Presentation.from_fixture("q_corner")
+    pres = fixture_presentation("q_corner")
     images = dict(pres.arrow_images)
     images["rho"], images["theta"] = images["theta"], images["rho"]
     broken = Presentation(
@@ -398,7 +403,7 @@ def test_structure_table_matches_block_products():
 
 def test_long_kernel_elements_rewrite_to_zero():
     for name in ("q_corner", "z2_corner", "z3_corner"):
-        pres = Presentation.from_fixture(name)
+        pres = fixture_presentation(name)
         rules = pres.rules()
         for elem in pres.long_kernel:
             assert normal_form(elem, rules).is_zero()

@@ -462,9 +462,12 @@ def test_a_column_outside_the_congruences_is_named(monkeypatch):
 def test_match_classes_takes_the_least_conjugate_reference():
     G = symmetric_group(3)
     t12, t23 = (PermGroup(3, [Perm.from_cycle_string(c, 3)]) for c in ("(1,2)", "(2,3)"))
-    classes, assignment = verify.match_classes(G, [G, t23, t12])
-    assert [(cls[0].order, len(cls)) for cls in classes] == [(1, 1), (2, 3), (3, 1), (6, 1)]
-    assert assignment == [None, 1, None, 0]
+    outside = PermGroup(4, [Perm.from_cycle_string("(1,2)", 4)])
+    classes, assignment = verify.match_classes(G, [outside, G, t23, t12])
+    assert [(rep.order, len(members)) for rep, members in classes] == [
+        (1, 1), (2, 3), (3, 1), (6, 1)
+    ]
+    assert assignment == [None, 2, None, 1]
 
 
 def test_a_reference_conjugate_to_another_leaves_a_class_unlabeled(monkeypatch):
@@ -497,3 +500,106 @@ def test_a_run_closes_the_references_and_reduces_each_presentation_once(monkeypa
     verify.emit_fixtures(str(tmp_path), fx)
     assert len(closures) == 1
     assert sorted(primes) == [2, 3]
+
+
+def test_a_table_cell_off_the_identity_is_named():
+    fx, e = verify.FixtureSet(), IDENTITY_INDEX
+    table = [list(row) for row in bisets.structure_table()]
+    for i, j in ((e, 3), (5, e)):
+        table[i][j] = (table[i][j][0] + 1,) + table[i][j][1:]
+    fx.table = table
+    assert verify._identity(fx) == (
+        False,
+        "product with the identity is not the other factor at (%s, %s), (%s, %s)"
+        % (BASIS_LABELS[5], BASIS_LABELS[e], BASIS_LABELS[e], BASIS_LABELS[3]),
+    )
+
+
+def test_a_doubled_idempotent_names_its_square_and_the_sum(monkeypatch):
+    element_by_label = PeirceBasis.element_by_label
+
+    def doubled(pb, label, ring="Q"):
+        x = element_by_label(pb, label, ring)
+        return x.scale(2) if label == "eps2" else x
+
+    monkeypatch.setattr(PeirceBasis, "element_by_label", doubled)
+    assert verify._idempotents(verify.FixtureSet()) == (
+        False,
+        "fails: eps2 eps2 = eps2; sum = 1",
+    )
+
+
+def test_an_identity_image_off_the_unit_is_named(monkeypatch):
+    gamma = PeirceBasis.gamma
+    monkeypatch.setattr(
+        PeirceBasis, "gamma", lambda pb, b: gamma(pb, b) + BurnsideElement.basis(2)
+    )
+    assert verify._gamma_unit(verify.FixtureSet()) == (
+        False,
+        "gamma(1) differs from 1 at %s" % BASIS_LABELS[2],
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_local_idempotent_outside_the_order_is_named(monkeypatch, p):
+    e4 = orders.local_idempotents(p)[3]
+    member = verify.localized_membership
+    monkeypatch.setattr(verify, "localized_membership", lambda b, q: b != e4 and member(b, q))
+    assert verify._idempotents_local(verify.FixtureSet(), p) == (False, "fails: e4 in the order")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_broken_matrix_unit_is_named(monkeypatch, p):
+    s31 = BlockElement.from_coords({"s31": 1})
+    member = verify.localized_membership
+    monkeypatch.setattr(verify, "localized_membership", lambda b, q: b != s31 and member(b, q))
+    es = list(orders.local_idempotents(p))
+    es[0] = es[1]
+    monkeypatch.setattr(verify, "local_idempotents", lambda q: tuple(es))
+    assert verify._morita_witnesses(verify.FixtureSet(), p) == (
+        False,
+        "fails: s13 s31 = e1; s31 in the order",
+    )
+
+
+@pytest.mark.parametrize(
+    "p, name, failing",
+    [
+        (3, "tau6", ["tau6 = tau3 tau4 + 4 tau1 tau2"]),
+        (
+            2,
+            "tau7",
+            [
+                "tau7 tau7 = 2 tau7 + tau1 tau2",
+                "tau2 tau7 = 2 tau2",
+                "tau4 tau7 = 2 tau4",
+                "tau7 tau1 = 2 tau1",
+                "tau7 tau3 = 2 tau3",
+            ],
+        ),
+        (3, "tau2", ["tau5 = tau1 tau2", "tau6 = tau3 tau4 + 4 tau1 tau2"]),
+    ],
+)
+def test_a_doubled_corner_element_names_the_broken_relations(monkeypatch, p, name, failing):
+    attr = "CORNER_BASIS_%d" % p
+    basis = tuple((k, x.scale(2) if k == name else x) for k, x in getattr(verify, attr))
+    monkeypatch.setattr(verify, attr, basis)
+    assert verify._corner_identities(verify.FixtureSet(), p) == (
+        False,
+        "fails: " + "; ".join(failing),
+    )
+
+
+def test_a_run_and_its_emit_read_each_fixture_file_once(monkeypatch, tmp_path):
+    names = []
+    load_json = fixtures.load_json
+    monkeypatch.setattr(
+        fixtures, "load_json", lambda name, d=None: names.append(name) or load_json(name, d)
+    )
+    fx = verify.FixtureSet()
+    assert verify.run(fixture_dir=fx)["status"] == "pass"
+    verify.emit_fixtures(str(tmp_path), fx)
+    assert sorted(names) == sorted(
+        ["peirce.json", "delta_matrix.json", "errata.json"]
+        + ["presentations/%s.json" % n for n in fixtures.PRESENTATION_NAMES]
+    )
