@@ -36,11 +36,12 @@ by the pair of index x.  _index_tables() builds, on first use and not at
 import, the tables of S3 and of S3xS3 from Perm products and the class of each
 of the 60 subgroup masks, so that classify_subgroup is one lookup.
 
-Every product on the 22-class basis runs on structure_tensor(), a sparse
-integer form of the verified table derived once from structure_table():
-for each pair (i, j) the nonzero (k, c) pairs.  A BurnsideElement holds
-integer numerators over one denominator, so a product is one
-multiply_vectors() call and one ring-membership test on its denominator.
+Every product on the 22-class basis runs on structure_tensor(), the
+verified table in the row form of linalg.multiply_rows(), derived once from
+structure_table(): for each i the (j, k, c) triples with c = c[i][j][k]
+nonzero.  A BurnsideElement is a linalg.StructureElement on these rows, so a
+product is one multiply_rows() call and one ring-membership test on its
+denominator; multiply_vectors() is the same kernel on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rings
-from .linalg import common_denominator
+from .linalg import StructureElement, multiply_rows
 from .perms import Perm, PermGroup
 
 __all__ = [
@@ -311,56 +312,35 @@ def structure_table():
 
 @lru_cache(maxsize=1)
 def structure_tensor():
-    """T[i][j]: the (k, c) pairs with c = c[i][j][k] != 0 in the verified table."""
+    """rows[i]: the (j, k, c) triples with c = c[i][j][k] != 0 in the
+    verified table, the row form of linalg.multiply_rows()."""
     return tuple(
-        tuple(tuple((k, x) for k, x in enumerate(cell) if x) for cell in row)
+        tuple((j, k, x) for j, cell in enumerate(row) for k, x in enumerate(cell) if x)
         for row in structure_table()
     )
 
 
 def multiply_vectors(xs, ys):
     """Coefficient vector of the product of two coefficient vectors."""
-    T = structure_tensor()
-    out = [0] * len(T)
-    ys = [(j, y) for j, y in enumerate(ys) if y]
-    for i, x in enumerate(xs):
-        if x:
-            Ti = T[i]
-            for j, y in ys:
-                f = x * y
-                for k, c in Ti[j]:
-                    out[k] += f * c
-    return out
+    return multiply_rows(structure_tensor(), xs, ys)
 
 
-class BurnsideElement:
-    """An element of the double Burnside ring over one of rings.RINGS.
+class BurnsideElement(StructureElement):
+    """An element of the double Burnside ring over one of rings.RINGS, its
+    coefficients in basis order as in linalg.StructureElement (for F2/F3 den
+    is 1 and nums are residues 0..p-1); `coeffs` gives them as Fractions."""
 
-    The coefficients, in the fixed basis order, are integer numerators `nums`
-    over one denominator `den` > 0, in lowest terms; for F2/F3 den is 1 and
-    nums are residues 0..p-1.  Ring membership is decided once per element,
-    on den (rings.normalize_ints).  `coeffs` gives the coefficients as
-    Fractions.
-    """
-
-    __slots__ = ("ring", "nums", "den")
-
-    def __init__(self, ring, coeffs):
-        self._set(ring, *common_denominator(coeffs))
+    __slots__ = ()
+    _rows = staticmethod(structure_tensor)
 
     @classmethod
     def from_ints(cls, ring, nums, den=1):
         """The element with coefficients nums[k] / den, den > 0; ValueError
         naming the first coefficient outside the ring."""
-        out = object.__new__(cls)
-        out._set(ring, tuple(nums), den)
-        return out
-
-    def _set(self, ring, nums, den):
-        self.ring = ring
-        self.nums, self.den = rings.normalize_ints(ring, nums, den)
-        if len(self.nums) != len(BASIS_LABELS):
+        nums = tuple(nums)
+        if len(nums) != len(BASIS_LABELS):
             raise ValueError("expected %d coefficients" % len(BASIS_LABELS))
+        return cls._new(ring, nums, den)
 
     @classmethod
     def zero(cls, ring="Q"):
@@ -379,44 +359,6 @@ class BurnsideElement:
     @property
     def coeffs(self):
         return tuple(Fraction(a, self.den) for a in self.nums)
-
-    def _check_ring(self, other):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch: %s vs %s" % (self.ring, other.ring))
-
-    def __add__(self, other):
-        self._check_ring(other)
-        da, db = self.den, other.den
-        nums = [a * db + b * da for a, b in zip(self.nums, other.nums)]
-        return BurnsideElement.from_ints(self.ring, nums, da * db)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BurnsideElement.from_ints(self.ring, [-a for a in self.nums], self.den)
-
-    def scale(self, r):
-        r = Fraction(r)
-        nums = [r.numerator * a for a in self.nums]
-        return BurnsideElement.from_ints(self.ring, nums, self.den * r.denominator)
-
-    def __mul__(self, other):
-        self._check_ring(other)
-        nums = multiply_vectors(self.nums, other.nums)
-        return BurnsideElement.from_ints(self.ring, nums, self.den * other.den)
-
-    def __eq__(self, other):
-        return isinstance(other, BurnsideElement) and self._key() == other._key()
-
-    def _key(self):
-        return self.ring, self.den, self.nums
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def is_zero(self):
-        return not any(self.nums)
 
     def __repr__(self):
         return "BurnsideElement(%s, %s)" % (self.ring, format_element(self))

@@ -5,23 +5,28 @@ An element is a block matrix
     [ s      t  ]      s: 3x3,  t: 3x1   (slots s11..s33, t1..t3)
     [    u   v  ]      u, v, y, w: scalars
     [      w    ]      x: 1x3            (slots x1..x3)
-    [ x  y   z  ]      z = z1 + z2*eta + z3*xi, eta^2 = eta*xi = xi^2 = 0
+    [ x  y   z  ]      z = z1 + z2*eta + z3*xi
 
-with only the blocks shown nonzero.  Multiplication composes blocks like
-matrix multiplication except that the (row 1, col 1), (2,2) products of the
-off-diagonal legs vanish identically, and the two leg compositions landing in
-the corner produce nilpotents:
+with only the blocks shown nonzero.  Each slot is a matrix unit E_ab of a
+6x6 pattern, indices 0..5: s_ij at (i-1, j-1), t_i at (i-1, 5), u at
+(3, 3), v at (3, 5), w at (4, 4), x_j at (5, j-1), y at (5, 3) and z1 at
+(5, 5); z2 and z3 are the nilpotents eta and xi, also at (5, 5).  Slots
+multiply by E_ab E_cd = [b = c] E_ad, except that
 
-    x-leg then t-leg:  (x . t') eta
-    y-leg then v-leg:  (y v') (xi - 12 eta)
+    a product through index 5 from a row other than 5 to a column other
+      than 5 vanishes: t.x, v.y, and t.y, v.x (outside the pattern);
+    x_j t_j = eta and y v = xi - 12 eta;
+    eta and xi square to zero and kill the legs: only z1 keeps them.
+
+_slot_rows() derives the slot products from this rule once, as the
+structure constants of BlockElement, a linalg.StructureElement over Q.
 
 The coordinate order used for vectors throughout is COORD_NAMES.  A
 BlockElement stores its 22 coordinates in that order as integer numerators
-(`nums`) over one positive denominator (`den`), in lowest terms, so equality
-and hashing compare the pair and products, sums and the integrality tests run
-on ints.  Fractions appear only at the edges: the keyword constructor,
-from_vector and from_coords accept them, to_vector returns them, and scale
-takes a rational factor.
+(`nums`) over one positive denominator (`den`), in lowest terms.  Fractions
+appear only at the edges: the keyword constructor, from_vector and
+from_coords accept them, to_vector returns them, and scale takes a rational
+factor.
 
 The linear isomorphism onto the rational double Burnside ring sends each
 coordinate slot to one member of the 22-element orthogonal-decomposition basis
@@ -33,12 +38,12 @@ on first use.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import fixtures, rings
 from .bisets import BASIS_LABELS, BurnsideElement
-from .linalg import SingularMatrixError, apply_columns, common_denominator, int_inverse
-from .linalg import sparse_columns
+from .linalg import SingularMatrixError, StructureElement, apply_columns, common_denominator
+from .linalg import int_inverse, sparse_columns
 
 __all__ = [
     "COORD_NAMES",
@@ -60,16 +65,54 @@ COORD_INDEX = {name: i for i, name in enumerate(COORD_NAMES)}
 _ONE = tuple(int(n in ("s11", "s22", "s33", "u", "w", "z1")) for n in COORD_NAMES)
 
 
-class BlockElement:
-    """One element of the block algebra: nums / den, see the module docstring.
-    The keyword z is a scalar z1 or the triple (z1, z2, z3)."""
+# The matrix unit of each slot in the 6x6 pattern of the module docstring;
+# z2 and z3 (eta, xi) sit at (5, 5) beside z1.
+_POSITION = {"s%d%d" % (i + 1, j + 1): (i, j) for i in range(3) for j in range(3)}
+_POSITION.update({"t%d" % (i + 1): (i, 5) for i in range(3)})
+_POSITION.update({"x%d" % (j + 1): (5, j) for j in range(3)})
+_POSITION.update(u=(3, 3), v=(3, 5), w=(4, 4), y=(5, 3), z1=(5, 5))
+_AT = {pos: name for name, pos in _POSITION.items()}
+# a leg from row 5 composed with the leg back into column 5, by its first slot
+_LOOPS = {"x": {"z2": 1}, "y": {"z3": 1, "z2": -12}}
 
-    __slots__ = ("nums", "den")
+
+def _slot_product(p, q):
+    """Slot p times slot q, as {slot: coefficient}, by the module docstring's rule."""
+    if p in ("z2", "z3") or q in ("z2", "z3"):
+        return {q if p == "z1" else p: 1} if "z1" in (p, q) else {}
+    (a, b), (c, d) = _POSITION[p], _POSITION[q]
+    if b != c or (b == 5 and a != 5 and d != 5):
+        return {}
+    if a == d == 5 and b != 5:
+        return _LOOPS[p[0]]
+    return {_AT[a, d]: 1}
+
+
+@cache
+def _slot_rows():
+    """The slot products in the row form of linalg.multiply_rows()."""
+    return tuple(
+        tuple(
+            (j, COORD_INDEX[r], c)
+            for j, q in enumerate(COORD_NAMES)
+            for r, c in _slot_product(p, q).items()
+        )
+        for p in COORD_NAMES
+    )
+
+
+class BlockElement(StructureElement):
+    """One element of the block algebra: nums / den over Q, see the module
+    docstring.  The keyword z is a scalar z1 or the triple (z1, z2, z3)."""
+
+    __slots__ = ()
+    _rows = staticmethod(_slot_rows)
 
     def __init__(self, s=None, t=(0, 0, 0), u=0, v=0, w=0, x=(0, 0, 0), y=0, z=0):
         s = s or ((0, 0, 0),) * 3
         z1, z2, z3 = z if isinstance(z, (tuple, list)) else (z, 0, 0)
         vec = [s[i][j] for j in range(3) for i in range(3)]
+        self.ring = "Q"
         self.nums, self.den = common_denominator(vec + [*x, u, y, w, *t, v, z1, z2, z3])
 
     @classmethod
@@ -78,9 +121,7 @@ class BlockElement:
         nums = tuple(nums)
         if len(nums) != 22:
             raise ValueError("expected 22 coordinates")
-        out = object.__new__(cls)
-        out.nums, out.den = rings.normalize_ints("Q", nums, den)
-        return out
+        return cls._new("Q", nums, den)
 
     @classmethod
     def identity(cls):
@@ -110,51 +151,6 @@ class BlockElement:
             raise ValueError("block element has denominator %d" % self.den)
         return list(self.nums)
 
-    def __add__(self, other):
-        da, db = self.den, other.den
-        nums = (a * db + b * da for a, b in zip(self.nums, other.nums))
-        return BlockElement.from_ints(nums, da * db)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BlockElement.from_ints((-a for a in self.nums), self.den)
-
-    def scale(self, r):
-        if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
-        nums = (r.numerator * a for a in self.nums)
-        return BlockElement.from_ints(nums, self.den * r.denominator)
-
-    def __mul__(self, other):
-        # s_ij sits at 3j+i, x_j at 9+j, t_i at 15+i; u, y, w, v, z1, z2, z3
-        # at 12, 13, 14, 18, 19, 20, 21
-        A, B = self.nums, other.nums
-        xt = A[9] * B[15] + A[10] * B[16] + A[11] * B[17]
-        yv = A[13] * B[18]
-        nums = [
-            A[i] * B[3 * j] + A[3 + i] * B[3 * j + 1] + A[6 + i] * B[3 * j + 2]
-            for j in range(3)
-            for i in range(3)
-        ]
-        nums += [
-            A[9] * B[3 * j] + A[10] * B[3 * j + 1] + A[11] * B[3 * j + 2] + A[19] * B[9 + j]
-            for j in range(3)
-        ]
-        nums += [A[12] * B[12], A[13] * B[12] + A[19] * B[13], A[14] * B[14]]
-        nums += [
-            A[i] * B[15] + A[3 + i] * B[16] + A[6 + i] * B[17] + A[15 + i] * B[19]
-            for i in range(3)
-        ]
-        nums += [
-            A[12] * B[18] + A[18] * B[19],
-            A[19] * B[19],
-            A[19] * B[20] + A[20] * B[19] + xt - 12 * yv,
-            A[19] * B[21] + A[21] * B[19] + yv,
-        ]
-        return BlockElement.from_ints(nums, self.den * other.den)
-
     def inverse(self):
         # Column k of L is (nums of self, over 1) * e_k, so self * c == 1
         # reads (L / den) c == 1.
@@ -172,39 +168,15 @@ class BlockElement:
     def is_integral(self):
         return self.den == 1
 
-    def is_zero(self):
-        return not any(self.nums)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockElement)
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
-
     def __repr__(self):
-        parts = [
-            "%s=%s" % (name, c)
-            for name, c in zip(COORD_NAMES, self.to_vector())
-            if c != 0
-        ]
-        return "BlockElement(%s)" % ", ".join(parts) if parts else "BlockElement(0)"
+        parts = ["%s=%s" % nc for nc in zip(COORD_NAMES, self.to_vector()) if nc[1]]
+        return "BlockElement(%s)" % (", ".join(parts) or "0")
 
 
-_SLOT_CACHE = None
-
-
+@cache
 def slot_basis():
     """The 22 coordinate unit blocks, in COORD_NAMES order."""
-    global _SLOT_CACHE
-    if _SLOT_CACHE is None:
-        _SLOT_CACHE = tuple(
-            BlockElement.from_vector([int(i == k) for i in range(22)]) for k in range(22)
-        )
-    return _SLOT_CACHE
+    return tuple(BlockElement.from_ints([int(i == k) for i in range(22)]) for k in range(22))
 
 
 # The 22 members of the idempotent-decomposition basis, in multiplication

@@ -12,6 +12,14 @@ direct; a matrix applied many times is kept as its sparse columns.
     >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
+
+An algebra is given by structure constants in row form: rows[i] holds the
+(j, k, c) triples for which e_i e_j has coefficient c at e_k.  The ring and
+the block algebra, both StructureElement subclasses, multiply through one
+kernel, multiply_rows(); in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
+
+    >>> multiply_rows((((0, 0, 1), (1, 1, 1)), ((0, 1, 1),)), [1, 2], [3, 1])  # (1 + 2t)(3 + t)
+    [3, 7]
 """
 
 from __future__ import annotations
@@ -20,6 +28,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from . import rings
+
 __all__ = [
     "SingularMatrixError",
     "identity_matrix",
@@ -27,6 +37,8 @@ __all__ = [
     "SparseColumns",
     "sparse_columns",
     "apply_columns",
+    "multiply_rows",
+    "StructureElement",
     "int_inverse",
     "common_denominator",
     "det_bareiss",
@@ -68,6 +80,77 @@ def apply_columns(A, v):
             for r, a in col:
                 out[r] += a * x
     return out
+
+
+def multiply_rows(rows, xs, ys):
+    """The coefficients of xs times ys by the structure constants rows, as a
+    list; only the nonzero xs[i] and the stored triples are visited."""
+    out = [0] * len(rows)
+    for i, x in enumerate(xs):
+        if x:
+            for j, k, c in rows[i]:
+                y = ys[j]
+                if y:
+                    out[k] += c * x * y
+    return out
+
+
+class StructureElement:
+    """An element over one of rings.RINGS: integer numerators `nums` over one
+    denominator `den` > 0, in lowest terms (rings.normalize_ints).  A subclass
+    supplies _rows(), its structure constants; elements of two classes never
+    compare equal, and combining them, or two rings, raises."""
+
+    __slots__ = ("ring", "nums", "den")
+
+    @classmethod
+    def _new(cls, ring, nums, den=1):
+        out = object.__new__(cls)
+        out.ring = ring
+        out.nums, out.den = rings.normalize_ints(ring, tuple(nums), den)
+        return out
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            names = type(self).__name__, type(other).__name__
+            raise TypeError("cannot combine %s with %s" % names)
+        if other.ring != self.ring:
+            raise ValueError("ring mismatch: %s vs %s" % (self.ring, other.ring))
+
+    def __add__(self, other):
+        self._check(other)
+        da, db = self.den, other.den
+        nums = (a * db + b * da for a, b in zip(self.nums, other.nums))
+        return self._new(self.ring, nums, da * db)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new(self.ring, (-a for a in self.nums), self.den)
+
+    def scale(self, r):
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        nums = (r.numerator * a for a in self.nums)
+        return self._new(self.ring, nums, self.den * r.denominator)
+
+    def __mul__(self, other):
+        self._check(other)
+        nums = multiply_rows(self._rows(), self.nums, other.nums)
+        return self._new(self.ring, nums, self.den * other.den)
+
+    def is_zero(self):
+        return not any(self.nums)
+
+    def _key(self):
+        return self.ring, self.den, self.nums
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def common_denominator(values):

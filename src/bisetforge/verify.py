@@ -90,9 +90,11 @@ _CORNERS = {
 }
 
 
-def _pairs(labels, bad):
-    """"(a, b)" for each cell (i, j) of the 22x22 scan with bad(i, j), row by row."""
-    return ["(%s, %s)" % (labels[i], labels[j]) for i in range(22) for j in range(22) if bad(i, j)]
+def _pairs(labels, bad, cols=None):
+    """"(a, b)" for each cell (i, j) of the 22x22 scan with bad(i, j), row by
+    row; b is cols[j], labels[j] by default."""
+    cols = cols or labels
+    return ["(%s, %s)" % (labels[i], cols[j]) for i in range(22) for j in range(22) if bad(i, j)]
 
 
 def _cells(cells, ok, fail, sep=", ", limit=6):
@@ -325,8 +327,12 @@ def _identity(fx):
 
 
 def _associativity(fx):
-    # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s
-    T = structure_tensor()
+    # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s;
+    # T[i][j] holds the (k, c) pairs of cell (i, j)
+    T = [[[] for _ in range(22)] for _ in range(22)]
+    for i, row in enumerate(structure_tensor()):
+        for j, k, c in row:
+            T[i][j].append((k, c))
     cols = [[T[k][s] for k in range(22)] for s in range(22)]
 
     def combine(rows, pairs):
@@ -382,9 +388,11 @@ def _peirce_products(fx):
 def _eps3_central(fx):
     pb = fx.peirce
     eps3 = pb.element_by_label("eps3", "Q")
-    return (
-        all(eps3 * pb.element(i, "Q") == pb.element(i, "Q") * eps3 for i in range(22)),
+    basis = [pb.element(i, "Q") for i in range(22)]
+    return _cells(
+        [lab for lab, x in zip(PEIRCE_LABELS, basis) if eps3 * x != x * eps3],
         "eps3 commutes with the whole basis",
+        "eps3 does not commute with %s",
     )
 
 
@@ -434,70 +442,44 @@ def _gamma_roundtrip(fx):
     pb = fx.peirce
     rng = random.Random(_SEED)
     trips = 0
-    ok = True
     for _ in range(100):
         b = _random_block(rng)
         if pb.slot_coordinates(*pb.gamma_ints(b.nums, b.den)) != b:
-            ok = False
             break
         nums, den = _over_lcm([(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(22)])
         back = pb.slot_coordinates(nums, den)
         image, iden = pb.gamma_ints(back.nums, back.den)
         if [x * den for x in image] != [x * iden for x in nums]:
-            ok = False
             break
         trips += 2
-    return ok, "%d seeded round trips through both directions" % trips
+    return trips == 200, "%d seeded round trips through both directions" % trips
 
 
 def _support_components():
-    """Union-find over coordinate names shared by congruences and mod-24 rows."""
-    parent = {n: n for n in COORD_NAMES}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(names):
-        names = list(names)
-        for other in names[1:]:
-            ra, rb = find(names[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-
-    supports = []
-    for coeffs, _ in CONGRUENCES_2 + CONGRUENCES_3:
-        supports.append(set(coeffs))
-    for row in MOD24_ROWS:
-        supports.append({COORD_NAMES[i] for i, c in enumerate(row) if c})
+    """The coordinate names linked by a shared congruence or mod-24 row, as
+    sorted lists ordered by their largest name."""
+    supports = [set(coeffs) for coeffs, _ in CONGRUENCES_2 + CONGRUENCES_3]
+    supports += [{COORD_NAMES[i] for i, c in enumerate(row) if c} for row in MOD24_ROWS]
+    comps = []
     for sup in supports:
-        union(sup)
-    comps = {}
-    for sup in supports:
-        for n in sup:
-            comps.setdefault(find(n), set()).add(n)
-    # ordered by largest name: the roots depend on set iteration order
-    return sorted((sorted(v) for v in comps.values()), key=lambda comp: comp[-1])
+        joined = [comp for comp in comps if comp & sup]
+        comps = [comp for comp in comps if not comp & sup] + [sup.union(*joined)]
+    return sorted((sorted(comp) for comp in comps), key=lambda comp: comp[-1])
 
 
 def _component_conditions(names):
     """Compile both membership predicates to the given coordinates."""
     idx = {n: i for i, n in enumerate(names)}
-    congs = []
-    for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3:
-        if set(coeffs) <= set(names):
-            congs.append(
-                (tuple(idx[n] for n in coeffs), tuple(coeffs[n] for n in coeffs), m)
-            )
-    rows = []
-    for row in MOD24_ROWS:
-        sup_names = [COORD_NAMES[i] for i, c in enumerate(row) if c]
-        if all(n in idx for n in sup_names):
-            rows.append(
-                tuple((idx[COORD_NAMES[i]], c) for i, c in enumerate(row) if c)
-            )
+    congs = [
+        (tuple(idx[n] for n in coeffs), tuple(coeffs.values()), m)
+        for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3
+        if idx.keys() >= set(coeffs)
+    ]
+    rows = [
+        tuple((idx[COORD_NAMES[i]], c) for i, c in enumerate(row) if c)
+        for row in MOD24_ROWS
+        if all(COORD_NAMES[i] in idx for i, c in enumerate(row) if c)
+    ]
     return congs, rows
 
 
@@ -526,9 +508,10 @@ def _residue_disagreement(comp):
 
 
 def _delta_integral(fx):
-    return (
-        all(b.is_integral() for b in fx.delta_images),
+    return _cells(
+        [lab for lab, b in zip(BASIS_LABELS, fx.delta_images) if not b.is_integral()],
         "all 22 images have integer coordinates",
+        "images with a non-integer coordinate: %s",
     )
 
 
@@ -605,16 +588,20 @@ def _inverse_24_integral(fx):
     if not fx.matrix_det:
         return False, "the matrix has no inverse"
     inv, d = int_inverse(fx.matrix)
-    return (
-        all(24 * x % d == 0 for row in inv for x in row),
+    # the inverse maps slots to classes: its rows are classes, its columns slots
+    return _cells(
+        _pairs(BASIS_LABELS, lambda r, c: 24 * inv[r][c] % d, COORD_NAMES),
         "24 times the inverse matrix is integral",
+        "24 times the inverse matrix is not integral at %s",
     )
 
 
 def _lattice_equality(fx):
-    return (
-        fx.matrix_hermite == congruence_solution_lattice(),
+    rows = itertools.zip_longest(fx.matrix_hermite, congruence_solution_lattice())
+    return _cells(
+        ["row %d" % r for r, (h, c) in enumerate(rows) if h != c][:1],
         "column lattice and congruence solution lattice share one Hermite form",
+        "the two Hermite forms first differ at %s",
     )
 
 
@@ -708,41 +695,52 @@ def _gamma_corner_span(fx):
 
 def _gamma_corner_table(fx):
     b = dict(GAMMA_CORNER_BASIS_2)
-    return (
-        all(b["b1"] * b[k] == b[k] and b[k] * b["b1"] == b[k] for k in b)
-        and b["b2"] * b["b2"] == b["b2"].scale(2) + b["b3"]
-        and b["b2"] * b["b3"] == b["b3"].scale(2)
-        and b["b3"] * b["b2"] == b["b3"].scale(2)
-        and b["b2"] * b["b4"] == b["b4"].scale(2)
-        and b["b4"] * b["b2"] == b["b4"].scale(2)
-        and (b["b3"] * b["b3"]).is_zero()
-        and (b["b3"] * b["b4"]).is_zero()
-        and (b["b4"] * b["b3"]).is_zero()
-        and (b["b4"] * b["b4"]).is_zero(),
+    relations = [
+        ("b1 %s = %s b1 = %s" % (k, k, k), b["b1"] * x == x == x * b["b1"]) for k, x in b.items()
+    ]
+    relations.append(("b2^2 = 2b2 + b3", b["b2"] * b["b2"] == b["b2"].scale(2) + b["b3"]))
+    relations += [
+        ("%s%s = 2%s" % (p, q, k), b[p] * b[q] == b[k].scale(2))
+        for k in ("b3", "b4")
+        for p, q in (("b2", k), (k, "b2"))
+    ]
+    relations += [
+        ("%s%s = 0" % pq, (b[pq[0]] * b[pq[1]]).is_zero())
+        for pq in itertools.product(("b3", "b4"), repeat=2)
+    ]
+    return _relations(
+        relations,
         "b1 is the corner unit; b2^2 = 2b2 + b3, b2b3 = 2b3, b2b4 = 2b4, "
         "and b3, b4 multiply to zero",
     )
 
 
 def _radical_2():
-    """The corner basis b1..b4 at 2 by name, and the generators 2b1, b2, b3,
-    b4 of its radical J."""
+    """The corner basis b1..b4 at 2 and the generators 2b1, b2, b3, b4 of its
+    radical J, each by name."""
     b = dict(GAMMA_CORNER_BASIS_2)
-    return b, [b["b1"].scale(2), b["b2"], b["b3"], b["b4"]]
+    return b, {"2b1": b["b1"].scale(2), "b2": b["b2"], "b3": b["b3"], "b4": b["b4"]}
 
 
 def _radical_ideal(fx):
     b, jgens = _radical_2()
-    J = LocalLattice([g.int_vector() for g in jgens], 2)
-    return (
-        all(J.contains(x.nums, x.den) for g in jgens for bb in b.values() for x in (g * bb, bb * g))
-        and not J.contains(b["b1"].nums, b["b1"].den),
+    J = LocalLattice([g.int_vector() for g in jgens.values()], 2)
+    # a dict, since a generator and a basis element may share a name
+    closed = {
+        "%s %s in J" % names: J.contains(xy.nums, xy.den)
+        for g, x in jgens.items()
+        for k, y in b.items()
+        for names, xy in (((g, k), x * y), ((k, g), y * x))
+    }
+    return _relations(
+        [*closed.items(), ("b1 outside J", not J.contains(b["b1"].nums, b["b1"].den))],
         "J = (2b1, b2, b3, b4) is a proper two-sided ideal",
     )
 
 
 def _radical_cube(fx):
     b, jgens = _radical_2()
+    jgens = list(jgens.values())
     cube = [(x1 * x2 * x3).int_vector() for x1 in jgens for x2 in jgens for x3 in jgens]
     claimed = [
         g.int_vector()
@@ -750,10 +748,12 @@ def _radical_cube(fx):
     ]
     twice = [g.scale(2).int_vector() for g in b.values()]
     cube_lat, claimed_lat, twice_lat = (LocalLattice(g, 2) for g in (cube, claimed, twice))
-    return (
-        all(claimed_lat.contains(v) for v in cube)
-        and all(cube_lat.contains(v) for v in claimed)
-        and all(twice_lat.contains(v) for v in cube),
+    return _relations(
+        [
+            ("J^3 inside (8b1, 4b2, 2b3, 4b4)", all(claimed_lat.contains(v) for v in cube)),
+            ("(8b1, 4b2, 2b3, 4b4) inside J^3", all(cube_lat.contains(v) for v in claimed)),
+            ("J^3 inside twice the corner", all(twice_lat.contains(v) for v in cube)),
+        ],
         "J^3 = (8b1, 4b2, 2b3, 4b4) and lands inside twice the corner",
     )
 
@@ -762,9 +762,9 @@ def _residue_field(fx):
     # Coordinates of the J generators over b1..b4 are diag(2,1,1,1) by
     # construction, so the quotient has order 2; with 1 outside J it is a field.
     b, jgens = _radical_2()
-    J = LocalLattice([g.int_vector() for g in jgens], 2)
-    return (
-        not J.contains(b["b1"].nums, b["b1"].den),
+    J = LocalLattice([g.int_vector() for g in jgens.values()], 2)
+    return _relations(
+        [("b1 outside J", not J.contains(b["b1"].nums, b["b1"].den))],
         "corner modulo J is the field with two elements",
     )
 
@@ -835,17 +835,17 @@ def _loop_combo():
 def _loop_corner_law(fx):
     combo = _loop_combo()
     rng = random.Random(_SEED + 3)
-    law_ok = True
-    for _ in range(200):
+    for n in range(200):
         a1, b1, c1, a2, b2, c2 = (rng.randint(-9, 9) for _ in range(6))
         u1 = combo(a1, b1, c1)
         u2 = combo(a2, b2, c2)
         want = combo(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1)
         if u1 * u2 != want or u1 * u2 != u2 * u1:
-            law_ok = False
-            break
+            return False, "the law fails on sample %d: (%d, %d, %d) times (%d, %d, %d)" % (
+                n, a1, b1, c1, a2, b2, c2
+            )
     return (
-        law_ok,
+        True,
         "products follow the commutative square-zero two-variable law "
         "on 200 seeded samples",
     )
@@ -873,19 +873,19 @@ def _unit_criterion(fx):
 
 def _rational_corner_table(fx):
     corner_q = CornerAlgebra("Q", CORNER_BASIS_Q)
-    aq = corner_q.by_label
-    table_ok = (
-        aq["a_{4,1}"] * aq["a_{1,4}"] == aq["a'_{4,4}"]
-        and aq["a_{4,2}"] * aq["a_{2,4}"]
-        == aq["a''_{4,4}"] + aq["a'_{4,4}"].scale(-12)
-        and (aq["a_{1,4}"] * aq["a_{4,1}"]).is_zero()
-        and (aq["a_{2,4}"] * aq["a_{4,2}"]).is_zero()
-    )
-    unit_ok = corner_q.unit() == sum(
-        (aq[n] for n in CORNER_IDEMPOTENTS_Q), BlockElement.zero()
-    )
-    return (
-        table_ok and unit_ok,
+    a = corner_q.by_label
+    ones = sum((a[n] for n in CORNER_IDEMPOTENTS_Q), BlockElement.zero())
+    return _relations(
+        [
+            ("a_{4,1} a_{1,4} = a'_{4,4}", a["a_{4,1}"] * a["a_{1,4}"] == a["a'_{4,4}"]),
+            (
+                "a_{4,2} a_{2,4} = a''_{4,4} - 12 a'_{4,4}",
+                a["a_{4,2}"] * a["a_{2,4}"] == a["a''_{4,4}"] + a["a'_{4,4}"].scale(-12),
+            ),
+            ("a_{1,4} a_{4,1} = 0", (a["a_{1,4}"] * a["a_{4,1}"]).is_zero()),
+            ("a_{2,4} a_{4,2} = 0", (a["a_{2,4}"] * a["a_{4,2}"]).is_zero()),
+            ("the unit is the sum of the corner idempotents", corner_q.unit() == ones),
+        ],
         "the two long compositions give the loop pair and the reversed "
         "compositions vanish",
     )
@@ -926,8 +926,8 @@ def _loop_relation_mod2(fx):
     expected = element_from_terms(
         pres.quiver, "F2", [["1", "e5", ["t7", "t7"]], ["-1", "e5", ["t1", "t2"]]]
     )
-    return (
-        any(r == expected for r in fx.reduction("z2_corner", 2).relations),
+    return _relations(
+        [("t7 t7 = t1 t2 at e5 mod 2", expected in fx.reduction("z2_corner", 2).relations)],
         "the loop squares to the long cycle once 2 vanishes",
     )
 

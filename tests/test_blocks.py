@@ -234,3 +234,40 @@ def test_keyword_constructor_accepts_a_dual_pair():
     b = BlockElement(u=Fraction(1, 2), z=(1, 2, 3))
     assert b == E(u=Fraction(1, 2), z1=1, z2=2, z3=3)
     assert BlockElement(z=1) == E(z1=1)
+
+
+# Products are bilinear, so the 484 slot pairs decide the whole product; the
+# rule derived from the block positions must give the reference on each.
+def test_every_slot_pair_matches_the_fraction_reference():
+    slots = slot_basis()
+    units = [[int(k == i) for k in range(22)] for i in range(22)]
+    for i, u in enumerate(units):
+        for j, v in enumerate(units):
+            want = ref_to_vector(ref_mul(ref_from_vector(u), ref_from_vector(v)))
+            assert (slots[i] * slots[j]).to_vector() == want, (COORD_NAMES[i], COORD_NAMES[j])
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_mixing_rings_raises_a_ring_mismatch(op):
+    a, b = BurnsideElement.one("Z2"), BurnsideElement.one("F2")
+    with pytest.raises(ValueError, match="^ring mismatch: Z2 vs F2$"):
+        getattr(a, "__%s__" % op)(b)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_block_and_ring_elements_do_not_combine(op):
+    block, ring = BlockElement.identity(), BurnsideElement.one("Q")
+    with pytest.raises(TypeError, match="^cannot combine BlockElement with BurnsideElement$"):
+        getattr(block, "__%s__" % op)(ring)
+    with pytest.raises(TypeError, match="^cannot combine BurnsideElement with BlockElement$"):
+        getattr(ring, "__%s__" % op)(block)
+
+
+def test_a_block_element_never_equals_a_ring_element():
+    # the same numerators over the same denominator in Q, one of each class
+    for k in range(22):
+        nums = [int(i == k) for i in range(22)]
+        block, ring = BlockElement.from_ints(nums), BurnsideElement.from_ints("Q", nums)
+        assert (block.ring, block.nums, block.den) == (ring.ring, ring.nums, ring.den)
+        assert block != ring and ring != block
+    assert BlockElement.zero() != BurnsideElement.zero("Q")

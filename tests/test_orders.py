@@ -5,7 +5,7 @@ import pytest
 
 from bisetforge.bisets import BASIS_LABELS, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis
-from bisetforge.linalg import elementary_divisors
+from bisetforge.linalg import common_denominator, elementary_divisors
 from bisetforge.orders import (
     CONGRUENCES_2,
     CONGRUENCES_3,
@@ -175,7 +175,7 @@ def test_linear_delta_matches_the_conjugation_route():
     rng = random.Random(20261018)
     for _ in range(25):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
-        e = BurnsideElement("Q", coeffs)
+        e = BurnsideElement.from_ints("Q", *common_denominator(coeffs))
         assert delta_ints(e.nums, e.den, pb) == conjugated_slots(pb, e, x, xi)
     for i, img in enumerate(delta_images(pb)):
         assert img == conjugated_slots(pb, BurnsideElement.basis(i), x, xi)
@@ -191,7 +191,7 @@ def test_linear_delta_with_mixed_image_denominators():
     rng = random.Random(20261019)
     for _ in range(10):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
-        e = BurnsideElement("Q", coeffs)
+        e = BurnsideElement.from_ints("Q", *common_denominator(coeffs))
         assert delta_ints(e.nums, e.den, scaled) == conjugated_slots(scaled, e, x, xi)
 
 

@@ -13,7 +13,12 @@ from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator
 from bisetforge.perms import Perm, PermGroup, symmetric_group
-from bisetforge.quivers import Presentation
+from bisetforge.quivers import Presentation, element_from_terms
+
+
+def _element(ring, coeffs):
+    """The ring element with these rational coefficients."""
+    return BurnsideElement.from_ints(ring, *common_denominator(coeffs))
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +191,10 @@ def _dense_associativity_failures(c):
 @pytest.mark.parametrize("cell", [(0, 1), (1, 4), (3, 13), (3, 21)])
 def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
     i, j = cell
+    # the first nonzero constant of cell (i, j), one more
     T = [list(row) for row in bisets.structure_tensor()]
-    (k, x), *rest = T[i][j]
-    T[i][j] = ((k, x + 1), *rest)
+    n, (_, k, x) = next((n, t) for n, t in enumerate(T[i]) if t[0] == j)
+    T[i][n] = (j, k, x + 1)
     monkeypatch.setattr(verify, "structure_tensor", lambda: tuple(map(tuple, T)))
     rep = verify.stage_peirce()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
@@ -282,7 +288,7 @@ def _fraction_gamma_failures(G, g):
 
     def gamma(b):
         den = g * b.den
-        return BurnsideElement("Q", [Fraction(x, den) for x in mat_vec(G, b.nums)])
+        return _element("Q", [Fraction(x, den) for x in mat_vec(G, b.nums)])
 
     slots = slot_basis()
     images = [gamma(b) for b in slots]
@@ -326,7 +332,7 @@ def _fraction_delta_failures(imgs):
         "(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j])
         for i in range(22)
         for j in range(22)
-        if imgs[i] * imgs[j] != delta(BurnsideElement("Q", list(c[i][j])))
+        if imgs[i] * imgs[j] != delta(_element("Q", list(c[i][j])))
     ]
     return unit_ok, bad
 
@@ -562,6 +568,11 @@ def test_a_broken_matrix_unit_is_named(monkeypatch, p):
     )
 
 
+def _with_doubled(basis, name):
+    """The named basis with the element called name doubled."""
+    return tuple((k, x.scale(2) if k == name else x) for k, x in basis)
+
+
 @pytest.mark.parametrize(
     "p, name, failing",
     [
@@ -582,8 +593,7 @@ def test_a_broken_matrix_unit_is_named(monkeypatch, p):
 )
 def test_a_doubled_corner_element_names_the_broken_relations(monkeypatch, p, name, failing):
     attr = "CORNER_BASIS_%d" % p
-    basis = tuple((k, x.scale(2) if k == name else x) for k, x in getattr(verify, attr))
-    monkeypatch.setattr(verify, attr, basis)
+    monkeypatch.setattr(verify, attr, _with_doubled(getattr(verify, attr), name))
     assert verify._corner_identities(verify.FixtureSet(), p) == (
         False,
         "fails: " + "; ".join(failing),
@@ -603,3 +613,132 @@ def test_a_run_and_its_emit_read_each_fixture_file_once(monkeypatch, tmp_path):
         ["peirce.json", "delta_matrix.json", "errata.json"]
         + ["presentations/%s.json" % n for n in fixtures.PRESENTATION_NAMES]
     )
+
+
+# Checks whose pass text is a fixed claim name what failed instead.
+
+def test_a_doubled_b3_names_the_broken_corner_relation(monkeypatch):
+    basis = _with_doubled(orders.GAMMA_CORNER_BASIS_2, "b3")
+    monkeypatch.setattr(verify, "GAMMA_CORNER_BASIS_2", basis)
+    fx = verify.FixtureSet()
+    assert verify._gamma_corner_table(fx) == (False, "fails: b2^2 = 2b2 + b3")
+    # b2^2 = 2b2 + b3 keeps the old b3, which is not in (2b1, b2, 2b3, b4)
+    assert verify._radical_ideal(fx) == (False, "fails: b2 b2 in J")
+
+
+@pytest.mark.parametrize(
+    "check, detail",
+    [
+        ("_radical_ideal", "fails: b1 outside J"),
+        ("_radical_cube", "fails: J^3 inside (8b1, 4b2, 2b3, 4b4); J^3 inside twice the corner"),
+        ("_residue_field", "fails: b1 outside J"),
+    ],
+)
+def test_a_radical_holding_the_unit_is_named(monkeypatch, check, detail):
+    radical = verify._radical_2
+
+    def whole_corner():
+        b, jgens = radical()
+        return b, {**jgens, "2b1": b["b1"]}
+
+    monkeypatch.setattr(verify, "_radical_2", whole_corner)
+    assert getattr(verify, check)(verify.FixtureSet()) == (False, detail)
+
+
+def test_a_doubled_loop_element_names_the_broken_rational_corner_products(monkeypatch):
+    basis = _with_doubled(orders.CORNER_BASIS_Q, "a'_{4,4}")
+    monkeypatch.setattr(verify, "CORNER_BASIS_Q", basis)
+    assert verify._rational_corner_table(verify.FixtureSet()) == (
+        False,
+        "fails: a_{4,1} a_{1,4} = a'_{4,4}; a_{4,2} a_{2,4} = a''_{4,4} - 12 a'_{4,4}",
+    )
+
+
+def test_a_non_central_eps3_names_the_basis_it_does_not_commute_with(monkeypatch):
+    # e is the matrix unit s11: it commutes with every Peirce basis element
+    # but the six off-diagonal ones that have e at exactly one end
+    element_by_label = PeirceBasis.element_by_label
+
+    def shifted(pb, label, ring="Q"):
+        x = element_by_label(pb, label, ring)
+        return x + element_by_label(pb, "e", ring) if label == "eps3" else x
+
+    monkeypatch.setattr(PeirceBasis, "element_by_label", shifted)
+    assert verify._eps3_central(verify.FixtureSet()) == (
+        False,
+        "eps3 does not commute with b_{e,g}, b_{e,h}, b_{g,e}, b_{h,e}, b_{e,eps4}, b_{eps4,e}",
+    )
+
+
+def test_a_non_integral_delta_image_is_named():
+    fx = verify.FixtureSet()
+    imgs = list(fx.delta_images)
+    for k in (3, 21):
+        imgs[k] = imgs[k] + BlockElement.from_coords({"w": Fraction(1, 2)})
+    fx.delta_images = imgs
+    assert verify._delta_integral(fx) == (
+        False,
+        "images with a non-integer coordinate: %s, %s" % (BASIS_LABELS[3], BASIS_LABELS[21]),
+    )
+
+
+def test_a_non_integral_24_inverse_names_its_entries():
+    # five times column 0 divides row 0 of the inverse by 5
+    fx = verify.FixtureSet()
+    N, d = verify.int_inverse(fx.matrix)
+    fx.matrix = [[5 * x if c == 0 else x for c, x in enumerate(row)] for row in fx.matrix]
+    want = [
+        "(%s, %s)" % (BASIS_LABELS[0], COORD_NAMES[c]) for c in range(22) if 24 * N[0][c] // d % 5
+    ]
+    assert want
+    assert verify._inverse_24_integral(fx) == (
+        False,
+        "24 times the inverse matrix is not integral at %s" % ", ".join(want[:6]),
+    )
+
+
+@pytest.mark.parametrize("row", [4, 21])
+def test_a_differing_hermite_row_is_named(row):
+    fx = verify.FixtureSet()
+    hermite = [list(r) for r in fx.matrix_hermite]
+    if row < len(hermite) - 1:
+        hermite[row][row] += 1
+    else:
+        del hermite[row:]
+    fx.matrix_hermite = hermite
+    assert verify._lattice_equality(fx) == (
+        False,
+        "the two Hermite forms first differ at row %d" % row,
+    )
+
+
+def test_a_broken_loop_law_names_its_first_failing_sample(monkeypatch):
+    # with xi' = tau6 + e6 = 1 + xi, the combination (a, b, c) is a + c + b eta
+    # + c xi, whose products break the law exactly when c1 c2 or c1 b2 + c2 b1
+    # is nonzero
+    t = dict(orders.CORNER_BASIS_3)
+    basis = tuple((k, x + t["e6"] if k == "tau6" else x) for k, x in orders.CORNER_BASIS_3)
+    monkeypatch.setattr(verify, "CORNER_BASIS_3", basis)
+    rng = random.Random(verify._SEED + 3)
+    for n in range(200):
+        a1, b1, c1, a2, b2, c2 = (rng.randint(-9, 9) for _ in range(6))
+        if c1 * c2 or c1 * b2 + c2 * b1:
+            break
+    assert n < 200
+    assert verify._loop_corner_law(verify.FixtureSet()) == (
+        False,
+        "the law fails on sample %d: (%d, %d, %d) times (%d, %d, %d)"
+        % (n, a1, b1, c1, a2, b2, c2),
+    )
+
+
+def test_a_missing_loop_relation_mod2_is_named():
+    fx = verify.FixtureSet()
+    reduced = fx.reduction("z2_corner", 2)
+    loop = element_from_terms(
+        reduced.quiver, "F2", [["1", "e5", ["t7", "t7"]], ["-1", "e5", ["t1", "t2"]]]
+    )
+    kept = tuple(r for r in reduced.relations if r != loop)
+    assert len(kept) == len(reduced.relations) - 1
+    reduced.relations = kept
+    assert verify._loop_relation_mod2(fx) == (False, "fails: t7 t7 = t1 t2 at e5 mod 2")
