@@ -42,12 +42,27 @@ structure_table(): for each i the (j, k, c) triples with c = c[i][j][k]
 nonzero.  A BurnsideElement is a linalg.StructureElement on these rows, so a
 product is one multiply_rows() call and one ring-membership test on its
 denominator; multiply_vectors() is the same kernel on coefficient vectors.
+
+An element is written as format_element() writes it: "label:n" or
+"label:n/d" for each nonzero coefficient in basis order, joined by commas
+with no spaces, and "0" for zero.  parse_element() reads that grammar in one
+pattern scan and any other text (spaces, "Δ" for "D", decimals) term by term;
+in F_p a fraction is read as its residue:
+
+    >>> x = parse_element("H_8:3,H_{0,0}:-1/2", "Z3")
+    >>> format_element(x)
+    'H_{0,0}:-1/2,H_8:3'
+    >>> parse_element(format_element(x), "Z3") == x
+    True
+    >>> format_element(parse_element(" H^Δ_5 : 0.5 ", "F3"))
+    'H^D_5:2'
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -364,6 +379,11 @@ class BurnsideElement(StructureElement):
         return "BurnsideElement(%s, %s)" % (self.ring, format_element(self))
 
 
+# One term of the text format_element() writes: a label (braces keep its
+# comma), then an integer and an optional positive denominator.
+_TERM = re.compile(r"([^,:{}]+(?:\{[^{}]*\})?):(-?\d+)(?:/([1-9]\d*))?")
+
+
 def _basis_index(label):
     label = label.strip().replace("Δ", "D")
     try:
@@ -387,7 +407,33 @@ def _split_terms(text):
 
 
 def parse_element(text, ring="Q"):
-    """Parse "H_{0,0}:-1/2,H_{1,0}:1"; each term's coefficient must lie in the ring."""
+    """Parse "H_{0,0}:-1/2,H_{1,0}:1"; each term's coefficient must lie in the ring.
+
+    Text in the grammar format_element() writes is read in one scan of _TERM,
+    a term with a denominator checked on its own by rings.normalize_ints();
+    any other text goes to _parse_terms(), which alone refuses malformed text
+    and unknown labels."""
+    pieces = _TERM.split(text)
+    # canonical text splits as ["", label, n, d, ",", label, n, d, ..., ""]
+    if pieces[0] or pieces[-1] or any(sep != "," for sep in pieces[4:-1:4]):
+        return _parse_terms(text, ring)
+    vec, den = [0] * len(BASIS_LABELS), 1
+    for label, n, d in zip(pieces[1::4], pieces[2::4], pieces[3::4]):
+        i = _LABEL_INDEX.get(label)
+        if i is None:
+            return _parse_terms(text, ring)
+        if d is None:
+            vec[i] += int(n) * den
+            continue
+        (n,), d = rings.normalize_ints(ring, (int(n),), int(d))
+        vec, den = _add_term(vec, den, i, n, d)
+    return BurnsideElement.from_ints(ring, vec, den)
+
+
+def _parse_terms(text, ring):
+    """parse_element() for any text: spaces, the "Δ" alias, decimals, and
+    the refusals of unknown labels, malformed terms and coefficients outside
+    the ring."""
     text = text.strip()
     if text in ("0", ""):
         return BurnsideElement.zero(ring)
@@ -401,16 +447,25 @@ def parse_element(text, ring="Q"):
         i = _basis_index(label)
         n, d = rings.parse_ints(val)
         (n,), d = rings.normalize_ints(ring, (n,), d)
-        lcm = math.lcm(den, d)
-        if lcm != den:
-            vec, den = [a * (lcm // den) for a in vec], lcm
-        vec[i] += n * (den // d)
+        vec, den = _add_term(vec, den, i, n, d)
     return BurnsideElement.from_ints(ring, vec, den)
 
 
+def _add_term(vec, den, i, n, d):
+    """(vec, den) plus n/d at coefficient i, over the least common denominator."""
+    lcm = math.lcm(den, d)
+    if lcm != den:
+        vec, den = [a * (lcm // den) for a in vec], lcm
+    vec[i] += n * (den // d)
+    return vec, den
+
+
 def format_element(elem):
+    """ "label:n" or "label:n/d" per nonzero coefficient, in basis order and
+    joined by commas; "0" for zero."""
+    den = elem.den
     parts = [
-        "%s:%s" % (BASIS_LABELS[i], rings.format_fraction(a, elem.den))
+        "%s:%s" % (BASIS_LABELS[i], a if den == 1 else rings.format_fraction(a, den))
         for i, a in enumerate(elem.nums)
         if a
     ]

@@ -190,6 +190,7 @@ PEIRCE_LABELS = (
     "b_{eps4,e}", "b_{eps4,g}", "b_{eps4,h}", "b_{eps4,eps2}",
     "eps4", "b'_{eps4,eps4}", "b''_{eps4,eps4}",
 )
+_PEIRCE_INDEX = {label: i for i, label in enumerate(PEIRCE_LABELS)}
 IDEMPOTENT_LABELS = ("e", "g", "h", "eps2", "eps3", "eps4")
 
 # slot k of COORD_NAMES maps to PEIRCE_LABELS[SLOT_TO_PEIRCE[k]] under gamma
@@ -295,7 +296,11 @@ class PeirceBasis:
         return BurnsideElement.from_ints(ring, rows[i], d)
 
     def element_by_label(self, label, ring="Q"):
-        return self.element(PEIRCE_LABELS.index(label), ring)
+        try:
+            i = _PEIRCE_INDEX[label]
+        except (KeyError, TypeError):
+            raise ValueError("unknown Peirce label %r" % (label,)) from None
+        return self.element(i, ring)
 
     def table_entry_ints(self, i, j):
         """The table's claim for product (i, j) over the transitive basis, as
@@ -303,7 +308,7 @@ class PeirceBasis:
         rows, _ = self.int_vectors
         total = [0] * len(BASIS_LABELS)
         for lab, c in self.table[i][j].items():
-            total = [a + c * b for a, b in zip(total, rows[PEIRCE_LABELS.index(lab)])]
+            total = [a + c * b for a, b in zip(total, rows[_PEIRCE_INDEX[lab]])]
         return total
 
     @cached_property

@@ -33,6 +33,8 @@ classes, 1455 subgroups) takes about 0.55 s as a fresh process on a 2-vCPU VM.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 __all__ = [
     "Perm",
     "PermGroup",
@@ -211,6 +213,7 @@ def _close(degree, generators):
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BINARY_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _mask(flags):
@@ -220,7 +223,7 @@ def _mask(flags):
 
 def _bits(mask):
     """Indices of the set bits of mask, ascending."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_FLAGS)))
 
 
 def _is_prime_power(k):

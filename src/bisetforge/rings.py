@@ -10,8 +10,16 @@
 
 A coefficient is a Fraction, a vector of them integer numerators over one
 denominator.  normalize_ints() holds the only membership test of the package
-(normalize() is its one-coefficient form) and is_unit() the only unit test;
-normalize("F3", 1/2) is 2.
+(normalize() is its one-coefficient form) and is_unit() the only unit test:
+
+    >>> normalize("F3", Fraction(1, 2))
+    Fraction(2, 1)
+    >>> normalize_ints("Z2", (3, 6), 9)
+    ((1, 2), 3)
+    >>> normalize_ints("Z2", (1,), 2)
+    Traceback (most recent call last):
+    ...
+    ValueError: coefficient 1/2 has denominator divisible by 2
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
 RINGS = ("Q", "Z", "Z2", "Z3", "F2", "F3")
 _PRIME = {"Q": None, "Z": None, "Z2": 2, "Z3": 3, "F2": 2, "F3": 3}
 _FIELDS = ("F2", "F3")
+_NOT_FIELDS = ("Q", "Z", "Z2", "Z3")
 
 
 def prime(ring):
@@ -58,7 +67,10 @@ def normalize_ints(ring, nums, den=1):
     """The coefficients nums[i] / den of ring, for a tuple of ints nums and
     den > 0, as (nums, den) in lowest terms; in F_p den is 1 and nums are the
     residues 0..p-1.  Membership is decided once, on the reduced den; the
-    ValueError names the first coefficient outside the ring."""
+    ValueError names the first coefficient outside the ring.  Integers lie in
+    every ring, and outside F_p they are returned as given."""
+    if den == 1 and ring in _NOT_FIELDS:
+        return nums, 1
     if den <= 0:
         raise ValueError("denominator must be positive")
     p = prime(ring)

@@ -176,6 +176,12 @@ class FixtureSet:
         return delta_images(self.peirce)
 
     @cached_property
+    def delta_products(self):
+        """[i][j]: the block product delta(i) delta(j) of two delta images."""
+        imgs = self.delta_images
+        return [[x * y for y in imgs] for x in imgs]
+
+    @cached_property
     def matrix(self):
         """The transcribed representation matrix of delta_matrix.json."""
         return load_fixture_matrix(self.fixture_dir)
@@ -280,11 +286,15 @@ def _subgroup_classes(fx):
 
 def _biset_sizes(fx):
     sizes = biset_sizes()
-    size_ok = list(sizes) == [36 // ref.order for ref in fx.references]
-    return (
-        size_ok and sum(sizes) == 194,
-        "point counts match 36/|H| for every class, total %d" % sum(sizes),
-    )
+    total = sum(sizes)
+    want = [36 // ref.order for ref in fx.references]
+    bad = [] if total == 194 else ["total %d, not 194" % total]
+    bad += [
+        "%s: %s points, not %s" % (label, n, w)
+        for label, n, w in itertools.zip_longest(BASIS_LABELS, sizes, want)
+        if n != w
+    ]
+    return _problems(bad, "point counts match 36/|H| for every class, total %d" % total)
 
 
 def _table_dual_route(fx):
@@ -441,18 +451,16 @@ def _gamma_multiplicative(fx):
 def _gamma_roundtrip(fx):
     pb = fx.peirce
     rng = random.Random(_SEED)
-    trips = 0
-    for _ in range(100):
+    for n in range(100):
         b = _random_block(rng)
         if pb.slot_coordinates(*pb.gamma_ints(b.nums, b.den)) != b:
-            break
+            return False, "gamma^-1(gamma(b)) != b for block sample %d" % n
         nums, den = _over_lcm([(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(22)])
         back = pb.slot_coordinates(nums, den)
         image, iden = pb.gamma_ints(back.nums, back.den)
         if [x * den for x in image] != [x * iden for x in nums]:
-            break
-        trips += 2
-    return trips == 200, "%d seeded round trips through both directions" % trips
+            return False, "gamma(gamma^-1(x)) != x for ring sample %d" % n
+    return True, "200 seeded round trips through both directions"
 
 
 def _support_components():
@@ -516,9 +524,9 @@ def _delta_integral(fx):
 
 
 def _delta_ring_map(fx):
-    c, pb, imgs = fx.table, fx.peirce, fx.delta_images
-    unit_ok = imgs[IDENTITY_INDEX] == BlockElement.identity()
-    bad = _pairs(BASIS_LABELS, lambda i, j: imgs[i] * imgs[j] != delta_ints(c[i][j], 1, pb))
+    c, pb, prods = fx.table, fx.peirce, fx.delta_products
+    unit_ok = fx.delta_images[IDENTITY_INDEX] == BlockElement.identity()
+    bad = _pairs(BASIS_LABELS, lambda i, j: prods[i][j] != delta_ints(c[i][j], 1, pb))
     return _cells(
         bad or ([] if unit_ok else ["the identity"]),
         "delta carries the identity to the identity and respects all 484 products",
@@ -610,20 +618,23 @@ def _index_matches_determinant(fx):
     # a rank-deficient column lattice has infinite index, written 0
     index_h = math.prod(H[i][i] for i in range(22)) if len(H) == 22 else 0
     index_s = math.prod(d for d in elementary_divisors([list(r) for r in fx.matrix]) if d)
-    return (
-        index_h == abs(fx.matrix_det) == index_s == 10616832,
+    found = (("lattice index", index_h), ("|det|", abs(fx.matrix_det)), ("Smith index", index_s))
+    return _cells(
+        ["%s %d" % (name, x) for name, x in found if x != 10616832],
         "lattice index %d agrees with |det| and the Smith form" % index_h,
+        "expected 10616832, got %s",
     )
 
 
 def _lambda_closed(fx):
-    imgs = fx.delta_images
-    ok, detail = _cells(
-        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership(imgs[i] * imgs[j])),
+    if not lambda_membership(BlockElement.identity()):
+        return False, "the congruence lattice does not contain 1"
+    prods = fx.delta_products
+    return _cells(
+        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership(prods[i][j])),
         "the congruence lattice contains 1 and is closed under all 484 products",
         "product escapes at %s",
     )
-    return ok and lambda_membership(BlockElement.identity()), detail
 
 
 def _membership_splits(fx):

@@ -419,6 +419,36 @@ def test_parse_element_matches_the_reference_on_each_coefficient_shape(coeff):
         ), (text, ring)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("H_9:1", "unknown basis label 'H_9'"),
+        ("H_8:1", "unknown ring 'Z4'"),
+        ("H_8:1/2", "unknown ring 'Z4'"),
+        ("H_8:1,H_9:1", "unknown ring 'Z4'"),
+        ("H_8", "bad term 'H_8', expected label:coefficient"),
+    ],
+)
+def test_a_non_ring_name_keeps_the_term_by_term_refusal_order(text, message):
+    assert _outcome(lambda: parse_element(text, "Z4")) == (None, message)
+
+
+def _no_split(text):
+    raise AssertionError("the term-by-term reader ran on %r" % (text,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RINGS), _sparse_nums, _dens)
+def test_what_format_element_writes_reads_back_in_one_scan(ring, nums, den):
+    elem, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
+    if err is None:
+        text = format_element(elem)
+        assert parse_element(text, ring) == elem
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(bisets_module, "_split_terms", _no_split)
+            assert parse_element(text, ring) == elem
+
+
 def test_from_ints_refuses_a_bad_denominator_or_length():
     with pytest.raises(ValueError, match="denominator must be positive"):
         BurnsideElement.from_ints("Q", [0] * 22, 0)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,16 @@ def test_peirce_known_vector():
         "H_{1,0}": Fraction(1),
         "H_{4,0}": Fraction(1, 2),
     }
+
+
+@pytest.mark.parametrize("label", ["eps5", "H_8", "", " e"])
+def test_an_unknown_peirce_label_raises_value_error(label):
+    pb = PeirceBasis.load()
+    with pytest.raises(ValueError, match="^unknown Peirce label %s$" % re.escape(repr(label))):
+        pb.element_by_label(label, "Q")
+    assert [pb.element_by_label(lab) for lab in PEIRCE_LABELS] == [
+        pb.element(i) for i in range(22)
+    ]
 
 
 def test_gamma_is_ring_map_on_samples():

@@ -1,10 +1,10 @@
 import doctest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import linalg, perms
+from bisetforge import bisets, linalg, perms, rings
 from bisetforge.perms import (
     Perm,
     PermGroup,
@@ -78,6 +78,20 @@ def test_conjugacy_classes_deterministic():
     assert [(rep.element_set, members) for rep, members in a] == [
         (rep.element_set, members) for rep, members in b
     ]
+
+
+def _enumerated_bits(mask):
+    """Reference: the set bits read one binary digit at a time."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+@given(st.one_of(st.integers(0, (1 << 36) - 1), st.integers(0, (1 << 720) - 1)))
+@example(0)
+@example(1)
+@example((1 << 720) - 1)
+@example(1 << 719)
+def test_bits_lists_the_set_bits_of_a_mask(mask):
+    assert _bits(mask) == _enumerated_bits(mask)
 
 
 def test_subgroup_mask_is_none_outside_the_group():
@@ -255,7 +269,9 @@ def test_pruned_extension_matches_unpruned_on_small_groups(G):
     _assert_pruning_keeps_the_classes(G)
 
 
-@pytest.mark.parametrize("module", [perms, linalg], ids=["perms", "linalg"])
+@pytest.mark.parametrize(
+    "module", [perms, linalg, bisets, rings], ids=["perms", "linalg", "bisets", "rings"]
+)
 def test_module_doctests_pass(module):
     assert doctest.testmod(module).failed == 0
 

@@ -742,3 +742,70 @@ def test_a_missing_loop_relation_mod2_is_named():
     assert len(kept) == len(reduced.relations) - 1
     reduced.relations = kept
     assert verify._loop_relation_mod2(fx) == (False, "fails: t7 t7 = t1 t2 at e5 mod 2")
+
+
+def test_a_wrong_lattice_index_names_the_quantities():
+    fx = verify.FixtureSet()
+    hermite = [list(r) for r in fx.matrix_hermite]
+    hermite[0][0] *= 5
+    fx.matrix_hermite = hermite
+    assert verify._index_matches_determinant(fx) == (
+        False,
+        "expected 10616832, got lattice index 53084160",
+    )
+
+
+def test_wrong_biset_sizes_are_named(monkeypatch):
+    monkeypatch.setattr(verify, "biset_sizes", lambda: (1,) * 22)
+    assert verify._biset_sizes(verify.FixtureSet()) == (
+        False,
+        "total 22, not 194; H_{0,0}: 1 points, not 36; H_{1,0}: 1 points, not 18; "
+        "H_{0,1}: 1 points, not 18",
+    )
+
+
+@pytest.mark.parametrize(
+    "broken_call, detail",
+    [
+        (0, "gamma^-1(gamma(b)) != b for block sample 0"),
+        (5, "gamma(gamma^-1(x)) != x for ring sample 2"),
+        (198, "gamma^-1(gamma(b)) != b for block sample 99"),
+    ],
+)
+def test_a_broken_round_trip_names_its_direction_and_sample(monkeypatch, broken_call, detail):
+    # sample n calls slot_coordinates twice: call 2n for the block sample,
+    # call 2n + 1 for the ring sample
+    slot_coordinates, calls = PeirceBasis.slot_coordinates, []
+
+    def doubled_once(pb, nums, den=1):
+        calls.append(1)
+        back = slot_coordinates(pb, nums, den)
+        return back.scale(2) if len(calls) == broken_call + 1 else back
+
+    monkeypatch.setattr(PeirceBasis, "slot_coordinates", doubled_once)
+    assert verify._gamma_roundtrip(verify.FixtureSet()) == (False, detail)
+
+
+def test_a_lattice_without_1_is_named(monkeypatch):
+    member = verify.lambda_membership
+    identity = BlockElement.identity()
+    monkeypatch.setattr(verify, "lambda_membership", lambda b: b != identity and member(b))
+    assert verify._lambda_closed(verify.FixtureSet()) == (
+        False,
+        "the congruence lattice does not contain 1",
+    )
+
+
+def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
+    fx = verify.FixtureSet()
+    fx.table, fx.delta_images  # built before counting
+    made = []
+    mul = BlockElement.__mul__
+
+    def counted(x, y):
+        made.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(BlockElement, "__mul__", counted)
+    assert verify._delta_ring_map(fx)[0] and verify._lambda_closed(fx)[0]
+    assert len(made) == 484
