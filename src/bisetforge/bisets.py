@@ -379,9 +379,11 @@ class BurnsideElement(StructureElement):
         return "BurnsideElement(%s, %s)" % (self.ring, format_element(self))
 
 
-# One term of the text format_element() writes: a label (braces keep its
-# comma), then an integer and an optional positive denominator.
-_TERM = re.compile(r"([^,:{}]+(?:\{[^{}]*\})?):(-?\d+)(?:/([1-9]\d*))?")
+# One term of the text format_element() writes: a label of one of the three
+# shapes of BASIS_LABELS, H_{i,j}, H^D_i and H_i, then an integer and an
+# optional positive denominator.  The label has a bounded length, so a scan
+# of any text is linear in its length.
+_TERM = re.compile(r"(H(?:_\{\d,\d\}|\^D_\d|_\d)):(-?\d+)(?:/([1-9]\d*))?")
 
 
 def _basis_index(label):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -439,6 +440,8 @@ def _no_split(text):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RINGS), _sparse_nums, _dens)
+@example("Q", list(range(-11, 0)) + list(range(1, 12)), 35)
+@example("F3", list(range(1, 23)), 1)
 def test_what_format_element_writes_reads_back_in_one_scan(ring, nums, den):
     elem, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
     if err is None:
@@ -447,6 +450,19 @@ def test_what_format_element_writes_reads_back_in_one_scan(ring, nums, den):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(bisets_module, "_split_terms", _no_split)
             assert parse_element(text, ring) == elem
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["H" * 20000, "H_{" * 7000, "H_8:1," * 3000 + "H_9:1"],
+    ids=["H", "H_{", "H_8:1,"],
+)
+def test_a_long_operand_is_scanned_in_linear_time(text):
+    # a label pattern that could run on to the end of the text from every
+    # position took about 2.5 s on 4,400 'H's and grows with the square
+    start = time.process_time()
+    _outcome(lambda: parse_element(text, "Q"))
+    assert time.process_time() - start < 0.5
 
 
 def test_from_ints_refuses_a_bad_denominator_or_length():
