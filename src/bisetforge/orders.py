@@ -228,33 +228,38 @@ MOD24_ROWS = (
 )
 
 
-def _residual(nums, coeffs):
-    return sum(c * nums[COORD_INDEX[name]] for name, c in coeffs.items())
+def _compiled(congs, p=None):
+    """(((index in COORD_NAMES, coeff), ...), modulus) for each congruence;
+    at p the modulus is gcd(m, p^m), the p-part of m: over a denominator prime
+    to p, a residual has valuation >= v_p(m) exactly when that divides it."""
+    return tuple(
+        (tuple((COORD_INDEX[n], c) for n, c in coeffs.items()), math.gcd(m, p**m) if p else m)
+        for coeffs, m in congs
+    )
+
+
+_LAMBDA_CONDITIONS = _compiled(CONGRUENCES_2 + CONGRUENCES_3)
+_LOCAL_CONDITIONS = {2: _compiled(CONGRUENCES_2, 2), 3: _compiled(CONGRUENCES_3, 3)}
+
+
+def _satisfies(nums, conditions):
+    for terms, m in conditions:
+        if sum([c * nums[i] for i, c in terms]) % m:
+            return False
+    return True
 
 
 def lambda_membership(block):
     """Membership of a BlockElement in the integral congruence order
     (integrality included)."""
-    nums, den = block.nums, block.den
-    return den == 1 and all(
-        _residual(nums, coeffs) % m == 0 for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3
-    )
+    return block.den == 1 and _satisfies(block.nums, _LAMBDA_CONDITIONS)
 
 
 def localized_membership(block, p):
     """Membership of a BlockElement in the localized order at p (2 or 3)."""
-    if p == 2:
-        congs = CONGRUENCES_2
-    elif p == 3:
-        congs = CONGRUENCES_3
-    else:
+    if p not in _LOCAL_CONDITIONS:
         raise ValueError("p must be 2 or 3")
-    nums, den = block.nums, block.den
-    if den % p == 0:
-        return False
-    # den is a unit at p, so the residual has valuation >= v_p(m) exactly when
-    # its numerator is divisible by gcd(m, p^m), the p-part of m
-    return all(_residual(nums, coeffs) % math.gcd(m, p**m) == 0 for coeffs, m in congs)
+    return block.den % p != 0 and _satisfies(block.nums, _LOCAL_CONDITIONS[p])
 
 
 def congruence_solution_lattice():

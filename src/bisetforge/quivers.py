@@ -459,9 +459,6 @@ class Presentation:
     def rules(self):
         return make_rules(self.quiver, self.ring, self.relations)
 
-    def basis_paths(self, length_bound=8):
-        return irreducible_paths(self.quiver, self.rules(), length_bound)
-
     def reduce_mod(self, p):
         """The presentation over F_p, without the relations that vanish there."""
         fring = "F%d" % p
@@ -477,15 +474,17 @@ class Presentation:
 
 
 def element_from_terms(quiver, ring, terms, where="terms"):
-    """The element of [[coefficient text, source, [arrows]], ...]; a term that
-    is malformed or whose coefficient is not in the ring raises ValueError
-    naming its JSON path below where."""
+    """The element of [[coefficient, source, [arrows]], ...], each coefficient
+    a text or an int; a term that is malformed or whose coefficient is not in
+    the ring raises ValueError naming its JSON path below where."""
     if not isinstance(terms, list):
         raise ValueError("%s: expected a list of terms" % where)
     out = {}
     for k, term in enumerate(terms):
         try:
             coeff, src, arrows = term
+            if not isinstance(coeff, (str, int)) or isinstance(coeff, bool):
+                raise ValueError("coefficient %r is not a string or an integer" % (coeff,))
             path = quiver.path(src, arrows)
             c = rings.normalize(ring, rings.parse_fraction(coeff))
         except (TypeError, ValueError) as exc:
@@ -524,7 +523,8 @@ def _vanishes(block, ring, corner):
 def verify_presentation(pres, corner, length_bound=8):
     """Mechanical check that the presentation describes the corner algebra.
 
-    Returns a list of problem strings; empty means every check passed:
+    Returns (problems, n): n counts the irreducible paths, None when orienting
+    or the length bound failed, and problems is empty when every check passed:
     idempotent orthogonal vertex images, arrow endpoint compatibility,
     vanishing relations, long kernel contained in the oriented ideal and
     vanishing, local confluence, matching rank, and a unit change of basis
@@ -558,19 +558,19 @@ def verify_presentation(pres, corner, length_bound=8):
         rules = pres.rules()
     except PresentationError as exc:
         problems.append("orientation failed: %s" % exc)
-        return problems
+        return problems, None
     problems.extend(local_confluence_failures(q, ring, rules))
     try:
         basis = irreducible_paths(q, rules, length_bound)
     except PresentationError as exc:
         problems.append(str(exc))
-        return problems
+        return problems, None
     if len(basis) != corner.rank():
         problems.append(
             "quotient rank %d differs from corner rank %d"
             % (len(basis), corner.rank())
         )
-        return problems
+        return problems, len(basis)
     for i, elem in enumerate(pres.long_kernel):
         if not normal_form(elem, rules).is_zero():
             problems.append("listed kernel element %d is outside the ideal" % i)
@@ -583,7 +583,7 @@ def verify_presentation(pres, corner, length_bound=8):
     d = Fraction(det_bareiss([flat[i * n : i * n + n] for i in range(n)]), den**n)
     if not rings.is_unit(ring, d):
         problems.append("change of basis determinant %s is not a unit" % d)
-    return problems
+    return problems, len(basis)
 
 
 def corner_span_problems(p, named_basis, lattice_gens, idempotents):

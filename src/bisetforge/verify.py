@@ -306,17 +306,18 @@ def _table_dual_route(fx):
 
 
 def _table_mass(fx):
-    c, sizes, bisets_by_class = fx.table, biset_sizes(), basis_bisets()
+    c, sizes, bs = fx.table, biset_sizes(), basis_bisets()
+
+    def fixed(action):
+        return sum(1 for x, q in enumerate(action) if q == x)
+
+    # fixed points of the pairs (1, g) and (g, 1), whose pair indices are g and 6g
+    left = [[fixed(b.action[g]) for g in range(6)] for b in bs]
+    right = [[fixed(b.action[6 * g]) for g in range(6)] for b in bs]
 
     def off(i, j):
-        total = 0
-        for g in range(6):  # pair indices of (1, g) and (g, 1)
-            am = bisets_by_class[i].action[g]
-            an = bisets_by_class[j].action[6 * g]
-            fm = sum(1 for x, q in enumerate(am) if q == x)
-            fn = sum(1 for y, q in enumerate(an) if q == y)
-            total += fm * fn
-        return 6 * sum(c[i][j][k] * sizes[k] for k in range(22)) != total
+        total = sum(fm * fn for fm, fn in zip(left[i], right[j]))
+        return 6 * sum(x * n for x, n in zip(c[i][j], sizes)) != total
 
     return _cells(
         _pairs(BASIS_LABELS, off),
@@ -406,10 +407,28 @@ def _eps3_central(fx):
     )
 
 
+def _randint(rng, lo, hi):
+    """A draw() returning what rng.randint(lo, hi) would, from the same stream:
+    CPython's rejection sampling on getrandbits, without randint's frames."""
+    n, bits = hi - lo + 1, rng.getrandbits
+    k = n.bit_length()
+
+    def draw():
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return lo + r
+
+    return draw
+
+
 def _random_block(rng, denominators=True):
     """22 coordinates num/den, num in [-24, 24] and den in [1, 6] (or 1)."""
-    fracs = [(rng.randint(-24, 24), rng.randint(1, 6) if denominators else 1) for _ in range(22)]
-    return BlockElement.from_ints(*_over_lcm(fracs))
+    num = _randint(rng, -24, 24)
+    if not denominators:
+        return BlockElement.from_ints([num() for _ in range(22)])
+    den = _randint(rng, 1, 6)
+    return BlockElement.from_ints(*_over_lcm([(num(), den()) for _ in range(22)]))
 
 
 def _over_lcm(fracs):
@@ -451,14 +470,15 @@ def _gamma_multiplicative(fx):
 def _gamma_roundtrip(fx):
     pb = fx.peirce
     rng = random.Random(_SEED)
+    num, den = _randint(rng, -12, 12), _randint(rng, 1, 4)
     for n in range(100):
         b = _random_block(rng)
         if pb.slot_coordinates(*pb.gamma_ints(b.nums, b.den)) != b:
             return False, "gamma^-1(gamma(b)) != b for block sample %d" % n
-        nums, den = _over_lcm([(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(22)])
-        back = pb.slot_coordinates(nums, den)
+        nums, d = _over_lcm([(num(), den()) for _ in range(22)])
+        back = pb.slot_coordinates(nums, d)
         image, iden = pb.gamma_ints(back.nums, back.den)
-        if [x * den for x in image] != [x * iden for x in nums]:
+        if [x * d for x in image] != [x * iden for x in nums]:
             return False, "gamma(gamma^-1(x)) != x for ring sample %d" % n
     return True, "200 seeded round trips through both directions"
 
@@ -476,24 +496,39 @@ def _support_components():
 
 
 def _component_conditions(names):
-    """Compile both membership predicates to the given coordinates."""
+    """Compile both membership predicates to the given coordinates, as
+    (((position in names, coeff), ...), modulus) conditions."""
     idx = {n: i for i, n in enumerate(names)}
     congs = [
-        (tuple(idx[n] for n in coeffs), tuple(coeffs.values()), m)
+        (tuple((idx[n], c) for n, c in coeffs.items()), m)
         for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3
         if idx.keys() >= set(coeffs)
     ]
     rows = [
-        tuple((idx[COORD_NAMES[i]], c) for i, c in enumerate(row) if c)
+        (tuple((idx[COORD_NAMES[i]], c) for i, c in enumerate(row) if c), 24)
         for row in MOD24_ROWS
         if all(COORD_NAMES[i] in idx for i, c in enumerate(row) if c)
     ]
     return congs, rows
 
 
+def _holds_on_grid(conditions, n, q):
+    """For each residue vector of product(range(q), repeat=n), in that order,
+    whether every condition holds mod gcd(modulus, q)."""
+    ok = [True] * q**n
+    for terms, m in conditions:
+        coeff, g, values = dict(terms), math.gcd(m, q), [0]
+        for i in range(n):  # the last coordinate varies fastest, as in product
+            step = [coeff.get(i, 0) * r for r in range(q)]
+            values = [v + s for v in values for s in step]
+        ok = [o and v % g == 0 for o, v in zip(ok, values)]
+    return ok
+
+
 def _residue_disagreement(comp):
     """Residues mod 24 of the coordinates in comp on which the congruences and
-    the mod-24 rows disagree, or None.
+    the mod-24 rows disagree, or None; the first disagreement of an
+    exhaustive scan in itertools.product order.
 
     Every modulus divides 24 = 8 * 3, so each predicate is the conjunction of
     its reductions mod 8 and mod 3, and 0 satisfies every condition.  The
@@ -502,16 +537,13 @@ def _residue_disagreement(comp):
     residue that is r mod q and 0 mod 24/q.
     """
     congs, rows = _component_conditions(comp)
+    n = len(comp)
     for q in (8, 3):
-        lift = (24 // q) * pow(24 // q, -1, q)
-        for combo in itertools.product(range(q), repeat=len(comp)):
-            a = all(
-                sum(cf * combo[i] for i, cf in zip(ix, cfs)) % math.gcd(m, q) == 0
-                for ix, cfs, m in congs
-            )
-            b = all(sum(cf * combo[i] for i, cf in sup) % q == 0 for sup in rows)
-            if a != b:
-                return tuple(r * lift % 24 for r in combo)
+        a, b = _holds_on_grid(congs, n, q), _holds_on_grid(rows, n, q)
+        if a != b:
+            at = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+            lift = (24 // q) * pow(24 // q, -1, q)
+            return tuple(at // q ** (n - 1 - i) % q * lift % 24 for i in range(n))
     return None
 
 
@@ -845,9 +877,9 @@ def _loop_combo():
 
 def _loop_corner_law(fx):
     combo = _loop_combo()
-    rng = random.Random(_SEED + 3)
+    draw = _randint(random.Random(_SEED + 3), -9, 9)
     for n in range(200):
-        a1, b1, c1, a2, b2, c2 = (rng.randint(-9, 9) for _ in range(6))
+        a1, b1, c1, a2, b2, c2 = (draw() for _ in range(6))
         u1 = combo(a1, b1, c1)
         u2 = combo(a2, b2, c2)
         want = combo(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1)
@@ -904,12 +936,11 @@ def _rational_corner_table(fx):
 
 def _presentation(fx, name):
     ring, basis = _CORNERS[name]
-    pres = fx.presentations[name]
-    problems = verify_presentation(pres, CornerAlgebra(ring, basis))
-    n = len(pres.basis_paths())
+    problems, n = verify_presentation(fx.presentations[name], CornerAlgebra(ring, basis))
+    # n is None only when there are problems, and then the pass text is unused
     ok, detail = _problems(
         problems,
-        "confluent with %d irreducible paths and a unit change of basis" % n,
+        "confluent with %s irreducible paths and a unit change of basis" % n,
     )
     return ok and n == 10, detail
 
@@ -917,8 +948,7 @@ def _presentation(fx, name):
 def _presentation_mod(fx, name, p):
     pres = fx.presentations[name]
     reduced = fx.reduction(name, p)
-    problems = verify_presentation(reduced, CornerAlgebra("F%d" % p, _CORNERS[name][1]))
-    n = len(reduced.basis_paths())
+    problems, n = verify_presentation(reduced, CornerAlgebra("F%d" % p, _CORNERS[name][1]))
     recorded = (
         pres.mod_p is not None
         and pres.mod_p[0] == p
@@ -926,7 +956,7 @@ def _presentation_mod(fx, name, p):
     )
     ok, detail = _problems(
         problems or ([] if recorded else ["modular relations differ"]),
-        "reduction stays confluent with %d irreducible paths and matches "
+        "reduction stays confluent with %s irreducible paths and matches "
         "the recorded modular relations" % n,
     )
     return ok and n == 10, detail

@@ -558,16 +558,80 @@ def _set_image(key, value):
             "z3_corner", lambda d: d.update({"ring": "F5"}),
             "presentations/z3_corner.json:ring: unknown ring 'F5'",
         ),
+        (
+            "q_corner", _set_term("relations", True),
+            "presentations/q_corner.json:relations[0][0]: coefficient True is not a string "
+            "or an integer",
+        ),
+        (
+            "z2_corner", _set_term("long_kernel", None),
+            "presentations/z2_corner.json:long_kernel[0][0]: coefficient None is not a string "
+            "or an integer",
+        ),
+        (
+            "q_corner", _set_term("relations", 1.5),
+            "presentations/q_corner.json:relations[0][0]: coefficient 1.5 is not a string "
+            "or an integer",
+        ),
+        (
+            "z2_corner", lambda d: d["mod_p"]["relations"][0][0].__setitem__(0, 1.0),
+            "presentations/z2_corner.json:mod_p.relations[0][0]: coefficient 1.0 is not a "
+            "string or an integer",
+        ),
     ],
     ids=[
         "relation-1/3-in-Z3", "kernel-coefficient", "mod-p-coefficient", "unknown-vertex",
         "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
-        "ring",
+        "ring", "bool-coefficient", "null-coefficient", "float-coefficient",
+        "float-mod-p-coefficient",
     ],
 )
 def test_malformed_presentation_exits_2_naming_the_path(capsys, tmp_path, name, edit, message):
     dst = _tampered_fixture(tmp_path, "presentations/%s.json" % name, edit)
     assert _single_error(capsys, "paths", dst).startswith("error: " + message)
+
+
+def test_an_integer_coefficient_in_a_presentation_is_read_as_its_text(capsys, tmp_path):
+    # the first relation term of q_corner has coefficient "1"
+    dst = _tampered_fixture(tmp_path, "presentations/q_corner.json", _set_term("relations", 1))
+    code, out, err = run_cli(capsys, "verify", "--stage", "paths", "--fixture-dir", dst)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "name, edit, failures",
+    [
+        (
+            "q_corner", lambda d: d["relations"][0].clear(),
+            ["FAIL paths/presentation-q_corner: orientation failed: zero relation cannot "
+             "be oriented"],
+        ),
+        (
+            "z2_corner", lambda d: d["relations"][7].pop(0),
+            ["FAIL paths/presentation-z2_corner: relation 7 does not vanish in the corner; "
+             "orientation failed: leading coefficient -2 is not a unit",
+             "FAIL paths/presentation-z2_corner-mod2: quotient rank 12 differs from corner "
+             "rank 10"],
+        ),
+        (
+            "z3_corner", lambda d: d["relations"].pop(0),
+            ["FAIL paths/presentation-z3_corner: irreducible path of length 8 reaches the "
+             "bound 8",
+             "FAIL paths/presentation-z3_corner-mod3: irreducible path of length 8 reaches "
+             "the bound 8"],
+        ),
+    ],
+    ids=["zero-relation", "non-unit-head", "length-bound"],
+)
+def test_a_presentation_without_a_basis_fails_naming_the_problem(
+    capsys, tmp_path, name, edit, failures
+):
+    dst = _tampered_fixture(tmp_path, "presentations/%s.json" % name, edit)
+    code, out, err = run_cli(capsys, "verify", "--stage", "paths", "--fixture-dir", dst)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == failures
+    assert lines[-1] == "result: FAIL"
 
 
 def test_exponent_literal_in_a_presentation_exits_2_at_once(tmp_path):

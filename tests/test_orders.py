@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bisetforge.bisets import BASIS_LABELS, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis
@@ -146,6 +149,55 @@ def test_membership_rejects_denominators():
     assert not lambda_membership(half)
     assert not localized_membership(half, 2)
     assert localized_membership(half, 3)
+
+
+def _residuals(block, congs):
+    """Reference: (residual / modulus) of each congruence, in Fractions."""
+    x = dict(zip(COORD_NAMES, block.to_vector()))
+    return [sum(c * x[n] for n, c in coeffs.items()) / m for coeffs, m in congs]
+
+
+def ref_lambda_membership(block):
+    """Reference: integral coordinates and every residual a multiple of its modulus."""
+    vec = block.to_vector() + _residuals(block, CONGRUENCES_2 + CONGRUENCES_3)
+    return all(x.denominator == 1 for x in vec)
+
+
+def ref_localized_membership(block, p):
+    """Reference: the same in Z_(p), whose members have denominators prime to p."""
+    congs = CONGRUENCES_2 if p == 2 else CONGRUENCES_3
+    return all(x.denominator % p for x in block.to_vector() + _residuals(block, congs))
+
+
+# column lattice of the matrix fixture: the integral congruence order itself
+_M = load_fixture_matrix()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-3, 3), min_size=22, max_size=22),
+    nudge=st.one_of(st.none(), st.tuples(st.integers(0, 21), st.integers(-30, 30))),
+    den=st.one_of(st.just(1), st.integers(1, 12)),
+)
+def test_compiled_membership_matches_the_congruence_dicts(coeffs, nudge, den):
+    nums = [sum(c * x for c, x in zip(coeffs, row)) for row in _M]
+    if nudge:
+        nums[nudge[0]] += nudge[1]
+    block = BlockElement.from_ints(nums, den)
+    assert lambda_membership(block) == ref_lambda_membership(block)
+    for p in (2, 3):
+        assert localized_membership(block, p) == ref_localized_membership(block, p)
+
+
+def test_membership_references_see_members_and_non_members():
+    members = [BlockElement.from_ints([row[j] for row in _M]) for j in range(22)]
+    assert all(map(lambda_membership, members)) and all(map(ref_lambda_membership, members))
+    for p in (2, 3):
+        local = [b.scale(Fraction(1, 5 - p)) for b in members]
+        assert all(localized_membership(b, p) and ref_localized_membership(b, p) for b in local)
+        assert not any(map(lambda_membership, local))
+    with pytest.raises(ValueError):
+        localized_membership(BlockElement.identity(), 5)
 
 
 def test_local_idempotents():

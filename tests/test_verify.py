@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -162,6 +163,52 @@ def test_broken_mod24_row_fails_with_a_witness(monkeypatch, broken):
     residues = [int(r) for r in m.group(2).split(",") if r.strip()]
     assert len(residues) == len(comp) and all(0 <= r < 24 for r in residues)
     assert _disagree_mod24(comp, residues, rows)
+
+
+def _brute_disagreement(comp):
+    """Reference: the first residues of product(range(q), repeat=len(comp)),
+    q = 8 then 3, where the congruences and verify.MOD24_ROWS disagree,
+    lifted to residues mod 24."""
+    congs = [
+        (coeffs, m)
+        for coeffs, m in orders.CONGRUENCES_2 + orders.CONGRUENCES_3
+        if set(coeffs) <= set(comp)
+    ]
+    rows = [
+        {COORD_NAMES[i]: c for i, c in enumerate(row) if c}
+        for row in verify.MOD24_ROWS
+    ]
+    rows = [row for row in rows if set(row) <= set(comp)]
+    for q in (8, 3):
+        lift = (24 // q) * pow(24 // q, -1, q)
+        for combo in itertools.product(range(q), repeat=len(comp)):
+            x = dict(zip(comp, combo))
+            a = all(sum(c * x[n] for n, c in co.items()) % math.gcd(m, q) == 0 for co, m in congs)
+            b = all(sum(c * x[n] for n, c in row.items()) % q == 0 for row in rows)
+            if a != b:
+                return tuple(r * lift % 24 for r in combo)
+    return None
+
+
+def test_residue_disagreement_matches_the_brute_force_scan(monkeypatch):
+    # trial 0 has the shipped rows; the others change up to three coefficients
+    # of the rows, each inside the row's own component, to a nonzero residue
+    shipped = verify._support_components()
+    component = {n: comp for comp in shipped for n in comp}
+    rng = random.Random(20261018)
+    witnesses = 0
+    for trial in range(30):
+        rows = [list(r) for r in orders.MOD24_ROWS]
+        for _ in range(rng.randint(1, 3) if trial else 0):
+            row = rng.choice(rows)
+            names = component[COORD_NAMES[next(i for i, c in enumerate(row) if c)]]
+            row[COORD_NAMES.index(rng.choice(names))] = rng.randrange(1, 24)
+        monkeypatch.setattr(verify, "MOD24_ROWS", tuple(map(tuple, rows)))
+        for comp in verify._support_components():
+            got = verify._residue_disagreement(comp)
+            assert got == _brute_disagreement(comp), (trial, comp)
+            witnesses += got is not None
+    assert witnesses >= 10
 
 
 def mat_mul(A, B):
@@ -369,6 +416,52 @@ def test_random_block_draws_the_same_samples_as_the_fraction_sampler(denominator
     for _ in range(50):
         assert verify._random_block(new, denominators) == _fraction_random_block(old, denominators)
     assert new.random() == old.random()
+
+
+@pytest.mark.parametrize("lo, hi", [(-24, 24), (1, 6), (-12, 12), (1, 4), (-9, 9)])
+def test_randint_draws_what_random_randint_draws(lo, hi):
+    for seed in (verify._SEED, verify._SEED + 2, verify._SEED + 3, 0):
+        new, old = random.Random(seed), random.Random(seed)
+        draw = verify._randint(new, lo, hi)
+        assert [draw() for _ in range(3000)] == [old.randint(lo, hi) for _ in range(3000)]
+        assert new.getstate() == old.getstate()
+
+
+def _reference_table_mass(fx):
+    """Reference: table-mass as first written, recounting the fixed points
+    of (1, g) and (g, 1) in every cell."""
+    c, sizes, bisets_by_class = fx.table, bisets.biset_sizes(), bisets.basis_bisets()
+
+    def off(i, j):
+        total = 0
+        for g in range(6):
+            am = bisets_by_class[i].action[g]
+            an = bisets_by_class[j].action[6 * g]
+            fm = sum(1 for x, q in enumerate(am) if q == x)
+            fn = sum(1 for y, q in enumerate(an) if q == y)
+            total += fm * fn
+        return 6 * sum(c[i][j][k] * sizes[k] for k in range(22)) != total
+
+    return verify._cells(
+        verify._pairs(BASIS_LABELS, off),
+        "every contracted point count matches the fixed-point average",
+        "point count off at %s",
+    )
+
+
+@pytest.mark.parametrize(
+    "cells", [[(0, 0, 0)], [(3, 5, 7), (5, 3, 7)], [(i, 21 - i, i) for i in range(0, 22, 3)]]
+)
+def test_a_tampered_table_mass_cell_fails_at_the_same_cells(cells):
+    fx = verify.FixtureSet()
+    table = [[list(cell) for cell in row] for row in fx.table]
+    for i, j, k in cells:
+        table[i][j][k] += 1
+    fx.table = table
+    ok, detail = verify._table_mass(fx)
+    assert (ok, detail) == _reference_table_mass(fx)
+    named = ["(%s, %s)" % (BASIS_LABELS[i], BASIS_LABELS[j]) for i, j, _ in sorted(cells)][:6]
+    assert (ok, detail) == (False, "point count off at %s" % ", ".join(named))
 
 
 def test_emit_reuses_the_checked_products_and_writes_the_recomputed_table(tmp_path, monkeypatch):
