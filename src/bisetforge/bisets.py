@@ -150,6 +150,39 @@ def biset_sizes():
     return tuple(36 // len(U) for U in subgroup_reps())
 
 
+def embed_pair(a, b):
+    """Degree-6 permutation acting as a on {0,1,2} and b on {3,4,5}."""
+    return Perm(tuple(a.images) + tuple(3 + i for i in b.images))
+
+
+def pair_group():
+    """S3xS3 at degree 6, the factors acting on {0,1,2} and {3,4,5}."""
+    gens = [embed_pair(p, S3_ID) for p in S3.generators]
+    gens += [embed_pair(S3_ID, p) for p in S3.generators]
+    return PermGroup(6, gens)
+
+
+def labeled_subgroups():
+    """The 22 classified subgroups embedded at degree 6, in basis order."""
+    return [PermGroup(6, [embed_pair(a, b) for a, b in gens]) for gens in SUBGROUP_GENERATORS]
+
+
+def match_classes(group, references):
+    """(classes, assignment): the (representative, member masks) classes of
+    subgroups of group and, for each, the least index of a reference conjugate
+    to its members, or None.  A class lists its whole conjugation orbit, so a
+    reference is conjugate to its members exactly when its mask is one of
+    theirs; a reference outside group has no mask and no class."""
+    classes = group.conjugacy_classes_of_subgroups()
+    class_of = {m: ci for ci, (_, members) in enumerate(classes) for m in members}
+    assignment = [None] * len(classes)
+    for ri, ref in enumerate(references):
+        ci = class_of.get(group.subgroup_mask(ref))
+        if ci is not None and assignment[ci] is None:
+            assignment[ci] = ri
+    return classes, assignment
+
+
 class Biset:
     """A finite left (S3xS3)-set: `size` points; `action[x]`, for the pair of
     index x, is the tuple of the images of the points."""

@@ -278,6 +278,9 @@ class PeirceBasis:
         missing = [label for label in PEIRCE_LABELS if label not in vectors]
         if missing:
             raise ValueError("peirce.json:basis22.vectors: missing %r" % missing[0])
+        missing = [label for label in IDEMPOTENT_LABELS if label not in idempotents]
+        if missing:
+            raise ValueError("peirce.json:idempotents: missing %r" % missing[0])
         for label, src in idempotents.items():
             if vectors[label] != src:
                 raise ValueError(

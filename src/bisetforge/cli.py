@@ -12,7 +12,7 @@ import os
 import re
 import sys
 
-from . import fixtures, rings, verify
+from . import bisets, fixtures, rings
 from .bisets import BASIS_LABELS, TableMismatch, format_element, parse_element
 from .blocks import PEIRCE_LABELS, PeirceBasis
 from .perms import CapacityError, Perm, PermGroup, cyclic_group, symmetric_group
@@ -56,7 +56,7 @@ def parse_group_spec(spec):
         raise UsageError("empty group description")
     compact = text.replace(" ", "")
     if compact.upper() in ("S3XS3", "S3*S3"):
-        return verify.pair_group(), "S3xS3"
+        return bisets.pair_group(), "S3xS3"
     m = re.fullmatch(r"([SCsc])(\d+)", compact)
     if m:
         kind, n = m.group(1).upper(), int(m.group(2))
@@ -85,9 +85,9 @@ def parse_group_spec(spec):
 def cmd_subgroups(args):
     group, display = parse_group_spec(args.group)
     if display == "S3xS3" or (
-        (group.degree, group.order) == (6, 36) and group == verify.pair_group()
+        (group.degree, group.order) == (6, 36) and group == bisets.pair_group()
     ):
-        classes, assignment = verify.match_classes(group, verify.labeled_subgroups())
+        classes, assignment = bisets.match_classes(group, bisets.labeled_subgroups())
         labels = [
             BASIS_LABELS[a] if a is not None else None for a in assignment
         ]
@@ -172,6 +172,8 @@ def cmd_mult(args):
 
 
 def cmd_verify(args):
+    from . import verify  # here, so that subgroups and mult never load the verifier
+
     stages = None if args.stage == "all" else args.stage
     fx = verify.FixtureSet(args.fixture_dir)
     report = verify.run(stages=stages, fixture_dir=fx)
@@ -216,7 +218,7 @@ def build_parser():
     ve = sub.add_parser("verify", help="run the verification stages")
     ve.add_argument(
         "--stage",
-        choices=("all",) + verify.STAGE_ORDER,
+        choices=("all",) + fixtures.STAGE_ORDER,
         default="all",
         help="restrict to one stage (default: all)",
     )

@@ -23,12 +23,17 @@ __all__ = [
     "load_presentation",
     "load_errata",
     "PRESENTATION_NAMES",
+    "STAGE_ORDER",
 ]
 
 DEFAULT_DIR = Path(__file__).with_name("fixtures")
 ENV_VAR = "BISETFORGE_FIXTURES"
 
 PRESENTATION_NAMES = ("q_corner", "z2_corner", "z3_corner")
+
+# The verify stages in dependency order; here so that the CLI can offer them
+# without importing the verifier.
+STAGE_ORDER = ("peirce", "gamma", "lambda", "local2", "local3", "paths")
 
 
 def fixture_dir(override=None):

@@ -152,11 +152,11 @@ def load_fixture_matrix(fixture_dir=None):
     if not isinstance(data, dict):
         raise ValueError("delta_matrix.json: expected an object")
     if data.get("row_order") != list(COORD_NAMES):
-        raise ValueError("fixture row order differs from COORD_NAMES")
+        raise ValueError("delta_matrix.json:row_order: differs from COORD_NAMES")
     if data.get("column_classes") != list(BASIS_LABELS):
-        raise ValueError("fixture column classes differ from BASIS_LABELS")
+        raise ValueError("delta_matrix.json:column_classes: differs from BASIS_LABELS")
     if data.get("stated_column_classes") != list(HT_LABELS):
-        raise ValueError("fixture stated column listing differs from HT_LABELS")
+        raise ValueError("delta_matrix.json:stated_column_classes: differs from HT_LABELS")
     M = data.get("matrix")
     if not isinstance(M, list) or len(M) != 22:
         raise ValueError("delta_matrix.json:matrix: expected 22 rows")

@@ -20,19 +20,20 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from . import fixtures
-from .perms import Perm, PermGroup
+from .fixtures import STAGE_ORDER
 from .bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
-    S3,
-    SUBGROUP_GENERATORS,
     BurnsideElement,
     TableMismatch,
     basis_bisets,
     biset_sizes,
+    labeled_subgroups,
     mackey_table,
+    match_classes,
     multiply_vectors,
     oracle_table,
+    pair_group,
     structure_table,
     structure_tensor,
 )
@@ -77,10 +78,7 @@ from .quivers import (
     verify_presentation,
 )
 
-STAGE_ORDER = ("peirce", "gamma", "lambda", "local2", "local3", "paths")
-
 _SEED = 20260816
-_ID3 = Perm((0, 1, 2))
 
 # The corners of the presentation fixtures: name -> (ring, basis).
 _CORNERS = {
@@ -223,38 +221,6 @@ class FixtureSet:
 def _fixture_set(fixture_dir):
     """fixture_dir as a FixtureSet: a stage takes a directory or a shared set."""
     return fixture_dir if isinstance(fixture_dir, FixtureSet) else FixtureSet(fixture_dir)
-
-
-def embed_pair(a, b):
-    """Degree-6 permutation acting as a on {0,1,2} and b on {3,4,5}."""
-    return Perm(tuple(a.images) + tuple(3 + i for i in b.images))
-
-
-def pair_group():
-    gens = [embed_pair(p, _ID3) for p in S3.generators]
-    gens += [embed_pair(_ID3, p) for p in S3.generators]
-    return PermGroup(6, gens)
-
-
-def labeled_subgroups():
-    """The 22 classified subgroups embedded at degree 6, in basis order."""
-    return [PermGroup(6, [embed_pair(a, b) for a, b in gens]) for gens in SUBGROUP_GENERATORS]
-
-
-def match_classes(group, references):
-    """(classes, assignment): the (representative, member masks) classes of
-    subgroups of group and, for each, the least index of a reference conjugate
-    to its members, or None.  A class lists its whole conjugation orbit, so a
-    reference is conjugate to its members exactly when its mask is one of
-    theirs; a reference outside group has no mask and no class."""
-    classes = group.conjugacy_classes_of_subgroups()
-    class_of = {m: ci for ci, (_, members) in enumerate(classes) for m in members}
-    assignment = [None] * len(classes)
-    for ri, ref in enumerate(references):
-        ci = class_of.get(group.subgroup_mask(ref))
-        if ci is not None and assignment[ci] is None:
-            assignment[ci] = ri
-    return classes, assignment
 
 
 def swap_label(label):
@@ -567,7 +533,11 @@ def _delta_ring_map(fx):
 
 
 def _matrix_fixture(fx):
-    diffs = matrix_diff(representation_matrix(fx.peirce), fx.matrix, COORD_NAMES, BASIS_LABELS)
+    try:
+        M = representation_matrix(fx.peirce)
+    except ValueError as exc:  # a non-integral delta image
+        return False, "no integer matrix to compare: %s" % exc
+    diffs = matrix_diff(M, fx.matrix, COORD_NAMES, BASIS_LABELS)
     return _cells(
         diffs,
         "recomputed matrix matches the transcribed fixture in all 484 cells",
@@ -868,9 +838,14 @@ def _loop_combo():
     (a + b eta + c xi) / den of the e6 corner at 3."""
     t = dict(CORNER_BASIS_3)
     loop = [t[k].int_vector() for k in ("e6", "tau5", "tau6")]
+    # the three touch few coordinates: only those are combined
+    support = [(k, x, y, z) for k, (x, y, z) in enumerate(zip(*loop)) if x or y or z]
 
     def combo(a, b, c, den=1):
-        return BlockElement.from_ints([a * x + b * y + c * z for x, y, z in zip(*loop)], den)
+        nums = [0] * 22
+        for k, x, y, z in support:
+            nums[k] = a * x + b * y + c * z
+        return BlockElement.from_ints(nums, den)
 
     return combo
 
@@ -1099,9 +1074,13 @@ def emit_fixtures(out_dir, fixture_dir=None):
     be the FixtureSet a run() used, so that the files are read once.
     """
     fx = _fixture_set(fixture_dir)
+    pb = fx.peirce
+    try:  # before anything is written: no partial set when delta is not integral
+        M = representation_matrix(pb)
+    except ValueError as exc:
+        raise ValueError("peirce.json: delta_matrix.json cannot be written: %s" % exc) from None
     os.makedirs(os.path.join(out_dir, "presentations"), exist_ok=True)
     written = []
-    pb = fx.peirce
     raw = fx.peirce_data
     # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
     # slot_coordinates; the integer vectors over d multiply to products over d^2.
@@ -1125,7 +1104,6 @@ def emit_fixtures(out_dir, fixture_dir=None):
         )
     )
 
-    M = representation_matrix(pb)
     written.append(
         _write_fixture(
             os.path.join(out_dir, "delta_matrix.json"),

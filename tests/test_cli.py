@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import cli, fixtures, verify
+from bisetforge import bisets, cli, fixtures, verify
 from bisetforge.perms import PermGroup
 from bisetforge.rings import RINGS
 
@@ -49,8 +49,8 @@ def test_subgroups_closes_the_pair_group_once_and_only_for_its_order(
     capsys, monkeypatch, spec, closures, labeled
 ):
     calls = []
-    pair_group = verify.pair_group
-    monkeypatch.setattr(verify, "pair_group", lambda: calls.append(1) or pair_group())
+    pair_group = bisets.pair_group
+    monkeypatch.setattr(bisets, "pair_group", lambda: calls.append(1) or pair_group())
     code, out, _ = run_cli(capsys, "subgroups", spec, "--json")
     assert code == 0
     assert len(calls) == closures
@@ -297,8 +297,12 @@ def _single_error(capsys, stage, dst):
             "error: peirce.json:basis22.vectors['g']: expected an object",
         ),
         (lambda d: d.pop("idempotents"), "error: peirce.json:idempotents: expected an object"),
+        (lambda d: d["idempotents"].pop("h"), "error: peirce.json:idempotents: missing 'h'"),
     ],
-    ids=["missing-vector", "unknown-idempotent", "vectors-list", "vector-int", "no-idempotents"],
+    ids=[
+        "missing-vector", "unknown-idempotent", "vectors-list", "vector-int", "no-idempotents",
+        "missing-idempotent",
+    ],
 )
 def test_malformed_peirce_vectors_exit_2_naming_the_path(capsys, tmp_path, edit, message):
     dst = _tampered_fixture(tmp_path, "peirce.json", edit)
@@ -322,8 +326,23 @@ def _set_cell(value):
         (lambda d: d["matrix"].pop(), "error: delta_matrix.json:matrix: expected 22 rows"),
         (lambda d: d["matrix"][5].pop(), "error: delta_matrix.json:matrix[5]: expected 22 cells"),
         (lambda d: d.pop("matrix"), "error: delta_matrix.json:matrix: expected 22 rows"),
+        (
+            lambda d: d["row_order"].reverse(),
+            "error: delta_matrix.json:row_order: differs from COORD_NAMES",
+        ),
+        (
+            lambda d: d["column_classes"].reverse(),
+            "error: delta_matrix.json:column_classes: differs from BASIS_LABELS",
+        ),
+        (
+            lambda d: d.pop("stated_column_classes"),
+            "error: delta_matrix.json:stated_column_classes: differs from HT_LABELS",
+        ),
     ],
-    ids=["float", "bool", "str", "null", "short-matrix", "short-row", "no-matrix"],
+    ids=[
+        "float", "bool", "str", "null", "short-matrix", "short-row", "no-matrix",
+        "row-order", "column-classes", "stated-column-classes",
+    ],
 )
 def test_malformed_delta_matrix_exits_2_naming_the_cell(capsys, tmp_path, edit, message):
     dst = _tampered_fixture(tmp_path, "delta_matrix.json", edit)
@@ -344,6 +363,27 @@ def test_importing_the_cli_builds_no_structure_table():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [b"0"] * 4
+
+
+def test_subgroups_and_mult_never_load_the_verifier():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import contextlib, io, sys\n"
+        "import bisetforge.cli as cli\n"
+        "def loaded():\n"
+        "    names = ('bisetforge.verify', 'bisetforge.orders', 'bisetforge.quivers')\n"
+        "    print(sorted(n for n in names if n in sys.modules))\n"
+        "loaded()\n"
+        "for argv in (['subgroups', 'S3xS3', '--json'], ['subgroups', 'C12', '--json'],\n"
+        "             ['mult', 'eps2', 'H_8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    loaded()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(b"\n") == [b"[]"] * 4 + [b""]
 
 
 def test_short_peirce_table_exits_2_naming_the_row(capsys, tmp_path):
@@ -382,6 +422,31 @@ def test_singular_delta_matrix_fails_its_checks_and_exits_1(capsys, tmp_path):
     for name in ("full-rank", "24-inverse-integral", "index-matches-determinant"):
         assert status[name] == "fail", name
     assert status["stated-column-listing"] == "pass"
+
+
+def test_a_non_integral_delta_image_fails_its_checks_and_blocks_the_emit(
+    capsys, tmp_path, monkeypatch
+):
+    dst = _tampered_fixture(
+        tmp_path, "peirce.json", lambda d: d["basis22"]["vectors"]["b_{e,h}"].pop("H_{0,4}")
+    )
+    code, out, err = run_cli(capsys, "verify", "--json", "--fixture-dir", dst)
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert [s["stage"] for s in report["stages"]] == list(fixtures.STAGE_ORDER)
+    checks = {c["name"]: c for s in report["stages"] for c in s["checks"]}
+    for name in ("matrix-fixture", "delta-integral"):
+        assert checks[name]["status"] == "fail" and "H_{0,4}" in checks[name]["detail"], name
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--json", "--emit", "fixtures", "--fixture-dir", dst)
+    assert code == 2
+    assert json.loads(out) == report
+    assert err.splitlines() == [
+        "error: peirce.json: delta_matrix.json cannot be written: "
+        "image 5 (H_{0,4}) has non-integer s12 = -55/4"
+    ]
+    assert not (tmp_path / "fixtures.regenerated").exists()
 
 
 def _replaced_fixture(tmp_path, name, text):

@@ -28,6 +28,7 @@ from bisetforge.orders import (
     representation_matrix,
 )
 from bisetforge.verify import swap_label
+from reference import mat_inverse
 
 S11_ROW = [0, 0, 15, -3, 0, 20, 8, 6, 0, 25, 7, 9, 8, -3, 1, 12, 10, 3, 15, 4, 3, 5]
 HNF_DIAG = [1, 1, 1, 1, 1, 1, 1, 1, 1, 12, 12, 12, 1, 2, 1, 2, 2, 2, 2, 2, 24, 4]
@@ -94,22 +95,6 @@ def test_congruence_lists_have_the_displayed_shape():
     assert len(CONGRUENCES_2) == 11
     assert len(CONGRUENCES_3) == 4
     assert len(MOD24_ROWS) == 11
-
-
-def mat_inverse(A):
-    """Reference: exact Fraction Gauss-Jordan inverse of a square matrix."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[n:] for row in M]
 
 
 def test_24_inverse_is_integral():

@@ -28,6 +28,7 @@ from bisetforge.quivers import (
     same_element_sets,
     verify_presentation,
 )
+from reference import mat_inverse, mat_vec
 
 
 def fixture_presentation(name):
@@ -301,26 +302,6 @@ def test_corner_express_round_trip_and_span_error():
     # a fractional multiple of a basis vector stays inside the rational span
     half = corner.express(corner.by_label["tau5"].scale(Fraction(1, 2)))
     assert half == [Fraction(int(k == "tau5"), 2) for k in corner.labels]
-
-
-def mat_inverse(A):
-    """Reference: exact Fraction Gauss-Jordan inverse of a square matrix."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[n:] for row in M]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def _express_reference(elements, block):
