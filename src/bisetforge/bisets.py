@@ -162,9 +162,15 @@ def pair_group():
     return PermGroup(6, gens)
 
 
+@lru_cache(maxsize=1)
+def _closed_references():
+    return tuple(PermGroup(6, [embed_pair(a, b) for a, b in gens]) for gens in SUBGROUP_GENERATORS)
+
+
 def labeled_subgroups():
-    """The 22 classified subgroups embedded at degree 6, in basis order."""
-    return [PermGroup(6, [embed_pair(a, b) for a, b in gens]) for gens in SUBGROUP_GENERATORS]
+    """The 22 classified subgroups embedded at degree 6, in basis order: closed
+    once per process, returned as a new list so that a caller may edit its own."""
+    return list(_closed_references())
 
 
 def match_classes(group, references):

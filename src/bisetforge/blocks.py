@@ -330,11 +330,20 @@ class PeirceBasis:
         return G, g
 
     @cached_property
-    def _maps(self):
-        """(G, g, H, h): gamma is G/g and its inverse H/h, as sparse columns."""
+    def _gamma_columns(self):
+        """(G, g): gamma is G/g, as sparse columns."""
         G, g = self.int_gamma
-        H, h = int_inverse(G, g)
-        return sparse_columns(G), g, sparse_columns(H), h
+        return sparse_columns(G), g
+
+    @cached_property
+    def _inverse_columns(self):
+        """(H, h): gamma^-1 is H/h, as sparse columns; SingularMatrixError
+        when the basis vectors are linearly dependent."""
+        try:
+            H, h = int_inverse(*self.int_gamma)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError("gamma has no inverse: %s" % exc) from None
+        return sparse_columns(H), h
 
     def gamma(self, block):
         """Image of a block element in the rational double Burnside ring."""
@@ -343,11 +352,11 @@ class PeirceBasis:
     def gamma_ints(self, nums, den=1):
         """gamma of the block element nums / den, as integer coefficients over
         one denominator: (coefficient numerators, denominator), not reduced."""
-        G, g, _, _ = self._maps
+        G, g = self._gamma_columns
         return apply_columns(G, nums), g * den
 
     def slot_coordinates(self, nums, den=1):
         """The preimage under gamma of the ring element whose coefficients are
         nums / den."""
-        _, _, H, h = self._maps
+        H, h = self._inverse_columns
         return BlockElement.from_ints(apply_columns(H, nums), h * den)

@@ -11,6 +11,7 @@ import itertools
 import os
 import re
 import sys
+from functools import lru_cache
 
 from . import bisets, fixtures, rings
 from .bisets import BASIS_LABELS, TableMismatch, format_element, parse_element
@@ -191,7 +192,9 @@ def cmd_verify(args):
     return 0 if report["status"] == "pass" else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built on first use and shared by every main() call."""
     ap = _Parser(
         prog="bisetforge",
         description="exact workbench for the double Burnside ring of S3",

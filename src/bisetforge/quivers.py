@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rings
-from .blocks import BlockElement
+from .blocks import COORD_NAMES, BlockElement
 from .linalg import LocalLattice, apply_columns, common_denominator, det_bareiss, hnf_rows
 from .linalg import int_inverse, sparse_columns, transpose
 
@@ -586,13 +586,15 @@ def verify_presentation(pres, corner, length_bound=8):
     return problems, len(basis)
 
 
-def corner_span_problems(p, named_basis, lattice_gens, idempotents):
+def corner_span_problems(p, named_basis, named_gens, idempotents):
     """Check the claimed corner basis spans f.L.f over the localization at p.
 
-    lattice_gens generate the order L over the localization; the sum f of the
-    given idempotents cuts the corner.  Projections of generators and the
-    claimed basis must span the same local lattice, and the basis must be
-    free of rank equal to its length.
+    The (name, element) pairs named_gens generate the order L over the
+    localization; the sum f of the given idempotents cuts the corner.
+    Projections of generators and the claimed basis must span the same local
+    lattice, and the basis must be free of rank equal to its length.  A
+    generator whose projection is not integral is named with its first
+    non-integral coordinate.
     """
     problems = []
     f = BlockElement.zero()
@@ -603,23 +605,27 @@ def corner_span_problems(p, named_basis, lattice_gens, idempotents):
         if (f * elem * f) != elem:
             problems.append("basis element %s is not fixed by the corner" % name)
         basis_rows.append(elem.int_vector())
-    proj_rows = []
-    for g in lattice_gens:
+    proj_rows = []  # (name, row) of each generator with an integral projection
+    for name, g in named_gens:
         pg = f * g * f
         if not pg.is_integral():
-            problems.append("projection of a generator is not integral")
+            k, c = next((k, c) for k, c in enumerate(pg.nums) if c % pg.den)
+            problems.append(
+                "projection of generator %s is not integral: %s = %s"
+                % (name, COORD_NAMES[k], Fraction(c, pg.den))
+            )
             continue
-        proj_rows.append(pg.int_vector())
-    projected = LocalLattice(proj_rows, p)
+        proj_rows.append((name, pg.int_vector()))
+    projected = LocalLattice([row for _, row in proj_rows], p)
     claimed = LocalLattice(basis_rows, p)
     for name_elem, row in zip(named_basis, basis_rows):
         if not projected.contains(row):
             problems.append(
                 "basis element %s is outside the projected order" % name_elem[0]
             )
-    for i, row in enumerate(proj_rows):
+    for name, row in proj_rows:
         if not claimed.contains(row):
-            problems.append("projected generator %d escapes the claimed basis" % i)
+            problems.append("projected generator %s escapes the claimed basis" % name)
     if len(claimed.divisors) != len(basis_rows):
         problems.append("claimed corner basis is not linearly independent")
     return problems

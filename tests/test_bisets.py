@@ -47,6 +47,19 @@ def test_basis_has_22_classes():
     assert BASIS_LABELS[IDENTITY_INDEX] == "H^D_5"
 
 
+def test_labeled_subgroups_are_closed_once_and_each_caller_gets_its_own_list(monkeypatch):
+    first = bisets_module.labeled_subgroups()
+    first[0] = first[1]
+    first.append(None)
+    built = []
+    PermGroup = bisets_module.PermGroup
+    monkeypatch.setattr(bisets_module, "PermGroup", lambda *a: built.append(a) or PermGroup(*a))
+    second = bisets_module.labeled_subgroups()
+    assert built == []
+    assert second is not first and len(second) == 22
+    assert [ref.order for ref in second] == [36 // size for size in biset_sizes()]
+
+
 def test_sizes():
     sizes = biset_sizes()
     assert sum(sizes) == 194

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -55,6 +56,37 @@ def test_subgroups_closes_the_pair_group_once_and_only_for_its_order(
     assert code == 0
     assert len(calls) == closures
     assert {r["label"] is not None for r in json.loads(out)["classes"]} == {labeled}
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    builds = []
+    add_subparsers = cli._Parser.add_subparsers
+    monkeypatch.setattr(
+        cli._Parser, "add_subparsers", lambda ap, **kw: builds.append(1) or add_subparsers(ap, **kw)
+    )
+    cli.build_parser.cache_clear()
+    try:
+        codes = [
+            run_cli(capsys, *argv)[0]
+            for argv in (
+                ["subgroups", "S3", "--json"],
+                ["mult", "eps2", "H_8"],
+                ["subgroups", "--jsn", "S3"],
+                ["verify", "--stage", "nope"],
+                ["subgroups", "C6"],
+            )
+        ]
+    finally:
+        cli.build_parser.cache_clear()
+    assert codes == [0, 0, 2, 2, 0]
+    assert len(builds) == 1
+
+
+def test_a_usage_error_between_two_calls_leaves_the_output_unchanged(capsys):
+    first = run_cli(capsys, "subgroups", "S3xS3", "--json")
+    assert run_cli(capsys, "subgroups", "S3xS3", "--jsn")[0] == 2
+    assert run_cli(capsys, "mult", "--ring", "Z5", "eps2", "H_8")[0] == 2
+    assert run_cli(capsys, "subgroups", "S3xS3", "--json") == first
 
 
 @pytest.mark.parametrize("spec, built", [("S3xS3", 22), ("S4", 11)])
@@ -449,6 +481,38 @@ def test_a_non_integral_delta_image_fails_its_checks_and_blocks_the_emit(
     assert not (tmp_path / "fixtures.regenerated").exists()
 
 
+def test_a_dependent_peirce_basis_fails_the_checks_that_need_gamma_inverse(
+    capsys, tmp_path, monkeypatch
+):
+    # without this coefficient the basis22 vectors are linearly dependent
+    dst = _tampered_fixture(
+        tmp_path, "peirce.json", lambda d: d["basis22"]["vectors"]["b_{h,eps4}"].pop("H_{4,5}")
+    )
+    code, out, err = run_cli(capsys, "verify", "--json", "--fixture-dir", dst)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    checks = {c["name"]: c for s in report["stages"] for c in s["checks"]}
+    assert checks["gamma-bijective"] == {
+        "name": "gamma-bijective", "status": "fail", "detail": "change of basis determinant 0"
+    }
+    assert checks["gamma-unit"]["status"] == "pass"
+    for name in ("gamma-roundtrip", "delta-integral", "matrix-fixture", "loop-corner-span"):
+        assert checks[name] == {
+            "name": name,
+            "status": "fail",
+            "detail": "cannot be checked: gamma has no inverse: singular at column 17",
+        }
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--json", "--emit", "fixtures", "--fixture-dir", dst)
+    assert code == 2
+    assert json.loads(out) == report
+    assert err.splitlines() == [
+        "error: peirce.json: delta_matrix.json cannot be written: "
+        "gamma has no inverse: singular at column 17"
+    ]
+    assert not (tmp_path / "fixtures.regenerated").exists()
+
+
 def _replaced_fixture(tmp_path, name, text):
     dst = tmp_path / "fixtures"
     shutil.copytree(fixtures.DEFAULT_DIR, dst)
@@ -697,6 +761,92 @@ def test_a_presentation_without_a_basis_fails_naming_the_problem(
     lines = out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == failures
     assert lines[-1] == "result: FAIL"
+
+
+_MUTATIONS = ("delete", "null", "bool", "float", "huge", "string", "bump", "duplicate")
+_LEAF_VALUES = {"null": None, "bool": True, "float": 1.5, "huge": 10**40, "string": "x"}
+
+
+def _mutate(data, rng):
+    """One seeded mutation of the JSON value data, in place: delete a key or
+    a list item, set a leaf to null, a bool, a float, a huge int or a string,
+    bump an int, or duplicate a list item.  Returns the kind applied."""
+    slots = []  # (container, key) of every value below the root
+    stack = [data]
+    while stack:
+        c = stack.pop()
+        for k, v in c.items() if isinstance(c, dict) else enumerate(c):
+            slots.append((c, k))
+            if isinstance(v, (dict, list)):
+                stack.append(v)
+    kind = rng.choice(_MUTATIONS)
+    fits = {
+        "bump": lambda c, k: type(c[k]) is int,
+        "duplicate": lambda c, k: isinstance(c, list),
+        "delete": lambda c, k: True,
+    }.get(kind, lambda c, k: not isinstance(c[k], (dict, list)))
+    candidates = [(c, k) for c, k in slots if fits(c, k)]
+    if not candidates:
+        kind, candidates = "delete", slots
+    c, k = rng.choice(candidates)
+    if kind == "delete":
+        del c[k]
+    elif kind == "duplicate":
+        c.insert(k, c[k])
+    elif kind == "bump":
+        c[k] += 1
+    else:
+        c[k] = _LEAF_VALUES[kind]
+    return kind
+
+
+def test_seeded_fixture_mutations_exit_0_1_or_2_and_name_the_file(capsys, monkeypatch, tmp_path):
+    # which stages read each fixture file, recorded on the shipped set
+    stages_of = {}
+    load_json = fixtures.load_json
+    for stage in fixtures.STAGE_ORDER:
+
+        def recording(name, override=None, stage=stage):
+            stages_of.setdefault(name, [])
+            if stage not in stages_of[name]:
+                stages_of[name].append(stage)
+            return load_json(name, override)
+
+        monkeypatch.setattr(fixtures, "load_json", recording)
+        assert run_cli(capsys, "verify", "--stage", stage)[0] == 0
+    monkeypatch.undo()
+    shipped = fixtures.DEFAULT_DIR
+    files = [p.relative_to(shipped).as_posix() for p in shipped.rglob("*.json")]
+    assert sorted(stages_of) == sorted(files)
+
+    rng = random.Random(12)
+    dst = tmp_path / "fixtures"
+    shutil.copytree(shipped, dst)
+    codes = set()
+    for name, stages in sorted(stages_of.items()):
+        path = dst / name
+        text = path.read_text()
+        for _ in range(10):
+            data = json.loads(text)
+            kind = _mutate(data, rng)
+            path.write_text(fixtures.canonical_dumps(data))
+            for stage in stages:
+                where = (name, kind, stage)
+                try:
+                    code, out, err = run_cli(
+                        capsys, "verify", "--stage", stage, "--fixture-dir", str(dst)
+                    )
+                except Exception as exc:
+                    pytest.fail("%r raised %r" % (where, exc))
+                assert code in (0, 1, 2), where
+                codes.add(code)
+                if code == 2:
+                    assert out == "" and err.count("\n") == 1, where
+                    assert err.startswith("error: %s:" % name), (where, err)
+                else:
+                    assert err == "", (where, err)
+        path.write_text(text)
+    assert codes == {0, 1, 2}
 
 
 def test_exponent_literal_in_a_presentation_exits_2_at_once(tmp_path):

@@ -775,6 +775,22 @@ def test_a_non_integral_delta_image_is_named():
     )
 
 
+def test_a_non_integral_corner_projection_names_the_generator():
+    # z2 survives the e6 corner at 3, so the projection of image 5 gains a half there
+    fx = verify.FixtureSet()
+    imgs = list(fx.delta_images)
+    z2 = imgs[5].nums[COORD_NAMES.index("z2")]
+    imgs[5] = imgs[5] + BlockElement.from_coords({"z2": Fraction(1, 2)})
+    fx.delta_images = imgs
+    ok, detail = verify._loop_corner_span(fx)
+    assert not ok
+    assert detail.split("; ")[0] == (
+        "projection of generator 5 (%s) is not integral: z2 = %s"
+        % (BASIS_LABELS[5], z2 + Fraction(1, 2))
+    )
+    assert detail.count("is not integral") == 1
+
+
 def test_a_non_integral_24_inverse_names_its_entries():
     # five times column 0 divides row 0 of the inverse by 5
     fx = verify.FixtureSet()
