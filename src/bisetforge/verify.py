@@ -67,7 +67,8 @@ from .orders import (
     matrix_diff,
     representation_matrix,
 )
-from .linalg import LocalLattice, SingularMatrixError, det_bareiss, elementary_divisors, int_inverse
+from .linalg import LocalLattice, SingularMatrixError, det_bareiss, elementary_divisors
+from .linalg import int_inverse
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -134,7 +135,8 @@ class FixtureSet:
 
     @cached_property
     def references(self):
-        """The 22 labeled subgroups of S3xS3, closed once per run."""
+        """The 22 labeled subgroups of S3xS3, fetched once per run (bisets
+        closes them once per process)."""
         return labeled_subgroups()
 
     @cached_property
@@ -1026,7 +1028,7 @@ def _run_stage(stage, fixture_dir):
         else:
             try:
                 ok, detail = check(fx, *args)
-            except SingularMatrixError as exc:  # the Peirce basis is not a basis
+            except SingularMatrixError as exc:  # such as gamma^-1 of a dependent Peirce basis
                 ok, detail = False, "cannot be checked: %s" % exc
             status = "pass" if ok else "fail"
         checks.append({"name": name, "status": status, "detail": detail})
@@ -1084,7 +1086,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
     """
     fx = _fixture_set(fixture_dir)
     pb = fx.peirce
-    try:  # before anything is written: no partial set when delta is not integral
+    try:  # before anything is written: no partial set when delta is not integral or undefined
         M = representation_matrix(pb)
     except (ValueError, SingularMatrixError) as exc:
         raise ValueError("peirce.json: delta_matrix.json cannot be written: %s" % exc) from None
