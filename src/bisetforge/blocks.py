@@ -24,9 +24,8 @@ structure constants of BlockElement, a linalg.StructureElement over Q.
 The coordinate order used for vectors throughout is COORD_NAMES.  A
 BlockElement stores its 22 coordinates in that order as integer numerators
 (`nums`) over one positive denominator (`den`), in lowest terms.  Fractions
-appear only at the edges: the keyword constructor, from_vector and
-from_coords accept them, to_vector returns them, and scale takes a rational
-factor.
+appear only at the edges: from_vector and from_coords accept them,
+to_vector returns them, and scale takes a rational factor.
 
 The linear isomorphism onto the rational double Burnside ring sends each
 coordinate slot to one member of the 22-element orthogonal-decomposition basis
@@ -103,17 +102,10 @@ def _slot_rows():
 
 class BlockElement(StructureElement):
     """One element of the block algebra: nums / den over Q, see the module
-    docstring.  The keyword z is a scalar z1 or the triple (z1, z2, z3)."""
+    docstring."""
 
     __slots__ = ()
     _rows = staticmethod(_slot_rows)
-
-    def __init__(self, s=None, t=(0, 0, 0), u=0, v=0, w=0, x=(0, 0, 0), y=0, z=0):
-        s = s or ((0, 0, 0),) * 3
-        z1, z2, z3 = z if isinstance(z, (tuple, list)) else (z, 0, 0)
-        vec = [s[i][j] for j in range(3) for i in range(3)]
-        self.ring = "Q"
-        self.nums, self.den = common_denominator(vec + [*x, u, y, w, *t, v, z1, z2, z3])
 
     @classmethod
     def from_ints(cls, nums, den=1):

@@ -162,22 +162,27 @@ def common_denominator(values):
     return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
 
-def int_inverse(A, den=1):
-    """Inverse of the rational matrix A/den, A an integer matrix, as (N, d)
-    with (A/den)^-1 == N/d in lowest terms and d > 0.
+def _bareiss(A, adjoin):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the square matrix
+    A, with the identity adjoined on the right if adjoin, as (det, k, M).
 
-    Fraction-free Gauss-Jordan elimination (Bareiss): every intermediate
-    entry is a minor of A, so each division is exact.  At the end the left
-    half is det*I and the right half det*A^-1.
+    Every intermediate entry is a minor of A, so each division is exact.  A
+    row swap also negates the row it moves down, which keeps the sign of the
+    determinant, so the last pivot is det and the rows M end as
+    [det*I | det*A^-1].  k is the first column with no pivot, where det is 0
+    and the elimination stops, and None otherwise.
     """
     n = len(A)
-    M = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    if any(len(row) != n for row in A):
+        raise ValueError("not square")
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n * adjoin)] for i, row in enumerate(A)]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k]), None)
         if piv is None:
-            raise SingularMatrixError("singular at column %d" % k)
-        M[k], M[piv] = M[piv], M[k]
+            return 0, k, M
+        if piv != k:
+            M[k], M[piv] = M[piv], [-x for x in M[k]]
         rk = M[k]
         pk = rk[k]
         for i in range(n):
@@ -185,35 +190,25 @@ def int_inverse(A, den=1):
                 f = M[i][k]
                 M[i] = [(pk * x - f * y) // prev for x, y in zip(M[i], rk)]
         prev = pk
-    sign = -1 if prev < 0 else 1
-    N = [[sign * den * x for x in row[n:]] for row in M]
-    g = math.gcd(prev, *(x for row in N for x in row))
-    return [[x // g for x in row] for row in N], abs(prev) // g
+    return prev, None, M
+
+
+def int_inverse(A, den=1):
+    """Inverse of the rational matrix A/den, A an integer matrix, as (N, d)
+    with (A/den)^-1 == N/d in lowest terms and d > 0; SingularMatrixError
+    names the first column with no pivot."""
+    det, k, M = _bareiss(A, True)
+    if k is not None:
+        raise SingularMatrixError("singular at column %d" % k)
+    sign = -1 if det < 0 else 1
+    N = [[sign * den * x for x in row[len(A):]] for row in M]
+    g = math.gcd(det, *(x for row in N for x in row))
+    return [[x // g for x in row] for row in N], abs(det) // g
 
 
 def det_bareiss(A):
     """Fraction-free determinant of an integer matrix (exact int)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [[int(x) for x in row] for row in A]
-    if any(len(row) != n for row in M):
-        raise ValueError("not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    return _bareiss(A, False)[0]
 
 
 def hnf_rows(A):

@@ -59,27 +59,12 @@ __all__ = [
 HT_TO_H = (0, 2, 1, 3, 5, 4, 6, 7, 9, 8, 13, 12, 11, 10, 14, 15, 17, 16, 19, 18, 20, 21)
 HT_LABELS = tuple(BASIS_LABELS[i] for i in HT_TO_H)
 
-# The three unit conjugators applied after the slot isomorphism's inverse.
-X1 = BlockElement(
-    s=((0, -2, 0), (6, 6, -4), (0, 0, 1)),
-    u=1,
-    w=1,
-    z=1,
-)
-X2 = BlockElement(
-    s=((1, 0, 0), (0, 1, 0), (0, 7, 1)),
-    u=1,
-    w=1,
-    z=1,
-)
-X3 = BlockElement(
-    s=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    t=(0, 0, 1),
-    x=(0, 0, 6),
-    u=1,
-    w=1,
-    z=1,
-)
+# The three unit conjugators applied after the slot isomorphism's inverse,
+# each 1 on the scalar slots u, w and z1.
+_UNIT_DIAGONAL = {"u": 1, "w": 1, "z1": 1}
+X1 = BlockElement.from_coords({"s12": -2, "s21": 6, "s22": 6, "s23": -4, "s33": 1, **_UNIT_DIAGONAL})
+X2 = BlockElement.from_coords({"s11": 1, "s22": 1, "s32": 7, "s33": 1, **_UNIT_DIAGONAL})
+X3 = BlockElement.from_coords({"s11": 1, "s22": 1, "s33": 1, "t3": 1, "x3": 6, **_UNIT_DIAGONAL})
 
 
 @functools.cache
@@ -170,18 +155,15 @@ def load_fixture_matrix(fixture_dir=None):
     return M
 
 
-def matrix_diff(A, B, row_names=None, col_names=None):
-    """Human-readable list of differing cells, empty when equal."""
-    row_names = row_names or ["r%d" % i for i in range(len(A))]
-    col_names = col_names or ["c%d" % j for j in range(len(A[0]))]
-    out = []
-    for i in range(len(A)):
-        for j in range(len(A[0])):
-            if A[i][j] != B[i][j]:
-                out.append(
-                    "(%s, %s): %s != %s" % (row_names[i], col_names[j], A[i][j], B[i][j])
-                )
-    return out
+def matrix_diff(A, B, row_names, col_names):
+    """Human-readable list of the cells where A and B differ, each named by
+    its row and column names; empty when equal."""
+    return [
+        "(%s, %s): %s != %s" % (row_names[i], col_names[j], A[i][j], B[i][j])
+        for i in range(len(A))
+        for j in range(len(A[0]))
+        if A[i][j] != B[i][j]
+    ]
 
 
 # Congruence conditions: (coefficient dict over COORD_NAMES, modulus).

@@ -90,16 +90,15 @@ class Perm:
     @classmethod
     def from_cycles(cls, cycles, degree):
         """Build from 0-based cycles, e.g. [(0,1),(2,3)]."""
+        # checked first: a point met twice would overwrite its image
+        seen = [pt for cyc in cycles for pt in cyc]
+        if len(seen) != len(set(seen)):
+            raise ValueError("cycles are not disjoint: %r" % (cycles,))
         images = list(range(degree))
         for cyc in cycles:
             for i, pt in enumerate(cyc):
                 images[pt] = cyc[(i + 1) % len(cyc)]
-        # from_cycles must not silently overwrite: cycles have to be disjoint
-        p = cls(images)
-        seen = [pt for cyc in cycles for pt in cyc]
-        if len(seen) != len(set(seen)):
-            raise ValueError("cycles are not disjoint: %r" % (cycles,))
-        return p
+        return cls(images)
 
     @classmethod
     def from_cycle_string(cls, text, degree=None):
@@ -129,7 +128,10 @@ class Perm:
             )
         if degree < need:
             raise ValueError("degree %d too small for %r" % (degree, text))
-        return cls.from_cycles(cycles, degree)
+        try:
+            return cls.from_cycles(cycles, degree)
+        except ValueError:  # the points are in range: the cycles overlap
+            raise ValueError("cycles are not disjoint: %r" % (text,)) from None
 
     def __call__(self, x):
         return self.images[x]

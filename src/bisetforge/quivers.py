@@ -201,12 +201,18 @@ def _find_redex(arrows, rules):
     return None
 
 
-def _accumulate(ring, table, key, delta):
-    c = rings.normalize(ring, table.get(key, Fraction(0)) + delta)
-    if c == 0:
-        table.pop(key, None)
-    else:
-        table[key] = c
+def _rewrite(ring, terms, path, coeff, rule, pos):
+    """One rewriting step: add coeff times path, with the head of rule at
+    arrow pos replaced by the rule's tail, into the dict terms."""
+    (src, arrows), (head, tail) = path, rule
+    prefix, suffix = arrows[:pos], arrows[pos + len(head[1]) :]
+    for (_, tarrows), tc in tail.terms.items():
+        key = (src, prefix + tarrows + suffix)
+        c = rings.normalize(ring, terms.get(key, 0) + coeff * tc)
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
 
 
 def normal_form(elem, rules, max_steps=100000):
@@ -227,25 +233,8 @@ def normal_form(elem, rules, max_steps=100000):
         steps += 1
         if steps > max_steps:
             raise RewriteDivergence("no normal form within %d steps" % max_steps)
-        (src, arrows), (ri, pos) = target
-        head, tail = rules[ri]
-        coeff = work.pop((src, arrows))
-        prefix = arrows[:pos]
-        suffix = arrows[pos + len(head[1]) :]
-        for (_, tarrows), tc in tail.terms.items():
-            _accumulate(elem.ring, work, (src, prefix + tarrows + suffix), coeff * tc)
-
-
-def _apply_rule_at(quiver, ring, path, rules, ri, pos):
-    src, arrows = path
-    head, tail = rules[ri]
-    out = {}
-    prefix = arrows[:pos]
-    suffix = arrows[pos + len(head[1]) :]
-    for (_, tarrows), tc in tail.terms.items():
-        key = (src, prefix + tarrows + suffix)
-        out[key] = out.get(key, Fraction(0)) + tc
-    return PathElement(quiver, ring, out)
+        path, (ri, pos) = target
+        _rewrite(elem.ring, work, path, work.pop(path), rules[ri], pos)
 
 
 def local_confluence_failures(quiver, ring, rules, max_steps=100000):
@@ -275,9 +264,11 @@ def local_confluence_failures(quiver, ring, rules, max_steps=100000):
 
 
 def _resolves(quiver, ring, rules, word, left, right, max_steps):
-    e1 = _apply_rule_at(quiver, ring, word, rules, left[0], left[1])
-    e2 = _apply_rule_at(quiver, ring, word, rules, right[0], right[1])
-    return normal_form(e1 - e2, rules, max_steps).is_zero()
+    """Do the two rewrites (rule index, position) of word meet again?"""
+    diff = {}
+    for (ri, pos), sign in ((left, 1), (right, -1)):
+        _rewrite(ring, diff, word, sign, rules[ri], pos)
+    return normal_form(PathElement(quiver, ring, diff), rules, max_steps).is_zero()
 
 
 def irreducible_paths(quiver, rules, length_bound=8):
@@ -542,9 +533,7 @@ def verify_presentation(pres, corner, length_bound=8):
         for w in q.vertices:
             if v != w and not _vanishes(vimgs[v] * vimgs[w], ring, corner):
                 problems.append("vertex images %s,%s are not orthogonal" % (v, w))
-    f = BlockElement.zero()
-    for v in q.vertices:
-        f = f + vimgs[v]
+    f = sum(vimgs.values(), BlockElement.zero())
     if not _vanishes(corner.unit() - f, ring, corner):
         problems.append("vertex images do not sum to the corner unit")
     for name, s, t in q.arrows:
@@ -597,9 +586,7 @@ def corner_span_problems(p, named_basis, named_gens, idempotents):
     non-integral coordinate.
     """
     problems = []
-    f = BlockElement.zero()
-    for e in idempotents:
-        f = f + e
+    f = sum(idempotents, BlockElement.zero())
     basis_rows = []
     for name, elem in named_basis:
         if (f * elem * f) != elem:

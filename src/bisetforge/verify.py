@@ -1070,12 +1070,6 @@ _STAGE_FUNCS = {
 }
 
 
-def _write_fixture(path, data):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(fixtures.canonical_dumps(data))
-    return path
-
-
 def emit_fixtures(out_dir, fixture_dir=None):
     """Recompute every derived fixture layer and write the set for diffing.
 
@@ -1090,8 +1084,6 @@ def emit_fixtures(out_dir, fixture_dir=None):
         M = representation_matrix(pb)
     except (ValueError, SingularMatrixError) as exc:
         raise ValueError("peirce.json: delta_matrix.json cannot be written: %s" % exc) from None
-    os.makedirs(os.path.join(out_dir, "presentations"), exist_ok=True)
-    written = []
     raw = fx.peirce_data
     # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
     # slot_coordinates; the integer vectors over d multiply to products over d^2.
@@ -1104,29 +1096,20 @@ def emit_fixtures(out_dir, fixture_dir=None):
             coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
             row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)
-    written.append(
-        _write_fixture(
-            os.path.join(out_dir, "peirce.json"),
-            {
-                "basis22": raw["basis22"],
-                "idempotents": raw["idempotents"],
-                "table": table,
-            },
-        )
-    )
-
-    written.append(
-        _write_fixture(
-            os.path.join(out_dir, "delta_matrix.json"),
-            {
-                "row_order": list(COORD_NAMES),
-                "column_classes": list(BASIS_LABELS),
-                "stated_column_classes": list(HT_LABELS),
-                "matrix": M,
-            },
-        )
-    )
-
+    # {path below out_dir: data}, in the order the files are written
+    files = {
+        "peirce.json": {
+            "basis22": raw["basis22"],
+            "idempotents": raw["idempotents"],
+            "table": table,
+        },
+        "delta_matrix.json": {
+            "row_order": list(COORD_NAMES),
+            "column_classes": list(BASIS_LABELS),
+            "stated_column_classes": list(HT_LABELS),
+            "matrix": M,
+        },
+    }
     for name in fixtures.PRESENTATION_NAMES:
         out = dict(fx.presentation_data[name])
         pres = fx.presentations[name]
@@ -1138,13 +1121,14 @@ def emit_fixtures(out_dir, fixture_dir=None):
                     element_to_terms(r) for r in fx.reduction(name, p).relations
                 ),
             }
-        written.append(
-            _write_fixture(
-                os.path.join(out_dir, "presentations", "%s.json" % name), out
-            )
-        )
+        files[os.path.join("presentations", "%s.json" % name)] = out
+    files["errata.json"] = fx.errata
 
-    written.append(_write_fixture(os.path.join(out_dir, "errata.json"), fx.errata))
+    os.makedirs(os.path.join(out_dir, "presentations"), exist_ok=True)
+    written = [os.path.join(out_dir, rel) for rel in files]
+    for path, data in zip(written, files.values()):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(fixtures.canonical_dumps(data))
     return written
 
 

@@ -5,8 +5,21 @@ from fractions import Fraction
 from bisetforge.linalg import SingularMatrixError
 
 
+def outcome(fn):
+    """(fn(), None), or (None, its message) when fn raises ValueError."""
+    try:
+        return fn(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def mat_mul(A, B):
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
 def mat_inverse(A):

@@ -34,6 +34,7 @@ from bisetforge.bisets import (
 )
 from bisetforge.linalg import common_denominator
 from bisetforge.rings import RINGS
+from reference import outcome
 
 
 def element(ring, coeffs):
@@ -247,13 +248,6 @@ def _ref_format(elem):
     return ",".join(parts) or "0"
 
 
-def _outcome(fn):
-    try:
-        return fn(), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
 _sparse_nums = st.lists(st.tuples(st.integers(0, 21), st.integers(-40, 40)), max_size=6).map(
     lambda terms: [sum(v for j, v in terms if j == k) for k in range(22)]
 )
@@ -264,9 +258,9 @@ _dens = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 18, 35, 36])
 @given(st.sampled_from(RINGS), _sparse_nums, _dens)
 def test_from_ints_matches_the_per_coefficient_rule(ring, nums, den):
     fracs = [Fraction(n, den) for n in nums]
-    ref, ref_err = _outcome(lambda: [_ref_normalize(ring, x) for x in fracs])
-    got, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
-    old, old_err = _outcome(lambda: element(ring, fracs))
+    ref, ref_err = outcome(lambda: [_ref_normalize(ring, x) for x in fracs])
+    got, err = outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
+    old, old_err = outcome(lambda: element(ring, fracs))
     assert err == old_err == ref_err
     if ref_err is None:
         assert got == old and hash(got) == hash(old)
@@ -283,7 +277,7 @@ def test_from_ints_matches_the_per_coefficient_rule(ring, nums, den):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(RINGS), _sparse_nums, _dens, st.integers(1, 12))
 def test_equal_elements_hash_equal(ring, nums, den, k):
-    a, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
+    a, err = outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
     if err is None:
         b = BurnsideElement.from_ints(ring, [k * n for n in nums], k * den)
         assert a == b and hash(a) == hash(b)
@@ -309,8 +303,8 @@ def test_parse_element_checks_each_term_and_sums_repeats(ring, terms):
             total[BASIS_LABELS.index(label)] += _ref_normalize(ring, Fraction(n, d))
         return element(ring, total)
 
-    want, want_err = _outcome(reference)
-    got, err = _outcome(lambda: parse_element(text, ring))
+    want, want_err = outcome(reference)
+    got, err = outcome(lambda: parse_element(text, ring))
     assert (got, err) == (want, want_err)
     if err is None:
         assert format_element(got) == _ref_format(want)
@@ -415,7 +409,7 @@ _TERM_TEXTS = st.one_of(
 @example(" 0 ")
 def test_parse_element_matches_the_character_walk_parser(text):
     for ring in RINGS:
-        assert _outcome(lambda: parse_element(text, ring)) == _outcome(
+        assert outcome(lambda: parse_element(text, ring)) == outcome(
             lambda: _ref_parse_element(text, ring)
         ), (text, ring)
 
@@ -428,7 +422,7 @@ def test_parse_element_matches_the_character_walk_parser(text):
 def test_parse_element_matches_the_reference_on_each_coefficient_shape(coeff):
     text = "H_8:1,H_{1,0}:%s" % coeff
     for ring in RINGS:
-        assert _outcome(lambda: parse_element(text, ring)) == _outcome(
+        assert outcome(lambda: parse_element(text, ring)) == outcome(
             lambda: _ref_parse_element(text, ring)
         ), (text, ring)
 
@@ -444,7 +438,7 @@ def test_parse_element_matches_the_reference_on_each_coefficient_shape(coeff):
     ],
 )
 def test_a_non_ring_name_keeps_the_term_by_term_refusal_order(text, message):
-    assert _outcome(lambda: parse_element(text, "Z4")) == (None, message)
+    assert outcome(lambda: parse_element(text, "Z4")) == (None, message)
 
 
 def _no_split(text):
@@ -456,7 +450,7 @@ def _no_split(text):
 @example("Q", list(range(-11, 0)) + list(range(1, 12)), 35)
 @example("F3", list(range(1, 23)), 1)
 def test_what_format_element_writes_reads_back_in_one_scan(ring, nums, den):
-    elem, err = _outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
+    elem, err = outcome(lambda: BurnsideElement.from_ints(ring, nums, den))
     if err is None:
         text = format_element(elem)
         assert parse_element(text, ring) == elem
@@ -474,7 +468,7 @@ def test_a_long_operand_is_scanned_in_linear_time(text):
     # a label pattern that could run on to the end of the text from every
     # position took about 2.5 s on 4,400 'H's and grows with the square
     start = time.process_time()
-    _outcome(lambda: parse_element(text, "Q"))
+    outcome(lambda: parse_element(text, "Q"))
     assert time.process_time() - start < 0.5
 
 

@@ -241,12 +241,6 @@ def test_integer_accessors():
         BlockElement.from_ints([0] * 21)
 
 
-def test_keyword_constructor_accepts_a_dual_pair():
-    b = BlockElement(u=Fraction(1, 2), z=(1, 2, 3))
-    assert b == E(u=Fraction(1, 2), z1=1, z2=2, z3=3)
-    assert BlockElement(z=1) == E(z1=1)
-
-
 # Products are bilinear, so the 484 slot pairs decide the whole product; the
 # rule derived from the block positions must give the reference on each.
 def test_every_slot_pair_matches_the_fraction_reference():

@@ -136,6 +136,13 @@ def test_bad_group_specs_exit_2(capsys, spec):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", ["(1,2)(2,3)", "(1,2)(1,2)"])
+def test_overlapping_cycles_are_refused_as_typed(capsys, spec):
+    code, out, err = run_cli(capsys, "subgroups", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: cycles are not disjoint: %r\n" % spec
+
+
 @pytest.mark.parametrize(
     "spec", ["(1,2); (1,2,3,4,5,6,7,8,9,10)", "(1,2); (1,2,3,4,5,6,7)"], ids=["S10", "S7"]
 )

@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge.linalg import (
@@ -17,17 +18,12 @@ from bisetforge.linalg import (
     smith_normal_form,
     sparse_columns,
 )
-from reference import mat_inverse, mat_vec
+from reference import mat_inverse, mat_mul, mat_vec
 
 small_int = st.integers(min_value=-9, max_value=9)
 
 
 # Dense Fraction references for the integer and sparse routines.
-
-
-def mat_mul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
 def det_fraction(A):
@@ -72,7 +68,30 @@ def square(n):
     )
 
 
-@given(square(3))
+@st.composite
+def singular_square(draw):
+    """A square matrix of size 2..6 whose column k >= 1 is an integer
+    combination of the columns before it, so that elimination finds no
+    pivot there at the latest."""
+    n = draw(st.integers(2, 6))
+    A = draw(square(n))
+    k = draw(st.integers(1, n - 1))
+    coeffs = draw(st.lists(small_int, min_size=k, max_size=k))
+    for row in A:
+        row[k] = sum(c * x for c, x in zip(coeffs, row))
+    return A
+
+
+# n x n matrices, every size 1..6, and singular matrices whose first column
+# without a pivot need not be column 0
+def squares(n):
+    return st.one_of(square(n), st.integers(1, 6).flatmap(square), singular_square())
+
+
+@given(squares(3))
+@example([[1, 2], [2, 4]])
+@example([[1, 0, 5], [0, 1, 7], [2, 3, 31]])
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 4], [0, 0, 1, 2]])
 def test_det_routes_agree(A):
     assert det_bareiss([r[:] for r in A]) == det_fraction(
         [[Fraction(x) for x in r] for r in A]
@@ -172,17 +191,23 @@ def test_common_denominator():
     assert common_denominator([]) == ((), 1)
 
 
-@given(square(4), st.integers(1, 6))
+@given(squares(4), st.integers(1, 6))
+@example([[1, 2], [2, 4]], 1)
+@example([[1, 0, 5], [0, 1, 7], [2, 3, 31]], 3)
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 4], [0, 0, 1, 2]], 2)
 @settings(max_examples=80)
 def test_int_inverse_matches_fraction_inverse(A, den):
     rational = [[Fraction(x, den) for x in row] for row in A]
-    if det_bareiss([r[:] for r in A]) == 0:
-        with pytest.raises(SingularMatrixError):
+    try:
+        want = mat_inverse(rational)
+    except SingularMatrixError as exc:
+        assert det_bareiss([r[:] for r in A]) == 0
+        with pytest.raises(SingularMatrixError, match="^%s$" % re.escape(str(exc))):
             int_inverse(A, den)
         return
     N, d = int_inverse(A, den)
     assert d > 0
-    assert [[Fraction(x, d) for x in row] for row in N] == mat_inverse(rational)
+    assert [[Fraction(x, d) for x in row] for row in N] == want
 
 
 def reference_in_local_span(gens, v, p):

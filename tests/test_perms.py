@@ -1,10 +1,13 @@
 import doctest
+import importlib
+import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import bisets, linalg, perms, rings
+import bisetforge
 from bisetforge.perms import (
     Perm,
     PermGroup,
@@ -51,8 +54,14 @@ def test_constructor_rejects_non_bijection():
 
 
 def test_from_cycles_rejects_overlap():
-    with pytest.raises(ValueError):
-        Perm.from_cycles([(0, 1), (1, 2)], 3)
+    # the overlap is found before the images: it never reads as a non-bijection
+    for cycles in ([(0, 1), (1, 2)], [(0, 1), (0, 1)], [(0, 1, 0)]):
+        with pytest.raises(ValueError, match=r"^cycles are not disjoint: "):
+            Perm.from_cycles(cycles, 3)
+        text = "".join("(%s)" % ",".join(str(pt + 1) for pt in cyc) for cyc in cycles)
+        want = r"^cycles are not disjoint: '%s'$" % re.escape(text)
+        with pytest.raises(ValueError, match=want):
+            Perm.from_cycle_string(text)
 
 
 def all_subgroups(G):
@@ -269,11 +278,18 @@ def test_pruned_extension_matches_unpruned_on_small_groups(G):
     _assert_pruning_keeps_the_classes(G)
 
 
-@pytest.mark.parametrize(
-    "module", [perms, linalg, bisets, rings], ids=["perms", "linalg", "bisets", "rings"]
+# every module of the package whose source holds an example
+_DOCTEST_MODULES = sorted(
+    path.stem
+    for path in pathlib.Path(bisetforge.__file__).parent.glob("*.py")
+    if ">>>" in path.read_text(encoding="utf-8")
 )
-def test_module_doctests_pass(module):
-    assert doctest.testmod(module).failed == 0
+
+
+@pytest.mark.parametrize("name", _DOCTEST_MODULES)
+def test_module_doctests_pass(name):
+    result = doctest.testmod(importlib.import_module("bisetforge." + name))
+    assert result.failed == 0 and result.attempted > 0
 
 
 def _assert_tables_match_composition(G):

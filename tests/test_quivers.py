@@ -28,7 +28,6 @@ from bisetforge.quivers import (
     same_element_sets,
     verify_presentation,
 )
-from reference import mat_inverse, mat_vec
 
 
 def fixture_presentation(name):
@@ -305,29 +304,16 @@ def test_corner_express_round_trip_and_span_error():
 
 
 def _express_reference(elements, block):
-    """Fraction solve: invert the basis on its pivot columns, then check
-    every coordinate; None when block is outside the span."""
+    """Fraction solve of sum_i c_i e_i == block, one equation per coordinate;
+    None when block is outside the span."""
     vectors = [e.to_vector() for e in elements]
-    rows = [list(v) for v in vectors]
-    pivots = []
-    for col in range(22):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r:
-                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    square = [[v[j] for v in vectors] for j in pivots]
-    vec = block.to_vector()
-    coords = mat_vec(mat_inverse(square), [vec[j] for j in pivots])
-    for j in range(22):
-        if sum(c * v[j] for c, v in zip(coords, vectors)) != vec[j]:
-            return None
-    return coords
+    rows = [[v[j] for v in vectors] for j in range(22)]
+    try:
+        return _solve_unique(rows, block.to_vector())
+    except ValueError as exc:  # the basis is independent: only inconsistency is expected
+        if "inconsistent" not in str(exc):
+            raise
+        return None
 
 
 _CORNER_BASES = {"Q": CORNER_BASIS_Q, "Z2": CORNER_BASIS_2, "Z3": CORNER_BASIS_3}

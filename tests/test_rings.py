@@ -15,6 +15,7 @@ from bisetforge.rings import (
     parse_ints,
     prime,
 )
+from reference import outcome
 
 
 def reference(ring, x):
@@ -99,21 +100,14 @@ def test_parse_fraction_rejects_zero_denominator():
         parse_fraction("one")
 
 
-def _outcome(fn):
-    try:
-        return fn(), None
-    except ValueError as exc:
-        return None, str(exc)
-
-
 @given(
     st.sampled_from(RINGS + ("F5",)),
     st.lists(st.integers(-50, 50), max_size=22),
     st.integers(2, 12),
 )
 def test_normalize_ints_over_1_matches_the_general_path(ring, nums, k):
-    fast = _outcome(lambda: normalize_ints(ring, tuple(nums), 1))
-    assert fast == _outcome(lambda: normalize_ints(ring, tuple(k * a for a in nums), k))
+    fast = outcome(lambda: normalize_ints(ring, tuple(nums), 1))
+    assert fast == outcome(lambda: normalize_ints(ring, tuple(k * a for a in nums), k))
 
 
 def test_normalize_ints_over_1_reduces_negative_numerators_in_f_p():

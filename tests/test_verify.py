@@ -15,6 +15,7 @@ from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator
 from bisetforge.perms import Perm, PermGroup, symmetric_group
 from bisetforge.quivers import Presentation, element_from_terms
+from reference import mat_mul, mat_vec
 
 
 def _element(ring, coeffs):
@@ -209,15 +210,6 @@ def test_residue_disagreement_matches_the_brute_force_scan(monkeypatch):
             assert got == _brute_disagreement(comp), (trial, comp)
             witnesses += got is not None
     assert witnesses >= 10
-
-
-def mat_mul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def _dense_associativity_failures(c):
