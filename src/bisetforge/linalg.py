@@ -1,8 +1,10 @@
 """Exact linear algebra over Q and Z: no floats anywhere.
 
-Matrices are plain lists of lists holding ints or Fractions.  Sizes in this
-package never exceed a few dozen rows, so the eliminations are dense and
-direct; a matrix applied many times is kept as its sparse columns.
+Matrices are plain lists of lists.  sparse_columns and apply_columns accept
+ints and Fractions; the exact kernels (det_bareiss, int_inverse, hnf_rows,
+smith_normal_form, elementary_divisors, LocalLattice) take integers only and
+raise TypeError on a Fraction or a float, which int() would truncate.  A
+matrix applied many times is kept as its sparse columns.
 
     >>> A = sparse_columns([[2, 0, 1], [0, 0, 3]])
     >>> apply_columns(A, [1, 5, 2])
@@ -12,6 +14,14 @@ direct; a matrix applied many times is kept as its sparse columns.
     >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
+
+The matrices are small (22 rows at most) and mostly zero, so the kernels
+skip zeros: an elimination step leaves alone every row whose entry in the
+pivot column is 0 and scales it later, all at once (see _bareiss).  Below,
+the steps at columns 0 and 2 leave the row (0, 3, 0) alone:
+
+    >>> int_inverse([[2, 0, 0], [0, 3, 0], [1, 0, 4]])
+    ([[12, 0, 0], [0, 8, 0], [-3, 0, 6]], 24)
 
 An algebra is given by structure constants in row form: rows[i] holds the
 (j, k, c) triples for which e_i e_j has coefficient c at e_k.  The ring and
@@ -25,8 +35,10 @@ kernel, multiply_rows(); in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from . import rings
 
@@ -99,9 +111,14 @@ class StructureElement:
     """An element over one of rings.RINGS: integer numerators `nums` over one
     denominator `den` > 0, in lowest terms (rings.normalize_ints).  A subclass
     supplies _rows(), its structure constants; elements of two classes never
-    compare equal, and combining them, or two rings, raises."""
+    compare equal, and combining them, or two rings, raises.  Elements are
+    built by the subclass's from_ints; calling the class raises TypeError."""
 
     __slots__ = ("ring", "nums", "den")
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        raise TypeError("%s is built by %s.from_ints, not by calling the class" % (name, name))
 
     @classmethod
     def _new(cls, ring, nums, den=1):
@@ -162,34 +179,70 @@ def common_denominator(values):
     return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
 
+def _int_rows(A):
+    """A as a list of new int lists; a Fraction or float entry raises
+    TypeError, where int() would truncate it to a wrong answer."""
+    return [list(map(operator.index, row)) for row in A]
+
+
 def _bareiss(A, adjoin):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the square matrix
-    A, with the identity adjoined on the right if adjoin, as (det, k, M).
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the square integer
+    matrix A, with the identity adjoined on the right if adjoin, as (det, k, M).
 
     Every intermediate entry is a minor of A, so each division is exact.  A
     row swap also negates the row it moves down, which keeps the sign of the
     determinant, so the last pivot is det and the rows M end as
     [det*I | det*A^-1].  k is the first column with no pivot, where det is 0
     and the elimination stops, and None otherwise.
+
+    Rows are scaled lazily.  A step with pivot p only multiplies a row whose
+    entry in the pivot column is 0 by p and divides it by the pivot before;
+    such a row is left as it is, and at[i] records the pivot it is current
+    at.  Its entries are the current ones times the nonzero ratio
+    at[i] / prev, so they are zero where those are, the row is brought
+    current (as pivot row, or at the end) by the exact M[i] * prev // at[i],
+    and an elimination step divides by at[i] where the eager one divides by
+    prev.  Hence the result is the eager one, bit for bit.
     """
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("not square")
-    M = [[int(x) for x in row] + [int(i == j) for j in range(n * adjoin)] for i, row in enumerate(A)]
+    M = _int_rows(A)
+    if adjoin:
+        M = [row + unit for row, unit in zip(M, identity_matrix(n))]
+    at = [1] * n
     prev = 1
+
+    def current(i):
+        s = at[i]
+        if s != prev:
+            M[i] = [x * prev // s if x else 0 for x in M[i]]
+            at[i] = prev
+
     for k in range(n):
         piv = next((i for i in range(k, n) if M[i][k]), None)
         if piv is None:
+            for i in range(n):
+                current(i)
             return 0, k, M
         if piv != k:
             M[k], M[piv] = M[piv], [-x for x in M[k]]
+            at[k], at[piv] = at[piv], at[k]
+        current(k)
         rk = M[k]
         pk = rk[k]
         for i in range(n):
-            if i != k:
-                f = M[i][k]
-                M[i] = [(pk * x - f * y) // prev for x, y in zip(M[i], rk)]
+            f = M[i][k]
+            if f and i != k:
+                # the eager step on the row brought current, (pk*x*prev/s -
+                # f*prev/s*y)/prev, is the same step divided by s instead
+                s = at[i]
+                M[i] = [(pk * x - f * y) // s for x, y in zip(M[i], rk)]
+                at[i] = pk
+        at[k] = pk
         prev = pk
+    for i in range(n):
+        current(i)
     return prev, None, M
 
 
@@ -218,7 +271,7 @@ def hnf_rows(A):
     above each pivot reduced into [0, pivot).  Two integer matrices span the
     same row lattice iff their hnf_rows agree.
     """
-    rows = [[int(x) for x in row] for row in A]
+    rows = _int_rows(A)
     if not rows:
         return []
     m, n = len(rows), len(rows[0])
@@ -255,8 +308,16 @@ def hnf_rows(A):
 
 
 def smith_normal_form(A):
-    """(U, D, V) with D = U*A*V diagonal, d_i | d_{i+1}, U and V unimodular."""
-    D = [[int(x) for x in row] for row in A]
+    """(U, D, V) with D = U*A*V diagonal, d_i | d_{i+1}, U and V unimodular.
+
+    For each diagonal position t the least nonzero entry of the remaining
+    block becomes the pivot; it then clears row t and column t by division,
+    taking the least remainder left in that row or column as the next pivot,
+    until both are clear.  Only then is the block scanned for an entry the
+    pivot does not divide (never for a pivot of +-1), and such a row is added
+    to row t, whose next remainder is smaller.  A zero block ends the work.
+    """
+    D = _int_rows(A)
     m = len(D)
     n = len(D[0]) if m else 0
     U = identity_matrix(m)
@@ -273,48 +334,64 @@ def smith_normal_form(A):
             row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):
-        # row i -= q * row j
-        D[i] = [x - q * y for x, y in zip(D[i], D[j])]
+        # row i -= q * row j, in D only where row j is nonzero
+        Di, Dj = D[i], D[j]
+        for c, y in enumerate(Dj):
+            if y:
+                Di[c] -= q * y
         U[i] = [x - q * y for x, y in zip(U[i], U[j])]
 
     def add_col(i, j, q):
         # col i -= q * col j
-        for row in D:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
+        for M in (D, V):
+            for row in M:
+                if row[j]:
+                    row[i] -= q * row[j]
+
+    def move_to_pivot(i, j):
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
 
     for t in range(min(m, n)):
+        # the first row holding the least nonzero of the block, and in it the
+        # first column with that value; a 1 ends the search
+        least, pi = 0, None
+        for i in range(t, m):
+            tail = D[i][t:]
+            if any(tail):
+                a = min(map(abs, filter(None, tail)))
+                if pi is None or a < least:
+                    least, pi = a, i
+                    if a == 1:
+                        break
+        if pi is None:
+            break
+        move_to_pivot(pi, next(j for j in range(t, n) if abs(D[pi][j]) == least))
         while True:
-            entries = [(abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j] != 0]
-            if not entries:
-                break
-            _, pi, pj = min(entries)
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
             d = D[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    add_row(i, t, D[i][t] // d)
-                    dirty = dirty or D[i][t] != 0
+            row_t = D[t]
             for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    add_col(j, t, D[t][j] // d)
-                    dirty = dirty or D[t][j] != 0
-            if dirty:
-                continue
-            bad = None
+                q = row_t[j] // d
+                if q:
+                    add_col(j, t, q)
             for i in range(t + 1, m):
-                if any(D[i][j] % d for j in range(t + 1, n)):
-                    bad = i
-                    break
+                q = D[i][t] // d
+                if q:
+                    add_row(i, t, q)
+            left = [(abs(D[i][t]), i, t) for i in range(t + 1, m) if D[i][t]]
+            left += [(abs(x), t, j) for j, x in enumerate(D[t][t + 1 :], t + 1) if x]
+            if left:
+                move_to_pivot(*min(left)[1:])
+                continue
+            if d in (1, -1):
+                break
+            bad = next((i for i in range(t + 1, m) if any(map(d.__rmod__, D[i][t + 1 :]))), None)
             if bad is None:
                 break
             add_row(t, bad, -1)
-        if t < m and t < n and D[t][t] < 0:
+        if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
     return U, D, V
@@ -334,6 +411,16 @@ def _p_val(x, p):
     return v
 
 
+@lru_cache(maxsize=32)
+def _smith_step(rows):
+    """The part of LocalLattice that does not depend on p, for the tuple of
+    integer rows G: the diagonal entry of D at each column (0 past the last
+    row) and the rows of V as sparse columns of V^T, with U*G*V = D."""
+    _, D, V = smith_normal_form(rows)
+    k = len(rows)
+    return tuple(D[j][j] if j < k else 0 for j in range(len(V))), sparse_columns(transpose(V))
+
+
 class LocalLattice:
     """The Z_(p)-span of integer row vectors, factored once for many tests.
 
@@ -342,23 +429,26 @@ class LocalLattice:
     the divisor is 0.  The rows of V are kept as sparse columns of V^T, so a
     test multiplies only the nonzero entries of v, and the p-parts of the
     divisors are kept, so a test is integer arithmetic only.
+
+    The Smith step does not depend on p, so lattices on the same rows share
+    it, at p = 2 and p = 3 alike, through a bounded cache keyed by the rows
+    (copied, so a caller may change its lists afterwards).  More rows than
+    columns are first reduced to their Hermite rows, which span the same
+    lattice and have the same nonzero elementary divisors.
     """
 
     def __init__(self, gens, p):
         self.p = p
         self.divisors = []
         self._moduli = None
-        if not gens:
+        rows = tuple(map(tuple, gens))
+        if rows and len(rows) > len(rows[0]):
+            rows = tuple(map(tuple, hnf_rows(rows)))
+        if not rows:
             return
-        _, D, V = smith_normal_form(gens)
-        k, n = len(gens), len(gens[0])
-        self._rows = sparse_columns(transpose(V))
-        self._moduli = []
-        for j in range(n):
-            d = D[j][j] if j < k else 0
-            if d:
-                self.divisors.append(d)
-            self._moduli.append(p ** _p_val(d, p) if d else 0)
+        diagonal, self._rows = _smith_step(rows)
+        self.divisors = [d for d in diagonal if d]
+        self._moduli = [p ** _p_val(d, p) if d else 0 for d in diagonal]
 
     def contains(self, nums, den=1):
         """Is the rational vector nums/den in the span?  (integer nums, den > 0)"""

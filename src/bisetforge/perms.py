@@ -107,17 +107,21 @@ class Perm:
         Points may be separated by commas or spaces.  If degree is omitted it
         is the largest point mentioned.
         """
-        text = text.strip().replace(" ", "")
+        typed = text.strip()  # what each refusal quotes
+        text = typed.replace(" ", "")
         cycles, need = [], 0
         if text not in ("()", "", "1", "id"):
             if not (text.startswith("(") and text.endswith(")")):
-                raise ValueError("bad cycle notation: %r" % (text,))
+                raise ValueError("bad cycle notation: %r" % (typed,))
             for part in text[1:-1].split(")("):
-                pts = [int(tok) for tok in part.split(",") if tok]
+                try:
+                    pts = [int(tok) for tok in part.split(",") if tok]
+                except ValueError:  # a point that is not a number
+                    pts = []
                 if not pts:
-                    raise ValueError("bad cycle notation: %r" % (text,))
+                    raise ValueError("bad cycle notation: %r" % (typed,))
                 if any(pt < 1 for pt in pts):
-                    raise ValueError("cycle notation is 1-based: %r" % (text,))
+                    raise ValueError("cycle notation is 1-based: %r" % (typed,))
                 cycles.append(tuple(pt - 1 for pt in pts))
             need = 1 + max(pt for cyc in cycles for pt in cyc)
         if degree is None:
@@ -127,11 +131,11 @@ class Perm:
                 "degree %d exceeds the capacity of %d points" % (degree, DEGREE_CAPACITY)
             )
         if degree < need:
-            raise ValueError("degree %d too small for %r" % (degree, text))
+            raise ValueError("degree %d too small for %r" % (degree, typed))
         try:
             return cls.from_cycles(cycles, degree)
         except ValueError:  # the points are in range: the cycles overlap
-            raise ValueError("cycles are not disjoint: %r" % (text,)) from None
+            raise ValueError("cycles are not disjoint: %r" % (typed,)) from None
 
     def __call__(self, x):
         return self.images[x]

@@ -330,6 +330,23 @@ def _span_unit(elements):
     return BlockElement.from_ints(nums, n * b)
 
 
+@lru_cache(maxsize=16)
+def _basis_solver(elements):
+    """The ring-independent solve of CornerAlgebra for a basis, built once per
+    basis content: (pivots, (N, n), basis, n*b).  The basis vectors are integer
+    rows over one denominator b, their pivot block has inverse N / n (N as
+    sparse columns), and basis maps coordinates to block numerators over b."""
+    b = math.lcm(*(e.den for e in elements))
+    rows = [[x * (b // e.den) for x in e.nums] for e in elements]
+    # an echelon form of the rows has its leading entries on the pivots
+    echelon = hnf_rows(rows)
+    if len(echelon) < len(rows):
+        raise ValueError("basis elements are linearly dependent")
+    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in echelon)
+    N, n = int_inverse([[row[j] for row in rows] for j in pivots], b)
+    return pivots, (sparse_columns(N), n), sparse_columns(list(zip(*rows))), n * b
+
+
 class CornerAlgebra:
     """Free module on named block elements, multiplied in the block algebra.
 
@@ -344,20 +361,7 @@ class CornerAlgebra:
         self.by_label = dict(zip(self.labels, self.elements))
         if len(self.by_label) != len(self.labels):
             raise ValueError("repeated basis label")
-        # basis vectors as integer rows over one denominator b, and the
-        # inverse of their pivot block as N / n
-        b = math.lcm(*(e.den for e in self.elements))
-        rows = [[x * (b // e.den) for x in e.nums] for e in self.elements]
-        # an echelon form of the rows has its leading entries on the pivots
-        echelon = hnf_rows(rows)
-        if len(echelon) < len(rows):
-            raise ValueError("basis elements are linearly dependent")
-        self._pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-        N, n = int_inverse([[row[j] for row in rows] for j in self._pivots], b)
-        self._solver = sparse_columns(N), n
-        # the map from coordinates to block numerators over b
-        self._basis = sparse_columns(list(zip(*rows)))
-        self._span_scale = n * b
+        self._pivots, self._solver, self._basis, self._span_scale = _basis_solver(self.elements)
 
     def rank(self):
         return len(self.labels)

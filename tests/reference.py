@@ -1,5 +1,8 @@
-"""Dense Fraction references that several test modules compare against."""
+"""Dense references, in Fractions or eager integer steps, that several test
+modules compare against."""
 
+import itertools
+import math
 from fractions import Fraction
 
 from bisetforge.linalg import SingularMatrixError
@@ -39,3 +42,53 @@ def mat_inverse(A):
                 f = M[i][col]
                 M[i] = [x - f * y for x, y in zip(M[i], M[col])]
     return [row[n:] for row in M]
+
+
+def bareiss(A, adjoin):
+    """The eager fraction-free Gauss-Jordan elimination that linalg._bareiss
+    refines, as (det, first column with no pivot or None, rows): every step
+    rescales every row, so each row is current after every step."""
+    n = len(A)
+    M = [[int(x) for x in row] + [int(i == j) for j in range(n * adjoin)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return 0, k, M
+        if piv != k:
+            M[k], M[piv] = M[piv], [-x for x in M[k]]
+        rk = M[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(pk * x - f * y) // prev for x, y in zip(M[i], rk)]
+        prev = pk
+    return prev, None, M
+
+
+def minors_gcds(A):
+    """[D_1, D_2, ...]: D_k is the gcd of the k x k minors of the integer
+    matrix A, up to its rank (D_k = 0 from there on is left out)."""
+    m, n = len(A), len(A[0]) if A else 0
+    out = []
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                g = math.gcd(g, det([[A[i][j] for j in cols] for i in rows]))
+        if g == 0:
+            break
+        out.append(g)
+    return out
+
+
+def det(A):
+    """Laplace expansion along the first row; exact for integer entries."""
+    if not A:
+        return 1
+    return sum(
+        (-1) ** j * a * det([row[:j] + row[j + 1 :] for row in A[1:]])
+        for j, a in enumerate(A[0])
+        if a
+    )

@@ -759,3 +759,12 @@ def test_classify_subgroup_agrees_on_all_60_subgroups():
 def test_classify_subgroup_rejects_non_subgroups(pairs):
     with pytest.raises(ValueError, match="matches no representative class"):
         classify_subgroup(_mask(pairs))
+
+
+def test_calling_the_class_raises_and_names_from_ints():
+    with pytest.raises(TypeError, match=r"^BurnsideElement is built by BurnsideElement\.from_ints"):
+        BurnsideElement()
+    with pytest.raises(TypeError, match=r"BurnsideElement\.from_ints"):
+        BurnsideElement("Q", [0] * 22)
+    # the classmethods still build through _new
+    assert BurnsideElement.from_ints("Z", [1] + [0] * 21).nums == (1,) + (0,) * 21

@@ -276,3 +276,11 @@ def test_a_block_element_never_equals_a_ring_element():
         assert (block.ring, block.nums, block.den) == (ring.ring, ring.nums, ring.den)
         assert block != ring and ring != block
     assert BlockElement.zero() != BurnsideElement.zero("Q")
+
+
+def test_calling_the_class_raises_and_names_from_ints():
+    with pytest.raises(TypeError, match=r"^BlockElement is built by BlockElement\.from_ints"):
+        BlockElement()
+    with pytest.raises(TypeError, match=r"BlockElement\.from_ints"):
+        BlockElement(s11=1)
+    assert E(s11=1) * E(s11=1) == E(s11=1)

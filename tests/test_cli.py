@@ -620,8 +620,28 @@ def test_cycle_without_points_exits_2_naming_the_input(capsys, spec):
     code, out, err = run_cli(capsys, "subgroups", spec)
     assert code == 2
     assert out == ""
-    bad = spec.split(";")[-1].replace(" ", "")
+    bad = spec.split(";")[-1].strip()
     assert err.splitlines() == ["error: bad cycle notation: %r" % bad]
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ("(1, 2", "bad cycle notation: '(1, 2'"),
+        ("(1, x)", "bad cycle notation: '(1, x)'"),
+        ("(1, 2); ( )( 3 )", "bad cycle notation: '( )( 3 )'"),
+        ("(0, 1)", "cycle notation is 1-based: '(0, 1)'"),
+        ("(1, 2)(2, 3)", "cycles are not disjoint: '(1, 2)(2, 3)'"),
+        (" (1, 2) ; (3, 4)(4, 5) ", "cycles are not disjoint: '(3, 4)(4, 5)'"),
+        # the degree comes from the digit runs 1, 1 and 0, while int() reads
+        # 1_0 as the point 10
+        ("(1, 1_0)", "degree 1 too small for '(1, 1_0)'"),
+    ],
+)
+def test_cycle_refusals_quote_the_text_as_typed(capsys, spec, error):
+    code, out, err = run_cli(capsys, "subgroups", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % error
 
 
 def test_f_p_reads_fractions_through_z_p(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bisetforge import linalg
 from bisetforge.linalg import (
     LocalLattice,
     SingularMatrixError,
@@ -18,7 +19,7 @@ from bisetforge.linalg import (
     smith_normal_form,
     sparse_columns,
 )
-from reference import mat_inverse, mat_mul, mat_vec
+from reference import bareiss, det, mat_inverse, mat_mul, mat_vec, minors_gcds
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -320,3 +321,108 @@ def test_sparse_local_lattice_matches_the_dense_reference(problem):
     lattice = LocalLattice(gens, p)
     for nums, den in probes:
         assert lattice.contains(nums, den) == dense_contains(gens, p, nums, den)
+
+
+# The sparse-aware kernels against eager and independent references.
+
+
+@st.composite
+def sparse_square(draw):
+    """A square matrix of size 1..8 with at least 70% zeros.  Zero rows and
+    columns make many of them singular; in half of the draws one row is a
+    multiple of another, from half the budget of nonzeros, so those are
+    singular without a zero row."""
+    n = draw(st.integers(1, 8))
+    repeat = n > 1 and draw(st.booleans())
+    budget = (3 * n * n) // (20 if repeat else 10)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    A = [[0] * n for _ in range(n)]
+    for i, j in draw(st.lists(st.sampled_from(cells), max_size=budget, unique=True)):
+        A[i][j] = draw(small_int.filter(bool))
+    if repeat:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(small_int)
+        A[j] = [c * x for x in A[i]]
+    assert 10 * sum(x == 0 for row in A for x in row) >= 7 * n * n
+    return A
+
+
+@given(sparse_square(), st.booleans())
+@example([[0, 0], [0, 5]], True)
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 0]], False)
+@example([[0, 3, 0, 0], [0, 0, 0, -2], [1, 0, 0, 0], [0, 0, 5, 0]], True)
+@example([[2, 0, 0], [0, 3, 0], [1, 0, 4]], True)
+@settings(max_examples=200)
+def test_lazy_bareiss_matches_the_eager_elimination(A, adjoin):
+    before = [r[:] for r in A]
+    assert linalg._bareiss(A, adjoin) == bareiss(A, adjoin)
+    assert A == before
+
+
+@st.composite
+def sparse_shapes(draw):
+    """A matrix of a non-square or degenerate shape, mostly zeros: 1 x n,
+    short and wide, tall, or all zero."""
+    shape = draw(st.sampled_from(["row", "wide", "tall", "zero"]))
+    if shape == "row":
+        m, n = 1, draw(st.integers(1, 7))
+    elif shape == "wide":
+        m = draw(st.integers(2, 3))
+        n = draw(st.integers(m + 1, 6))
+    elif shape == "tall":
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(n + 1, 6))
+    else:
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.just(0) if shape == "zero" else st.one_of(st.just(0), st.just(0), small_int)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@given(sparse_shapes())
+@example([[0, 0, 0]])
+@example([[0, 6, 4]])
+@example([[2, 0], [0, 3], [0, 0], [4, 6]])
+@example([[0, 0], [0, 0], [0, 0]])
+@settings(max_examples=150)
+def test_smith_form_of_sparse_shapes(A):
+    m, n = len(A), len(A[0])
+    U, D, V = smith_normal_form(A)
+    assert mat_mul(mat_mul(U, A), V) == D
+    assert abs(det(U)) == 1 == abs(det(V))
+    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diagonal = [D[i][i] for i in range(min(m, n))]
+    assert all(d >= 0 for d in diagonal)
+    for a, b in zip(diagonal, diagonal[1:]):
+        assert b % a == 0 if a else b == 0
+    # d_k = D_k / D_(k-1), D_k the gcd of the k x k minors
+    gcds = minors_gcds(A)
+    assert elementary_divisors(A) == [g // h for g, h in zip(gcds, [1] + gcds)]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [det_bareiss, int_inverse, hnf_rows, smith_normal_form, elementary_divisors,
+     lambda A: LocalLattice(A, 2)],
+    ids=["det_bareiss", "int_inverse", "hnf_rows", "smith_normal_form", "elementary_divisors",
+         "LocalLattice"],
+)
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0], ids=repr)
+def test_exact_kernels_refuse_non_integer_entries(fn, bad):
+    # int() would truncate these: det 0, Hermite row [1, 1], divisor 2
+    with pytest.raises(TypeError):
+        fn([[bad, 0], [0, 2]])
+
+
+def test_local_lattice_keeps_no_reference_to_the_callers_rows():
+    gens = [[2, 0, 0], [0, 6, 0]]
+    probes = [([2, 0, 0], 1), ([0, 2, 0], 1), ([1, 0, 0], 1), ([0, 0, 1], 1), ([0, 6, 0], 2)]
+    for p in (2, 3):
+        lattice = LocalLattice(gens, p)
+        want = [lattice.contains(nums, den) for nums, den in probes]
+        gens[0][0] = 1
+        gens[1][:] = [0, 0, 1]
+        gens.append([0, 1, 0])
+        assert [lattice.contains(nums, den) for nums, den in probes] == want
+        assert lattice.divisors == [2, 6]
+        gens[:] = [[2, 0, 0], [0, 6, 0]]
+

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bisetforge import bisets, cli, fixtures, orders, verify
+from bisetforge import bisets, cli, fixtures, linalg, orders, verify
 from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator
@@ -910,3 +910,24 @@ def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
     monkeypatch.setattr(BlockElement, "__mul__", counted)
     assert verify._delta_ring_map(fx)[0] and verify._lambda_closed(fx)[0]
     assert len(made) == 484
+
+
+def test_a_full_run_factors_each_smith_input_once(monkeypatch):
+    # LocalLattice shares its Smith step between lattices on the same rows,
+    # at p = 2 and p = 3 alike; the cache starts empty here
+    calls = []
+    original = linalg.smith_normal_form
+
+    def recording(A):
+        calls.append(tuple(map(tuple, A)))
+        return original(A)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", recording)
+    monkeypatch.setattr(orders, "smith_normal_form", recording)
+    linalg._smith_step.cache_clear()
+    try:
+        assert verify.run()["status"] == "pass"
+    finally:
+        linalg._smith_step.cache_clear()
+    assert len(calls) >= 20
+    assert len(calls) == len(set(calls))
