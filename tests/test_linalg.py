@@ -399,6 +399,28 @@ def test_smith_form_of_sparse_shapes(A):
     assert elementary_divisors(A) == [g // h for g, h in zip(gcds, [1] + gcds)]
 
 
+@given(
+    sparse_shapes(),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), small_int), max_size=6),
+)
+@example([[0, 2, 4], [0, 3, 0]], [(0, 1, 1)])
+@settings(max_examples=150)
+def test_hnf_is_canonical_under_unimodular_row_operations(A, ops):
+    B = [r[:] for r in A]
+    for i, j, q in ops:
+        i, j = i % len(B), j % len(B)
+        if i != j:
+            B[i] = [x + q * y for x, y in zip(B[i], B[j])]
+    B.reverse()
+    H = hnf_rows(A)
+    assert hnf_rows(B) == H
+    # echelon shape, positive pivots, entries above each pivot in [0, pivot)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+    assert pivots == sorted(set(pivots))
+    for k, (row, p) in enumerate(zip(H, pivots)):
+        assert row[p] > 0 and all(0 <= H[i][p] < row[p] for i in range(k))
+
+
 @pytest.mark.parametrize(
     "fn",
     [det_bareiss, int_inverse, hnf_rows, smith_normal_form, elementary_divisors,
