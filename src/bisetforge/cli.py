@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import bisets, fixtures, rings
 from .bisets import BASIS_LABELS, TableMismatch, format_element, parse_element
 from .blocks import PEIRCE_LABELS, PeirceBasis
-from .perms import CapacityError, Perm, PermGroup, cyclic_group, symmetric_group
+from .perms import CapacityError, Perm, PermGroup, cyclic_group, spell_cycles, symmetric_group
 
 
 class UsageError(Exception):
@@ -80,7 +80,7 @@ def parse_group_spec(spec):
         gens = [Perm.from_cycle_string(c, degree) for c in chunks]
     except ValueError as exc:
         raise UsageError(str(exc))
-    return PermGroup(degree, gens), text.strip()
+    return PermGroup(degree, gens), "; ".join(map(spell_cycles, chunks))
 
 
 def cmd_subgroups(args):

@@ -11,7 +11,7 @@ matrix applied many times is kept as its sparse columns.
     [4, 6]
     >>> det_bareiss([[2, 0], [0, 3]])
     6
-    >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
+    >>> D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
 
@@ -55,6 +55,7 @@ __all__ = [
     "common_denominator",
     "det_bareiss",
     "hnf_rows",
+    "pivot_solver",
     "smith_normal_form",
     "elementary_divisors",
     "LocalLattice",
@@ -264,17 +265,11 @@ def det_bareiss(A):
     return _bareiss(A, False)[0]
 
 
-def hnf_rows(A):
-    """Canonical row Hermite normal form of the row lattice of A.
-
-    Returns only the nonzero rows: echelon shape, positive pivots, entries
-    above each pivot reduced into [0, pivot).  Two integer matrices span the
-    same row lattice iff their hnf_rows agree.
-    """
-    rows = _int_rows(A)
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
+def _hermite(rows, n):
+    """Bring the integer rows (lists, changed in place) to the Hermite form
+    of hnf_rows on their first n columns; later columns ride along.  Returns
+    the rank r: rows[:r] are the nonzero rows on those columns."""
+    m = len(rows)
     r = 0
     for c in range(n):
         if r == m:
@@ -283,12 +278,10 @@ def hnf_rows(A):
             nz = [i for i in range(r, m) if rows[i][c] != 0]
             if not nz:
                 break
-            if len(nz) == 1:
-                i0 = nz[0]
-                rows[r], rows[i0] = rows[i0], rows[r]
-                break
             i0 = min(nz, key=lambda i: abs(rows[i][c]))
             rows[r], rows[i0] = rows[i0], rows[r]
+            if len(nz) == 1:
+                break
             a = rows[r][c]
             for i in range(r + 1, m):
                 if rows[i][c] != 0:
@@ -304,101 +297,80 @@ def hnf_rows(A):
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
-    return rows[:r]
+    return r
+
+
+def hnf_rows(A):
+    """Canonical row Hermite normal form of the row lattice of A.
+
+    Returns only the nonzero rows: echelon shape, positive pivots, entries
+    above each pivot reduced into [0, pivot).  Two integer matrices span the
+    same row lattice iff their hnf_rows agree.
+    """
+    rows = _int_rows(A)
+    return rows[: _hermite(rows, len(rows[0]) if rows else 0)]
+
+
+def pivot_solver(cols):
+    """(solve, n) for the independent integer columns cols of a matrix A:
+    solve(b) is the integer x with A*x == n*b, checked on every row, or None
+    when b is outside their span.  The pivots of the Hermite form of the
+    columns pick a square block of A, inverted once as N/n, and x = N*b on
+    those rows.  SingularMatrixError if the columns are dependent."""
+    echelon = hnf_rows(cols)
+    if len(echelon) < len(cols):
+        raise SingularMatrixError("columns are linearly dependent")
+    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    N, n = int_inverse([[col[j] for col in cols] for j in pivots])
+    N, A = sparse_columns(N), sparse_columns(transpose(cols))
+
+    def solve(b):
+        x = apply_columns(N, [b[j] for j in pivots])
+        return x if apply_columns(A, x) == [n * y for y in b] else None
+
+    return solve, n
 
 
 def smith_normal_form(A):
-    """(U, D, V) with D = U*A*V diagonal, d_i | d_{i+1}, U and V unimodular.
+    """(D, V) with D diagonal, d_i | d_{i+1}, V unimodular and U*A*V == D
+    for a unimodular U that is not built.
 
-    For each diagonal position t the least nonzero entry of the remaining
-    block becomes the pivot; it then clears row t and column t by division,
-    taking the least remainder left in that row or column as the next pivot,
-    until both are clear.  Only then is the block scanned for an entry the
-    pivot does not divide (never for a pivot of +-1), and such a row is added
-    to row t, whose next remainder is smaller.  A zero block ends the work.
+    Row Hermite steps on D alternate with column Hermite steps, row steps on
+    [D^T | V^T], until D is diagonal (Kannan and Bachem): the leading entry
+    of each step divides the last one, and once it stops shrinking its row
+    and column are clear and stay so.  Then each pair a, b on the diagonal
+    with a not dividing b becomes g = gcd(a, b) and a*b/g by the column step
+    [[x, -b/g], [y, a/g]], a*x + b*y == g; a row step, not built, clears
+    what that step leaves off the diagonal.
     """
     D = _int_rows(A)
     m = len(D)
     n = len(D[0]) if m else 0
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):
-        # row i -= q * row j, in D only where row j is nonzero
-        Di, Dj = D[i], D[j]
-        for c, y in enumerate(Dj):
-            if y:
-                Di[c] -= q * y
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-
-    def add_col(i, j, q):
-        # col i -= q * col j
-        for M in (D, V):
-            for row in M:
-                if row[j]:
-                    row[i] -= q * row[j]
-
-    def move_to_pivot(i, j):
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
-
-    for t in range(min(m, n)):
-        # the first row holding the least nonzero of the block, and in it the
-        # first column with that value; a 1 ends the search
-        least, pi = 0, None
-        for i in range(t, m):
-            tail = D[i][t:]
-            if any(tail):
-                a = min(map(abs, filter(None, tail)))
-                if pi is None or a < least:
-                    least, pi = a, i
-                    if a == 1:
-                        break
-        if pi is None:
+    Vt = identity_matrix(n)
+    while True:
+        r = _hermite(D, n)
+        if not any(any(row[i + 1 :]) for i, row in enumerate(D)):
             break
-        move_to_pivot(pi, next(j for j in range(t, n) if abs(D[pi][j]) == least))
-        while True:
-            d = D[t][t]
-            row_t = D[t]
-            for j in range(t + 1, n):
-                q = row_t[j] // d
-                if q:
-                    add_col(j, t, q)
-            for i in range(t + 1, m):
-                q = D[i][t] // d
-                if q:
-                    add_row(i, t, q)
-            left = [(abs(D[i][t]), i, t) for i in range(t + 1, m) if D[i][t]]
-            left += [(abs(x), t, j) for j, x in enumerate(D[t][t + 1 :], t + 1) if x]
-            if left:
-                move_to_pivot(*min(left)[1:])
-                continue
-            if d in (1, -1):
-                break
-            bad = next((i for i in range(t + 1, m) if any(map(d.__rmod__, D[i][t + 1 :]))), None)
-            if bad is None:
-                break
-            add_row(t, bad, -1)
-        if D[t][t] < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-    return U, D, V
+        T = [list(col) + v for col, v in zip(zip(*D), Vt)]
+        _hermite(T, m)
+        D = transpose([t[:m] for t in T])
+        Vt = [t[m:] for t in T]
+    for i in range(r):
+        for j in range(i + 1, r):
+            a, b = D[i][i], D[j][j]
+            if b % a:
+                g = math.gcd(a, b)
+                x = pow(a // g, -1, b // g)
+                y = (g - a * x) // b
+                vi, vj = Vt[i], Vt[j]
+                Vt[i] = [x * s + y * t for s, t in zip(vi, vj)]
+                Vt[j] = [(a * t - b * s) // g for s, t in zip(vi, vj)]
+                D[i][i], D[j][j] = g, a * b // g
+    return D, transpose(Vt)
 
 
 def elementary_divisors(A):
-    _, D, _ = smith_normal_form(A)
+    D, _ = smith_normal_form(A)
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i] != 0]
 
 
@@ -416,7 +388,7 @@ def _smith_step(rows):
     """The part of LocalLattice that does not depend on p, for the tuple of
     integer rows G: the diagonal entry of D at each column (0 past the last
     row) and the rows of V as sparse columns of V^T, with U*G*V = D."""
-    _, D, V = smith_normal_form(rows)
+    D, V = smith_normal_form(rows)
     k = len(rows)
     return tuple(D[j][j] if j < k else 0 for j in range(len(V))), sparse_columns(transpose(V))
 
@@ -432,9 +404,7 @@ class LocalLattice:
 
     The Smith step does not depend on p, so lattices on the same rows share
     it, at p = 2 and p = 3 alike, through a bounded cache keyed by the rows
-    (copied, so a caller may change its lists afterwards).  More rows than
-    columns are first reduced to their Hermite rows, which span the same
-    lattice and have the same nonzero elementary divisors.
+    (copied, so a caller may change its lists afterwards).
     """
 
     def __init__(self, gens, p):
@@ -442,8 +412,6 @@ class LocalLattice:
         self.divisors = []
         self._moduli = None
         rows = tuple(map(tuple, gens))
-        if rows and len(rows) > len(rows[0]):
-            rows = tuple(map(tuple, hnf_rows(rows)))
         if not rows:
             return
         diagonal, self._rows = _smith_step(rows)

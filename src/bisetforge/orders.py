@@ -251,7 +251,7 @@ def congruence_solution_lattice():
     are columns of V scaled by 24/gcd(d_i, 24), plus the full 24 Z^22.
     """
     C = [list(row) for row in MOD24_ROWS]
-    U, D, V = smith_normal_form(C)
+    D, V = smith_normal_form(C)
     n = 22
     k = len(C)
     gens = []

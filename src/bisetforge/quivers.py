@@ -16,8 +16,8 @@ from functools import lru_cache
 
 from . import rings
 from .blocks import COORD_NAMES, BlockElement
-from .linalg import LocalLattice, apply_columns, common_denominator, det_bareiss, hnf_rows
-from .linalg import int_inverse, sparse_columns, transpose
+from .linalg import LocalLattice, SingularMatrixError, apply_columns, common_denominator
+from .linalg import det_bareiss, pivot_solver, sparse_columns, transpose
 
 class PresentationError(Exception):
     pass
@@ -297,6 +297,12 @@ def irreducible_paths(quiver, rules, length_bound=8):
     return tuple(sorted(out, key=quiver.path_key))
 
 
+def _over_lcm(elements):
+    """(rows, b): the block elements as numerators over their lcm denominator b."""
+    b = math.lcm(*(e.den for e in elements))
+    return [[x * (b // e.den) for x in e.nums] for e in elements], b
+
+
 @lru_cache(maxsize=16)
 def _span_unit(elements):
     """The two-sided identity u of the span of the linearly independent block
@@ -308,43 +314,35 @@ def _span_unit(elements):
     equations have full column rank when it exists; c is solved on pivot
     equations and then checked against every equation.
     """
-    b = math.lcm(*(e.den for e in elements))
-    ints = [BlockElement.from_ints([x * (b // e.den) for x in e.nums]) for e in elements]
+    rows, b = _over_lcm(elements)
+    ints = [BlockElement.from_ints(r) for r in rows]
     prods = [[ei * ek for ek in ints] for ei in ints]
     # column i holds the coefficients of c_i in every equation; rhs the right sides
     cols = [
         [x for k in range(len(ints)) for x in prods[i][k].nums + prods[k][i].nums]
         for i in range(len(ints))
     ]
-    rhs = [b * x for e in ints for x in e.nums + e.nums]
-    echelon = hnf_rows(cols)
-    if len(echelon) < len(cols):
+    try:
+        solve, n = pivot_solver(cols)
+    except SingularMatrixError:
+        raise ValueError("span has no two-sided unit") from None
+    coords = solve([b * x for r in rows for x in r + r])
+    if coords is None:
         raise ValueError("span has no two-sided unit")
-    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    N, n = int_inverse([[col[j] for col in cols] for j in pivots])
-    coords = apply_columns(sparse_columns(N), [rhs[j] for j in pivots])
-    # c = coords / n must satisfy every equation, not only the pivot ones
-    if apply_columns(sparse_columns(transpose(cols)), coords) != [n * x for x in rhs]:
-        raise ValueError("span has no two-sided unit")
-    nums = apply_columns(sparse_columns(transpose([e.nums for e in ints])), coords)
+    nums = apply_columns(sparse_columns(transpose(rows)), coords)
     return BlockElement.from_ints(nums, n * b)
 
 
 @lru_cache(maxsize=16)
 def _basis_solver(elements):
     """The ring-independent solve of CornerAlgebra for a basis, built once per
-    basis content: (pivots, (N, n), basis, n*b).  The basis vectors are integer
-    rows over one denominator b, their pivot block has inverse N / n (N as
-    sparse columns), and basis maps coordinates to block numerators over b."""
-    b = math.lcm(*(e.den for e in elements))
-    rows = [[x * (b // e.den) for x in e.nums] for e in elements]
-    # an echelon form of the rows has its leading entries on the pivots
-    echelon = hnf_rows(rows)
-    if len(echelon) < len(rows):
-        raise ValueError("basis elements are linearly dependent")
-    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in echelon)
-    N, n = int_inverse([[row[j] for row in rows] for j in pivots], b)
-    return pivots, (sparse_columns(N), n), sparse_columns(list(zip(*rows))), n * b
+    basis content: (solve, n, b) with the basis vectors integer rows over one
+    denominator b and solve(nums) == n * (their coordinates of nums)."""
+    rows, b = _over_lcm(elements)
+    try:
+        return (*pivot_solver(rows), b)
+    except SingularMatrixError:
+        raise ValueError("basis elements are linearly dependent") from None
 
 
 class CornerAlgebra:
@@ -361,7 +359,7 @@ class CornerAlgebra:
         self.by_label = dict(zip(self.labels, self.elements))
         if len(self.by_label) != len(self.labels):
             raise ValueError("repeated basis label")
-        self._pivots, self._solver, self._basis, self._span_scale = _basis_solver(self.elements)
+        self._solve, self._n, self._b = _basis_solver(self.elements)
 
     def rank(self):
         return len(self.labels)
@@ -374,14 +372,12 @@ class CornerAlgebra:
     def express(self, block):
         """Coordinates of block over the basis, as Fractions; SpanError if
         block is outside the span."""
-        N, n = self._solver
-        coords = apply_columns(N, [block.nums[j] for j in self._pivots])
-        # block == sum_k coords[k]/(n*den) * (row k of the basis)/b, in integers
-        scale = self._span_scale
-        if apply_columns(self._basis, coords) != [x * scale for x in block.nums]:
+        coords = self._solve(block.nums)
+        if coords is None:
             raise SpanError("element is outside the span of the basis")
-        d = n * block.den
-        return [Fraction(c, d) for c in coords]
+        # block == sum_k coords[k]/(n*den) * (row k of the basis), each row k over b
+        d = self._n * block.den
+        return [Fraction(self._b * c, d) for c in coords]
 
 
 class Presentation:
@@ -449,6 +445,9 @@ class Presentation:
             mod_p = (p, tuple(elements("mod_p.relations", "F%d" % p, mod_p.get("relations"))))
         relations = elements("relations", ring, data.get("relations"))
         long_kernel = elements("long_kernel", ring, data.get("long_kernel"))
+        zero = next((i for i, e in enumerate(long_kernel) if e.is_zero()), None)
+        if zero is not None:
+            raise ValueError("%s:long_kernel[%d]: zero lies in every kernel" % (where, zero))
         return cls(name, ring, quiver, relations, long_kernel, *images, mod_p or None)
 
     def rules(self):

@@ -644,6 +644,13 @@ def test_cycle_refusals_quote_the_text_as_typed(capsys, spec, error):
     assert err == "error: %s\n" % error
 
 
+def test_spaces_in_cycles_read_as_commas(capsys):
+    want = run_cli(capsys, "subgroups", "(1,2)(3,4)", "--json")
+    assert want[0] == 0
+    for spec in ("(1 2)(3 4)", "(1, 2) (3, 4)", " ( 1 2 )( 3 4 ) "):
+        assert run_cli(capsys, "subgroups", spec, "--json") == want
+
+
 def test_f_p_reads_fractions_through_z_p(capsys):
     code, out, err = run_cli(capsys, "mult", "H_{1,0}:1/2", "H^D_5", "--ring", "F3")
     assert code == 0
@@ -734,12 +741,16 @@ def _set_image(key, value):
             "presentations/z2_corner.json:mod_p.relations[0][0]: coefficient 1.0 is not a "
             "string or an integer",
         ),
+        (
+            "z2_corner", _set_term("long_kernel", "0"),
+            "presentations/z2_corner.json:long_kernel[0]: zero lies in every kernel",
+        ),
     ],
     ids=[
         "relation-1/3-in-Z3", "kernel-coefficient", "mod-p-coefficient", "unknown-vertex",
         "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
         "ring", "bool-coefficient", "null-coefficient", "float-coefficient",
-        "float-mod-p-coefficient",
+        "float-mod-p-coefficient", "zero-kernel-element",
     ],
 )
 def test_malformed_presentation_exits_2_naming_the_path(capsys, tmp_path, name, edit, message):

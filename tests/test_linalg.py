@@ -16,8 +16,10 @@ from bisetforge.linalg import (
     hnf_rows,
     identity_matrix,
     int_inverse,
+    pivot_solver,
     smith_normal_form,
     sparse_columns,
+    transpose,
 )
 from reference import bareiss, det, mat_inverse, mat_mul, mat_vec, minors_gcds
 
@@ -119,9 +121,9 @@ def test_hnf_is_idempotent(A):
 @given(square(3))
 @settings(max_examples=60)
 def test_smith_form_diagonalizes(A):
-    U, D, V = smith_normal_form([r[:] for r in A])
-    assert mat_mul(mat_mul(U, A), V) == D
-    assert abs(det_bareiss([r[:] for r in U])) == 1
+    D, V = smith_normal_form([r[:] for r in A])
+    # some unimodular U has U*A*V == D iff A*V and D span one row lattice
+    assert hnf_rows(mat_mul(A, V)) == hnf_rows(D)
     assert abs(det_bareiss([r[:] for r in V])) == 1
     divs = [D[i][i] for i in range(3)]
     for a, b in zip(divs, divs[1:]):
@@ -215,7 +217,7 @@ def reference_in_local_span(gens, v, p):
     """The Fraction formulation that LocalLattice replaced, kept as the oracle."""
     if not gens:
         return all(Fraction(x) == 0 for x in v)
-    U, D, V = smith_normal_form(gens)
+    D, V = smith_normal_form(gens)
     k, n = len(gens), len(gens[0])
     w = [sum(Fraction(v[i]) * V[i][j] for i in range(n)) for j in range(n)]
     for j in range(n):
@@ -270,7 +272,7 @@ def dense_contains(gens, p, nums, den=1):
     every column of V, V from the Smith form of the generators."""
     if not gens:
         return not any(nums)
-    _, D, V = smith_normal_form(gens)
+    D, V = smith_normal_form(gens)
     k = len(gens)
     scale = p ** _p_part(den, p)
     for j in range(len(gens[0])):
@@ -383,12 +385,15 @@ def sparse_shapes(draw):
 @example([[0, 6, 4]])
 @example([[2, 0], [0, 3], [0, 0], [4, 6]])
 @example([[0, 0], [0, 0], [0, 0]])
+@example([[4, 0], [0, 6]])  # 2, 12: the gcd/lcm column step
+@example([[0, 0], [0, 3]])  # 3, 0: a column step moves the zero column last
+@example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])  # 1, 30, 30
 @settings(max_examples=150)
 def test_smith_form_of_sparse_shapes(A):
     m, n = len(A), len(A[0])
-    U, D, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == D
-    assert abs(det(U)) == 1 == abs(det(V))
+    D, V = smith_normal_form(A)
+    assert hnf_rows(mat_mul(A, V)) == hnf_rows(D)
+    assert abs(det(V)) == 1
     assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
     diagonal = [D[i][i] for i in range(min(m, n))]
     assert all(d >= 0 for d in diagonal)
@@ -397,6 +402,48 @@ def test_smith_form_of_sparse_shapes(A):
     # d_k = D_k / D_(k-1), D_k the gcd of the k x k minors
     gcds = minors_gcds(A)
     assert elementary_divisors(A) == [g // h for g, h in zip(gcds, [1] + gcds)]
+
+
+@st.composite
+def column_problems(draw):
+    """n <= m <= 5 integer columns of height m, the last one an integer
+    combination of the others or not, coefficients c and an offset b."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, m))
+
+    def vec(k):
+        return st.lists(small_int, min_size=k, max_size=k)
+
+    cols = draw(st.lists(vec(m), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        coeffs = draw(vec(n - 1))
+        cols[-1] = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m)]
+    return cols, draw(vec(n)), draw(vec(m))
+
+
+@given(column_problems())
+@example(([[1, 0, 0], [0, 1, 0]], [2, 3], [0, 0, 1]))
+@example(([[1, 2], [2, 4]], [1, 1], [0, 0]))
+@settings(max_examples=150)
+def test_pivot_solver_matches_the_fraction_inverse(problem):
+    cols, c, b = problem
+    A = transpose(cols)
+    # the Gram matrix A^T A is singular iff the columns are dependent
+    try:
+        gram_inv = mat_inverse(mat_mul(cols, A))
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            pivot_solver(cols)
+        return
+    solve, n = pivot_solver(cols)
+    assert n > 0
+    assert solve(mat_vec(A, c)) == [n * x for x in c]
+    # the least squares solution x reaches b iff b is in the span
+    x = mat_vec(gram_inv, mat_vec(cols, b))
+    if mat_vec(A, x) == b:
+        assert solve(b) == [n * y for y in x]
+    else:
+        assert solve(b) is None
 
 
 @given(

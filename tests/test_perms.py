@@ -48,6 +48,12 @@ def test_cycle_string_round_trip():
         assert Perm.from_cycle_string(p.cycle_string(), 4) == p
 
 
+def test_spaces_separate_points_as_commas_do():
+    assert Perm.from_cycle_string("(1 2)") == Perm.from_cycle_string("(1,2)")
+    assert Perm.from_cycle_string("(1, 2) (3, 4)") == Perm.from_cycle_string("(1,2)(3,4)")
+    assert Perm.from_cycle_string("(12)") == Perm.identity(12)
+
+
 def test_constructor_rejects_non_bijection():
     with pytest.raises(ValueError):
         Perm((0, 0))

@@ -12,10 +12,10 @@ import pytest
 from bisetforge import bisets, cli, fixtures, linalg, orders, verify
 from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
-from bisetforge.linalg import common_denominator
+from bisetforge.linalg import common_denominator, hnf_rows
 from bisetforge.perms import Perm, PermGroup, symmetric_group
 from bisetforge.quivers import Presentation, element_from_terms
-from reference import mat_mul, mat_vec
+from reference import bareiss, mat_mul, mat_vec
 
 
 def _element(ring, coeffs):
@@ -915,12 +915,13 @@ def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
 def test_a_full_run_factors_each_smith_input_once(monkeypatch):
     # LocalLattice shares its Smith step between lattices on the same rows,
     # at p = 2 and p = 3 alike; the cache starts empty here
-    calls = []
+    calls, outputs = [], []
     original = linalg.smith_normal_form
 
     def recording(A):
         calls.append(tuple(map(tuple, A)))
-        return original(A)
+        outputs.append(original(A))
+        return outputs[-1]
 
     monkeypatch.setattr(linalg, "smith_normal_form", recording)
     monkeypatch.setattr(orders, "smith_normal_form", recording)
@@ -931,3 +932,7 @@ def test_a_full_run_factors_each_smith_input_once(monkeypatch):
         linalg._smith_step.cache_clear()
     assert len(calls) >= 20
     assert len(calls) == len(set(calls))
+    # some unimodular U has U*A*V == D iff A*V and D span one row lattice
+    for A, (D, V) in zip(calls, outputs):
+        assert abs(bareiss(V, False)[0]) == 1
+        assert hnf_rows(mat_mul(A, V)) == hnf_rows(D)
