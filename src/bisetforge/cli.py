@@ -140,8 +140,8 @@ def parse_operand(text, ring, peirce):
     t = text.strip()
     if t in PEIRCE_LABELS:
         return peirce.element_by_label(t, ring)
-    if ":" not in t:
-        return parse_element(t + ":1", ring)
+    if ":" not in t and t != "0":  # a bare label has coefficient 1; "0" is zero
+        t += ":1"
     return parse_element(t, ring)
 
 

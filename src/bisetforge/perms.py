@@ -123,8 +123,8 @@ class Perm:
                 raise ValueError("bad cycle notation: %r" % (typed,))
             for part in text[1:-1].split(")("):
                 try:
-                    pts = [int(tok) for tok in part.split(",") if tok]
-                except ValueError:  # a point that is not a number
+                    pts = [int(tok) for tok in part.split(",")]
+                except ValueError:  # an empty point, or one that is not a number
                     pts = []
                 if not pts:
                     raise ValueError("bad cycle notation: %r" % (typed,))

@@ -1,4 +1,5 @@
-"""Path algebras with relations, rewriting, and corner algebras.
+"""Quiver relations as maps from paths to coefficients, rewriting, and
+coordinates on a corner of the block algebra.
 
 A path p.q means first p, then q, matching the order in which the images of
 the paths are multiplied in the block algebra.  Arrows are ordered by their
@@ -16,8 +17,8 @@ from functools import lru_cache
 
 from . import rings
 from .blocks import COORD_NAMES, BlockElement
-from .linalg import LocalLattice, SingularMatrixError, apply_columns, common_denominator
-from .linalg import det_bareiss, pivot_solver, sparse_columns, transpose
+from .linalg import LocalLattice, SingularMatrixError, common_denominator, det_bareiss
+from .linalg import pivot_solver
 
 class PresentationError(Exception):
     pass
@@ -90,7 +91,9 @@ class Quiver:
 
 
 class PathElement:
-    """Linear combination of paths with coefficients in a fixed ring tag."""
+    """Linear combination of paths with coefficients in a fixed ring tag: a
+    relation or a path, rewritten by normal_form and mapped into the corner
+    by element_image, never multiplied here."""
 
     __slots__ = ("quiver", "ring", "terms")
 
@@ -111,38 +114,6 @@ class PathElement:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for path, c in other.terms.items():
-            out[path] = out.get(path, Fraction(0)) + c
-        return PathElement(self.quiver, self.ring, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PathElement(
-            self.quiver, self.ring, {p: -c for p, c in self.terms.items()}
-        )
-
-    def scale(self, r):
-        r = Fraction(r)
-        return PathElement(
-            self.quiver, self.ring, {p: r * c for p, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        out = {}
-        q = self.quiver
-        for (s1, a1), c1 in self.terms.items():
-            t1 = q.path_tgt((s1, a1))
-            for (s2, a2), c2 in other.terms.items():
-                if t1 != s2:
-                    continue
-                key = (s1, a1 + a2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PathElement(q, self.ring, out)
-
     def canonical_terms(self):
         return tuple(
             (path, self.terms[path])
@@ -153,9 +124,6 @@ class PathElement:
         if not isinstance(other, PathElement):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -182,9 +150,7 @@ def make_rules(quiver, ring, relations):
         c = rel.terms[head]
         if not rings.is_unit(ring, c):
             raise PresentationError("leading coefficient %s is not a unit" % c)
-        rest = dict(rel.terms)
-        del rest[head]
-        tail = PathElement(quiver, ring, rest).scale(Fraction(-1) / c)
+        tail = PathElement(quiver, ring, {p: -x / c for p, x in rel.terms.items() if p != head})
         rules.append((head, tail))
     return rules
 
@@ -297,48 +263,13 @@ def irreducible_paths(quiver, rules, length_bound=8):
     return tuple(sorted(out, key=quiver.path_key))
 
 
-def _over_lcm(elements):
-    """(rows, b): the block elements as numerators over their lcm denominator b."""
-    b = math.lcm(*(e.den for e in elements))
-    return [[x * (b // e.den) for x in e.nums] for e in elements], b
-
-
-@lru_cache(maxsize=16)
-def _span_unit(elements):
-    """The two-sided identity u of the span of the linearly independent block
-    elements, solved in integers; ValueError if the span has none.
-
-    With e_i = r_i / b over one denominator, u = sum_i c_i e_i satisfies
-    u.e_k = e_k = e_k.u for every k iff sum_i c_i (r_i r_k) = b r_k and
-    sum_i c_i (r_k r_i) = b r_k.  A two-sided identity is unique, so these
-    equations have full column rank when it exists; c is solved on pivot
-    equations and then checked against every equation.
-    """
-    rows, b = _over_lcm(elements)
-    ints = [BlockElement.from_ints(r) for r in rows]
-    prods = [[ei * ek for ek in ints] for ei in ints]
-    # column i holds the coefficients of c_i in every equation; rhs the right sides
-    cols = [
-        [x for k in range(len(ints)) for x in prods[i][k].nums + prods[k][i].nums]
-        for i in range(len(ints))
-    ]
-    try:
-        solve, n = pivot_solver(cols)
-    except SingularMatrixError:
-        raise ValueError("span has no two-sided unit") from None
-    coords = solve([b * x for r in rows for x in r + r])
-    if coords is None:
-        raise ValueError("span has no two-sided unit")
-    nums = apply_columns(sparse_columns(transpose(rows)), coords)
-    return BlockElement.from_ints(nums, n * b)
-
-
 @lru_cache(maxsize=16)
 def _basis_solver(elements):
     """The ring-independent solve of CornerAlgebra for a basis, built once per
     basis content: (solve, n, b) with the basis vectors integer rows over one
     denominator b and solve(nums) == n * (their coordinates of nums)."""
-    rows, b = _over_lcm(elements)
+    b = math.lcm(*(e.den for e in elements))
+    rows = [[x * (b // e.den) for x in e.nums] for e in elements]
     try:
         return (*pivot_solver(rows), b)
     except SingularMatrixError:
@@ -346,14 +277,14 @@ def _basis_solver(elements):
 
 
 class CornerAlgebra:
-    """Free module on named block elements, multiplied in the block algebra.
+    """Coordinates on named block elements, a basis of a corner order.
 
-    express() solves exactly against the basis and raises SpanError when the
-    element is outside the rational span.
+    The corner is multiplied in the block algebra; express() solves exactly
+    against the basis and raises SpanError when the element is outside the
+    rational span.
     """
 
-    def __init__(self, ring, named_basis):
-        self.ring = ring
+    def __init__(self, named_basis):
         self.labels = tuple(name for name, _ in named_basis)
         self.elements = tuple(elem for _, elem in named_basis)
         self.by_label = dict(zip(self.labels, self.elements))
@@ -364,10 +295,14 @@ class CornerAlgebra:
     def rank(self):
         return len(self.labels)
 
-    def unit(self):
-        """The unique two-sided identity of the span, solved once per basis
-        content (see _span_unit); ValueError if the span has none."""
-        return _span_unit(self.elements)
+    def is_identity(self, f, ring):
+        """Is f a two-sided identity over ring: do f.b - b and b.f - b vanish
+        there for every basis element b?  In an order that contains f this
+        says f is its unit; over F_p, the unit of A/pA."""
+        return all(
+            _vanishes(f * b - b, ring, self) and _vanishes(b * f - b, ring, self)
+            for b in self.elements
+        )
 
     def express(self, block):
         """Coordinates of block over the basis, as Fractions; SpanError if
@@ -536,8 +471,7 @@ def verify_presentation(pres, corner, length_bound=8):
         for w in q.vertices:
             if v != w and not _vanishes(vimgs[v] * vimgs[w], ring, corner):
                 problems.append("vertex images %s,%s are not orthogonal" % (v, w))
-    f = sum(vimgs.values(), BlockElement.zero())
-    if not _vanishes(corner.unit() - f, ring, corner):
+    if not corner.is_identity(sum(vimgs.values(), BlockElement.zero()), ring):
         problems.append("vertex images do not sum to the corner unit")
     for name, s, t in q.arrows:
         img = corner.by_label[pres.arrow_images[name]]

@@ -81,11 +81,11 @@ from .quivers import (
 
 _SEED = 20260816
 
-# The corners of the presentation fixtures: name -> (ring, basis).
+# The corners of the presentation fixtures: name -> basis.
 _CORNERS = {
-    "q_corner": ("Q", CORNER_BASIS_Q),
-    "z2_corner": ("Z2", CORNER_BASIS_2),
-    "z3_corner": ("Z3", CORNER_BASIS_3),
+    "q_corner": CORNER_BASIS_Q,
+    "z2_corner": CORNER_BASIS_2,
+    "z3_corner": CORNER_BASIS_3,
 }
 
 
@@ -212,7 +212,7 @@ class FixtureSet:
             name: Presentation.from_dict(
                 self.presentation_data[name], "presentations/%s.json" % name, [k for k, _ in basis]
             )
-            for name, (_, basis) in _CORNERS.items()
+            for name, basis in _CORNERS.items()
         }
 
     @cached_property
@@ -898,7 +898,7 @@ def _unit_criterion(fx):
 
 
 def _rational_corner_table(fx):
-    corner_q = CornerAlgebra("Q", CORNER_BASIS_Q)
+    corner_q = CornerAlgebra(CORNER_BASIS_Q)
     a = corner_q.by_label
     ones = sum((a[n] for n in CORNER_IDEMPOTENTS_Q), BlockElement.zero())
     return _relations(
@@ -910,7 +910,7 @@ def _rational_corner_table(fx):
             ),
             ("a_{1,4} a_{4,1} = 0", (a["a_{1,4}"] * a["a_{4,1}"]).is_zero()),
             ("a_{2,4} a_{4,2} = 0", (a["a_{2,4}"] * a["a_{4,2}"]).is_zero()),
-            ("the unit is the sum of the corner idempotents", corner_q.unit() == ones),
+            ("the unit is the sum of the corner idempotents", corner_q.is_identity(ones, "Q")),
         ],
         "the two long compositions give the loop pair and the reversed "
         "compositions vanish",
@@ -918,8 +918,7 @@ def _rational_corner_table(fx):
 
 
 def _presentation(fx, name):
-    ring, basis = _CORNERS[name]
-    problems, n = verify_presentation(fx.presentations[name], CornerAlgebra(ring, basis))
+    problems, n = verify_presentation(fx.presentations[name], CornerAlgebra(_CORNERS[name]))
     # n is None only when there are problems, and then the pass text is unused
     ok, detail = _problems(
         problems,
@@ -931,7 +930,7 @@ def _presentation(fx, name):
 def _presentation_mod(fx, name, p):
     pres = fx.presentations[name]
     reduced = fx.reduction(name, p)
-    problems, n = verify_presentation(reduced, CornerAlgebra("F%d" % p, _CORNERS[name][1]))
+    problems, n = verify_presentation(reduced, CornerAlgebra(_CORNERS[name]))
     recorded = (
         pres.mod_p is not None
         and pres.mod_p[0] == p

@@ -200,6 +200,18 @@ def test_mult_unknown_label_exits_2(capsys):
     assert code == 2
 
 
+def test_mult_reads_the_zero_it_prints(capsys):
+    code, out, err = run_cli(capsys, "mult", "0", "H_8")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["  a = 0", "  b = H_8:1", "  a * b = 0"]
+    code, out, err = run_cli(capsys, "mult", "H_8", "0", "--json")
+    assert code == 0
+    assert json.loads(out) == {"ring": "Q", "a": "H_8:1", "b": "0", "product": "0"}
+    code, out, err = run_cli(capsys, "mult", "", "H_8")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown basis label ''\n"
+
+
 def test_verify_single_stage_text(capsys):
     code, out, err = run_cli(capsys, "verify", "--stage", "gamma")
     assert code == 0
@@ -630,6 +642,10 @@ def test_cycle_without_points_exits_2_naming_the_input(capsys, spec):
         ("(1, 2", "bad cycle notation: '(1, 2'"),
         ("(1, x)", "bad cycle notation: '(1, x)'"),
         ("(1, 2); ( )( 3 )", "bad cycle notation: '( )( 3 )'"),
+        ("(1,,2)", "bad cycle notation: '(1,,2)'"),
+        ("(1,2,)", "bad cycle notation: '(1,2,)'"),
+        ("(,1,2)", "bad cycle notation: '(,1,2)'"),
+        ("(1 , , 2)", "bad cycle notation: '(1 , , 2)'"),
         ("(0, 1)", "cycle notation is 1-based: '(0, 1)'"),
         ("(1, 2)(2, 3)", "cycles are not disjoint: '(1, 2)(2, 3)'"),
         (" (1, 2) ; (3, 4)(4, 5) ", "cycles are not disjoint: '(3, 4)(4, 5)'"),
@@ -647,8 +663,12 @@ def test_cycle_refusals_quote_the_text_as_typed(capsys, spec, error):
 def test_spaces_in_cycles_read_as_commas(capsys):
     want = run_cli(capsys, "subgroups", "(1,2)(3,4)", "--json")
     assert want[0] == 0
-    for spec in ("(1 2)(3 4)", "(1, 2) (3, 4)", " ( 1 2 )( 3 4 ) "):
+    for spec in ("(1 2)(3 4)", "(1, 2) (3, 4)", " ( 1 2 )( 3 4 ) ", "(1 2 )( 3, 4)"):
         assert run_cli(capsys, "subgroups", spec, "--json") == want
+    # an empty generator between semicolons is skipped, not an empty point
+    pair = run_cli(capsys, "subgroups", "(1,2);(3,4)", "--json")
+    assert pair[0] == 0
+    assert run_cli(capsys, "subgroups", "(1,2);;(3,4)", "--json") == pair
 
 
 def test_f_p_reads_fractions_through_z_p(capsys):

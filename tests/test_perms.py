@@ -52,6 +52,10 @@ def test_spaces_separate_points_as_commas_do():
     assert Perm.from_cycle_string("(1 2)") == Perm.from_cycle_string("(1,2)")
     assert Perm.from_cycle_string("(1, 2) (3, 4)") == Perm.from_cycle_string("(1,2)(3,4)")
     assert Perm.from_cycle_string("(12)") == Perm.identity(12)
+    assert Perm.from_cycle_string("( 1 2 )") == Perm.from_cycle_string("(1,2)")
+    # spaces around a comma read as nothing, so the point between these commas is empty
+    with pytest.raises(ValueError, match=r"^bad cycle notation: '\(1 , , 2\)'$"):
+        Perm.from_cycle_string("(1 , , 2)")
 
 
 def test_constructor_rejects_non_bijection():

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisetforge import fixtures, verify
+from bisetforge import fixtures, rings, verify
 from bisetforge.blocks import COORD_NAMES, BlockElement
 from bisetforge.orders import (
     CORNER_BASIS_2,
@@ -19,7 +20,8 @@ from bisetforge.quivers import (
     PresentationError,
     Quiver,
     SpanError,
-    _span_unit,
+    _basis_solver,
+    _vanishes,
     element_from_terms,
     irreducible_paths,
     local_confluence_failures,
@@ -61,42 +63,6 @@ def test_path_coefficients_must_lie_in_the_ring():
     assert PathElement(q, "F3", {path: Fraction(1, 2)}).terms == {path: 2}
     with pytest.raises(ValueError, match=r"terms\[1\]: coefficient 1/2 is not an integer"):
         element_from_terms(q, "Z", [["1", "p", ["a"]], ["1/2", "q", ["b"]]])
-
-
-def test_path_product_concatenates_composable_paths():
-    q = loop_quiver()
-    a = PathElement.from_path(q, "Q", ("p", ("a",)))
-    b = PathElement.from_path(q, "Q", ("q", ("b",)))
-    ab = a * b
-    assert ab == PathElement.from_path(q, "Q", ("p", ("a", "b")))
-    assert (a * a).is_zero()
-    ep = PathElement.from_path(q, "Q", ("p", ()))
-    assert ep * a == a
-    assert (ep * b).is_zero()
-
-
-def path_elems(quiver, ring):
-    paths = [("p", ()), ("q", ()), ("p", ("a",)), ("q", ("b",)),
-             ("p", ("a", "b")), ("q", ("b", "a"))]
-    coeff = st.integers(min_value=-4, max_value=4)
-    return st.builds(
-        lambda cs: sum(
-            (PathElement.from_path(quiver, ring, p, c) for p, c in zip(paths, cs)),
-            PathElement(quiver, ring),
-        ),
-        st.tuples(*[coeff] * len(paths)),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_path_algebra_is_associative_and_distributive(data):
-    q = loop_quiver()
-    x = data.draw(path_elems(q, "Z"))
-    y = data.draw(path_elems(q, "Z"))
-    z = data.draw(path_elems(q, "Z"))
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
 
 
 def test_make_rules_orients_on_the_leading_path():
@@ -143,7 +109,7 @@ FIXED = (
 @pytest.mark.parametrize("name,ring,basis", FIXED, ids=[f[0] for f in FIXED])
 def test_fixture_presentations_verify(name, ring, basis):
     pres = fixture_presentation(name)
-    corner = CornerAlgebra(ring, basis)
+    corner = CornerAlgebra(basis)
     assert pres.ring == ring
     assert verify_presentation(pres, corner) == ([], 10)
     rules = pres.rules()
@@ -159,7 +125,7 @@ def test_fixture_presentations_verify(name, ring, basis):
 def test_modular_reductions_verify_and_match_fixture(name, p, basis):
     pres = fixture_presentation(name)
     reduced = pres.reduce_mod(p)
-    corner = CornerAlgebra("F%d" % p, basis)
+    corner = CornerAlgebra(basis)
     assert verify_presentation(reduced, corner) == ([], 10)
     assert pres.mod_p[0] == p
     assert same_element_sets(reduced.relations, pres.mod_p[1])
@@ -177,7 +143,7 @@ def test_dropping_a_zero_relation_changes_the_rank():
         pres.name, pres.ring, pres.quiver, kept, pres.long_kernel,
         pres.vertex_images, pres.arrow_images,
     )
-    corner = CornerAlgebra("Q", CORNER_BASIS_Q)
+    corner = CornerAlgebra(CORNER_BASIS_Q)
     probs, n = verify_presentation(crippled, corner)
     assert any("rank" in msg for msg in probs)
     assert n == 14
@@ -191,26 +157,22 @@ def test_wrong_arrow_image_is_reported():
         pres.name, pres.ring, pres.quiver, pres.relations, pres.long_kernel,
         pres.vertex_images, images,
     )
-    corner = CornerAlgebra("Q", CORNER_BASIS_Q)
+    corner = CornerAlgebra(CORNER_BASIS_Q)
     probs, _ = verify_presentation(broken, corner)
     assert any("arrow" in msg or "relation" in msg for msg in probs)
 
 
 def test_corner_unit_is_the_sum_of_the_slot_idempotents():
-    corner = CornerAlgebra("Q", CORNER_BASIS_Q)
-    f = BlockElement.zero()
-    for label in CORNER_IDEMPOTENTS_Q:
-        f = f + corner.by_label[label]
-    assert corner.unit() == f
-    c2 = CornerAlgebra("Z2", CORNER_BASIS_2)
-    f2 = c2.by_label["e3"] + c2.by_label["e4"] + c2.by_label["e5"]
-    assert c2.unit() == f2
-    c3 = CornerAlgebra("Z3", CORNER_BASIS_3)
-    f3 = (
-        c3.by_label["e3"] + c3.by_label["e4"]
-        + c3.by_label["e5"] + c3.by_label["e6"]
-    )
-    assert c3.unit() == f3
+    for ring, basis, labels in (
+        ("Q", CORNER_BASIS_Q, CORNER_IDEMPOTENTS_Q),
+        ("Z2", CORNER_BASIS_2, ("e3", "e4", "e5")),
+        ("Z3", CORNER_BASIS_3, ("e3", "e4", "e5", "e6")),
+    ):
+        corner = CornerAlgebra(basis)
+        for k in range(len(labels) + 1):
+            for part in itertools.combinations(labels, k):
+                f = sum((corner.by_label[x] for x in part), BlockElement.zero())
+                assert corner.is_identity(f, ring) == (k == len(labels)), part
 
 
 def _solve_unique(rows, rhs):
@@ -261,35 +223,50 @@ def reference_unit(elements):
 
 @pytest.mark.parametrize("ring, basis", [("Q", CORNER_BASIS_Q), ("Z2", CORNER_BASIS_2), ("Z3", CORNER_BASIS_3)])
 def test_integer_corner_unit_matches_the_fraction_solve(ring, basis):
-    corner = CornerAlgebra(ring, basis)
-    assert corner.unit() == reference_unit(corner.elements)
+    corner = CornerAlgebra(basis)
+    u = reference_unit(corner.elements)
+    idempotents = [e for e in corner.elements if e * e == e]
+    candidates = [
+        sum(part, BlockElement.zero())
+        for k in range(len(idempotents) + 1)
+        for part in itertools.combinations(idempotents, k)
+    ]
+    p = rings.prime(ring) or 2
+    candidates += [u + e.scale(sign * p) for e in corner.elements for sign in (1, -1)]
+    # over F_p, u + p*e is the unit of A/pA; over Q and Z_(p) it is not
+    for r in (ring,) if ring == "Q" else (ring, "F%d" % p):
+        for f in candidates:
+            assert corner.is_identity(f, r) == _vanishes(u - f, r, corner)
+    assert sum(corner.is_identity(f, ring) for f in candidates) == 1
     # rescaled basis vectors have denominators; the unit is the same
-    scaled = CornerAlgebra(ring, [(name, e.scale(Fraction(k + 2, 3))) for k, (name, e) in enumerate(basis)])
-    assert scaled.unit() == corner.unit()
+    scaled = CornerAlgebra([(name, e.scale(Fraction(k + 2, 3))) for k, (name, e) in enumerate(basis)])
+    assert scaled.is_identity(u, ring)
 
 
 @pytest.mark.parametrize(
     "coords",
     [
-        [{"z2": 1}],  # a nilpotent: no pivot equation at all
-        [{"s11": 1}, {"s12": 1}],  # E11 is a left unit only: full rank, inconsistent
+        [{"z2": 1}],  # a nilpotent: b.b = 0 for every b of the span
+        [{"s11": 1}, {"s12": 1}],  # E11 is a left unit only
     ],
 )
 def test_span_without_a_two_sided_unit_raises(coords):
-    corner = CornerAlgebra("Q", [("b%d" % i, BlockElement.from_coords(c)) for i, c in enumerate(coords)])
-    with pytest.raises(ValueError, match="span has no two-sided unit"):
-        corner.unit()
+    corner = CornerAlgebra([("b%d" % i, BlockElement.from_coords(c)) for i, c in enumerate(coords)])
+    grid = [Fraction(n, 2) for n in range(-4, 5)]
+    for cs in itertools.product(grid, repeat=len(coords)):
+        f = sum((e.scale(c) for c, e in zip(cs, corner.elements)), BlockElement.zero())
+        assert not corner.is_identity(f, "Q"), cs
 
 
 def test_one_verify_solves_each_corner_unit_once():
-    _span_unit.cache_clear()
+    _basis_solver.cache_clear()
     assert verify.run()["status"] == "pass"
-    info = _span_unit.cache_info()
+    info = _basis_solver.cache_info()
     assert (info.misses, info.hits) == (3, 3)
 
 
 def test_corner_express_round_trip_and_span_error():
-    corner = CornerAlgebra("Z2", CORNER_BASIS_2)
+    corner = CornerAlgebra(CORNER_BASIS_2)
     x = corner.by_label["tau1"] + corner.by_label["tau5"].scale(3)
     coords = corner.express(x)
     back = BlockElement.zero()
@@ -329,7 +306,7 @@ _CORNERS = {}
 @settings(max_examples=80, deadline=None)
 def test_corner_express_matches_fraction_reference(ring, coeffs, nudge, den):
     if ring not in _CORNERS:
-        _CORNERS[ring] = CornerAlgebra(ring, _CORNER_BASES[ring])
+        _CORNERS[ring] = CornerAlgebra(_CORNER_BASES[ring])
     corner = _CORNERS[ring]
     block = BlockElement.zero()
     for c, e in zip(coeffs, corner.elements):
@@ -352,11 +329,11 @@ def test_corner_rejects_dependent_basis():
         ("two", BlockElement.from_coords({"s11": 2})),
     )
     with pytest.raises(ValueError):
-        CornerAlgebra("Q", dup)
+        CornerAlgebra(dup)
 
 
 def test_structure_table_matches_block_products():
-    corner = CornerAlgebra("Q", CORNER_BASIS_Q)
+    corner = CornerAlgebra(CORNER_BASIS_Q)
     table = [[corner.express(a * b) for b in corner.elements] for a in corner.elements]
     n = corner.rank()
     for i in range(n):

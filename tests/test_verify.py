@@ -104,6 +104,22 @@ def test_tampered_matrix_cell_is_named(tmp_path):
     assert "H_{0,0}" in failing["matrix-fixture"]["detail"]
 
 
+@pytest.mark.parametrize(
+    "name, check", [("q_corner", "presentation-q_corner"), ("z2_corner", "presentation-z2_corner-mod2")]
+)
+def test_vertex_images_off_the_corner_unit_are_reported(tmp_path, name, check):
+    dst = _copy_fixtures(tmp_path)
+    path = dst / "presentations" / ("%s.json" % name)
+    data = json.loads(path.read_text())
+    first, second = sorted(data["vertex_images"])[:2]
+    data["vertex_images"][second] = data["vertex_images"][first]
+    path.write_text(fixtures.canonical_dumps(data))
+    rep = verify.run(stages="paths", fixture_dir=str(dst))
+    assert rep["status"] == "fail"
+    failing = {c["name"]: c for s in rep["stages"] for c in s["checks"] if c["status"] == "fail"}
+    assert "vertex images do not sum to the corner unit" in failing[check]["detail"]
+
+
 def test_tampered_product_table_is_caught(tmp_path):
     dst = _copy_fixtures(tmp_path)
     path = dst / "peirce.json"
