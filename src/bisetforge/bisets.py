@@ -36,12 +36,15 @@ by the pair of index x.  _index_tables() builds, on first use and not at
 import, the tables of S3 and of S3xS3 from Perm products and the class of each
 of the 60 subgroup masks, so that classify_subgroup is one lookup.
 
-Every product on the 22-class basis runs on structure_tensor(), the
-verified table in the row form of linalg.multiply_rows(), derived once from
-structure_table(): for each i the (j, k, c) triples with c = c[i][j][k]
-nonzero.  A BurnsideElement is a linalg.StructureElement on these rows, so a
-product is one multiply_rows() call and one ring-membership test on its
-denominator; multiply_vectors() is the same kernel on coefficient vectors.
+Every product on the 22-class basis runs on the verified table, derived
+once from structure_table() in two sparse forms: structure_tensor(), for
+each i the (j, k, c) triples with c = c[i][j][k] nonzero (the row form of
+linalg.multiply_rows()), and structure_cells(), for each cell (i, j) its
+(k, c) pairs.  multiply_vectors() walks the cells of the pairs of nonzero
+coefficients only, so a product with a three-term operand visits three
+cells per row, not all of a row's triples.  A BurnsideElement is a
+linalg.StructureElement whose product is one multiply_vectors() call and one
+ring-membership test on its denominator.
 
 An element is written as format_element() writes it: "label:n" or
 "label:n/d" for each nonzero coefficient in basis order, joined by commas
@@ -68,7 +71,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rings
-from .linalg import StructureElement, multiply_rows
+from .linalg import StructureElement
 from .perms import Perm, PermGroup
 
 __all__ = [
@@ -88,6 +91,8 @@ __all__ = [
     "mackey_table",
     "structure_table",
     "structure_tensor",
+    "tensor_cells",
+    "structure_cells",
     "multiply_vectors",
     "BurnsideElement",
 ]
@@ -374,9 +379,35 @@ def structure_tensor():
     )
 
 
+def tensor_cells(rows):
+    """cells[i][j]: the (k, c) pairs of the triples (j, k, c) of rows[i],
+    for structure constants in the row form of linalg.multiply_rows()."""
+    cells = [[[] for _ in rows] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, k, c in row:
+            cells[i][j].append((k, c))
+    return tuple(tuple(map(tuple, row)) for row in cells)
+
+
+@lru_cache(maxsize=1)
+def structure_cells():
+    """The verified table by cell: tensor_cells(structure_tensor())."""
+    return tensor_cells(structure_tensor())
+
+
 def multiply_vectors(xs, ys):
-    """Coefficient vector of the product of two coefficient vectors."""
-    return multiply_rows(structure_tensor(), xs, ys)
+    """Coefficient vector of the product of two coefficient vectors, as a
+    list: only the cells (i, j) with xs[i] and ys[j] nonzero are visited."""
+    cells = structure_cells()
+    out = [0] * len(cells)
+    ys = [(j, y) for j, y in enumerate(ys) if y]
+    for i, x in enumerate(xs):
+        if x:
+            row = cells[i]
+            for j, y in ys:
+                for k, c in row[j]:
+                    out[k] += c * x * y
+    return out
 
 
 class BurnsideElement(StructureElement):
@@ -385,13 +416,14 @@ class BurnsideElement(StructureElement):
     is 1 and nums are residues 0..p-1); `coeffs` gives them as Fractions."""
 
     __slots__ = ()
-    _rows = staticmethod(structure_tensor)
+    _product = staticmethod(multiply_vectors)
 
     @classmethod
     def from_ints(cls, ring, nums, den=1):
         """The element with coefficients nums[k] / den, den > 0; ValueError
-        naming the first coefficient outside the ring."""
-        nums = tuple(nums)
+        naming the first coefficient outside the ring, TypeError unless nums
+        and den are ints."""
+        nums, den = cls._int_args(nums, den)
         if len(nums) != len(BASIS_LABELS):
             raise ValueError("expected %d coefficients" % len(BASIS_LABELS))
         return cls._new(ring, nums, den)
@@ -450,25 +482,29 @@ def _split_terms(text):
 def parse_element(text, ring="Q"):
     """Parse "H_{0,0}:-1/2,H_{1,0}:1"; each term's coefficient must lie in the ring.
 
-    Text in the grammar format_element() writes is read in one scan of _TERM,
-    a term with a denominator checked on its own by rings.normalize_ints();
+    Text in the grammar format_element() writes is read in one scan of _TERM;
     any other text goes to _parse_terms(), which alone refuses malformed text
-    and unknown labels."""
+    and unknown labels.  Both collect (index, n, d) terms, each term with a
+    denominator checked on its own by rings.normalize_ints(), so that the
+    first coefficient outside the ring is the one named, and _sum_terms()
+    then builds and normalizes the vector once."""
     pieces = _TERM.split(text)
     # canonical text splits as ["", label, n, d, ",", label, n, d, ..., ""]
-    if pieces[0] or pieces[-1] or any(sep != "," for sep in pieces[4:-1:4]):
+    seps = pieces[4:-1:4]
+    if pieces[0] or pieces[-1] or seps.count(",") != len(seps):
         return _parse_terms(text, ring)
-    vec, den = [0] * len(BASIS_LABELS), 1
+    terms, den = [], 1
     for label, n, d in zip(pieces[1::4], pieces[2::4], pieces[3::4]):
         i = _LABEL_INDEX.get(label)
         if i is None:
             return _parse_terms(text, ring)
         if d is None:
-            vec[i] += int(n) * den
-            continue
-        (n,), d = rings.normalize_ints(ring, (int(n),), int(d))
-        vec, den = _add_term(vec, den, i, n, d)
-    return BurnsideElement.from_ints(ring, vec, den)
+            terms.append((i, int(n), 1))
+        else:
+            (n,), d = rings.normalize_ints(ring, (int(n),), int(d))
+            terms.append((i, n, d))
+            den = math.lcm(den, d)
+    return _sum_terms(ring, terms, den)
 
 
 def _parse_terms(text, ring):
@@ -478,7 +514,7 @@ def _parse_terms(text, ring):
     text = text.strip()
     if text in ("0", ""):
         return BurnsideElement.zero(ring)
-    vec, den = [0] * len(BASIS_LABELS), 1
+    terms, den = [], 1
     for chunk in _split_terms(text):
         if not chunk.strip():
             continue
@@ -488,17 +524,19 @@ def _parse_terms(text, ring):
         i = _basis_index(label)
         n, d = rings.parse_ints(val)
         (n,), d = rings.normalize_ints(ring, (n,), d)
-        vec, den = _add_term(vec, den, i, n, d)
-    return BurnsideElement.from_ints(ring, vec, den)
+        terms.append((i, n, d))
+        den = math.lcm(den, d)
+    return _sum_terms(ring, terms, den)
 
 
-def _add_term(vec, den, i, n, d):
-    """(vec, den) plus n/d at coefficient i, over the least common denominator."""
-    lcm = math.lcm(den, d)
-    if lcm != den:
-        vec, den = [a * (lcm // den) for a in vec], lcm
-    vec[i] += n * (den // d)
-    return vec, den
+def _sum_terms(ring, terms, den):
+    """The element sum of n/d at coefficient i over the (i, n, d) terms, each
+    already in the ring, and den the lcm of their d: one vector over den,
+    normalized once.  Its ints need no from_ints() check."""
+    vec = [0] * len(BASIS_LABELS)
+    for i, n, d in terms:
+        vec[i] += n * (den // d)
+    return BurnsideElement._new(ring, vec, den)
 
 
 def format_element(elem):

@@ -42,7 +42,7 @@ from functools import cache, cached_property
 from . import fixtures, rings
 from .bisets import BASIS_LABELS, BurnsideElement
 from .linalg import SingularMatrixError, StructureElement, apply_columns, common_denominator
-from .linalg import int_inverse, sparse_columns
+from .linalg import int_inverse, multiply_rows, sparse_columns
 
 __all__ = [
     "COORD_NAMES",
@@ -100,17 +100,23 @@ def _slot_rows():
     )
 
 
+def _multiply_slots(xs, ys):
+    """The coordinates of xs times ys: linalg.multiply_rows() on _slot_rows()."""
+    return multiply_rows(_slot_rows(), xs, ys)
+
+
 class BlockElement(StructureElement):
     """One element of the block algebra: nums / den over Q, see the module
     docstring."""
 
     __slots__ = ()
-    _rows = staticmethod(_slot_rows)
+    _product = staticmethod(_multiply_slots)
 
     @classmethod
     def from_ints(cls, nums, den=1):
-        """The element with coordinates nums[k] / den, reduced to lowest terms."""
-        nums = tuple(nums)
+        """The element with coordinates nums[k] / den, reduced to lowest terms;
+        TypeError unless nums and den are ints."""
+        nums, den = cls._int_args(nums, den)
         if len(nums) != 22:
             raise ValueError("expected 22 coordinates")
         return cls._new("Q", nums, den)
@@ -252,6 +258,7 @@ class PeirceBasis:
     def __init__(self, vectors, table):
         self.vectors = tuple(tuple(Fraction(c) for c in v) for v in vectors)
         self.table = table
+        self._elements = {}  # (i, ring) -> element(i, ring), each built once
 
     @classmethod
     def load(cls, fixture_dir=None):
@@ -287,8 +294,14 @@ class PeirceBasis:
         return cls(vecs, _checked_table(data.get("table")))
 
     def element(self, i, ring="Q"):
-        rows, d = self.int_vectors
-        return BurnsideElement.from_ints(ring, rows[i], d)
+        """PEIRCE_LABELS[i] as an element over ring, built on the first call
+        and kept: elements are immutable.  A vector outside the ring raises
+        ValueError on every call and is never kept."""
+        elem = self._elements.get((i, ring))
+        if elem is None:
+            rows, d = self.int_vectors
+            elem = self._elements[i, ring] = BurnsideElement.from_ints(ring, rows[i], d)
+        return elem
 
     def element_by_label(self, label, ring="Q"):
         try:

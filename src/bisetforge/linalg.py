@@ -23,13 +23,19 @@ the steps at columns 0 and 2 leave the row (0, 3, 0) alone:
     >>> int_inverse([[2, 0, 0], [0, 3, 0], [1, 0, 4]])
     ([[12, 0, 0], [0, 8, 0], [-3, 0, 6]], 24)
 
-An algebra is given by structure constants in row form: rows[i] holds the
-(j, k, c) triples for which e_i e_j has coefficient c at e_k.  The ring and
-the block algebra, both StructureElement subclasses, multiply through one
-kernel, multiply_rows(); in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
+An algebra is given by structure constants.  StructureElement holds the
+coefficients and the ring rules of an element; each subclass supplies the
+product of two coefficient vectors.  multiply_rows() is the product in row
+form, where rows[i] holds the (j, k, c) triples for which e_i e_j has
+coefficient c at e_k; in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
 
     >>> multiply_rows((((0, 0, 1), (1, 1, 1)), ((0, 1, 1),)), [1, 2], [3, 1])  # (1 + 2t)(3 + t)
     [3, 7]
+
+The block algebra multiplies by multiply_rows(): its rows hold about three
+triples each.  The ring's rows hold about 23, and its operands are often
+sparse, so bisets.multiply_vectors() walks its table by cell instead and
+visits only the pairs of nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -111,15 +117,31 @@ def multiply_rows(rows, xs, ys):
 class StructureElement:
     """An element over one of rings.RINGS: integer numerators `nums` over one
     denominator `den` > 0, in lowest terms (rings.normalize_ints).  A subclass
-    supplies _rows(), its structure constants; elements of two classes never
-    compare equal, and combining them, or two rings, raises.  Elements are
-    built by the subclass's from_ints; calling the class raises TypeError."""
+    supplies _product(xs, ys), the product of two numerator vectors by its
+    structure constants; elements of two classes never compare equal, and
+    combining them, or two rings, raises.  Elements are built by the
+    subclass's from_ints, which checks its arguments by _int_args(); calling
+    the class raises TypeError."""
 
     __slots__ = ("ring", "nums", "den")
 
     def __init__(self, *args, **kwargs):
         name = type(self).__name__
         raise TypeError("%s is built by %s.from_ints, not by calling the class" % (name, name))
+
+    @classmethod
+    def _int_args(cls, nums, den):
+        """(nums, den) as a tuple of ints and an int, a bool read as 0 or 1;
+        TypeError naming from_ints for any other value, which
+        rings.normalize_ints() would store as it is.  Only from_ints checks:
+        the operators make ints from ints."""
+        try:
+            return tuple(map(operator.index, nums)), operator.index(den)
+        except TypeError:
+            raise TypeError(
+                "%s.from_ints takes integer numerators and an integer denominator"
+                % cls.__name__
+            ) from None
 
     @classmethod
     def _new(cls, ring, nums, den=1):
@@ -148,14 +170,16 @@ class StructureElement:
         return self._new(self.ring, (-a for a in self.nums), self.den)
 
     def scale(self, r):
-        if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
+        """The element times r: an int, a Fraction or coefficient text; a
+        float raises TypeError (rings.rational)."""
+        if not isinstance(r, int):
+            r = rings.rational(r)
         nums = (r.numerator * a for a in self.nums)
         return self._new(self.ring, nums, self.den * r.denominator)
 
     def __mul__(self, other):
         self._check(other)
-        nums = multiply_rows(self._rows(), self.nums, other.nums)
+        nums = self._product(self.nums, other.nums)
         return self._new(self.ring, nums, self.den * other.den)
 
     def is_zero(self):

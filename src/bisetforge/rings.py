@@ -31,6 +31,7 @@ from fractions import Fraction
 __all__ = [
     "RINGS",
     "prime",
+    "rational",
     "normalize",
     "normalize_ints",
     "is_unit",
@@ -54,11 +55,21 @@ def prime(ring):
         raise ValueError("unknown ring %r" % (ring,)) from None
 
 
+def rational(x):
+    """x as a Fraction, from an int, a Fraction or text that Fraction() reads.
+    A float raises TypeError: 0.1 is the binary fraction
+    3602879701896397/36028797018963968, never the 1/10 that was meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError("coefficient %r is a float; give an int, a Fraction or text" % (x,))
+    return Fraction(x)
+
+
 def normalize(ring, x):
     """The coefficient x of ring as a Fraction, reduced to its residue in F_p;
-    ValueError if x is not in the ring."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+    ValueError if x is not in the ring, TypeError if it is a float."""
+    x = rational(x)
     (n,), _ = normalize_ints(ring, (x.numerator,), x.denominator)
     return Fraction(n) if ring in _FIELDS else x
 
@@ -77,9 +88,9 @@ def normalize_ints(ring, nums, den=1):
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
-            nums, den = tuple(a // g for a in nums), den // g
+            nums, den = tuple([a // g for a in nums]), den // g
     if den == 1:
-        return (tuple(a % p for a in nums) if ring in _FIELDS else nums), 1
+        return (tuple([a % p for a in nums]) if ring in _FIELDS else nums), 1
     if p is None:
         if ring == "Z":
             a = next(a for a in nums if a % den)
@@ -90,13 +101,14 @@ def normalize_ints(ring, nums, den=1):
         raise ValueError("coefficient %s has denominator divisible by %d" % (Fraction(a, den), p))
     if ring in _FIELDS:
         inv = pow(den, -1, p)
-        return tuple(a * inv % p for a in nums), 1
+        return tuple([a * inv % p for a in nums]), 1
     return nums, den
 
 
 def is_unit(ring, x):
-    """Is the rational x a unit of ring?  A non-member is not."""
-    x = Fraction(x)
+    """Is the rational x a unit of ring?  A non-member is not; a float
+    raises TypeError."""
+    x = rational(x)
     p = prime(ring)
     if p is not None:
         return x.numerator % p != 0 and x.denominator % p != 0
@@ -106,8 +118,9 @@ def is_unit(ring, x):
 
 
 def is_zero(ring, x):
-    """Does the rational x vanish in ring?  In F_p that means x lies in pZ_(p)."""
-    x = Fraction(x)
+    """Does the rational x vanish in ring?  In F_p that means x lies in
+    pZ_(p).  A float raises TypeError."""
+    x = rational(x)
     p = prime(ring)
     return x.numerator % p == 0 if ring in _FIELDS else x == 0
 

@@ -36,6 +36,7 @@ from .bisets import (
     pair_group,
     structure_table,
     structure_tensor,
+    tensor_cells,
 )
 from .blocks import (
     COORD_NAMES,
@@ -314,10 +315,7 @@ def _identity(fx):
 def _associativity(fx):
     # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s;
     # T[i][j] holds the (k, c) pairs of cell (i, j)
-    T = [[[] for _ in range(22)] for _ in range(22)]
-    for i, row in enumerate(structure_tensor()):
-        for j, k, c in row:
-            T[i][j].append((k, c))
+    T = tensor_cells(structure_tensor())
     cols = [[T[k][s] for k in range(22)] for s in range(22)]
 
     def combine(rows, pairs):

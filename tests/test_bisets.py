@@ -27,13 +27,15 @@ from bisetforge.bisets import (
     multiply_vectors,
     oracle_table,
     parse_element,
+    structure_cells,
     structure_table,
     structure_tensor,
     subgroup_reps,
+    tensor_cells,
     transitive_biset,
 )
-from bisetforge.linalg import common_denominator
-from bisetforge.rings import RINGS
+from bisetforge.linalg import common_denominator, multiply_rows
+from bisetforge.rings import RINGS, normalize_ints
 from reference import outcome
 
 
@@ -173,6 +175,15 @@ def test_structure_tensor_is_the_sparse_table():
     assert sum(len(row) for row in T) == 504
 
 
+def test_structure_cells_regroup_the_tensor_by_cell():
+    c = structure_table()
+    cells = structure_cells()
+    assert cells == tensor_cells(structure_tensor())
+    for i in range(22):
+        for j in range(22):
+            assert cells[i][j] == tuple((k, x) for k, x in enumerate(c[i][j]) if x)
+
+
 def _dense_product(xs, ys):
     """Reference: the dense table, every k of every pair of nonzero inputs."""
     c = structure_table()
@@ -220,6 +231,36 @@ def test_element_product_matches_dense_reference(data):
     b = element(ring, data.draw(_coeff_vectors(_RING_DENOMS[ring])))
     assert a * b == element(ring, _dense_product(a.coeffs, b.coeffs))
     assert all(type(x) is Fraction for x in (a * b).coeffs)
+
+
+# The cell kernel of multiply_vectors() against multiply_rows() on the row
+# form of the same table, kept as the reference: zero, sparse and dense
+# numerators, over a denominator each ring admits.
+_num = st.integers(-30, 30)
+_numerators = st.one_of(
+    st.just([0] * 22),
+    st.lists(st.tuples(st.integers(0, 21), _num), max_size=4).map(
+        lambda terms: [sum(v for j, v in terms if j == k) for k in range(22)]
+    ),
+    st.lists(_num, min_size=22, max_size=22),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_products_match_multiply_rows_in_every_ring(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    dens = st.sampled_from(_RING_DENOMS[ring])
+    xs, ys = data.draw(_numerators), data.draw(_numerators)
+    a = BurnsideElement.from_ints(ring, xs, data.draw(dens))
+    b = BurnsideElement.from_ints(ring, ys, data.draw(dens))
+    rows = structure_tensor()
+    assert multiply_vectors(xs, ys) == multiply_rows(rows, xs, ys)
+    assert multiply_vectors(a.nums, b.nums) == multiply_rows(rows, a.nums, b.nums)
+    want = normalize_ints(ring, tuple(multiply_rows(rows, a.nums, b.nums)), a.den * b.den)
+    assert ((a * b).nums, (a * b).den) == want
+    fracs = [Fraction(x, 7) for x in xs]
+    assert multiply_vectors(fracs, ys) == multiply_rows(rows, fracs, ys)
 
 
 # The integer representation: nums over one den, checked once per element,
@@ -759,6 +800,23 @@ def test_classify_subgroup_agrees_on_all_60_subgroups():
 def test_classify_subgroup_rejects_non_subgroups(pairs):
     with pytest.raises(ValueError, match="matches no representative class"):
         classify_subgroup(_mask(pairs))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2, 1), "1", None])
+@pytest.mark.parametrize("ring", RINGS)
+def test_from_ints_refuses_a_non_integer_numerator_or_denominator(ring, bad):
+    with pytest.raises(TypeError, match=r"^BurnsideElement\.from_ints takes integer"):
+        BurnsideElement.from_ints(ring, [bad] + [0] * 21)
+    with pytest.raises(TypeError, match=r"^BurnsideElement\.from_ints takes integer"):
+        BurnsideElement.from_ints(ring, [1] + [0] * 21, bad)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_from_ints_stores_bools_as_ints(ring):
+    x = BurnsideElement.from_ints(ring, [True, False] + [0] * 20, True)
+    assert x == BurnsideElement.basis(0, ring) == parse_element("H_{0,0}:1", ring)
+    assert [type(a) for a in x.nums] == [int] * 22 and type(x.den) is int
+    assert format_element(x) == "H_{0,0}:1"
 
 
 def test_calling_the_class_raises_and_names_from_ints():

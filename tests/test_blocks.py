@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisetforge.bisets import BASIS_LABELS, BurnsideElement
+from bisetforge.rings import RINGS
 from bisetforge.blocks import (
     COORD_NAMES,
     IDEMPOTENT_LABELS,
@@ -121,6 +122,57 @@ def test_an_unknown_peirce_label_raises_value_error(label):
     assert [pb.element_by_label(lab) for lab in PEIRCE_LABELS] == [
         pb.element(i) for i in range(22)
     ]
+
+
+def _fresh_outcome(pb, i, ring):
+    """PEIRCE_LABELS[i] over ring by a fresh from_ints, or the refusal text."""
+    rows, d = pb.int_vectors
+    try:
+        return BurnsideElement.from_ints(ring, rows[i], d)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _kept_outcome(pb, label, ring):
+    try:
+        return pb.element_by_label(label, ring)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_peirce_elements_are_built_once_and_equal_a_fresh_build():
+    pb = PeirceBasis.load()
+    refused = 0
+    for ring in RINGS:
+        for i, label in enumerate(PEIRCE_LABELS):
+            want = _fresh_outcome(pb, i, ring)
+            first = _kept_outcome(pb, label, ring)
+            second = _kept_outcome(pb, label, ring)
+            assert first == second == want, (label, ring)
+            if isinstance(want, str):
+                refused += 1
+            else:
+                assert second is first
+    # Z, Z2 and Z3 each refuse some Peirce vectors
+    assert refused > 0
+
+
+def test_an_out_of_ring_peirce_vector_is_refused_every_time_and_never_kept():
+    pb = PeirceBasis.load()
+    rows, d = pb.int_vectors
+    ring = "Z"
+    bad = [i for i in range(22) if isinstance(_fresh_outcome(pb, i, ring), str)]
+    assert bad and len(bad) < 22
+    label = PEIRCE_LABELS[bad[0]]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not an integer"):
+            pb.element_by_label(label, ring)
+    for i, other in enumerate(PEIRCE_LABELS):
+        if i not in bad:
+            assert pb.element_by_label(other, ring) == BurnsideElement.from_ints(ring, rows[i], d)
+    with pytest.raises(ValueError, match="is not an integer"):
+        pb.element_by_label(label, ring)
+    assert pb.element_by_label(label, "Q") == BurnsideElement.from_ints("Q", rows[bad[0]], d)
 
 
 def test_gamma_is_ring_map_on_samples():
@@ -276,6 +328,29 @@ def test_a_block_element_never_equals_a_ring_element():
         assert (block.ring, block.nums, block.den) == (ring.ring, ring.nums, ring.den)
         assert block != ring and ring != block
     assert BlockElement.zero() != BurnsideElement.zero("Q")
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2, 1), "1", None])
+def test_from_ints_refuses_a_non_integer_coordinate_or_denominator(bad):
+    with pytest.raises(TypeError, match=r"^BlockElement\.from_ints takes integer"):
+        BlockElement.from_ints([bad] + [0] * 21)
+    with pytest.raises(TypeError, match=r"^BlockElement\.from_ints takes integer"):
+        BlockElement.from_ints([1] + [0] * 21, bad)
+
+
+def test_from_ints_stores_bools_as_ints():
+    x = BlockElement.from_ints([True] + [False] * 21, True)
+    assert x == E(s11=1) and x.to_vector()[0] == 1
+    assert [type(a) for a in x.nums] == [int] * 22 and type(x.den) is int
+
+
+def test_scale_refuses_a_float():
+    with pytest.raises(TypeError, match="float"):
+        E(s11=1).scale(0.5)
+    with pytest.raises(TypeError, match="float"):
+        BurnsideElement.one("Q").scale(0.1)
+    assert BurnsideElement.one("Q").scale("1/10") == BurnsideElement.one("Q").scale(Fraction(1, 10))
+    assert E(s11=1).scale(3) == E(s11=3)
 
 
 def test_calling_the_class_raises_and_names_from_ints():

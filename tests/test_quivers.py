@@ -65,6 +65,14 @@ def test_path_coefficients_must_lie_in_the_ring():
         element_from_terms(q, "Z", [["1", "p", ["a"]], ["1/2", "q", ["b"]]])
 
 
+def test_a_float_path_coefficient_is_refused():
+    q = loop_quiver()
+    path = q.path("p", ("a",))
+    with pytest.raises(TypeError, match="is a float"):
+        PathElement(q, "Q", {path: 0.1})
+    assert PathElement(q, "Q", {path: "1/10"}).terms == {path: Fraction(1, 10)}
+
+
 def test_make_rules_orients_on_the_leading_path():
     q = loop_quiver()
     # ab - e_p becomes the rule ab -> e_p

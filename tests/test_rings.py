@@ -79,6 +79,17 @@ def test_normalize_accepts_ints_and_keeps_the_reduction_rule():
     assert prime("Q") is prime("Z") is None
 
 
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("fn", [normalize, is_unit, is_zero])
+def test_a_float_coefficient_is_refused(fn, ring):
+    for x in (0.1, 0.5, 1.0):
+        with pytest.raises(TypeError, match="is a float"):
+            fn(ring, x)
+    # ints, Fractions and coefficient text keep working
+    assert fn(ring, 1) == fn(ring, Fraction(1)) == fn(ring, "1")
+    assert fn(ring, "-6/3") == fn(ring, Fraction(-2))
+
+
 def test_unknown_ring_is_refused():
     for fn in (prime, lambda r: normalize(r, 1), lambda r: is_unit(r, 1), lambda r: is_zero(r, 1)):
         with pytest.raises(ValueError, match="unknown ring"):

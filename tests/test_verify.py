@@ -267,6 +267,7 @@ def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
 def _clear_table_caches():
     bisets.structure_table.cache_clear()
     bisets.structure_tensor.cache_clear()
+    bisets.structure_cells.cache_clear()
 
 
 # a perturbed route must stop structure_table() and fail only table-dual-route
