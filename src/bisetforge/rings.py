@@ -56,14 +56,14 @@ def prime(ring):
 
 
 def rational(x):
-    """x as a Fraction, from an int, a Fraction or text that Fraction() reads.
-    A float raises TypeError: 0.1 is the binary fraction
+    """x as a Fraction, from an int, a Fraction or coefficient text, read by
+    parse_fraction().  A float raises TypeError: 0.1 is the binary fraction
     3602879701896397/36028797018963968, never the 1/10 that was meant."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("coefficient %r is a float; give an int, a Fraction or text" % (x,))
-    return Fraction(x)
+    return parse_fraction(x) if isinstance(x, str) else Fraction(x)
 
 
 def normalize(ring, x):

@@ -88,6 +88,9 @@ def test_a_float_coefficient_is_refused(fn, ring):
     # ints, Fractions and coefficient text keep working
     assert fn(ring, 1) == fn(ring, Fraction(1)) == fn(ring, "1")
     assert fn(ring, "-6/3") == fn(ring, Fraction(-2))
+    # text is read by parse_fraction, which refuses exponent notation
+    with pytest.raises(ValueError, match="exponent notation"):
+        fn(ring, "1e30")
 
 
 def test_unknown_ring_is_refused():
