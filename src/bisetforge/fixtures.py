@@ -46,9 +46,14 @@ def fixture_dir(override=None):
 
 
 def load_json(name, override=None):
+    """The parsed fixture file name; a file that is not UTF-8 JSON raises
+    ValueError naming it."""
     path = fixture_dir(override) / name
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError("%s: not valid JSON: %s" % (name, exc)) from None
 
 
 def canonical_dumps(data):

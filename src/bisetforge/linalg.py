@@ -61,7 +61,6 @@ __all__ = [
     "common_denominator",
     "det_bareiss",
     "hnf_rows",
-    "pivot_solver",
     "smith_normal_form",
     "elementary_divisors",
     "LocalLattice",
@@ -333,26 +332,6 @@ def hnf_rows(A):
     """
     rows = _int_rows(A)
     return rows[: _hermite(rows, len(rows[0]) if rows else 0)]
-
-
-def pivot_solver(cols):
-    """(solve, n) for the independent integer columns cols of a matrix A:
-    solve(b) is the integer x with A*x == n*b, checked on every row, or None
-    when b is outside their span.  The pivots of the Hermite form of the
-    columns pick a square block of A, inverted once as N/n, and x = N*b on
-    those rows.  SingularMatrixError if the columns are dependent."""
-    echelon = hnf_rows(cols)
-    if len(echelon) < len(cols):
-        raise SingularMatrixError("columns are linearly dependent")
-    pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    N, n = int_inverse([[col[j] for col in cols] for j in pivots])
-    N, A = sparse_columns(N), sparse_columns(transpose(cols))
-
-    def solve(b):
-        x = apply_columns(N, [b[j] for j in pivots])
-        return x if apply_columns(A, x) == [n * y for y in b] else None
-
-    return solve, n
 
 
 def smith_normal_form(A):

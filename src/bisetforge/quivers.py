@@ -1,5 +1,5 @@
 """Quiver relations as maps from paths to coefficients, rewriting, and
-coordinates on a corner of the block algebra.
+their images in a corner of the block algebra, tested on its basis.
 
 A path p.q means first p, then q, matching the order in which the images of
 the paths are multiplied in the block algebra.  Arrows are ordered by their
@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import rings
 from .blocks import COORD_NAMES, BlockElement
-from .linalg import LocalLattice, SingularMatrixError, common_denominator, det_bareiss
-from .linalg import pivot_solver
+from .linalg import LocalLattice, det_bareiss, hnf_rows
+
 
 class PresentationError(Exception):
     pass
@@ -28,19 +27,17 @@ class RewriteDivergence(PresentationError):
     pass
 
 
-class SpanError(Exception):
-    pass
-
-
 class Quiver:
     """Named vertices and arrows (name, source, target); bad data raises
-    ValueError naming the entry, as vertices or arrows[i]."""
+    ValueError naming the first bad entry, as vertices[i] or arrows[i]."""
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices) if isinstance(v, str)}
-        if len(self.vertex_index) < len(self.vertices):
-            raise ValueError("vertices: expected distinct names")
+        self.vertex_index = {}
+        for i, v in enumerate(self.vertices):
+            if not isinstance(v, str) or v in self.vertex_index:
+                raise ValueError("vertices[%d]: expected a new vertex name, got %r" % (i, v))
+            self.vertex_index[v] = i
         self.arrows = tuple(tuple(a) if isinstance(a, (list, tuple)) else (a,) for a in arrows)
         self.arrow_index = {}
         self.src = {}
@@ -263,26 +260,11 @@ def irreducible_paths(quiver, rules, length_bound=8):
     return tuple(sorted(out, key=quiver.path_key))
 
 
-@lru_cache(maxsize=16)
-def _basis_solver(elements):
-    """The ring-independent solve of CornerAlgebra for a basis, built once per
-    basis content: (solve, n, b) with the basis vectors integer rows over one
-    denominator b and solve(nums) == n * (their coordinates of nums)."""
-    b = math.lcm(*(e.den for e in elements))
-    rows = [[x * (b // e.den) for x in e.nums] for e in elements]
-    try:
-        return (*pivot_solver(rows), b)
-    except SingularMatrixError:
-        raise ValueError("basis elements are linearly dependent") from None
-
-
 class CornerAlgebra:
-    """Coordinates on named block elements, a basis of a corner order.
-
-    The corner is multiplied in the block algebra; express() solves exactly
-    against the basis and raises SpanError when the element is outside the
-    rational span.
-    """
+    """Named block elements, a basis of a corner order, multiplied in the
+    block algebra.  The basis is kept as integer rows over their lcm
+    denominator b, with the pivot columns P of their Hermite form, and is
+    tested as a lattice: no coordinates are solved for."""
 
     def __init__(self, named_basis):
         self.labels = tuple(name for name, _ in named_basis)
@@ -290,7 +272,13 @@ class CornerAlgebra:
         self.by_label = dict(zip(self.labels, self.elements))
         if len(self.by_label) != len(self.labels):
             raise ValueError("repeated basis label")
-        self._solve, self._n, self._b = _basis_solver(self.elements)
+        self._b = math.lcm(*(e.den for e in self.elements))
+        self._rows = [[x * (self._b // e.den) for x in e.nums] for e in self.elements]
+        echelon = hnf_rows(self._rows)
+        if len(echelon) < len(self._rows):
+            raise ValueError("basis elements are linearly dependent")
+        self._pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
+        self._lattices = {}  # the LocalLattice of the rows at each prime
 
     def rank(self):
         return len(self.labels)
@@ -304,15 +292,22 @@ class CornerAlgebra:
             for b in self.elements
         )
 
-    def express(self, block):
-        """Coordinates of block over the basis, as Fractions; SpanError if
-        block is outside the span."""
-        coords = self._solve(block.nums)
-        if coords is None:
-            raise SpanError("element is outside the span of the basis")
-        # block == sum_k coords[k]/(n*den) * (row k of the basis), each row k over b
-        d = self._n * block.den
-        return [Fraction(self._b * c, d) for c in coords]
+    def in_p_span(self, block, p):
+        """Does block lie in p times the Z_(p)-span of the basis, that is, do
+        its coordinates, unique as the basis is independent, lie in pZ_(p)?"""
+        if p not in self._lattices:
+            self._lattices[p] = LocalLattice(self._rows, p)
+        return self._lattices[p].contains([self._b * x for x in block.nums], p * block.den)
+
+    def change_of_basis_det(self, blocks):
+        """det T for the rank() blocks of the span with blocks_k =
+        sum_j T_kj basis_j, as det(blocks_P) / det(basis_P) on the pivot
+        columns P, where blocks_P = T.basis_P."""
+        d = math.lcm(*(e.den for e in blocks))
+        rows = [[x * (d // e.den) for x in e.nums] for e in blocks]
+        P = self._pivots
+        num, den = (det_bareiss([[r[j] for j in P] for r in m]) for m in (rows, self._rows))
+        return Fraction(num * self._b ** len(rows), den * d ** len(rows))
 
 
 class Presentation:
@@ -445,8 +440,8 @@ def element_image(elem, pres, corner):
 
 
 def _vanishes(block, ring, corner):
-    """Is block zero over ring, that is, are its corner coordinates?"""
-    return block.is_zero() or all(rings.is_zero(ring, c) for c in corner.express(block))
+    """Is block zero over ring: is it 0, or over F_p in p times the local span?"""
+    return block.is_zero() or ring.startswith("F") and corner.in_p_span(block, rings.prime(ring))
 
 
 def verify_presentation(pres, corner, length_bound=8):
@@ -463,8 +458,7 @@ def verify_presentation(pres, corner, length_bound=8):
     q = pres.quiver
     ring = pres.ring
     vimgs = {v: corner.by_label[pres.vertex_images[v]] for v in q.vertices}
-    for v in q.vertices:
-        ev = vimgs[v]
+    for v, ev in vimgs.items():
         if not _vanishes(ev * ev - ev, ring, corner):
             problems.append("vertex image %s is not idempotent" % v)
     for v in q.vertices:
@@ -503,10 +497,7 @@ def verify_presentation(pres, corner, length_bound=8):
         if not _vanishes(element_image(elem, pres, corner), ring, corner):
             problems.append("listed kernel element %d does not vanish" % i)
     images = [element_image(PathElement.from_path(q, ring, b), pres, corner) for b in basis]
-    T = [corner.express(img) for img in images]
-    flat, den = common_denominator([x for row in T for x in row])
-    n = len(T)
-    d = Fraction(det_bareiss([flat[i * n : i * n + n] for i in range(n)]), den**n)
+    d = corner.change_of_basis_det(images)
     if not rings.is_unit(ring, d):
         problems.append("change of basis determinant %s is not a unit" % d)
     return problems, len(basis)

@@ -765,17 +765,78 @@ def _set_image(key, value):
             "z2_corner", _set_term("long_kernel", "0"),
             "presentations/z2_corner.json:long_kernel[0]: zero lies in every kernel",
         ),
+        (
+            "q_corner", lambda d: d["vertices"].__setitem__(1, 1),
+            "presentations/q_corner.json:vertices[1]: expected a new vertex name, got 1",
+        ),
+        (
+            "z3_corner", lambda d: d["vertices"].__setitem__(2, None),
+            "presentations/z3_corner.json:vertices[2]: expected a new vertex name, got None",
+        ),
+        (
+            "z2_corner", lambda d: d["vertices"].__setitem__(1, d["vertices"][0]),
+            "presentations/z2_corner.json:vertices[1]: expected a new vertex name, got 'e3'",
+        ),
     ],
     ids=[
         "relation-1/3-in-Z3", "kernel-coefficient", "mod-p-coefficient", "unknown-vertex",
         "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
         "ring", "bool-coefficient", "null-coefficient", "float-coefficient",
-        "float-mod-p-coefficient", "zero-kernel-element",
+        "float-mod-p-coefficient", "zero-kernel-element", "int-vertex", "null-vertex",
+        "repeated-vertex",
     ],
 )
 def test_malformed_presentation_exits_2_naming_the_path(capsys, tmp_path, name, edit, message):
     dst = _tampered_fixture(tmp_path, "presentations/%s.json" % name, edit)
     assert _single_error(capsys, "paths", dst).startswith("error: " + message)
+
+
+def test_twice_a_lower_path_fails_over_z2_and_vanishes_mod_2(capsys, tmp_path):
+    # relation 8 of z2_corner has head t7.t7 at e5; 2 e5 lies below it and vanishes mod 2
+    def edit(data):
+        data["relations"][8].append(["2", "e5", []])
+
+    dst = _tampered_fixture(tmp_path, "presentations/z2_corner.json", edit)
+    code, out, err = run_cli(capsys, "verify", "--stage", "paths", "--fixture-dir", dst)
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith(
+        "FAIL paths/presentation-z2_corner: relation 8 does not vanish in the corner;"
+    )
+    assert "PASS paths/presentation-z2_corner-mod2: " in out
+
+
+_READER_STAGE = {
+    "peirce.json": "peirce",
+    "delta_matrix.json": "lambda",
+    "errata.json": "lambda",
+    "presentations/q_corner.json": "paths",
+    "presentations/z2_corner.json": "paths",
+    "presentations/z3_corner.json": "paths",
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "0xff"])
+def test_a_fixture_that_is_not_json_exits_2_naming_the_file(capsys, tmp_path, damage):
+    shipped = fixtures.DEFAULT_DIR
+    files = sorted(p.relative_to(shipped).as_posix() for p in shipped.rglob("*.json"))
+    assert files == sorted(_READER_STAGE)
+    for name in files:
+        dst = tmp_path / name.replace("/", "_")
+        shutil.copytree(shipped, dst)
+        raw = (dst / name).read_bytes()
+        half = len(raw) // 2
+        tail = b"" if damage == "truncated" else b"\xff" + raw[half:]
+        (dst / name).write_bytes(raw[:half] + tail)
+        runs = [("verify", "--stage", _READER_STAGE[name])]
+        if name == "peirce.json":
+            runs.append(("mult", "H^D_5", "H^D_5"))
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv, "--fixture-dir", str(dst))
+            assert (code, out) == (2, ""), (name, argv)
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("error: %s: not valid JSON: " % name), err
 
 
 def test_an_integer_coefficient_in_a_presentation_is_read_as_its_text(capsys, tmp_path):

@@ -16,10 +16,8 @@ from bisetforge.linalg import (
     hnf_rows,
     identity_matrix,
     int_inverse,
-    pivot_solver,
     smith_normal_form,
     sparse_columns,
-    transpose,
 )
 from reference import bareiss, det, mat_inverse, mat_mul, mat_vec, minors_gcds
 
@@ -402,48 +400,6 @@ def test_smith_form_of_sparse_shapes(A):
     # d_k = D_k / D_(k-1), D_k the gcd of the k x k minors
     gcds = minors_gcds(A)
     assert elementary_divisors(A) == [g // h for g, h in zip(gcds, [1] + gcds)]
-
-
-@st.composite
-def column_problems(draw):
-    """n <= m <= 5 integer columns of height m, the last one an integer
-    combination of the others or not, coefficients c and an offset b."""
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, m))
-
-    def vec(k):
-        return st.lists(small_int, min_size=k, max_size=k)
-
-    cols = draw(st.lists(vec(m), min_size=n, max_size=n))
-    if n > 1 and draw(st.booleans()):
-        coeffs = draw(vec(n - 1))
-        cols[-1] = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m)]
-    return cols, draw(vec(n)), draw(vec(m))
-
-
-@given(column_problems())
-@example(([[1, 0, 0], [0, 1, 0]], [2, 3], [0, 0, 1]))
-@example(([[1, 2], [2, 4]], [1, 1], [0, 0]))
-@settings(max_examples=150)
-def test_pivot_solver_matches_the_fraction_inverse(problem):
-    cols, c, b = problem
-    A = transpose(cols)
-    # the Gram matrix A^T A is singular iff the columns are dependent
-    try:
-        gram_inv = mat_inverse(mat_mul(cols, A))
-    except SingularMatrixError:
-        with pytest.raises(SingularMatrixError):
-            pivot_solver(cols)
-        return
-    solve, n = pivot_solver(cols)
-    assert n > 0
-    assert solve(mat_vec(A, c)) == [n * x for x in c]
-    # the least squares solution x reaches b iff b is in the span
-    x = mat_vec(gram_inv, mat_vec(cols, b))
-    if mat_vec(A, x) == b:
-        assert solve(b) == [n * y for y in x]
-    else:
-        assert solve(b) is None
 
 
 @given(

@@ -2,10 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import fixtures, rings, verify
+from bisetforge import fixtures, rings
 from bisetforge.blocks import COORD_NAMES, BlockElement
 from bisetforge.orders import (
     CORNER_BASIS_2,
@@ -19,9 +19,8 @@ from bisetforge.quivers import (
     Presentation,
     PresentationError,
     Quiver,
-    SpanError,
-    _basis_solver,
     _vanishes,
+    element_image,
     element_from_terms,
     irreducible_paths,
     local_confluence_failures,
@@ -42,8 +41,10 @@ def loop_quiver():
 
 
 def test_quiver_rejects_bad_data():
-    with pytest.raises(ValueError):
-        Quiver(["p", "p"], [])
+    for vertices, bad in ((["p", "p"], "'p'"), (["p", 1], "1"), (["p", None], "None")):
+        message = r"^vertices\[1\]: expected a new vertex name, got %s$" % bad
+        with pytest.raises(ValueError, match=message):
+            Quiver(vertices, [])
     with pytest.raises(ValueError):
         Quiver(["p"], [("a", "p", "missing")])
     with pytest.raises(ValueError):
@@ -266,28 +267,6 @@ def test_span_without_a_two_sided_unit_raises(coords):
         assert not corner.is_identity(f, "Q"), cs
 
 
-def test_one_verify_solves_each_corner_unit_once():
-    _basis_solver.cache_clear()
-    assert verify.run()["status"] == "pass"
-    info = _basis_solver.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
-
-
-def test_corner_express_round_trip_and_span_error():
-    corner = CornerAlgebra(CORNER_BASIS_2)
-    x = corner.by_label["tau1"] + corner.by_label["tau5"].scale(3)
-    coords = corner.express(x)
-    back = BlockElement.zero()
-    for c, e in zip(coords, corner.elements):
-        back = back + e.scale(c)
-    assert back == x
-    with pytest.raises(SpanError):
-        corner.express(BlockElement.from_coords({"s11": 1}))
-    # a fractional multiple of a basis vector stays inside the rational span
-    half = corner.express(corner.by_label["tau5"].scale(Fraction(1, 2)))
-    assert half == [Fraction(int(k == "tau5"), 2) for k in corner.labels]
-
-
 def _express_reference(elements, block):
     """Fraction solve of sum_i c_i e_i == block, one equation per coordinate;
     None when block is outside the span."""
@@ -301,34 +280,95 @@ def _express_reference(elements, block):
         return None
 
 
+def _combination(coeffs, elements):
+    block = BlockElement.zero()
+    for c, e in zip(coeffs, elements):
+        block = block + e.scale(c)
+    return block
+
+
+def _fraction_det(rows):
+    """Reference: the determinant of a square matrix by Fraction elimination."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    d = Fraction(1)
+    for k in range(len(M)):
+        piv = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            d = -d
+        d *= M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    return d
+
+
 _CORNER_BASES = {"Q": CORNER_BASIS_Q, "Z2": CORNER_BASIS_2, "Z3": CORNER_BASIS_3}
 _CORNERS = {}
 
 
+def _corner(name):
+    if name not in _CORNERS:
+        _CORNERS[name] = CornerAlgebra(_CORNER_BASES[name])
+    return _CORNERS[name]
+
+
 @given(
     st.sampled_from(sorted(_CORNER_BASES)),
-    st.lists(st.fractions(max_denominator=12), min_size=10, max_size=10),
+    st.lists(st.integers(-4, 4), min_size=10, max_size=10),
+    st.sampled_from([1, 5, 7, 2, 3, 4, 6]),
+    st.sampled_from([0, 1, 2, 3, 4, 6, 9]),
     st.one_of(st.none(), st.tuples(st.sampled_from(COORD_NAMES), st.integers(-3, 3))),
     st.integers(1, 8),
 )
-@settings(max_examples=80, deadline=None)
-def test_corner_express_matches_fraction_reference(ring, coeffs, nudge, den):
-    if ring not in _CORNERS:
-        _CORNERS[ring] = CornerAlgebra(_CORNER_BASES[ring])
-    corner = _CORNERS[ring]
-    block = BlockElement.zero()
-    for c, e in zip(coeffs, corner.elements):
-        block = block + e.scale(c)
+@example("Z2", [1] * 10, 1, 0, None, 1)  # zero
+@example("Z2", list(range(-4, 6)), 5, 2, None, 1)  # in 2L over Z_(2)
+@example("Z3", list(range(-4, 6)), 7, 3, None, 1)  # in 3L over Z_(3)
+@example("Q", [1] * 10, 1, 6, ("s11", 1), 1)  # nudged out of the span
+@example("Z2", [1] * 10, 1, 2, ("s11", 2), 1)  # a p-multiple nudged out of the span
+@settings(max_examples=150, deadline=None)
+def test_vanishing_matches_the_fraction_coordinates(name, nums, den, mult, nudge, nudge_den):
+    corner = _corner(name)
+    coeffs = [Fraction(mult * n, den) for n in nums]
+    block = _combination(coeffs, corner.elements)
     if nudge is not None:
-        block = block + BlockElement.from_coords({nudge[0]: Fraction(nudge[1], den)})
+        block = block + BlockElement.from_coords({nudge[0]: Fraction(nudge[1], nudge_den)})
     want = _express_reference(corner.elements, block)
-    if want is None:
-        with pytest.raises(SpanError):
-            corner.express(block)
-    else:
-        assert corner.express(block) == want
     if nudge is None:
         assert want == coeffs
+    for ring in rings.RINGS:
+        zero = want is not None and all(rings.is_zero(ring, c) for c in want)
+        assert _vanishes(block, ring, corner) == zero, ring
+
+
+@pytest.mark.parametrize("name,ring,basis", FIXED, ids=[f[0] for f in FIXED])
+def test_path_image_determinant_matches_the_fraction_coordinates(name, ring, basis):
+    pres = fixture_presentation(name)
+    corner = _corner(ring)
+    paths = irreducible_paths(pres.quiver, pres.rules())
+    images = [
+        element_image(PathElement.from_path(pres.quiver, ring, b), pres, corner) for b in paths
+    ]
+    coords = [_express_reference(corner.elements, img) for img in images]
+    d = corner.change_of_basis_det(images)
+    assert d == _fraction_det(coords) and rings.is_unit(ring, d)
+
+
+@given(
+    st.sampled_from(sorted(_CORNER_BASES)),
+    st.lists(st.lists(st.integers(-3, 3), min_size=10, max_size=10), min_size=10, max_size=10),
+    st.lists(st.integers(1, 4), min_size=10, max_size=10),
+)
+@example("Q", [[0] * 10] * 10, [1] * 10)
+@example("Z3", [[int(i == j) for j in range(10)] for i in range(10)], [1] * 10)
+@settings(max_examples=80, deadline=None)
+def test_change_of_basis_det_matches_the_fraction_det(name, nums, dens):
+    corner = _corner(name)
+    T = [[Fraction(n, d) for n in row] for row, d in zip(nums, dens)]
+    blocks = [_combination(row, corner.elements) for row in T]
+    assert corner.change_of_basis_det(blocks) == _fraction_det(T)
 
 
 def test_corner_rejects_dependent_basis():
@@ -341,16 +381,11 @@ def test_corner_rejects_dependent_basis():
 
 
 def test_structure_table_matches_block_products():
-    corner = CornerAlgebra(CORNER_BASIS_Q)
-    table = [[corner.express(a * b) for b in corner.elements] for a in corner.elements]
-    n = corner.rank()
-    for i in range(n):
-        for j in range(n):
-            prod = corner.elements[i] * corner.elements[j]
-            back = BlockElement.zero()
-            for c, e in zip(table[i][j], corner.elements):
-                back = back + e.scale(c)
-            assert back == prod
+    corner = _corner("Q")
+    for a in corner.elements:
+        for b in corner.elements:
+            coords = _express_reference(corner.elements, a * b)
+            assert coords is not None and _combination(coords, corner.elements) == a * b
 
 
 def test_long_kernel_elements_rewrite_to_zero():
