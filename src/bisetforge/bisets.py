@@ -44,7 +44,8 @@ linalg.multiply_rows()), and structure_cells(), for each cell (i, j) its
 coefficients only, so a product with a three-term operand visits three
 cells per row, not all of a row's triples.  A BurnsideElement is a
 linalg.StructureElement whose product is one multiply_vectors() call and one
-ring-membership test on its denominator.
+ring-membership test on its denominator.  A sweep of products with one left
+factor takes that factor's left_multiplication() once per row.
 
 An element is written as format_element() writes it: "label:n" or
 "label:n/d" for each nonzero coefficient in basis order, joined by commas
@@ -71,7 +72,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rings
-from .linalg import StructureElement
+from .linalg import StructureElement, left_columns
 from .perms import Perm, PermGroup
 
 __all__ = [
@@ -94,6 +95,7 @@ __all__ = [
     "tensor_cells",
     "structure_cells",
     "multiply_vectors",
+    "left_multiplication",
     "BurnsideElement",
 ]
 
@@ -332,23 +334,32 @@ def _star(U, W):
 
 @lru_cache(maxsize=1)
 def mackey_table():
-    """c[i][j][k] by the double-coset formula, no biset is ever materialized."""
+    """c[i][j][k] by the double-coset formula, no biset is ever materialized.
+
+    The representatives g of p2(U)\\G/p1(V) depend only on the two
+    projections, so they are found once per pair of projections, and the
+    conjugates Vg once per V and g, before the 484 cells are counted."""
     mul, inv, _, masks, _ = _index_tables()
     reps = [[divmod(x, 6) for x in _members(mask)] for mask in masks]
+    conjugates = [[[(mul[mul[g][v1]][inv[g]], v2) for v1, v2 in V] for g in range(6)] for V in reps]
+    p2 = [frozenset(u2 for _, u2 in U) for U in reps]
+    p1 = [frozenset(v1 for v1, _ in V) for V in reps]
+    cosets = {}
+    for a in set(p2):
+        for b in set(p1):
+            gs, seen = [], set()
+            for g in range(6):  # one representative g per double coset a g b
+                if g not in seen:
+                    seen.update(mul[mul[h][g]][k] for h in a for k in b)
+                    gs.append(g)
+            cosets[a, b] = gs
     table = []
-    for U in reps:
-        p2U = {u2 for _, u2 in U}
+    for U, a in zip(reps, p2):
         row = []
-        for V in reps:
-            p1V = {v1 for v1, _ in V}
+        for Vgs, b in zip(conjugates, p1):
             counts = [0] * len(reps)
-            seen = set()
-            for g in range(6):  # one representative g per double coset p2(U) g p1(V)
-                if g in seen:
-                    continue
-                seen.update(mul[mul[h][g]][k] for h in p2U for k in p1V)
-                Vg = [(mul[mul[g][v1]][inv[g]], v2) for v1, v2 in V]
-                counts[classify_subgroup(_star(U, Vg))] += 1
+            for g in cosets[a, b]:
+                counts[classify_subgroup(_star(U, Vgs[g]))] += 1
             row.append(tuple(counts))
         table.append(tuple(row))
     return tuple(table)
@@ -408,6 +419,13 @@ def multiply_vectors(xs, ys):
                 for k, c in row[j]:
                     out[k] += c * x * y
     return out
+
+
+def left_multiplication(xs):
+    """The left multiplication by the coefficient vector xs on the verified
+    table, as linalg.left_columns() on structure_tensor(): xs times ys is
+    linalg.apply_columns(L, ys), for a sweep of products with one left factor."""
+    return left_columns(structure_tensor(), xs)
 
 
 class BurnsideElement(StructureElement):

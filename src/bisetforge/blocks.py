@@ -18,7 +18,7 @@ multiply by E_ab E_cd = [b = c] E_ad, except that
     x_j t_j = eta and y v = xi - 12 eta;
     eta and xi square to zero and kill the legs: only z1 keeps them.
 
-_slot_rows() derives the slot products from this rule once, as the
+slot_rows() derives the slot products from this rule once, as the
 structure constants of BlockElement, a linalg.StructureElement over Q.
 
 The coordinate order used for vectors throughout is COORD_NAMES.  A
@@ -42,12 +42,13 @@ from functools import cache, cached_property
 from . import fixtures, rings
 from .bisets import BASIS_LABELS, BurnsideElement
 from .linalg import SingularMatrixError, StructureElement, apply_columns, common_denominator
-from .linalg import int_inverse, multiply_rows, sparse_columns
+from .linalg import det_inverse, int_inverse, left_columns, multiply_rows, sparse_columns
 
 __all__ = [
     "COORD_NAMES",
     "COORD_INDEX",
     "BlockElement",
+    "slot_rows",
     "slot_basis",
     "PEIRCE_LABELS",
     "SLOT_TO_PEIRCE",
@@ -88,7 +89,7 @@ def _slot_product(p, q):
 
 
 @cache
-def _slot_rows():
+def slot_rows():
     """The slot products in the row form of linalg.multiply_rows()."""
     return tuple(
         tuple(
@@ -101,8 +102,8 @@ def _slot_rows():
 
 
 def _multiply_slots(xs, ys):
-    """The coordinates of xs times ys: linalg.multiply_rows() on _slot_rows()."""
-    return multiply_rows(_slot_rows(), xs, ys)
+    """The coordinates of xs times ys: linalg.multiply_rows() on slot_rows()."""
+    return multiply_rows(slot_rows(), xs, ys)
 
 
 class BlockElement(StructureElement):
@@ -162,6 +163,12 @@ class BlockElement(StructureElement):
         assert (self * inv) == BlockElement.identity()
         assert (inv * self) == BlockElement.identity()
         return inv
+
+    def left_products(self, others):
+        """[self * y for y in others], with the left multiplication by self
+        gathered once, linalg.left_columns() on slot_rows()."""
+        L = left_columns(slot_rows(), self.nums)
+        return [self._new(self.ring, apply_columns(L, y.nums), self.den * y.den) for y in others]
 
     def is_integral(self):
         return self.den == 1
@@ -341,13 +348,19 @@ class PeirceBasis:
         return sparse_columns(G), g
 
     @cached_property
+    def gamma_det_inverse(self):
+        """(det G, inverse of G/g) from one elimination, linalg.det_inverse():
+        gamma-bijective reads the determinant and gamma^-1 the inverse."""
+        return det_inverse(*self.int_gamma)
+
+    @cached_property
     def _inverse_columns(self):
         """(H, h): gamma^-1 is H/h, as sparse columns; SingularMatrixError
         when the basis vectors are linearly dependent."""
-        try:
-            H, h = int_inverse(*self.int_gamma)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError("gamma has no inverse: %s" % exc) from None
+        det, inverse = self.gamma_det_inverse
+        if not det:
+            raise SingularMatrixError("gamma has no inverse: %s" % inverse)
+        H, h = inverse
         return sparse_columns(H), h
 
     def gamma(self, block):

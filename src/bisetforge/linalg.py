@@ -35,7 +35,13 @@ coefficient c at e_k; in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
 The block algebra multiplies by multiply_rows(): its rows hold about three
 triples each.  The ring's rows hold about 23, and its operands are often
 sparse, so bisets.multiply_vectors() walks its table by cell instead and
-visits only the pairs of nonzero coefficients.
+visits only the pairs of nonzero coefficients.  A sweep of products with
+one left factor x gathers x's row once: left_columns() is the left
+multiplication by x as sparse columns, so that x y is apply_columns(L, y):
+
+    >>> L = left_columns((((0, 0, 1), (1, 1, 1)), ((0, 1, 1),)), [1, 2])
+    >>> apply_columns(L, [3, 1])
+    [3, 7]
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ __all__ = [
     "sparse_columns",
     "apply_columns",
     "multiply_rows",
+    "left_columns",
     "StructureElement",
+    "det_inverse",
     "int_inverse",
     "common_denominator",
     "det_bareiss",
@@ -111,6 +119,20 @@ def multiply_rows(rows, xs, ys):
                 if y:
                     out[k] += c * x * y
     return out
+
+
+def left_columns(rows, xs):
+    """The left multiplication by xs for the structure constants rows, in the
+    row form of multiply_rows(), as SparseColumns L: column j is xs times e_j,
+    so that apply_columns(L, ys) is multiply_rows(rows, xs, ys)."""
+    cols = [{} for _ in rows]
+    for i, x in enumerate(xs):
+        if x:
+            for j, k, c in rows[i]:
+                col = cols[j]
+                col[k] = col.get(k, 0) + c * x
+    cols = tuple(tuple(sorted((k, a) for k, a in col.items() if a)) for col in cols)
+    return SparseColumns(len(rows), cols)
 
 
 class StructureElement:
@@ -270,17 +292,28 @@ def _bareiss(A, adjoin):
     return prev, None, M
 
 
+def det_inverse(A, den=1):
+    """(det A, inverse) for the integer matrix A from one adjoined
+    elimination: det is det_bareiss(A), and inverse is what int_inverse(A,
+    den) returns, or, when det is 0, the SingularMatrixError it raises, so
+    that a caller may read the determinant of a singular matrix too."""
+    det, k, M = _bareiss(A, True)
+    if k is not None:
+        return 0, SingularMatrixError("singular at column %d" % k)
+    sign = -1 if det < 0 else 1
+    N = [[sign * den * x for x in row[len(A):]] for row in M]
+    g = math.gcd(det, *(x for row in N for x in row))
+    return det, ([[x // g for x in row] for row in N], abs(det) // g)
+
+
 def int_inverse(A, den=1):
     """Inverse of the rational matrix A/den, A an integer matrix, as (N, d)
     with (A/den)^-1 == N/d in lowest terms and d > 0; SingularMatrixError
     names the first column with no pivot."""
-    det, k, M = _bareiss(A, True)
-    if k is not None:
-        raise SingularMatrixError("singular at column %d" % k)
-    sign = -1 if det < 0 else 1
-    N = [[sign * den * x for x in row[len(A):]] for row in M]
-    g = math.gcd(det, *(x for row in N for x in row))
-    return [[x // g for x in row] for row in N], abs(det) // g
+    det, inverse = det_inverse(A, den)
+    if not det:
+        raise inverse
+    return inverse
 
 
 def det_bareiss(A):

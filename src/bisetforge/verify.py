@@ -29,9 +29,9 @@ from .bisets import (
     basis_bisets,
     biset_sizes,
     labeled_subgroups,
+    left_multiplication,
     mackey_table,
     match_classes,
-    multiply_vectors,
     oracle_table,
     pair_group,
     structure_table,
@@ -46,6 +46,7 @@ from .blocks import (
     BlockElement,
     PeirceBasis,
     slot_basis,
+    slot_rows,
 )
 from .orders import (
     CONGRUENCES_2,
@@ -68,8 +69,8 @@ from .orders import (
     matrix_diff,
     representation_matrix,
 )
-from .linalg import LocalLattice, SingularMatrixError, det_bareiss, elementary_divisors
-from .linalg import int_inverse
+from .linalg import LocalLattice, SingularMatrixError, apply_columns, elementary_divisors
+from .linalg import det_inverse
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -82,12 +83,11 @@ from .quivers import (
 
 _SEED = 20260816
 
-# The corners of the presentation fixtures: name -> basis.
-_CORNERS = {
-    "q_corner": CORNER_BASIS_Q,
-    "z2_corner": CORNER_BASIS_2,
-    "z3_corner": CORNER_BASIS_3,
-}
+
+def _corner_bases():
+    """The corners of the presentation fixtures: name -> basis, the bases as
+    the module holds them when called."""
+    return {"q_corner": CORNER_BASIS_Q, "z2_corner": CORNER_BASIS_2, "z3_corner": CORNER_BASIS_3}
 
 
 def _pairs(labels, bad, cols=None):
@@ -151,9 +151,10 @@ class FixtureSet:
     @cached_property
     def peirce_products(self):
         """[i][j]: the product of Peirce basis vectors i and j as integers
-        over d^2, where pb.int_vectors is (rows, d)."""
+        over d^2, where pb.int_vectors is (rows, d); row i from the left
+        multiplication by vector i."""
         rows, _ = self.peirce.int_vectors
-        return [[multiply_vectors(x, y) for y in rows] for x in rows]
+        return [[apply_columns(L, y) for y in rows] for L in map(left_multiplication, rows)]
 
     @cached_property
     def route_diffs(self):
@@ -184,9 +185,10 @@ class FixtureSet:
 
     @cached_property
     def delta_products(self):
-        """[i][j]: the block product delta(i) delta(j) of two delta images."""
+        """[i][j]: the block product delta(i) delta(j) of two delta images,
+        row i from the left multiplication by delta(i)."""
         imgs = self.delta_images
-        return [[x * y for y in imgs] for x in imgs]
+        return [x.left_products(imgs) for x in imgs]
 
     @cached_property
     def matrix(self):
@@ -194,8 +196,13 @@ class FixtureSet:
         return load_fixture_matrix(self.fixture_dir)
 
     @cached_property
+    def matrix_det_inverse(self):
+        """(det, inverse) of the matrix from one elimination, linalg.det_inverse()."""
+        return det_inverse(self.matrix)
+
+    @cached_property
     def matrix_det(self):
-        return det_bareiss([list(r) for r in self.matrix])
+        return self.matrix_det_inverse[0]
 
     @cached_property
     def matrix_hermite(self):
@@ -204,7 +211,8 @@ class FixtureSet:
     @cached_property
     def presentation_data(self):
         """The JSON of each presentations/<name>.json, as read."""
-        return {name: fixtures.load_presentation(name, self.fixture_dir) for name in _CORNERS}
+        names = _corner_bases()
+        return {name: fixtures.load_presentation(name, self.fixture_dir) for name in names}
 
     @cached_property
     def presentations(self):
@@ -213,8 +221,14 @@ class FixtureSet:
             name: Presentation.from_dict(
                 self.presentation_data[name], "presentations/%s.json" % name, [k for k, _ in basis]
             )
-            for name, basis in _CORNERS.items()
+            for name, basis in _corner_bases().items()
         }
+
+    @cached_property
+    def corners(self):
+        """The CornerAlgebra of each presentation's corner, by name, built once
+        per run: its Hermite form and its lattice at each prime are shared."""
+        return {name: CornerAlgebra(basis) for name, basis in _corner_bases().items()}
 
     @cached_property
     def errata(self):
@@ -313,20 +327,25 @@ def _identity(fx):
 
 
 def _associativity(fx):
-    # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s;
-    # T[i][j] holds the (k, c) pairs of cell (i, j)
-    T = tensor_cells(structure_tensor())
-    cols = [[T[k][s] for k in range(22)] for s in range(22)]
-
-    def combine(rows, pairs):
-        out = [0] * 22
-        for m, a in pairs:
-            for r, b in rows[m]:
-                out[r] += a * b
-        return out
+    # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s.
+    # Each side is one 22x22 array, entry 22 s + r its coefficient at e_r:
+    # e_i(e_j e_s) from row j's triples (s, m, a) and the (r, c) pairs of cell
+    # (i, m), (e_i e_j)e_s from the (m, a) pairs of cell (i, j) and row m's
+    # triples (s, r, c).
+    rows = structure_tensor()
+    T = tensor_cells(rows)
+    by_s = [[(22 * s, m, a) for s, m, a in row] for row in rows]
+    at_sr = [[(22 * s + r, c) for s, r, c in row] for row in rows]
 
     def fails(i, j):
-        return any(combine(T[i], T[j][s]) != combine(cols[s], T[i][j]) for s in range(22))
+        left, right, Ti = [0] * 484, [0] * 484, T[i]
+        for base, m, a in by_s[j]:
+            for r, c in Ti[m]:
+                left[base + r] += a * c
+        for m, a in Ti[j]:
+            for sr, c in at_sr[m]:
+                right[sr] += a * c
+        return left != right
 
     return _cells(
         _pairs(range(22), fails),
@@ -411,7 +430,7 @@ def _over_lcm(fracs):
 
 def _gamma_bijective(fx):
     G, g = fx.peirce.int_gamma
-    d = Fraction(det_bareiss(G), g ** len(G))
+    d = Fraction(fx.peirce.gamma_det_inverse[0], g ** len(G))
     return d != 0, "change of basis determinant %s" % d
 
 
@@ -422,17 +441,22 @@ def _gamma_unit(fx):
 
 
 def _gamma_multiplicative(fx):
-    # gamma(b) is G b.nums / (g b.den), so gamma(s_i s_j) == gamma(s_i) gamma(s_j)
-    # reads g G (s_i s_j).nums == (s_i s_j).den (G e_i)(G e_j)
+    # gamma(b) is G b.nums / (g b.den), and s_i s_j is the integer block of
+    # cell (i, j) of the slot table, so gamma(s_i s_j) == gamma(s_i) gamma(s_j)
+    # reads g G (s_i s_j) == (G e_i)(G e_j); the ring side takes each row's
+    # left multiplication once
     pb = fx.peirce
     _, g = pb.int_gamma
-    slots = slot_basis()
-    images = [pb.gamma_ints(b.nums)[0] for b in slots]
+    cells = tensor_cells(slot_rows())
+    images = [pb.gamma_ints(b.nums)[0] for b in slot_basis()]
+    lefts = [left_multiplication(x) for x in images]
 
     def fails(i, j):
-        prod = slots[i] * slots[j]
-        lhs = [g * x for x in pb.gamma_ints(prod.nums)[0]]
-        return lhs != [prod.den * x for x in multiply_vectors(images[i], images[j])]
+        prod = [0] * 22
+        for k, c in cells[i][j]:
+            prod[k] = c
+        lhs = [g * x for x in pb.gamma_ints(prod)[0]]
+        return lhs != apply_columns(lefts[i], images[j])
 
     return _cells(
         _pairs(COORD_NAMES, fails), "multiplicative on all 484 slot pairs", "fails at %s"
@@ -601,9 +625,10 @@ def _full_rank(fx):
 
 
 def _inverse_24_integral(fx):
-    if not fx.matrix_det:
+    det, inverse = fx.matrix_det_inverse
+    if not det:
         return False, "the matrix has no inverse"
-    inv, d = int_inverse(fx.matrix)
+    inv, d = inverse
     # the inverse maps slots to classes: its rows are classes, its columns slots
     return _cells(
         _pairs(BASIS_LABELS, lambda r, c: 24 * inv[r][c] % d, COORD_NAMES),
@@ -896,7 +921,7 @@ def _unit_criterion(fx):
 
 
 def _rational_corner_table(fx):
-    corner_q = CornerAlgebra(CORNER_BASIS_Q)
+    corner_q = fx.corners["q_corner"]
     a = corner_q.by_label
     ones = sum((a[n] for n in CORNER_IDEMPOTENTS_Q), BlockElement.zero())
     return _relations(
@@ -916,7 +941,7 @@ def _rational_corner_table(fx):
 
 
 def _presentation(fx, name):
-    problems, n = verify_presentation(fx.presentations[name], CornerAlgebra(_CORNERS[name]))
+    problems, n = verify_presentation(fx.presentations[name], fx.corners[name])
     # n is None only when there are problems, and then the pass text is unused
     ok, detail = _problems(
         problems,
@@ -928,7 +953,7 @@ def _presentation(fx, name):
 def _presentation_mod(fx, name, p):
     pres = fx.presentations[name]
     reduced = fx.reduction(name, p)
-    problems, n = verify_presentation(reduced, CornerAlgebra(_CORNERS[name]))
+    problems, n = verify_presentation(reduced, fx.corners[name])
     recorded = (
         pres.mod_p is not None
         and pres.mod_p[0] == p

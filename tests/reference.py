@@ -92,3 +92,30 @@ def det(A):
         for j, a in enumerate(A[0])
         if a
     )
+
+
+def associativity_failures(rows):
+    """The pairs (i, j) for which e_i(e_j e_s) != (e_i e_j)e_s for some s, in
+    row order, for structure constants in the row form of
+    linalg.multiply_rows(): the combine loop that verify's associativity
+    check ran before it built each side as one array."""
+    n = len(rows)
+    T = [[[] for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, k, c in row:
+            T[i][j].append((k, c))
+    cols = [[T[k][s] for k in range(n)] for s in range(n)]
+
+    def combine(rows, pairs):
+        out = [0] * n
+        for m, a in pairs:
+            for r, b in rows[m]:
+                out[r] += a * b
+        return out
+
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if any(combine(T[i], T[j][s]) != combine(cols[s], T[i][j]) for s in range(n))
+    ]

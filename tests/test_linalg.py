@@ -6,16 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge import linalg
+from bisetforge.bisets import multiply_vectors, structure_tensor
+from bisetforge.blocks import slot_rows
 from bisetforge.linalg import (
     LocalLattice,
     SingularMatrixError,
     apply_columns,
     common_denominator,
     det_bareiss,
+    det_inverse,
     elementary_divisors,
     hnf_rows,
     identity_matrix,
     int_inverse,
+    left_columns,
+    multiply_rows,
     smith_normal_form,
     sparse_columns,
 )
@@ -184,6 +189,57 @@ def test_apply_columns_matches_dense_mat_vec(problem):
     assert all(x for col in cols.cols for _, x in col)
     assert apply_columns(cols, v) == mat_vec(A, v)
     assert apply_columns(cols, [0] * len(v)) == [0] * len(A)
+
+
+# coefficients of the operands of left_columns: small, or many digits
+_coefficient = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+
+
+def _unit(k, a=1):
+    return [a if i == k else 0 for i in range(22)]
+
+
+_operand = st.one_of(
+    st.just([0] * 22),
+    st.builds(_unit, st.integers(0, 21), _coefficient.filter(bool)),
+    st.dictionaries(st.integers(0, 21), _coefficient, max_size=4).map(
+        lambda d: [d.get(k, 0) for k in range(22)]
+    ),
+    st.lists(_coefficient, min_size=22, max_size=22),
+)
+
+
+@given(_operand, _operand)
+@example([0] * 22, [3] * 22)
+@example(_unit(14), _unit(19, -7))
+@example(list(range(-11, 11)), [10**25 - k for k in range(22)])
+@example([-(10**40)] * 22, list(range(22)))
+@settings(max_examples=150)
+def test_left_columns_and_apply_columns_are_the_product(xs, ys):
+    # on the ring's table and on the block algebra's slot rows
+    for rows in (structure_tensor(), slot_rows()):
+        L = left_columns(rows, xs)
+        product = multiply_rows(rows, xs, ys)
+        assert apply_columns(L, ys) == product
+        # column j is xs times e_j, stored as sparse_columns stores it
+        dense = [multiply_rows(rows, xs, _unit(j)) for j in range(22)]
+        assert L == sparse_columns(list(map(list, zip(*dense))))
+    assert apply_columns(left_columns(structure_tensor(), xs), ys) == multiply_vectors(xs, ys)
+
+
+@given(squares(4), st.integers(1, 6))
+@example([[1, 2], [2, 4]], 1)
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 4], [0, 0, 1, 2]], 2)
+@settings(max_examples=80)
+def test_det_inverse_is_det_bareiss_and_int_inverse(A, den):
+    det, inverse = det_inverse(A, den)
+    assert det == det_bareiss(A)
+    if det:
+        assert inverse == int_inverse(A, den)
+    else:
+        assert isinstance(inverse, SingularMatrixError)
+        with pytest.raises(SingularMatrixError, match="^%s$" % re.escape(str(inverse))):
+            int_inverse(A, den)
 
 
 def test_common_denominator():
@@ -426,10 +482,10 @@ def test_hnf_is_canonical_under_unimodular_row_operations(A, ops):
 
 @pytest.mark.parametrize(
     "fn",
-    [det_bareiss, int_inverse, hnf_rows, smith_normal_form, elementary_divisors,
+    [det_bareiss, det_inverse, int_inverse, hnf_rows, smith_normal_form, elementary_divisors,
      lambda A: LocalLattice(A, 2)],
-    ids=["det_bareiss", "int_inverse", "hnf_rows", "smith_normal_form", "elementary_divisors",
-         "LocalLattice"],
+    ids=["det_bareiss", "det_inverse", "int_inverse", "hnf_rows", "smith_normal_form",
+         "elementary_divisors", "LocalLattice"],
 )
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0], ids=repr)
 def test_exact_kernels_refuse_non_integer_entries(fn, bad):

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from bisetforge import bisets, cli, fixtures, linalg, orders, verify
+from bisetforge import bisets, blocks, cli, fixtures, linalg, orders, quivers, verify
 from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator, hnf_rows
 from bisetforge.perms import Perm, PermGroup, symmetric_group
 from bisetforge.quivers import Presentation, element_from_terms
-from reference import bareiss, mat_mul, mat_vec
+from reference import associativity_failures, bareiss, mat_mul, mat_vec
 
 
 def _element(ring, coeffs):
@@ -264,6 +264,34 @@ def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
     assert ("(%d, %d)" % cell in failing["associativity"]) == (want.index(cell) < 6)
 
 
+def test_seeded_perturbations_fail_associativity_at_the_reference_pairs(monkeypatch):
+    # one structure constant set to a new value per case, to or from zero
+    # too: the check finds the pairs that the combine loop of reference.py finds
+    rng = random.Random(2025)
+    table = bisets.structure_table()
+    seen = []
+    cells = verify._cells
+    monkeypatch.setattr(verify, "_cells", lambda c, *a: seen.append(c) or cells(c, *a))
+    failed = 0
+    for _ in range(40):
+        i, j, k = (rng.randrange(22) for _ in range(3))
+        cell = list(table[i][j])
+        cell[k] = rng.choice([x for x in (0, -2, -1, 1, 2, 7, cell[k] + 1) if x != cell[k]])
+        rows = list(bisets.structure_tensor())
+        kept = [t for t in rows[i] if t[0] != j]
+        rows[i] = tuple(sorted(kept + [(j, n, c) for n, c in enumerate(cell) if c]))
+        monkeypatch.setattr(verify, "structure_tensor", lambda: tuple(rows))
+        named = ["(%d, %d)" % ij for ij in associativity_failures(rows)]
+        ok, detail = verify._associativity(verify.FixtureSet())
+        assert seen[-1] == named
+        if named:
+            assert (ok, detail) == (False, "fails at %s" % ", ".join(named[:6]))
+            failed += 1
+        else:
+            assert ok
+    assert failed >= 30
+
+
 def _clear_table_caches():
     bisets.structure_table.cache_clear()
     bisets.structure_tensor.cache_clear()
@@ -481,17 +509,20 @@ def test_emit_reuses_the_checked_products_and_writes_the_recomputed_table(tmp_pa
     key = sorted(cell)[0]
     cell[key] += 1
     path.write_text(fixtures.canonical_dumps(data))
-    products = []
-    multiply = verify.multiply_vectors
-    monkeypatch.setattr(verify, "multiply_vectors", lambda x, y: products.append(1) or multiply(x, y))
+    # the sweep takes each row's left multiplication once and makes each of
+    # the 484 products from it; emit makes none
+    rows, products = [], []
+    left, apply = verify.left_multiplication, verify.apply_columns
+    monkeypatch.setattr(verify, "left_multiplication", lambda x: rows.append(1) or left(x))
+    monkeypatch.setattr(verify, "apply_columns", lambda L, y: products.append(1) or apply(L, y))
     fx = verify.FixtureSet(str(dst))
     rep = verify.run(stages="peirce", fixture_dir=fx)
     failing = {c["name"] for s in rep["stages"] for c in s["checks"] if c["status"] == "fail"}
     assert failing == {"peirce-products"}
-    assert len(products) == 484
+    assert (len(rows), len(products)) == (22, 484)
     out = tmp_path / "out"
     verify.emit_fixtures(str(out), fixture_dir=fx)
-    assert len(products) == 484
+    assert (len(rows), len(products)) == (22, 484)
     assert (out / "peirce.json").read_bytes() == (fixtures.DEFAULT_DIR / "peirce.json").read_bytes()
 
 
@@ -803,7 +834,7 @@ def test_a_non_integral_corner_projection_names_the_generator():
 def test_a_non_integral_24_inverse_names_its_entries():
     # five times column 0 divides row 0 of the inverse by 5
     fx = verify.FixtureSet()
-    N, d = verify.int_inverse(fx.matrix)
+    N, d = linalg.int_inverse(fx.matrix)
     fx.matrix = [[5 * x if c == 0 else x for c, x in enumerate(row)] for row in fx.matrix]
     want = [
         "(%s, %s)" % (BASIS_LABELS[0], COORD_NAMES[c]) for c in range(22) if 24 * N[0][c] // d % 5
@@ -915,18 +946,42 @@ def test_a_lattice_without_1_is_named(monkeypatch):
 
 
 def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
+    # each image's left multiplication is taken once, and each of the 484
+    # products is made from it once, for delta-ring-map and lambda-closed both
     fx = verify.FixtureSet()
     fx.table, fx.delta_images  # built before counting
-    made = []
-    mul = BlockElement.__mul__
-
-    def counted(x, y):
-        made.append(1)
-        return mul(x, y)
-
-    monkeypatch.setattr(BlockElement, "__mul__", counted)
+    rows, products = [], []
+    left, apply = blocks.left_columns, blocks.apply_columns
+    monkeypatch.setattr(blocks, "left_columns", lambda r, x: rows.append(1) or left(r, x))
+    monkeypatch.setattr(blocks, "apply_columns", lambda L, y: products.append(1) or apply(L, y))
     assert verify._delta_ring_map(fx)[0] and verify._lambda_closed(fx)[0]
-    assert len(made) == 484
+    assert (len(rows), len(products)) == (22, 484)
+
+
+def test_a_full_run_builds_one_corner_algebra_per_corner(monkeypatch):
+    # rational-corner-table and the five presentation checks share them
+    built = []
+    init = quivers.CornerAlgebra.__init__
+    monkeypatch.setattr(
+        quivers.CornerAlgebra, "__init__", lambda c, basis: built.append(basis) or init(c, basis)
+    )
+    assert verify.run()["status"] == "pass"
+    assert built == [orders.CORNER_BASIS_Q, orders.CORNER_BASIS_2, orders.CORNER_BASIS_3]
+
+
+def test_a_full_run_eliminates_the_matrix_and_gamma_once_each(monkeypatch):
+    # full-rank and index-matches-determinant read the determinant of the
+    # elimination that 24-inverse-integral inverts; gamma-bijective that of gamma^-1
+    calls = []
+    eliminate = linalg._bareiss
+    monkeypatch.setattr(
+        linalg, "_bareiss", lambda A, adjoin: calls.append(tuple(map(tuple, A))) or eliminate(A, adjoin)
+    )
+    fx = verify.FixtureSet()
+    assert verify.run(fixture_dir=fx)["status"] == "pass"
+    G, _ = fx.peirce.int_gamma
+    assert calls.count(tuple(map(tuple, fx.matrix))) == 1
+    assert calls.count(tuple(map(tuple, G))) == 1
 
 
 def test_a_full_run_factors_each_smith_input_once(monkeypatch):
