@@ -1,40 +1,42 @@
-"""The double Burnside ring of S3: bisets, tensor products, structure constants.
+"""The double Burnside ring of S3, and the bisets between the sections of S3.
 
 Conventions, fixed once and used everywhere:
 
-  * G = S3 acts on {0,1,2}; a = (1,2) and b = (1,2,3) in 1-based cycle notation.
-  * An (S3,S3)-biset is a left (S3xS3)-set via (h,g)x = h.x.g^-1, so a left
-    (S3xS3)-set Y becomes a biset through h.y.g := (h, g^-1)y.
-  * The basis of the ring is the 22 transitive bisets (S3xS3)/U, one per
-    conjugacy class of subgroups U <= S3xS3, in the fixed order of
-    BASIS_LABELS, with point sets the left cosets xU under translation.
-  * The product [M][N] = [M (x)_G N]: orbits of the middle action
-    g.(m,n) = (m g^-1, g n), carrying (h,g)[m,n] = [(h,1)m, (1,g)n].
-  * The identity element is the class of the regular biset S3, which is
-    (S3xS3)/Delta(S3), index IDENTITY_INDEX in the basis.
+  * S3 acts on {0,1,2}; a = (1,2) and b = (1,2,3) in 1-based cycle notation.
+    G, H and K are the sections 1, <a>, <b> and S3, generated as in SECTIONS.
+  * A (G,H)-biset is a left (GxH)-set via (g,h)x = g.x.h^-1.  The basis of
+    B(G,H) is the transitive bisets (GxH)/U on the left cosets xU, one per
+    conjugacy class of subgroups U <= GxH.  The ring B(S3,S3) lists its 22
+    classes in the order of BASIS_LABELS, and a function called without
+    sections is about the ring.
+  * The product of M in B(G,H) and N in B(H,K) is [M (x)_H N] in B(G,K): the
+    orbits of h.(m,n) = (m h^-1, h n), carrying (g,k)[m,n] = [(g,1)m, (1,k)n].
+    The identity of B(H,H) is (HxH)/Delta(H), in the ring IDENTITY_INDEX.
 
 The structure constants are computed twice.  The orbit route enumerates
 the points of M x N for each pair of basis bisets: each orbit of the middle
-action is the set of images of one point under the six elements of S3, the
-outer generators (a,1), (b,1), (1,a), (1,b) then join these orbits into
-transitive pieces, and each piece is classified by the mask of the 36 pairs
-that fix one of its middle orbits.  No biset is built for the product.  The
-double-coset route uses the formula
+action is the set of images of one point under H, the images of one middle
+orbit under GxK are its transitive piece, and the piece is classified by the
+mask of the pairs of GxK that fix that orbit.  No biset is built for the
+product.  The double-coset route uses the formula
 
-  [(GxG)/U] . [(GxG)/V]
-      = sum over p2(U)\\G/p1(V), g a representative, of
-        [(GxG)/(U * (g,1)-conjugate of V)]
+  [(GxH)/U] . [(HxK)/V]
+      = sum over p2(U)\\H/p1(V), h a representative, of
+        [(GxK)/(U * (h,1)-conjugate of V)]
 
 where U * W = {(a,c) : exists b with (a,b) in U and (b,c) in W}.  The two
 routes share only the index tables and classify_subgroup; their tables must
-agree cell for cell, and construction fails otherwise.
+agree cell for cell, and construction fails otherwise.  The ranks of B(S3,H):
 
-Both routes run on integer indices.  The pair (S3.elements[a], S3.elements[b])
-has index 6a + b, its position in PAIRS; a subgroup of S3xS3 is the 36-bit
-mask of its pair indices, and Biset.action[x] is the permutation of the points
-by the pair of index x.  _index_tables() builds, on first use and not at
-import, the tables of S3 and of S3xS3 from Perm products and the class of each
-of the 60 subgroup masks, so that classify_subgroup is one lookup.
+    >>> [len(subgroup_reps("S3", H)) for H in SECTIONS]
+    [4, 10, 9, 22]
+
+Both routes run on integer indices.  The pair (S3.elements[a],
+S3.elements[b]) has index 6a + b, its position in PAIRS, and a subgroup of
+GxH <= S3xS3 is the 36-bit mask of its pair indices.  A biset is an action
+table, a dict from the pairs (g, h) of positions of GxH to the images of
+the points.  _index_tables() and _hom(G, H) build the index tables on first
+use, not at import.
 
 Every product on the 22-class basis runs on the verified table, derived
 once from structure_table() in two sparse forms: structure_tensor(), for
@@ -72,40 +74,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rings
-from .linalg import StructureElement, left_columns
+from .linalg import StructureElement, left_columns, tensor_cells
 from .perms import Perm, PermGroup
-
-__all__ = [
-    "S3",
-    "S3_A",
-    "S3_B",
-    "PAIRS",
-    "BASIS_LABELS",
-    "IDENTITY_INDEX",
-    "TableMismatch",
-    "subgroup_reps",
-    "biset_sizes",
-    "transitive_biset",
-    "basis_bisets",
-    "classify_subgroup",
-    "oracle_table",
-    "mackey_table",
-    "structure_table",
-    "structure_tensor",
-    "tensor_cells",
-    "structure_cells",
-    "multiply_vectors",
-    "left_multiplication",
-    "BurnsideElement",
-]
 
 S3_ID = Perm.identity(3)
 S3_A = Perm((1, 0, 2))
 S3_B = Perm((1, 2, 0))
 S3 = PermGroup(3, [S3_A, S3_B])
+_ONE = S3.elements.index(S3_ID)
+
+SECTIONS = {"1": (), "C2": (S3_A,), "C3": (S3_B,), "S3": (S3_A, S3_B)}
 
 PAIRS = tuple(itertools.product(S3.elements, S3.elements))
-_IA, _IB = S3.elements.index(S3_A), S3.elements.index(S3_B)
+# The one place that fixes the pair-index layout: x = _PAIR[a][b] = 6a + b
+# and _SPLIT[x] == (a, b) for PAIRS[x] == (S3.elements[a], S3.elements[b]).
+_PAIR = tuple(tuple(6 * a + b for b in range(6)) for a in range(6))
+_SPLIT = tuple(divmod(x, 6) for x in range(36))
 
 
 # Basis order and the generators of one representative subgroup per class.
@@ -146,15 +130,16 @@ class TableMismatch(Exception):
     """The two structure-constant routes disagree; message names the cell."""
 
 
-@lru_cache(maxsize=1)
-def subgroup_reps():
-    """The representative subgroups in basis order, as frozensets of pairs."""
-    return tuple(frozenset(PAIRS[x] for x in _members(mask)) for mask in _index_tables().masks)
+@lru_cache(maxsize=None)
+def subgroup_reps(G="S3", H="S3"):
+    """The representative subgroups of B(G,H) in basis order, as frozensets of pairs."""
+    return tuple(frozenset(PAIRS[x] for x in _members(mask)) for mask in _hom(G, H).masks)
 
 
-@lru_cache(maxsize=1)
-def biset_sizes():
-    return tuple(36 // len(U) for U in subgroup_reps())
+@lru_cache(maxsize=None)
+def biset_sizes(G="S3", H="S3"):
+    hom = _hom(G, H)
+    return tuple(len(hom.pairs) // mask.bit_count() for mask in hom.masks)
 
 
 def embed_pair(a, b):
@@ -196,131 +181,142 @@ def match_classes(group, references):
     return classes, assignment
 
 
-class Biset:
-    """A finite left (S3xS3)-set: `size` points; `action[x]`, for the pair of
-    index x, is the tuple of the images of the points."""
-
-    __slots__ = ("size", "action")
-
-    def __init__(self, size, action):
-        self.size = size
-        self.action = action
-
-
 def _members(mask):
-    return [x for x in range(36) if mask >> x & 1]
+    return [x for x in range(len(PAIRS)) if mask >> x & 1]
 
 
-_IndexTables = namedtuple("_IndexTables", "mul inv pair_mul masks class_of")
+def _closure(mul, one, gens):
+    """The sorted elements generated by gens under mul, identity one."""
+    elems = frontier = {one}
+    while frontier:
+        frontier = {mul[x][g] for x in frontier for g in gens} - elems
+        elems = elems | frontier
+    return tuple(sorted(elems))
+
+
+_IndexTables = namedtuple("_IndexTables", "mul inv pair_mul pair_inv sections reps")
+_Hom = namedtuple("_Hom", "left right pairs bits masks class_of")
 
 
 @lru_cache(maxsize=1)
 def _index_tables():
-    """Built on first use: S3 on its positions 0..5 (mul, inv), S3xS3 on pair
-    indices (pair_mul), the masks of the representative subgroups closed from
-    SUBGROUP_GENERATORS, and the basis class of each of the 60 subgroup masks."""
+    """Built on first use: S3 on its positions (mul, inv), S3xS3 on pair indices
+    (pair_mul, pair_inv), each section by its positions, and the masks of the
+    representatives of B(S3,S3) closed from SUBGROUP_GENERATORS."""
     els = S3.elements
-    e = els.index(S3_ID)
     mul = tuple(tuple(els.index(g * h) for h in els) for g in els)
-    inv = tuple(row.index(e) for row in mul)
-    pmul = tuple(
-        tuple(6 * mul[x // 6][y // 6] + mul[x % 6][y % 6] for y in range(36)) for x in range(36)
+    inv = tuple(row.index(_ONE) for row in mul)
+    pmul = tuple(tuple(_PAIR[mul[a][c]][mul[b][d]] for c, d in _SPLIT) for a, b in _SPLIT)
+    pinv = tuple(_PAIR[inv[a]][inv[b]] for a, b in _SPLIT)
+    sections = {n: _closure(mul, _ONE, [els.index(g) for g in gs]) for n, gs in SECTIONS.items()}
+    reps = tuple(
+        sum(1 << x for x in _closure(pmul, _PAIR[_ONE][_ONE], [PAIRS.index(g) for g in gens]))
+        for gens in SUBGROUP_GENERATORS
     )
-    masks = []
-    for gens in SUBGROUP_GENERATORS:
-        gens = [6 * els.index(a) + els.index(b) for a, b in gens]
-        elems = frontier = {6 * e + e}
-        while frontier:
-            frontier = {pmul[x][g] for x in frontier for g in gens} - elems
-            elems = elems | frontier
-        masks.append(sum(1 << x for x in elems))
-    class_of = {}
-    for k, mask in enumerate(masks):
-        members = _members(mask)
-        for g in range(36):
-            gi = 6 * inv[g // 6] + inv[g % 6]
-            class_of.setdefault(sum(1 << pmul[pmul[g][u]][gi] for u in members), k)
-    return _IndexTables(mul, inv, pmul, tuple(masks), class_of)
+    return _IndexTables(mul, inv, pmul, pinv, sections, reps)
 
 
-def transitive_biset(U):
-    """The coset biset (S3xS3)/U for a subgroup U given as a mask of pair indices."""
-    pmul = _index_tables().pair_mul
+@lru_cache(maxsize=None)
+def _hom(G, H):
+    """The index tables of B(G,H): the sections G and H, the pair indices of
+    GxH and their mask bits by element of G, the masks of its class
+    representatives in basis order, and the class of each subgroup mask.
+    Every subgroup of GxH is one of the 60 of S3xS3, the conjugates of the
+    representatives of B(S3,S3); so a smaller GxH takes the masks of S3xS3
+    inside it, in the order of the classes of S3xS3."""
+    _, _, pmul, pinv, sections, reps = _index_tables()
+    left, right = sections[G], sections[H]
+    pairs = tuple(_PAIR[g][h] for g in left for h in right)
+    bits = tuple(tuple(1 << _PAIR[g][h] for h in right) for g in left)
+    candidates = reps
+    if (G, H) != ("S3", "S3"):
+        inside = sum(1 << x for x in pairs)
+        candidates = [m for m in _hom("S3", "S3").class_of if m & inside == m]
+    masks, class_of = [], {}
+    for mask in candidates:
+        if mask not in class_of:
+            members = _members(mask)
+            for g in pairs:
+                gi = pinv[g]
+                class_of.setdefault(sum(1 << pmul[pmul[g][u]][gi] for u in members), len(masks))
+            masks.append(mask)
+    return _Hom(left, right, pairs, bits, tuple(masks), class_of)
+
+
+def transitive_biset(U, G="S3", H="S3"):
+    """The coset biset (GxH)/U, U a subgroup of GxH given as a mask of pair
+    indices, as its action table; cosets are numbered by their least pairs."""
+    pmul, pairs = _index_tables().pair_mul, _hom(G, H).pairs
     members = _members(U)
-    index_of = [-1] * 36
+    index_of = [-1] * len(PAIRS)
     reps = []
-    for x in range(36):
+    for x in pairs:
         if index_of[x] < 0:
             for u in members:
                 index_of[pmul[x][u]] = len(reps)
             reps.append(x)
-    return Biset(len(reps), tuple(tuple(index_of[pmul[g][r]] for r in reps) for g in range(36)))
+    return {_SPLIT[g]: tuple(index_of[pmul[g][r]] for r in reps) for g in pairs}
 
 
-def classify_subgroup(mask):
-    """Index of the basis class of the subgroup of S3xS3 with this pair-index mask."""
+def classify_subgroup(mask, G="S3", H="S3"):
+    """The basis index in B(G,H) of the subgroup of GxH with this pair mask."""
     try:
-        return _index_tables().class_of[mask]
+        return _hom(G, H).class_of[mask]
     except KeyError:
         raise ValueError("stabilizer matches no representative class") from None
 
 
-_OUTER_GENS = (6 * _IA, 6 * _IB, _IA, _IB)
-
-
-def _orbit_counts(M, N):
-    """Multiplicities of the 22 transitive classes inside M (x)_G N, read off
-    the points (m, n) of M x N, point (i, j) at index i * N.size + j."""
-    nn = N.size
-    # g acts in the middle as the pair (1, g) on M and (g, 1) on N, pair
-    # indices g and 6g since S3.elements[0] is the identity
-    mid = [(M.action[g], N.action[6 * g]) for g in range(6)]
-    orbit_of = [-1] * (M.size * nn)
+def _orbit_counts(M, N, G, H, K):
+    """Multiplicities of the classes of B(G,K) in M (x)_H N, read off the points
+    (m, n) of M x N, point (i, j) at index i * |N| + j."""
+    nn = len(N[_ONE, _ONE])
+    # h acts in the middle as the pair (1, h) on M and (h, 1) on N
+    mid = [(M[_ONE, h], N[h, _ONE]) for h in _index_tables().sections[H]]
+    orbit_of = [-1] * (len(M[_ONE, _ONE]) * nn)
     reps = []
-    for start in range(M.size * nn):
+    for start in range(len(orbit_of)):
         if orbit_of[start] < 0:
             i, j = divmod(start, nn)
             for am, an in mid:
                 orbit_of[am[i] * nn + an[j]] = len(reps)
             reps.append((i, j))
-    # pair index 6h + g acts as (h, 1) on M and as (1, g) on N
-    outer = [(M.action[6 * (x // 6)], N.action[x % 6]) for x in _OUTER_GENS]
-    left, right = M.action[::6], N.action[:6]
-    counts = [0] * len(BASIS_LABELS)
+    # (g, k) acts as (g, 1) on M and as (1, k) on N; the images of a middle
+    # orbit under GxK are its transitive piece, the pairs that fix it its stabilizer
+    GK = _hom(G, K)
+    left = [M[g, _ONE] for g in GK.left]
+    right = [N[_ONE, k] for k in GK.right]
+    counts = [0] * len(GK.masks)
     seen = [False] * len(reps)
     for start, (i0, j0) in enumerate(reps):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        while stack:
-            i, j = reps[stack.pop()]
-            for am, an in outer:
-                o = orbit_of[am[i] * nn + an[j]]
-                if not seen[o]:
+        if not seen[start]:
+            stab = 0
+            for am, row in zip(left, GK.bits):
+                base = am[i0] * nn
+                for an, bit in zip(right, row):
+                    o = orbit_of[base + an[j0]]
                     seen[o] = True
-                    stack.append(o)
-        stab = 0
-        for h, am in enumerate(left):
-            base = am[i0] * nn
-            for g, an in enumerate(right):
-                if orbit_of[base + an[j0]] == start:
-                    stab |= 1 << (6 * h + g)
-        counts[classify_subgroup(stab)] += 1
+                    if o == start:
+                        stab |= bit
+            counts[classify_subgroup(stab, G, K)] += 1
     return tuple(counts)
 
 
-@lru_cache(maxsize=1)
-def basis_bisets():
-    """The 22 transitive bisets, in basis order, built once."""
-    return tuple(transitive_biset(U) for U in _index_tables().masks)
+@lru_cache(maxsize=None)
+def basis_bisets(G="S3", H="S3"):
+    """The transitive bisets of B(G,H), in basis order, built once."""
+    return tuple(transitive_biset(U, G, H) for U in _hom(G, H).masks)
 
 
-@lru_cache(maxsize=1)
-def oracle_table():
-    """c[i][j][k] by enumerating the orbits on the points of M x N."""
-    bisets = basis_bisets()
-    return tuple(tuple(_orbit_counts(bi, bj) for bj in bisets) for bi in bisets)
+@lru_cache(maxsize=None)
+def oracle_table(*sections):
+    """c[i][j][k] for B(G,H) x B(H,K) -> B(G,K), sections = (G, H, K), by
+    enumerating the orbits on the points of M x N; the ring's bisets are
+    basis_bisets() without arguments, shared with its other callers."""
+    G, H, K = sections or ("S3",) * 3
+    return tuple(
+        tuple(_orbit_counts(M, N, G, H, K) for N in basis_bisets(*sections[1:]))
+        for M in basis_bisets(*sections[:2])
+    )
 
 
 def _star(U, W):
@@ -329,54 +325,55 @@ def _star(U, W):
     by_mid = {}
     for b, c in W:
         by_mid.setdefault(b, []).append(c)
-    return sum({1 << 6 * a + c for a, b in U for c in by_mid.get(b, ())})
+    return sum({1 << _PAIR[a][c] for a, b in U for c in by_mid.get(b, ())})
 
 
-@lru_cache(maxsize=1)
-def mackey_table():
-    """c[i][j][k] by the double-coset formula, no biset is ever materialized.
+@lru_cache(maxsize=None)
+def mackey_table(*sections):
+    """c[i][j][k] for B(G,H) x B(H,K) -> B(G,K), sections = (G, H, K), by the
+    double-coset formula, no biset is ever materialized.
 
-    The representatives g of p2(U)\\G/p1(V) depend only on the two
+    The representatives h of p2(U)\\H/p1(V) depend only on the two
     projections, so they are found once per pair of projections, and the
-    conjugates Vg once per V and g, before the 484 cells are counted."""
-    mul, inv, _, masks, _ = _index_tables()
-    reps = [[divmod(x, 6) for x in _members(mask)] for mask in masks]
-    conjugates = [[[(mul[mul[g][v1]][inv[g]], v2) for v1, v2 in V] for g in range(6)] for V in reps]
-    p2 = [frozenset(u2 for _, u2 in U) for U in reps]
-    p1 = [frozenset(v1 for v1, _ in V) for V in reps]
+    conjugates of V by (h,1) once per V and h, before the cells are counted."""
+    G, H, K = sections or ("S3",) * 3
+    t = _index_tables()
+    mul, inv, hs = t.mul, t.inv, t.sections[H]
+    us, vs = ([[_SPLIT[x] for x in _members(m)] for m in _hom(*s).masks] for s in ((G, H), (H, K)))
+    conjugates = [{h: [(mul[mul[h][v1]][inv[h]], v2) for v1, v2 in V] for h in hs} for V in vs]
+    p2 = [frozenset(u2 for _, u2 in U) for U in us]
+    p1 = [frozenset(v1 for v1, _ in V) for V in vs]
     cosets = {}
-    for a in set(p2):
-        for b in set(p1):
-            gs, seen = [], set()
-            for g in range(6):  # one representative g per double coset a g b
-                if g not in seen:
-                    seen.update(mul[mul[h][g]][k] for h in a for k in b)
-                    gs.append(g)
-            cosets[a, b] = gs
+    for a, b in itertools.product(set(p2), set(p1)):
+        gs, seen = [], set()
+        for g in hs:  # one representative g per double coset a g b
+            if g not in seen:
+                seen.update(mul[mul[x][g]][y] for x in a for y in b)
+                gs.append(g)
+        cosets[a, b] = gs
+    n = len(_hom(G, K).masks)
     table = []
-    for U, a in zip(reps, p2):
+    for U, a in zip(us, p2):
         row = []
-        for Vgs, b in zip(conjugates, p1):
-            counts = [0] * len(reps)
-            for g in cosets[a, b]:
-                counts[classify_subgroup(_star(U, Vgs[g]))] += 1
+        for Vhs, b in zip(conjugates, p1):
+            counts = [0] * n
+            for h in cosets[a, b]:
+                counts[classify_subgroup(_star(U, Vhs[h]), G, K)] += 1
             row.append(tuple(counts))
         table.append(tuple(row))
     return tuple(table)
 
 
-@lru_cache(maxsize=1)
-def structure_table():
-    """The verified structure constants; raises TableMismatch on disagreement."""
-    fast = mackey_table()
-    slow = oracle_table()
-    for i in range(len(fast)):
-        for j in range(len(fast)):
-            if fast[i][j] != slow[i][j]:
-                raise TableMismatch(
-                    "cell (%s, %s): double-coset %r != orbit enumeration %r"
-                    % (BASIS_LABELS[i], BASIS_LABELS[j], fast[i][j], slow[i][j])
-                )
+@lru_cache(maxsize=None)
+def structure_table(*sections):
+    """The verified structure constants of B(G,H) x B(H,K) -> B(G,K),
+    sections = (G, H, K); raises TableMismatch on disagreement."""
+    fast, slow = mackey_table(*sections), oracle_table(*sections)
+    for i, j in itertools.product(range(len(fast)), range(len(fast[0]))):
+        if fast[i][j] != slow[i][j]:
+            cell = (BASIS_LABELS[i], BASIS_LABELS[j]) if set(sections) <= {"S3"} else (i, j)
+            msg = "cell (%s, %s): double-coset %r != orbit enumeration %r"
+            raise TableMismatch(msg % (*cell, fast[i][j], slow[i][j]))
     return fast
 
 
@@ -388,16 +385,6 @@ def structure_tensor():
         tuple((j, k, x) for j, cell in enumerate(row) for k, x in enumerate(cell) if x)
         for row in structure_table()
     )
-
-
-def tensor_cells(rows):
-    """cells[i][j]: the (k, c) pairs of the triples (j, k, c) of rows[i],
-    for structure constants in the row form of linalg.multiply_rows()."""
-    cells = [[[] for _ in rows] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, k, c in row:
-            cells[i][j].append((k, c))
-    return tuple(tuple(map(tuple, row)) for row in cells)
 
 
 @lru_cache(maxsize=1)

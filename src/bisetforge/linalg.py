@@ -63,6 +63,7 @@ __all__ = [
     "apply_columns",
     "multiply_rows",
     "left_columns",
+    "tensor_cells",
     "StructureElement",
     "det_inverse",
     "int_inverse",
@@ -133,6 +134,16 @@ def left_columns(rows, xs):
                 col[k] = col.get(k, 0) + c * x
     cols = tuple(tuple(sorted((k, a) for k, a in col.items() if a)) for col in cols)
     return SparseColumns(len(rows), cols)
+
+
+def tensor_cells(rows):
+    """cells[i][j]: the (k, c) pairs of the triples (j, k, c) of rows[i],
+    for structure constants in the row form of multiply_rows()."""
+    cells = [[[] for _ in rows] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, k, c in row:
+            cells[i][j].append((k, c))
+    return tuple(tuple(map(tuple, row)) for row in cells)
 
 
 class StructureElement:

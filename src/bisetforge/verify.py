@@ -24,6 +24,8 @@ from .fixtures import STAGE_ORDER
 from .bisets import (
     BASIS_LABELS,
     IDENTITY_INDEX,
+    S3,
+    S3_ID,
     BurnsideElement,
     TableMismatch,
     basis_bisets,
@@ -36,7 +38,6 @@ from .bisets import (
     pair_group,
     structure_table,
     structure_tensor,
-    tensor_cells,
 )
 from .blocks import (
     COORD_NAMES,
@@ -69,8 +70,8 @@ from .orders import (
     matrix_diff,
     representation_matrix,
 )
-from .linalg import LocalLattice, SingularMatrixError, apply_columns, elementary_divisors
-from .linalg import det_inverse
+from .linalg import LocalLattice, SingularMatrixError, apply_columns, det_inverse
+from .linalg import elementary_divisors, tensor_cells
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -296,17 +297,14 @@ def _table_dual_route(fx):
 
 def _table_mass(fx):
     c, sizes, bs = fx.table, biset_sizes(), basis_bisets()
-
-    def fixed(action):
-        return sum(1 for x, q in enumerate(action) if q == x)
-
-    # fixed points of the pairs (1, g) and (g, 1), whose pair indices are g and 6g
-    left = [[fixed(b.action[g]) for g in range(6)] for b in bs]
-    right = [[fixed(b.action[6 * g]) for g in range(6)] for b in bs]
+    # fixed points of the pairs (1, g) and (g, 1), g by its position in S3.elements
+    one, gs = S3.elements.index(S3_ID), range(S3.order)
+    left = [[sum(q == x for x, q in enumerate(b[one, g])) for g in gs] for b in bs]
+    right = [[sum(q == x for x, q in enumerate(b[g, one])) for g in gs] for b in bs]
 
     def off(i, j):
         total = sum(fm * fn for fm, fn in zip(left[i], right[j]))
-        return 6 * sum(x * n for x, n in zip(c[i][j], sizes)) != total
+        return S3.order * sum(x * n for x, n in zip(c[i][j], sizes)) != total
 
     return _cells(
         _pairs(BASIS_LABELS, off),
@@ -766,9 +764,14 @@ def _radical_2():
     return b, {"2b1": b["b1"].scale(2), "b2": b["b2"], "b3": b["b3"], "b4": b["b4"]}
 
 
-def _radical_ideal(fx):
+def _radical_lattice():
+    """_radical_2() and J as a LocalLattice at 2."""
     b, jgens = _radical_2()
-    J = LocalLattice([g.int_vector() for g in jgens.values()], 2)
+    return b, jgens, LocalLattice([g.int_vector() for g in jgens.values()], 2)
+
+
+def _radical_ideal(fx):
+    b, jgens, J = _radical_lattice()
     # a dict, since a generator and a basis element may share a name
     closed = {
         "%s %s in J" % names: J.contains(xy.nums, xy.den)
@@ -805,8 +808,7 @@ def _radical_cube(fx):
 def _residue_field(fx):
     # Coordinates of the J generators over b1..b4 are diag(2,1,1,1) by
     # construction, so the quotient has order 2; with 1 outside J it is a field.
-    b, jgens = _radical_2()
-    J = LocalLattice([g.int_vector() for g in jgens.values()], 2)
+    b, _, J = _radical_lattice()
     return _relations(
         [("b1 outside J", not J.contains(b["b1"].nums, b["b1"].den))],
         "corner modulo J is the field with two elements",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -16,12 +18,13 @@ from bisetforge.bisets import (
     S3_A,
     S3_B,
     S3_ID,
+    SECTIONS,
     SUBGROUP_GENERATORS,
-    Biset,
     BurnsideElement,
     basis_bisets,
     biset_sizes,
     classify_subgroup,
+    embed_pair,
     format_element,
     mackey_table,
     multiply_vectors,
@@ -31,10 +34,10 @@ from bisetforge.bisets import (
     structure_table,
     structure_tensor,
     subgroup_reps,
-    tensor_cells,
     transitive_biset,
 )
-from bisetforge.linalg import common_denominator, multiply_rows
+from bisetforge.linalg import common_denominator, multiply_rows, tensor_cells
+from bisetforge.perms import PermGroup
 from bisetforge.rings import RINGS, normalize_ints
 from reference import outcome
 
@@ -624,16 +627,24 @@ def _ref_decompose(X):
 
 
 # The orbit route as it ran before it moved to points only: materialise
-# M (x)_G N as a Biset with all 36 rows, then decompose it.  Kept as the
-# reference that sees the same perturbed input as oracle_table.
-_IA, _IB = S3.elements.index(S3_A), S3.elements.index(S3_B)
+# M (x)_G N as an action table on all 36 pairs, then decompose it.  Kept as
+# the reference that sees the same perturbed input as oracle_table, which it
+# checks against the perm-pair reference on true actions.  Action
+# tables are keyed by pairs of positions in S3.elements.
+_E, _IA, _IB = (S3.elements.index(g) for g in (S3_ID, S3_A, S3_B))
+_POSITIONS = range(len(S3.elements))
+_PAIR_INDEX = {(S3.elements.index(a), S3.elements.index(b)): x for x, (a, b) in enumerate(PAIRS)}
+
+
+def _positions(pair):
+    return tuple(S3.elements.index(g) for g in pair)
 
 
 def tensor(M, N):
-    nm, nn = M.size, N.size
+    nm, nn = len(M[_E, _E]), len(N[_E, _E])
     orbit_of = [-1] * (nm * nn)
     orbit_reps = []
-    mid = [(M.action[g], N.action[6 * g]) for g in (_IA, _IB)]
+    mid = [(M[_E, g], N[g, _E]) for g in (_IA, _IB)]
     for start in range(nm * nn):
         if orbit_of[start] >= 0:
             continue
@@ -649,30 +660,27 @@ def tensor(M, N):
                     orbit_of[q] = oid
                     stack.append(q)
     js = [j for _, j in orbit_reps]
-    action = []
-    for am in M.action[::6]:
-        base = [am[i] * nn for i, _ in orbit_reps]
-        for an in N.action[:6]:
-            action.append(tuple([orbit_of[b + an[j]] for b, j in zip(base, js)]))
-    return Biset(len(orbit_reps), tuple(action))
+    action = {}
+    for h in _POSITIONS:
+        base = [M[h, _E][i] * nn for i, _ in orbit_reps]
+        for g in _POSITIONS:
+            an = N[_E, g]
+            action[h, g] = tuple([orbit_of[b + an[j]] for b, j in zip(base, js)])
+    return action
 
 
 def decompose(X):
+    # a transitive piece is the set of images of one point under all 36 pairs,
+    # as in oracle_table; on an action that is the closure under generators
+    size = len(X[_E, _E])
     counts = [0] * 22
-    seen = [False] * X.size
-    gen_rows = [X.action[g] for g in (6 * _IA, 6 * _IB, _IA, _IB)]
-    for start in range(X.size):
+    seen = [False] * size
+    for start in range(size):
         if seen[start]:
             continue
-        seen[start] = True
-        stack = [start]
-        while stack:
-            pt = stack.pop()
-            for row in gen_rows:
-                if not seen[row[pt]]:
-                    seen[row[pt]] = True
-                    stack.append(row[pt])
-        stab = sum(1 << g for g, row in enumerate(X.action) if row[start] == start)
+        for row in X.values():
+            seen[row[start]] = True
+        stab = sum(1 << _PAIR_INDEX[g] for g, row in X.items() if row[start] == start)
         counts[classify_subgroup(stab)] += 1
     return tuple(counts)
 
@@ -738,16 +746,16 @@ def test_subgroup_reps_are_the_perm_closures():
 
 def test_bisets_match_the_perm_pair_reference():
     for X, (size, action) in zip(basis_bisets(), _ref_bisets()):
-        assert X.size == size
-        assert X.action == tuple(tuple(action[g]) for g in PAIRS)
+        assert len(X[_E, _E]) == size
+        assert X == {_positions(g): tuple(action[g]) for g in PAIRS}
     bisets, refs = basis_bisets(), _ref_bisets()
     for i, j in ((1, 2), (7, 14), (0, 21), (12, 19), (20, 4)):
         size, action = _ref_tensor(refs[i], refs[j])
         X = tensor(bisets[i], bisets[j])
-        assert X.size == size
-        assert X.action == tuple(tuple(action[g]) for g in PAIRS)
+        assert len(X[_E, _E]) == size
+        assert X == {_positions(g): tuple(action[g]) for g in PAIRS}
         assert tuple(decompose(X)) == _ref_decompose((size, action))
-    assert transitive_biset(_mask(_ref_reps()[5])).action == bisets[5].action
+    assert transitive_biset(_mask(_ref_reps()[5])) == bisets[5]
 
 
 def test_orbit_route_reads_the_points(monkeypatch):
@@ -755,15 +763,18 @@ def test_orbit_route_reads_the_points(monkeypatch):
     # so a route that reads the points cannot reproduce the double cosets.
     # (a, 1) acts on the outer side of a left factor only, so in the row of
     # the broken biset the old Biset-building route reads the same points.
+    # Point x of the regular biset is the coset of pair x; the points (1, 1)
+    # and (a, 1) each come first in their middle orbits, whose images under
+    # the outer pairs the route reads.
     bisets = basis_bisets()
     i0 = BASIS_LABELS.index("H_{0,0}")
-    X = bisets[i0]
-    action = [list(row) for row in X.action]
-    row = action[6 * _IA]
-    row[0], row[1] = row[1], row[0]
-    broken = Biset(X.size, tuple(map(tuple, action)))
+    broken = dict(bisets[i0])
+    row = list(broken[_IA, _E])
+    p, q = _PAIR_INDEX[_E, _E], _PAIR_INDEX[_IA, _E]
+    row[p], row[q] = row[q], row[p]
+    broken[_IA, _E] = tuple(row)
     perturbed = bisets[:i0] + (broken,) + bisets[i0 + 1:]
-    monkeypatch.setattr(bisets_module, "basis_bisets", lambda: perturbed)
+    monkeypatch.setattr(bisets_module, "basis_bisets", lambda *sections: perturbed)
     table = bisets_module.oracle_table.__wrapped__()
     others = [j for j in range(22) if j != i0]
     assert [table[i0][j] for j in others] == [decompose(tensor(broken, perturbed[j])) for j in others]
@@ -826,3 +837,80 @@ def test_calling_the_class_raises_and_names_from_ints():
         BurnsideElement("Q", [0] * 22)
     # the classmethods still build through _new
     assert BurnsideElement.from_ints("Z", [1] + [0] * 21).nums == (1,) + (0,) * 21
+
+
+# The bisets between the sections of S3: the ranks of B(G,H), G the row and
+# H the column, both in the order 1, C2, C3, S3 of SECTIONS.
+_RANKS = ((1, 2, 2, 4), (2, 5, 4, 10), (2, 4, 6, 9), (4, 10, 9, 22))
+_SECTION_PAIRS = list(itertools.product(SECTIONS, repeat=2))
+
+
+def test_the_hom_set_ranks_are_the_section_table():
+    assert tuple(tuple(len(subgroup_reps(G, H)) for H in SECTIONS) for G in SECTIONS) == _RANKS
+    assert sum(map(sum, _RANKS)) == 96
+
+
+@pytest.mark.parametrize("G, H", _SECTION_PAIRS)
+def test_each_rank_counts_the_perms_classes_of_the_embedded_product(G, H):
+    # GxH at degree 6 through embed_pair; each representative of B(G,H)
+    # matches its own perms class
+    gens = [embed_pair(g, S3_ID) for g in SECTIONS[G]] + [embed_pair(S3_ID, h) for h in SECTIONS[H]]
+    group = PermGroup(6, gens)
+    reps = [PermGroup(6, [embed_pair(a, b) for a, b in U]) for U in subgroup_reps(G, H)]
+    classes, assignment = bisets_module.match_classes(group, reps)
+    assert len(classes) == len(reps) == _RANKS[list(SECTIONS).index(G)][list(SECTIONS).index(H)]
+    assert sorted(assignment) == list(range(len(reps)))
+    assert biset_sizes(G, H) == tuple(group.order // len(U) for U in subgroup_reps(G, H))
+
+
+@pytest.mark.parametrize("sections", list(itertools.product(SECTIONS, repeat=3)))
+def test_both_routes_agree_on_every_hom_set_table(sections):
+    G, H, K = sections
+    table = mackey_table(*sections)
+    assert table == oracle_table(*sections) == structure_table(*sections)
+    assert len(table) == len(subgroup_reps(G, H))
+    assert {len(row) for row in table} == {len(subgroup_reps(H, K))}
+    assert {len(cell) for row in table for cell in row} == {len(subgroup_reps(G, K))}
+
+
+@pytest.mark.parametrize("H", SECTIONS)
+def test_the_diagonal_biset_is_the_identity_of_each_hom_set(H):
+    diagonal = sum(1 << PAIRS.index((h, h)) for h in PermGroup(3, SECTIONS[H]).elements)
+    d = classify_subgroup(diagonal, H, H)
+    if H == "S3":
+        assert d == IDENTITY_INDEX
+    for G in SECTIONS:
+        n = len(subgroup_reps(G, H))
+        assert [structure_table(G, H, H)[j][d] for j in range(n)] == [
+            tuple(int(k == j) for k in range(n)) for j in range(n)
+        ]
+        n = len(subgroup_reps(H, G))
+        assert list(structure_table(H, H, G)[d]) == [
+            tuple(int(k == j) for k in range(n)) for j in range(n)
+        ]
+
+
+def test_composition_is_associative_across_the_sections():
+    rng = random.Random(7)
+    names = list(SECTIONS)
+    for _ in range(400):
+        G, H, K, L = (rng.choice(names) for _ in range(4))
+        x, y, z = (rng.randrange(len(subgroup_reps(*s))) for s in ((G, H), (H, K), (K, L)))
+        xy, yz = structure_table(G, H, K)[x][y], structure_table(H, K, L)[y][z]
+        left = [0] * len(subgroup_reps(G, L))
+        for k, c in enumerate(xy):
+            for m, d in enumerate(structure_table(G, K, L)[k][z]):
+                left[m] += c * d
+        right = [0] * len(left)
+        for k, c in enumerate(yz):
+            for m, d in enumerate(structure_table(G, H, L)[x][k]):
+                right[m] += c * d
+        assert left == right, (G, H, K, L, x, y, z)
+
+
+def test_a_route_mismatch_between_sections_names_the_cell_by_index(monkeypatch):
+    table = [list(row) for row in mackey_table("S3", "1", "C2")]
+    table[1][0] = (table[1][0][0] + 1,) + table[1][0][1:]
+    monkeypatch.setattr(bisets_module, "mackey_table", lambda *sections: table)
+    with pytest.raises(bisets_module.TableMismatch, match=r"^cell \(1, 0\): "):
+        structure_table.__wrapped__("S3", "1", "C2")

@@ -401,19 +401,19 @@ def test_malformed_delta_matrix_exits_2_naming_the_cell(capsys, tmp_path, edit, 
 
 
 def test_importing_the_cli_builds_no_structure_table():
-    # the tables are built on the first product, never at import
+    # the tables of every hom-set are built on first use, never at import
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = (
         "import bisetforge.cli\n"
         "from bisetforge import bisets\n"
-        "for f in (bisets._index_tables, bisets.mackey_table, bisets.oracle_table,\n"
-        "          bisets.structure_table):\n"
+        "for f in (bisets._index_tables, bisets._hom, bisets.basis_bisets,\n"
+        "          bisets.mackey_table, bisets.oracle_table, bisets.structure_table):\n"
         "    print(f.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"0"] * 4
+    assert proc.stdout.split() == [b"0"] * 6
 
 
 def test_subgroups_and_mult_never_load_the_verifier():

@@ -468,12 +468,14 @@ def _reference_table_mass(fx):
     """Reference: table-mass as first written, recounting the fixed points
     of (1, g) and (g, 1) in every cell."""
     c, sizes, bisets_by_class = fx.table, bisets.biset_sizes(), bisets.basis_bisets()
+    els = bisets.S3.elements
+    one = els.index(bisets.S3_ID)
 
     def off(i, j):
         total = 0
-        for g in range(6):
-            am = bisets_by_class[i].action[g]
-            an = bisets_by_class[j].action[6 * g]
+        for g in range(len(els)):
+            am = bisets_by_class[i][one, g]
+            an = bisets_by_class[j][g, one]
             fm = sum(1 for x, q in enumerate(am) if q == x)
             fn = sum(1 for y, q in enumerate(an) if q == y)
             total += fm * fn
