@@ -46,8 +46,7 @@ linalg.multiply_rows()), and structure_cells(), for each cell (i, j) its
 coefficients only, so a product with a three-term operand visits three
 cells per row, not all of a row's triples.  A BurnsideElement is a
 linalg.StructureElement whose product is one multiply_vectors() call and one
-ring-membership test on its denominator.  A sweep of products with one left
-factor takes that factor's left_multiplication() once per row.
+ring-membership test on its denominator.
 
 An element is written as format_element() writes it: "label:n" or
 "label:n/d" for each nonzero coefficient in basis order, joined by commas
@@ -71,10 +70,10 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import rings
-from .linalg import StructureElement, left_columns, tensor_cells
+from .linalg import StructureElement, tensor_cells
 from .perms import Perm, PermGroup
 
 S3_ID = Perm.identity(3)
@@ -130,13 +129,22 @@ class TableMismatch(Exception):
     """The two structure-constant routes disagree; message names the cell."""
 
 
-@lru_cache(maxsize=None)
+def _hom_cache(f):
+    """lru_cache(f) with one entry per hom-set: sections that are all "S3" name
+    the ring, cached as the call without sections."""
+    cached = lru_cache(maxsize=None)(f)
+    call = wraps(f)(lambda *sections: cached(*sections) if set(sections) - {"S3"} else cached())
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_hom_cache
 def subgroup_reps(G="S3", H="S3"):
     """The representative subgroups of B(G,H) in basis order, as frozensets of pairs."""
     return tuple(frozenset(PAIRS[x] for x in _members(mask)) for mask in _hom(G, H).masks)
 
 
-@lru_cache(maxsize=None)
+@_hom_cache
 def biset_sizes(G="S3", H="S3"):
     hom = _hom(G, H)
     return tuple(len(hom.pairs) // mask.bit_count() for mask in hom.masks)
@@ -301,13 +309,13 @@ def _orbit_counts(M, N, G, H, K):
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
+@_hom_cache
 def basis_bisets(G="S3", H="S3"):
     """The transitive bisets of B(G,H), in basis order, built once."""
     return tuple(transitive_biset(U, G, H) for U in _hom(G, H).masks)
 
 
-@lru_cache(maxsize=None)
+@_hom_cache
 def oracle_table(*sections):
     """c[i][j][k] for B(G,H) x B(H,K) -> B(G,K), sections = (G, H, K), by
     enumerating the orbits on the points of M x N; the ring's bisets are
@@ -328,7 +336,7 @@ def _star(U, W):
     return sum({1 << _PAIR[a][c] for a, b in U for c in by_mid.get(b, ())})
 
 
-@lru_cache(maxsize=None)
+@_hom_cache
 def mackey_table(*sections):
     """c[i][j][k] for B(G,H) x B(H,K) -> B(G,K), sections = (G, H, K), by the
     double-coset formula, no biset is ever materialized.
@@ -364,7 +372,7 @@ def mackey_table(*sections):
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@_hom_cache
 def structure_table(*sections):
     """The verified structure constants of B(G,H) x B(H,K) -> B(G,K),
     sections = (G, H, K); raises TableMismatch on disagreement."""
@@ -406,13 +414,6 @@ def multiply_vectors(xs, ys):
                 for k, c in row[j]:
                     out[k] += c * x * y
     return out
-
-
-def left_multiplication(xs):
-    """The left multiplication by the coefficient vector xs on the verified
-    table, as linalg.left_columns() on structure_tensor(): xs times ys is
-    linalg.apply_columns(L, ys), for a sweep of products with one left factor."""
-    return left_columns(structure_tensor(), xs)
 
 
 class BurnsideElement(StructureElement):

@@ -42,7 +42,7 @@ from functools import cache, cached_property
 from . import fixtures, rings
 from .bisets import BASIS_LABELS, BurnsideElement
 from .linalg import SingularMatrixError, StructureElement, apply_columns, common_denominator
-from .linalg import det_inverse, int_inverse, left_columns, multiply_rows, sparse_columns
+from .linalg import det_inverse, int_inverse, multiply_rows, sparse_columns
 
 __all__ = [
     "COORD_NAMES",
@@ -163,12 +163,6 @@ class BlockElement(StructureElement):
         assert (self * inv) == BlockElement.identity()
         assert (inv * self) == BlockElement.identity()
         return inv
-
-    def left_products(self, others):
-        """[self * y for y in others], with the left multiplication by self
-        gathered once, linalg.left_columns() on slot_rows()."""
-        L = left_columns(slot_rows(), self.nums)
-        return [self._new(self.ring, apply_columns(L, y.nums), self.den * y.den) for y in others]
 
     def is_integral(self):
         return self.den == 1
@@ -316,15 +310,6 @@ class PeirceBasis:
         except (KeyError, TypeError):
             raise ValueError("unknown Peirce label %r" % (label,)) from None
         return self.element(i, ring)
-
-    def table_entry_ints(self, i, j):
-        """The table's claim for product (i, j) over the transitive basis, as
-        integer numerators over the denominator of int_vectors."""
-        rows, _ = self.int_vectors
-        total = [0] * len(BASIS_LABELS)
-        for lab, c in self.table[i][j].items():
-            total = [a + c * b for a, b in zip(total, rows[_PEIRCE_INDEX[lab]])]
-        return total
 
     @cached_property
     def int_vectors(self):

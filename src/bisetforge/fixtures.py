@@ -1,8 +1,7 @@
 """Fixture files: location logic and canonical JSON serialization.
 
-Fixtures ship inside the package under bisetforge/fixtures/.  The directory
-can be overridden by the BISETFORGE_FIXTURES environment variable or a CLI
-flag; precedence is explicit argument > environment > packaged default.
+Fixtures ship inside the package under bisetforge/fixtures/.  An explicit
+directory (the CLI's --fixture-dir) overrides the packaged default.
 
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 so that regenerated files are byte-identical when the content agrees.
@@ -11,7 +10,6 @@ so that regenerated files are byte-identical when the content agrees.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_DIR = Path(__file__).with_name("fixtures")
-ENV_VAR = "BISETFORGE_FIXTURES"
 
 PRESENTATION_NAMES = ("q_corner", "z2_corner", "z3_corner")
 
@@ -37,12 +34,7 @@ STAGE_ORDER = ("peirce", "gamma", "lambda", "local2", "local3", "paths")
 
 
 def fixture_dir(override=None):
-    if override is not None:
-        return Path(override)
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return Path(env)
-    return DEFAULT_DIR
+    return DEFAULT_DIR if override is None else Path(override)
 
 
 def load_json(name, override=None):

@@ -39,9 +39,20 @@ visits only the pairs of nonzero coefficients.  A sweep of products with
 one left factor x gathers x's row once: left_columns() is the left
 multiplication by x as sparse columns, so that x y is apply_columns(L, y):
 
-    >>> L = left_columns((((0, 0, 1), (1, 1, 1)), ((0, 1, 1),)), [1, 2])
-    >>> apply_columns(L, [3, 1])
+    >>> rows = (((0, 0, 1), (1, 1, 1)), ((0, 1, 1),))
+    >>> apply_columns(left_columns(rows, [1, 2]), [3, 1])
     [3, 7]
+
+A linear map from an algebra with structure constants cells, by cell as
+tensor_cells() gives them, to one with rows, sending e_k to images[k] / q, is
+multiplicative when images[i] images[j] is q times the sum of c images[k]
+over the (k, c) pairs of cells[i][j].  sweep_products() makes those products
+with one left multiplication per image, and map_failures() lists the cells
+where one differs.  In Q[t]/(t^2), t -> 2t is multiplicative, t -> 1 + t not:
+
+    >>> cells, maps = tensor_cells(rows), ([[1, 0], [0, 2]], [[1, 0], [1, 1]])
+    >>> [map_failures(cells, imgs, sweep_products(rows, imgs)) for imgs in maps]
+    [[], [(1, 1)]]
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ __all__ = [
     "multiply_rows",
     "left_columns",
     "tensor_cells",
+    "sweep_products",
+    "map_failures",
     "StructureElement",
     "det_inverse",
     "int_inverse",
@@ -144,6 +157,26 @@ def tensor_cells(rows):
         for j, k, c in row:
             cells[i][j].append((k, c))
     return tuple(tuple(map(tuple, row)) for row in cells)
+
+
+def sweep_products(rows, imgs):
+    """[i][j]: imgs[i] times imgs[j] by the structure constants rows, as lists,
+    from one left_columns() per image and one apply_columns() per product."""
+    return [[apply_columns(L, y) for y in imgs] for L in [left_columns(rows, x) for x in imgs]]
+
+
+def map_failures(cells, images, products, q=1):
+    """The cells (i, j), row by row, where products[i][j] differs from q times
+    the sum of c * images[k] over the (k, c) pairs of cells[i][j]."""
+    bad = []
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            want = [0] * len(products[i][j])
+            for k, c in cell:
+                want = [w + c * x for w, x in zip(want, images[k])]
+            if products[i][j] != [q * w for w in want]:
+                bad.append((i, j))
+    return bad
 
 
 class StructureElement:

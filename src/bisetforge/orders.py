@@ -24,8 +24,7 @@ from fractions import Fraction
 from . import fixtures
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
-from .linalg import apply_columns, hnf_rows, smith_normal_form
-from .linalg import sparse_columns, transpose
+from .linalg import hnf_rows, smith_normal_form, transpose
 
 __all__ = [
     "HT_TO_H",
@@ -33,7 +32,6 @@ __all__ = [
     "X1",
     "X2",
     "X3",
-    "delta_ints",
     "delta_images",
     "representation_matrix",
     "load_fixture_matrix",
@@ -73,32 +71,8 @@ def _conjugators():
     return x, x.inverse()
 
 
-# Per PeirceBasis: the 22 images and their sparse columns over one denominator.
+# Per PeirceBasis: the tuple of the 22 images.
 _IMAGES = weakref.WeakKeyDictionary()
-
-
-def _delta_data(peirce):
-    data = _IMAGES.get(peirce)
-    if data is None:
-        x, xi = _conjugators()
-        imgs = tuple(
-            xi * peirce.slot_coordinates(_unit(i)) * x for i in range(len(BASIS_LABELS))
-        )
-        data = _IMAGES[peirce] = _delta_columns(imgs)
-    return data
-
-
-def _delta_columns(imgs):
-    den = math.lcm(*(b.den for b in imgs))
-    cols = [[a * (den // b.den) for a in b.nums] for b in imgs]
-    return imgs, sparse_columns(transpose(cols)), den
-
-
-def delta_ints(nums, den, peirce):
-    """delta of the ring element whose coefficients are nums / den: its
-    conjugated inverse-slot image, linear in the coefficients."""
-    _, cols, dden = _delta_data(peirce)
-    return BlockElement.from_ints(apply_columns(cols, nums), dden * den)
 
 
 def delta_images(peirce):
@@ -107,7 +81,13 @@ def delta_images(peirce):
     Each is x^-1 * peirce.slot_coordinates(class) * x for the conjugator
     x = X1 * X2 * X3, computed once per PeirceBasis.
     """
-    return list(_delta_data(peirce)[0])
+    imgs = _IMAGES.get(peirce)
+    if imgs is None:
+        x, xi = _conjugators()
+        imgs = _IMAGES[peirce] = tuple(
+            xi * peirce.slot_coordinates(_unit(i)) * x for i in range(len(BASIS_LABELS))
+        )
+    return list(imgs)
 
 
 def _unit(i):

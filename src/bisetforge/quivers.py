@@ -27,6 +27,9 @@ class RewriteDivergence(PresentationError):
     pass
 
 
+MAX_STEPS = 100000  # the rewrites normal_form makes before RewriteDivergence
+
+
 class Quiver:
     """Named vertices and arrows (name, source, target); bad data raises
     ValueError naming the first bad entry, as vertices[i] or arrows[i]."""
@@ -178,7 +181,7 @@ def _rewrite(ring, terms, path, coeff, rule, pos):
             terms.pop(key, None)
 
 
-def normal_form(elem, rules, max_steps=100000):
+def normal_form(elem, rules):
     """Rewrite until no head divides any term; terminates since heads are
     strictly larger than their tails in the monomial order."""
     q = elem.quiver
@@ -194,13 +197,13 @@ def normal_form(elem, rules, max_steps=100000):
         if target is None:
             return PathElement(q, elem.ring, work)
         steps += 1
-        if steps > max_steps:
-            raise RewriteDivergence("no normal form within %d steps" % max_steps)
+        if steps > MAX_STEPS:
+            raise RewriteDivergence("no normal form within %d steps" % MAX_STEPS)
         path, (ri, pos) = target
         _rewrite(elem.ring, work, path, work.pop(path), rules[ri], pos)
 
 
-def local_confluence_failures(quiver, ring, rules, max_steps=100000):
+def local_confluence_failures(quiver, ring, rules):
     """Expand every overlap ambiguity both ways; empty result plus
     termination makes the irreducible paths a basis of the quotient."""
     fails = []
@@ -211,7 +214,7 @@ def local_confluence_failures(quiver, ring, rules, max_steps=100000):
             for k in range(1, min(len(a1), len(a2))):
                 if a1[len(a1) - k :] == a2[:k]:
                     word = (h1[0], a1 + a2[k:])
-                    if not _resolves(quiver, ring, rules, word, (i, 0), (j, len(a1) - k), max_steps):
+                    if not _resolves(quiver, ring, rules, word, (i, 0), (j, len(a1) - k)):
                         fails.append(
                             "unresolved overlap of rules %d and %d on %s"
                             % (i, j, quiver.format_path(word))
@@ -219,19 +222,19 @@ def local_confluence_failures(quiver, ring, rules, max_steps=100000):
             if i != j and len(a2) <= len(a1):
                 for pos in range(len(a1) - len(a2) + 1):
                     if a1[pos : pos + len(a2)] == a2:
-                        if not _resolves(quiver, ring, rules, h1, (i, 0), (j, pos), max_steps):
+                        if not _resolves(quiver, ring, rules, h1, (i, 0), (j, pos)):
                             fails.append(
                                 "unresolved inclusion of rule %d in rule %d" % (j, i)
                             )
     return fails
 
 
-def _resolves(quiver, ring, rules, word, left, right, max_steps):
+def _resolves(quiver, ring, rules, word, left, right):
     """Do the two rewrites (rule index, position) of word meet again?"""
     diff = {}
     for (ri, pos), sign in ((left, 1), (right, -1)):
         _rewrite(ring, diff, word, sign, rules[ri], pos)
-    return normal_form(PathElement(quiver, ring, diff), rules, max_steps).is_zero()
+    return normal_form(PathElement(quiver, ring, diff), rules).is_zero()
 
 
 def irreducible_paths(quiver, rules, length_bound=8):

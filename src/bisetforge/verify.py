@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from . import fixtures
+from . import bisets, fixtures
 from .fixtures import STAGE_ORDER
 from .bisets import (
     BASIS_LABELS,
@@ -31,11 +31,11 @@ from .bisets import (
     basis_bisets,
     biset_sizes,
     labeled_subgroups,
-    left_multiplication,
     mackey_table,
     match_classes,
     oracle_table,
     pair_group,
+    structure_cells,
     structure_table,
     structure_tensor,
 )
@@ -46,7 +46,6 @@ from .blocks import (
     SLOT_TO_PEIRCE,
     BlockElement,
     PeirceBasis,
-    slot_basis,
     slot_rows,
 )
 from .orders import (
@@ -61,7 +60,6 @@ from .orders import (
     MOD24_ROWS,
     congruence_solution_lattice,
     delta_images,
-    delta_ints,
     image_lattice,
     lambda_membership,
     load_fixture_matrix,
@@ -70,8 +68,8 @@ from .orders import (
     matrix_diff,
     representation_matrix,
 )
-from .linalg import LocalLattice, SingularMatrixError, apply_columns, det_inverse
-from .linalg import elementary_divisors, tensor_cells
+from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors
+from .linalg import map_failures, sweep_products, tensor_cells, transpose
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -151,11 +149,9 @@ class FixtureSet:
 
     @cached_property
     def peirce_products(self):
-        """[i][j]: the product of Peirce basis vectors i and j as integers
-        over d^2, where pb.int_vectors is (rows, d); row i from the left
-        multiplication by vector i."""
-        rows, _ = self.peirce.int_vectors
-        return [[apply_columns(L, y) for y in rows] for L in map(left_multiplication, rows)]
+        """[i][j]: Peirce vectors i times j over d^2, pb.int_vectors being (rows, d);
+        on bisets' table, so that a table swapped into verify reaches associativity alone."""
+        return sweep_products(bisets.structure_tensor(), self.peirce.int_vectors[0])
 
     @cached_property
     def route_diffs(self):
@@ -185,11 +181,16 @@ class FixtureSet:
         return [("%d (%s)" % jl, img) for jl, img in named]
 
     @cached_property
+    def int_delta_images(self):
+        """(rows, D): the delta images are rows[i] / D, over their lcm D."""
+        D = math.lcm(*(b.den for b in self.delta_images))
+        return [[a * (D // b.den) for a in b.nums] for b in self.delta_images], D
+
+    @cached_property
     def delta_products(self):
-        """[i][j]: the block product delta(i) delta(j) of two delta images,
-        row i from the left multiplication by delta(i)."""
-        imgs = self.delta_images
-        return [x.left_products(imgs) for x in imgs]
+        """[i][j]: delta(i) delta(j) over D^2, int_delta_images being (rows, D),
+        by linalg.sweep_products()."""
+        return sweep_products(slot_rows(), self.int_delta_images[0])
 
     @cached_property
     def matrix(self):
@@ -364,14 +365,12 @@ def _idempotents(fx):
 def _peirce_products(fx):
     pb = fx.peirce
     # vectors[i] == rows[i] / d, so products are over d^2 and table entries over d
-    _, d = pb.int_vectors
-    products = fx.peirce_products
-
-    def differs(i, j):
-        return products[i][j] != [d * x for x in pb.table_entry_ints(i, j)]
-
+    rows, d = pb.int_vectors
+    index = PEIRCE_LABELS.index
+    cells = [[[(index(k), c) for k, c in cell.items()] for cell in row] for row in pb.table]
+    bad = set(map_failures(cells, rows, fx.peirce_products, d))
     ok, detail = _cells(
-        _pairs(PEIRCE_LABELS, differs),
+        _pairs(PEIRCE_LABELS, lambda i, j: (i, j) in bad),
         "all 484 products match the adapted-basis table",
         "recomputed product differs from the table at %s; ",
     )
@@ -441,24 +440,13 @@ def _gamma_unit(fx):
 def _gamma_multiplicative(fx):
     # gamma(b) is G b.nums / (g b.den), and s_i s_j is the integer block of
     # cell (i, j) of the slot table, so gamma(s_i s_j) == gamma(s_i) gamma(s_j)
-    # reads g G (s_i s_j) == (G e_i)(G e_j); the ring side takes each row's
-    # left multiplication once
-    pb = fx.peirce
-    _, g = pb.int_gamma
-    cells = tensor_cells(slot_rows())
-    images = [pb.gamma_ints(b.nums)[0] for b in slot_basis()]
-    lefts = [left_multiplication(x) for x in images]
-
-    def fails(i, j):
-        prod = [0] * 22
-        for k, c in cells[i][j]:
-            prod[k] = c
-        lhs = [g * x for x in pb.gamma_ints(prod)[0]]
-        return lhs != apply_columns(lefts[i], images[j])
-
-    return _cells(
-        _pairs(COORD_NAMES, fails), "multiplicative on all 484 slot pairs", "fails at %s"
-    )
+    # reads g G (s_i s_j) == (G e_i)(G e_j), column k of G the image of slot k
+    G, g = fx.peirce.int_gamma
+    images = transpose(G)
+    products = sweep_products(bisets.structure_tensor(), images)
+    bad = set(map_failures(tensor_cells(slot_rows()), images, products, g))
+    fails = _pairs(COORD_NAMES, lambda i, j: (i, j) in bad)
+    return _cells(fails, "multiplicative on all 484 slot pairs", "fails at %s")
 
 
 def _gamma_roundtrip(fx):
@@ -550,9 +538,12 @@ def _delta_integral(fx):
 
 
 def _delta_ring_map(fx):
-    c, pb, prods = fx.table, fx.peirce, fx.delta_products
+    # delta(e_i) is rows[i] / D, so delta(e_i) delta(e_j) == delta(e_i e_j)
+    # reads products[i][j] == D * sum c rows[k] over the cell (i, j) of the table
+    rows, D = fx.int_delta_images
+    failed = set(map_failures(structure_cells(), rows, fx.delta_products, D))
     unit_ok = fx.delta_images[IDENTITY_INDEX] == BlockElement.identity()
-    bad = _pairs(BASIS_LABELS, lambda i, j: prods[i][j] != delta_ints(c[i][j], 1, pb))
+    bad = _pairs(BASIS_LABELS, lambda i, j: (i, j) in failed)
     return _cells(
         bad or ([] if unit_ok else ["the identity"]),
         "delta carries the identity to the identity and respects all 484 products",
@@ -660,7 +651,8 @@ def _index_matches_determinant(fx):
 def _lambda_closed(fx):
     if not lambda_membership(BlockElement.identity()):
         return False, "the congruence lattice does not contain 1"
-    prods = fx.delta_products
+    D = fx.int_delta_images[1]
+    prods = [[BlockElement.from_ints(p, D * D) for p in row] for row in fx.delta_products]
     return _cells(
         _pairs(BASIS_LABELS, lambda i, j: not lambda_membership(prods[i][j])),
         "the congruence lattice contains 1 and is closed under all 484 products",

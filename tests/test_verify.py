@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bisetforge import bisets, blocks, cli, fixtures, linalg, orders, quivers, verify
+from bisetforge import bisets, cli, fixtures, linalg, orders, quivers, verify
 from bisetforge.bisets import BASIS_LABELS, IDENTITY_INDEX, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis, slot_basis
 from bisetforge.linalg import common_denominator, hnf_rows
@@ -428,7 +428,7 @@ def test_perturbed_delta_image_fails_the_ring_map_with_the_reference_witnesses(
     pb = PeirceBasis.load()
     imgs = list(orders.delta_images(pb))
     imgs[image] = imgs[image] + BlockElement.from_coords({slot: 1})
-    monkeypatch.setitem(orders._IMAGES, pb, orders._delta_columns(tuple(imgs)))
+    monkeypatch.setitem(orders._IMAGES, pb, tuple(imgs))
     unit_ok, want = _fraction_delta_failures(imgs)
     assert want or not unit_ok
     rep = verify.stage_lambda(_shared_basis(pb))
@@ -514,9 +514,9 @@ def test_emit_reuses_the_checked_products_and_writes_the_recomputed_table(tmp_pa
     # the sweep takes each row's left multiplication once and makes each of
     # the 484 products from it; emit makes none
     rows, products = [], []
-    left, apply = verify.left_multiplication, verify.apply_columns
-    monkeypatch.setattr(verify, "left_multiplication", lambda x: rows.append(1) or left(x))
-    monkeypatch.setattr(verify, "apply_columns", lambda L, y: products.append(1) or apply(L, y))
+    left, apply = linalg.left_columns, linalg.apply_columns
+    monkeypatch.setattr(linalg, "left_columns", lambda r, x: rows.append(1) or left(r, x))
+    monkeypatch.setattr(linalg, "apply_columns", lambda L, y: products.append(1) or apply(L, y))
     fx = verify.FixtureSet(str(dst))
     rep = verify.run(stages="peirce", fixture_dir=fx)
     failing = {c["name"] for s in rep["stages"] for c in s["checks"] if c["status"] == "fail"}
@@ -953,9 +953,9 @@ def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
     fx = verify.FixtureSet()
     fx.table, fx.delta_images  # built before counting
     rows, products = [], []
-    left, apply = blocks.left_columns, blocks.apply_columns
-    monkeypatch.setattr(blocks, "left_columns", lambda r, x: rows.append(1) or left(r, x))
-    monkeypatch.setattr(blocks, "apply_columns", lambda L, y: products.append(1) or apply(L, y))
+    left, apply = linalg.left_columns, linalg.apply_columns
+    monkeypatch.setattr(linalg, "left_columns", lambda r, x: rows.append(1) or left(r, x))
+    monkeypatch.setattr(linalg, "apply_columns", lambda L, y: products.append(1) or apply(L, y))
     assert verify._delta_ring_map(fx)[0] and verify._lambda_closed(fx)[0]
     assert (len(rows), len(products)) == (22, 484)
 
