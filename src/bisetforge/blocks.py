@@ -358,8 +358,13 @@ class PeirceBasis:
         G, g = self._gamma_columns
         return apply_columns(G, nums), g * den
 
+    def slot_ints(self, nums, den=1):
+        """The preimage under gamma of the ring element whose coefficients are
+        nums / den, as (slot numerators, denominator), not reduced."""
+        H, h = self._inverse_columns
+        return apply_columns(H, nums), h * den
+
     def slot_coordinates(self, nums, den=1):
         """The preimage under gamma of the ring element whose coefficients are
-        nums / den."""
-        H, h = self._inverse_columns
-        return BlockElement.from_ints(apply_columns(H, nums), h * den)
+        nums / den, as a BlockElement."""
+        return BlockElement.from_ints(*self.slot_ints(nums, den))

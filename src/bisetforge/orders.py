@@ -40,7 +40,9 @@ __all__ = [
     "CONGRUENCES_3",
     "MOD24_ROWS",
     "lambda_membership",
+    "lambda_membership_ints",
     "localized_membership",
+    "localized_membership_ints",
     "congruence_solution_lattice",
     "local_idempotents",
     "GAMMA_CORNER_BASIS_2",
@@ -204,24 +206,39 @@ _LAMBDA_CONDITIONS = _compiled(CONGRUENCES_2 + CONGRUENCES_3)
 _LOCAL_CONDITIONS = {2: _compiled(CONGRUENCES_2, 2), 3: _compiled(CONGRUENCES_3, 3)}
 
 
-def _satisfies(nums, conditions):
+def _satisfies(nums, conditions, g=1):
+    """Whether nums / g, for g dividing every entry, meets the conditions."""
     for terms, m in conditions:
-        if sum([c * nums[i] for i, c in terms]) % m:
+        if sum([c * nums[i] for i, c in terms]) % (m * g):
             return False
     return True
+
+
+def lambda_membership_ints(nums, den=1):
+    """Membership of the block nums / den, in any terms, in the integral
+    congruence order (integrality included)."""
+    g = math.gcd(den, *nums)
+    return g == den and _satisfies(nums, _LAMBDA_CONDITIONS, g)
+
+
+def localized_membership_ints(nums, den, p):
+    """Membership of the block nums / den, in any terms, in the localized
+    order at p (2 or 3)."""
+    if p not in _LOCAL_CONDITIONS:
+        raise ValueError("p must be 2 or 3")
+    g = math.gcd(den, *nums)
+    return den // g % p != 0 and _satisfies(nums, _LOCAL_CONDITIONS[p], g)
 
 
 def lambda_membership(block):
     """Membership of a BlockElement in the integral congruence order
     (integrality included)."""
-    return block.den == 1 and _satisfies(block.nums, _LAMBDA_CONDITIONS)
+    return lambda_membership_ints(block.nums, block.den)
 
 
 def localized_membership(block, p):
     """Membership of a BlockElement in the localized order at p (2 or 3)."""
-    if p not in _LOCAL_CONDITIONS:
-        raise ValueError("p must be 2 or 3")
-    return block.den % p != 0 and _satisfies(block.nums, _LOCAL_CONDITIONS[p])
+    return localized_membership_ints(block.nums, block.den, p)
 
 
 def congruence_solution_lattice():

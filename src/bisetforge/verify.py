@@ -46,6 +46,7 @@ from .blocks import (
     SLOT_TO_PEIRCE,
     BlockElement,
     PeirceBasis,
+    _multiply_slots,
     slot_rows,
 )
 from .orders import (
@@ -62,9 +63,11 @@ from .orders import (
     delta_images,
     image_lattice,
     lambda_membership,
+    lambda_membership_ints,
     load_fixture_matrix,
     local_idempotents,
     localized_membership,
+    localized_membership_ints,
     matrix_diff,
     representation_matrix,
 )
@@ -410,13 +413,14 @@ def _randint(rng, lo, hi):
     return draw
 
 
-def _random_block(rng, denominators=True):
-    """22 coordinates num/den, num in [-24, 24] and den in [1, 6] (or 1)."""
+def _random_ints(rng, denominators=True):
+    """(nums, d): 22 block coordinates num/den over their least common d, num
+    in [-24, 24] and den in [1, 6] (or 1)."""
     num = _randint(rng, -24, 24)
     if not denominators:
-        return BlockElement.from_ints([num() for _ in range(22)])
+        return [num() for _ in range(22)], 1
     den = _randint(rng, 1, 6)
-    return BlockElement.from_ints(*_over_lcm([(num(), den()) for _ in range(22)]))
+    return _over_lcm([(num(), den()) for _ in range(22)])
 
 
 def _over_lcm(fracs):
@@ -453,14 +457,15 @@ def _gamma_roundtrip(fx):
     pb = fx.peirce
     rng = random.Random(_SEED)
     num, den = _randint(rng, -12, 12), _randint(rng, 1, 4)
+    # x / d == y / e reads x e == y d
     for n in range(100):
-        b = _random_block(rng)
-        if pb.slot_coordinates(*pb.gamma_ints(b.nums, b.den)) != b:
+        nums, d = _random_ints(rng)
+        back, e = pb.slot_ints(*pb.gamma_ints(nums, d))
+        if [x * d for x in back] != [x * e for x in nums]:
             return False, "gamma^-1(gamma(b)) != b for block sample %d" % n
         nums, d = _over_lcm([(num(), den()) for _ in range(22)])
-        back = pb.slot_coordinates(nums, d)
-        image, iden = pb.gamma_ints(back.nums, back.den)
-        if [x * d for x in image] != [x * iden for x in nums]:
+        image, e = pb.gamma_ints(*pb.slot_ints(nums, d))
+        if [x * d for x in image] != [x * e for x in nums]:
             return False, "gamma(gamma^-1(x)) != x for ring sample %d" % n
     return True, "200 seeded round trips through both directions"
 
@@ -583,13 +588,9 @@ def _stated_column_listing(fx):
 
 
 def _columns_satisfy_congruences(fx):
-    M = fx.matrix
+    cols = transpose(fx.matrix)
     return _cells(
-        [
-            BASIS_LABELS[j]
-            for j in range(22)
-            if not lambda_membership(BlockElement.from_vector([M[r][j] for r in range(22)]))
-        ],
+        [lab for lab, col in zip(BASIS_LABELS, cols) if not lambda_membership_ints(col)],
         "every column passes all listed congruence conditions",
         "columns failing a listed congruence condition: %s",
     )
@@ -651,10 +652,9 @@ def _index_matches_determinant(fx):
 def _lambda_closed(fx):
     if not lambda_membership(BlockElement.identity()):
         return False, "the congruence lattice does not contain 1"
-    D = fx.int_delta_images[1]
-    prods = [[BlockElement.from_ints(p, D * D) for p in row] for row in fx.delta_products]
+    DD, prods = fx.int_delta_images[1] ** 2, fx.delta_products
     return _cells(
-        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership(prods[i][j])),
+        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership_ints(prods[i][j], DD)),
         "the congruence lattice contains 1 and is closed under all 484 products",
         "product escapes at %s",
     )
@@ -662,11 +662,12 @@ def _lambda_closed(fx):
 
 def _membership_splits(fx):
     rng = random.Random(_SEED + 2)
-    samples = list(fx.delta_images)
-    samples += [_random_block(rng, denominators=False) for _ in range(1000)]
-    for b in samples:
-        if lambda_membership(b) != (localized_membership(b, 2) and localized_membership(b, 3)):
-            return False, "split fails on %s" % [str(x) for x in b.to_vector()]
+    samples = [(b.nums, b.den) for b in fx.delta_images]
+    samples += [_random_ints(rng, denominators=False) for _ in range(1000)]
+    local = localized_membership_ints
+    for nums, den in samples:
+        if lambda_membership_ints(nums, den) != (local(nums, den, 2) and local(nums, den, 3)):
+            return False, "split fails on %s" % [str(Fraction(a, den)) for a in nums]
     # each witness lies in the order at its prime p and not at the other one, 5 - p
     for coords, p in (
         ({"z2": 4, "z3": 4, "w": 2}, 2),
@@ -859,31 +860,30 @@ def _loop_corner_span(fx):
 
 
 def _loop_combo():
-    """combo(a, b, c, den) = (a e6 + b tau5 + c tau6) / den, the element
-    (a + b eta + c xi) / den of the e6 corner at 3."""
+    """combo(a, b, c): the coordinates of a e6 + b tau5 + c tau6, the element
+    a + b eta + c xi of the e6 corner at 3."""
     t = dict(CORNER_BASIS_3)
     loop = [t[k].int_vector() for k in ("e6", "tau5", "tau6")]
     # the three touch few coordinates: only those are combined
     support = [(k, x, y, z) for k, (x, y, z) in enumerate(zip(*loop)) if x or y or z]
 
-    def combo(a, b, c, den=1):
+    def combo(a, b, c):
         nums = [0] * 22
         for k, x, y, z in support:
             nums[k] = a * x + b * y + c * z
-        return BlockElement.from_ints(nums, den)
+        return nums
 
     return combo
 
 
 def _loop_corner_law(fx):
-    combo = _loop_combo()
+    combo, mul = _loop_combo(), _multiply_slots
     draw = _randint(random.Random(_SEED + 3), -9, 9)
     for n in range(200):
         a1, b1, c1, a2, b2, c2 = (draw() for _ in range(6))
-        u1 = combo(a1, b1, c1)
-        u2 = combo(a2, b2, c2)
-        want = combo(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1)
-        if u1 * u2 != want or u1 * u2 != u2 * u1:
+        u1, u2 = combo(a1, b1, c1), combo(a2, b2, c2)
+        u1u2 = mul(u1, u2)
+        if u1u2 != combo(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1) or u1u2 != mul(u2, u1):
             return False, "the law fails on sample %d: (%d, %d, %d) times (%d, %d, %d)" % (
                 n, a1, b1, c1, a2, b2, c2
             )
@@ -896,15 +896,17 @@ def _loop_corner_law(fx):
 
 def _unit_criterion(fx):
     # a = 0 gives a square-zero non-unit; otherwise the closed-form inverse
-    # is two-sided, and it lies in the order at 3 exactly when 3 does not divide a
-    combo, e6 = _loop_combo(), dict(CORNER_BASIS_3)["e6"]
+    # inv / a^2 is two-sided, u inv == a^2 e6 == inv u, and it lies in the
+    # order at 3 exactly when 3 does not divide a
+    combo, mul = _loop_combo(), _multiply_slots
     for a, b, c in itertools.product(range(-4, 5), repeat=3):
         u = combo(a, b, c)
         if a == 0:
-            ok = (u * u).is_zero()
+            ok = not any(mul(u, u))
         else:
-            inv = combo(a, -b, -c, a * a)
-            ok = u * inv == e6 == inv * u and localized_membership(inv, 3) == (a % 3 != 0)
+            inv = combo(a, -b, -c)
+            ok = mul(u, inv) == combo(a * a, 0, 0) == mul(inv, u)
+            ok = ok and localized_membership_ints(inv, a * a, 3) == (a % 3 != 0)
         if not ok:
             return False, "criterion fails at (a, b, c) = (%d, %d, %d)" % (a, b, c)
     return (
@@ -1102,14 +1104,18 @@ def emit_fixtures(out_dir, fixture_dir=None):
         raise ValueError("peirce.json: delta_matrix.json cannot be written: %s" % exc) from None
     raw = fx.peirce_data
     # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
-    # slot_coordinates; the integer vectors over d multiply to products over d^2.
-    _, d = pb.int_vectors
+    # slot_ints, integral as BlockElement.int_vector() requires; the integer
+    # vectors over d multiply to products over d^2.
+    dd = pb.int_vectors[1] ** 2
     table = []
     for products in fx.peirce_products:
         row = []
         for prod in products:
-            slots = pb.slot_coordinates(prod, d * d)
-            coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
+            slots, den = pb.slot_ints(prod, dd)
+            g = math.gcd(den, *slots)
+            if g != den:
+                raise ValueError("block element has denominator %d" % (den // g))
+            coords = dict(zip(SLOT_TO_PEIRCE, [x // den for x in slots]))
             row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)
     # {path below out_dir: data}, in the order the files are written

@@ -1,11 +1,15 @@
-"""Dense references, in Fractions or eager integer steps, that several test
-modules compare against."""
+"""Dense references, in Fractions, eager integer steps or one element per
+value, that several test modules compare against."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
+from bisetforge import verify
+from bisetforge.blocks import PEIRCE_LABELS, SLOT_TO_PEIRCE, BlockElement
 from bisetforge.linalg import SingularMatrixError
+from bisetforge.orders import lambda_membership, localized_membership
 
 
 def outcome(fn):
@@ -119,3 +123,134 @@ def associativity_failures(rows):
         for j in range(n)
         if any(combine(T[i], T[j][s]) != combine(cols[s], T[i][j]) for s in range(n))
     ]
+
+
+# verify's sampled checks as they were written on BlockElements, one element
+# per sample or product; each reads the corner basis and the seeds from
+# verify when called, so that a perturbation installed there reaches both.
+
+
+def _random_block(rng, denominators=True):
+    num = verify._randint(rng, -24, 24)
+    if not denominators:
+        return BlockElement.from_ints([num() for _ in range(22)])
+    den = verify._randint(rng, 1, 6)
+    return BlockElement.from_ints(*verify._over_lcm([(num(), den()) for _ in range(22)]))
+
+
+def gamma_roundtrip(fx):
+    pb = fx.peirce
+    rng = random.Random(verify._SEED)
+    num, den = verify._randint(rng, -12, 12), verify._randint(rng, 1, 4)
+    for n in range(100):
+        b = _random_block(rng)
+        if pb.slot_coordinates(*pb.gamma_ints(b.nums, b.den)) != b:
+            return False, "gamma^-1(gamma(b)) != b for block sample %d" % n
+        nums, d = verify._over_lcm([(num(), den()) for _ in range(22)])
+        back = pb.slot_coordinates(nums, d)
+        image, iden = pb.gamma_ints(back.nums, back.den)
+        if [x * d for x in image] != [x * iden for x in nums]:
+            return False, "gamma(gamma^-1(x)) != x for ring sample %d" % n
+    return True, "200 seeded round trips through both directions"
+
+
+def lambda_closed(fx):
+    if not lambda_membership(BlockElement.identity()):
+        return False, "the congruence lattice does not contain 1"
+    D = fx.int_delta_images[1]
+    prods = [[BlockElement.from_ints(p, D * D) for p in row] for row in fx.delta_products]
+    return verify._cells(
+        verify._pairs(verify.BASIS_LABELS, lambda i, j: not lambda_membership(prods[i][j])),
+        "the congruence lattice contains 1 and is closed under all 484 products",
+        "product escapes at %s",
+    )
+
+
+def membership_splits(fx):
+    rng = random.Random(verify._SEED + 2)
+    samples = list(fx.delta_images)
+    samples += [_random_block(rng, denominators=False) for _ in range(1000)]
+    for b in samples:
+        if lambda_membership(b) != (localized_membership(b, 2) and localized_membership(b, 3)):
+            return False, "split fails on %s" % [str(x) for x in b.to_vector()]
+    for coords, p in (
+        ({"z2": 4, "z3": 4, "w": 2}, 2),
+        ({"z2": 3}, 3),
+        ({"s11": Fraction(1, 3)}, 2),
+    ):
+        b = BlockElement.from_coords(coords)
+        if not localized_membership(b, p) or localized_membership(b, 5 - p):
+            witness = "{%s}" % ", ".join("%s: %s" % kv for kv in coords.items())
+            detail = "one-sided witness %s should lie in the order at %d but not at %d"
+            return False, detail % (witness, p, 5 - p)
+    return (
+        True,
+        "global membership equals the conjunction at 2 and 3 on %d samples, "
+        "with one-sided witnesses in both directions" % len(samples),
+    )
+
+
+def _loop_combo():
+    t = dict(verify.CORNER_BASIS_3)
+    loop = [t[k].int_vector() for k in ("e6", "tau5", "tau6")]
+    support = [(k, x, y, z) for k, (x, y, z) in enumerate(zip(*loop)) if x or y or z]
+
+    def combo(a, b, c, den=1):
+        nums = [0] * 22
+        for k, x, y, z in support:
+            nums[k] = a * x + b * y + c * z
+        return BlockElement.from_ints(nums, den)
+
+    return combo
+
+
+def loop_corner_law(fx):
+    combo = _loop_combo()
+    draw = verify._randint(random.Random(verify._SEED + 3), -9, 9)
+    for n in range(200):
+        a1, b1, c1, a2, b2, c2 = (draw() for _ in range(6))
+        u1 = combo(a1, b1, c1)
+        u2 = combo(a2, b2, c2)
+        want = combo(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1)
+        if u1 * u2 != want or u1 * u2 != u2 * u1:
+            return False, "the law fails on sample %d: (%d, %d, %d) times (%d, %d, %d)" % (
+                n, a1, b1, c1, a2, b2, c2
+            )
+    return (
+        True,
+        "products follow the commutative square-zero two-variable law "
+        "on 200 seeded samples",
+    )
+
+
+def unit_criterion(fx):
+    combo, e6 = _loop_combo(), dict(verify.CORNER_BASIS_3)["e6"]
+    for a, b, c in itertools.product(range(-4, 5), repeat=3):
+        u = combo(a, b, c)
+        if a == 0:
+            ok = (u * u).is_zero()
+        else:
+            inv = combo(a, -b, -c, a * a)
+            ok = u * inv == e6 == inv * u and localized_membership(inv, 3) == (a % 3 != 0)
+        if not ok:
+            return False, "criterion fails at (a, b, c) = (%d, %d, %d)" % (a, b, c)
+    return (
+        True,
+        "a + b eta + c xi is a unit exactly when 3 does not divide a, "
+        "with the closed-form inverse, on all 729 small triples",
+    )
+
+
+def peirce_table(fx):
+    """The product table emit_fixtures writes to peirce.json."""
+    pb = fx.peirce
+    _, d = pb.int_vectors
+    table = []
+    for products in fx.peirce_products:
+        row = []
+        for prod in products:
+            slots = pb.slot_coordinates(prod, d * d)
+            coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
+            row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
+        table.append(row)
+    return table

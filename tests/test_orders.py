@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge.bisets import BASIS_LABELS, BurnsideElement
@@ -21,9 +21,11 @@ from bisetforge.orders import (
     delta_images,
     image_lattice,
     lambda_membership,
+    lambda_membership_ints,
     load_fixture_matrix,
     local_idempotents,
     localized_membership,
+    localized_membership_ints,
     representation_matrix,
 )
 from bisetforge.verify import swap_label
@@ -182,6 +184,31 @@ def test_compiled_membership_matches_the_congruence_dicts(coeffs, nudge, den):
         assert localized_membership(block, p) == ref_localized_membership(block, p)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-3, 3), min_size=22, max_size=22),
+    nudge=st.one_of(st.none(), st.tuples(st.integers(0, 21), st.integers(-30, 30))),
+    den=st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 24, 36]),
+    scale=st.sampled_from([1, 2, 3, 5, 6, 7, 12]),
+)
+# a residual that fails its modulus m but not m times the common factor
+@example(coeffs=[0] * 22, nudge=(COORD_NAMES.index("y"), 1), den=1, scale=2)
+@example(coeffs=[0] * 22, nudge=(COORD_NAMES.index("x1"), 2), den=3, scale=6)
+def test_int_membership_matches_the_element_predicates(coeffs, nudge, den, scale):
+    # nums / den over a common factor scale: an unreduced pair, whose reduced
+    # form is the element's
+    nums = [sum(c * x for c, x in zip(coeffs, row)) for row in _M]
+    if nudge:
+        nums[nudge[0]] += nudge[1]
+    block = BlockElement.from_ints(nums, den)
+    unreduced = [scale * a for a in nums], scale * den
+    assert lambda_membership_ints(*unreduced) == lambda_membership(block)
+    assert lambda_membership(block) == ref_lambda_membership(block)
+    for p in (2, 3):
+        assert localized_membership_ints(*unreduced, p) == localized_membership(block, p)
+        assert localized_membership(block, p) == ref_localized_membership(block, p)
+
+
 def test_membership_references_see_members_and_non_members():
     members = [BlockElement.from_ints([row[j] for row in _M]) for j in range(22)]
     assert all(map(lambda_membership, members)) and all(map(ref_lambda_membership, members))
@@ -191,6 +218,8 @@ def test_membership_references_see_members_and_non_members():
         assert not any(map(lambda_membership, local))
     with pytest.raises(ValueError):
         localized_membership(BlockElement.identity(), 5)
+    with pytest.raises(ValueError):
+        localized_membership_ints([0] * 22, 1, 5)
 
 
 def test_local_idempotents():

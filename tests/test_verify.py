@@ -451,7 +451,8 @@ def _fraction_random_block(rng, denominators=True):
 def test_random_block_draws_the_same_samples_as_the_fraction_sampler(denominators):
     new, old = random.Random(verify._SEED), random.Random(verify._SEED)
     for _ in range(50):
-        assert verify._random_block(new, denominators) == _fraction_random_block(old, denominators)
+        sample = BlockElement.from_ints(*verify._random_ints(new, denominators))
+        assert sample == _fraction_random_block(old, denominators)
     assert new.random() == old.random()
 
 
@@ -590,9 +591,11 @@ def test_each_check_alone_reproduces_its_golden_record(stage, name, check, args,
 
 
 def test_a_column_outside_the_congruences_is_named(monkeypatch):
-    member = verify.lambda_membership
-    identity = BlockElement.identity()
-    monkeypatch.setattr(verify, "lambda_membership", lambda b: b != identity and member(b))
+    member = verify.lambda_membership_ints
+    identity = list(BlockElement.identity().nums)
+    monkeypatch.setattr(
+        verify, "lambda_membership_ints", lambda nums, den=1: list(nums) != identity and member(nums, den)
+    )
     rep = verify.stage_lambda()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
     assert failing["columns-satisfy-congruences"] == (
@@ -924,16 +927,16 @@ def test_wrong_biset_sizes_are_named(monkeypatch):
     ],
 )
 def test_a_broken_round_trip_names_its_direction_and_sample(monkeypatch, broken_call, detail):
-    # sample n calls slot_coordinates twice: call 2n for the block sample,
+    # sample n calls slot_ints twice: call 2n for the block sample,
     # call 2n + 1 for the ring sample
-    slot_coordinates, calls = PeirceBasis.slot_coordinates, []
+    slot_ints, calls = PeirceBasis.slot_ints, []
 
     def doubled_once(pb, nums, den=1):
         calls.append(1)
-        back = slot_coordinates(pb, nums, den)
-        return back.scale(2) if len(calls) == broken_call + 1 else back
+        back, d = slot_ints(pb, nums, den)
+        return ([2 * x for x in back] if len(calls) == broken_call + 1 else back), d
 
-    monkeypatch.setattr(PeirceBasis, "slot_coordinates", doubled_once)
+    monkeypatch.setattr(PeirceBasis, "slot_ints", doubled_once)
     assert verify._gamma_roundtrip(verify.FixtureSet()) == (False, detail)
 
 
