@@ -209,7 +209,10 @@ _LOCAL_CONDITIONS = {2: _compiled(CONGRUENCES_2, 2), 3: _compiled(CONGRUENCES_3,
 def _satisfies(nums, conditions, g=1):
     """Whether nums / g, for g dividing every entry, meets the conditions."""
     for terms, m in conditions:
-        if sum([c * nums[i] for i, c in terms]) % (m * g):
+        r = 0  # a plain loop: most conditions have one term
+        for i, c in terms:
+            r += c * nums[i]
+        if r % (m * g):
             return False
     return True
 
