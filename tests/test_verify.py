@@ -594,7 +594,9 @@ def test_a_column_outside_the_congruences_is_named(monkeypatch):
     member = verify.lambda_membership_ints
     identity = list(BlockElement.identity().nums)
     monkeypatch.setattr(
-        verify, "lambda_membership_ints", lambda nums, den=1: list(nums) != identity and member(nums, den)
+        verify,
+        "lambda_membership_ints",
+        lambda nums, den=1: list(nums) != identity and member(nums, den),
     )
     rep = verify.stage_lambda()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
