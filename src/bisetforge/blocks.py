@@ -348,10 +348,6 @@ class PeirceBasis:
         H, h = inverse
         return sparse_columns(H), h
 
-    def gamma(self, block):
-        """Image of a block element in the rational double Burnside ring."""
-        return BurnsideElement.from_ints("Q", *self.gamma_ints(block.nums, block.den))
-
     def gamma_ints(self, nums, den=1):
         """gamma of the block element nums / den, as integer coefficients over
         one denominator: (coefficient numerators, denominator), not reduced."""
@@ -363,8 +359,3 @@ class PeirceBasis:
         nums / den, as (slot numerators, denominator), not reduced."""
         H, h = self._inverse_columns
         return apply_columns(H, nums), h * den
-
-    def slot_coordinates(self, nums, den=1):
-        """The preimage under gamma of the ring element whose coefficients are
-        nums / den, as a BlockElement."""
-        return BlockElement.from_ints(*self.slot_ints(nums, den))

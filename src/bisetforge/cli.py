@@ -175,9 +175,8 @@ def cmd_mult(args):
 def cmd_verify(args):
     from . import verify  # here, so that subgroups and mult never load the verifier
 
-    stages = None if args.stage == "all" else args.stage
     fx = verify.FixtureSet(args.fixture_dir)
-    report = verify.run(stages=stages, fixture_dir=fx)
+    report = verify.run(stages=args.stage, fixture_dir=fx)
     if args.json:
         sys.stdout.write(fixtures.canonical_dumps(report))
     else:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from fractions import Fraction
 
 from . import fixtures
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
-from .linalg import hnf_rows, smith_normal_form, transpose
+from .linalg import hnf_rows, smith_normal_form
 
 __all__ = [
     "HT_TO_H",
@@ -40,9 +39,7 @@ __all__ = [
     "CONGRUENCES_3",
     "MOD24_ROWS",
     "lambda_membership",
-    "lambda_membership_ints",
     "localized_membership",
-    "localized_membership_ints",
     "congruence_solution_lattice",
     "local_idempotents",
     "GAMMA_CORNER_BASIS_2",
@@ -50,7 +47,6 @@ __all__ = [
     "CORNER_BASIS_3",
     "CORNER_BASIS_Q",
     "CORNER_IDEMPOTENTS_Q",
-    "image_lattice",
 ]
 
 # The column listing stated alongside the matrix fixture: position k of that
@@ -73,37 +69,23 @@ def _conjugators():
     return x, x.inverse()
 
 
-# Per PeirceBasis: the tuple of the 22 images.
-_IMAGES = weakref.WeakKeyDictionary()
-
-
 def delta_images(peirce):
     """delta of the 22 basis classes in BASIS_LABELS order, as BlockElements.
 
-    Each is x^-1 * peirce.slot_coordinates(class) * x for the conjugator
-    x = X1 * X2 * X3, computed once per PeirceBasis.
+    Each is x^-1 * gamma^-1(class) * x for the conjugator x = X1 * X2 * X3.
     """
-    imgs = _IMAGES.get(peirce)
-    if imgs is None:
-        x, xi = _conjugators()
-        imgs = _IMAGES[peirce] = tuple(
-            xi * peirce.slot_coordinates(_unit(i)) * x for i in range(len(BASIS_LABELS))
-        )
-    return list(imgs)
+    x, xi = _conjugators()
+    n = len(BASIS_LABELS)
+    slots = (peirce.slot_ints([int(i == j) for j in range(n)]) for i in range(n))
+    return [xi * BlockElement.from_ints(*s) * x for s in slots]
 
 
-def _unit(i):
-    v = [0] * len(BASIS_LABELS)
-    v[i] = 1
-    return v
-
-
-def representation_matrix(peirce):
-    """22x22 integer matrix; column j holds the coordinates of the j-th image.
+def representation_matrix(imgs):
+    """22x22 integer matrix; column j holds the coordinates of imgs[j], the
+    j-th delta image.
 
     Raises ValueError if any image fails to be integral.
     """
-    imgs = delta_images(peirce)
     for j, img in enumerate(imgs):
         for name, c in zip(COORD_NAMES, img.nums):
             if c % img.den:
@@ -217,31 +199,20 @@ def _satisfies(nums, conditions, g=1):
     return True
 
 
-def lambda_membership_ints(nums, den=1):
+def lambda_membership(nums, den=1):
     """Membership of the block nums / den, in any terms, in the integral
     congruence order (integrality included)."""
     g = math.gcd(den, *nums)
     return g == den and _satisfies(nums, _LAMBDA_CONDITIONS, g)
 
 
-def localized_membership_ints(nums, den, p):
+def localized_membership(nums, den, p):
     """Membership of the block nums / den, in any terms, in the localized
     order at p (2 or 3)."""
     if p not in _LOCAL_CONDITIONS:
         raise ValueError("p must be 2 or 3")
     g = math.gcd(den, *nums)
     return den // g % p != 0 and _satisfies(nums, _LOCAL_CONDITIONS[p], g)
-
-
-def lambda_membership(block):
-    """Membership of a BlockElement in the integral congruence order
-    (integrality included)."""
-    return lambda_membership_ints(block.nums, block.den)
-
-
-def localized_membership(block, p):
-    """Membership of a BlockElement in the localized order at p (2 or 3)."""
-    return localized_membership_ints(block.nums, block.den, p)
 
 
 def congruence_solution_lattice():
@@ -262,11 +233,6 @@ def congruence_solution_lattice():
     for j in range(n):
         gens.append([24 * int(i == j) for i in range(n)])
     return hnf_rows(gens)
-
-
-def image_lattice(M):
-    """HNF row basis of the column lattice of an integer matrix."""
-    return hnf_rows(transpose(M))
 
 
 # Idempotents of the localized orders.  At 2 the last one couples the w slot

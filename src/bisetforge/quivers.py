@@ -28,6 +28,7 @@ class RewriteDivergence(PresentationError):
 
 
 MAX_STEPS = 100000  # the rewrites normal_form makes before RewriteDivergence
+LENGTH_BOUND = 8  # the path length irreducible_paths refuses to reach
 
 
 class Quiver:
@@ -237,16 +238,15 @@ def _resolves(quiver, ring, rules, word, left, right):
     return normal_form(PathElement(quiver, ring, diff), rules).is_zero()
 
 
-def irreducible_paths(quiver, rules, length_bound=8):
+def irreducible_paths(quiver, rules):
     """All paths with no head as a factor, provided none reaches the bound."""
     out = []
     frontier = [(v, ()) for v in quiver.vertices]
     length = 0
     while frontier:
-        if length >= length_bound:
+        if length >= LENGTH_BOUND:
             raise PresentationError(
-                "irreducible path of length %d reaches the bound %d"
-                % (length, length_bound)
+                "irreducible path of length %d reaches the bound %d" % (length, LENGTH_BOUND)
             )
         out.extend(frontier)
         nxt = []
@@ -447,7 +447,7 @@ def _vanishes(block, ring, corner):
     return block.is_zero() or ring.startswith("F") and corner.in_p_span(block, rings.prime(ring))
 
 
-def verify_presentation(pres, corner, length_bound=8):
+def verify_presentation(pres, corner):
     """Mechanical check that the presentation describes the corner algebra.
 
     Returns (problems, n): n counts the irreducible paths, None when orienting
@@ -484,7 +484,7 @@ def verify_presentation(pres, corner, length_bound=8):
         return problems, None
     problems.extend(local_confluence_failures(q, ring, rules))
     try:
-        basis = irreducible_paths(q, rules, length_bound)
+        basis = irreducible_paths(q, rules)
     except PresentationError as exc:
         problems.append(str(exc))
         return problems, None

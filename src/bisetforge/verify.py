@@ -61,17 +61,14 @@ from .orders import (
     MOD24_ROWS,
     congruence_solution_lattice,
     delta_images,
-    image_lattice,
     lambda_membership,
-    lambda_membership_ints,
     load_fixture_matrix,
     local_idempotents,
     localized_membership,
-    localized_membership_ints,
     matrix_diff,
     representation_matrix,
 )
-from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors
+from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors, hnf_rows
 from .linalg import map_failures, sweep_products, tensor_cells, transpose
 from .quivers import (
     CornerAlgebra,
@@ -206,12 +203,9 @@ class FixtureSet:
         return det_inverse(self.matrix)
 
     @cached_property
-    def matrix_det(self):
-        return self.matrix_det_inverse[0]
-
-    @cached_property
     def matrix_hermite(self):
-        return image_lattice(self.matrix)
+        """HNF row basis of the column lattice of the matrix."""
+        return hnf_rows(transpose(self.matrix))
 
     @cached_property
     def presentation_data(self):
@@ -436,8 +430,9 @@ def _gamma_bijective(fx):
 
 
 def _gamma_unit(fx):
-    image, one = fx.peirce.gamma(BlockElement.identity()), BurnsideElement.one("Q")
-    off = [lab for lab, a, b in zip(BASIS_LABELS, image.coeffs, one.coeffs) if a != b]
+    image, g = fx.peirce.gamma_ints(BlockElement.identity().nums)  # gamma(1) = image / g
+    one = [g * (k == IDENTITY_INDEX) for k in range(len(BASIS_LABELS))]
+    off = [lab for lab, a, b in zip(BASIS_LABELS, image, one) if a != b]
     return _cells(off, "identity block maps to the identity", "gamma(1) differs from 1 at %s")
 
 
@@ -558,7 +553,7 @@ def _delta_ring_map(fx):
 
 def _matrix_fixture(fx):
     try:
-        M = representation_matrix(fx.peirce)
+        M = representation_matrix(fx.delta_images)
     except ValueError as exc:  # a non-integral delta image
         return False, "no integer matrix to compare: %s" % exc
     diffs = matrix_diff(M, fx.matrix, COORD_NAMES, BASIS_LABELS)
@@ -590,7 +585,7 @@ def _stated_column_listing(fx):
 def _columns_satisfy_congruences(fx):
     cols = transpose(fx.matrix)
     return _cells(
-        [lab for lab, col in zip(BASIS_LABELS, cols) if not lambda_membership_ints(col)],
+        [lab for lab, col in zip(BASIS_LABELS, cols) if not lambda_membership(col)],
         "every column passes all listed congruence conditions",
         "columns failing a listed congruence condition: %s",
     )
@@ -610,7 +605,7 @@ def _congruences_match_mod24_rows(fx):
 
 
 def _full_rank(fx):
-    det = fx.matrix_det
+    det = fx.matrix_det_inverse[0]
     return det != 0, "det = %d = -(2^17)(3^4)" % det if det == -10616832 else "det = %s" % det
 
 
@@ -641,7 +636,8 @@ def _index_matches_determinant(fx):
     # a rank-deficient column lattice has infinite index, written 0
     index_h = math.prod(H[i][i] for i in range(22)) if len(H) == 22 else 0
     index_s = math.prod(d for d in elementary_divisors([list(r) for r in fx.matrix]) if d)
-    found = (("lattice index", index_h), ("|det|", abs(fx.matrix_det)), ("Smith index", index_s))
+    det = abs(fx.matrix_det_inverse[0])
+    found = (("lattice index", index_h), ("|det|", det), ("Smith index", index_s))
     return _cells(
         ["%s %d" % (name, x) for name, x in found if x != 10616832],
         "lattice index %d agrees with |det| and the Smith form" % index_h,
@@ -650,11 +646,11 @@ def _index_matches_determinant(fx):
 
 
 def _lambda_closed(fx):
-    if not lambda_membership(BlockElement.identity()):
+    if not lambda_membership(BlockElement.identity().nums):
         return False, "the congruence lattice does not contain 1"
     DD, prods = fx.int_delta_images[1] ** 2, fx.delta_products
     return _cells(
-        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership_ints(prods[i][j], DD)),
+        _pairs(BASIS_LABELS, lambda i, j: not lambda_membership(prods[i][j], DD)),
         "the congruence lattice contains 1 and is closed under all 484 products",
         "product escapes at %s",
     )
@@ -664,9 +660,9 @@ def _membership_splits(fx):
     rng = random.Random(_SEED + 2)
     samples = [(b.nums, b.den) for b in fx.delta_images]
     samples += [_random_ints(rng, denominators=False) for _ in range(1000)]
-    local = localized_membership_ints
+    local = localized_membership
     for nums, den in samples:
-        if lambda_membership_ints(nums, den) != (local(nums, den, 2) and local(nums, den, 3)):
+        if lambda_membership(nums, den) != (local(nums, den, 2) and local(nums, den, 3)):
             return False, "split fails on %s" % [str(Fraction(a, den)) for a in nums]
     # each witness lies in the order at its prime p and not at the other one, 5 - p
     for coords, p in (
@@ -675,7 +671,7 @@ def _membership_splits(fx):
         ({"s11": Fraction(1, 3)}, 2),
     ):
         b = BlockElement.from_coords(coords)
-        if not localized_membership(b, p) or localized_membership(b, 5 - p):
+        if not local(b.nums, b.den, p) or local(b.nums, b.den, 5 - p):
             witness = "{%s}" % ", ".join("%s: %s" % kv for kv in coords.items())
             detail = "one-sided witness %s should lie in the order at %d but not at %d"
             return False, detail % (witness, p, 5 - p)
@@ -691,7 +687,10 @@ def _idempotents_local(fx, p):
     labels = ["e%d" % (k + 1) for k in range(len(es))]
     return _relations(
         _idempotent_relations(labels, es, BlockElement.zero(), BlockElement.identity())
-        + [("%s in the order" % a, localized_membership(e, p)) for a, e in zip(labels, es)],
+        + [
+            ("%s in the order" % a, localized_membership(e.nums, e.den, p))
+            for a, e in zip(labels, es)
+        ],
         "%s orthogonal idempotents in the order summing to 1" % ("five" if p == 2 else "six"),
     )
 
@@ -716,7 +715,10 @@ def _morita_witnesses(fx, p):
     units = [("s13", "s31", 1), ("s31", "s13", 3), ("s23", "s32", 2), ("s32", "s23", 3)]
     return _relations(
         [("%s %s = e%d" % (a, b, k), E[a] * E[b] == es[k - 1]) for a, b, k in units]
-        + [("%s in the order" % name, localized_membership(x, p)) for name, x in E.items()],
+        + [
+            ("%s in the order" % name, localized_membership(x.nums, x.den, p))
+            for name, x in E.items()
+        ],
         "matrix units inside the order link e1 and e2 to e3",
     )
 
@@ -906,7 +908,7 @@ def _unit_criterion(fx):
         else:
             inv = combo(a, -b, -c)
             ok = mul(u, inv) == combo(a * a, 0, 0) == mul(inv, u)
-            ok = ok and localized_membership_ints(inv, a * a, 3) == (a % 3 != 0)
+            ok = ok and localized_membership(inv, a * a, 3) == (a % 3 != 0)
         if not ok:
             return False, "criterion fails at (a, b, c) = (%d, %d, %d)" % (a, b, c)
     return (
@@ -1099,7 +1101,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
     fx = _fixture_set(fixture_dir)
     pb = fx.peirce
     try:  # before anything is written: no partial set when delta is not integral or undefined
-        M = representation_matrix(pb)
+        M = representation_matrix(fx.delta_images)
     except (ValueError, SingularMatrixError) as exc:
         raise ValueError("peirce.json: delta_matrix.json cannot be written: %s" % exc) from None
     raw = fx.peirce_data

@@ -130,6 +130,16 @@ def associativity_failures(rows):
 # verify when called, so that a perturbation installed there reaches both.
 
 
+def in_lambda(b):
+    """Membership of a BlockElement in the integral congruence order."""
+    return lambda_membership(b.nums, b.den)
+
+
+def in_local(b, p):
+    """Membership of a BlockElement in the localized order at p."""
+    return localized_membership(b.nums, b.den, p)
+
+
 def _random_block(rng, denominators=True):
     num = verify._randint(rng, -24, 24)
     if not denominators:
@@ -144,10 +154,10 @@ def gamma_roundtrip(fx):
     num, den = verify._randint(rng, -12, 12), verify._randint(rng, 1, 4)
     for n in range(100):
         b = _random_block(rng)
-        if pb.slot_coordinates(*pb.gamma_ints(b.nums, b.den)) != b:
+        if BlockElement.from_ints(*pb.slot_ints(*pb.gamma_ints(b.nums, b.den))) != b:
             return False, "gamma^-1(gamma(b)) != b for block sample %d" % n
         nums, d = verify._over_lcm([(num(), den()) for _ in range(22)])
-        back = pb.slot_coordinates(nums, d)
+        back = BlockElement.from_ints(*pb.slot_ints(nums, d))
         image, iden = pb.gamma_ints(back.nums, back.den)
         if [x * d for x in image] != [x * iden for x in nums]:
             return False, "gamma(gamma^-1(x)) != x for ring sample %d" % n
@@ -155,12 +165,12 @@ def gamma_roundtrip(fx):
 
 
 def lambda_closed(fx):
-    if not lambda_membership(BlockElement.identity()):
+    if not in_lambda(BlockElement.identity()):
         return False, "the congruence lattice does not contain 1"
     D = fx.int_delta_images[1]
     prods = [[BlockElement.from_ints(p, D * D) for p in row] for row in fx.delta_products]
     return verify._cells(
-        verify._pairs(verify.BASIS_LABELS, lambda i, j: not lambda_membership(prods[i][j])),
+        verify._pairs(verify.BASIS_LABELS, lambda i, j: not in_lambda(prods[i][j])),
         "the congruence lattice contains 1 and is closed under all 484 products",
         "product escapes at %s",
     )
@@ -171,7 +181,7 @@ def membership_splits(fx):
     samples = list(fx.delta_images)
     samples += [_random_block(rng, denominators=False) for _ in range(1000)]
     for b in samples:
-        if lambda_membership(b) != (localized_membership(b, 2) and localized_membership(b, 3)):
+        if in_lambda(b) != (in_local(b, 2) and in_local(b, 3)):
             return False, "split fails on %s" % [str(x) for x in b.to_vector()]
     for coords, p in (
         ({"z2": 4, "z3": 4, "w": 2}, 2),
@@ -179,7 +189,7 @@ def membership_splits(fx):
         ({"s11": Fraction(1, 3)}, 2),
     ):
         b = BlockElement.from_coords(coords)
-        if not localized_membership(b, p) or localized_membership(b, 5 - p):
+        if not in_local(b, p) or in_local(b, 5 - p):
             witness = "{%s}" % ", ".join("%s: %s" % kv for kv in coords.items())
             detail = "one-sided witness %s should lie in the order at %d but not at %d"
             return False, detail % (witness, p, 5 - p)
@@ -231,7 +241,7 @@ def unit_criterion(fx):
             ok = (u * u).is_zero()
         else:
             inv = combo(a, -b, -c, a * a)
-            ok = u * inv == e6 == inv * u and localized_membership(inv, 3) == (a % 3 != 0)
+            ok = u * inv == e6 == inv * u and in_local(inv, 3) == (a % 3 != 0)
         if not ok:
             return False, "criterion fails at (a, b, c) = (%d, %d, %d)" % (a, b, c)
     return (
@@ -249,7 +259,7 @@ def peirce_table(fx):
     for products in fx.peirce_products:
         row = []
         for prod in products:
-            slots = pb.slot_coordinates(prod, d * d)
+            slots = BlockElement.from_ints(*pb.slot_ints(prod, d * d))
             coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
             row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)

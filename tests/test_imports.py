@@ -1,5 +1,6 @@
 """Every name that a module of the package imports is used in that module or
-listed in its __all__, so that an import a deletion leaves behind fails here."""
+listed in its __all__, and every name its __all__ lists is defined there, so
+that an import or an export a deletion leaves behind fails here."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,17 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bisetforge"
+
+
+def exported_names(tree):
+    """The names listed in the module's __all__, empty when it has none."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names += ast.literal_eval(node.value)
+    return names
 
 
 def unused_imports(source):
@@ -20,12 +32,23 @@ def unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(exported_names(tree)))
+
+
+def undefined_exports(source):
+    """The names that source lists in __all__ but does not bind at module
+    level, by a def, a class, an assignment or an import, in listing order."""
+    tree = ast.parse(source)
+    defined = set()
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return sorted(imported - used)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    return [name for name in exported_names(tree) if name not in defined]
 
 
 def test_unused_imports_sees_imports_aliases_and_the_export_list():
@@ -43,3 +66,21 @@ def test_unused_imports_sees_imports_aliases_and_the_export_list():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_of_the_package_is_used_or_exported(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_undefined_exports_sees_defs_classes_assignments_and_imports():
+    source = (
+        "from .linalg import a, b as c\n"
+        "import os.path\n"
+        "X, (Y, Z) = 1, (2, 3)\n"
+        "W: int = 4\n"
+        "def f(): pass\n"
+        "class K: pass\n"
+        "__all__ = ['a', 'b', 'c', 'os', 'X', 'Z', 'W', 'f', 'K', 'gone']\n"
+    )
+    assert undefined_exports(source) == ["b", "gone"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_of_the_package_is_defined(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []

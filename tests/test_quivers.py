@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import fixtures, rings
+from bisetforge import fixtures, quivers, rings
 from bisetforge.blocks import COORD_NAMES, BlockElement
 from bisetforge.orders import (
     CORNER_BASIS_2,
@@ -102,10 +102,11 @@ def test_make_rules_rejects_bad_relations():
     assert make_rules(q, "Q", [doubled])
 
 
-def test_irreducible_paths_detects_unbounded_growth():
+def test_irreducible_paths_detects_unbounded_growth(monkeypatch):
+    monkeypatch.setattr(quivers, "LENGTH_BOUND", 6)
     q = loop_quiver()
     with pytest.raises(PresentationError):
-        irreducible_paths(q, [], length_bound=6)
+        irreducible_paths(q, [])
 
 
 FIXED = (

@@ -359,6 +359,11 @@ def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, capsys, r
     assert product_out.err.startswith("error: cell %s: " % cell)
 
 
+def _pair(b):
+    """The (nums, den) of a BlockElement, as membership receives them."""
+    return list(b.nums), b.den
+
+
 def _shared_basis(pb):
     """A FixtureSet that hands the stages this PeirceBasis."""
     fx = verify.FixtureSet()
@@ -425,13 +430,15 @@ def _fraction_delta_failures(imgs):
 def test_perturbed_delta_image_fails_the_ring_map_with_the_reference_witnesses(
     monkeypatch, image, slot
 ):
-    pb = PeirceBasis.load()
-    imgs = list(orders.delta_images(pb))
+    # a fresh set: int_delta_images and delta_products are derived on first
+    # use, from the installed images
+    fx = verify.FixtureSet()
+    imgs = list(fx.delta_images)
     imgs[image] = imgs[image] + BlockElement.from_coords({slot: 1})
-    monkeypatch.setitem(orders._IMAGES, pb, tuple(imgs))
+    fx.delta_images = imgs
     unit_ok, want = _fraction_delta_failures(imgs)
     assert want or not unit_ok
-    rep = verify.stage_lambda(_shared_basis(pb))
+    rep = verify.stage_lambda(fx)
     check = next(c for c in rep["checks"] if c["name"] == "delta-ring-map")
     assert check["status"] == "fail"
     assert check["detail"] == "fails at %s" % ", ".join(want[:6] or ["the identity"])
@@ -538,10 +545,12 @@ def test_emit_reuses_the_checked_products_and_writes_the_recomputed_table(tmp_pa
     ],
 )
 def test_a_one_sided_witness_in_both_orders_is_named(monkeypatch, coords, p, text):
-    witness = BlockElement.from_coords(coords)
+    witness = _pair(BlockElement.from_coords(coords))
     member = verify.localized_membership
     monkeypatch.setattr(
-        verify, "localized_membership", lambda b, q: (q != p and b == witness) or member(b, q)
+        verify,
+        "localized_membership",
+        lambda nums, den, q: (q != p and (list(nums), den) == witness) or member(nums, den, q),
     )
     rep = verify.stage_local2()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
@@ -591,12 +600,12 @@ def test_each_check_alone_reproduces_its_golden_record(stage, name, check, args,
 
 
 def test_a_column_outside_the_congruences_is_named(monkeypatch):
-    member = verify.lambda_membership_ints
-    identity = list(BlockElement.identity().nums)
+    member = verify.lambda_membership
+    identity = _pair(BlockElement.identity())
     monkeypatch.setattr(
         verify,
-        "lambda_membership_ints",
-        lambda nums, den=1: list(nums) != identity and member(nums, den),
+        "lambda_membership",
+        lambda nums, den=1: (list(nums), den) != identity and member(nums, den),
     )
     rep = verify.stage_lambda()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
@@ -676,10 +685,15 @@ def test_a_doubled_idempotent_names_its_square_and_the_sum(monkeypatch):
 
 
 def test_an_identity_image_off_the_unit_is_named(monkeypatch):
-    gamma = PeirceBasis.gamma
-    monkeypatch.setattr(
-        PeirceBasis, "gamma", lambda pb, b: gamma(pb, b) + BurnsideElement.basis(2)
-    )
+    gamma_ints = PeirceBasis.gamma_ints
+
+    def shifted(pb, nums, den=1):
+        # gamma(b) + BurnsideElement.basis(2), over the denominator of gamma(b)
+        image, d = gamma_ints(pb, nums, den)
+        image[2] += d
+        return image, d
+
+    monkeypatch.setattr(PeirceBasis, "gamma_ints", shifted)
     assert verify._gamma_unit(verify.FixtureSet()) == (
         False,
         "gamma(1) differs from 1 at %s" % BASIS_LABELS[2],
@@ -688,17 +702,25 @@ def test_an_identity_image_off_the_unit_is_named(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_local_idempotent_outside_the_order_is_named(monkeypatch, p):
-    e4 = orders.local_idempotents(p)[3]
+    e4 = _pair(orders.local_idempotents(p)[3])
     member = verify.localized_membership
-    monkeypatch.setattr(verify, "localized_membership", lambda b, q: b != e4 and member(b, q))
+    monkeypatch.setattr(
+        verify,
+        "localized_membership",
+        lambda nums, den, q: (list(nums), den) != e4 and member(nums, den, q),
+    )
     assert verify._idempotents_local(verify.FixtureSet(), p) == (False, "fails: e4 in the order")
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_broken_matrix_unit_is_named(monkeypatch, p):
-    s31 = BlockElement.from_coords({"s31": 1})
+    s31 = _pair(BlockElement.from_coords({"s31": 1}))
     member = verify.localized_membership
-    monkeypatch.setattr(verify, "localized_membership", lambda b, q: b != s31 and member(b, q))
+    monkeypatch.setattr(
+        verify,
+        "localized_membership",
+        lambda nums, den, q: (list(nums), den) != s31 and member(nums, den, q),
+    )
     es = list(orders.local_idempotents(p))
     es[0] = es[1]
     monkeypatch.setattr(verify, "local_idempotents", lambda q: tuple(es))
@@ -944,8 +966,12 @@ def test_a_broken_round_trip_names_its_direction_and_sample(monkeypatch, broken_
 
 def test_a_lattice_without_1_is_named(monkeypatch):
     member = verify.lambda_membership
-    identity = BlockElement.identity()
-    monkeypatch.setattr(verify, "lambda_membership", lambda b: b != identity and member(b))
+    identity = _pair(BlockElement.identity())
+    monkeypatch.setattr(
+        verify,
+        "lambda_membership",
+        lambda nums, den=1: (list(nums), den) != identity and member(nums, den),
+    )
     assert verify._lambda_closed(verify.FixtureSet()) == (
         False,
         "the congruence lattice does not contain 1",
