@@ -257,7 +257,7 @@ class PeirceBasis:
     """
 
     def __init__(self, vectors, table):
-        self.vectors = tuple(tuple(Fraction(c) for c in v) for v in vectors)
+        self.vectors = tuple(map(tuple, vectors))
         self.table = table
         self._elements = {}  # (i, ring) -> element(i, ring), each built once
 

@@ -2,14 +2,15 @@
 to the quiver presentations.
 
 Every check is a function check(fx, *args) -> (ok, detail) on a FixtureSet,
-listed once in the ordered table _CHECKS with its name, its stages and
-whether it needs the structure table.  A stage walks that table and returns
-{"stage", "status", "checks"} with one entry per check; run() strings the
-requested stages together in dependency order.  Checks recompute from
-independent routes wherever a second route exists, and a fixture mismatch
-only passes when errata.json documents it.  When table-dual-route finds that
-the two routes that build the structure table disagree, every check that
-needs the table is skipped, in every stage, with that said in its detail.
+listed once in the ordered table _CHECKS with its name and its stages.  A
+stage walks that table and returns {"stage", "status", "checks"} with one
+entry per check; run() strings the requested stages together in dependency
+order.  Checks recompute from independent routes wherever a second route
+exists, and a fixture mismatch only passes when errata.json documents it.
+When the two routes that build the structure table disagree, table-dual-route
+fails and every check that reads the table is skipped, in every stage, with
+that said in its detail; a check stopped by a singular matrix or by the
+rewriting bound quivers.MAX_STEPS fails with "cannot be checked: ...".
 """
 
 import itertools
@@ -31,9 +32,7 @@ from .bisets import (
     basis_bisets,
     biset_sizes,
     labeled_subgroups,
-    mackey_table,
     match_classes,
-    oracle_table,
     pair_group,
     structure_cells,
     structure_table,
@@ -73,6 +72,7 @@ from .linalg import map_failures, sweep_products, tensor_cells, transpose
 from .quivers import (
     CornerAlgebra,
     Presentation,
+    PresentationError,
     corner_span_problems,
     element_from_terms,
     element_to_terms,
@@ -155,20 +155,15 @@ class FixtureSet:
 
     @cached_property
     def route_diffs(self):
-        """The cells where the orbit and double-coset routes disagree, or the
-        message of structure_table() when it finds a disagreement they do not."""
-        ot, mt = oracle_table(), mackey_table()
-        diffs = _pairs(BASIS_LABELS, lambda i, j: ot[i][j] != mt[i][j])
-        try:
-            structure_table()
-        except TableMismatch as exc:
-            return diffs or [str(exc)]
-        return diffs
+        """The cells where the orbit and double-coset routes disagree."""
+        ot, mt = bisets.oracle_table(), bisets.mackey_table()
+        return _pairs(BASIS_LABELS, lambda i, j: ot[i][j] != mt[i][j])
 
     @cached_property
     def table(self):
-        """The certified structure table, or None when the routes disagree."""
-        return None if self.route_diffs else structure_table()
+        """The certified structure table; TableMismatch when the routes
+        disagree, raised again on each read since nothing is cached then."""
+        return structure_table()
 
     @cached_property
     def delta_images(self):
@@ -979,78 +974,77 @@ def _loop_relation_mod2(fx):
 _PEIRCE, _GAMMA, _LAMBDA, _LOCAL2, _LOCAL3, _PATHS = ({stage: ()} for stage in STAGE_ORDER)
 _LOCAL = {"local2": (2,), "local3": (3,)}
 
-# Every check once, in report order: (name, {stage: args}, check, whether it
-# needs the structure table).  In each of its stages the check is run as
-# check(fx, *args), and a %d in the name takes the args.
+# Every check once, in report order: (name, {stage: args}, check).  In each
+# of its stages the check is run as check(fx, *args), and a %d in the name
+# takes the args.
 _CHECKS = (
-    ("subgroup-classes", _PEIRCE, _subgroup_classes, False),
-    ("biset-sizes", _PEIRCE, _biset_sizes, False),
-    ("table-dual-route", _PEIRCE, _table_dual_route, False),
-    ("table-mass", _PEIRCE, _table_mass, True),
-    ("identity", _PEIRCE, _identity, True),
-    ("associativity", _PEIRCE, _associativity, True),
-    ("idempotents", _PEIRCE, _idempotents, True),
-    ("peirce-products", _PEIRCE, _peirce_products, True),
-    ("eps3-central", _PEIRCE, _eps3_central, True),
-    ("gamma-bijective", _GAMMA, _gamma_bijective, False),
-    ("gamma-unit", _GAMMA, _gamma_unit, False),
-    ("gamma-multiplicative", _GAMMA, _gamma_multiplicative, True),
-    ("gamma-roundtrip", _GAMMA, _gamma_roundtrip, False),
-    ("delta-integral", _LAMBDA, _delta_integral, False),
-    ("delta-ring-map", _LAMBDA, _delta_ring_map, True),
-    ("matrix-fixture", _LAMBDA, _matrix_fixture, False),
-    ("stated-column-listing", _LAMBDA, _stated_column_listing, False),
-    ("columns-satisfy-congruences", _LAMBDA, _columns_satisfy_congruences, False),
-    ("congruences-match-mod24-rows", _LAMBDA, _congruences_match_mod24_rows, False),
-    ("full-rank", _LAMBDA, _full_rank, False),
-    ("24-inverse-integral", _LAMBDA, _inverse_24_integral, False),
-    ("lattice-equality", _LAMBDA, _lattice_equality, False),
-    ("index-matches-determinant", _LAMBDA, _index_matches_determinant, False),
-    ("lambda-closed", _LAMBDA, _lambda_closed, False),
-    ("membership-splits", _LOCAL2, _membership_splits, False),
-    ("idempotents-local%d", _LOCAL, _idempotents_local, False),
-    ("matrix-part-corners", _LOCAL, _matrix_part_corners, False),
-    ("morita-witnesses", _LOCAL, _morita_witnesses, False),
-    ("gamma-corner-span", _LOCAL2, _gamma_corner_span, False),
-    ("gamma-corner-table", _LOCAL2, _gamma_corner_table, False),
-    ("radical-ideal", _LOCAL2, _radical_ideal, False),
-    ("radical-cube", _LOCAL2, _radical_cube, False),
-    ("residue-field", _LOCAL2, _residue_field, False),
-    ("basic-corner-span", _LOCAL, _basic_corner_span, False),
-    ("corner-identities", _LOCAL, _corner_identities, False),
-    ("loop-corner-span", _LOCAL3, _loop_corner_span, False),
-    ("loop-corner-law", _LOCAL3, _loop_corner_law, False),
-    ("unit-criterion", _LOCAL3, _unit_criterion, False),
-    ("rational-corner-table", _PATHS, _rational_corner_table, False),
-    ("presentation-q_corner", {"paths": ("q_corner",)}, _presentation, False),
-    ("presentation-z2_corner", {"paths": ("z2_corner",)}, _presentation, False),
-    ("presentation-z2_corner-mod2", {"paths": ("z2_corner", 2)}, _presentation_mod, False),
-    ("loop-relation-mod2", _PATHS, _loop_relation_mod2, False),
-    ("presentation-z3_corner", {"paths": ("z3_corner",)}, _presentation, False),
-    ("presentation-z3_corner-mod3", {"paths": ("z3_corner", 3)}, _presentation_mod, False),
+    ("subgroup-classes", _PEIRCE, _subgroup_classes),
+    ("biset-sizes", _PEIRCE, _biset_sizes),
+    ("table-dual-route", _PEIRCE, _table_dual_route),
+    ("table-mass", _PEIRCE, _table_mass),
+    ("identity", _PEIRCE, _identity),
+    ("associativity", _PEIRCE, _associativity),
+    ("idempotents", _PEIRCE, _idempotents),
+    ("peirce-products", _PEIRCE, _peirce_products),
+    ("eps3-central", _PEIRCE, _eps3_central),
+    ("gamma-bijective", _GAMMA, _gamma_bijective),
+    ("gamma-unit", _GAMMA, _gamma_unit),
+    ("gamma-multiplicative", _GAMMA, _gamma_multiplicative),
+    ("gamma-roundtrip", _GAMMA, _gamma_roundtrip),
+    ("delta-integral", _LAMBDA, _delta_integral),
+    ("delta-ring-map", _LAMBDA, _delta_ring_map),
+    ("matrix-fixture", _LAMBDA, _matrix_fixture),
+    ("stated-column-listing", _LAMBDA, _stated_column_listing),
+    ("columns-satisfy-congruences", _LAMBDA, _columns_satisfy_congruences),
+    ("congruences-match-mod24-rows", _LAMBDA, _congruences_match_mod24_rows),
+    ("full-rank", _LAMBDA, _full_rank),
+    ("24-inverse-integral", _LAMBDA, _inverse_24_integral),
+    ("lattice-equality", _LAMBDA, _lattice_equality),
+    ("index-matches-determinant", _LAMBDA, _index_matches_determinant),
+    ("lambda-closed", _LAMBDA, _lambda_closed),
+    ("membership-splits", _LOCAL2, _membership_splits),
+    ("idempotents-local%d", _LOCAL, _idempotents_local),
+    ("matrix-part-corners", _LOCAL, _matrix_part_corners),
+    ("morita-witnesses", _LOCAL, _morita_witnesses),
+    ("gamma-corner-span", _LOCAL2, _gamma_corner_span),
+    ("gamma-corner-table", _LOCAL2, _gamma_corner_table),
+    ("radical-ideal", _LOCAL2, _radical_ideal),
+    ("radical-cube", _LOCAL2, _radical_cube),
+    ("residue-field", _LOCAL2, _residue_field),
+    ("basic-corner-span", _LOCAL, _basic_corner_span),
+    ("corner-identities", _LOCAL, _corner_identities),
+    ("loop-corner-span", _LOCAL3, _loop_corner_span),
+    ("loop-corner-law", _LOCAL3, _loop_corner_law),
+    ("unit-criterion", _LOCAL3, _unit_criterion),
+    ("rational-corner-table", _PATHS, _rational_corner_table),
+    ("presentation-q_corner", {"paths": ("q_corner",)}, _presentation),
+    ("presentation-z2_corner", {"paths": ("z2_corner",)}, _presentation),
+    ("presentation-z2_corner-mod2", {"paths": ("z2_corner", 2)}, _presentation_mod),
+    ("loop-relation-mod2", _PATHS, _loop_relation_mod2),
+    ("presentation-z3_corner", {"paths": ("z3_corner",)}, _presentation),
+    ("presentation-z3_corner-mod3", {"paths": ("z3_corner", 3)}, _presentation_mod),
 )
 
 
 def _stage_checks(stage):
-    """(name, check, args, needs_table) for each check of stage, in order."""
-    for name, stages, check, needs_table in _CHECKS:
+    """(name, check, args) for each check of stage, in order."""
+    for name, stages, check in _CHECKS:
         if stage in stages:
             args = stages[stage]
-            yield (name % args if "%" in name else name), check, args, needs_table
+            yield (name % args if "%" in name else name), check, args
 
 
 def _run_stage(stage, fixture_dir):
     fx = _fixture_set(fixture_dir)
     checks = []
-    for name, check, args, needs_table in _stage_checks(stage):
-        if needs_table and fx.table is None:
-            status, detail = "skip", "skipped: the structure-table routes disagree"
-        else:
-            try:
-                ok, detail = check(fx, *args)
-            except SingularMatrixError as exc:  # such as gamma^-1 of a dependent Peirce basis
-                ok, detail = False, "cannot be checked: %s" % exc
+    for name, check, args in _stage_checks(stage):
+        try:
+            ok, detail = check(fx, *args)
             status = "pass" if ok else "fail"
+        except TableMismatch:  # the check reads the structure table
+            status, detail = "skip", "skipped: the structure-table routes disagree"
+        except (SingularMatrixError, PresentationError) as exc:  # no gamma^-1; MAX_STEPS passed
+            status, detail = "fail", "cannot be checked: %s" % exc
         checks.append({"name": name, "status": status, "detail": detail})
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {"stage": stage, "status": status, "checks": checks}

@@ -5,6 +5,7 @@ perturbations of the data it reads."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -192,7 +193,15 @@ def test_verify_and_emit_build_no_element_per_sample(monkeypatch, tmp_path):
         return run
 
     monkeypatch.setattr(StructureElement, "_new", classmethod(counting))
-    checks = tuple((n, s, named(n, c), t) for n, s, c, t in verify._CHECKS)
+    fractions = [0]
+    new_fraction = Fraction.__new__
+
+    def counting_fraction(cls, *args, **kwargs):
+        fractions[0] += 1
+        return new_fraction(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_fraction))
+    checks = tuple((n, s, named(n, c)) for n, s, c in verify._CHECKS)
     monkeypatch.setattr(verify, "_CHECKS", checks)
     fx = verify.FixtureSet()
     assert verify.run(fixture_dir=fx)["status"] == "pass"
@@ -208,3 +217,5 @@ def test_verify_and_emit_build_no_element_per_sample(monkeypatch, tmp_path):
     }
     assert {k: built.get(k, 0) for k in bounds} == bounds
     assert sum(built.values()) < 3000
+    # 602 Fractions; 1,086 when PeirceBasis rebuilt every coefficient as one
+    assert fractions[0] < 700

@@ -306,24 +306,22 @@ def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, capsys, r
     table[i][j] = (table[i][j][0] + 1,) + table[i][j][1:]
     perturbed = tuple(map(tuple, table))
     cell = "(%s, %s)" % (bisets.BASIS_LABELS[i], bisets.BASIS_LABELS[j])
-    bisets.structure_table.cache_clear()
+    _clear_table_caches()
     try:
         with monkeypatch.context() as m:
             m.setattr(bisets, route, lambda: perturbed)
             with pytest.raises(bisets.TableMismatch) as exc:
                 bisets.structure_table()
+            rep = verify.stage_peirce()
     finally:
-        bisets.structure_table.cache_clear()
+        _clear_table_caches()
     assert str(exc.value).startswith("cell %s: " % cell)
     assert repr(perturbed[i][j]) in str(exc.value)
-    monkeypatch.setattr(verify, route, lambda: perturbed)
-    rep = verify.stage_peirce()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
     assert failing == {"table-dual-route": "routes disagree at %s" % cell}
-    monkeypatch.undo()
 
-    # through bisets, as a real disagreement would arrive: the CLI reports the
-    # failed check, skips what needs the table, and exits 1 with no traceback
+    # through the CLI: it reports the failed check, skips what reads the table
+    # and exits 1 with no traceback, and mult refuses the product
     _clear_table_caches()
     try:
         with monkeypatch.context() as m:
@@ -338,7 +336,7 @@ def test_perturbed_table_route_fails_the_dual_route_check(monkeypatch, capsys, r
         _clear_table_caches()
     assert code == 1 and out.err == ""
     lines = out.out.splitlines()
-    assert lines[2].startswith("FAIL peirce/table-dual-route: routes disagree at cell %s: " % cell)
+    assert lines[2] == "FAIL peirce/table-dual-route: routes disagree at %s" % cell
     skipped = ["table-mass", "identity", "associativity", "idempotents", "peirce-products", "eps3-central"]
     assert lines[3:-1] == [
         "SKIP peirce/%s: skipped: the structure-table routes disagree" % name for name in skipped
@@ -563,8 +561,13 @@ def test_a_one_sided_witness_in_both_orders_is_named(monkeypatch, coords, p, tex
 def test_a_route_disagreement_skips_the_table_checks_in_every_stage(monkeypatch):
     table = [list(row) for row in bisets.mackey_table()]
     table[1][2] = (table[1][2][0] + 1,) + table[1][2][1:]
-    monkeypatch.setattr(verify, "mackey_table", lambda: tuple(map(tuple, table)))
-    rep = verify.run()
+    _clear_table_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(bisets, "mackey_table", lambda: tuple(map(tuple, table)))
+            rep = verify.run()
+    finally:
+        _clear_table_caches()
     status = {(s["stage"], c["name"]): c["status"] for s in rep["stages"] for c in s["checks"]}
     assert rep["status"] == "fail"
     assert [k for k, v in status.items() if v == "fail"] == [("peirce", "table-dual-route")]
@@ -576,13 +579,38 @@ def test_a_route_disagreement_skips_the_table_checks_in_every_stage(monkeypatch)
     ]
 
 
+def test_a_new_check_that_reads_the_table_is_skipped_with_no_flag(monkeypatch):
+    # the skip comes from structure_table() raising, not from the check's row
+    monkeypatch.setattr(
+        verify,
+        "_CHECKS",
+        verify._CHECKS + (("reads-table", {"lambda": ()}, lambda fx: (bool(fx.table), "read")),),
+    )
+    assert verify.stage_lambda()["checks"][-1] == {
+        "name": "reads-table", "status": "pass", "detail": "read"
+    }
+    table = [list(row) for row in bisets.mackey_table()]
+    table[1][2] = (table[1][2][0] + 1,) + table[1][2][1:]
+    _clear_table_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(bisets, "mackey_table", lambda: tuple(map(tuple, table)))
+            rep = verify.stage_lambda()
+    finally:
+        _clear_table_caches()
+    skip = {"status": "skip", "detail": "skipped: the structure-table routes disagree"}
+    assert [c for c in rep["checks"] if c["status"] != "pass"] == [
+        {"name": name, **skip} for name in ("delta-ring-map", "reads-table")
+    ]
+
+
 GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench/golden/verify_report.json"
 GOLDEN = {
     (s["stage"], c["name"]): c
     for s in json.loads(GOLDEN_REPORT.read_text())["stages"]
     for c in s["checks"]
 }
-# (stage, name, check, args, needs_table) of every check, in report order
+# (stage, name, check, args) of every check, in report order
 REGISTERED = [(s, *entry) for s in verify.STAGE_ORDER for entry in verify._stage_checks(s)]
 
 
@@ -591,12 +619,28 @@ def test_the_check_table_lists_the_golden_checks_in_report_order():
 
 
 @pytest.mark.parametrize(
-    "stage, name, check, args, needs_table", REGISTERED, ids=["%s/%s" % r[:2] for r in REGISTERED]
+    "stage, name, check, args", REGISTERED, ids=["%s/%s" % r[:2] for r in REGISTERED]
 )
-def test_each_check_alone_reproduces_its_golden_record(stage, name, check, args, needs_table):
+def test_each_check_alone_reproduces_its_golden_record(stage, name, check, args):
     ok, detail = check(verify.FixtureSet(), *args)
     record = {"name": name, "status": "pass" if ok else "fail", "detail": detail}
     assert record == GOLDEN[stage, name]
+
+
+def test_the_rewriting_bound_fails_two_checks_with_no_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(quivers, "MAX_STEPS", 1)
+    assert cli.main(["verify", "--json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    records = {
+        (s["stage"], c["name"]): c for s in json.loads(out.out)["stages"] for c in s["checks"]
+    }
+    assert list(records) == list(GOLDEN)
+    stopped = "cannot be checked: no normal form within 1 steps"
+    assert {key: c for key, c in records.items() if c["status"] != "pass"} == {
+        ("paths", name): {"name": name, "status": "fail", "detail": stopped}
+        for name in ("presentation-z2_corner", "presentation-z2_corner-mod2")
+    }
 
 
 def test_a_column_outside_the_congruences_is_named(monkeypatch):
