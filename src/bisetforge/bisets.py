@@ -35,8 +35,10 @@ Both routes run on integer indices.  The pair (S3.elements[a],
 S3.elements[b]) has index 6a + b, its position in PAIRS, and a subgroup of
 GxH <= S3xS3 is the 36-bit mask of its pair indices.  A biset is an action
 table, a dict from the pairs (g, h) of positions of GxH to the images of
-the points.  _index_tables() and _hom(G, H) build the index tables on first
-use, not at import.
+the points.  The index tables are those of perms, taken on first use, not
+at import: S3._table() and pair_group()._table() give the products and
+inverses, and their generated() closes the sections and the representatives
+of B(S3,S3); _hom(G, H) adds the pair indices and the classes of a hom-set.
 
 Every product on the 22-class basis runs on the verified table, derived
 once from structure_table() in two sparse forms: structure_tensor(), for
@@ -74,7 +76,7 @@ from functools import lru_cache, wraps
 
 from . import rings
 from .linalg import StructureElement, tensor_cells
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, _bits
 
 S3_ID = Perm.identity(3)
 S3_A = Perm((1, 0, 2))
@@ -84,11 +86,9 @@ _ONE = S3.elements.index(S3_ID)
 
 SECTIONS = {"1": (), "C2": (S3_A,), "C3": (S3_B,), "S3": (S3_A, S3_B)}
 
+# The pair-index layout: PAIRS[6a + b] == (S3.elements[a], S3.elements[b]),
+# the order in which pair_group() sorts its elements.
 PAIRS = tuple(itertools.product(S3.elements, S3.elements))
-# The one place that fixes the pair-index layout: x = _PAIR[a][b] = 6a + b
-# and _SPLIT[x] == (a, b) for PAIRS[x] == (S3.elements[a], S3.elements[b]).
-_PAIR = tuple(tuple(6 * a + b for b in range(6)) for a in range(6))
-_SPLIT = tuple(divmod(x, 6) for x in range(36))
 
 
 # Basis order and the generators of one representative subgroup per class.
@@ -141,7 +141,7 @@ def _hom_cache(f):
 @_hom_cache
 def subgroup_reps(G="S3", H="S3"):
     """The representative subgroups of B(G,H) in basis order, as frozensets of pairs."""
-    return tuple(frozenset(PAIRS[x] for x in _members(mask)) for mask in _hom(G, H).masks)
+    return tuple(frozenset(PAIRS[x] for x in _bits(mask)) for mask in _hom(G, H).masks)
 
 
 @_hom_cache
@@ -155,8 +155,10 @@ def embed_pair(a, b):
     return Perm(tuple(a.images) + tuple(3 + i for i in b.images))
 
 
+@lru_cache(maxsize=1)
 def pair_group():
-    """S3xS3 at degree 6, the factors acting on {0,1,2} and {3,4,5}."""
+    """S3xS3 at degree 6, the factors acting on {0,1,2} and {3,4,5}, built
+    once per process; elements[6a + b] is embed_pair(*PAIRS[6a + b])."""
     gens = [embed_pair(p, S3_ID) for p in S3.generators]
     gens += [embed_pair(S3_ID, p) for p in S3.generators]
     return PermGroup(6, gens)
@@ -189,39 +191,24 @@ def match_classes(group, references):
     return classes, assignment
 
 
-def _members(mask):
-    return [x for x in range(len(PAIRS)) if mask >> x & 1]
-
-
-def _closure(mul, one, gens):
-    """The sorted elements generated by gens under mul, identity one."""
-    elems = frontier = {one}
-    while frontier:
-        frontier = {mul[x][g] for x in frontier for g in gens} - elems
-        elems = elems | frontier
-    return tuple(sorted(elems))
-
-
 _IndexTables = namedtuple("_IndexTables", "mul inv pair_mul pair_inv sections reps")
 _Hom = namedtuple("_Hom", "left right pairs bits masks class_of")
 
 
 @lru_cache(maxsize=1)
 def _index_tables():
-    """Built on first use: S3 on its positions (mul, inv), S3xS3 on pair indices
-    (pair_mul, pair_inv), each section by its positions, and the masks of the
-    representatives of B(S3,S3) closed from SUBGROUP_GENERATORS."""
-    els = S3.elements
-    mul = tuple(tuple(els.index(g * h) for h in els) for g in els)
-    inv = tuple(row.index(_ONE) for row in mul)
-    pmul = tuple(tuple(_PAIR[mul[a][c]][mul[b][d]] for c, d in _SPLIT) for a, b in _SPLIT)
-    pinv = tuple(_PAIR[inv[a]][inv[b]] for a, b in _SPLIT)
-    sections = {n: _closure(mul, _ONE, [els.index(g) for g in gs]) for n, gs in SECTIONS.items()}
+    """S3 on its positions (mul, inv), pair_group() on pair indices (pair_mul,
+    pair_inv), the sections by positions and the representatives' masks."""
+    s3, pairs = S3._table(), pair_group()._table()
+    sections = {
+        n: tuple(sorted(s3.generated([s3.index[g.images] for g in gs])))
+        for n, gs in SECTIONS.items()
+    }
     reps = tuple(
-        sum(1 << x for x in _closure(pmul, _PAIR[_ONE][_ONE], [PAIRS.index(g) for g in gens]))
+        pairs.mask_of(pairs.generated([PAIRS.index(g) for g in gens]))
         for gens in SUBGROUP_GENERATORS
     )
-    return _IndexTables(mul, inv, pmul, pinv, sections, reps)
+    return _IndexTables(s3.mul, s3.inv, pairs.mul, pairs.inv, sections, reps)
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +221,8 @@ def _hom(G, H):
     inside it, in the order of the classes of S3xS3."""
     _, _, pmul, pinv, sections, reps = _index_tables()
     left, right = sections[G], sections[H]
-    pairs = tuple(_PAIR[g][h] for g in left for h in right)
-    bits = tuple(tuple(1 << _PAIR[g][h] for h in right) for g in left)
+    pairs = tuple(6 * g + h for g in left for h in right)
+    bits = tuple(tuple(1 << 6 * g + h for h in right) for g in left)
     candidates = reps
     if (G, H) != ("S3", "S3"):
         inside = sum(1 << x for x in pairs)
@@ -243,7 +230,7 @@ def _hom(G, H):
     masks, class_of = [], {}
     for mask in candidates:
         if mask not in class_of:
-            members = _members(mask)
+            members = _bits(mask)
             for g in pairs:
                 gi = pinv[g]
                 class_of.setdefault(sum(1 << pmul[pmul[g][u]][gi] for u in members), len(masks))
@@ -255,7 +242,7 @@ def transitive_biset(U, G="S3", H="S3"):
     """The coset biset (GxH)/U, U a subgroup of GxH given as a mask of pair
     indices, as its action table; cosets are numbered by their least pairs."""
     pmul, pairs = _index_tables().pair_mul, _hom(G, H).pairs
-    members = _members(U)
+    members = _bits(U)
     index_of = [-1] * len(PAIRS)
     reps = []
     for x in pairs:
@@ -263,7 +250,7 @@ def transitive_biset(U, G="S3", H="S3"):
             for u in members:
                 index_of[pmul[x][u]] = len(reps)
             reps.append(x)
-    return {_SPLIT[g]: tuple(index_of[pmul[g][r]] for r in reps) for g in pairs}
+    return {divmod(g, 6): tuple(index_of[pmul[g][r]] for r in reps) for g in pairs}
 
 
 def classify_subgroup(mask, G="S3", H="S3"):
@@ -333,7 +320,7 @@ def _star(U, W):
     by_mid = {}
     for b, c in W:
         by_mid.setdefault(b, []).append(c)
-    return sum({1 << _PAIR[a][c] for a, b in U for c in by_mid.get(b, ())})
+    return sum({1 << 6 * a + c for a, b in U for c in by_mid.get(b, ())})
 
 
 @_hom_cache
@@ -347,7 +334,7 @@ def mackey_table(*sections):
     G, H, K = sections or ("S3",) * 3
     t = _index_tables()
     mul, inv, hs = t.mul, t.inv, t.sections[H]
-    us, vs = ([[_SPLIT[x] for x in _members(m)] for m in _hom(*s).masks] for s in ((G, H), (H, K)))
+    us, vs = ([[divmod(x, 6) for x in _bits(m)] for m in _hom(*s).masks] for s in ((G, H), (H, K)))
     conjugates = [{h: [(mul[mul[h][v1]][inv[h]], v2) for v1, v2 in V] for h in hs} for V in vs]
     p2 = [frozenset(u2 for _, u2 in U) for U in us]
     p1 = [frozenset(v1 for v1, _ in V) for V in vs]

@@ -66,9 +66,15 @@ def load_presentation(name, override=None):
     return load_json("presentations/%s.json" % name, override)
 
 
+# The prose keys an errata entry may omit; the "" default stands in for one
+# that is missing, so only a present key must hold a string.
+_ERRATA_PROSE = {"finding": "", "affects": "", "resolution": ""}
+
+
 def load_errata(override=None):
     """The entries of errata.json, a list of objects with string "fixture"
-    and "id" keys; [] if there is no file."""
+    and "id" keys and, where present, string "finding", "affects" and
+    "resolution" prose; [] if there is no file."""
     try:
         entries = load_json("errata.json", override)
     except FileNotFoundError:
@@ -78,7 +84,7 @@ def load_errata(override=None):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError("errata.json:[%d]: expected an object" % i)
-        for key in ("fixture", "id"):
-            if not isinstance(entry.get(key), str):
+        for key in ("fixture", "id", *_ERRATA_PROSE):
+            if not isinstance(entry.get(key, _ERRATA_PROSE.get(key)), str):
                 raise ValueError("errata.json:[%d].%s: expected a string" % (i, key))
     return entries

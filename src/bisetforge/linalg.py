@@ -81,6 +81,7 @@ __all__ = [
     "det_inverse",
     "int_inverse",
     "common_denominator",
+    "rows_over_lcm",
     "det_bareiss",
     "hnf_rows",
     "smith_normal_form",
@@ -267,6 +268,13 @@ def common_denominator(values):
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
     return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def rows_over_lcm(elems):
+    """(rows, d) with elems[i] == rows[i] / d, d the lcm of the denominators
+    of the elements, each holding its integer numerators nums over den."""
+    d = math.lcm(*(e.den for e in elems))
+    return [[x * (d // e.den) for x in e.nums] for e in elems], d
 
 
 def _int_rows(A):

@@ -323,6 +323,14 @@ class _Tables:
                     reps.append(t)
         return out, flags
 
+    def generated(self, gens):
+        """The element indices of the subgroup that the indices gens
+        generate, joined in one generator at a time."""
+        elems = [0]
+        for k, g in enumerate(gens):
+            elems = self.join(elems, gens[:k], g)[0]
+        return elems
+
     def orbit(self, mask):
         """The conjugates of subgroup mask in the group, mask first."""
         orbit, seen = [mask], {mask}

@@ -11,12 +11,11 @@ rewriting system.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import rings
 from .blocks import COORD_NAMES, BlockElement
-from .linalg import LocalLattice, det_bareiss, hnf_rows
+from .linalg import LocalLattice, det_bareiss, hnf_rows, rows_over_lcm
 
 
 class PresentationError(Exception):
@@ -275,8 +274,7 @@ class CornerAlgebra:
         self.by_label = dict(zip(self.labels, self.elements))
         if len(self.by_label) != len(self.labels):
             raise ValueError("repeated basis label")
-        self._b = math.lcm(*(e.den for e in self.elements))
-        self._rows = [[x * (self._b // e.den) for x in e.nums] for e in self.elements]
+        self._rows, self._b = rows_over_lcm(self.elements)
         echelon = hnf_rows(self._rows)
         if len(echelon) < len(self._rows):
             raise ValueError("basis elements are linearly dependent")
@@ -306,8 +304,7 @@ class CornerAlgebra:
         """det T for the rank() blocks of the span with blocks_k =
         sum_j T_kj basis_j, as det(blocks_P) / det(basis_P) on the pivot
         columns P, where blocks_P = T.basis_P."""
-        d = math.lcm(*(e.den for e in blocks))
-        rows = [[x * (d // e.den) for x in e.nums] for e in blocks]
+        rows, d = rows_over_lcm(blocks)
         P = self._pivots
         num, den = (det_bareiss([[r[j] for j in P] for r in m]) for m in (rows, self._rows))
         return Fraction(num * self._b ** len(rows), den * d ** len(rows))
@@ -402,8 +399,9 @@ class Presentation:
 
 def element_from_terms(quiver, ring, terms, where="terms"):
     """The element of [[coefficient, source, [arrows]], ...], each coefficient
-    a text or an int; a term that is malformed or whose coefficient is not in
-    the ring raises ValueError naming its JSON path below where."""
+    a text or an int; a term that is malformed, whose coefficient is not in
+    the ring or whose path is longer than LENGTH_BOUND raises ValueError
+    naming its JSON path below where, before any rewriting."""
     if not isinstance(terms, list):
         raise ValueError("%s: expected a list of terms" % where)
     out = {}
@@ -413,6 +411,10 @@ def element_from_terms(quiver, ring, terms, where="terms"):
             if not isinstance(coeff, (str, int)) or isinstance(coeff, bool):
                 raise ValueError("coefficient %r is not a string or an integer" % (coeff,))
             path = quiver.path(src, arrows)
+            if len(path[1]) > LENGTH_BOUND:
+                raise ValueError(
+                    "path of length %d exceeds the bound %d" % (len(path[1]), LENGTH_BOUND)
+                )
             c = rings.normalize(ring, rings.parse_fraction(coeff))
         except (TypeError, ValueError) as exc:
             raise ValueError("%s[%d]: %s" % (where, k, exc)) from None

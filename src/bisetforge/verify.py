@@ -68,7 +68,7 @@ from .orders import (
     representation_matrix,
 )
 from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors, hnf_rows
-from .linalg import map_failures, sweep_products, tensor_cells, transpose
+from .linalg import map_failures, rows_over_lcm, sweep_products, tensor_cells, transpose
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -178,8 +178,7 @@ class FixtureSet:
     @cached_property
     def int_delta_images(self):
         """(rows, D): the delta images are rows[i] / D, over their lcm D."""
-        D = math.lcm(*(b.den for b in self.delta_images))
-        return [[a * (D // b.den) for a in b.nums] for b in self.delta_images], D
+        return rows_over_lcm(self.delta_images)
 
     @cached_property
     def delta_products(self):

@@ -766,6 +766,21 @@ def _set_image(key, value):
             "presentations/z2_corner.json:long_kernel[0]: zero lies in every kernel",
         ),
         (
+            "q_corner", lambda d: d["relations"][0][0][2].extend(d["relations"][0][0][2] * 8),
+            "presentations/q_corner.json:relations[0][0]: path of length 18 exceeds the bound 8",
+        ),
+        (
+            # 8,000 loops t7 at e5, refused as read: rewriting them takes minutes
+            "z2_corner", lambda d: d["long_kernel"].__setitem__(0, [["1", "e5", ["t7"] * 8000]]),
+            "presentations/z2_corner.json:long_kernel[0][0]: path of length 8000 exceeds the "
+            "bound 8",
+        ),
+        (
+            "z2_corner", lambda d: d["mod_p"]["relations"][0][0][2].extend(["t2", "t1"] * 4),
+            "presentations/z2_corner.json:mod_p.relations[0][0]: path of length 10 exceeds the "
+            "bound 8",
+        ),
+        (
             "q_corner", lambda d: d["vertices"].__setitem__(1, 1),
             "presentations/q_corner.json:vertices[1]: expected a new vertex name, got 1",
         ),
@@ -782,7 +797,8 @@ def _set_image(key, value):
         "relation-1/3-in-Z3", "kernel-coefficient", "mod-p-coefficient", "unknown-vertex",
         "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
         "ring", "bool-coefficient", "null-coefficient", "float-coefficient",
-        "float-mod-p-coefficient", "zero-kernel-element", "int-vertex", "null-vertex",
+        "float-mod-p-coefficient", "zero-kernel-element", "long-relation-path",
+        "long-kernel-path", "long-mod-p-relation-path", "int-vertex", "null-vertex",
         "repeated-vertex",
     ],
 )
@@ -1018,8 +1034,23 @@ def test_malformed_peirce_coefficients_exit_2_naming_the_path(capsys, tmp_path, 
         ("[{}]\n", "error: errata.json:[0].fixture: expected a string"),
         ('[{"fixture": "delta_matrix.json"}]\n', "error: errata.json:[0].id: expected a string"),
         ('[{"fixture": 1, "id": "x"}]\n', "error: errata.json:[0].fixture: expected a string"),
+        (
+            '[{"fixture": "x", "id": "y"}, {"fixture": "x", "id": "z", "finding": 1}]\n',
+            "error: errata.json:[1].finding: expected a string",
+        ),
+        (
+            '[{"fixture": "x", "id": "y", "affects": ["column labels"]}]\n',
+            "error: errata.json:[0].affects: expected a string",
+        ),
+        (
+            '[{"fixture": "x", "id": "y", "resolution": null}]\n',
+            "error: errata.json:[0].resolution: expected a string",
+        ),
     ],
-    ids=["entry-int", "object", "entry-empty", "entry-without-id", "fixture-not-a-string"],
+    ids=[
+        "entry-int", "object", "entry-empty", "entry-without-id", "fixture-not-a-string",
+        "finding-not-a-string", "affects-not-a-string", "resolution-not-a-string",
+    ],
 )
 def test_malformed_errata_exit_2(capsys, tmp_path, text, message):
     dst = _replaced_fixture(tmp_path, "errata.json", text)

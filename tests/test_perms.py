@@ -8,6 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bisetforge
+from bisetforge.bisets import (
+    PAIRS,
+    S3,
+    SECTIONS,
+    SUBGROUP_GENERATORS,
+    _index_tables,
+    embed_pair,
+    pair_group,
+)
 from bisetforge.perms import (
     Perm,
     PermGroup,
@@ -17,7 +26,6 @@ from bisetforge.perms import (
     cyclic_group,
     symmetric_group,
 )
-from bisetforge.verify import pair_group
 
 perms4 = st.permutations(list(range(4))).map(lambda im: Perm(tuple(im)))
 
@@ -320,6 +328,37 @@ def _assert_tables_match_composition(G):
 @given(small_groups())
 def test_tables_match_direct_composition(G):
     _assert_tables_match_composition(G)
+
+
+def test_biset_index_tables_match_direct_composition():
+    # the guard of the tables that the Mackey route, the orbit route and
+    # subgroup-classes share: bisets takes them from perms' _Tables, so they
+    # are rebuilt here from PAIRS and S3.elements with Perm.__mul__ alone
+    els = S3.elements
+    assert all(
+        pair_group().elements[6 * a + b] == embed_pair(els[a], els[b])
+        for a in range(6)
+        for b in range(6)
+    )
+    pos, pair_pos = {g: i for i, g in enumerate(els)}, {p: x for x, p in enumerate(PAIRS)}
+    t = _index_tables()
+    assert [list(row) for row in t.mul] == [[pos[g * h] for h in els] for g in els]
+    assert list(t.inv) == [pos[g.inverse()] for g in els]
+    assert [list(row) for row in t.pair_mul] == [
+        [pair_pos[a * c, b * d] for c, d in PAIRS] for a, b in PAIRS
+    ]
+    assert list(t.pair_inv) == [pair_pos[a.inverse(), b.inverse()] for a, b in PAIRS]
+    assert t.sections == {
+        name: tuple(sorted(pos[g] for g in _ref_close(3, gens)))
+        for name, gens in SECTIONS.items()
+    }
+    # a pair (a, b) closes as the permutation acting as a on {0,1,2}, b on {3,4,5}
+    joined = {x: Perm(a.images + tuple(3 + i for i in b.images)) for x, (a, b) in enumerate(PAIRS)}
+    split = {p: x for x, p in joined.items()}
+    assert list(t.reps) == [
+        sum(1 << split[p] for p in _ref_close(6, [joined[pair_pos[g]] for g in gens]))
+        for gens in SUBGROUP_GENERATORS
+    ]
 
 
 @pytest.mark.parametrize(

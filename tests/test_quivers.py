@@ -66,6 +66,14 @@ def test_path_coefficients_must_lie_in_the_ring():
         element_from_terms(q, "Z", [["1", "p", ["a"]], ["1/2", "q", ["b"]]])
 
 
+def test_a_path_longer_than_the_bound_is_refused_as_it_is_read():
+    q = loop_quiver()
+    at_bound = ["a", "b"] * (quivers.LENGTH_BOUND // 2)
+    assert len(element_from_terms(q, "Z", [["1", "p", at_bound]]).terms) == 1
+    with pytest.raises(ValueError, match=r"^terms\[1\]: path of length 9 exceeds the bound 8$"):
+        element_from_terms(q, "Z", [["1", "p", []], ["1", "p", at_bound + ["a"]]])
+
+
 def test_a_float_path_coefficient_is_refused():
     q = loop_quiver()
     path = q.path("p", ("a",))
