@@ -176,13 +176,13 @@ def labeled_subgroups():
 
 
 def match_classes(group, references):
-    """(classes, assignment): the (representative, member masks) classes of
-    subgroups of group and, for each, the least index of a reference conjugate
-    to its members, or None.  A class lists its whole conjugation orbit, so a
+    """(classes, assignment): the classes of subgroups of group, each as its
+    member masks, and for each the least index of a reference conjugate to its
+    members, or None.  A class lists its whole conjugation orbit, so a
     reference is conjugate to its members exactly when its mask is one of
     theirs; a reference outside group has no mask and no class."""
     classes = group.conjugacy_classes_of_subgroups()
-    class_of = {m: ci for ci, (_, members) in enumerate(classes) for m in members}
+    class_of = {m: ci for ci, members in enumerate(classes) for m in members}
     assignment = [None] * len(classes)
     for ri, ref in enumerate(references):
         ci = class_of.get(group.subgroup_mask(ref))

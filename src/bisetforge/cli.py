@@ -89,19 +89,17 @@ def cmd_subgroups(args):
         (group.degree, group.order) == (6, 36) and group == bisets.pair_group()
     ):
         classes, assignment = bisets.match_classes(group, bisets.labeled_subgroups())
-        labels = [
-            BASIS_LABELS[a] if a is not None else None for a in assignment
-        ]
+        labels = [BASIS_LABELS[a] if a is not None else None for a in assignment]
     else:
         classes = group.conjugacy_classes_of_subgroups()
         labels = [None] * len(classes)
     rows = []
-    for i, (rep, members) in enumerate(classes):
-        gens = [p.cycle_string() for p in rep.generators] or ["()"]
+    for i, members in enumerate(classes):
+        gens = [p.cycle_string() for p in group.subgroup_generators(members[0])] or ["()"]
         rows.append(
             {
                 "index": i,
-                "order": rep.order,
+                "order": members[0].bit_count(),
                 "class_size": len(members),
                 "label": labels[i],
                 "generators": gens,
@@ -123,16 +121,8 @@ def cmd_subgroups(args):
     )
     print("%5s %6s %6s %-9s %s" % ("index", "order", "class", "label", "generators"))
     for r in rows:
-        print(
-            "%5d %6d %6d %-9s %s"
-            % (
-                r["index"],
-                r["order"],
-                r["class_size"],
-                r["label"] or "-",
-                " ".join(r["generators"]),
-            )
-        )
+        text = dict(r, label=r["label"] or "-", generators=" ".join(r["generators"]))
+        print("%(index)5d %(order)6d %(class_size)6d %(label)-9s %(generators)s" % text)
     return 0
 
 

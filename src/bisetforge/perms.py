@@ -18,8 +18,10 @@ joining one representative H of each known class with each such cyclic <z>
 reaches every class.  Since <H, h z h^-1> = <H, z> for h in H, one join
 settles the cyclics of all h z h^-1, and the rest are skipped.  A join closes
 coset by coset (Dimino); a new class is the orbit of its representative under
-the generators, and only the representative becomes a `PermGroup`.  S6 (56
-classes, 1455 subgroups) takes about 0.55 s as a fresh process on a 2-vCPU VM.
+the generators.  A class stays member masks to the output, the least the
+representative with greedy generators (`minimal_gens`); no `PermGroup` is built
+per class, and more than SUBGROUP_COUNT_CAPACITY subgroups raise `CapacityError`.
+S6 (56 classes, 1455 subgroups) takes about 0.45 s as a fresh process on a 2-vCPU VM.
 
     >>> a = Perm.from_cycle_string("(1,2)", 3)
     >>> b = Perm.from_cycle_string("(1,2,3)", 3)
@@ -34,6 +36,7 @@ classes, 1455 subgroups) takes about 0.55 s as a fresh process on a 2-vCPU VM.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import compress, count
 
 __all__ = [
@@ -48,6 +51,10 @@ __all__ = [
 # The multiplication table holds n^2 ints, about 50 MB at this order (|A7|),
 # and twice that while it is built; S7 and larger are refused before any work.
 SUBGROUP_CAPACITY = 2_520
+
+# Just above A7's 3,786 subgroups (about 2 s): a group inside the order capacity
+# may have tens of thousands (C2^7 29,212, 23 s), refused once its classes pass this.
+SUBGROUP_COUNT_CAPACITY = 4_000
 
 # The largest point a parsed permutation may move or name as its degree.  A
 # permutation holds one int per point, so a label such as (1,99999999) would
@@ -289,13 +296,11 @@ class _Tables:
                 x = row[x]
                 orders[i] += 1
         self.orders = orders
+        self.bit = [1 << i for i in range(n)]  # bit[i] is the mask of element i alone
 
     def mask_of(self, elems):
-        """Bitmask of an iterable of element indices."""
-        flags = bytearray(self.n)
-        for i in elems:
-            flags[i] = 1
-        return _mask(flags)
+        """Bitmask of an iterable of distinct element indices."""
+        return sum(map(self.bit.__getitem__, elems))
 
     def join(self, elems, gens, x):
         """(elements, flags) of <H, x>, H the subgroup with element list
@@ -360,7 +365,7 @@ class _Tables:
 
     def subgroup_classes(self):
         """Conjugacy classes of subgroups, each a list of bitmasks in orbit
-        order."""
+        order; past SUBGROUP_COUNT_CAPACITY subgroups, CapacityError."""
         mul, inv, orders = self.mul, self.inv, self.orders
         # cyclic_of[j]: the position in cyclics of <j>, for j of prime-power order
         cyclics, cyclic_of = [], [None] * self.n
@@ -380,6 +385,10 @@ class _Tables:
                 return
             orbit = self.orbit(mask)
             known.update(orbit)
+            if len(known) > SUBGROUP_COUNT_CAPACITY:
+                raise CapacityError(
+                    "subgroup count exceeds the capacity of %d subgroups" % SUBGROUP_COUNT_CAPACITY
+                )
             classes.append(orbit)
             reps.append((mask, elems, hgens))
 
@@ -404,17 +413,19 @@ class _Tables:
 class PermGroup:
     """A concrete permutation group with a materialized element list."""
 
-    def __init__(self, degree, generators, _elements=None):
+    def __init__(self, degree, generators):
         self.degree = degree
         self.generators = tuple(generators)
         if any(g.degree != degree for g in self.generators):
             raise ValueError("generator degree mismatch")
-        if _elements is None:
-            self.elements = tuple(map(Perm._trusted, sorted(_close(degree, self.generators))))
-        else:
-            self.elements = tuple(sorted(_elements))
-        self.element_set = frozenset(self.elements)
+        self.elements = tuple(map(Perm._trusted, sorted(_close(degree, self.generators))))
         self._tables = None
+
+    @cached_property
+    def element_set(self):
+        """The elements as a frozenset, built on first use, so that building a
+        group hashes no `Perm`."""
+        return frozenset(self.elements)
 
     @property
     def order(self):
@@ -444,12 +455,10 @@ class PermGroup:
             self._tables = _Tables(self.elements, self.generators)
         return self._tables
 
-    def _subgroup(self, idx):
-        """The subgroup on the sorted element indices idx, generated greedily:
-        highest order first, then least index, skipping elements in the span."""
-        els = self.elements
-        gens = [els[g] for g in self._table().minimal_gens(idx)]
-        return PermGroup(self.degree, gens, _elements=[els[i] for i in idx])
+    def subgroup_generators(self, mask):
+        """Generators of the subgroup mask, chosen greedily: highest order
+        first, then least index, skipping elements in the span."""
+        return [self.elements[g] for g in self._table().minimal_gens(_bits(mask))]
 
     def subgroup_mask(self, sub):
         """sub's bitmask here, or None when sub is not contained in this group."""
@@ -458,15 +467,16 @@ class PermGroup:
         return None if None in idx else tables.mask_of(idx)
 
     def conjugacy_classes_of_subgroups(self):
-        """One (representative, member bitmasks) pair per conjugacy class of
-        subgroups.  Members are sorted by (order, element indices) and classes
-        by their least member, which is the representative, a `_subgroup`, so
-        the output is deterministic."""
-        classes = sorted(
-            sorted((m.bit_count(), _bits(m), m) for m in cls)
-            for cls in self._table().subgroup_classes()
-        )
-        return [(self._subgroup(cls[0][1]), [m for _, _, m in cls]) for cls in classes]
+        """The member bitmasks of each conjugacy class of subgroups.  Members
+        are sorted by (order, element indices) and classes by their least
+        member, the representative, so the output is deterministic."""
+        # of two index lists of one length the lesser holds the least index of
+        # their difference, so its bits read from bit 0 up are the greater string
+        def key(m):
+            return -m.bit_count(), bin(m)[:1:-1]
+
+        classes = [sorted(cls, key=key, reverse=True) for cls in self._table().subgroup_classes()]
+        return sorted(classes, key=lambda cls: key(cls[0]), reverse=True)
 
 
 def symmetric_group(n):

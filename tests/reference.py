@@ -2,14 +2,17 @@
 value, that several test modules compare against."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
-from bisetforge import verify
+from bisetforge import bisets, cli, verify
+from bisetforge.bisets import BASIS_LABELS
 from bisetforge.blocks import PEIRCE_LABELS, SLOT_TO_PEIRCE, BlockElement
 from bisetforge.linalg import SingularMatrixError
 from bisetforge.orders import lambda_membership, localized_membership
+from bisetforge.perms import PermGroup, _bits
 
 
 def outcome(fn):
@@ -264,3 +267,65 @@ def peirce_table(fx):
             row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)
     return table
+
+
+def subgroup(G, idx):
+    """The subgroup of G on the sorted element indices idx, generated greedily
+    (highest order first, then least index, skipping elements in the span)
+    and closed again, which must give back the elements idx names."""
+    els = G.elements
+    H = PermGroup(G.degree, [els[g] for g in G._table().minimal_gens(idx)])
+    assert H.elements == tuple(els[i] for i in idx)
+    return H
+
+
+def subgroups_output(spec, as_json):
+    """`bisetforge subgroups spec` output built one `PermGroup` per class:
+    classes sorted by (order, element indices) of their least member, that
+    member built by subgroup(), its generators written by Perm.cycle_string,
+    the least conjugate reference labelling S3xS3, and JSON by json.dumps."""
+    group, display = cli.parse_group_spec(spec)
+    classes = sorted(
+        sorted((m.bit_count(), _bits(m), m) for m in cls)
+        for cls in group._table().subgroup_classes()
+    )
+    reps = [subgroup(group, cls[0][1]) for cls in classes]
+    labels = [None] * len(classes)
+    if display == "S3xS3" or (
+        (group.degree, group.order) == (6, 36) and group == bisets.pair_group()
+    ):
+        class_of = {m: ci for ci, cls in enumerate(classes) for _, _, m in cls}
+        for label, ref in zip(BASIS_LABELS, bisets.labeled_subgroups()):
+            ci = class_of.get(group.subgroup_mask(ref))
+            if ci is not None and labels[ci] is None:
+                labels[ci] = label
+    rows = [
+        {
+            "index": i,
+            "order": rep.order,
+            "class_size": len(cls),
+            "label": label,
+            "generators": [p.cycle_string() for p in rep.generators] or ["()"],
+        }
+        for i, (rep, cls, label) in enumerate(zip(reps, classes, labels))
+    ]
+    if as_json:
+        payload = {
+            "group": display,
+            "degree": group.degree,
+            "group_order": group.order,
+            "class_count": len(rows),
+            "classes": rows,
+        }
+        return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    lines = [
+        "group %s of order %d on %d points: %d conjugacy classes of subgroups"
+        % (display, group.order, group.degree, len(rows)),
+        "%5s %6s %6s %-9s %s" % ("index", "order", "class", "label", "generators"),
+    ]
+    lines += [
+        "%5d %6d %6d %-9s %s"
+        % (r["index"], r["order"], r["class_size"], r["label"] or "-", " ".join(r["generators"]))
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge import bisets, cli, fixtures, verify
-from bisetforge.perms import PermGroup
+from bisetforge.perms import Perm, PermGroup
 from bisetforge.rings import RINGS
+from reference import subgroups_output
 
 
 def run_cli(capsys, *argv):
@@ -89,16 +90,46 @@ def test_a_usage_error_between_two_calls_leaves_the_output_unchanged(capsys):
     assert run_cli(capsys, "subgroups", "S3xS3", "--json") == first
 
 
-@pytest.mark.parametrize("spec, built", [("S3xS3", 22), ("S4", 11)])
-def test_subgroups_builds_one_permgroup_per_class(capsys, monkeypatch, spec, built):
-    calls = []
-    subgroup = PermGroup._subgroup
-    monkeypatch.setattr(
-        PermGroup, "_subgroup", lambda G, idx: calls.append(1) or subgroup(G, idx)
-    )
+@pytest.mark.parametrize(
+    "spec, classes, built",
+    [("(1,2,3); (1,2,3,4,5)", 9, 1), ("S3xS3", 22, 0)],
+    ids=["A5", "S3xS3"],
+)
+def test_subgroups_builds_only_the_group_and_hashes_no_perm(
+    capsys, monkeypatch, spec, classes, built
+):
+    # a class stays masks from the lattice to the output; S3xS3 and its
+    # labeled references are built by the first call of the process
+    run_cli(capsys, "subgroups", spec, "--json")
+    builds, hashes = [], []
+    init, perm_hash = PermGroup.__init__, Perm.__hash__
+    monkeypatch.setattr(PermGroup, "__init__", lambda G, *a: builds.append(1) or init(G, *a))
+    monkeypatch.setattr(Perm, "__hash__", lambda p: hashes.append(1) or perm_hash(p))
     code, out, _ = run_cli(capsys, "subgroups", spec, "--json")
     assert code == 0
-    assert len(calls) == json.loads(out)["class_count"] == built
+    assert json.loads(out)["class_count"] == classes
+    assert (len(builds), len(hashes)) == (built, 0)
+
+
+_REFERENCE_SPECS = [
+    *[("S%d" % n, "S%d" % n) for n in range(1, 6)],
+    *[("C%d" % n, "C%d" % n) for n in [*range(1, 13), 30]],
+    ("A4", "(1,2,3); (2,3,4)"),
+    ("A5", "(1,2,3); (1,2,3,4,5)"),
+    ("D6", "(1,2,3,4,5,6); (2,6)(3,5)"),
+    ("AGL(1,5)", "(1,2,3,4,5); (2,3,5,4)"),
+    ("S3xS3", "S3xS3"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in _REFERENCE_SPECS], ids=[name for name, _ in _REFERENCE_SPECS]
+)
+def test_subgroups_output_equals_the_one_group_per_class_reference(capsys, spec):
+    for flags, as_json in ((["--json"], True), ([], False)):
+        code, out, err = run_cli(capsys, "subgroups", spec, *flags)
+        assert (code, err) == (0, "")
+        assert out == subgroups_output(spec, as_json)
 
 
 def test_subgroups_text_output(capsys):
@@ -160,6 +191,14 @@ def test_oversized_group_refused_before_work(spec):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert elapsed < 2
+
+
+def test_a_group_with_too_many_subgroups_exits_2(capsys):
+    # C2^7: order 128, inside the order capacity, with 29,212 subgroups
+    spec = "; ".join("(%d,%d)" % (k, k + 1) for k in range(1, 14, 2))
+    code, out, err = run_cli(capsys, "subgroups", spec, "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: subgroup count exceeds the capacity of 4000 subgroups\n"
 
 
 def test_mult_basis_product(capsys):
@@ -229,6 +268,52 @@ def test_verify_json_is_byte_deterministic(capsys):
     assert data["status"] == "pass"
     canon = fixtures.canonical_dumps(data)
     assert out1 == canon
+
+
+def _written(dump, data):
+    """dump(data), or the type of the exception it raises."""
+    try:
+        return dump(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _json_dumps(data):
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_json_texts = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f\x7f", "\u2028", "é😀"])
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**5000), 10**5000)
+    | st.floats()
+    | _json_texts,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_json_texts, inner),
+    max_leaves=25,
+)
+
+
+@settings(deadline=None)
+@given(_json_values)
+@example({})
+@example([[], {}, ()])
+@example({"b": [1, -2, {"a": None}], "a": {"c": "\\\"\n\t"}, "": 1.5})
+@example(-(10**4999))
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+def test_canonical_dumps_writes_what_json_dumps_writes(data):
+    assert _written(fixtures.canonical_dumps, data) == _written(_json_dumps, data)
+
+
+@pytest.mark.parametrize("data", [{"a": {1, 2}}, [object()], {"a": [1, frozenset()]}])
+def test_canonical_dumps_refuses_what_json_refuses(data):
+    with pytest.raises(TypeError):
+        json.dumps(data)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        fixtures.canonical_dumps(data)
 
 
 def test_verify_tampered_fixture_exits_1(capsys, tmp_path):

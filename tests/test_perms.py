@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bisetforge
+from bisetforge import perms
 from bisetforge.bisets import (
     PAIRS,
     S3,
@@ -18,6 +19,7 @@ from bisetforge.bisets import (
     pair_group,
 )
 from bisetforge.perms import (
+    CapacityError,
     Perm,
     PermGroup,
     _bits,
@@ -26,6 +28,7 @@ from bisetforge.perms import (
     cyclic_group,
     symmetric_group,
 )
+from reference import subgroup
 
 perms4 = st.permutations(list(range(4))).map(lambda im: Perm(tuple(im)))
 
@@ -85,8 +88,8 @@ def test_from_cycles_rejects_overlap():
 def all_subgroups(G):
     """Every subgroup of G, each exactly once, sorted by (order, element
     list), built like a class representative, with greedy generators."""
-    masks = [m for _, members in G.conjugacy_classes_of_subgroups() for m in members]
-    return [G._subgroup(idx) for _, idx in sorted((m.bit_count(), _bits(m)) for m in masks)]
+    masks = [m for members in G.conjugacy_classes_of_subgroups() for m in members]
+    return [subgroup(G, idx) for _, idx in sorted((m.bit_count(), _bits(m)) for m in masks)]
 
 
 def test_symmetric_group_s3_subgroups():
@@ -95,15 +98,15 @@ def test_symmetric_group_s3_subgroups():
     subs = all_subgroups(G)
     assert len(subs) == 6
     classes = G.conjugacy_classes_of_subgroups()
-    assert sorted(len(members) for _, members in classes) == [1, 1, 1, 3]
+    assert sorted(len(members) for members in classes) == [1, 1, 1, 3]
 
 
 def test_conjugacy_classes_deterministic():
     G = symmetric_group(3)
     a = G.conjugacy_classes_of_subgroups()
     b = G.conjugacy_classes_of_subgroups()
-    assert [(rep.element_set, members) for rep, members in a] == [
-        (rep.element_set, members) for rep, members in b
+    assert [(subgroup(G, _bits(members[0])).element_set, members) for members in a] == [
+        (subgroup(G, _bits(members[0])).element_set, members) for members in b
     ]
 
 
@@ -152,7 +155,16 @@ def test_cyclic_group():
 )
 def test_subgroup_lattice_counts(group, classes, subgroups):
     found = group().conjugacy_classes_of_subgroups()
-    assert (len(found), sum(len(members) for _, members in found)) == (classes, subgroups)
+    assert (len(found), sum(len(members) for members in found)) == (classes, subgroups)
+
+
+def test_classification_stops_past_the_subgroup_count_capacity(monkeypatch):
+    # S4 has 30 subgroups in 11 classes
+    monkeypatch.setattr(perms, "SUBGROUP_COUNT_CAPACITY", 29)
+    with pytest.raises(CapacityError, match=r"^subgroup count exceeds the capacity of 29 subgroups$"):
+        symmetric_group(4).conjugacy_classes_of_subgroups()
+    monkeypatch.setattr(perms, "SUBGROUP_COUNT_CAPACITY", 30)
+    assert len(symmetric_group(4).conjugacy_classes_of_subgroups()) == 11
 
 
 # A naive reference on frozensets of Perm, for groups of degree <= 4: every
@@ -214,8 +226,8 @@ def test_lattice_matches_naive_reference(G):
         _ref_minimal_gens(G.degree, s) for s in subs
     ]
     found_classes = [
-        (rep, [G._subgroup(_bits(m)) for m in members])
-        for rep, members in G.conjugacy_classes_of_subgroups()
+        (subgroup(G, _bits(members[0])), [subgroup(G, _bits(m)) for m in members])
+        for members in G.conjugacy_classes_of_subgroups()
     ]
     assert [[s.element_set for s in c] for _, c in found_classes] == classes
     assert [[list(s.generators) for s in c] for _, c in found_classes] == [
