@@ -41,13 +41,13 @@ def fixture_dir(override=None):
 
 
 def load_json(name, override=None):
-    """The parsed fixture file name; a file that is not UTF-8 JSON raises
-    ValueError naming it."""
+    """The parsed fixture file name; a file that is not UTF-8 JSON, nests too
+    deep or holds an integer too long to convert raises ValueError naming it."""
     path = fixture_dir(override) / name
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError("%s: not valid JSON: %s" % (name, exc)) from None
 
 

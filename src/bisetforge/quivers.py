@@ -1,5 +1,7 @@
-"""Quiver relations as maps from paths to coefficients, rewriting, and
-their images in a corner of the block algebra, tested on its basis.
+"""Quiver relations as plain term maps {path: coefficient}, normalized by
+terms_in, rewriting, and their images in a corner of the block algebra,
+tested on its basis.  Every rewriting function takes the quiver and the ring;
+RELATION_BOUND, LENGTH_BOUND and MAX_STEPS bound the work.
 
 A path p.q means first p, then q, matching the order in which the images of
 the paths are multiplied in the block algebra.  Arrows are ordered by their
@@ -11,6 +13,7 @@ rewriting system.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from . import rings
@@ -28,6 +31,7 @@ class RewriteDivergence(PresentationError):
 
 MAX_STEPS = 100000  # the rewrites normal_form makes before RewriteDivergence
 LENGTH_BOUND = 8  # the path length irreducible_paths refuses to reach
+RELATION_BOUND = 64  # the relations Presentation.from_dict accepts: confluence is quadratic
 
 
 class Quiver:
@@ -90,67 +94,39 @@ class Quiver:
         return ".".join(arrows) if arrows else "(%s)" % src
 
 
-class PathElement:
-    """Linear combination of paths with coefficients in a fixed ring tag: a
-    relation or a path, rewritten by normal_form and mapped into the corner
-    by element_image, never multiplied here."""
+def terms_in(ring, terms):
+    """The term map {path: coefficient} with each coefficient in ring's normal
+    form and the zero ones dropped; one outside ring raises ValueError, a
+    float TypeError.  Relations, rule tails and normal forms are such maps."""
+    out = {}
+    for path, c in terms.items():
+        c = rings.normalize(ring, c)
+        if c != 0:
+            out[path] = c
+    return out
 
-    __slots__ = ("quiver", "ring", "terms")
 
-    def __init__(self, quiver, ring, terms=None):
-        self.quiver = quiver
-        self.ring = ring
-        clean = {}
-        for path, c in (terms or {}).items():
-            c = rings.normalize(ring, c)
-            if c != 0:
-                clean[path] = c
-        self.terms = clean
-
-    @classmethod
-    def from_path(cls, quiver, ring, path, coeff=1):
-        return cls(quiver, ring, {quiver.path(path[0], path[1]): Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def canonical_terms(self):
-        return tuple(
-            (path, self.terms[path])
-            for path in sorted(self.terms, key=self.quiver.path_key)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PathElement):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for path, c in self.canonical_terms():
-            bits.append("%s*%s" % (c, self.quiver.format_path(path)))
-        return " + ".join(bits)
+def canonical_terms(quiver, terms):
+    return tuple((path, terms[path]) for path in sorted(terms, key=quiver.path_key))
 
 
 def make_rules(quiver, ring, relations):
     """Orient relations into head -> tail rules; heads need unit coefficients."""
     rules = []
     for rel in relations:
-        if rel.is_zero():
+        if not rel:
             raise PresentationError("zero relation cannot be oriented")
-        srcs = {p[0] for p in rel.terms}
-        tgts = {quiver.path_tgt(p) for p in rel.terms}
+        srcs = {p[0] for p in rel}
+        tgts = {quiver.path_tgt(p) for p in rel}
         if len(srcs) != 1 or len(tgts) != 1:
             raise PresentationError("relation terms are not parallel paths")
-        head = max(rel.terms, key=quiver.path_key)
+        head = max(rel, key=quiver.path_key)
         if not head[1]:
             raise PresentationError("leading term is a trivial path")
-        c = rel.terms[head]
+        c = rel[head]
         if not rings.is_unit(ring, c):
             raise PresentationError("leading coefficient %s is not a unit" % c)
-        tail = PathElement(quiver, ring, {p: -x / c for p, x in rel.terms.items() if p != head})
+        tail = terms_in(ring, {p: -x / c for p, x in rel.items() if p != head})
         rules.append((head, tail))
     return rules
 
@@ -172,7 +148,7 @@ def _rewrite(ring, terms, path, coeff, rule, pos):
     arrow pos replaced by the rule's tail, into the dict terms."""
     (src, arrows), (head, tail) = path, rule
     prefix, suffix = arrows[:pos], arrows[pos + len(head[1]) :]
-    for (_, tarrows), tc in tail.terms.items():
+    for (_, tarrows), tc in tail.items():
         key = (src, prefix + tarrows + suffix)
         c = rings.normalize(ring, terms.get(key, 0) + coeff * tc)
         if c:
@@ -181,26 +157,25 @@ def _rewrite(ring, terms, path, coeff, rule, pos):
             terms.pop(key, None)
 
 
-def normal_form(elem, rules):
-    """Rewrite until no head divides any term; terminates since heads are
-    strictly larger than their tails in the monomial order."""
-    q = elem.quiver
-    work = dict(elem.terms)
+def normal_form(quiver, ring, terms, rules):
+    """The term map terms rewritten until no head divides any term; terminates
+    since heads are strictly larger than their tails in the monomial order."""
+    work = dict(terms)
     steps = 0
     while True:
         target = None
-        for path in sorted(work, key=q.path_key, reverse=True):
+        for path in sorted(work, key=quiver.path_key, reverse=True):
             hit = _find_redex(path[1], rules)
             if hit is not None:
                 target = (path, hit)
                 break
         if target is None:
-            return PathElement(q, elem.ring, work)
+            return work
         steps += 1
         if steps > MAX_STEPS:
             raise RewriteDivergence("no normal form within %d steps" % MAX_STEPS)
         path, (ri, pos) = target
-        _rewrite(elem.ring, work, path, work.pop(path), rules[ri], pos)
+        _rewrite(ring, work, path, work.pop(path), rules[ri], pos)
 
 
 def local_confluence_failures(quiver, ring, rules):
@@ -234,7 +209,7 @@ def _resolves(quiver, ring, rules, word, left, right):
     diff = {}
     for (ri, pos), sign in ((left, 1), (right, -1)):
         _rewrite(ring, diff, word, sign, rules[ri], pos)
-    return normal_form(PathElement(quiver, ring, diff), rules).is_zero()
+    return not normal_form(quiver, ring, diff, rules)
 
 
 def irreducible_paths(quiver, rules):
@@ -281,9 +256,6 @@ class CornerAlgebra:
         self._pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
         self._lattices = {}  # the LocalLattice of the rows at each prime
 
-    def rank(self):
-        return len(self.labels)
-
     def is_identity(self, f, ring):
         """Is f a two-sided identity over ring: do f.b - b and b.f - b vanish
         there for every basis element b?  In an order that contains f this
@@ -301,7 +273,7 @@ class CornerAlgebra:
         return self._lattices[p].contains([self._b * x for x in block.nums], p * block.den)
 
     def change_of_basis_det(self, blocks):
-        """det T for the rank() blocks of the span with blocks_k =
+        """det T for the len(labels) blocks of the span with blocks_k =
         sum_j T_kj basis_j, as det(blocks_P) / det(basis_P) on the pivot
         columns P, where blocks_P = T.basis_P."""
         rows, d = rows_over_lcm(blocks)
@@ -310,20 +282,17 @@ class CornerAlgebra:
         return Fraction(num * self._b ** len(rows), den * d ** len(rows))
 
 
-class Presentation:
-    """Quiver with relations, plus the map of its generators into a corner."""
+class Presentation(
+    namedtuple(
+        "Presentation",
+        "name ring quiver relations long_kernel vertex_images arrow_images mod_p",
+        defaults=(None,),
+    )
+):
+    """Quiver with relations, plus the map of its generators into a corner;
+    mod_p is (p, relations over F_p) as recorded, or None."""
 
-    def __init__(
-        self, name, ring, quiver, relations, long_kernel, vertex_images, arrow_images, mod_p=None
-    ):
-        self.name = name
-        self.ring = ring
-        self.quiver = quiver
-        self.relations = tuple(relations)
-        self.long_kernel = tuple(long_kernel)
-        self.vertex_images = dict(vertex_images)
-        self.arrow_images = dict(arrow_images)
-        self.mod_p = mod_p
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, data, where="presentation", labels=None):
@@ -340,10 +309,10 @@ class Presentation:
         def elements(key, ring, items):
             if not isinstance(items, list):
                 raise ValueError("%s:%s: expected a list" % (where, key))
-            return [
+            return tuple(
                 element_from_terms(quiver, ring, t, "%s:%s[%d]" % (where, key, i))
                 for i, t in enumerate(items)
-            ]
+            )
 
         if not isinstance(data, dict):
             raise ValueError("%s: expected an object" % where)
@@ -366,16 +335,21 @@ class Presentation:
                         "%s:%s[%r]: expected a label of the corner basis, got %r"
                         % (where, key, k, got)
                     )
-            images.append(table)
+            images.append(dict(table))
         mod_p = data.get("mod_p")
         if mod_p:
             p = mod_p.get("p") if isinstance(mod_p, dict) else None
             if type(p) is not int or p != rings.prime(ring):
                 raise ValueError("%s:mod_p.p: expected the prime of ring %s" % (where, ring))
-            mod_p = (p, tuple(elements("mod_p.relations", "F%d" % p, mod_p.get("relations"))))
+            mod_p = (p, elements("mod_p.relations", "F%d" % p, mod_p.get("relations")))
         relations = elements("relations", ring, data.get("relations"))
+        if len(relations) > RELATION_BOUND:
+            raise ValueError(
+                "%s:relations: %d relations exceed the bound %d"
+                % (where, len(relations), RELATION_BOUND)
+            )
         long_kernel = elements("long_kernel", ring, data.get("long_kernel"))
-        zero = next((i for i, e in enumerate(long_kernel) if e.is_zero()), None)
+        zero = next((i for i, e in enumerate(long_kernel) if not e), None)
         if zero is not None:
             raise ValueError("%s:long_kernel[%d]: zero lies in every kernel" % (where, zero))
         return cls(name, ring, quiver, relations, long_kernel, *images, mod_p or None)
@@ -388,17 +362,16 @@ class Presentation:
         fring = "F%d" % p
 
         def reduced(elems):
-            elems = (PathElement(self.quiver, fring, e.terms) for e in elems)
-            return [e for e in elems if not e.is_zero()]
+            return tuple(e for e in (terms_in(fring, e) for e in elems) if e)
 
-        return Presentation(
-            "%s_mod%d" % (self.name, p), fring, self.quiver, reduced(self.relations),
-            reduced(self.long_kernel), self.vertex_images, self.arrow_images,
+        return self._replace(
+            name="%s_mod%d" % (self.name, p), ring=fring, relations=reduced(self.relations),
+            long_kernel=reduced(self.long_kernel), mod_p=None,
         )
 
 
 def element_from_terms(quiver, ring, terms, where="terms"):
-    """The element of [[coefficient, source, [arrows]], ...], each coefficient
+    """The term map of [[coefficient, source, [arrows]], ...], each coefficient
     a text or an int; a term that is malformed, whose coefficient is not in
     the ring or whose path is longer than LENGTH_BOUND raises ValueError
     naming its JSON path below where, before any rewriting."""
@@ -419,24 +392,23 @@ def element_from_terms(quiver, ring, terms, where="terms"):
         except (TypeError, ValueError) as exc:
             raise ValueError("%s[%d]: %s" % (where, k, exc)) from None
         out[path] = out.get(path, 0) + c
-    return PathElement(quiver, ring, out)
+    return terms_in(ring, out)
 
 
-def element_to_terms(elem):
-    return [
-        [str(c), path[0], list(path[1])] for path, c in elem.canonical_terms()
-    ]
+def element_to_terms(quiver, terms):
+    return [[str(c), path[0], list(path[1])] for path, c in canonical_terms(quiver, terms)]
 
 
-def same_element_sets(elems_a, elems_b):
-    ca = sorted(e.canonical_terms() for e in elems_a)
-    cb = sorted(e.canonical_terms() for e in elems_b)
-    return ca == cb
+def same_element_sets(quiver, elems_a, elems_b):
+    def canonical(elems):
+        return sorted(canonical_terms(quiver, e) for e in elems)
+
+    return canonical(elems_a) == canonical(elems_b)
 
 
-def element_image(elem, pres, corner):
+def element_image(terms, pres, corner):
     total = BlockElement.zero()
-    for (src, arrows), c in elem.terms.items():
+    for (src, arrows), c in terms.items():
         acc = corner.by_label[pres.vertex_images[src]]
         for a in arrows:
             acc = acc * corner.by_label[pres.arrow_images[a]]
@@ -490,18 +462,17 @@ def verify_presentation(pres, corner):
     except PresentationError as exc:
         problems.append(str(exc))
         return problems, None
-    if len(basis) != corner.rank():
+    if len(basis) != len(corner.labels):
         problems.append(
-            "quotient rank %d differs from corner rank %d"
-            % (len(basis), corner.rank())
+            "quotient rank %d differs from corner rank %d" % (len(basis), len(corner.labels))
         )
         return problems, len(basis)
     for i, elem in enumerate(pres.long_kernel):
-        if not normal_form(elem, rules).is_zero():
+        if normal_form(q, ring, elem, rules):
             problems.append("listed kernel element %d is outside the ideal" % i)
         if not _vanishes(element_image(elem, pres, corner), ring, corner):
             problems.append("listed kernel element %d does not vanish" % i)
-    images = [element_image(PathElement.from_path(q, ring, b), pres, corner) for b in basis]
+    images = [element_image({b: 1}, pres, corner) for b in basis]
     d = corner.change_of_basis_det(images)
     if not rings.is_unit(ring, d):
         problems.append("change of basis determinant %s is not a unit" % d)

@@ -949,7 +949,7 @@ def _presentation_mod(fx, name, p):
     recorded = (
         pres.mod_p is not None
         and pres.mod_p[0] == p
-        and same_element_sets(reduced.relations, pres.mod_p[1])
+        and same_element_sets(pres.quiver, reduced.relations, pres.mod_p[1])
     )
     ok, detail = _problems(
         problems or ([] if recorded else ["modular relations differ"]),
@@ -1135,7 +1135,7 @@ def emit_fixtures(out_dir, fixture_dir=None):
             out["mod_p"] = {
                 "p": p,
                 "relations": sorted(
-                    element_to_terms(r) for r in fx.reduction(name, p).relations
+                    element_to_terms(pres.quiver, r) for r in fx.reduction(name, p).relations
                 ),
             }
         files[os.path.join("presentations", "%s.json" % name)] = out

@@ -866,6 +866,11 @@ def _set_image(key, value):
             "bound 8",
         ),
         (
+            # the 9 relations 8 times: confluence compares every pair of rules
+            "z2_corner", lambda d: d["relations"].extend(d["relations"] * 7),
+            "presentations/z2_corner.json:relations: 72 relations exceed the bound 64",
+        ),
+        (
             "q_corner", lambda d: d["vertices"].__setitem__(1, 1),
             "presentations/q_corner.json:vertices[1]: expected a new vertex name, got 1",
         ),
@@ -883,8 +888,8 @@ def _set_image(key, value):
         "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
         "ring", "bool-coefficient", "null-coefficient", "float-coefficient",
         "float-mod-p-coefficient", "zero-kernel-element", "long-relation-path",
-        "long-kernel-path", "long-mod-p-relation-path", "int-vertex", "null-vertex",
-        "repeated-vertex",
+        "long-kernel-path", "long-mod-p-relation-path", "relation-count", "int-vertex",
+        "null-vertex", "repeated-vertex",
     ],
 )
 def test_malformed_presentation_exits_2_naming_the_path(capsys, tmp_path, name, edit, message):
@@ -918,7 +923,16 @@ _READER_STAGE = {
 }
 
 
-@pytest.mark.parametrize("damage", ["truncated", "0xff"])
+def _damaged(raw, damage):
+    if damage == "deep":
+        return b"[" * 100000 + b"]" * 100000  # a RecursionError in json
+    if damage == "long-int":
+        return b"[" + b"9" * 5000 + b"]"  # past int's digit limit
+    half = len(raw) // 2
+    return raw[:half] + (b"" if damage == "truncated" else b"\xff" + raw[half:])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "0xff", "deep", "long-int"])
 def test_a_fixture_that_is_not_json_exits_2_naming_the_file(capsys, tmp_path, damage):
     shipped = fixtures.DEFAULT_DIR
     files = sorted(p.relative_to(shipped).as_posix() for p in shipped.rglob("*.json"))
@@ -926,10 +940,7 @@ def test_a_fixture_that_is_not_json_exits_2_naming_the_file(capsys, tmp_path, da
     for name in files:
         dst = tmp_path / name.replace("/", "_")
         shutil.copytree(shipped, dst)
-        raw = (dst / name).read_bytes()
-        half = len(raw) // 2
-        tail = b"" if damage == "truncated" else b"\xff" + raw[half:]
-        (dst / name).write_bytes(raw[:half] + tail)
+        (dst / name).write_bytes(_damaged((dst / name).read_bytes(), damage))
         runs = [("verify", "--stage", _READER_STAGE[name])]
         if name == "peirce.json":
             runs.append(("mult", "H^D_5", "H^D_5"))

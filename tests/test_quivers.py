@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge import fixtures, quivers, rings
@@ -15,7 +15,6 @@ from bisetforge.orders import (
 )
 from bisetforge.quivers import (
     CornerAlgebra,
-    PathElement,
     Presentation,
     PresentationError,
     Quiver,
@@ -27,6 +26,7 @@ from bisetforge.quivers import (
     make_rules,
     normal_form,
     same_element_sets,
+    terms_in,
     verify_presentation,
 )
 
@@ -59,9 +59,13 @@ def test_path_coefficients_must_lie_in_the_ring():
     path = q.path("p", ("a",))
     for ring in ("Z", "Z2", "F2"):
         with pytest.raises(ValueError):
-            PathElement(q, ring, {path: Fraction(1, 2)})
-    assert PathElement(q, "Z3", {path: Fraction(1, 2)}).terms == {path: Fraction(1, 2)}
-    assert PathElement(q, "F3", {path: Fraction(1, 2)}).terms == {path: 2}
+            terms_in(ring, {path: Fraction(1, 2)})
+        with pytest.raises(ValueError, match=r"^terms\[0\]: coefficient 1/2"):
+            element_from_terms(q, ring, [["1/2", "p", ["a"]]])
+    for ring, half in (("Z3", Fraction(1, 2)), ("F3", 2)):
+        assert terms_in(ring, {path: Fraction(1, 2)}) == {path: half}
+        assert element_from_terms(q, ring, [["1/2", "p", ["a"]]]) == {path: half}
+    assert terms_in("F3", {path: 3, q.path("q"): Fraction(1, 2)}) == {q.path("q"): 2}
     with pytest.raises(ValueError, match=r"terms\[1\]: coefficient 1/2 is not an integer"):
         element_from_terms(q, "Z", [["1", "p", ["a"]], ["1/2", "q", ["b"]]])
 
@@ -69,7 +73,7 @@ def test_path_coefficients_must_lie_in_the_ring():
 def test_a_path_longer_than_the_bound_is_refused_as_it_is_read():
     q = loop_quiver()
     at_bound = ["a", "b"] * (quivers.LENGTH_BOUND // 2)
-    assert len(element_from_terms(q, "Z", [["1", "p", at_bound]]).terms) == 1
+    assert len(element_from_terms(q, "Z", [["1", "p", at_bound]])) == 1
     with pytest.raises(ValueError, match=r"^terms\[1\]: path of length 9 exceeds the bound 8$"):
         element_from_terms(q, "Z", [["1", "p", []], ["1", "p", at_bound + ["a"]]])
 
@@ -78,8 +82,11 @@ def test_a_float_path_coefficient_is_refused():
     q = loop_quiver()
     path = q.path("p", ("a",))
     with pytest.raises(TypeError, match="is a float"):
-        PathElement(q, "Q", {path: 0.1})
-    assert PathElement(q, "Q", {path: "1/10"}).terms == {path: Fraction(1, 10)}
+        terms_in("Q", {path: 0.1})
+    with pytest.raises(ValueError, match=r"^terms\[0\]: coefficient 0.1 is not a string"):
+        element_from_terms(q, "Q", [[0.1, "p", ["a"]]])
+    assert terms_in("Q", {path: "1/10"}) == {path: Fraction(1, 10)}
+    assert element_from_terms(q, "Q", [["1/10", "p", ["a"]]]) == {path: Fraction(1, 10)}
 
 
 def test_make_rules_orients_on_the_leading_path():
@@ -88,15 +95,14 @@ def test_make_rules_orients_on_the_leading_path():
     rel = element_from_terms(q, "Z", [["1", "p", ["a", "b"]], ["-1", "p", []]])
     rules = make_rules(q, "Z", [rel])
     assert rules[0][0] == ("p", ("a", "b"))
-    assert rules[0][1] == PathElement.from_path(q, "Z", ("p", ()))
-    nf = normal_form(PathElement.from_path(q, "Z", ("p", ("a", "b", "a"))), rules)
-    assert nf == PathElement.from_path(q, "Z", ("p", ("a",)))
+    assert rules[0][1] == {("p", ()): 1}
+    assert normal_form(q, "Z", {("p", ("a", "b", "a")): 1}, rules) == {("p", ("a",)): 1}
 
 
 def test_make_rules_rejects_bad_relations():
     q = loop_quiver()
     with pytest.raises(PresentationError):
-        make_rules(q, "Z", [PathElement(q, "Z")])
+        make_rules(q, "Z", [{}])
     mixed = element_from_terms(q, "Z", [["1", "p", ["a"]], ["1", "q", ["b"]]])
     with pytest.raises(PresentationError):
         make_rules(q, "Z", [mixed])
@@ -117,6 +123,74 @@ def test_irreducible_paths_detects_unbounded_growth(monkeypatch):
         irreducible_paths(q, [])
 
 
+def test_more_relations_than_the_bound_are_refused_as_read(monkeypatch):
+    data = fixtures.load_presentation("z2_corner")
+    where = "presentations/z2_corner.json"
+    monkeypatch.setattr(quivers, "RELATION_BOUND", 9)
+    assert len(Presentation.from_dict(data, where).relations) == 9
+    monkeypatch.setattr(quivers, "RELATION_BOUND", 8)
+    with pytest.raises(ValueError, match=r"^%s:relations: 9 relations exceed the bound 8$" % where):
+        Presentation.from_dict(data, where)
+
+
+def _loop_path(src, n):
+    """The path of length n from src in loop_quiver(), whose arrows alternate."""
+    arrows = ("a", "b") if src == "p" else ("b", "a")
+    return (src, tuple(arrows[k % 2] for k in range(n)))
+
+
+# parallel paths of loop_quiver(): one source, lengths of one parity, raw
+# coefficients n/d, some outside a given ring
+_LOOP_TERMS = st.builds(
+    lambda src, odd, terms: [(Fraction(n, d), _loop_path(src, 2 * k + odd)) for n, d, k in terms],
+    st.sampled_from("pq"),
+    st.integers(0, 1),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6), st.integers(0, 3)), max_size=4),
+)
+
+
+def _loop_terms_in(ring, raw):
+    """The term map over ring of the raw terms whose coefficients lie in it."""
+    terms = {}
+    for c, path in raw:
+        try:
+            terms[path] = terms.get(path, 0) + rings.normalize(ring, c)
+        except ValueError:
+            continue
+    return terms_in(ring, terms)
+
+
+def _orients(q, ring, rel):
+    try:
+        return bool(make_rules(q, ring, [rel]))
+    except PresentationError:
+        return False
+
+
+@given(
+    st.sampled_from(rings.RINGS),
+    st.lists(_LOOP_TERMS, min_size=1, max_size=3),
+    st.lists(_LOOP_TERMS, min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_rewriting_keeps_coefficients_normalized_and_nonzero(ring, raw_relations, raw_words):
+    q = loop_quiver()
+    relations = [_loop_terms_in(ring, raw) for raw in raw_relations]
+    relations = [rel for rel in relations if _orients(q, ring, rel)]
+    assume(relations)
+    words = [_loop_terms_in(ring, raw) for raw in raw_words]
+    rules = make_rules(q, ring, relations)
+    pres = Presentation("loop", ring, q, relations, words, {}, {})
+    maps = [(ring, tail) for _, tail in rules]
+    maps += [(ring, normal_form(q, ring, w, rules)) for w in words]
+    for p in {"Q": (), "Z": (2, 3)}.get(ring, (rings.prime(ring),)):
+        reduced = pres.reduce_mod(p)
+        maps += [(reduced.ring, rel) for rel in reduced.relations + reduced.long_kernel]
+    for r, terms in maps:
+        for c in terms.values():
+            assert c != 0 and c == rings.normalize(r, c), (r, terms)
+
+
 FIXED = (
     ("q_corner", "Q", CORNER_BASIS_Q),
     ("z2_corner", "Z2", CORNER_BASIS_2),
@@ -133,7 +207,7 @@ def test_fixture_presentations_verify(name, ring, basis):
     rules = pres.rules()
     assert local_confluence_failures(pres.quiver, ring, rules) == []
     assert len(irreducible_paths(pres.quiver, rules)) == 10
-    assert corner.rank() == 10
+    assert len(corner.labels) == 10
 
 
 @pytest.mark.parametrize(
@@ -146,7 +220,7 @@ def test_modular_reductions_verify_and_match_fixture(name, p, basis):
     corner = CornerAlgebra(basis)
     assert verify_presentation(reduced, corner) == ([], 10)
     assert pres.mod_p[0] == p
-    assert same_element_sets(reduced.relations, pres.mod_p[1])
+    assert same_element_sets(pres.quiver, reduced.relations, pres.mod_p[1])
 
 
 def test_dropping_a_zero_relation_changes_the_rank():
@@ -357,9 +431,7 @@ def test_path_image_determinant_matches_the_fraction_coordinates(name, ring, bas
     pres = fixture_presentation(name)
     corner = _corner(ring)
     paths = irreducible_paths(pres.quiver, pres.rules())
-    images = [
-        element_image(PathElement.from_path(pres.quiver, ring, b), pres, corner) for b in paths
-    ]
+    images = [element_image({b: 1}, pres, corner) for b in paths]
     coords = [_express_reference(corner.elements, img) for img in images]
     d = corner.change_of_basis_det(images)
     assert d == _fraction_det(coords) and rings.is_unit(ring, d)
@@ -402,4 +474,4 @@ def test_long_kernel_elements_rewrite_to_zero():
         pres = fixture_presentation(name)
         rules = pres.rules()
         for elem in pres.long_kernel:
-            assert normal_form(elem, rules).is_zero()
+            assert normal_form(pres.quiver, pres.ring, elem, rules) == {}
