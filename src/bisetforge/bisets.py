@@ -41,14 +41,12 @@ inverses, and their generated() closes the sections and the representatives
 of B(S3,S3); _hom(G, H) adds the pair indices and the classes of a hom-set.
 
 Every product on the 22-class basis runs on the verified table, derived
-once from structure_table() in two sparse forms: structure_tensor(), for
-each i the (j, k, c) triples with c = c[i][j][k] nonzero (the row form of
-linalg.multiply_rows()), and structure_cells(), for each cell (i, j) its
-(k, c) pairs.  multiply_vectors() walks the cells of the pairs of nonzero
-coefficients only, so a product with a three-term operand visits three
-cells per row, not all of a row's triples.  A BurnsideElement is a
-linalg.StructureElement whose product is one multiply_vectors() call and one
-ring-membership test on its denominator.
+once from structure_table() in the sparse form of linalg.multiply_cells():
+structure_cells() holds, for each cell (i, j), the (k, c) pairs with
+c = c[i][j][k] nonzero.  The product walks the cells of the pairs of nonzero
+coefficients only, so a product with a three-term operand visits three cells
+per row, not all 22.  A BurnsideElement is a linalg.StructureElement on
+these cells, with one ring-membership test on the product's denominator.
 
 An element is written as format_element() writes it: "label:n" or
 "label:n/d" for each nonzero coefficient in basis order, joined by commas
@@ -75,7 +73,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 from . import rings
-from .linalg import StructureElement, tensor_cells
+from .linalg import StructureElement
 from .perms import Perm, PermGroup, _bits
 
 S3_ID = Perm.identity(3)
@@ -373,34 +371,13 @@ def structure_table(*sections):
 
 
 @lru_cache(maxsize=1)
-def structure_tensor():
-    """rows[i]: the (j, k, c) triples with c = c[i][j][k] != 0 in the
-    verified table, the row form of linalg.multiply_rows()."""
+def structure_cells():
+    """The verified table by cell, in the form of linalg.multiply_cells():
+    cells[i][j] holds the (k, c) pairs with c = c[i][j][k] nonzero."""
     return tuple(
-        tuple((j, k, x) for j, cell in enumerate(row) for k, x in enumerate(cell) if x)
+        tuple(tuple((k, x) for k, x in enumerate(cell) if x) for cell in row)
         for row in structure_table()
     )
-
-
-@lru_cache(maxsize=1)
-def structure_cells():
-    """The verified table by cell: tensor_cells(structure_tensor())."""
-    return tensor_cells(structure_tensor())
-
-
-def multiply_vectors(xs, ys):
-    """Coefficient vector of the product of two coefficient vectors, as a
-    list: only the cells (i, j) with xs[i] and ys[j] nonzero are visited."""
-    cells = structure_cells()
-    out = [0] * len(cells)
-    ys = [(j, y) for j, y in enumerate(ys) if y]
-    for i, x in enumerate(xs):
-        if x:
-            row = cells[i]
-            for j, y in ys:
-                for k, c in row[j]:
-                    out[k] += c * x * y
-    return out
 
 
 class BurnsideElement(StructureElement):
@@ -409,7 +386,7 @@ class BurnsideElement(StructureElement):
     is 1 and nums are residues 0..p-1); `coeffs` gives them as Fractions."""
 
     __slots__ = ()
-    _product = staticmethod(multiply_vectors)
+    _cells = staticmethod(structure_cells)
 
     @classmethod
     def from_ints(cls, ring, nums, den=1):
@@ -449,6 +426,13 @@ class BurnsideElement(StructureElement):
 # of any text is linear in its length.
 _TERM = re.compile(r"(H(?:_\{\d,\d\}|\^D_\d|_\d)):(-?\d+)(?:/([1-9]\d*))?")
 
+# The digits of an operand's numerators and common denominator, so that a
+# product prints under Python's 4,300-digit limit for int text; text of at
+# most DIGIT_BOUND characters cannot pass it, so only longer text is checked.
+DIGIT_BOUND = 2000
+_LIMIT, _LONG_RUN = 10**DIGIT_BOUND, re.compile(r"\d{%d}" % (DIGIT_BOUND + 1))
+_TOO_LONG = "coefficient of %s has more than %d digits"
+
 
 def _basis_index(label):
     label = label.strip().replace("Δ", "D")
@@ -480,7 +464,10 @@ def parse_element(text, ring="Q"):
     and unknown labels.  Both collect (index, n, d) terms, each term with a
     denominator checked on its own by rings.normalize_ints(), so that the
     first coefficient outside the ring is the one named, and _sum_terms()
-    then builds and normalizes the vector once."""
+    then builds and normalizes the vector once.  Text longer than DIGIT_BOUND
+    goes to _parse_terms(), which alone checks that bound."""
+    if len(text) > DIGIT_BOUND:
+        return _parse_terms(text, ring)
     pieces = _TERM.split(text)
     # canonical text splits as ["", label, n, d, ",", label, n, d, ..., ""]
     seps = pieces[4:-1:4]
@@ -502,8 +489,9 @@ def parse_element(text, ring="Q"):
 
 def _parse_terms(text, ring):
     """parse_element() for any text: spaces, the "Δ" alias, decimals, and
-    the refusals of unknown labels, malformed terms and coefficients outside
-    the ring."""
+    the refusals of unknown labels, malformed terms, coefficients outside
+    the ring and numerators or a common denominator of more than DIGIT_BOUND
+    digits, each text checked before it is converted."""
     text = text.strip()
     if text in ("0", ""):
         return BurnsideElement.zero(ring)
@@ -515,11 +503,19 @@ def _parse_terms(text, ring):
             raise ValueError("bad term %r, expected label:coefficient" % (chunk,))
         label, val = chunk.rsplit(":", 1)
         i = _basis_index(label)
+        if _LONG_RUN.search(val):
+            raise ValueError(_TOO_LONG % (BASIS_LABELS[i], DIGIT_BOUND))
         n, d = rings.parse_ints(val)
         (n,), d = rings.normalize_ints(ring, (n,), d)
         terms.append((i, n, d))
         den = math.lcm(den, d)
-    return _sum_terms(ring, terms, den)
+    elem = _sum_terms(ring, terms, den)
+    if elem.den >= _LIMIT:
+        raise ValueError("common denominator of more than %d digits" % DIGIT_BOUND)
+    big = next((i for i, a in enumerate(elem.nums) if abs(a) >= _LIMIT), None)
+    if big is not None:
+        raise ValueError(_TOO_LONG % (BASIS_LABELS[big], DIGIT_BOUND))
+    return elem
 
 
 def _sum_terms(ring, terms, den):

@@ -18,8 +18,9 @@ multiply by E_ab E_cd = [b = c] E_ad, except that
     x_j t_j = eta and y v = xi - 12 eta;
     eta and xi square to zero and kill the legs: only z1 keeps them.
 
-slot_rows() derives the slot products from this rule once, as the
-structure constants of BlockElement, a linalg.StructureElement over Q.
+slot_cells() derives the slot products from this rule once, by cell as
+linalg.multiply_cells() reads them: the structure constants of BlockElement,
+a linalg.StructureElement over Q.
 
 The coordinate order used for vectors throughout is COORD_NAMES.  A
 BlockElement stores its 22 coordinates in that order as integer numerators
@@ -42,13 +43,13 @@ from functools import cache, cached_property
 from . import fixtures, rings
 from .bisets import BASIS_LABELS, BurnsideElement
 from .linalg import SingularMatrixError, StructureElement, apply_columns, common_denominator
-from .linalg import det_inverse, int_inverse, multiply_rows, sparse_columns
+from .linalg import det_inverse, int_inverse, sparse_columns
 
 __all__ = [
     "COORD_NAMES",
     "COORD_INDEX",
     "BlockElement",
-    "slot_rows",
+    "slot_cells",
     "slot_basis",
     "PEIRCE_LABELS",
     "SLOT_TO_PEIRCE",
@@ -89,21 +90,15 @@ def _slot_product(p, q):
 
 
 @cache
-def slot_rows():
-    """The slot products in the row form of linalg.multiply_rows()."""
+def slot_cells():
+    """The slot products in the form of linalg.multiply_cells()."""
     return tuple(
         tuple(
-            (j, COORD_INDEX[r], c)
-            for j, q in enumerate(COORD_NAMES)
-            for r, c in _slot_product(p, q).items()
+            tuple((COORD_INDEX[r], c) for r, c in _slot_product(p, q).items())
+            for q in COORD_NAMES
         )
         for p in COORD_NAMES
     )
-
-
-def _multiply_slots(xs, ys):
-    """The coordinates of xs times ys: linalg.multiply_rows() on slot_rows()."""
-    return multiply_rows(slot_rows(), xs, ys)
 
 
 class BlockElement(StructureElement):
@@ -111,7 +106,11 @@ class BlockElement(StructureElement):
     docstring."""
 
     __slots__ = ()
-    _product = staticmethod(_multiply_slots)
+
+    @staticmethod
+    def _cells():
+        """slot_cells(), looked up by name on each product, as verify does."""
+        return slot_cells()
 
     @classmethod
     def from_ints(cls, nums, den=1):

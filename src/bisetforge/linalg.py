@@ -23,35 +23,32 @@ the steps at columns 0 and 2 leave the row (0, 3, 0) alone:
     >>> int_inverse([[2, 0, 0], [0, 3, 0], [1, 0, 4]])
     ([[12, 0, 0], [0, 8, 0], [-3, 0, 6]], 24)
 
-An algebra is given by structure constants.  StructureElement holds the
-coefficients and the ring rules of an element; each subclass supplies the
-product of two coefficient vectors.  multiply_rows() is the product in row
-form, where rows[i] holds the (j, k, c) triples for which e_i e_j has
-coefficient c at e_k; in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
+An algebra is given by structure constants by cell: cells[i][j] holds the
+(k, c) pairs for which e_i e_j has coefficient c at e_k.  StructureElement
+holds the coefficients and the ring rules of an element; each subclass names
+its cells.  multiply_cells() is the product, and visits only the cells of the
+pairs of nonzero coefficients; in Q[t]/(t^2), with e_0 = 1 and e_1 = t:
 
-    >>> multiply_rows((((0, 0, 1), (1, 1, 1)), ((0, 1, 1),)), [1, 2], [3, 1])  # (1 + 2t)(3 + t)
+    >>> cells = ((((0, 1),), ((1, 1),)), (((1, 1),), ()))
+    >>> multiply_cells(cells, [1, 2], [3, 1])  # (1 + 2t)(3 + t)
     [3, 7]
 
-The block algebra multiplies by multiply_rows(): its rows hold about three
-triples each.  The ring's rows hold about 23, and its operands are often
-sparse, so bisets.multiply_vectors() walks its table by cell instead and
-visits only the pairs of nonzero coefficients.  A sweep of products with
-one left factor x gathers x's row once: left_columns() is the left
-multiplication by x as sparse columns, so that x y is apply_columns(L, y):
+A sweep of products with one left factor x gathers x's cells once:
+left_columns() is the left multiplication by x as sparse columns, so that
+x y is apply_columns(L, y):
 
-    >>> rows = (((0, 0, 1), (1, 1, 1)), ((0, 1, 1),))
-    >>> apply_columns(left_columns(rows, [1, 2]), [3, 1])
+    >>> apply_columns(left_columns(cells, [1, 2]), [3, 1])
     [3, 7]
 
-A linear map from an algebra with structure constants cells, by cell as
-tensor_cells() gives them, to one with rows, sending e_k to images[k] / q, is
-multiplicative when images[i] images[j] is q times the sum of c images[k]
-over the (k, c) pairs of cells[i][j].  sweep_products() makes those products
-with one left multiplication per image, and map_failures() lists the cells
-where one differs.  In Q[t]/(t^2), t -> 2t is multiplicative, t -> 1 + t not:
+A linear map from an algebra with structure constants cells to another,
+sending e_k to images[k] / q, is multiplicative when images[i] images[j] is
+q times the sum of c images[k] over the (k, c) pairs of cells[i][j].
+sweep_products() makes those products by the cells of the target, with one
+left multiplication per image, and map_failures() lists the cells where one
+differs.  In Q[t]/(t^2), t -> 2t is multiplicative, t -> 1 + t not:
 
-    >>> cells, maps = tensor_cells(rows), ([[1, 0], [0, 2]], [[1, 0], [1, 1]])
-    >>> [map_failures(cells, imgs, sweep_products(rows, imgs)) for imgs in maps]
+    >>> maps = [[1, 0], [0, 2]], [[1, 0], [1, 1]]
+    >>> [map_failures(cells, imgs, sweep_products(cells, imgs)) for imgs in maps]
     [[], [(1, 1)]]
 """
 
@@ -62,6 +59,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from . import rings
 
@@ -72,9 +70,8 @@ __all__ = [
     "SparseColumns",
     "sparse_columns",
     "apply_columns",
-    "multiply_rows",
+    "multiply_cells",
     "left_columns",
-    "tensor_cells",
     "sweep_products",
     "map_failures",
     "StructureElement",
@@ -123,47 +120,39 @@ def apply_columns(A, v):
     return out
 
 
-def multiply_rows(rows, xs, ys):
-    """The coefficients of xs times ys by the structure constants rows, as a
-    list; only the nonzero xs[i] and the stored triples are visited."""
-    out = [0] * len(rows)
+def multiply_cells(cells, xs, ys):
+    """The coefficients of xs times ys by the structure constants cells, as a
+    list: only the cells (i, j) with xs[i] and ys[j] nonzero are visited."""
+    out = [0] * len(cells)
+    js = list(compress(range(len(ys)), ys))
     for i, x in enumerate(xs):
         if x:
-            for j, k, c in rows[i]:
-                y = ys[j]
-                if y:
-                    out[k] += c * x * y
+            row = cells[i]
+            for j in js:
+                for k, c in row[j]:
+                    out[k] += c * x * ys[j]
     return out
 
 
-def left_columns(rows, xs):
-    """The left multiplication by xs for the structure constants rows, in the
-    row form of multiply_rows(), as SparseColumns L: column j is xs times e_j,
-    so that apply_columns(L, ys) is multiply_rows(rows, xs, ys)."""
-    cols = [{} for _ in rows]
+def left_columns(cells, xs):
+    """The left multiplication by xs for the structure constants cells, as
+    SparseColumns L: column j is xs times e_j, so that apply_columns(L, ys)
+    is multiply_cells(cells, xs, ys)."""
+    cols = [{} for _ in cells]
     for i, x in enumerate(xs):
         if x:
-            for j, k, c in rows[i]:
-                col = cols[j]
-                col[k] = col.get(k, 0) + c * x
+            for col, cell in zip(cols, cells[i]):
+                for k, c in cell:
+                    col[k] = col.get(k, 0) + c * x
     cols = tuple(tuple(sorted((k, a) for k, a in col.items() if a)) for col in cols)
-    return SparseColumns(len(rows), cols)
+    return SparseColumns(len(cells), cols)
 
 
-def tensor_cells(rows):
-    """cells[i][j]: the (k, c) pairs of the triples (j, k, c) of rows[i],
-    for structure constants in the row form of multiply_rows()."""
-    cells = [[[] for _ in rows] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, k, c in row:
-            cells[i][j].append((k, c))
-    return tuple(tuple(map(tuple, row)) for row in cells)
-
-
-def sweep_products(rows, imgs):
-    """[i][j]: imgs[i] times imgs[j] by the structure constants rows, as lists,
-    from one left_columns() per image and one apply_columns() per product."""
-    return [[apply_columns(L, y) for y in imgs] for L in [left_columns(rows, x) for x in imgs]]
+def sweep_products(cells, imgs):
+    """[i][j]: imgs[i] times imgs[j] by the structure constants cells, as
+    lists, from one left_columns() per image and one apply_columns() per
+    product."""
+    return [[apply_columns(L, y) for y in imgs] for L in [left_columns(cells, x) for x in imgs]]
 
 
 def map_failures(cells, images, products, q=1):
@@ -183,11 +172,11 @@ def map_failures(cells, images, products, q=1):
 class StructureElement:
     """An element over one of rings.RINGS: integer numerators `nums` over one
     denominator `den` > 0, in lowest terms (rings.normalize_ints).  A subclass
-    supplies _product(xs, ys), the product of two numerator vectors by its
-    structure constants; elements of two classes never compare equal, and
-    combining them, or two rings, raises.  Elements are built by the
-    subclass's from_ints, which checks its arguments by _int_args(); calling
-    the class raises TypeError."""
+    names its structure constants: _cells() returns them in the form of
+    multiply_cells(), which makes every product.  Elements of two classes
+    never compare equal, and combining them, or two rings, raises.  Elements
+    are built by the subclass's from_ints, which checks its arguments by
+    _int_args(); calling the class raises TypeError."""
 
     __slots__ = ("ring", "nums", "den")
 
@@ -245,7 +234,7 @@ class StructureElement:
 
     def __mul__(self, other):
         self._check(other)
-        nums = self._product(self.nums, other.nums)
+        nums = multiply_cells(self._cells(), self.nums, other.nums)
         return self._new(self.ring, nums, self.den * other.den)
 
     def is_zero(self):

@@ -1,7 +1,7 @@
 """Quiver relations as plain term maps {path: coefficient}, normalized by
 terms_in, rewriting, and their images in a corner of the block algebra,
 tested on its basis.  Every rewriting function takes the quiver and the ring;
-RELATION_BOUND, LENGTH_BOUND and MAX_STEPS bound the work.
+RELATION_BOUND, TERM_BOUND, LENGTH_BOUND and MAX_STEPS bound the work.
 
 A path p.q means first p, then q, matching the order in which the images of
 the paths are multiplied in the block algebra.  Arrows are ordered by their
@@ -32,6 +32,7 @@ class RewriteDivergence(PresentationError):
 MAX_STEPS = 100000  # the rewrites normal_form makes before RewriteDivergence
 LENGTH_BOUND = 8  # the path length irreducible_paths refuses to reach
 RELATION_BOUND = 64  # the relations Presentation.from_dict accepts: confluence is quadratic
+TERM_BOUND = 4  # the terms element_from_terms accepts: rewriting sorts every term each step
 
 
 class Quiver:
@@ -372,11 +373,14 @@ class Presentation(
 
 def element_from_terms(quiver, ring, terms, where="terms"):
     """The term map of [[coefficient, source, [arrows]], ...], each coefficient
-    a text or an int; a term that is malformed, whose coefficient is not in
-    the ring or whose path is longer than LENGTH_BOUND raises ValueError
-    naming its JSON path below where, before any rewriting."""
+    a text or an int; more than TERM_BOUND terms, or a term that is
+    malformed, whose coefficient is not in the ring or whose path is longer
+    than LENGTH_BOUND, raise ValueError naming where or the JSON path of the
+    term below it, before any rewriting."""
     if not isinstance(terms, list):
         raise ValueError("%s: expected a list of terms" % where)
+    if len(terms) > TERM_BOUND:
+        raise ValueError("%s: %d terms exceed the bound %d" % (where, len(terms), TERM_BOUND))
     out = {}
     for k, term in enumerate(terms):
         try:

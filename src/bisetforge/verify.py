@@ -18,9 +18,9 @@ import math
 import os
 import random
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
-from . import bisets, fixtures
+from . import bisets, blocks, fixtures
 from .fixtures import STAGE_ORDER
 from .bisets import (
     BASIS_LABELS,
@@ -36,7 +36,6 @@ from .bisets import (
     pair_group,
     structure_cells,
     structure_table,
-    structure_tensor,
 )
 from .blocks import (
     COORD_NAMES,
@@ -45,8 +44,6 @@ from .blocks import (
     SLOT_TO_PEIRCE,
     BlockElement,
     PeirceBasis,
-    _multiply_slots,
-    slot_rows,
 )
 from .orders import (
     CONGRUENCES_2,
@@ -68,7 +65,7 @@ from .orders import (
     representation_matrix,
 )
 from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors, hnf_rows
-from .linalg import map_failures, rows_over_lcm, sweep_products, tensor_cells, transpose
+from .linalg import map_failures, multiply_cells, rows_over_lcm, sweep_products, transpose
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -151,7 +148,7 @@ class FixtureSet:
     def peirce_products(self):
         """[i][j]: Peirce vectors i times j over d^2, pb.int_vectors being (rows, d);
         on bisets' table, so that a table swapped into verify reaches associativity alone."""
-        return sweep_products(bisets.structure_tensor(), self.peirce.int_vectors[0])
+        return sweep_products(bisets.structure_cells(), self.peirce.int_vectors[0])
 
     @cached_property
     def route_diffs(self):
@@ -184,7 +181,7 @@ class FixtureSet:
     def delta_products(self):
         """[i][j]: delta(i) delta(j) over D^2, int_delta_images being (rows, D),
         by linalg.sweep_products()."""
-        return sweep_products(slot_rows(), self.int_delta_images[0])
+        return sweep_products(blocks.slot_cells(), self.int_delta_images[0])
 
     @cached_property
     def matrix(self):
@@ -319,13 +316,12 @@ def _identity(fx):
 def _associativity(fx):
     # L_i L_j = sum_k c_ij^k L_k holds iff e_i(e_j e_s) = (e_i e_j)e_s for every s.
     # Each side is one 22x22 array, entry 22 s + r its coefficient at e_r:
-    # e_i(e_j e_s) from row j's triples (s, m, a) and the (r, c) pairs of cell
-    # (i, m), (e_i e_j)e_s from the (m, a) pairs of cell (i, j) and row m's
-    # triples (s, r, c).
-    rows = structure_tensor()
-    T = tensor_cells(rows)
-    by_s = [[(22 * s, m, a) for s, m, a in row] for row in rows]
-    at_sr = [[(22 * s + r, c) for s, r, c in row] for row in rows]
+    # e_i(e_j e_s) from the (m, a) pairs of the cells (j, s) and the (r, c)
+    # pairs of cell (i, m), (e_i e_j)e_s from the (m, a) pairs of cell (i, j)
+    # and the (r, c) pairs of the cells (m, s).
+    T = structure_cells()
+    by_s = [[(22 * s, m, a) for s, cell in enumerate(row) for m, a in cell] for row in T]
+    at_sr = [[(22 * s + r, c) for s, cell in enumerate(row) for r, c in cell] for row in T]
 
     def fails(i, j):
         left, right, Ti = [0] * 484, [0] * 484, T[i]
@@ -436,8 +432,8 @@ def _gamma_multiplicative(fx):
     # reads g G (s_i s_j) == (G e_i)(G e_j), column k of G the image of slot k
     G, g = fx.peirce.int_gamma
     images = transpose(G)
-    products = sweep_products(bisets.structure_tensor(), images)
-    bad = set(map_failures(tensor_cells(slot_rows()), images, products, g))
+    products = sweep_products(bisets.structure_cells(), images)
+    bad = set(map_failures(blocks.slot_cells(), images, products, g))
     fails = _pairs(COORD_NAMES, lambda i, j: (i, j) in bad)
     return _cells(fails, "multiplicative on all 484 slot pairs", "fails at %s")
 
@@ -535,7 +531,7 @@ def _delta_ring_map(fx):
     # delta(e_i) is rows[i] / D, so delta(e_i) delta(e_j) == delta(e_i e_j)
     # reads products[i][j] == D * sum c rows[k] over the cell (i, j) of the table
     rows, D = fx.int_delta_images
-    failed = set(map_failures(structure_cells(), rows, fx.delta_products, D))
+    failed = set(map_failures(bisets.structure_cells(), rows, fx.delta_products, D))
     unit_ok = fx.delta_images[IDENTITY_INDEX] == BlockElement.identity()
     bad = _pairs(BASIS_LABELS, lambda i, j: (i, j) in failed)
     return _cells(
@@ -873,7 +869,7 @@ def _loop_combo():
 
 
 def _loop_corner_law(fx):
-    combo, mul = _loop_combo(), _multiply_slots
+    combo, mul = _loop_combo(), partial(multiply_cells, blocks.slot_cells())
     draw = _randint(random.Random(_SEED + 3), -9, 9)
     for n in range(200):
         a1, b1, c1, a2, b2, c2 = (draw() for _ in range(6))
@@ -894,7 +890,7 @@ def _unit_criterion(fx):
     # a = 0 gives a square-zero non-unit; otherwise the closed-form inverse
     # inv / a^2 is two-sided, u inv == a^2 e6 == inv u, and it lies in the
     # order at 3 exactly when 3 does not divide a
-    combo, mul = _loop_combo(), _multiply_slots
+    combo, mul = _loop_combo(), partial(multiply_cells, blocks.slot_cells())
     for a, b, c in itertools.product(range(-4, 5), repeat=3):
         u = combo(a, b, c)
         if a == 0:

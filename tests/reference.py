@@ -101,16 +101,33 @@ def det(A):
     )
 
 
-def associativity_failures(rows):
+def rows_of(cells):
+    """Structure constants by cell, as linalg.multiply_cells() reads them, in
+    row form: rows[i] holds the triple (j, k, c) of each (k, c) pair of
+    cells[i][j]."""
+    return tuple(tuple((j, k, c) for j, cell in enumerate(row) for k, c in cell) for row in cells)
+
+
+def multiply_rows(rows, xs, ys):
+    """xs times ys by the structure constants rows, as a list: the row walk
+    over the nonzero xs[i] and every stored triple, which the product ran
+    before it walked cells."""
+    out = [0] * len(rows)
+    for i, x in enumerate(xs):
+        if x:
+            for j, k, c in rows[i]:
+                y = ys[j]
+                if y:
+                    out[k] += c * x * y
+    return out
+
+
+def associativity_failures(T):
     """The pairs (i, j) for which e_i(e_j e_s) != (e_i e_j)e_s for some s, in
-    row order, for structure constants in the row form of
-    linalg.multiply_rows(): the combine loop that verify's associativity
-    check ran before it built each side as one array."""
-    n = len(rows)
-    T = [[[] for _ in range(n)] for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, k, c in row:
-            T[i][j].append((k, c))
+    row order, for the structure constants T by cell: the combine loop that
+    verify's associativity check ran before it built each side as one
+    array."""
+    n = len(T)
     cols = [[T[k][s] for k in range(n)] for s in range(n)]
 
     def combine(rows, pairs):

@@ -27,19 +27,17 @@ from bisetforge.bisets import (
     embed_pair,
     format_element,
     mackey_table,
-    multiply_vectors,
     oracle_table,
     parse_element,
     structure_cells,
     structure_table,
-    structure_tensor,
     subgroup_reps,
     transitive_biset,
 )
-from bisetforge.linalg import common_denominator, multiply_rows, tensor_cells
+from bisetforge.linalg import common_denominator, multiply_cells
 from bisetforge.perms import PermGroup
 from bisetforge.rings import RINGS, normalize_ints
-from reference import outcome
+from reference import multiply_rows, outcome, rows_of
 
 
 def element(ring, coeffs):
@@ -157,31 +155,35 @@ def test_ring_coefficient_validation():
     assert red.coeffs[0] == 2
 
 
-def test_multiply_vectors_matches_table():
+def test_multiply_cells_matches_table():
     c = structure_table()
     xs = [0] * 22
     ys = [0] * 22
     xs[2] = 1
     ys[5] = 1
-    assert list(multiply_vectors(xs, ys)) == list(c[2][5])
+    assert list(multiply_cells(structure_cells(), xs, ys)) == list(c[2][5])
 
 
-def test_structure_tensor_is_the_sparse_table():
-    c = structure_table()
-    T = structure_tensor()
-    dense = [[[0] * 22 for _ in range(22)] for _ in range(22)]
-    for i, row in enumerate(T):
-        for j, k, x in row:
-            assert x != 0 and dense[i][j][k] == 0
-            dense[i][j][k] = x
-    assert [[tuple(cell) for cell in row] for row in dense] == [list(row) for row in c]
-    assert sum(len(row) for row in T) == 504
-
-
-def test_structure_cells_regroup_the_tensor_by_cell():
+def test_structure_cells_are_the_sparse_table():
     c = structure_table()
     cells = structure_cells()
-    assert cells == tensor_cells(structure_tensor())
+    dense = [[[0] * 22 for _ in range(22)] for _ in range(22)]
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for k, x in cell:
+                assert x != 0 and dense[i][j][k] == 0
+                dense[i][j][k] = x
+    assert [[tuple(cell) for cell in row] for row in dense] == [list(row) for row in c]
+    assert sum(len(cell) for row in cells for cell in row) == 504
+
+
+def test_structure_cells_regroup_the_row_form_by_cell():
+    c = structure_table()
+    cells = structure_cells()
+    rows = tuple(
+        tuple((j, k, x) for j, cell in enumerate(row) for k, x in enumerate(cell) if x) for row in c
+    )
+    assert rows_of(cells) == rows
     for i in range(22):
         for j in range(22):
             assert cells[i][j] == tuple((k, x) for k, x in enumerate(c[i][j]) if x)
@@ -220,10 +222,11 @@ def _coeff_vectors(denoms):
 
 @given(_coeff_vectors(_RING_DENOMS["Q"]), _coeff_vectors(_RING_DENOMS["Q"]))
 @settings(max_examples=60, deadline=None)
-def test_multiply_vectors_matches_dense_reference(xs, ys):
-    assert multiply_vectors(xs, ys) == _dense_product(xs, ys)
+def test_multiply_cells_matches_dense_reference(xs, ys):
+    cells = structure_cells()
+    assert multiply_cells(cells, xs, ys) == _dense_product(xs, ys)
     ints = [int(x * 36) for x in xs]
-    assert multiply_vectors(ints, ys) == _dense_product(ints, ys)
+    assert multiply_cells(cells, ints, ys) == _dense_product(ints, ys)
 
 
 @given(st.data())
@@ -236,8 +239,8 @@ def test_element_product_matches_dense_reference(data):
     assert all(type(x) is Fraction for x in (a * b).coeffs)
 
 
-# The cell kernel of multiply_vectors() against multiply_rows() on the row
-# form of the same table, kept as the reference: zero, sparse and dense
+# The cell kernel of linalg.multiply_cells() against the row walk of
+# reference.py on the row form of the same table: zero, sparse and dense
 # numerators, over a denominator each ring admits.
 _num = st.integers(-30, 30)
 _numerators = st.one_of(
@@ -257,13 +260,14 @@ def test_ring_products_match_multiply_rows_in_every_ring(data):
     xs, ys = data.draw(_numerators), data.draw(_numerators)
     a = BurnsideElement.from_ints(ring, xs, data.draw(dens))
     b = BurnsideElement.from_ints(ring, ys, data.draw(dens))
-    rows = structure_tensor()
-    assert multiply_vectors(xs, ys) == multiply_rows(rows, xs, ys)
-    assert multiply_vectors(a.nums, b.nums) == multiply_rows(rows, a.nums, b.nums)
+    cells = structure_cells()
+    rows = rows_of(cells)
+    assert multiply_cells(cells, xs, ys) == multiply_rows(rows, xs, ys)
+    assert multiply_cells(cells, a.nums, b.nums) == multiply_rows(rows, a.nums, b.nums)
     want = normalize_ints(ring, tuple(multiply_rows(rows, a.nums, b.nums)), a.den * b.den)
     assert ((a * b).nums, (a * b).den) == want
     fracs = [Fraction(x, 7) for x in xs]
-    assert multiply_vectors(fracs, ys) == multiply_rows(rows, fracs, ys)
+    assert multiply_cells(cells, fracs, ys) == multiply_rows(rows, fracs, ys)
 
 
 # The integer representation: nums over one den, checked once per element,
@@ -413,12 +417,23 @@ def _ref_parse_element(text, ring):
             raise ValueError("bad term %r, expected label:coefficient" % (chunk,))
         label, val = chunk.rsplit(":", 1)
         i = _ref_basis_index(label)
+        run = 0
+        for ch in val:  # a run of more digits than the bound is never converted
+            run = run + 1 if ch.isdecimal() else 0
+            if run > 2000:
+                raise ValueError("coefficient of %s has more than 2000 digits" % BASIS_LABELS[i])
         x = _ref_normalize(ring, _ref_parse_fraction(val))
         terms[i] = terms[i] + x if i in terms else x
     vec = [Fraction(0)] * len(BASIS_LABELS)
     for i, x in terms.items():
         vec[i] = x
-    return element(ring, vec)
+    out = element(ring, vec)
+    if out.den >= 10**2000:
+        raise ValueError("common denominator of more than 2000 digits")
+    for label, a in zip(BASIS_LABELS, out.nums):
+        if abs(a) >= 10**2000:
+            raise ValueError("coefficient of %s has more than 2000 digits" % label)
+    return out
 
 
 _LABEL_TEXTS = st.sampled_from(

@@ -251,6 +251,37 @@ def test_mult_reads_the_zero_it_prints(capsys):
     assert err == "error: unknown basis label ''\n"
 
 
+def test_mult_refuses_an_operand_past_the_digit_bound_before_any_output(capsys):
+    # both operands are parsed before anything is printed; the product of
+    # two 2,200-digit coefficients would pass Python's 4,300-digit limit
+    nines = "H_8:" + "9" * 2200
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "mult", nines, nines, *extra)
+        assert (code, out, err) == (2, "", "error: coefficient of H_8 has more than 2000 digits\n")
+    code, out, err = run_cli(capsys, "mult", "H_8:1", "H^Δ_5 : " + "9" * 5000)
+    assert (code, out, err) == (2, "", "error: coefficient of H^D_5 has more than 2000 digits\n")
+    # a sum of terms at one label, and a common denominator of 2,908 digits
+    code, out, err = run_cli(capsys, "mult", "H_8:" + "9" * 2000 + ",H_8:1", "H_8")
+    assert (code, out, err) == (2, "", "error: coefficient of H_8 has more than 2000 digits\n")
+    wide = "H_{0,0}:1/%d,H_8:1/%d,H_7:1/%d" % (2**3000, 3**2000, 5**1500)
+    code, out, err = run_cli(capsys, "mult", "H_8", wide)
+    assert (code, out, err) == (2, "", "error: common denominator of more than 2000 digits\n")
+
+
+def test_mult_prints_the_largest_accepted_pair(capsys):
+    n, d = 10**2000 - 1, 10**2000 - 3  # 2,000 digits each, and coprime
+    text = ",".join("%s:-%d/%d" % (label, n, d) for label in bisets.BASIS_LABELS)
+    a = bisets.parse_element(text)
+    assert (a.nums, a.den) == ((-n,) * 22, d)
+    product = bisets.format_element(a * a)
+    code, out, err = run_cli(capsys, "mult", text, text)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "  a * b = " + product
+    code, out, err = run_cli(capsys, "mult", text, text, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["product"] == product
+
+
 def test_verify_single_stage_text(capsys):
     code, out, err = run_cli(capsys, "verify", "--stage", "gamma")
     assert code == 0
@@ -772,6 +803,15 @@ def _set_term(key, value):
     return edit
 
 
+def _loops_at_e5(data):
+    """The terms 1 * p of the 340 paths p e5 -> e5 of length 1 to 8 of z2_corner."""
+    walks, terms = [("e5", [])], []
+    for _ in range(8):
+        walks = [(t, path + [a]) for v, path in walks for a, s, t in data["arrows"] if s == v]
+        terms += [["1", "e5", path] for v, path in walks if v == "e5"]
+    return terms
+
+
 def _set_image(key, value):
     def edit(data):
         data[key][sorted(data[key])[0]] = value
@@ -871,6 +911,19 @@ def _set_image(key, value):
             "presentations/z2_corner.json:relations: 72 relations exceed the bound 64",
         ),
         (
+            # each rewriting step sorts every term: this relation took 6 s unbounded
+            "z2_corner", lambda d: d["relations"].append(_loops_at_e5(d)),
+            "presentations/z2_corner.json:relations[9]: 340 terms exceed the bound 4",
+        ),
+        (
+            "z2_corner", lambda d: d["long_kernel"].append(_loops_at_e5(d)[:5]),
+            "presentations/z2_corner.json:long_kernel[15]: 5 terms exceed the bound 4",
+        ),
+        (
+            "z2_corner", lambda d: d["mod_p"]["relations"].append(_loops_at_e5(d)[-5:]),
+            "presentations/z2_corner.json:mod_p.relations[9]: 5 terms exceed the bound 4",
+        ),
+        (
             "q_corner", lambda d: d["vertices"].__setitem__(1, 1),
             "presentations/q_corner.json:vertices[1]: expected a new vertex name, got 1",
         ),
@@ -888,7 +941,8 @@ def _set_image(key, value):
         "unknown-arrow", "arrow-endpoint", "arrow-image", "vertex-image", "mod-p-prime",
         "ring", "bool-coefficient", "null-coefficient", "float-coefficient",
         "float-mod-p-coefficient", "zero-kernel-element", "long-relation-path",
-        "long-kernel-path", "long-mod-p-relation-path", "relation-count", "int-vertex",
+        "long-kernel-path", "long-mod-p-relation-path", "relation-count", "relation-terms",
+        "kernel-terms", "mod-p-relation-terms", "int-vertex",
         "null-vertex", "repeated-vertex",
     ],
 )

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisetforge import linalg
-from bisetforge.bisets import multiply_vectors, structure_tensor
-from bisetforge.blocks import slot_rows
+from bisetforge.bisets import structure_cells
+from bisetforge.blocks import slot_cells
 from bisetforge.linalg import (
     LocalLattice,
     SingularMatrixError,
@@ -21,13 +21,12 @@ from bisetforge.linalg import (
     int_inverse,
     left_columns,
     map_failures,
-    multiply_rows,
+    multiply_cells,
     smith_normal_form,
     sparse_columns,
     sweep_products,
-    tensor_cells,
 )
-from reference import bareiss, det, mat_inverse, mat_mul, mat_vec, minors_gcds
+from reference import bareiss, det, mat_inverse, mat_mul, mat_vec, minors_gcds, multiply_rows, rows_of
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -219,15 +218,16 @@ _operand = st.one_of(
 @example([-(10**40)] * 22, list(range(22)))
 @settings(max_examples=150)
 def test_left_columns_and_apply_columns_are_the_product(xs, ys):
-    # on the ring's table and on the block algebra's slot rows
-    for rows in (structure_tensor(), slot_rows()):
-        L = left_columns(rows, xs)
-        product = multiply_rows(rows, xs, ys)
+    # on the ring's table and on the block algebra's slot cells
+    for cells in (structure_cells(), slot_cells()):
+        L = left_columns(cells, xs)
+        product = multiply_rows(rows_of(cells), xs, ys)
         assert apply_columns(L, ys) == product
         # column j is xs times e_j, stored as sparse_columns stores it
-        dense = [multiply_rows(rows, xs, _unit(j)) for j in range(22)]
+        dense = [multiply_rows(rows_of(cells), xs, _unit(j)) for j in range(22)]
         assert L == sparse_columns(list(map(list, zip(*dense))))
-    assert apply_columns(left_columns(structure_tensor(), xs), ys) == multiply_vectors(xs, ys)
+    cells = structure_cells()
+    assert apply_columns(left_columns(cells, xs), ys) == multiply_cells(cells, xs, ys)
 
 
 def _dense_product(rows, xs, ys):
@@ -267,20 +267,24 @@ def _fraction_map_failures(rows, images, q, products):
 
 @st.composite
 def _algebra_maps(draw):
-    """(rows, images, q, is_map): linear maps e_k -> images[k] / q of an algebra
-    into itself.  The algebra is the ring's table, the slot algebra, or small
-    random structure constants; the images are q times the identity, or on a
-    small algebra random integers, and are then perturbed up to twice."""
+    """(cells, images, q, is_map): linear maps e_k -> images[k] / q of an
+    algebra into itself.  The algebra is the ring's table, the slot algebra,
+    or small random structure constants; the images are q times the
+    identity, or on a small algebra random integers, and are then perturbed
+    up to twice."""
     q = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["ring", "slots", "small", "small"]))
     if kind == "small":
         n = draw(st.integers(1, 4))
         index = st.integers(0, n - 1)
         triples = st.lists(st.tuples(index, index, small_int.filter(bool)), max_size=4)
-        rows = tuple(tuple(draw(triples)) for _ in range(n))
+        cells = [[[] for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j, k, c in draw(triples):
+                cells[i][j].append((k, c))
     else:
-        rows = structure_tensor() if kind == "ring" else slot_rows()
-        n = len(rows)
+        cells = structure_cells() if kind == "ring" else slot_cells()
+        n = len(cells)
     images = [[q * (i == k) for i in range(n)] for k in range(n)]
     if kind == "small" and draw(st.booleans()):
         images = draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -289,30 +293,92 @@ def _algebra_maps(draw):
         k, r = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         images[k][r] += draw(small_int.filter(bool))
         is_map = False
-    return rows, images, q, is_map
+    return cells, images, q, is_map
 
 
 @given(_algebra_maps())
 @settings(max_examples=40, deadline=None)
 def test_sweep_products_and_map_failures_match_the_fraction_reference(case):
-    rows, images, q, is_map = case
-    products = sweep_products(rows, images)
+    cells, images, q, is_map = case
+    rows = rows_of(cells)
+    products = sweep_products(cells, images)
     want = [[_dense_product(rows, x, y) for y in images] for x in images]
     assert products == want
-    failures = map_failures(tensor_cells(rows), images, products, q)
+    failures = map_failures(cells, images, products, q)
     assert failures == _fraction_map_failures(rows, images, q, want)
     if is_map:
         assert failures == []
 
 
+# Random small algebras for the one product loop: 1 to 6 basis elements, rows
+# and cells often empty, a key k repeated in a cell now and then, and int and
+# Fraction constants; the operands mix ints, Fractions and zeros the same way.
+_constant = st.one_of(
+    small_int.filter(bool), st.builds(Fraction, small_int.filter(bool), st.integers(2, 5))
+)
+
+
+def _vectors(n):
+    return st.lists(st.one_of(st.just(0), _constant), min_size=n, max_size=n)
+
+
+@st.composite
+def _small_algebras(draw):
+    """(cells, dense): structure constants by cell, and the tensor
+    dense[i][j][k] they sum to."""
+    n = draw(st.integers(1, 6))
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), _constant), max_size=3)
+    cells = []
+    for _ in range(n):
+        empty_row = draw(st.booleans())
+        cells.append(tuple(() if empty_row else tuple(draw(pairs)) for _ in range(n)))
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                dense[i][j][k] += c
+    return tuple(cells), dense
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_multiply_cells_matches_the_row_walk_and_the_dense_references(data):
+    cells, dense = data.draw(_small_algebras())
+    n = len(cells)
+    rows = rows_of(cells)
+
+    def dense_product(xs, ys):
+        return [
+            sum(Fraction(x) * y * dense[i][j][k] for i, x in enumerate(xs) for j, y in enumerate(ys))
+            for k in range(n)
+        ]
+
+    xs, ys = data.draw(_vectors(n)), data.draw(_vectors(n))
+    product = multiply_cells(cells, xs, ys)
+    assert product == multiply_rows(rows, xs, ys) == dense_product(xs, ys)
+    assert apply_columns(left_columns(cells, xs), ys) == product
+    q = data.draw(st.integers(1, 6))
+    images = [[q * (i == k) for i in range(n)] for k in range(n)]
+    if data.draw(st.booleans()):
+        images = data.draw(st.lists(_vectors(n), min_size=n, max_size=n))
+    want = [[dense_product(x, y) for y in images] for x in images]
+    products = sweep_products(cells, images)
+    assert products == want
+    failures = map_failures(cells, images, products, q)
+    assert failures == _fraction_map_failures(rows, images, q, want)
+    if images == [[q * (i == k) for i in range(n)] for k in range(n)]:
+        assert failures == []
+
+
 @pytest.mark.parametrize("q", [1, 4])
 def test_a_perturbed_identity_image_fails_the_map_at_the_reference_cells(q):
-    for rows, (k, r) in ((structure_tensor(), (4, 9)), (slot_rows(), (19, 20))):
+    for cells, (k, r) in ((structure_cells(), (4, 9)), (slot_cells(), (19, 20))):
+        rows = rows_of(cells)
         images = [[q * (i == j) for i in range(22)] for j in range(22)]
         images[k][r] += 1
         products = [[_dense_product(rows, x, y) for y in images] for x in images]
         want = _fraction_map_failures(rows, images, q, products)
-        assert want and map_failures(tensor_cells(rows), images, products, q) == want
+        assert want and map_failures(cells, images, products, q) == want
 
 
 @given(squares(4), st.integers(1, 6))

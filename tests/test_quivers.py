@@ -133,6 +133,19 @@ def test_more_relations_than_the_bound_are_refused_as_read(monkeypatch):
         Presentation.from_dict(data, where)
 
 
+def test_more_terms_than_the_bound_are_refused_as_read(monkeypatch):
+    data = fixtures.load_presentation("z2_corner")
+    where = "presentations/z2_corner.json"
+    monkeypatch.setattr(quivers, "TERM_BOUND", 3)
+    assert max(map(len, Presentation.from_dict(data, where).relations)) == 3
+    monkeypatch.setattr(quivers, "TERM_BOUND", 2)
+    with pytest.raises(ValueError, match=r"^%s:relations\[8\]: 3 terms exceed the bound 2$" % where):
+        Presentation.from_dict(data, where)
+    q = loop_quiver()
+    with pytest.raises(ValueError, match=r"^terms: 3 terms exceed the bound 2$"):
+        element_from_terms(q, "Z", [["1", "p", []], ["1", "p", ["a", "b"]], ["1", "q", []]])
+
+
 def _loop_path(src, n):
     """The path of length n from src in loop_quiver(), whose arrows alternate."""
     arrows = ("a", "b") if src == "p" else ("b", "a")

@@ -35,17 +35,17 @@ def _warm_fixture_set():
 
 
 def _slot_triple(monkeypatch, fx, rng):
-    # a triple of the e6 corner's rows: z1, z2 and z3 times z1, z2 and z3
-    rows = [list(row) for row in blocks.slot_rows()]
+    # a constant of the e6 corner's cells: z1, z2 and z3 times z1, z2 and z3
+    cells = [list(map(list, row)) for row in blocks.slot_cells()]
     corner = [blocks.COORD_INDEX[n] for n in ("z1", "z2", "z3")]
-    triples = [(i, t) for i in corner for t, (j, _, _) in enumerate(rows[i]) if j in corner]
-    i, t = rng.choice(triples)
-    j, k, c = rows[i][t]
+    pairs = [(i, j, t) for i in corner for j in corner for t in range(len(cells[i][j]))]
+    i, j, t = rng.choice(pairs)
+    k, c = cells[i][j][t]
     if rng.random() < 0.5:
-        rows[i][t] = (j, k, c + rng.choice((-2, -1, 1, 2)))
+        cells[i][j][t] = (k, c + rng.choice((-2, -1, 1, 2)))
     else:
-        rows[i][t] = (j, rng.choice([x for x in range(22) if x != k]), c)
-    monkeypatch.setattr(blocks, "slot_rows", lambda: tuple(map(tuple, rows)))
+        cells[i][j][t] = (rng.choice([x for x in range(22) if x != k]), c)
+    monkeypatch.setattr(blocks, "slot_cells", lambda: tuple(tuple(map(tuple, r)) for r in cells))
 
 
 def _gamma_entry(monkeypatch, fx, rng):

@@ -247,10 +247,10 @@ def _dense_associativity_failures(c):
 def test_corrupted_structure_constant_fails_associativity(monkeypatch, cell):
     i, j = cell
     # the first nonzero constant of cell (i, j), one more
-    T = [list(row) for row in bisets.structure_tensor()]
-    n, (_, k, x) = next((n, t) for n, t in enumerate(T[i]) if t[0] == j)
-    T[i][n] = (j, k, x + 1)
-    monkeypatch.setattr(verify, "structure_tensor", lambda: tuple(map(tuple, T)))
+    T = [list(map(list, row)) for row in bisets.structure_cells()]
+    k, x = T[i][j][0]
+    T[i][j][0] = (k, x + 1)
+    monkeypatch.setattr(verify, "structure_cells", lambda: tuple(tuple(map(tuple, r)) for r in T))
     rep = verify.stage_peirce()
     failing = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
     assert set(failing) == {"associativity"}
@@ -277,11 +277,11 @@ def test_seeded_perturbations_fail_associativity_at_the_reference_pairs(monkeypa
         i, j, k = (rng.randrange(22) for _ in range(3))
         cell = list(table[i][j])
         cell[k] = rng.choice([x for x in (0, -2, -1, 1, 2, 7, cell[k] + 1) if x != cell[k]])
-        rows = list(bisets.structure_tensor())
-        kept = [t for t in rows[i] if t[0] != j]
-        rows[i] = tuple(sorted(kept + [(j, n, c) for n, c in enumerate(cell) if c]))
-        monkeypatch.setattr(verify, "structure_tensor", lambda: tuple(rows))
-        named = ["(%d, %d)" % ij for ij in associativity_failures(rows)]
+        T = [list(row) for row in bisets.structure_cells()]
+        T[i][j] = tuple((n, c) for n, c in enumerate(cell) if c)
+        T = tuple(map(tuple, T))
+        monkeypatch.setattr(verify, "structure_cells", lambda: T)
+        named = ["(%d, %d)" % ij for ij in associativity_failures(T)]
         ok, detail = verify._associativity(verify.FixtureSet())
         assert seen[-1] == named
         if named:
@@ -294,7 +294,6 @@ def test_seeded_perturbations_fail_associativity_at_the_reference_pairs(monkeypa
 
 def _clear_table_caches():
     bisets.structure_table.cache_clear()
-    bisets.structure_tensor.cache_clear()
     bisets.structure_cells.cache_clear()
 
 
