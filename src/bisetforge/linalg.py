@@ -123,14 +123,14 @@ def apply_columns(A, v):
 def multiply_cells(cells, xs, ys):
     """The coefficients of xs times ys by the structure constants cells, as a
     list: only the cells (i, j) with xs[i] and ys[j] nonzero are visited."""
-    out = [0] * len(cells)
-    js = list(compress(range(len(ys)), ys))
-    for i, x in enumerate(xs):
-        if x:
-            row = cells[i]
-            for j in js:
-                for k, c in row[j]:
-                    out[k] += c * x * ys[j]
+    n = len(cells)
+    out = [0] * n
+    js = list(compress(range(n), ys))
+    for i in compress(range(n), xs):
+        x, row = xs[i], cells[i]
+        for j in js:
+            for k, c in row[j]:
+                out[k] += c * x * ys[j]
     return out
 
 
@@ -138,14 +138,15 @@ def left_columns(cells, xs):
     """The left multiplication by xs for the structure constants cells, as
     SparseColumns L: column j is xs times e_j, so that apply_columns(L, ys)
     is multiply_cells(cells, xs, ys)."""
+    n = len(cells)
     cols = [{} for _ in cells]
-    for i, x in enumerate(xs):
-        if x:
-            for col, cell in zip(cols, cells[i]):
-                for k, c in cell:
-                    col[k] = col.get(k, 0) + c * x
+    for i in compress(range(n), xs):
+        x = xs[i]
+        for col, cell in zip(cols, cells[i]):
+            for k, c in cell:
+                col[k] = col.get(k, 0) + c * x
     cols = tuple(tuple(sorted((k, a) for k, a in col.items() if a)) for col in cols)
-    return SparseColumns(len(cells), cols)
+    return SparseColumns(n, cols)
 
 
 def sweep_products(cells, imgs):
