@@ -429,8 +429,9 @@ _TERM = re.compile(r"(H(?:_\{\d,\d\}|\^D_\d|_\d)):(-?\d+)(?:/([1-9]\d*))?")
 # The digits of an operand's numerators and common denominator, so that a
 # product prints under Python's 4,300-digit limit for int text; text of at
 # most DIGIT_BOUND characters cannot pass it, so only longer text is checked.
+# _LONG_RUN tries a match only where a run of digits starts: a linear scan.
 DIGIT_BOUND = 2000
-_LIMIT, _LONG_RUN = 10**DIGIT_BOUND, re.compile(r"\d{%d}" % (DIGIT_BOUND + 1))
+_LIMIT, _LONG_RUN = 10**DIGIT_BOUND, re.compile(r"(?<!\d)\d{%d}" % (DIGIT_BOUND + 1))
 _TOO_LONG = "coefficient of %s has more than %d digits"
 
 

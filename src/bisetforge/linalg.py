@@ -138,15 +138,14 @@ def left_columns(cells, xs):
     """The left multiplication by xs for the structure constants cells, as
     SparseColumns L: column j is xs times e_j, so that apply_columns(L, ys)
     is multiply_cells(cells, xs, ys)."""
-    n = len(cells)
     cols = [{} for _ in cells]
-    for i in compress(range(n), xs):
-        x = xs[i]
-        for col, cell in zip(cols, cells[i]):
-            for k, c in cell:
-                col[k] = col.get(k, 0) + c * x
+    for i, x in enumerate(xs):
+        if x:
+            for col, cell in zip(cols, cells[i]):
+                for k, c in cell:
+                    col[k] = col.get(k, 0) + c * x
     cols = tuple(tuple(sorted((k, a) for k, a in col.items() if a)) for col in cols)
-    return SparseColumns(n, cols)
+    return SparseColumns(len(cells), cols)
 
 
 def sweep_products(cells, imgs):
