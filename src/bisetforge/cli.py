@@ -93,9 +93,12 @@ def cmd_subgroups(args):
     else:
         classes = group.conjugacy_classes_of_subgroups()
         labels = [None] * len(classes)
-    rows = []
+    rows, spelled = [], {}  # image tuple -> cycle string: each generator is spelled once
     for i, members in enumerate(classes):
-        gens = [p.cycle_string() for p in group.subgroup_generators(members[0])] or ["()"]
+        gens = [
+            spelled.get(p.images) or spelled.setdefault(p.images, p.cycle_string())
+            for p in group.subgroup_generators(members[0])
+        ] or ["()"]
         rows.append(
             {
                 "index": i,

@@ -7,21 +7,28 @@ oversized generating set (S7, S10) is refused in milliseconds.
 
 Subgroup work runs on integer tables that a group builds on first use and
 keeps for its own lifetime: element i is `elements[i]`, so index order is
-element order and index 0 is the identity.  The multiplication table holds
-n^2 ints and the conjugation rows, one per generator, |gens|*n more (about
-50 MB at the capacity, 4 MB for S6).  A subgroup is a Python int with bit i
-set for each element i it contains.
+element order and index 0 is the identity.  The closure composes each element
+with each distinct generator once and keeps those compositions, as index
+lists over the sorted elements, for the tables: the multiplication table is
+built from these right-multiplication rows by gathers alone, with no further
+composition, and a group that never builds its tables holds only these rows.
+The multiplication table holds n^2 ints and the conjugation rows, one per
+generator, |gens|*n more (about 50 MB at the capacity, 4 MB for S6).  A
+subgroup is a Python int with bit i set for each element i it contains.
 
 Subgroup classes come from the cyclic extension method (Neubueser 1960):
 every subgroup is generated by its cyclic subgroups of prime-power order, so
 joining one representative H of each known class with each such cyclic <z>
-reaches every class.  Since <H, h z h^-1> = <H, z> for h in H, one join
-settles the cyclics of all h z h^-1, and the rest are skipped.  A join closes
-coset by coset (Dimino); a new class is the orbit of its representative under
-the generators.  A class stays member masks to the output, the least the
-representative with greedy generators (`minimal_gens`); no `PermGroup` is built
-per class, and more than SUBGROUP_COUNT_CAPACITY subgroups raise `CapacityError`.
-S6 (56 classes, 1455 subgroups) takes about 0.45 s as a fresh process on a 2-vCPU VM.
+reaches every class.  A cyclic <z> is the powers of z along its table row.
+Since <H, h z h^-1> = <H, z> for h in H, one join settles the cyclics of all
+h z h^-1, and the rest are skipped.  A join closes coset by coset (Dimino),
+each coset one gather of a table row; a new class is the orbit of its
+representative under the generators.  A class stays member masks to the
+output, the least the representative with greedy generators (`minimal_gens`);
+no `PermGroup` is built per class, and more than SUBGROUP_COUNT_CAPACITY
+subgroups raise `CapacityError`.  S6 (56 classes, 1455 subgroups) takes
+about 0.19 s as a fresh process on a 2-vCPU VM (0.22 s before the tables were
+built from the closure's rows, medians of 11 alternating runs).
 
     >>> a = Perm.from_cycle_string("(1,2)", 3)
     >>> b = Perm.from_cycle_string("(1,2,3)", 3)
@@ -38,6 +45,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import compress, count
+from operator import itemgetter
 
 __all__ = [
     "Perm",
@@ -208,29 +216,39 @@ class Perm:
 
 
 def _close(degree, generators):
-    """Image tuples of the group the perms generate, breadth first.
+    """(images, right, gens) for the group the perms generate: its image
+    tuples sorted, for each distinct generator g other than the identity the
+    right-multiplication row i -> index of images[i] * g, and the index of
+    each generator.
 
-    Raises CapacityError as soon as the partial closure passes
-    SUBGROUP_CAPACITY elements.
+    The walk, breadth first, composes every element with every such generator
+    once, and those compositions are the rows.  Raises CapacityError as soon
+    as the partial closure passes SUBGROUP_CAPACITY elements.
     """
     e = tuple(range(degree))
-    gens = [g.images for g in generators]
-    elems = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(map(x.__getitem__, g))
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-                    if len(elems) > SUBGROUP_CAPACITY:
-                        raise CapacityError(
-                            "group order exceeds the capacity of %d elements" % SUBGROUP_CAPACITY
-                        )
-        frontier = nxt
-    return elems
+    distinct = [g for g in dict.fromkeys(g.images for g in generators) if g != e]
+    # x * g is x gathered at g's images; g moves a point, so degree >= 2 and
+    # the itemgetter returns a tuple
+    steps = [(itemgetter(*g), []) for g in distinct]
+    elems, found = [e], {e: 0}  # found: image tuple -> position in elems
+    for x in elems:
+        for times_g, row in steps:
+            y = times_g(x)
+            k = found.get(y)
+            if k is None:
+                k = found[y] = len(elems)
+                elems.append(y)
+                if k == SUBGROUP_CAPACITY:
+                    raise CapacityError(
+                        "group order exceeds the capacity of %d elements" % SUBGROUP_CAPACITY
+                    )
+            row.append(k)
+    rows = [row for _, row in steps]
+    order = sorted(range(len(elems)), key=elems.__getitem__)  # walk positions, sorted
+    rank = sorted(range(len(elems)), key=order.__getitem__)  # its inverse
+    right = [list(map(rank.__getitem__, map(row.__getitem__, order))) for row in rows]
+    first = {g: row[0] for g, row in zip(distinct, right)}  # the identity times g is g
+    return list(map(elems.__getitem__, order)), right, [first.get(g.images, 0) for g in generators]
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -264,26 +282,22 @@ class _Tables:
 
     mul is the transpose of its columns: the identity's column is 0..n-1, and
     the column of e_j * g is that of e_j mapped through g's right-multiplication
-    row, so only those rows take Python-level compositions.
+    row.  Those rows come from the closure that found the elements, so the
+    tables take no Python-level composition.
     """
 
-    def __init__(self, elements, generators):
-        imgs = [p.images for p in elements]
-        self.index = index = {im: i for i, im in enumerate(imgs)}
-        self.n = n = len(imgs)
-        self.gens = gens = [index[g.images] for g in generators]
-        # one right-multiplication row per distinct generator g: i -> e_i * g
-        right = [
-            [index[tuple(map(a.__getitem__, imgs[g]))] for a in imgs] for g in dict.fromkeys(gens)
-        ]
+    def __init__(self, elements, right, gens):
+        self.elements = elements
+        self.n = n = len(elements)
+        self.gens = gens
         cols = [None] * n
-        cols[0] = list(range(n))
+        cols[0] = tuple(range(n))
         reached = [0]
         for j in reached:
             for row in right:
                 k = row[j]
-                if cols[k] is None:
-                    cols[k] = list(map(row.__getitem__, cols[j]))
+                if cols[k] is None:  # then k != j, so n >= 2 and the itemgetter returns a tuple
+                    cols[k] = itemgetter(*cols[j])(row)
                     reached.append(k)
         assert len(reached) == n, "the generators do not generate the elements"
         self.mul = mul = list(zip(*cols))
@@ -296,7 +310,14 @@ class _Tables:
                 x = row[x]
                 orders[i] += 1
         self.orders = orders
+        # rank[i]: the place of i when sorted by decreasing order, then index
+        by_order = sorted(range(n), key=orders.__getitem__, reverse=True)  # stable
+        self.rank = sorted(range(n), key=by_order.__getitem__)
         self.bit = [1 << i for i in range(n)]  # bit[i] is the mask of element i alone
+
+    @cached_property
+    def index(self):
+        return {p.images: i for i, p in enumerate(self.elements)}
 
     def mask_of(self, elems):
         """Bitmask of an iterable of distinct element indices."""
@@ -311,6 +332,9 @@ class _Tables:
         """
         mul = self.mul
         gens = [mul[s] for s in gens + [x]]
+        # the coset t*H is row t of mul at H's elements; a one-item itemgetter
+        # returns the item alone, and each coset of the trivial H is {t}
+        take = itemgetter(*elems) if len(elems) > 1 else lambda row: (row[0],)
         flags = bytearray(self.n)
         for h in elems:
             flags[h] = 1
@@ -320,20 +344,31 @@ class _Tables:
             for row in gens:
                 t = row[r]
                 if not flags[t]:
-                    row_t = mul[t]
-                    coset = [row_t[h] for h in elems]
+                    coset = take(mul[t])
                     for y in coset:
                         flags[y] = 1
                     out += coset
                     reps.append(t)
         return out, flags
 
+    def cyclic(self, x):
+        """(elements, flags) of <x> as join gives them: its powers in order."""
+        row, flags, out = self.mul[x], bytearray(self.n), [0]
+        flags[0] = 1
+        while x:
+            flags[x] = 1
+            out.append(x)
+            x = row[x]
+        return out, flags
+
     def generated(self, gens):
         """The element indices of the subgroup that the indices gens
         generate, joined in one generator at a time."""
-        elems = [0]
-        for k, g in enumerate(gens):
-            elems = self.join(elems, gens[:k], g)[0]
+        if not gens:
+            return [0]
+        elems = self.cyclic(gens[0])[0]
+        for k in range(1, len(gens)):
+            elems = self.join(elems, gens[:k], gens[k])[0]
         return elems
 
     def orbit(self, mask):
@@ -351,13 +386,12 @@ class _Tables:
     def minimal_gens(self, elems):
         """Generators of the subgroup elems, taken greedily by decreasing
         order, then index, skipping those already in the span."""
-        orders = self.orders
         gens, span, flags = [], [0], bytearray(self.n)
         flags[0] = 1
-        for i in sorted(elems, key=lambda i: (-orders[i], i)):
+        for i in sorted(elems, key=self.rank.__getitem__):
             if flags[i]:
                 continue
-            span, flags = self.join(span, gens, i)
+            span, flags = self.join(span, gens, i) if gens else self.cyclic(i)
             gens.append(i)
             if len(span) == len(elems):
                 break
@@ -369,10 +403,11 @@ class _Tables:
         mul, inv, orders = self.mul, self.inv, self.orders
         # cyclic_of[j]: the position in cyclics of <j>, for j of prime-power order
         cyclics, cyclic_of = [], [None] * self.n
+        prime_power = {k: _is_prime_power(k) for k in set(orders[1:])}
         for i in range(1, self.n):
-            if cyclic_of[i] is not None or not _is_prime_power(orders[i]):
+            if cyclic_of[i] is not None or not prime_power[orders[i]]:
                 continue
-            elems, flags = self.join([0], [], i)
+            elems, flags = self.cyclic(i)
             for j in elems:
                 if orders[j] == orders[i]:
                     cyclic_of[j] = len(cyclics)
@@ -418,7 +453,8 @@ class PermGroup:
         self.generators = tuple(generators)
         if any(g.degree != degree for g in self.generators):
             raise ValueError("generator degree mismatch")
-        self.elements = tuple(map(Perm._trusted, sorted(_close(degree, self.generators))))
+        images, self._right, self._gens = _close(degree, self.generators)
+        self.elements = tuple(map(Perm._trusted, images))
         self._tables = None
 
     @cached_property
@@ -452,7 +488,7 @@ class PermGroup:
 
     def _table(self):
         if self._tables is None:
-            self._tables = _Tables(self.elements, self.generators)
+            self._tables = _Tables(self.elements, self._right, self._gens)
         return self._tables
 
     def subgroup_generators(self, mask):

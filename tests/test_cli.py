@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisetforge import bisets, cli, fixtures, verify
+from bisetforge import bisets, cli, fixtures, perms, verify
 from bisetforge.perms import Perm, PermGroup
 from bisetforge.rings import RINGS
 from reference import subgroups_output
@@ -109,6 +109,23 @@ def test_subgroups_builds_only_the_group_and_hashes_no_perm(
     assert code == 0
     assert json.loads(out)["class_count"] == classes
     assert (len(builds), len(hashes)) == (built, 0)
+
+
+@pytest.mark.parametrize("spec", ["(1,2,3); (1,2,3,4,5)", "S3xS3"], ids=["A5", "S3xS3"])
+def test_subgroups_joins_no_cyclic_and_spells_each_generator_once(capsys, monkeypatch, spec):
+    # a cyclic subgroup is the powers of its generator, not a join from the
+    # trivial subgroup; a generator shared by several classes is spelled once
+    starts, spelled = [], []
+    join, cycle_string = perms._Tables.join, Perm.cycle_string
+    monkeypatch.setattr(
+        perms._Tables, "join", lambda T, elems, *a: starts.append(len(elems)) or join(T, elems, *a)
+    )
+    monkeypatch.setattr(Perm, "cycle_string", lambda p: spelled.append(p.images) or cycle_string(p))
+    code, out, _ = run_cli(capsys, "subgroups", spec, "--json")
+    assert code == 0
+    assert starts and 1 not in starts
+    gens = [g for row in json.loads(out)["classes"] for g in row["generators"] if g != "()"]
+    assert len(spelled) == len(set(spelled)) == len(set(gens))
 
 
 _REFERENCE_SPECS = [

@@ -16,6 +16,7 @@ from bisetforge.bisets import (
     SUBGROUP_GENERATORS,
     _index_tables,
     embed_pair,
+    labeled_subgroups,
     pair_group,
 )
 from bisetforge.perms import (
@@ -323,9 +324,14 @@ def test_module_doctests_pass(name):
 
 
 def _assert_tables_match_composition(G):
-    T = G._table()
     els = G.elements
     index = {p: i for i, p in enumerate(els)}
+    # the closure's right-multiplication rows, one per distinct generator
+    # other than the identity, before the tables are built from them
+    moved = [g for g in dict.fromkeys(G.generators) if g != els[0]]
+    assert G._right == [[index[a * g] for a in els] for g in moved]
+    T = G._table()
+    assert T.index == {p.images: i for p, i in index.items()}
     assert [list(row) for row in T.mul] == [[index[a * b] for b in els] for a in els]
     assert T.inv == [index[a.inverse()] for a in els]
     assert T.gens == [index[g] for g in G.generators]
@@ -334,10 +340,14 @@ def _assert_tables_match_composition(G):
         x = els[g]
         assert row == [index[x * y * x.inverse()] for y in els]
     assert T.orders == [p.order() for p in els]
+    by_rank = sorted(range(len(els)), key=T.rank.__getitem__)
+    assert by_rank == sorted(range(len(els)), key=lambda i: (-els[i].order(), i))
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_groups())
+@example(pair_group())
+@example(_group(5, "(1,2,3)", "()", "(1,2,3,4,5)", "(1,2,3)"))
 def test_tables_match_direct_composition(G):
     _assert_tables_match_composition(G)
 
@@ -381,3 +391,12 @@ def test_biset_index_tables_match_direct_composition():
 def test_tables_of_degenerate_generator_lists(gens):
     G = PermGroup(4, [Perm.from_cycle_string(c, 4) for c in gens])
     _assert_tables_match_composition(G)
+
+
+def test_a_group_without_tables_holds_no_index():
+    # the 22 references are closed for their masks alone: each keeps its
+    # closure's rows, lists of ints, and no per-element dict or table
+    for ref in labeled_subgroups():
+        assert ref._tables is None
+        assert not any(isinstance(v, dict) for v in vars(ref).values())
+        assert all(type(row) is list and len(row) == ref.order for row in ref._right)
