@@ -3,9 +3,10 @@
 The 22 transitive classes map through the inverse of the slot isomorphism and
 a fixed conjugation to an integral 22x22 matrix M over the coordinate order
 of blocks.COORD_NAMES, one column per class in BASIS_LABELS order.  The image
-lattice of M is cut out of the integral block order by congruence conditions;
-this module holds both descriptions plus the localized versions at 2 and 3,
-and the idempotents of the localized orders.
+lattice of M is cut out of the integral block order by the paper's
+congruences, compiled once to LAMBDA_CONDITIONS and localized at 2 and 3;
+mod24_conditions() derives that cut from M instead, for comparison.  The
+idempotents of the localized orders open the corner bases built on them.
 
 The matrix fixture ships with a stated column listing that swaps the two
 factors in each class label; contracting its columns against the component
@@ -37,7 +38,8 @@ __all__ = [
     "matrix_diff",
     "CONGRUENCES_2",
     "CONGRUENCES_3",
-    "MOD24_ROWS",
+    "LAMBDA_CONDITIONS",
+    "mod24_conditions",
     "lambda_membership",
     "localized_membership",
     "congruence_solution_lattice",
@@ -152,28 +154,6 @@ CONGRUENCES_3 = (
 )
 
 
-def _mod24_row(entries):
-    row = [0] * 22
-    for name, c in entries.items():
-        row[COORD_INDEX[name]] = c
-    return tuple(row)
-
-
-MOD24_ROWS = (
-    _mod24_row({"x1": 2}),
-    _mod24_row({"x2": 2}),
-    _mod24_row({"x3": 2}),
-    _mod24_row({"y": 12}),
-    _mod24_row({"w": 6, "z1": 18, "z2": 1}),
-    _mod24_row({"t1": 12}),
-    _mod24_row({"t2": 12}),
-    _mod24_row({"t3": 12}),
-    _mod24_row({"v": 12}),
-    _mod24_row({"z2": 2}),
-    _mod24_row({"z3": 6}),
-)
-
-
 def _compiled(congs, p=None):
     """(((index in COORD_NAMES, coeff), ...), modulus) for each congruence;
     at p the modulus is gcd(m, p^m), the p-part of m: over a denominator prime
@@ -184,8 +164,25 @@ def _compiled(congs, p=None):
     )
 
 
-_LAMBDA_CONDITIONS = _compiled(CONGRUENCES_2 + CONGRUENCES_3)
+LAMBDA_CONDITIONS = _compiled(CONGRUENCES_2 + CONGRUENCES_3)
 _LOCAL_CONDITIONS = {2: _compiled(CONGRUENCES_2, 2), 3: _compiled(CONGRUENCES_3, 3)}
+_24_IDENTITY = [[24 * (i == j) for j in range(22)] for i in range(22)]
+
+
+def mod24_conditions(inverse):
+    """The conditions c . v == 0 mod 24, compiled like LAMBDA_CONDITIONS, that
+    cut the column lattice of M, M^-1 = N / d for inverse = (N, d), out of
+    Z^22: the rows of the Hermite form of 24 M^-1 stacked on 24 I, less its
+    24 e_k rows.  ValueError when 24 M^-1 is not integral."""
+    N, d = inverse
+    if 24 % d:
+        raise ValueError("24 times the inverse matrix is not integral")
+    rows = hnf_rows([[24 // d * x for x in row] for row in N] + _24_IDENTITY)
+    return tuple(
+        (tuple((i, c) for i, c in enumerate(row) if c), 24)
+        for row in rows
+        if [c for c in row if c] != [24]
+    )
 
 
 def _satisfies(nums, conditions, g=1):
@@ -203,7 +200,7 @@ def lambda_membership(nums, den=1):
     """Membership of the block nums / den, in any terms, in the integral
     congruence order (integrality included)."""
     g = math.gcd(den, *nums)
-    return g == den and _satisfies(nums, _LAMBDA_CONDITIONS, g)
+    return g == den and _satisfies(nums, LAMBDA_CONDITIONS, g)
 
 
 def localized_membership(nums, den, p):
@@ -216,56 +213,40 @@ def localized_membership(nums, den, p):
 
 
 def congruence_solution_lattice():
-    """HNF row basis of {v in Z^22 : MOD24_ROWS . v == 0 mod 24}.
+    """HNF row basis of {v in Z^22 : v meets LAMBDA_CONDITIONS}.
 
-    Solved through the Smith form of the congruence matrix; the generators
-    are columns of V scaled by 24/gcd(d_i, 24), plus the full 24 Z^22.
-    """
-    C = [list(row) for row in MOD24_ROWS]
+    Each c . v == 0 mod m is read as (24/m) c . v == 0 mod 24, solved through
+    the Smith form of those rows: the generators are columns of V scaled by
+    24/gcd(d_i, 24), plus the full 24 Z^22."""
+    C = [[24 // m * dict(terms).get(i, 0) for i in range(22)] for terms, m in LAMBDA_CONDITIONS]
     D, V = smith_normal_form(C)
-    n = 22
     k = len(C)
-    gens = []
-    for j in range(n):
-        d = D[j][j] if j < k else 0
-        m = 24 // math.gcd(d, 24) if j < k else 1
-        gens.append([m * V[i][j] for i in range(n)])
-    for j in range(n):
-        gens.append([24 * int(i == j) for i in range(n)])
-    return hnf_rows(gens)
+    gens = [
+        [(24 // math.gcd(D[j][j], 24) if j < k else 1) * V[i][j] for i in range(22)]
+        for j in range(22)
+    ]
+    return hnf_rows(gens + _24_IDENTITY)
 
 
-# Idempotents of the localized orders.  At 2 the last one couples the w slot
-# with the constant part of the corner; at 3 they are separate.
+# Idempotents of the localized orders, e1..e4 alike: at 2 the last couples
+# the w slot with the constant part of the corner; at 3 they are separate.
+_LOCAL_IDEMPOTENTS = {
+    p: tuple(map(BlockElement.from_coords, [{"s11": 1}, {"s22": 1}, {"s33": 1}, {"u": 1}, *last]))
+    for p, last in ((2, [{"w": 1, "z1": 1}]), (3, [{"w": 1}, {"z1": 1}]))
+}
+
+
 def local_idempotents(p):
-    e1 = BlockElement.from_coords({"s11": 1})
-    e2 = BlockElement.from_coords({"s22": 1})
-    e3 = BlockElement.from_coords({"s33": 1})
-    e4 = BlockElement.from_coords({"u": 1})
-    if p == 2:
-        e5 = BlockElement.from_coords({"w": 1, "z1": 1})
-        return (e1, e2, e3, e4, e5)
-    if p == 3:
-        e5 = BlockElement.from_coords({"w": 1})
-        e6 = BlockElement.from_coords({"z1": 1})
-        return (e1, e2, e3, e4, e5, e6)
-    raise ValueError("p must be 2 or 3")
+    """e1, e2, ... of the localized order at p (2 or 3), the same objects on every call."""
+    if p not in _LOCAL_IDEMPOTENTS:
+        raise ValueError("p must be 2 or 3")
+    return _LOCAL_IDEMPOTENTS[p]
 
 
-# Basis of the local corner at 2 on the (w, z) slots, in the claimed order:
-# b1 = identity of the corner, b2 = 2 + 4 eta, b3 = 8 eta, b4 = 4 xi.
-GAMMA_CORNER_BASIS_2 = (
-    ("b1", BlockElement.from_coords({"w": 1, "z1": 1})),
-    ("b2", BlockElement.from_coords({"z1": 2, "z2": 4})),
-    ("b3", BlockElement.from_coords({"z2": 8})),
-    ("b4", BlockElement.from_coords({"z3": 4})),
-)
-
-# Claimed corner bases for the Morita-reduced localized orders.
+# Claimed corner bases for the Morita-reduced localized orders, opening with
+# the idempotents e3.. of the order.
 CORNER_BASIS_2 = (
-    ("e3", BlockElement.from_coords({"s33": 1})),
-    ("e4", BlockElement.from_coords({"u": 1})),
-    ("e5", BlockElement.from_coords({"w": 1, "z1": 1})),
+    *zip(("e3", "e4", "e5"), local_idempotents(2)[2:]),
     ("tau1", BlockElement.from_coords({"x3": 4})),
     ("tau2", BlockElement.from_coords({"t3": 2})),
     ("tau3", BlockElement.from_coords({"y": 2})),
@@ -275,16 +256,20 @@ CORNER_BASIS_2 = (
     ("tau7", BlockElement.from_coords({"z1": 2, "z2": 4})),
 )
 CORNER_BASIS_3 = (
-    ("e3", BlockElement.from_coords({"s33": 1})),
-    ("e4", BlockElement.from_coords({"u": 1})),
-    ("e5", BlockElement.from_coords({"w": 1})),
-    ("e6", BlockElement.from_coords({"z1": 1})),
+    *zip(("e3", "e4", "e5", "e6"), local_idempotents(3)[2:]),
     ("tau1", BlockElement.from_coords({"x3": 3})),
     ("tau2", BlockElement.from_coords({"t3": 1})),
     ("tau3", BlockElement.from_coords({"y": 1})),
     ("tau4", BlockElement.from_coords({"v": 1})),
     ("tau5", BlockElement.from_coords({"z2": 3})),
     ("tau6", BlockElement.from_coords({"z3": 1})),
+)
+
+# Basis of the local corner at 2 on the (w, z) slots, in the claimed order:
+# b1 = identity of the corner, b2 = 2 + 4 eta, b3 = 8 eta, b4 = 4 xi, which
+# are e5, tau7, tau5 and tau6 of CORNER_BASIS_2.
+GAMMA_CORNER_BASIS_2 = tuple(
+    zip(("b1", "b2", "b3", "b4"), map(dict(CORNER_BASIS_2).get, ("e5", "tau7", "tau5", "tau6")))
 )
 
 # The rational corner used for the characteristic-zero presentation: the four

@@ -38,6 +38,7 @@ from .bisets import (
     structure_table,
 )
 from .blocks import (
+    COORD_INDEX,
     COORD_NAMES,
     IDEMPOTENT_LABELS,
     PEIRCE_LABELS,
@@ -46,15 +47,13 @@ from .blocks import (
     PeirceBasis,
 )
 from .orders import (
-    CONGRUENCES_2,
-    CONGRUENCES_3,
     CORNER_BASIS_2,
     CORNER_BASIS_3,
     CORNER_BASIS_Q,
     CORNER_IDEMPOTENTS_Q,
     GAMMA_CORNER_BASIS_2,
     HT_LABELS,
-    MOD24_ROWS,
+    LAMBDA_CONDITIONS,
     congruence_solution_lattice,
     delta_images,
     lambda_membership,
@@ -62,6 +61,7 @@ from .orders import (
     local_idempotents,
     localized_membership,
     matrix_diff,
+    mod24_conditions,
     representation_matrix,
 )
 from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors, hnf_rows
@@ -192,6 +192,15 @@ class FixtureSet:
     def matrix_det_inverse(self):
         """(det, inverse) of the matrix from one elimination, linalg.det_inverse()."""
         return det_inverse(self.matrix)
+
+    @cached_property
+    def mod24_conditions(self):
+        """orders.mod24_conditions() of the matrix: SingularMatrixError when
+        it has no inverse, ValueError when 24 times that is not integral."""
+        det, inverse = self.matrix_det_inverse
+        if not det:
+            raise inverse
+        return mod24_conditions(inverse)
 
     @cached_property
     def matrix_hermite(self):
@@ -455,33 +464,26 @@ def _gamma_roundtrip(fx):
     return True, "200 seeded round trips through both directions"
 
 
-def _support_components():
-    """The coordinate names linked by a shared congruence or mod-24 row, as
-    sorted lists ordered by their largest name."""
-    supports = [set(coeffs) for coeffs, _ in CONGRUENCES_2 + CONGRUENCES_3]
-    supports += [{COORD_NAMES[i] for i, c in enumerate(row) if c} for row in MOD24_ROWS]
+def _support_components(conditions):
+    """The coordinates linked by a shared condition, as sorted lists of names
+    ordered by their largest name."""
     comps = []
-    for sup in supports:
+    for terms, _ in conditions:
+        sup = {i for i, _ in terms}
         joined = [comp for comp in comps if comp & sup]
         comps = [comp for comp in comps if not comp & sup] + [sup.union(*joined)]
-    return sorted((sorted(comp) for comp in comps), key=lambda comp: comp[-1])
+    return sorted((sorted(COORD_NAMES[i] for i in comp) for comp in comps), key=lambda c: c[-1])
 
 
-def _component_conditions(names):
-    """Compile both membership predicates to the given coordinates, as
-    (((position in names, coeff), ...), modulus) conditions."""
-    idx = {n: i for i, n in enumerate(names)}
-    congs = [
-        (tuple((idx[n], c) for n, c in coeffs.items()), m)
-        for coeffs, m in CONGRUENCES_2 + CONGRUENCES_3
-        if idx.keys() >= set(coeffs)
+def _component_conditions(names, conditions):
+    """The conditions on the given coordinates alone, each index replaced by
+    its position in names."""
+    pos = {COORD_INDEX[n]: k for k, n in enumerate(names)}
+    return [
+        (tuple((pos[i], c) for i, c in terms), m)
+        for terms, m in conditions
+        if all(i in pos for i, _ in terms)
     ]
-    rows = [
-        (tuple((idx[COORD_NAMES[i]], c) for i, c in enumerate(row) if c), 24)
-        for row in MOD24_ROWS
-        if all(COORD_NAMES[i] in idx for i, c in enumerate(row) if c)
-    ]
-    return congs, rows
 
 
 def _holds_on_grid(conditions, n, q):
@@ -497,10 +499,10 @@ def _holds_on_grid(conditions, n, q):
     return ok
 
 
-def _residue_disagreement(comp):
-    """Residues mod 24 of the coordinates in comp on which the congruences and
-    the mod-24 rows disagree, or None; the first disagreement of an
-    exhaustive scan in itertools.product order.
+def _residue_disagreement(comp, rows):
+    """Residues mod 24 of the coordinates in comp on which LAMBDA_CONDITIONS
+    and the mod-24 conditions rows disagree, or None; the first disagreement
+    of an exhaustive scan in itertools.product order.
 
     Every modulus divides 24 = 8 * 3, so each predicate is the conjunction of
     its reductions mod 8 and mod 3, and 0 satisfies every condition.  The
@@ -508,7 +510,7 @@ def _residue_disagreement(comp):
     residues mod 8 and on all residues mod 3; a witness r mod q lifts to the
     residue that is r mod q and 0 mod 24/q.
     """
-    congs, rows = _component_conditions(comp)
+    congs, rows = _component_conditions(comp, LAMBDA_CONDITIONS), _component_conditions(comp, rows)
     n = len(comp)
     for q in (8, 3):
         a, b = _holds_on_grid(congs, n, q), _holds_on_grid(rows, n, q)
@@ -582,10 +584,14 @@ def _columns_satisfy_congruences(fx):
 
 
 def _congruences_match_mod24_rows(fx):
-    comps = _support_components()
+    try:
+        rows = fx.mod24_conditions
+    except ValueError as exc:
+        return False, "no mod-24 conditions to compare: %s" % exc
+    comps = _support_components(LAMBDA_CONDITIONS + rows)
     free = [n for n in COORD_NAMES if all(n not in comp for comp in comps)]
     for comp in comps:
-        worst = _residue_disagreement(comp)
+        worst = _residue_disagreement(comp, rows)
         if worst is not None:
             return False, "predicates disagree on %s at residues %s" % (",".join(comp), worst)
     return True, "exhaustive residue check over components %s; unconstrained slots %s" % (
@@ -842,12 +848,8 @@ def _corner_identities(fx, p):
 
 def _loop_corner_span(fx):
     t = dict(CORNER_BASIS_3)
-    problems = corner_span_problems(
-        3,
-        (("e6", t["e6"]), ("eta", t["tau5"]), ("xi", t["tau6"])),
-        fx.named_delta_images,
-        (local_idempotents(3)[5],),
-    )
+    loop = (("e6", t["e6"]), ("eta", t["tau5"]), ("xi", t["tau6"]))
+    problems = corner_span_problems(3, loop, fx.named_delta_images, (t["e6"],))
     return _problems(problems, "the e6 corner at 3 is spanned by 1, eta, xi")
 
 

@@ -608,6 +608,38 @@ def test_singular_delta_matrix_fails_its_checks_and_exits_1(capsys, tmp_path):
     assert status["stated-column-listing"] == "pass"
 
 
+def _zero_first_column(matrix):
+    for row in matrix:
+        row[0] = 0
+
+
+def _quintuple_first_row(matrix):
+    matrix[0] = [5 * x for x in matrix[0]]
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (_zero_first_column, "cannot be checked: singular at column 0"),
+        (
+            _quintuple_first_row,
+            "no mod-24 conditions to compare: 24 times the inverse matrix is not integral",
+        ),
+    ],
+    ids=["singular", "non-integral-24-inverse"],
+)
+def test_a_matrix_with_no_mod24_conditions_fails_that_check_and_exits_1(
+    capsys, tmp_path, edit, detail
+):
+    dst = _tampered_fixture(tmp_path, "delta_matrix.json", lambda d: edit(d["matrix"]))
+    code, out, err = run_cli(capsys, "verify", "--stage", "lambda", "--json", "--fixture-dir", dst)
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(out)["stages"][0]["checks"]}
+    check = checks["congruences-match-mod24-rows"]
+    assert (check["status"], check["detail"]) == ("fail", detail)
+
+
 def test_a_non_integral_delta_image_fails_its_checks_and_blocks_the_emit(
     capsys, tmp_path, monkeypatch
 ):

@@ -1,13 +1,16 @@
 """Every name that a module of the package imports is used in that module or
 listed in its __all__, and every name its __all__ lists is defined there, so
-that an import or an export a deletion leaves behind fails here."""
+that an import or an export a deletion leaves behind fails here.  Every
+fixture file is package data, so that an installed package ships it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bisetforge"
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 
 def exported_names(tree):
@@ -82,3 +85,32 @@ def test_undefined_exports_sees_defs_classes_assignments_and_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_of_the_package_is_defined(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def package_data_globs(text):
+    """The bisetforge globs of [tool.setuptools.package-data] in the
+    pyproject text, read by regex, since Python 3.10 has no tomllib."""
+    section = re.search(r"^\[tool\.setuptools\.package-data\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    body = section.group(1) if section else ""
+    entry = re.search(r"^bisetforge\s*=\s*\[(.*?)\]", body, re.M | re.S)
+    return re.findall(r'"([^"]*)"', entry.group(1)) if entry else []
+
+
+def test_package_data_globs_reads_only_the_package_entry_of_its_section():
+    text = (
+        '[tool.setuptools.packages.find]\nbisetforge = ["no.json"]\n\n'
+        '[tool.setuptools.package-data]\nother = ["x.txt"]\n'
+        'bisetforge = [\n    "fixtures/*.json",\n    "fixtures/p/*.json",\n]\n\n'
+        '[tool.pytest.ini_options]\nbisetforge = ["no.txt"]\n'
+    )
+    assert package_data_globs(text) == ["fixtures/*.json", "fixtures/p/*.json"]
+    assert package_data_globs("[project]\nname = 'x'\n") == []
+
+
+def test_every_fixture_file_is_package_data():
+    # the tests import the package from src/, where a missing glob goes unseen
+    globs = package_data_globs(PYPROJECT.read_text(encoding="utf-8"))
+    shipped = {path for glob in globs for path in PACKAGE.glob(glob)}
+    files = [path for path in sorted((PACKAGE / "fixtures").rglob("*")) if path.is_file()]
+    assert len(files) >= 6
+    assert [str(path.relative_to(PACKAGE)) for path in files if path not in shipped] == []

@@ -8,12 +8,21 @@ from hypothesis import strategies as st
 
 from bisetforge.bisets import BASIS_LABELS, BurnsideElement
 from bisetforge.blocks import COORD_NAMES, BlockElement, PeirceBasis
-from bisetforge.linalg import common_denominator, elementary_divisors, hnf_rows, transpose
+from bisetforge import orders
+from bisetforge.linalg import (
+    common_denominator,
+    elementary_divisors,
+    hnf_rows,
+    int_inverse,
+    transpose,
+)
 from bisetforge.orders import (
     CONGRUENCES_2,
     CONGRUENCES_3,
+    CORNER_BASIS_2,
+    CORNER_BASIS_3,
+    GAMMA_CORNER_BASIS_2,
     HT_LABELS,
-    MOD24_ROWS,
     X1,
     X2,
     X3,
@@ -23,6 +32,7 @@ from bisetforge.orders import (
     load_fixture_matrix,
     local_idempotents,
     localized_membership,
+    mod24_conditions,
     representation_matrix,
 )
 from bisetforge.verify import swap_label
@@ -83,17 +93,27 @@ def test_stated_column_listing_is_the_factor_swap():
     assert tuple(swap_label(swap_label(l)) for l in BASIS_LABELS) == BASIS_LABELS
 
 
-def mod24_membership(vec):
-    """Reference: every MOD24_ROWS row annihilates vec mod 24."""
-    return all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in MOD24_ROWS)
+def mod24_rows():
+    """The mod-24 conditions derived from the matrix fixture, as dense rows."""
+    rows = []
+    for terms, m in mod24_conditions(int_inverse(load_fixture_matrix())):
+        assert m == 24
+        rows.append([dict(terms).get(i, 0) for i in range(22)])
+    return rows
+
+
+def mod24_membership(vec, rows):
+    """Reference: every one of the dense mod-24 rows annihilates vec mod 24."""
+    return all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in rows)
 
 
 def test_columns_satisfy_congruences():
     M = load_fixture_matrix()
+    rows = mod24_rows()
     for j in range(22):
         col = [M[i][j] for i in range(22)]
         assert lambda_membership(col)
-        assert mod24_membership(col)
+        assert mod24_membership(col, rows)
 
 
 def test_congruence_lists_have_the_displayed_shape():
@@ -101,7 +121,7 @@ def test_congruence_lists_have_the_displayed_shape():
     # 13 displayed rows become 11 + 4 entries
     assert len(CONGRUENCES_2) == 11
     assert len(CONGRUENCES_3) == 4
-    assert len(MOD24_ROWS) == 11
+    assert len(mod24_rows()) == 11
 
 
 def test_24_inverse_is_integral():
@@ -121,6 +141,35 @@ def test_lattice_data_frozen():
     for d in divs:
         prod *= d
     assert prod == INDEX
+
+
+def test_derived_mod24_conditions_cut_out_the_column_lattice(monkeypatch):
+    # their count and the columns they annihilate are tested above; here
+    # their solution lattice, by the Smith route that solves the congruences
+    M = load_fixture_matrix()
+    derived = mod24_conditions(int_inverse(M))
+    monkeypatch.setattr(orders, "LAMBDA_CONDITIONS", derived)
+    assert congruence_solution_lattice() == hnf_rows(transpose(M))
+
+
+def test_derived_mod24_conditions_need_an_integral_24_inverse():
+    M = load_fixture_matrix()
+    M[0] = [5 * x for x in M[0]]
+    with pytest.raises(ValueError, match="24 times the inverse matrix is not integral"):
+        mod24_conditions(int_inverse(M))
+
+
+def test_corner_bases_hold_the_local_idempotents_themselves():
+    for p, basis in ((2, CORNER_BASIS_2), (3, CORNER_BASIS_3)):
+        es = local_idempotents(p)
+        assert local_idempotents(p) is es
+        opening = basis[: len(es) - 2]
+        assert [name for name, _ in opening] == ["e%d" % k for k in range(3, len(es) + 1)]
+        assert all(x is e for (_, x), e in zip(opening, es[2:])), p
+    corner = dict(CORNER_BASIS_2)
+    assert [name for name, _ in GAMMA_CORNER_BASIS_2] == ["b1", "b2", "b3", "b4"]
+    for (name, b), source in zip(GAMMA_CORNER_BASIS_2, ("e5", "tau7", "tau5", "tau6")):
+        assert b is corner[source], (name, source)
 
 
 def test_membership_witnesses():

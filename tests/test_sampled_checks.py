@@ -66,12 +66,12 @@ def _modulus(monkeypatch, fx, rng):
     # one modulus of the compiled congruences of Lambda, Lambda_(2) or Lambda_(3),
     # times 2 or 3
     which = rng.choice((None, 2, 3))
-    conds = list(orders._LAMBDA_CONDITIONS if which is None else orders._LOCAL_CONDITIONS[which])
+    conds = list(orders.LAMBDA_CONDITIONS if which is None else orders._LOCAL_CONDITIONS[which])
     t = rng.randrange(len(conds))
     terms, m = conds[t]
     conds[t] = (terms, rng.choice((2, 3)) * m)
     if which is None:
-        monkeypatch.setattr(orders, "_LAMBDA_CONDITIONS", tuple(conds))
+        monkeypatch.setattr(orders, "LAMBDA_CONDITIONS", tuple(conds))
     else:
         monkeypatch.setitem(orders._LOCAL_CONDITIONS, which, tuple(conds))
 

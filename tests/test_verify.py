@@ -146,6 +146,21 @@ def test_removed_erratum_is_caught(tmp_path):
     assert failing == {"stated-column-listing"}
 
 
+def _dense_rows(conditions):
+    """Compiled mod-24 conditions as dense rows over COORD_NAMES."""
+    assert all(m == 24 for _, m in conditions)
+    return [[dict(terms).get(i, 0) for i in range(22)] for terms, _ in conditions]
+
+
+def _compiled_rows(rows):
+    """Dense rows as compiled mod-24 conditions."""
+    return tuple((tuple((i, c) for i, c in enumerate(row) if c), 24) for row in rows)
+
+
+def _shipped_mod24_rows():
+    return _dense_rows(verify.FixtureSet().mod24_conditions)
+
+
 def _disagree_mod24(names, residues, rows):
     """Do the congruences and the given mod-24 rows disagree at these residues?"""
     vec = [0] * 22
@@ -158,43 +173,65 @@ def _disagree_mod24(names, residues, rows):
     return congs != all(sum(c * x for c, x in zip(row, vec)) % 24 == 0 for row in rows)
 
 
-@pytest.mark.parametrize(
-    "broken",
-    [{"x1": 6}, {"z3": 12}, {"w": 6, "z1": 6, "z2": 1}],
-    ids=["mod3-part", "mod8-part", "coupled-row"],
-)
-def test_broken_mod24_row_fails_with_a_witness(monkeypatch, broken):
-    names = sorted(broken)
-    rows = []
-    for row in orders.MOD24_ROWS:
-        support = sorted(orders.COORD_NAMES[i] for i, c in enumerate(row) if c)
-        rows.append(orders._mod24_row(broken) if support == names else row)
-    assert rows != list(orders.MOD24_ROWS)
-    monkeypatch.setattr(verify, "MOD24_ROWS", tuple(rows))
-    rep = verify.stage_lambda()
-    check = next(c for c in rep["checks"] if c["name"] == "congruences-match-mod24-rows")
+def _disagreement_detail(check):
+    """(component, residues) named by a failed congruences-match-mod24-rows."""
     assert check["status"] == "fail"
     m = re.fullmatch(r"predicates disagree on (\S+) at residues \(([-\d, ]+),?\)", check["detail"])
     assert m, check["detail"]
     comp = m.group(1).split(",")
     residues = [int(r) for r in m.group(2).split(",") if r.strip()]
     assert len(residues) == len(comp) and all(0 <= r < 24 for r in residues)
+    return comp, residues
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [{"x1": 6}, {"z3": 12}, {"w": 6, "z1": 6, "z2": 1}],
+    ids=["mod3-part", "mod8-part", "coupled-row"],
+)
+def test_broken_mod24_row_fails_with_a_witness(broken):
+    names = sorted(broken)
+    broken_row = [broken.get(n, 0) for n in COORD_NAMES]
+    rows = []
+    for row in _shipped_mod24_rows():
+        support = sorted(COORD_NAMES[i] for i, c in enumerate(row) if c)
+        rows.append(broken_row if support == names else row)
+    assert rows != _shipped_mod24_rows()
+    fx = verify.FixtureSet()
+    fx.mod24_conditions = _compiled_rows(rows)
+    rep = verify.stage_lambda(fx)
+    check = next(c for c in rep["checks"] if c["name"] == "congruences-match-mod24-rows")
+    comp, residues = _disagreement_detail(check)
     assert _disagree_mod24(comp, residues, rows)
 
 
-def _brute_disagreement(comp):
+def test_a_negated_matrix_row_moves_the_derived_conditions(tmp_path):
+    # negating the w row keeps 24 M^-1 integral but moves the column lattice
+    dst = _copy_fixtures(tmp_path)
+    path = dst / "delta_matrix.json"
+    data = json.loads(path.read_text())
+    w = COORD_NAMES.index("w")
+    data["matrix"][w] = [-x for x in data["matrix"][w]]
+    path.write_text(fixtures.canonical_dumps(data))
+    rep = verify.stage_lambda(str(dst))
+    check = next(c for c in rep["checks"] if c["name"] == "congruences-match-mod24-rows")
+    assert check["detail"] == "predicates disagree on w,z1,z2,z3 at residues (9, 9, 0, 0)"
+    comp, residues = _disagreement_detail(check)
+    rows = _dense_rows(orders.mod24_conditions(linalg.int_inverse(data["matrix"])))
+    assert _brute_disagreement(comp, rows) == tuple(residues)
+    assert _disagree_mod24(comp, residues, rows)
+
+
+def _brute_disagreement(comp, rows):
     """Reference: the first residues of product(range(q), repeat=len(comp)),
-    q = 8 then 3, where the congruences and verify.MOD24_ROWS disagree,
+    q = 8 then 3, where the congruences and the dense mod-24 rows disagree,
     lifted to residues mod 24."""
     congs = [
         (coeffs, m)
         for coeffs, m in orders.CONGRUENCES_2 + orders.CONGRUENCES_3
         if set(coeffs) <= set(comp)
     ]
-    rows = [
-        {COORD_NAMES[i]: c for i, c in enumerate(row) if c}
-        for row in verify.MOD24_ROWS
-    ]
+    rows = [{COORD_NAMES[i]: c for i, c in enumerate(row) if c} for row in rows]
     rows = [row for row in rows if set(row) <= set(comp)]
     for q in (8, 3):
         lift = (24 // q) * pow(24 // q, -1, q)
@@ -207,23 +244,25 @@ def _brute_disagreement(comp):
     return None
 
 
-def test_residue_disagreement_matches_the_brute_force_scan(monkeypatch):
+def test_residue_disagreement_matches_the_brute_force_scan():
     # trial 0 has the shipped rows; the others change up to three coefficients
     # of the rows, each inside the row's own component, to a nonzero residue
-    shipped = verify._support_components()
-    component = {n: comp for comp in shipped for n in comp}
+    shipped = _shipped_mod24_rows()
+    lam = orders.LAMBDA_CONDITIONS
+    components = verify._support_components(lam + _compiled_rows(shipped))
+    component = {n: comp for comp in components for n in comp}
     rng = random.Random(20261018)
     witnesses = 0
     for trial in range(30):
-        rows = [list(r) for r in orders.MOD24_ROWS]
+        rows = [list(r) for r in shipped]
         for _ in range(rng.randint(1, 3) if trial else 0):
             row = rng.choice(rows)
             names = component[COORD_NAMES[next(i for i, c in enumerate(row) if c)]]
             row[COORD_NAMES.index(rng.choice(names))] = rng.randrange(1, 24)
-        monkeypatch.setattr(verify, "MOD24_ROWS", tuple(map(tuple, rows)))
-        for comp in verify._support_components():
-            got = verify._residue_disagreement(comp)
-            assert got == _brute_disagreement(comp), (trial, comp)
+        conditions = _compiled_rows(rows)
+        for comp in verify._support_components(lam + conditions):
+            got = verify._residue_disagreement(comp, conditions)
+            assert got == _brute_disagreement(comp, rows), (trial, comp)
             witnesses += got is not None
     assert witnesses >= 10
 
