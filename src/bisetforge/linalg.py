@@ -77,6 +77,7 @@ __all__ = [
     "StructureElement",
     "det_inverse",
     "int_inverse",
+    "inverse_of",
     "common_denominator",
     "rows_over_lcm",
     "det_bareiss",
@@ -351,7 +352,13 @@ def int_inverse(A, den=1):
     """Inverse of the rational matrix A/den, A an integer matrix, as (N, d)
     with (A/den)^-1 == N/d in lowest terms and d > 0; SingularMatrixError
     names the first column with no pivot."""
-    det, inverse = det_inverse(A, den)
+    return inverse_of(det_inverse(A, den))
+
+
+def inverse_of(det_inverse_pair):
+    """The inverse held by a (det, inverse) pair of det_inverse(); when det is
+    0, the SingularMatrixError the pair holds is raised."""
+    det, inverse = det_inverse_pair
     if not det:
         raise inverse
     return inverse

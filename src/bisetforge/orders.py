@@ -221,18 +221,19 @@ def congruence_solution_lattice():
     C = [[24 // m * dict(terms).get(i, 0) for i in range(22)] for terms, m in LAMBDA_CONDITIONS]
     D, V = smith_normal_form(C)
     k = len(C)
-    gens = [
-        [(24 // math.gcd(D[j][j], 24) if j < k else 1) * V[i][j] for i in range(22)]
-        for j in range(22)
-    ]
+    gens = []
+    for j in range(22):
+        m = 24 // math.gcd(D[j][j], 24) if j < k else 1
+        gens.append([m * V[i][j] for i in range(22)])
     return hnf_rows(gens + _24_IDENTITY)
 
 
 # Idempotents of the localized orders, e1..e4 alike: at 2 the last couples
 # the w slot with the constant part of the corner; at 3 they are separate.
+_E1_TO_E4 = tuple(BlockElement.from_coords({n: 1}) for n in ("s11", "s22", "s33", "u"))
 _LOCAL_IDEMPOTENTS = {
-    p: tuple(map(BlockElement.from_coords, [{"s11": 1}, {"s22": 1}, {"s33": 1}, {"u": 1}, *last]))
-    for p, last in ((2, [{"w": 1, "z1": 1}]), (3, [{"w": 1}, {"z1": 1}]))
+    2: _E1_TO_E4 + (BlockElement.from_coords({"w": 1, "z1": 1}),),
+    3: _E1_TO_E4 + (BlockElement.from_coords({"w": 1}), BlockElement.from_coords({"z1": 1})),
 }
 
 
@@ -273,12 +274,11 @@ GAMMA_CORNER_BASIS_2 = tuple(
 )
 
 # The rational corner used for the characteristic-zero presentation: the four
-# diagonal slot idempotents, with basis the ten surviving coordinate slots.
+# diagonal slot idempotents, which are e1, e4, e5 and e6 at 3, with basis the
+# ten surviving coordinate slots.
+CORNER_IDEMPOTENTS_Q = ("a_{1,1}", "a_{2,2}", "a_{3,3}", "a_{4,4}")
 CORNER_BASIS_Q = (
-    ("a_{1,1}", BlockElement.from_coords({"s11": 1})),
-    ("a_{2,2}", BlockElement.from_coords({"u": 1})),
-    ("a_{3,3}", BlockElement.from_coords({"w": 1})),
-    ("a_{4,4}", BlockElement.from_coords({"z1": 1})),
+    *zip(CORNER_IDEMPOTENTS_Q, (local_idempotents(3)[i] for i in (0, 3, 4, 5))),
     ("a_{1,4}", BlockElement.from_coords({"t1": 1})),
     ("a_{4,1}", BlockElement.from_coords({"x1": 1})),
     ("a_{2,4}", BlockElement.from_coords({"v": 1})),
@@ -286,4 +286,3 @@ CORNER_BASIS_Q = (
     ("a'_{4,4}", BlockElement.from_coords({"z2": 1})),
     ("a''_{4,4}", BlockElement.from_coords({"z3": 1})),
 )
-CORNER_IDEMPOTENTS_Q = ("a_{1,1}", "a_{2,2}", "a_{3,3}", "a_{4,4}")

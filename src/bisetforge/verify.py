@@ -65,7 +65,7 @@ from .orders import (
     representation_matrix,
 )
 from .linalg import LocalLattice, SingularMatrixError, det_inverse, elementary_divisors, hnf_rows
-from .linalg import map_failures, multiply_cells, rows_over_lcm, sweep_products, transpose
+from .linalg import inverse_of, map_failures, multiply_cells, rows_over_lcm, sweep_products, transpose
 from .quivers import (
     CornerAlgebra,
     Presentation,
@@ -197,10 +197,7 @@ class FixtureSet:
     def mod24_conditions(self):
         """orders.mod24_conditions() of the matrix: SingularMatrixError when
         it has no inverse, ValueError when 24 times that is not integral."""
-        det, inverse = self.matrix_det_inverse
-        if not det:
-            raise inverse
-        return mod24_conditions(inverse)
+        return mod24_conditions(inverse_of(self.matrix_det_inverse))
 
     @cached_property
     def matrix_hermite(self):
@@ -499,6 +496,12 @@ def _holds_on_grid(conditions, n, q):
     return ok
 
 
+# The residue scan lists 8**n residue vectors for a component of n
+# coordinates, so a wider component fails unscanned; the paper's order has
+# none wider than 4.
+_MAX_SCAN_COORDS = 6
+
+
 def _residue_disagreement(comp, rows):
     """Residues mod 24 of the coordinates in comp on which LAMBDA_CONDITIONS
     and the mod-24 conditions rows disagree, or None; the first disagreement
@@ -591,6 +594,9 @@ def _congruences_match_mod24_rows(fx):
     comps = _support_components(LAMBDA_CONDITIONS + rows)
     free = [n for n in COORD_NAMES if all(n not in comp for comp in comps)]
     for comp in comps:
+        if len(comp) > _MAX_SCAN_COORDS:
+            detail = "cannot be checked: a component of %d coordinates, %s"
+            return False, detail % (len(comp), ",".join(comp))
         worst = _residue_disagreement(comp, rows)
         if worst is not None:
             return False, "predicates disagree on %s at residues %s" % (",".join(comp), worst)

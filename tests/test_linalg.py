@@ -19,6 +19,7 @@ from bisetforge.linalg import (
     hnf_rows,
     identity_matrix,
     int_inverse,
+    inverse_of,
     left_columns,
     map_failures,
     multiply_cells,
@@ -396,10 +397,14 @@ def test_det_inverse_is_det_bareiss_and_int_inverse(A, den):
     assert det == det_bareiss(A)
     if det:
         assert inverse == int_inverse(A, den)
+        assert inverse_of((det, inverse)) is inverse
     else:
         assert isinstance(inverse, SingularMatrixError)
         with pytest.raises(SingularMatrixError, match="^%s$" % re.escape(str(inverse))):
             int_inverse(A, den)
+        with pytest.raises(SingularMatrixError) as raised:
+            inverse_of((det, inverse))
+        assert raised.value is inverse
 
 
 def test_common_denominator():

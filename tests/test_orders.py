@@ -21,6 +21,8 @@ from bisetforge.orders import (
     CONGRUENCES_3,
     CORNER_BASIS_2,
     CORNER_BASIS_3,
+    CORNER_BASIS_Q,
+    CORNER_IDEMPOTENTS_Q,
     GAMMA_CORNER_BASIS_2,
     HT_LABELS,
     X1,
@@ -170,6 +172,9 @@ def test_corner_bases_hold_the_local_idempotents_themselves():
     assert [name for name, _ in GAMMA_CORNER_BASIS_2] == ["b1", "b2", "b3", "b4"]
     for (name, b), source in zip(GAMMA_CORNER_BASIS_2, ("e5", "tau7", "tau5", "tau6")):
         assert b is corner[source], (name, source)
+    rational = dict(CORNER_BASIS_Q)
+    for name, k in zip(CORNER_IDEMPOTENTS_Q, (1, 4, 5, 6)):
+        assert rational[name] is local_idempotents(3)[k - 1], (name, k)
 
 
 def test_membership_witnesses():
