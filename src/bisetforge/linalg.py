@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
@@ -253,9 +252,9 @@ class StructureElement:
 
 def common_denominator(values):
     """(numerators, d) with values[i] == numerators[i] / d and d the least
-    common denominator; ints and Fractions pass through, other values go
-    through Fraction()."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    common denominator; a value other than an int is read by rings.rational(),
+    so a float raises TypeError."""
+    fracs = [v if isinstance(v, int) else rings.rational(v) for v in values]
     den = math.lcm(*(f.denominator for f in fracs))
     return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 

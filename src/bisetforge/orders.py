@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
-from . import fixtures
+from . import fixtures, rings
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
 from .linalg import hnf_rows, smith_normal_form
@@ -93,7 +92,7 @@ def representation_matrix(imgs):
             if c % img.den:
                 raise ValueError(
                     "image %d (%s) has non-integer %s = %s"
-                    % (j, BASIS_LABELS[j], name, Fraction(c, img.den))
+                    % (j, BASIS_LABELS[j], name, rings.format_fraction(c, img.den))
                 )
     return [[img.nums[i] for img in imgs] for i in range(22)]
 

@@ -507,7 +507,7 @@ def corner_span_problems(p, named_basis, named_gens, idempotents):
             k, c = next((k, c) for k, c in enumerate(pg.nums) if c % pg.den)
             problems.append(
                 "projection of generator %s is not integral: %s = %s"
-                % (name, COORD_NAMES[k], Fraction(c, pg.den))
+                % (name, COORD_NAMES[k], rings.format_fraction(c, pg.den))
             )
             continue
         proj_rows.append((name, pg.int_vector()))

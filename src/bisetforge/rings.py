@@ -20,6 +20,10 @@ denominator.  normalize_ints() holds the only membership test of the package
     Traceback (most recent call last):
     ...
     ValueError: coefficient 1/2 has denominator divisible by 2
+
+Coefficient text has one grammar, read the same on every Python version by
+parse_ints(): a sign, digits with single underscores between them, then an
+optional /denominator or .fraction, with no exponent and no spaces inside.
 """
 
 from __future__ import annotations
@@ -125,31 +129,33 @@ def is_zero(ring, x):
     return x.numerator % p == 0 if ring in _FIELDS else x == 0
 
 
-_PLAIN = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_NUMBER = re.compile(r"([+-]?)(?=\.?\d)(%s)?(?:/(%s)|\.(%s)?)?" % ((r"\d+(?:_\d+)*",) * 3))
 
 
 def parse_ints(text):
-    """(n, d), d > 0, not reduced, from "3", "-1/2" (straight to ints) or
-    "0.25" (through Fraction).  Exponent notation is refused before Fraction
-    sees it: "1e999999999" would build a billion-digit int."""
+    """(n, d), d > 0, in lowest terms, from "3", "-1/2", "1_000" or "0.25":
+    Python 3.11's Fraction literal less its exponent, which Fraction itself
+    reads otherwise on 3.10 (no underscores) and from 3.12 (spaces by "/").
+    Exponent notation is refused: "1e999999999" is a billion-digit int."""
     text = str(text).strip()
-    m = _PLAIN.fullmatch(text)
-    if m:
-        n, d = int(m[1]), int(m[2] or 1)
-        if d == 0:
-            raise ValueError("zero denominator in %r" % (text,))
-        return n, d
-    if "e" in text.lower():
-        raise ValueError("exponent notation is not accepted: %r" % (text,))
-    try:
-        x = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % (text,)) from None
-    return x.numerator, x.denominator
+    m = _NUMBER.fullmatch(text)
+    if m is None:
+        if "e" in text.lower():
+            raise ValueError("exponent notation is not accepted: %r" % (text,))
+        raise ValueError("Invalid literal for Fraction: %r" % (text,))
+    sign, num, den, frac = m.groups()
+    n, d = int(num or 0), int(den or 1)
+    if d == 0:
+        raise ValueError("zero denominator in %r" % (text,))
+    if frac:
+        d = 10 ** len(frac.replace("_", ""))
+        n = n * d + int(frac)
+    g = math.gcd(n, d)
+    return (-n if sign == "-" else n) // g, d // g
 
 
 def parse_fraction(text):
-    """A Fraction from "3", "-1/2" or "0.25", by parse_ints()."""
+    """A Fraction from "3", "-1/2" or "0.25", read by parse_ints()."""
     return Fraction(*parse_ints(text))
 
 

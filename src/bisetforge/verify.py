@@ -17,10 +17,9 @@ import itertools
 import math
 import os
 import random
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 
-from . import bisets, blocks, fixtures
+from . import bisets, blocks, fixtures, rings
 from .fixtures import STAGE_ORDER
 from .bisets import (
     BASIS_LABELS,
@@ -421,8 +420,8 @@ def _over_lcm(fracs):
 
 def _gamma_bijective(fx):
     G, g = fx.peirce.int_gamma
-    d = Fraction(fx.peirce.gamma_det_inverse[0], g ** len(G))
-    return d != 0, "change of basis determinant %s" % d
+    det = fx.peirce.gamma_det_inverse[0]
+    return det != 0, "change of basis determinant %s" % rings.format_fraction(det, g ** len(G))
 
 
 def _gamma_unit(fx):
@@ -665,12 +664,12 @@ def _membership_splits(fx):
     local = localized_membership
     for nums, den in samples:
         if lambda_membership(nums, den) != (local(nums, den, 2) and local(nums, den, 3)):
-            return False, "split fails on %s" % [str(Fraction(a, den)) for a in nums]
+            return False, "split fails on %s" % [rings.format_fraction(a, den) for a in nums]
     # each witness lies in the order at its prime p and not at the other one, 5 - p
     for coords, p in (
         ({"z2": 4, "z3": 4, "w": 2}, 2),
         ({"z2": 3}, 3),
-        ({"s11": Fraction(1, 3)}, 2),
+        ({"s11": "1/3"}, 2),
     ):
         b = BlockElement.from_coords(coords)
         if not local(b.nums, b.den, p) or local(b.nums, b.den, 5 - p):

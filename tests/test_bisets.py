@@ -396,13 +396,25 @@ def _ref_split_terms(text):
 
 
 def _ref_parse_fraction(text):
+    """Fraction's reading of text as on Python 3.11, on every version: spaces
+    inside are refused (3.12 reads "1 / 2"), and underscores between digits
+    are dropped before Fraction sees them (3.10 refuses them all)."""
     text = str(text).strip()
     if "e" in text.lower():
         raise ValueError("exponent notation is not accepted: %r" % (text,))
+
+    def between_digits(i):
+        return 0 < i < len(text) - 1 and text[i - 1].isdecimal() and text[i + 1].isdecimal()
+
+    if any(ch.isspace() or ch == "_" and not between_digits(i) for i, ch in enumerate(text)):
+        raise ValueError("Invalid literal for Fraction: %r" % (text,))
+    bare = text.replace("_", "")
     try:
-        return Fraction(text)
+        return Fraction(bare)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (text,)) from None
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(repr(bare), repr(text))) from None
 
 
 def _ref_parse_element(text, ring):

@@ -358,6 +358,16 @@ def test_scale_refuses_a_float():
     assert E(s11=1).scale(3) == E(s11=3)
 
 
+def test_from_coords_and_from_vector_refuse_a_float():
+    # 0.1 is a binary fraction over 2**55, never the 1/10 that was meant
+    with pytest.raises(TypeError, match="^coefficient 0.1 is a float"):
+        BlockElement.from_coords({"s11": 0.1})
+    with pytest.raises(TypeError, match="^coefficient 0.5 is a float"):
+        BlockElement.from_vector([0.5] + [0] * 21)
+    assert BlockElement.from_coords({"s11": "1/10"}) == E(s11=Fraction(1, 10))
+    assert BlockElement.from_vector(["-1/2", True] + [0] * 20) == E(s11=Fraction(-1, 2), s21=1)
+
+
 def test_calling_the_class_raises_and_names_from_ints():
     with pytest.raises(TypeError, match=r"^BlockElement is built by BlockElement\.from_ints"):
         BlockElement()

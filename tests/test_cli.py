@@ -16,6 +16,7 @@ from bisetforge import bisets, cli, fixtures, perms, verify
 from bisetforge.perms import Perm, PermGroup
 from bisetforge.rings import RINGS
 from reference import subgroups_output
+from test_rings import COEFFICIENT_GRAMMAR
 
 
 def run_cli(capsys, *argv):
@@ -1011,6 +1012,19 @@ def _set_image(key, value):
 def test_malformed_presentation_exits_2_naming_the_path(capsys, tmp_path, name, edit, message):
     dst = _tampered_fixture(tmp_path, "presentations/%s.json" % name, edit)
     assert _single_error(capsys, "paths", dst).startswith("error: " + message)
+
+
+@pytest.mark.parametrize("text, want", COEFFICIENT_GRAMMAR)
+def test_a_presentation_coefficient_reads_the_coefficient_grammar(capsys, tmp_path, text, want):
+    # relation 0 of q_corner is the one term 1 pi.rho: any nonzero multiple is the same relation
+    dst = _tampered_fixture(tmp_path, "presentations/q_corner.json", _set_term("relations", text))
+    if isinstance(want, tuple):
+        shipped = run_cli(capsys, "verify", "--stage", "paths")
+        assert run_cli(capsys, "verify", "--stage", "paths", "--fixture-dir", dst) == shipped
+        assert shipped[0] == 0
+    else:
+        message = "error: presentations/q_corner.json:relations[0][0]: " + want
+        assert _single_error(capsys, "paths", dst) == message
 
 
 def test_twice_a_lower_path_fails_over_z2_and_vanishes_mod_2(capsys, tmp_path):

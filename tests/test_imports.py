@@ -87,6 +87,37 @@ def test_every_export_of_the_package_is_defined(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
 
 
+def imports_fractions(source):
+    """Does source import the fractions module, in any form and anywhere?"""
+    return any(
+        isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_imports_fractions_sees_every_form_of_the_import():
+    for source in (
+        "import fractions\n",
+        "import math, fractions as fr\n",
+        "from fractions import Fraction\n",
+        "def f():\n    from fractions import Fraction as F\n",
+    ):
+        assert imports_fractions(source), source
+    assert not imports_fractions("import math\nfrom .rings import Fraction\nfractions = 1\n")
+
+
+# rings reads and prints rationals; the others keep one read-only Fraction view:
+# bisets' coeffs, blocks' to_vector and quivers' change_of_basis_det
+FRACTION_MODULES = {"rings.py", "bisets.py", "blocks.py", "quivers.py"}
+
+
+def test_only_the_rational_edges_import_fractions():
+    paths = PACKAGE.glob("*.py")
+    importers = {p.name for p in paths if imports_fractions(p.read_text(encoding="utf-8"))}
+    assert sorted(importers - FRACTION_MODULES) == []
+
+
 def package_data_globs(text):
     """The bisetforge globs of [tool.setuptools.package-data] in the
     pyproject text, read by regex, since Python 3.10 has no tomllib."""

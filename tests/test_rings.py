@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bisetforge.bisets import parse_element
 from bisetforge.rings import (
     RINGS,
     format_fraction,
@@ -157,3 +158,39 @@ def test_parse_ints_keeps_the_fraction_grammar_and_its_refusals():
         parse_ints("1/0_0")
     with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1/-2'$"):
         parse_ints("1/-2")
+
+
+# Each text with its (n, d) or its refusal.  Fraction reads "1_0/3" and
+# "1.5_0" only from Python 3.11 and "1 / 2" only from 3.12; parse_ints reads
+# every text the same on every version.
+COEFFICIENT_GRAMMAR = [
+    ("1_0/3", (10, 3)),
+    ("1.5_0", (3, 2)),
+    ("-.5", (-1, 2)),
+    ("+5.", (5, 1)),
+    ("1 / 2", "Invalid literal for Fraction: '1 / 2'"),
+    ("1__0", "Invalid literal for Fraction: '1__0'"),
+    ("_1", "Invalid literal for Fraction: '_1'"),
+    ("1_", "Invalid literal for Fraction: '1_'"),
+    ("1e3", "exponent notation is not accepted: '1e3'"),
+    ("1/0", "zero denominator in '1/0'"),
+    ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    (".", "Invalid literal for Fraction: '.'"),
+    ("-", "Invalid literal for Fraction: '-'"),
+]
+
+
+@pytest.mark.parametrize("text, want", COEFFICIENT_GRAMMAR)
+def test_parse_ints_reads_one_grammar_on_every_version(text, want):
+    got = outcome(lambda: parse_ints(text))
+    assert got == ((want, None) if isinstance(want, tuple) else (None, want))
+
+
+@pytest.mark.parametrize("text, want", COEFFICIENT_GRAMMAR)
+def test_parse_element_reads_the_grammar_term_by_term(text, want):
+    # the space after the colon keeps the text out of the one-scan reader
+    got = outcome(lambda: parse_element("H_8: " + text))
+    if isinstance(want, tuple):
+        assert got == (parse_element("H_8:" + format_fraction(*want)), None)
+    else:
+        assert got == (None, want)
