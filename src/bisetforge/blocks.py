@@ -30,13 +30,14 @@ to_vector returns them, and scale takes a rational factor.
 
 The linear isomorphism onto the rational double Burnside ring sends each
 coordinate slot to one member of the 22-element orthogonal-decomposition basis
-(gamma).  PeirceBasis holds gamma and its inverse as integer matrices over one
-common denominator each, kept as sparse columns and built once per instance,
-on first use.
+(gamma).  PeirceBasis reads that basis as integer rows over one denominator
+and its table by cell; gamma and its inverse are integer matrices over one
+denominator each, kept as sparse columns built once per instance, on first use.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -196,22 +197,22 @@ SLOT_TO_PEIRCE = (0, 3, 6, 1, 4, 7, 2, 5, 8, 15, 16, 17, 12, 18, 14, 9, 10, 11, 
 
 
 def _coeff_map_to_vector(mapping, where):
-    """The coefficients of one {class label: coefficient} vector of
+    """The (n, d) coefficients of one {class label: coefficient} vector of
     peirce.json; a bad label or coefficient raises ValueError naming it."""
-    vec = [0] * len(BASIS_LABELS)
+    vec = [(0, 1)] * len(BASIS_LABELS)
     for label, val in mapping.items():
         if label not in BASIS_LABELS:
             raise ValueError("%s: unknown class label %r" % (where, label))
         try:
-            vec[BASIS_LABELS.index(label)] = rings.parse_fraction(val)
+            vec[BASIS_LABELS.index(label)] = rings.parse_ints(val)
         except ValueError as exc:
             raise ValueError("%s[%r]: %s" % (where, label, exc)) from None
     return vec
 
 
 def _checked_table(table):
-    """The product table, checked to be 22x22 cells {Peirce label: int}; a
-    malformed fixture raises ValueError naming the JSON path of the problem."""
+    """The product table of 22x22 cells {Peirce label: int}, by cell as in
+    multiply_cells(); a malformed one raises ValueError naming its JSON path."""
     n = len(PEIRCE_LABELS)
 
     def expect_list(seq, where, what):
@@ -231,7 +232,7 @@ def _checked_table(table):
                     raise ValueError("%s: unknown label %r" % (where, lab))
                 if type(c) is not int:
                     raise ValueError("%s[%r]: %r is not an integer" % (where, lab, c))
-    return table
+    return [[[(_PEIRCE_INDEX[k], c) for k, c in cell.items()] for cell in row] for row in table]
 
 
 def _checked_vectors(vectors, where):
@@ -250,14 +251,14 @@ def _checked_vectors(vectors, where):
 class PeirceBasis:
     """The fixture-backed 22-element basis adapted to the idempotents.
 
-    vectors[i] is the coefficient tuple of PEIRCE_LABELS[i] over the
-    transitive-biset basis; table[i][j] is the product as a dict
-    {peirce label: integer coefficient}.
+    int_vectors is (rows, d): rows[i] / d are the coefficients of
+    PEIRCE_LABELS[i] over the transitive-biset basis, d the least common
+    denominator; cells is the product table in the form of multiply_cells().
     """
 
-    def __init__(self, vectors, table):
-        self.vectors = tuple(map(tuple, vectors))
-        self.table = table
+    def __init__(self, rows, d, cells):
+        self.int_vectors = [tuple(row) for row in rows], d
+        self.cells = cells
         self._elements = {}  # (i, ring) -> element(i, ring), each built once
 
     @classmethod
@@ -291,7 +292,9 @@ class PeirceBasis:
             _coeff_map_to_vector(vectors[label], "peirce.json:basis22.vectors[%r]" % label)
             for label in PEIRCE_LABELS
         ]
-        return cls(vecs, _checked_table(data.get("table")))
+        d = math.lcm(*(e for vec in vecs for _, e in vec))
+        rows = [[n * (d // e) for n, e in vec] for vec in vecs]
+        return cls(rows, d, _checked_table(data.get("table")))
 
     def element(self, i, ring="Q"):
         """PEIRCE_LABELS[i] as an element over ring, built on the first call
@@ -309,13 +312,6 @@ class PeirceBasis:
         except (KeyError, TypeError):
             raise ValueError("unknown Peirce label %r" % (label,)) from None
         return self.element(i, ring)
-
-    @cached_property
-    def int_vectors(self):
-        """(rows, d) with vectors[i] == rows[i] / d, one common denominator."""
-        flat, d = common_denominator([c for v in self.vectors for c in v])
-        n = len(BASIS_LABELS)
-        return [flat[i * n : i * n + n] for i in range(len(self.vectors))], d
 
     @cached_property
     def int_gamma(self):

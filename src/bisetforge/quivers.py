@@ -385,14 +385,13 @@ def element_from_terms(quiver, ring, terms, where="terms"):
     for k, term in enumerate(terms):
         try:
             coeff, src, arrows = term
-            if not isinstance(coeff, (str, int)) or isinstance(coeff, bool):
-                raise ValueError("coefficient %r is not a string or an integer" % (coeff,))
+            c = rings.parse_fraction(coeff)
             path = quiver.path(src, arrows)
             if len(path[1]) > LENGTH_BOUND:
                 raise ValueError(
                     "path of length %d exceeds the bound %d" % (len(path[1]), LENGTH_BOUND)
                 )
-            c = rings.normalize(ring, rings.parse_fraction(coeff))
+            c = rings.normalize(ring, c)
         except (TypeError, ValueError) as exc:
             raise ValueError("%s[%d]: %s" % (where, k, exc)) from None
         out[path] = out.get(path, 0) + c

@@ -133,11 +133,16 @@ _NUMBER = re.compile(r"([+-]?)(?=\.?\d)(%s)?(?:/(%s)|\.(%s)?)?" % ((r"\d+(?:_\d+
 
 
 def parse_ints(text):
-    """(n, d), d > 0, in lowest terms, from "3", "-1/2", "1_000" or "0.25":
-    Python 3.11's Fraction literal less its exponent, which Fraction itself
-    reads otherwise on 3.10 (no underscores) and from 3.12 (spaces by "/").
-    Exponent notation is refused: "1e999999999" is a billion-digit int."""
-    text = str(text).strip()
+    """(n, d), d > 0, in lowest terms, from an int or from text "3", "-1/2",
+    "1_000" or "0.25": Python 3.11's Fraction literal less its exponent, which
+    Fraction itself reads otherwise on 3.10 (no underscores) and from 3.12
+    (spaces by "/").  Exponent notation is refused: "1e999999999" is a
+    billion-digit int; so is any other value, such as a float or a bool."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return text, 1
+    if not isinstance(text, str):
+        raise ValueError("coefficient %r is not a string or an integer" % (text,))
+    text = text.strip()
     m = _NUMBER.fullmatch(text)
     if m is None:
         if "e" in text.lower():
@@ -155,7 +160,7 @@ def parse_ints(text):
 
 
 def parse_fraction(text):
-    """A Fraction from "3", "-1/2" or "0.25", read by parse_ints()."""
+    """A Fraction from 3, "3", "-1/2" or "0.25", read by parse_ints()."""
     return Fraction(*parse_ints(text))
 
 

@@ -356,11 +356,9 @@ def _idempotents(fx):
 
 def _peirce_products(fx):
     pb = fx.peirce
-    # vectors[i] == rows[i] / d, so products are over d^2 and table entries over d
+    # basis vector i is rows[i] / d, so products are over d^2 and table entries over d
     rows, d = pb.int_vectors
-    index = PEIRCE_LABELS.index
-    cells = [[[(index(k), c) for k, c in cell.items()] for cell in row] for row in pb.table]
-    bad = set(map_failures(cells, rows, fx.peirce_products, d))
+    bad = set(map_failures(pb.cells, rows, fx.peirce_products, d))
     ok, detail = _cells(
         _pairs(PEIRCE_LABELS, lambda i, j: (i, j) in bad),
         "all 484 products match the adapted-basis table",

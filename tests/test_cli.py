@@ -1229,6 +1229,12 @@ def test_exponent_literal_in_a_presentation_exits_2_at_once(tmp_path):
     assert time.perf_counter() - t0 < 5
 
 
+def _float_leaf(data):
+    """-0.5 at e's H_{0,0} in basis22.vectors and in idempotents, which still agree."""
+    for vectors in (data["basis22"]["vectors"], data["idempotents"]):
+        vectors["e"]["H_{0,0}"] = -0.5
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -1244,8 +1250,23 @@ def test_exponent_literal_in_a_presentation_exits_2_at_once(tmp_path):
             lambda d: d["basis22"]["vectors"]["b_{e,g}"].update({"H_{0,0}": "2e3"}),
             "error: peirce.json:basis22.vectors['b_{e,g}']['H_{0,0}']: exponent notation",
         ),
+        (
+            _float_leaf,
+            "error: peirce.json:basis22.vectors['e']['H_{0,0}']: coefficient -0.5 is not a "
+            "string or an integer",
+        ),
+        (
+            lambda d: d["basis22"]["vectors"]["b_{e,g}"].update({"H_{0,0}": True}),
+            "error: peirce.json:basis22.vectors['b_{e,g}']['H_{0,0}']: coefficient True is not a "
+            "string or an integer",
+        ),
+        (
+            lambda d: d["basis22"]["vectors"]["b_{e,g}"].update({"H_{0,0}": None}),
+            "error: peirce.json:basis22.vectors['b_{e,g}']['H_{0,0}']: coefficient None is not a "
+            "string or an integer",
+        ),
     ],
-    ids=["class-label", "coefficient", "exponent"],
+    ids=["class-label", "coefficient", "exponent", "float", "bool", "null"],
 )
 def test_malformed_peirce_coefficients_exit_2_naming_the_path(capsys, tmp_path, edit, message):
     dst = _tampered_fixture(tmp_path, "peirce.json", edit)

@@ -310,7 +310,8 @@ def test_linear_delta_with_mixed_image_denominators():
     # rescaling the basis vectors gives images over denominators 2..36, which
     # the linear extension sums over one common denominator
     pb = PeirceBasis.load()
-    scaled = PeirceBasis([[(i % 4 + 1) * c for c in v] for i, v in enumerate(pb.vectors)], pb.table)
+    rows, d = pb.int_vectors
+    scaled = PeirceBasis([[(i % 4 + 1) * c for c in v] for i, v in enumerate(rows)], d, pb.cells)
     assert len({img.den for img in delta_images(scaled)}) > 1
     x, xi = conjugator()
     rng = random.Random(20261019)
@@ -323,6 +324,7 @@ def test_linear_delta_with_mixed_image_denominators():
 def test_delta_images_follow_the_fixture_instance():
     # the images are those of the basis passed in, so a different basis gets its own
     pb = PeirceBasis.load()
-    doubled = PeirceBasis([[2 * c for c in v] for v in pb.vectors], pb.table)
+    rows, d = pb.int_vectors
+    doubled = PeirceBasis([[2 * c for c in v] for v in rows], d, pb.cells)
     for a, b in zip(delta_images(pb), delta_images(doubled)):
         assert b == a.scale(Fraction(1, 2))

@@ -152,6 +152,10 @@ def test_parse_ints_keeps_the_fraction_grammar_and_its_refusals():
     assert parse_ints(" 0.25 ") == (1, 4)
     assert parse_ints("1_000/2") == (500, 1)
     assert parse_ints(3) == (3, 1)
+    # the one rule for a fixture's coefficient leaves: text or an int, nothing else
+    for leaf in (-0.5, True, None):
+        with pytest.raises(ValueError, match=r"^coefficient %s is not a string or an integer$" % leaf):
+            parse_ints(leaf)
     with pytest.raises(ValueError, match="^exponent notation is not accepted: '1e3'$"):
         parse_ints("1e3")
     with pytest.raises(ValueError, match=r"^zero denominator in '1/0_0'$"):
