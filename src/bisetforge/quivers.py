@@ -1,7 +1,9 @@
 """Quiver relations as plain term maps {path: coefficient}, normalized by
-terms_in, rewriting, and their images in a corner of the block algebra,
-tested on its basis.  Every rewriting function takes the quiver and the ring;
-RELATION_BOUND, TERM_BOUND, LENGTH_BOUND and MAX_STEPS bound the work.
+terms_in, rewriting, and their images in a corner of the block algebra, a
+CornerAlgebra: its basis rows, independence and local lattices serve the
+presentation checks and its span check alike.  Every rewriting function takes
+the quiver and the ring; RELATION_BOUND, TERM_BOUND, LENGTH_BOUND and
+MAX_STEPS bound the work.
 
 A path p.q means first p, then q, matching the order in which the images of
 the paths are multiplied in the block algebra.  Arrows are ordered by their
@@ -33,6 +35,7 @@ MAX_STEPS = 100000  # the rewrites normal_form makes before RewriteDivergence
 LENGTH_BOUND = 8  # the path length irreducible_paths refuses to reach
 RELATION_BOUND = 64  # the relations Presentation.from_dict accepts: confluence is quadratic
 TERM_BOUND = 4  # the terms element_from_terms accepts: rewriting sorts every term each step
+_DEPENDENT = "claimed corner basis is not linearly independent"
 
 
 class Quiver:
@@ -242,7 +245,8 @@ class CornerAlgebra:
     """Named block elements, a basis of a corner order, multiplied in the
     block algebra.  The basis is kept as integer rows over their lcm
     denominator b, with the pivot columns P of their Hermite form, and is
-    tested as a lattice: no coordinates are solved for."""
+    tested as a lattice: no coordinates are solved for.  A dependent basis
+    is not refused: independent is False, and each check says so."""
 
     def __init__(self, named_basis):
         self.labels = tuple(name for name, _ in named_basis)
@@ -252,10 +256,15 @@ class CornerAlgebra:
             raise ValueError("repeated basis label")
         self._rows, self._b = rows_over_lcm(self.elements)
         echelon = hnf_rows(self._rows)
-        if len(echelon) < len(self._rows):
-            raise ValueError("basis elements are linearly dependent")
+        self.independent = len(echelon) == len(self._rows)
         self._pivots = [next(j for j, x in enumerate(row) if x) for row in echelon]
         self._lattices = {}  # the LocalLattice of the rows at each prime
+
+    def lattice(self, p):
+        """The Z_(p)-span of the rows, b times that of the basis, built once."""
+        if p not in self._lattices:
+            self._lattices[p] = LocalLattice(self._rows, p)
+        return self._lattices[p]
 
     def is_identity(self, f, ring):
         """Is f a two-sided identity over ring: do f.b - b and b.f - b vanish
@@ -268,10 +277,45 @@ class CornerAlgebra:
 
     def in_p_span(self, block, p):
         """Does block lie in p times the Z_(p)-span of the basis, that is, do
-        its coordinates, unique as the basis is independent, lie in pZ_(p)?"""
-        if p not in self._lattices:
-            self._lattices[p] = LocalLattice(self._rows, p)
-        return self._lattices[p].contains([self._b * x for x in block.nums], p * block.den)
+        its coordinates, unique when the basis is independent, lie in pZ_(p)?"""
+        return self.lattice(p).contains([self._b * x for x in block.nums], p * block.den)
+
+    def span_problems(self, p, named_gens, idempotents):
+        """Check the basis spans f.L.f over the localization at p.
+
+        The (name, element) pairs named_gens generate the order L over the
+        localization; the sum f of the given idempotents cuts the corner.
+        Projections of generators and the basis must span the same local
+        lattice, and the basis must be independent.  A generator whose
+        projection is not integral is named with its first non-integral
+        coordinate.
+        """
+        problems = []
+        f = sum(idempotents, BlockElement.zero())
+        for name, elem in zip(self.labels, self.elements):
+            if f * elem * f != elem:
+                problems.append("basis element %s is not fixed by the corner" % name)
+        projected = []  # (name, nums) of each generator with an integral projection
+        for name, g in named_gens:
+            pg = f * g * f
+            if not pg.is_integral():
+                k, c = next((k, c) for k, c in enumerate(pg.nums) if c % pg.den)
+                problems.append(
+                    "projection of generator %s is not integral: %s = %s"
+                    % (name, COORD_NAMES[k], rings.format_fraction(c, pg.den))
+                )
+                continue
+            projected.append((name, pg.nums))
+        order = LocalLattice([nums for _, nums in projected], p)
+        for name, row in zip(self.labels, self._rows):
+            if not order.contains(row, self._b):
+                problems.append("basis element %s is outside the projected order" % name)
+        for name, nums in projected:
+            if not self.lattice(p).contains([self._b * x for x in nums]):
+                problems.append("projected generator %s escapes the claimed basis" % name)
+        if not self.independent:
+            problems.append(_DEPENDENT)
+        return problems
 
     def change_of_basis_det(self, blocks):
         """det T for the len(labels) blocks of the span with blocks_k =
@@ -434,6 +478,8 @@ def verify_presentation(pres, corner):
     vanishing, local confluence, matching rank, and a unit change of basis
     between the irreducible path images and the corner basis.
     """
+    if not corner.independent:
+        return [_DEPENDENT], None
     problems = []
     q = pres.quiver
     ring = pres.ring
@@ -481,45 +527,3 @@ def verify_presentation(pres, corner):
         problems.append("change of basis determinant %s is not a unit" % d)
     return problems, len(basis)
 
-
-def corner_span_problems(p, named_basis, named_gens, idempotents):
-    """Check the claimed corner basis spans f.L.f over the localization at p.
-
-    The (name, element) pairs named_gens generate the order L over the
-    localization; the sum f of the given idempotents cuts the corner.
-    Projections of generators and the claimed basis must span the same local
-    lattice, and the basis must be free of rank equal to its length.  A
-    generator whose projection is not integral is named with its first
-    non-integral coordinate.
-    """
-    problems = []
-    f = sum(idempotents, BlockElement.zero())
-    basis_rows = []
-    for name, elem in named_basis:
-        if (f * elem * f) != elem:
-            problems.append("basis element %s is not fixed by the corner" % name)
-        basis_rows.append(elem.int_vector())
-    proj_rows = []  # (name, row) of each generator with an integral projection
-    for name, g in named_gens:
-        pg = f * g * f
-        if not pg.is_integral():
-            k, c = next((k, c) for k, c in enumerate(pg.nums) if c % pg.den)
-            problems.append(
-                "projection of generator %s is not integral: %s = %s"
-                % (name, COORD_NAMES[k], rings.format_fraction(c, pg.den))
-            )
-            continue
-        proj_rows.append((name, pg.int_vector()))
-    projected = LocalLattice([row for _, row in proj_rows], p)
-    claimed = LocalLattice(basis_rows, p)
-    for name_elem, row in zip(named_basis, basis_rows):
-        if not projected.contains(row):
-            problems.append(
-                "basis element %s is outside the projected order" % name_elem[0]
-            )
-    for name, row in proj_rows:
-        if not claimed.contains(row):
-            problems.append("projected generator %s escapes the claimed basis" % name)
-    if len(claimed.divisors) != len(basis_rows):
-        problems.append("claimed corner basis is not linearly independent")
-    return problems

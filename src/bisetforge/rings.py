@@ -39,7 +39,6 @@ __all__ = [
     "normalize",
     "normalize_ints",
     "is_unit",
-    "is_zero",
     "parse_ints",
     "parse_fraction",
     "format_fraction",
@@ -119,14 +118,6 @@ def is_unit(ring, x):
     if ring == "Z":
         return x.denominator == 1 and abs(x.numerator) == 1
     return x != 0
-
-
-def is_zero(ring, x):
-    """Does the rational x vanish in ring?  In F_p that means x lies in
-    pZ_(p).  A float raises TypeError."""
-    x = rational(x)
-    p = prime(ring)
-    return x.numerator % p == 0 if ring in _FIELDS else x == 0
 
 
 _NUMBER = re.compile(r"([+-]?)(?=\.?\d)(%s)?(?:/(%s)|\.(%s)?)?" % ((r"\d+(?:_\d+)*",) * 3))

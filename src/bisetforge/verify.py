@@ -69,7 +69,6 @@ from .quivers import (
     CornerAlgebra,
     Presentation,
     PresentationError,
-    corner_span_problems,
     element_from_terms,
     element_to_terms,
     same_element_sets,
@@ -77,12 +76,6 @@ from .quivers import (
 )
 
 _SEED = 20260816
-
-
-def _corner_bases():
-    """The corners of the presentation fixtures: name -> basis, the bases as
-    the module holds them when called."""
-    return {"q_corner": CORNER_BASIS_Q, "z2_corner": CORNER_BASIS_2, "z3_corner": CORNER_BASIS_3}
 
 
 def _pairs(labels, bad, cols=None):
@@ -128,6 +121,7 @@ class FixtureSet:
     def __init__(self, fixture_dir=None):
         self.fixture_dir = fixture_dir
         self._reductions = {}
+        self._corners = {}
 
     @cached_property
     def references(self):
@@ -206,7 +200,7 @@ class FixtureSet:
     @cached_property
     def presentation_data(self):
         """The JSON of each presentations/<name>.json, as read."""
-        names = _corner_bases()
+        names = fixtures.PRESENTATION_NAMES
         return {name: fixtures.load_presentation(name, self.fixture_dir) for name in names}
 
     @cached_property
@@ -214,20 +208,29 @@ class FixtureSet:
         """Each presentations/<name>.json, parsed against its corner's labels."""
         return {
             name: Presentation.from_dict(
-                self.presentation_data[name], "presentations/%s.json" % name, [k for k, _ in basis]
+                self.presentation_data[name], "presentations/%s.json" % name, corner.labels
             )
-            for name, basis in _corner_bases().items()
+            for name, corner in self.corners.items()
         }
 
     @cached_property
     def corners(self):
-        """The CornerAlgebra of each presentation's corner, by name, built once
-        per run: its Hermite form and its lattice at each prime are shared."""
-        return {name: CornerAlgebra(basis) for name, basis in _corner_bases().items()}
+        """corner() of each presentation's basis by name, as the module holds
+        it when first read; basic-corner-span reads z2_corner and z3_corner."""
+        bases = (CORNER_BASIS_Q, CORNER_BASIS_2, CORNER_BASIS_3)
+        return {name: self.corner(b) for name, b in zip(fixtures.PRESENTATION_NAMES, bases)}
 
     @cached_property
     def errata(self):
         return fixtures.load_errata(self.fixture_dir)
+
+    def corner(self, named_basis):
+        """The CornerAlgebra of the (name, element) pairs, built once per run:
+        its Hermite form and its lattice at each prime are shared."""
+        key = tuple(named_basis)
+        if key not in self._corners:
+            self._corners[key] = CornerAlgebra(key)
+        return self._corners[key]
 
     def reduction(self, name, p):
         """presentations[name] over F_p, reduced once per run."""
@@ -699,7 +702,8 @@ def _matrix_part_corners(fx, p):
     es = local_idempotents(p)
     problems = []
     for k, f in enumerate(es[:-1]):
-        problems += corner_span_problems(p, (("e%d" % (k + 1), f),), fx.named_delta_images, (f,))
+        corner = fx.corner((("e%d" % (k + 1), f),))
+        problems += corner.span_problems(p, fx.named_delta_images, (f,))
     return _problems(
         problems,
         "e1..e4 cut rank-one corners" if p == 2 else "e1..e5 cut rank-one corners at 3",
@@ -723,8 +727,8 @@ def _morita_witnesses(fx, p):
 
 
 def _gamma_corner_span(fx):
-    problems = corner_span_problems(
-        2, GAMMA_CORNER_BASIS_2, fx.named_delta_images, (local_idempotents(2)[4],)
+    problems = fx.corner(GAMMA_CORNER_BASIS_2).span_problems(
+        2, fx.named_delta_images, (local_idempotents(2)[4],)
     )
     return _problems(problems, "b1..b4 span the e5 corner at 2")
 
@@ -810,8 +814,8 @@ def _residue_field(fx):
 
 
 def _basic_corner_span(fx, p):
-    basis = CORNER_BASIS_2 if p == 2 else CORNER_BASIS_3
-    problems = corner_span_problems(p, basis, fx.named_delta_images, local_idempotents(p)[2:])
+    corner = fx.corners["z%d_corner" % p]
+    problems = corner.span_problems(p, fx.named_delta_images, local_idempotents(p)[2:])
     return _problems(
         problems, "the ten claimed elements are a local basis of the basic corner at %d" % p
     )
@@ -852,7 +856,7 @@ def _corner_identities(fx, p):
 def _loop_corner_span(fx):
     t = dict(CORNER_BASIS_3)
     loop = (("e6", t["e6"]), ("eta", t["tau5"]), ("xi", t["tau6"]))
-    problems = corner_span_problems(3, loop, fx.named_delta_images, (t["e6"],))
+    problems = fx.corner(loop).span_problems(3, fx.named_delta_images, (t["e6"],))
     return _problems(problems, "the e6 corner at 3 is spanned by 1, eta, xi")
 
 

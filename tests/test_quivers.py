@@ -376,6 +376,14 @@ def _express_reference(elements, block):
         return None
 
 
+def _is_zero(ring, c):
+    """Is the rational c zero in ring?  One outside ring is not."""
+    try:
+        return rings.normalize(ring, c) == 0
+    except ValueError:
+        return False
+
+
 def _combination(coeffs, elements):
     block = BlockElement.zero()
     for c, e in zip(coeffs, elements):
@@ -435,7 +443,7 @@ def test_vanishing_matches_the_fraction_coordinates(name, nums, den, mult, nudge
     if nudge is None:
         assert want == coeffs
     for ring in rings.RINGS:
-        zero = want is not None and all(rings.is_zero(ring, c) for c in want)
+        zero = want is not None and all(_is_zero(ring, c) for c in want)
         assert _vanishes(block, ring, corner) == zero, ring
 
 
@@ -466,12 +474,28 @@ def test_change_of_basis_det_matches_the_fraction_det(name, nums, dens):
 
 
 def test_corner_rejects_dependent_basis():
+    # recorded, not raised: the span check and the presentation check each
+    # fail on it, and nothing else of the presentation is tested
     dup = (
         ("one", BlockElement.from_coords({"s11": 1})),
         ("two", BlockElement.from_coords({"s11": 2})),
     )
-    with pytest.raises(ValueError):
-        CornerAlgebra(dup)
+    corner = CornerAlgebra(dup)
+    assert not corner.independent
+    dependent = "claimed corner basis is not linearly independent"
+    assert corner.span_problems(2, dup[:1], corner.elements[:1]) == [dependent]
+    assert verify_presentation(fixture_presentation("q_corner"), corner) == ([dependent], None)
+
+
+@pytest.mark.parametrize(
+    "p, problems", [(2, ["basis element h is outside the projected order"]), (3, [])]
+)
+def test_the_span_check_reads_a_basis_over_its_denominator(p, problems):
+    # h = e/2 is a row over the lcm 2, not refused as non-integral: outside
+    # the order at 2, and a unit multiple of e at 3
+    e = BlockElement.from_coords({"s11": 1})
+    corner = CornerAlgebra((("h", e.scale(Fraction(1, 2))),))
+    assert corner.span_problems(p, (("g", e),), (e,)) == problems
 
 
 def test_structure_table_matches_block_products():

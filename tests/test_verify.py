@@ -942,6 +942,60 @@ def test_a_non_integral_corner_projection_names_the_generator():
     assert detail.count("is not integral") == 1
 
 
+def _generator(j):
+    return "projected generator %d (%s) escapes the claimed basis" % (j, BASIS_LABELS[j])
+
+
+_DEPENDENT = "claimed corner basis is not linearly independent"
+
+
+@pytest.mark.parametrize(
+    "attr, name, tamper, stage, failing",
+    [
+        (  # b2 + e1 leaves the e5 corner, and the generator that made b2 escapes
+            "GAMMA_CORNER_BASIS_2", "b2", lambda x: x + orders.local_idempotents(2)[0], "local2",
+            {
+                ("local2", "gamma-corner-span"): [
+                    "basis element b2 is not fixed by the corner",
+                    "basis element b2 is outside the projected order",
+                    _generator(6),
+                ],
+            },
+        ),
+        (
+            "GAMMA_CORNER_BASIS_2", "b3", lambda x: x.scale(Fraction(1, 2)), "local2",
+            {("local2", "gamma-corner-span"): ["basis element b3 is outside the projected order"]},
+        ),
+        (
+            "GAMMA_CORNER_BASIS_2", "b3", lambda x: x.scale(2), "local2",
+            {("local2", "gamma-corner-span"): [_generator(j) for j in (2, 3, 5, 6)]},
+        ),
+        (  # tau6 := tau5 loses z3; the presentation checks read the same corner
+            "CORNER_BASIS_2", "tau6", lambda x: dict(orders.CORNER_BASIS_2)["tau5"], "all",
+            {
+                ("local2", "basic-corner-span"): [_generator(20), _DEPENDENT],
+                ("paths", "presentation-z2_corner"): [_DEPENDENT],
+                ("paths", "presentation-z2_corner-mod2"): [_DEPENDENT],
+            },
+        ),
+    ],
+    ids=["not-fixed", "halved", "doubled", "dependent"],
+)
+def test_each_span_check_witness_fails_its_check_with_exit_1(
+    monkeypatch, capsys, attr, name, tamper, stage, failing
+):
+    basis = getattr(verify, attr)
+    monkeypatch.setattr(verify, attr, tuple((k, tamper(x) if k == name else x) for k, x in basis))
+    assert cli.main(["verify", "--json", "--stage", stage]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    records = {
+        (s["stage"], c["name"]): c for s in json.loads(out.out)["stages"] for c in s["checks"]
+    }
+    for (st, check), problems in failing.items():
+        assert records[st, check] == {"name": check, "status": "fail", "detail": "; ".join(problems)}
+
+
 def test_a_non_integral_24_inverse_names_its_entries():
     # five times column 0 divides row 0 of the inverse by 5
     fx = verify.FixtureSet()
@@ -1074,14 +1128,35 @@ def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
 
 
 def test_a_full_run_builds_one_corner_algebra_per_corner(monkeypatch):
-    # rational-corner-table and the five presentation checks share them
-    built = []
-    init = quivers.CornerAlgebra.__init__
+    # no basis is built twice, and no lattice of one is factored twice at a
+    # prime: basic-corner-span at p and the presentation checks of the z<p>
+    # corner read one corner, rational-corner-table and presentation-q another
+    built, lattices, spanned = [], [], []
+    Corner = quivers.CornerAlgebra
+    init, span, local = Corner.__init__, Corner.span_problems, quivers.LocalLattice
+    monkeypatch.setattr(Corner, "__init__", lambda c, basis: built.append(basis) or init(c, basis))
     monkeypatch.setattr(
-        quivers.CornerAlgebra, "__init__", lambda c, basis: built.append(basis) or init(c, basis)
+        Corner, "span_problems", lambda c, p, *a: spanned.append((p, c)) or span(c, p, *a)
     )
-    assert verify.run()["status"] == "pass"
-    assert built == [orders.CORNER_BASIS_Q, orders.CORNER_BASIS_2, orders.CORNER_BASIS_3]
+    monkeypatch.setattr(
+        quivers, "LocalLattice", lambda rows, p: lattices.append((rows, p)) or local(rows, p)
+    )
+    presented = []
+    present = verify.verify_presentation
+    monkeypatch.setattr(
+        verify, "verify_presentation", lambda pres, c: presented.append(c) or present(pres, c)
+    )
+    fx = verify.FixtureSet()
+    assert verify.run(fixture_dir=fx)["status"] == "pass"
+    assert len(set(built)) == len(built)
+    for basis in (orders.CORNER_BASIS_Q, orders.CORNER_BASIS_2, orders.CORNER_BASIS_3):
+        assert built.count(basis) == 1
+    corners = fx.corners
+    assert presented == [corners[n] for n in ("q_corner",) + ("z2_corner",) * 2 + ("z3_corner",) * 2]
+    for p in (2, 3):
+        corner = corners["z%d_corner" % p]
+        assert (p, corner) in spanned
+        assert [q for rows, q in lattices if rows is corner._rows] == [p]
 
 
 def test_a_full_run_eliminates_the_matrix_and_gamma_once_each(monkeypatch):
