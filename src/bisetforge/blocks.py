@@ -144,12 +144,6 @@ class BlockElement(StructureElement):
     def to_vector(self):
         return [Fraction(a, self.den) for a in self.nums]
 
-    def int_vector(self):
-        """The coordinates as a list of ints; ValueError unless integral."""
-        if self.den != 1:
-            raise ValueError("block element has denominator %d" % self.den)
-        return list(self.nums)
-
     def inverse(self):
         # Column k of L is (nums of self, over 1) * e_k, so self * c == 1
         # reads (L / den) c == 1.
@@ -166,6 +160,13 @@ class BlockElement(StructureElement):
 
     def is_integral(self):
         return self.den == 1
+
+    def non_integer_coordinate(self):
+        """The first coordinate that is not an integer, as "s12 = -55/4", or None."""
+        for name, c in zip(COORD_NAMES, self.nums):
+            if c % self.den:
+                return "%s = %s" % (name, rings.format_fraction(c, self.den))
+        return None
 
     def __repr__(self):
         parts = ["%s=%s" % nc for nc in zip(COORD_NAMES, self.to_vector()) if nc[1]]

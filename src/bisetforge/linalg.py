@@ -4,6 +4,8 @@ Matrices are plain lists of lists.  sparse_columns and apply_columns accept
 ints and Fractions; the exact kernels (det_bareiss, int_inverse, hnf_rows,
 smith_normal_form, elementary_divisors, LocalLattice) take integers only and
 raise TypeError on a Fraction or a float, which int() would truncate.  A
+rational matrix is integer rows over one denominator, as rows_over_lcm()
+gives them: LocalLattice(rows, p, den) is the Z_(p)-span of rows / den.  A
 matrix applied many times is kept as its sparse columns.
 
     >>> A = sparse_columns([[2, 0, 1], [0, 0, 3]])
@@ -477,11 +479,14 @@ def _smith_step(rows):
 
 
 class LocalLattice:
-    """The Z_(p)-span of integer row vectors, factored once for many tests.
+    """The Z_(p)-span of the rational rows G / den, G integer rows over their
+    common denominator den > 0 as rows_over_lcm() gives them, factored once
+    for many tests.
 
     With U*G*V = D in Smith form, v lies in the span iff every coordinate of
-    v*V is divisible at p by the matching elementary divisor, and is 0 where
-    the divisor is 0.  The rows of V are kept as sparse columns of V^T, so a
+    den*v*V is divisible at p by the matching elementary divisor, and is 0
+    where the divisor is 0; only the p-part of den counts, so a den prime to
+    p scales nothing.  The rows of V are kept as sparse columns of V^T, so a
     test multiplies only the nonzero entries of v, and the p-parts of the
     divisors are kept, so a test is integer arithmetic only.
 
@@ -490,10 +495,13 @@ class LocalLattice:
     (copied, so a caller may change its lists afterwards).
     """
 
-    def __init__(self, gens, p):
+    def __init__(self, gens, p, den=1):
+        if p < 2 or operator.index(den) < 1:
+            raise ValueError("expected a prime p and a positive integer den")
         self.p = p
         self.divisors = []
         self._moduli = None
+        self._row_den = p ** _p_val(den, p)  # the p-part of den
         rows = tuple(map(tuple, gens))
         if not rows:
             return
@@ -505,6 +513,8 @@ class LocalLattice:
         """Is the rational vector nums/den in the span?  (integer nums, den > 0)"""
         if self._moduli is None:
             return not any(nums)
+        if self._row_den != 1:
+            nums = [self._row_den * x for x in nums]
         scale = self.p ** _p_val(den, self.p)
         for w, m in zip(apply_columns(self._rows, nums), self._moduli):
             if m == 0:
@@ -513,4 +523,3 @@ class LocalLattice:
             elif w % (m * scale):
                 return False
         return True
-

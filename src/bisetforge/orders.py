@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 
-from . import fixtures, rings
+from . import fixtures
 from .bisets import BASIS_LABELS
 from .blocks import COORD_INDEX, COORD_NAMES, BlockElement
 from .linalg import hnf_rows, smith_normal_form
@@ -88,12 +88,9 @@ def representation_matrix(imgs):
     Raises ValueError if any image fails to be integral.
     """
     for j, img in enumerate(imgs):
-        for name, c in zip(COORD_NAMES, img.nums):
-            if c % img.den:
-                raise ValueError(
-                    "image %d (%s) has non-integer %s = %s"
-                    % (j, BASIS_LABELS[j], name, rings.format_fraction(c, img.den))
-                )
+        bad = img.non_integer_coordinate()
+        if bad:
+            raise ValueError("image %d (%s) has non-integer %s" % (j, BASIS_LABELS[j], bad))
     return [[img.nums[i] for img in imgs] for i in range(22)]
 
 

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import rings
-from .blocks import COORD_NAMES, BlockElement
+from .blocks import BlockElement
 from .linalg import LocalLattice, det_bareiss, hnf_rows, rows_over_lcm
 
 
@@ -261,9 +261,9 @@ class CornerAlgebra:
         self._lattices = {}  # the LocalLattice of the rows at each prime
 
     def lattice(self, p):
-        """The Z_(p)-span of the rows, b times that of the basis, built once."""
+        """The Z_(p)-span of the basis, the rows over b, built once."""
         if p not in self._lattices:
-            self._lattices[p] = LocalLattice(self._rows, p)
+            self._lattices[p] = LocalLattice(self._rows, p, self._b)
         return self._lattices[p]
 
     def is_identity(self, f, ring):
@@ -278,7 +278,7 @@ class CornerAlgebra:
     def in_p_span(self, block, p):
         """Does block lie in p times the Z_(p)-span of the basis, that is, do
         its coordinates, unique when the basis is independent, lie in pZ_(p)?"""
-        return self.lattice(p).contains([self._b * x for x in block.nums], p * block.den)
+        return self.lattice(p).contains(block.nums, p * block.den)
 
     def span_problems(self, p, named_gens, idempotents):
         """Check the basis spans f.L.f over the localization at p.
@@ -298,20 +298,17 @@ class CornerAlgebra:
         projected = []  # (name, nums) of each generator with an integral projection
         for name, g in named_gens:
             pg = f * g * f
-            if not pg.is_integral():
-                k, c = next((k, c) for k, c in enumerate(pg.nums) if c % pg.den)
-                problems.append(
-                    "projection of generator %s is not integral: %s = %s"
-                    % (name, COORD_NAMES[k], rings.format_fraction(c, pg.den))
-                )
+            bad = pg.non_integer_coordinate()
+            if bad:
+                problems.append("projection of generator %s is not integral: %s" % (name, bad))
                 continue
             projected.append((name, pg.nums))
         order = LocalLattice([nums for _, nums in projected], p)
-        for name, row in zip(self.labels, self._rows):
-            if not order.contains(row, self._b):
+        for name, elem in zip(self.labels, self.elements):
+            if not order.contains(elem.nums, elem.den):
                 problems.append("basis element %s is outside the projected order" % name)
         for name, nums in projected:
-            if not self.lattice(p).contains([self._b * x for x in nums]):
+            if not self.lattice(p).contains(nums):
                 problems.append("projected generator %s escapes the claimed basis" % name)
         if not self.independent:
             problems.append(_DEPENDENT)

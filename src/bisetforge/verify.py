@@ -756,20 +756,16 @@ def _gamma_corner_table(fx):
 
 
 def _radical_2():
-    """The corner basis b1..b4 at 2 and the generators 2b1, b2, b3, b4 of its
-    radical J, each by name."""
+    """The corner basis b1..b4 at 2, the generators 2b1, b2, b3, b4 of its
+    radical J, each by name, and J as a LocalLattice at 2."""
     b = dict(GAMMA_CORNER_BASIS_2)
-    return b, {"2b1": b["b1"].scale(2), "b2": b["b2"], "b3": b["b3"], "b4": b["b4"]}
-
-
-def _radical_lattice():
-    """_radical_2() and J as a LocalLattice at 2."""
-    b, jgens = _radical_2()
-    return b, jgens, LocalLattice([g.int_vector() for g in jgens.values()], 2)
+    jgens = {"2b1": b["b1"].scale(2), "b2": b["b2"], "b3": b["b3"], "b4": b["b4"]}
+    rows, d = rows_over_lcm(list(jgens.values()))
+    return b, jgens, LocalLattice(rows, 2, d)
 
 
 def _radical_ideal(fx):
-    b, jgens, J = _radical_lattice()
+    b, jgens, J = _radical_2()
     # a dict, since a generator and a basis element may share a name
     closed = {
         "%s %s in J" % names: J.contains(xy.nums, xy.den)
@@ -784,20 +780,17 @@ def _radical_ideal(fx):
 
 
 def _radical_cube(fx):
-    b, jgens = _radical_2()
+    b, jgens, _ = _radical_2()
     jgens = list(jgens.values())
-    cube = [(x1 * x2 * x3).int_vector() for x1 in jgens for x2 in jgens for x3 in jgens]
-    claimed = [
-        g.int_vector()
-        for g in (b["b1"].scale(8), b["b2"].scale(4), b["b3"].scale(2), b["b4"].scale(4))
-    ]
-    twice = [g.scale(2).int_vector() for g in b.values()]
-    cube_lat, claimed_lat, twice_lat = (LocalLattice(g, 2) for g in (cube, claimed, twice))
+    cube = [x1 * x2 * x3 for x1 in jgens for x2 in jgens for x3 in jgens]
+    claimed = [b["b1"].scale(8), b["b2"].scale(4), b["b3"].scale(2), b["b4"].scale(4)]
+    J3, claim = (LocalLattice(rows, 2, d) for rows, d in map(rows_over_lcm, (cube, claimed)))
+    corner = fx.corner(GAMMA_CORNER_BASIS_2)  # the one gamma-corner-span reads
     return _relations(
         [
-            ("J^3 inside (8b1, 4b2, 2b3, 4b4)", all(claimed_lat.contains(v) for v in cube)),
-            ("(8b1, 4b2, 2b3, 4b4) inside J^3", all(cube_lat.contains(v) for v in claimed)),
-            ("J^3 inside twice the corner", all(twice_lat.contains(v) for v in cube)),
+            ("J^3 inside (8b1, 4b2, 2b3, 4b4)", all(claim.contains(x.nums, x.den) for x in cube)),
+            ("(8b1, 4b2, 2b3, 4b4) inside J^3", all(J3.contains(x.nums, x.den) for x in claimed)),
+            ("J^3 inside twice the corner", all(corner.in_p_span(x, 2) for x in cube)),
         ],
         "J^3 = (8b1, 4b2, 2b3, 4b4) and lands inside twice the corner",
     )
@@ -806,7 +799,7 @@ def _radical_cube(fx):
 def _residue_field(fx):
     # Coordinates of the J generators over b1..b4 are diag(2,1,1,1) by
     # construction, so the quotient has order 2; with 1 outside J it is a field.
-    b, _, J = _radical_lattice()
+    b, _, J = _radical_2()
     return _relations(
         [("b1 outside J", not J.contains(b["b1"].nums, b["b1"].den))],
         "corner modulo J is the field with two elements",
@@ -861,10 +854,11 @@ def _loop_corner_span(fx):
 
 
 def _loop_combo():
-    """combo(a, b, c): the coordinates of a e6 + b tau5 + c tau6, the element
-    a + b eta + c xi of the e6 corner at 3."""
+    """(combo, d): combo(a, b, c) is the coordinates over d of a e6 + b tau5 +
+    c tau6, the element a + b eta + c xi of the e6 corner at 3, d the lcm of
+    their denominators; a product of two combos is over d^2."""
     t = dict(CORNER_BASIS_3)
-    loop = [t[k].int_vector() for k in ("e6", "tau5", "tau6")]
+    loop, d = rows_over_lcm([t[k] for k in ("e6", "tau5", "tau6")])
     # the three touch few coordinates: only those are combined
     support = [(k, x, y, z) for k, (x, y, z) in enumerate(zip(*loop)) if x or y or z]
 
@@ -874,17 +868,18 @@ def _loop_combo():
             nums[k] = a * x + b * y + c * z
         return nums
 
-    return combo
+    return combo, d
 
 
 def _loop_corner_law(fx):
-    combo, mul = _loop_combo(), partial(multiply_cells, blocks.slot_cells())
+    (combo, d), mul = _loop_combo(), partial(multiply_cells, blocks.slot_cells())
     draw = _randint(random.Random(_SEED + 3), -9, 9)
     for n in range(200):
         a1, b1, c1, a2, b2, c2 = (draw() for _ in range(6))
         u1, u2 = combo(a1, b1, c1), combo(a2, b2, c2)
         u1u2 = mul(u1, u2)
-        if u1u2 != combo(a1 * a2, a1 * b2 + a2 * b1, a1 * c2 + a2 * c1) or u1u2 != mul(u2, u1):
+        want = combo(d * a1 * a2, d * (a1 * b2 + a2 * b1), d * (a1 * c2 + a2 * c1))
+        if u1u2 != want or u1u2 != mul(u2, u1):
             return False, "the law fails on sample %d: (%d, %d, %d) times (%d, %d, %d)" % (
                 n, a1, b1, c1, a2, b2, c2
             )
@@ -897,17 +892,17 @@ def _loop_corner_law(fx):
 
 def _unit_criterion(fx):
     # a = 0 gives a square-zero non-unit; otherwise the closed-form inverse
-    # inv / a^2 is two-sided, u inv == a^2 e6 == inv u, and it lies in the
-    # order at 3 exactly when 3 does not divide a
-    combo, mul = _loop_combo(), partial(multiply_cells, blocks.slot_cells())
+    # inv, over a^2 d, is two-sided, u inv == e6 == inv u with the products
+    # over (a d)^2, and it lies in the order at 3 exactly when 3 does not divide a
+    (combo, d), mul = _loop_combo(), partial(multiply_cells, blocks.slot_cells())
     for a, b, c in itertools.product(range(-4, 5), repeat=3):
         u = combo(a, b, c)
         if a == 0:
             ok = not any(mul(u, u))
         else:
             inv = combo(a, -b, -c)
-            ok = mul(u, inv) == combo(a * a, 0, 0) == mul(inv, u)
-            ok = ok and localized_membership(inv, a * a, 3) == (a % 3 != 0)
+            ok = mul(u, inv) == combo(a * a * d, 0, 0) == mul(inv, u)
+            ok = ok and localized_membership(inv, a * a * d, 3) == (a % 3 != 0)
         if not ok:
             return False, "criterion fails at (a, b, c) = (%d, %d, %d)" % (a, b, c)
     return (
@@ -1104,8 +1099,8 @@ def emit_fixtures(out_dir, fixture_dir=None):
         raise ValueError("peirce.json: delta_matrix.json cannot be written: %s" % exc) from None
     raw = fx.peirce_data
     # Peirce coordinate SLOT_TO_PEIRCE[k] of a ring element is slot k of its
-    # slot_ints, integral as BlockElement.int_vector() requires; the integer
-    # vectors over d multiply to products over d^2.
+    # slot_ints, which must be integral; the integer vectors over d multiply
+    # to products over d^2.
     dd = pb.int_vectors[1] ** 2
     table = []
     for products in fx.peirce_products:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from bisetforge import bisets, cli, verify
 from bisetforge.bisets import BASIS_LABELS
 from bisetforge.blocks import PEIRCE_LABELS, SLOT_TO_PEIRCE, BlockElement
-from bisetforge.linalg import SingularMatrixError
+from bisetforge.linalg import SingularMatrixError, rows_over_lcm
 from bisetforge.orders import lambda_membership, localized_membership
 from bisetforge.perms import PermGroup, _bits
 
@@ -222,14 +222,14 @@ def membership_splits(fx):
 
 def _loop_combo():
     t = dict(verify.CORNER_BASIS_3)
-    loop = [t[k].int_vector() for k in ("e6", "tau5", "tau6")]
+    loop, d = rows_over_lcm([t[k] for k in ("e6", "tau5", "tau6")])
     support = [(k, x, y, z) for k, (x, y, z) in enumerate(zip(*loop)) if x or y or z]
 
     def combo(a, b, c, den=1):
         nums = [0] * 22
         for k, x, y, z in support:
             nums[k] = a * x + b * y + c * z
-        return BlockElement.from_ints(nums, den)
+        return BlockElement.from_ints(nums, den * d)
 
     return combo
 
@@ -280,7 +280,9 @@ def peirce_table(fx):
         row = []
         for prod in products:
             slots = BlockElement.from_ints(*pb.slot_ints(prod, d * d))
-            coords = dict(zip(SLOT_TO_PEIRCE, slots.int_vector()))
+            if slots.den != 1:
+                raise ValueError("block element has denominator %d" % slots.den)
+            coords = dict(zip(SLOT_TO_PEIRCE, slots.nums))
             row.append({PEIRCE_LABELS[k]: coords[k] for k in range(22) if coords[k]})
         table.append(row)
     return table

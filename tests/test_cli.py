@@ -654,6 +654,37 @@ def test_a_matrix_with_no_mod24_conditions_fails_that_check_and_exits_1(
     assert (check["status"], check["detail"]) == ("fail", detail)
 
 
+@pytest.mark.parametrize(
+    "stage, attr, name, factor, check, detail",
+    [
+        (
+            "local2", "GAMMA_CORNER_BASIS_2", "b3", "1/16",
+            "gamma-corner-span", "basis element b3 is outside the projected order",
+        ),
+        (
+            "local3", "CORNER_BASIS_3", "tau5", "1/2",
+            "corner-identities", "fails: tau5 = tau1 tau2",
+        ),
+    ],
+    ids=["b3-over-16", "tau5-over-2"],
+)
+def test_a_non_integral_corner_basis_fails_its_checks_and_exits_1(
+    capsys, monkeypatch, stage, attr, name, factor, check, detail
+):
+    # a basis element with a denominator is read over its lcm like any other,
+    # so the stage reports every check instead of stopping at the first
+    basis = tuple((k, x.scale(factor) if k == name else x) for k, x in getattr(verify, attr))
+    monkeypatch.setattr(verify, attr, basis)
+    code, out, err = run_cli(capsys, "verify", "--stage", stage, "--json")
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["stages"][0]["checks"]}
+    assert list(checks) == [name for name, _, _ in verify._stage_checks(stage)]
+    assert (checks[check]["status"], checks[check]["detail"]) == ("fail", detail)
+    if stage == "local3":  # 1/2 is a unit at 3
+        for span in ("basic-corner-span", "loop-corner-span"):
+            assert checks[span]["status"] == "pass", span
+
+
 def test_a_non_integral_delta_image_fails_its_checks_and_blocks_the_emit(
     capsys, tmp_path, monkeypatch
 ):

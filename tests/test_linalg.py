@@ -155,6 +155,14 @@ def test_local_lattice_ignores_odd_denominators():
     assert LocalLattice(gens, 2).contains([0, 2])
     assert not LocalLattice(gens, 3).contains([0, 2])
     assert not LocalLattice(gens, 2).contains([1, 0])
+    # gens / 2 is spanned by (1, 0) and (0, 3)
+    assert LocalLattice(gens, 2, 2).contains([1, 0])
+    halves = LocalLattice(gens, 3, 2)
+    assert halves.contains([1, 0]) and not halves.contains([0, 1])
+    # a p-valuation of 0, or at p = 1, never ends: refused
+    for p, den in ((2, 0), (1, 1)):
+        with pytest.raises(ValueError):
+            LocalLattice(gens, p, den)
 
 
 def test_p_valuation():
@@ -474,13 +482,14 @@ def span_problems(draw):
     return gens, vecs
 
 
-@given(span_problems(), st.sampled_from([2, 3, 5]))
+@given(span_problems(), st.sampled_from([2, 3, 5]), st.integers(1, 12))
 @settings(max_examples=150)
-def test_local_lattice_matches_fraction_reference(problem, p):
+def test_local_lattice_matches_fraction_reference(problem, p, den):
+    # the span of gens / den holds v exactly when that of gens holds v * den
     gens, vecs = problem
-    lattice = LocalLattice(gens, p)
+    lattice = LocalLattice(gens, p, den)
     for v in vecs:
-        want = reference_in_local_span(gens, v, p)
+        want = reference_in_local_span(gens, [x * den for x in v], p)
         assert lattice.contains(*common_denominator(v)) == want
     if gens:
         assert lattice.divisors == elementary_divisors(gens)

@@ -882,8 +882,10 @@ def test_a_radical_holding_the_unit_is_named(monkeypatch, check, detail):
     radical = verify._radical_2
 
     def whole_corner():
-        b, jgens = radical()
-        return b, {**jgens, "2b1": b["b1"]}
+        b, jgens, _ = radical()
+        jgens = {**jgens, "2b1": b["b1"]}
+        rows, d = linalg.rows_over_lcm(list(jgens.values()))
+        return b, jgens, linalg.LocalLattice(rows, 2, d)
 
     monkeypatch.setattr(verify, "_radical_2", whole_corner)
     assert getattr(verify, check)(verify.FixtureSet()) == (False, detail)
@@ -1130,16 +1132,23 @@ def test_the_484_delta_products_are_made_once_per_run(monkeypatch):
 def test_a_full_run_builds_one_corner_algebra_per_corner(monkeypatch):
     # no basis is built twice, and no lattice of one is factored twice at a
     # prime: basic-corner-span at p and the presentation checks of the z<p>
-    # corner read one corner, rational-corner-table and presentation-q another
-    built, lattices, spanned = [], [], []
+    # corner read one corner, rational-corner-table and presentation-q
+    # another, gamma-corner-span and radical-cube a third
+    built, lattices, spanned, probed = [], [], [], []
     Corner = quivers.CornerAlgebra
     init, span, local = Corner.__init__, Corner.span_problems, quivers.LocalLattice
+    in_p_span = Corner.in_p_span
     monkeypatch.setattr(Corner, "__init__", lambda c, basis: built.append(basis) or init(c, basis))
     monkeypatch.setattr(
         Corner, "span_problems", lambda c, p, *a: spanned.append((p, c)) or span(c, p, *a)
     )
     monkeypatch.setattr(
-        quivers, "LocalLattice", lambda rows, p: lattices.append((rows, p)) or local(rows, p)
+        Corner, "in_p_span", lambda c, x, p: probed.append((c, p)) or in_p_span(c, x, p)
+    )
+    monkeypatch.setattr(
+        quivers,
+        "LocalLattice",
+        lambda rows, p, den=1: lattices.append((rows, p)) or local(rows, p, den),
     )
     presented = []
     present = verify.verify_presentation
@@ -1157,6 +1166,10 @@ def test_a_full_run_builds_one_corner_algebra_per_corner(monkeypatch):
         corner = corners["z%d_corner" % p]
         assert (p, corner) in spanned
         assert [q for rows, q in lattices if rows is corner._rows] == [p]
+    # radical-cube tests "J^3 inside twice the corner" on gamma-corner-span's corner
+    gamma = fx.corner(orders.GAMMA_CORNER_BASIS_2)
+    assert built.count(orders.GAMMA_CORNER_BASIS_2) == 1
+    assert (2, gamma) in spanned and (gamma, 2) in probed
 
 
 def test_a_full_run_eliminates_the_matrix_and_gamma_once_each(monkeypatch):
