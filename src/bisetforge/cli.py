@@ -1,6 +1,14 @@
 """Command line front end: subgroup classification, ring products, and the
 verification stages.
 
+A full `verify` (`--stage all`) runs on two processes when fork exists,
+more than one CPU may be used and no other thread runs: a forked child runs
+the stages that never read the structure table (local2, local3, paths) and
+sends their report as JSON on a pipe, while this process runs peirce, gamma
+and lambda.  Should the fork or the child fail in any way, this process runs
+those stages itself, so the report, the exit code and any error line are
+those of one process.
+
 Exit codes: 0 success, 1 a verification check failed or the two structure
 table routes disagree, 2 usage or domain errors (unparsable input, unknown
 names, coefficients outside the ring) and unreadable fixture files.
@@ -8,9 +16,11 @@ names, coefficients outside the ring) and unreadable fixture files.
 
 import argparse
 import itertools
+import json
 import os
 import re
 import sys
+import threading
 from functools import lru_cache
 
 from . import bisets, fixtures, rings
@@ -165,11 +175,76 @@ def cmd_mult(args):
     return 0
 
 
+# the stages a forked child runs, the last three of STAGE_ORDER: they read
+# the fixtures, the delta images and the corners, never the structure table
+CHILD_STAGES = ("local2", "local3", "paths")
+
+
+def usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_forked(verify, fx):
+    """verify.run(STAGE_ORDER, fx), with CHILD_STAGES run by a forked child;
+    when the child fails, this process runs them.  The child is reaped, or
+    killed and reaped, before this returns or raises."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had
+        os.close(read_end)
+        os.close(write_end)
+        return verify.run(fixtures.STAGE_ORDER, fx)
+    if pid == 0:  # the child: report on the pipe, leave without touching stdio
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "w", encoding="utf-8") as pipe:
+                json.dump(verify.run(CHILD_STAGES, fx), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    tail = None
+    try:
+        with open(read_end, encoding="utf-8") as pipe:
+            head = verify.run([s for s in fixtures.STAGE_ORDER if s not in CHILD_STAGES], fx)
+            text = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = None
+        if status == 0:
+            try:
+                tail = json.loads(text)
+            except ValueError:
+                pass
+    finally:
+        if pid is not None:  # this process's stages raised
+            from signal import SIGKILL  # here, so that a cold start never imports signal
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    if tail is None:
+        tail = verify.run(CHILD_STAGES, fx)
+    stages = head["stages"] + tail["stages"]
+    status = "pass" if all(r["status"] == "pass" for r in stages) else "fail"
+    return {"status": status, "stages": stages}
+
+
 def cmd_verify(args):
     from . import verify  # here, so that subgroups and mult never load the verifier
 
     fx = verify.FixtureSet(args.fixture_dir)
-    report = verify.run(stages=args.stage, fixture_dir=fx)
+    # a child forked beside other threads may find their locks held for good
+    if args.stage == "all" and hasattr(os, "fork") and usable_cpus() > 1 and (
+        threading.active_count() == 1
+    ):
+        report = _run_forked(verify, fx)
+    else:
+        report = verify.run(stages=args.stage, fixture_dir=fx)
     if args.json:
         sys.stdout.write(fixtures.canonical_dumps(report))
     else:

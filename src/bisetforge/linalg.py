@@ -511,6 +511,8 @@ class LocalLattice:
 
     def contains(self, nums, den=1):
         """Is the rational vector nums/den in the span?  (integer nums, den > 0)"""
+        if operator.index(den) < 1:
+            raise ValueError("expected a positive integer den")
         if self._moduli is None:
             return not any(nums)
         if self._row_den != 1:

@@ -4,9 +4,12 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -427,15 +430,180 @@ def test_verify_json_does_not_depend_on_the_hash_seed():
     assert b"'x1', 'x2', 'x3', 'y', 'w+z1+z2+z3']" in outs[0]
 
 
-def test_verify_json_matches_the_golden_report(capsys):
-    golden = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "perfbench", "golden", "verify_report.json",
-    )
-    code, out, err = run_cli(capsys, "verify", "--json")
-    assert code == 0
-    with open(golden, "rb") as fh:
+GOLDEN_REPORT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench", "golden", "verify_report.json",
+)
+
+
+def _assert_golden(code, out, err):
+    assert code == 0 and err == ""
+    with open(GOLDEN_REPORT, "rb") as fh:
         assert out.encode("utf-8") == fh.read()
+
+
+def test_verify_json_matches_the_golden_report(capsys):
+    _assert_golden(*run_cli(capsys, "verify", "--json"))
+
+
+def _tree(root):
+    """{path below root: bytes} for every file under root."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _verify_on_one_and_two_cpus(capsys, monkeypatch, tmp_path, *argv):
+    """cli.main(["verify", *argv]) as if one CPU, then two CPUs, could be
+    used, each in its own directory tmp_path/1 and tmp_path/2: the two
+    (code, out, err).  Checks that only the second run forked, that neither
+    left a child behind and that neither raised a DeprecationWarning (which
+    os.fork gives in a threaded process)."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)  # a child appends to its own copy
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    results = []
+    for n in (1, 2):
+        monkeypatch.setattr(cli, "usable_cpus", lambda n=n: n)
+        (tmp_path / str(n)).mkdir()
+        monkeypatch.chdir(tmp_path / str(n))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append(run_cli(capsys, "verify", *argv))
+        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1 and forks[0] > 0
+    return results
+
+
+def test_two_process_verify_prints_and_emits_the_one_process_output(
+    capsys, monkeypatch, tmp_path
+):
+    one, two = _verify_on_one_and_two_cpus(
+        capsys, monkeypatch, tmp_path, "--json", "--emit", "fixtures"
+    )
+    assert one == two
+    code, out, err = two
+    assert code == 0 and err.count("wrote ") == 6
+    with open(GOLDEN_REPORT, "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+    shipped = _tree(fixtures.DEFAULT_DIR)
+    for n in (1, 2):
+        assert _tree(tmp_path / str(n) / "fixtures.regenerated") == shipped
+
+
+def _fail_in_the_child(how):
+    """Make a forked child fail: raise, die by a signal, exit 0 having
+    written text that is not JSON, or exit 1 having written a JSON report."""
+    parent = os.getpid()
+    run, dump = verify.run, json.dump
+
+    def child_run(*args, **kwargs):
+        if os.getpid() != parent:
+            if how == "raises":
+                raise RuntimeError("child failed")
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return run(*args, **kwargs)
+
+    def child_dump(obj, fh, **kwargs):
+        if os.getpid() != parent:
+            if how == "not-json":
+                fh.write('{"status": "pass", "stag')
+                return None
+            if how == "json-then-raises":
+                fh.write('{"status": "pass", "stages": []}')
+                raise RuntimeError("child failed")
+        return dump(obj, fh, **kwargs)
+
+    return child_run, child_dump
+
+
+@pytest.mark.parametrize("how", ["raises", "killed", "not-json", "json-then-raises"])
+def test_two_process_verify_runs_the_stages_itself_when_the_child_fails(
+    capsys, monkeypatch, tmp_path, how
+):
+    child_run, child_dump = _fail_in_the_child(how)
+    monkeypatch.setattr(verify, "run", child_run)
+    monkeypatch.setattr(json, "dump", child_dump)
+    one, two = _verify_on_one_and_two_cpus(capsys, monkeypatch, tmp_path, "--json")
+    assert one == two
+    _assert_golden(*two)
+
+
+def test_verify_runs_in_one_process_when_fork_fails(capsys, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    _assert_golden(*run_cli(capsys, "verify", "--json"))
+
+
+def test_verify_does_not_fork_beside_another_thread(capsys, monkeypatch):
+    def forbidden():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", forbidden)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        result = run_cli(capsys, "verify", "--json")
+    finally:
+        done.set()
+        waiter.join()
+    _assert_golden(*result)
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        (  # read first in this process's stages
+            "peirce.json",
+            lambda d: d["basis22"]["vectors"].pop("eps2"),
+            "error: peirce.json:basis22.vectors: missing 'eps2'",
+        ),
+        (  # read only in the child's stages
+            "presentations/z2_corner.json",
+            lambda d: d["vertices"].__setitem__(1, d["vertices"][0]),
+            "error: presentations/z2_corner.json:vertices[1]: expected a new vertex name, got 'e3'",
+        ),
+    ],
+    ids=["peirce", "z2_corner"],
+)
+def test_two_process_verify_gives_the_one_process_error(
+    capsys, monkeypatch, tmp_path, name, edit, message
+):
+    dst = _tampered_fixture(tmp_path, name, edit)
+    one, two = _verify_on_one_and_two_cpus(capsys, monkeypatch, tmp_path, "--fixture-dir", dst)
+    assert one == two == (2, "", message + "\n")
+
+
+def test_two_process_verify_kills_a_running_child_when_its_own_stages_raise(
+    capsys, monkeypatch, tmp_path
+):
+    parent, run = os.getpid(), verify.run
+
+    def slow_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return run(*args, **kwargs)
+
+    def unreadable(fixture_dir=None):
+        raise ValueError("peirce.json: unreadable")
+
+    monkeypatch.setattr(verify, "run", slow_in_the_child)
+    monkeypatch.setitem(verify._STAGE_FUNCS, "peirce", unreadable)
+    t0 = time.perf_counter()
+    one, two = _verify_on_one_and_two_cpus(capsys, monkeypatch, tmp_path, "--json")
+    assert time.perf_counter() - t0 < 30
+    assert one == two == (2, "", "error: peirce.json: unreadable\n")
 
 
 def _tampered_fixture(tmp_path, name, edit):

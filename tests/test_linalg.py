@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -163,6 +166,27 @@ def test_local_lattice_ignores_odd_denominators():
     for p, den in ((2, 0), (1, 1)):
         with pytest.raises(ValueError):
             LocalLattice(gens, p, den)
+
+
+def test_local_lattice_contains_refuses_a_den_below_1():
+    # den 0 once sent contains into a p-valuation loop that never ended: run
+    # the calls in a fresh interpreter, so that a hang fails within seconds
+    code = """
+from bisetforge.linalg import LocalLattice
+for gens in ([[2, 0], [0, 6]], []):
+    for den in (0, -2):
+        try:
+            LocalLattice(gens, 2).contains([1, 0], den)
+        except ValueError as exc:
+            print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["expected a positive integer den"] * 4
 
 
 def test_p_valuation():
