@@ -1,13 +1,13 @@
 """Command line front end: subgroup classification, ring products, and the
 verification stages.
 
-A full `verify` (`--stage all`) runs on two processes when fork exists,
-more than one CPU may be used and no other thread runs: a forked child runs
-the stages that never read the structure table (local2, local3, paths) and
-sends their report as JSON on a pipe, while this process runs peirce, gamma
-and lambda.  Should the fork or the child fail in any way, this process runs
-those stages itself, so the report, the exit code and any error line are
-those of one process.
+A `verify` splits its stages into a head and a tail, the stages that never
+read the structure table (local2, local3, paths).  When both are non-empty,
+fork exists, more than one CPU may be used and no other thread runs, a
+forked child runs the tail and sends its report as JSON on a pipe while this
+process runs the head.  With no child, or when the child fails in any way,
+this process runs the tail itself, so the report, the exit code and any
+error line are those of one process.
 
 Exit codes: 0 success, 1 a verification check failed or the two structure
 table routes disagree, 2 usage or domain errors (unparsable input, unknown
@@ -188,63 +188,62 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_forked(verify, fx):
-    """verify.run(STAGE_ORDER, fx), with CHILD_STAGES run by a forked child;
-    when the child fails, this process runs them.  The child is reaped, or
-    killed and reaped, before this returns or raises."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had
-        os.close(read_end)
-        os.close(write_end)
-        return verify.run(fixtures.STAGE_ORDER, fx)
-    if pid == 0:  # the child: report on the pipe, leave without touching stdio
-        code = 1
+def _run_stages(verify, fx, stages):
+    """verify.run(stages, fx), the tail run by a forked child when the module
+    docstring allows, and run here when it does not or the child fails.  The
+    child is reaped, or killed and reaped, before this returns or raises."""
+    head = [s for s in stages if s not in CHILD_STAGES]
+    tail = [s for s in stages if s in CHILD_STAGES]
+    pid = tail_report = None
+    # a child forked beside other threads may find their locks held for good
+    if head and tail and hasattr(os, "fork") and usable_cpus() > 1 and threading.active_count() == 1:
+        read_end, write_end = os.pipe()
+        pipe = open(read_end, encoding="utf-8")
         try:
-            os.close(read_end)
-            with open(write_end, "w", encoding="utf-8") as pipe:
-                json.dump(verify.run(CHILD_STAGES, fx), pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    tail = None
-    try:
-        with open(read_end, encoding="utf-8") as pipe:
-            head = verify.run([s for s in fixtures.STAGE_ORDER if s not in CHILD_STAGES], fx)
-            text = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        if status == 0:
+            pid = os.fork()
+        except OSError:  # no process to be had
+            pipe.close()
+        if pid == 0:  # the child: report on the pipe, leave without touching stdio
+            code = 1
             try:
-                tail = json.loads(text)
-            except ValueError:
-                pass
+                pipe.close()
+                with open(write_end, "w", encoding="utf-8") as out:
+                    json.dump(verify.run(tail, fx), out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+    try:
+        head_report = verify.run(head, fx)
+        if pid is not None:
+            with pipe:
+                text = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if status == 0:
+                try:
+                    tail_report = json.loads(text)
+                except ValueError:
+                    pass
     finally:
         if pid is not None:  # this process's stages raised
             from signal import SIGKILL  # here, so that a cold start never imports signal
 
+            pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    if tail is None:
-        tail = verify.run(CHILD_STAGES, fx)
-    stages = head["stages"] + tail["stages"]
-    status = "pass" if all(r["status"] == "pass" for r in stages) else "fail"
-    return {"status": status, "stages": stages}
+    if tail_report is None:
+        tail_report = verify.run(tail, fx)
+    reports = head_report["stages"] + tail_report["stages"]
+    status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
+    return {"status": status, "stages": reports}
 
 
 def cmd_verify(args):
     from . import verify  # here, so that subgroups and mult never load the verifier
 
     fx = verify.FixtureSet(args.fixture_dir)
-    # a child forked beside other threads may find their locks held for good
-    if args.stage == "all" and hasattr(os, "fork") and usable_cpus() > 1 and (
-        threading.active_count() == 1
-    ):
-        report = _run_forked(verify, fx)
-    else:
-        report = verify.run(stages=args.stage, fixture_dir=fx)
+    report = _run_stages(verify, fx, fixtures.STAGE_ORDER if args.stage == "all" else (args.stage,))
     if args.json:
         sys.stdout.write(fixtures.canonical_dumps(report))
     else:

@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache
 from itertools import compress
 
 from . import rings
@@ -468,16 +467,6 @@ def _p_val(x, p):
     return v
 
 
-@lru_cache(maxsize=32)
-def _smith_step(rows):
-    """The part of LocalLattice that does not depend on p, for the tuple of
-    integer rows G: the diagonal entry of D at each column (0 past the last
-    row) and the rows of V as sparse columns of V^T, with U*G*V = D."""
-    D, V = smith_normal_form(rows)
-    k = len(rows)
-    return tuple(D[j][j] if j < k else 0 for j in range(len(V))), sparse_columns(transpose(V))
-
-
 class LocalLattice:
     """The Z_(p)-span of the rational rows G / den, G integer rows over their
     common denominator den > 0 as rows_over_lcm() gives them, factored once
@@ -489,10 +478,6 @@ class LocalLattice:
     p scales nothing.  The rows of V are kept as sparse columns of V^T, so a
     test multiplies only the nonzero entries of v, and the p-parts of the
     divisors are kept, so a test is integer arithmetic only.
-
-    The Smith step does not depend on p, so lattices on the same rows share
-    it, at p = 2 and p = 3 alike, through a bounded cache keyed by the rows
-    (copied, so a caller may change its lists afterwards).
     """
 
     def __init__(self, gens, p, den=1):
@@ -502,10 +487,11 @@ class LocalLattice:
         self.divisors = []
         self._moduli = None
         self._row_den = p ** _p_val(den, p)  # the p-part of den
-        rows = tuple(map(tuple, gens))
-        if not rows:
+        D, V = smith_normal_form(gens)
+        if not D:
             return
-        diagonal, self._rows = _smith_step(rows)
+        diagonal = [D[j][j] if j < len(D) else 0 for j in range(len(V))]
+        self._rows = sparse_columns(transpose(V))
         self.divisors = [d for d in diagonal if d]
         self._moduli = [p ** _p_val(d, p) if d else 0 for d in diagonal]
 

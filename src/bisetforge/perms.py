@@ -470,12 +470,6 @@ class PermGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, p):
-        return p in self.element_set
-
     def __eq__(self, other):
         return (
             isinstance(other, PermGroup)

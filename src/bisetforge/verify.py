@@ -144,12 +144,6 @@ class FixtureSet:
         return sweep_products(bisets.structure_cells(), self.peirce.int_vectors[0])
 
     @cached_property
-    def route_diffs(self):
-        """The cells where the orbit and double-coset routes disagree."""
-        ot, mt = bisets.oracle_table(), bisets.mackey_table()
-        return _pairs(BASIS_LABELS, lambda i, j: ot[i][j] != mt[i][j])
-
-    @cached_property
     def table(self):
         """The certified structure table; TableMismatch when the routes
         disagree, raised again on each read since nothing is cached then."""
@@ -285,8 +279,9 @@ def _biset_sizes(fx):
 
 
 def _table_dual_route(fx):
+    ot, mt = bisets.oracle_table(), bisets.mackey_table()
     return _cells(
-        fx.route_diffs,
+        _pairs(BASIS_LABELS, lambda i, j: ot[i][j] != mt[i][j]),
         "orbit enumeration and double-coset route agree on all 484 products",
         "routes disagree at %s",
     )

@@ -10,7 +10,7 @@ from fractions import Fraction
 from bisetforge import bisets, cli, verify
 from bisetforge.bisets import BASIS_LABELS
 from bisetforge.blocks import PEIRCE_LABELS, SLOT_TO_PEIRCE, BlockElement
-from bisetforge.linalg import SingularMatrixError, rows_over_lcm
+from bisetforge.linalg import SingularMatrixError, common_denominator, rows_over_lcm
 from bisetforge.orders import lambda_membership, localized_membership
 from bisetforge.perms import PermGroup, _bits
 
@@ -21,6 +21,11 @@ def outcome(fn):
         return fn(), None
     except ValueError as exc:
         return None, str(exc)
+
+
+def element(ring, coeffs):
+    """The ring element with these rational coefficients."""
+    return bisets.BurnsideElement.from_ints(ring, *common_denominator(coeffs))
 
 
 def mat_vec(A, v):

@@ -34,15 +34,10 @@ from bisetforge.bisets import (
     subgroup_reps,
     transitive_biset,
 )
-from bisetforge.linalg import common_denominator, multiply_cells
+from bisetforge.linalg import multiply_cells
 from bisetforge.perms import PermGroup
 from bisetforge.rings import RINGS, normalize_ints
-from reference import multiply_rows, outcome, rows_of
-
-
-def element(ring, coeffs):
-    """The ring element with these rational coefficients."""
-    return BurnsideElement.from_ints(ring, *common_denominator(coeffs))
+from reference import element, multiply_rows, outcome, rows_of
 
 
 def test_basis_has_22_classes():

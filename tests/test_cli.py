@@ -451,12 +451,31 @@ def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _open_fds():
+    """The file descriptors this process holds, or None without /proc."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _verify_cleanly(capsys, *argv):
+    """run_cli(capsys, "verify", *argv), checking that it leaves no file
+    descriptor open and gives no DeprecationWarning (which os.fork gives in a
+    threaded process) or ResourceWarning (a pipe left for the collector to
+    close); the warnings are recorded, so the check holds under any filter."""
+    fds = _open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, "verify", *argv)
+    unwanted = (DeprecationWarning, ResourceWarning)
+    assert [w.message for w in caught if issubclass(w.category, unwanted)] == []
+    assert _open_fds() == fds
+    return result
+
+
 def _verify_on_one_and_two_cpus(capsys, monkeypatch, tmp_path, *argv):
-    """cli.main(["verify", *argv]) as if one CPU, then two CPUs, could be
+    """_verify_cleanly(capsys, *argv) as if one CPU, then two CPUs, could be
     used, each in its own directory tmp_path/1 and tmp_path/2: the two
-    (code, out, err).  Checks that only the second run forked, that neither
-    left a child behind and that neither raised a DeprecationWarning (which
-    os.fork gives in a threaded process)."""
+    (code, out, err).  Checks that only the second run forked and that
+    neither left a child behind."""
     real_fork, forks = os.fork, []
 
     def fork():
@@ -470,16 +489,14 @@ def _verify_on_one_and_two_cpus(capsys, monkeypatch, tmp_path, *argv):
         monkeypatch.setattr(cli, "usable_cpus", lambda n=n: n)
         (tmp_path / str(n)).mkdir()
         monkeypatch.chdir(tmp_path / str(n))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results.append(run_cli(capsys, "verify", *argv))
-        assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+        results.append(_verify_cleanly(capsys, *argv))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert len(forks) == 1 and forks[0] > 0
     return results
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_two_process_verify_prints_and_emits_the_one_process_output(
     capsys, monkeypatch, tmp_path
 ):
@@ -523,6 +540,7 @@ def _fail_in_the_child(how):
     return child_run, child_dump
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 @pytest.mark.parametrize("how", ["raises", "killed", "not-json", "json-then-raises"])
 def test_two_process_verify_runs_the_stages_itself_when_the_child_fails(
     capsys, monkeypatch, tmp_path, how
@@ -535,15 +553,46 @@ def test_two_process_verify_runs_the_stages_itself_when_the_child_fails(
     _assert_golden(*two)
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_verify_runs_in_one_process_when_fork_fails(capsys, monkeypatch):
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
-    _assert_golden(*run_cli(capsys, "verify", "--json"))
+    _assert_golden(*_verify_cleanly(capsys, "--json"))
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+@pytest.mark.parametrize("stage", ["peirce", "local2"])
+def test_one_stage_runs_in_one_process(capsys, monkeypatch, stage):
+    def forbidden():
+        raise AssertionError("forked for one stage")
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", forbidden)
+    code, out, err = run_cli(capsys, "verify", "--stage", stage, "--json")
+    assert code == 0 and err == ""
+    assert [s["stage"] for s in json.loads(out)["stages"]] == [stage]
+
+
+def test_the_child_stages_build_no_structure_table():
+    # what a forked child runs reads the fixtures, the delta images and the
+    # corners, never a structure table
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "from bisetforge import bisets, cli, verify\n"
+        "print(verify.run(cli.CHILD_STAGES)['status'])\n"
+        "for f in (bisets.structure_cells, bisets.oracle_table, bisets.mackey_table):\n"
+        "    print(f.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"pass", b"0", b"0", b"0"]
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_verify_does_not_fork_beside_another_thread(capsys, monkeypatch):
     def forbidden():
         raise AssertionError("forked beside another thread")
@@ -577,6 +626,7 @@ def test_verify_does_not_fork_beside_another_thread(capsys, monkeypatch):
     ],
     ids=["peirce", "z2_corner"],
 )
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_two_process_verify_gives_the_one_process_error(
     capsys, monkeypatch, tmp_path, name, edit, message
 ):
@@ -585,6 +635,7 @@ def test_two_process_verify_gives_the_one_process_error(
     assert one == two == (2, "", message + "\n")
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_two_process_verify_kills_a_running_child_when_its_own_stages_raise(
     capsys, monkeypatch, tmp_path
 ):
